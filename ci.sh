@@ -5,32 +5,38 @@ set -eux
 cargo fmt --check
 cargo build --workspace --release
 cargo test -q --workspace
-# Chaos suite: seeded fault schedules (fixed seeds inside the tests) —
-# semantic preservation, determinism, and degradation/recovery under outage,
-# including a per-shard outage confined to the sick shard.
-cargo test -q --test chaos
-# Sharding suite: deterministic placement, reproducible per-shard ledgers,
-# and the sharded(1) == SingleNode cost identity (fault plans included).
-cargo test -q --test sharding
-# Failover suite: a 200-seed crash/restart sweep under replicas(2) asserts
-# zero lost acknowledged writebacks, replicas(1) asserts bitwise pay-for-use
-# identity, and the R=1 loss case stays honestly accounted.
-cargo test -q --test failover
-# Soundness gate: tfm-lint must report zero uncovered heap accesses on
-# every workload/example/config, and the static lint must agree with the
-# dynamic guard sanitizer over the randomized corpus — including the
-# 200-seed interprocedural sweep that runs every on/off combination of
-# {interproc, call_aware_kills, guard_motion} against a LocalMem oracle.
-cargo test -q --test lint_gate
-cargo test -q --test random_programs
-# Tracing suite: causal decomposition of guard latency under chaos,
-# byte-identical trace exports across same-seed runs, and the pay-for-use
-# report identity.
-cargo test -q --test tracing
-# Concurrency suite: one wire transfer per in-flight object, a 200-seed
-# cores(1) bitwise-identity + cores(N) determinism sweep, and overlapping
-# demand-fetch spans in the multi-core trace.
-cargo test -q --test concurrency
+# The `--workspace` run above includes the root package's integration
+# suites; what each one gates:
+#   chaos           — seeded fault schedules (fixed seeds inside the tests):
+#                     semantic preservation, determinism, and degradation/
+#                     recovery under outage, including a per-shard outage
+#                     confined to the sick shard.
+#   sharding        — deterministic placement, reproducible per-shard ledgers,
+#                     and the sharded(1) == SingleNode cost identity (fault
+#                     plans included).
+#   failover        — a 200-seed crash/restart sweep under replicas(2) asserts
+#                     zero lost acknowledged writebacks, replicas(1) asserts
+#                     bitwise pay-for-use identity, and the R=1 loss case
+#                     stays honestly accounted.
+#   lint_gate,      — soundness gate: tfm-lint must report zero uncovered heap
+#   random_programs   accesses on every workload/example/config, and the
+#                     static lint must agree with the dynamic guard sanitizer
+#                     over the randomized corpus — including the 200-seed
+#                     interprocedural sweep that runs every on/off combination
+#                     of {interproc, call_aware_kills, guard_motion} against a
+#                     LocalMem oracle, and the 200-seed differential corpus
+#                     that locks the bytecode engine to the reference
+#                     tree-walker (`oracle` feature, tests only).
+#   engine_identity — production vs the reference tree-walker: byte-identical
+#                     reports on every system and hard configuration, and
+#                     identical collected profiles.
+#   tracing         — causal decomposition of guard latency under chaos,
+#                     byte-identical trace exports across same-seed runs, and
+#                     the pay-for-use report identity.
+#   concurrency     — one wire transfer per in-flight object, a 200-seed
+#                     cores(1) bitwise-identity + cores(N) determinism sweep,
+#                     and overlapping demand-fetch spans in the multi-core
+#                     trace.
 
 # Bench gates (each asserts its own invariants and aborts on violation):
 #   guard_elision       — elision is deterministic, preserves results, never
@@ -47,15 +53,21 @@ cargo test -q --test concurrency
 #                         acknowledged writebacks. Emits BENCH_failover.json.
 #   concurrency_scaling — cores(1) bit-identical; 8 cores >= 4x throughput.
 #                         Emits BENCH_concurrency.json.
-#   interp_speed        — both engines bit-identical on serving, then the
-#                         bytecode engine must clear >= 1.5x the tree-walker's
-#                         wall clock. Emits BENCH_interp.json.
 for bench in guard_elision guard_motion fault_overhead trace_overhead \
-    shard_scaling failover_overhead concurrency_scaling interp_speed; do
+    shard_scaling failover_overhead concurrency_scaling; do
     case "$bench" in
     guard_elision | guard_motion) TFM_SCALE=8 cargo bench -q -p tfm-bench --bench "$bench" ;;
     *) cargo bench -q -p tfm-bench --bench "$bench" ;;
     esac
 done
 
+# tfm-perf smoke gate: every row of all five workloads runs once at 1/8
+# size. The binary exits 0 even when rows fail, so check each result line.
+benchmark/run.sh --quick | awk '
+    /^\{/ { n++; if ($0 !~ /"correct":true/ || $0 !~ /"failed":0[,}]/) { print "tfm-perf row failed: " $0; bad = 1 } }
+    END { if (n != 5) { print "tfm-perf: expected 5 result lines, got " n + 0; bad = 1 } exit bad }'
+
+# The workspace run unifies the root package's dev-dependency features, so it
+# lints the `oracle` build; the second line lints what production compiles.
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy -p tfm-sim -p tfm-workloads -p tfm-bench --all-targets -- -D warnings

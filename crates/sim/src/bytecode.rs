@@ -6,7 +6,8 @@
 //! targets resolved to instruction offsets, guard/chunk intrinsics given
 //! dedicated opcodes carrying their prebuilt [`SiteKey`]s, and constants
 //! pooled and deduplicated by bit pattern. The dispatch loop in this module
-//! then replaces the tree-walking interpreter on the hot path.
+//! is the one engine behind [`Machine::run`]; the tree-walking interpreter
+//! it replaced survives only as the test reference (`oracle` feature).
 //!
 //! ## The bit-identity contract
 //!
@@ -15,11 +16,11 @@
 //! [`Bc::Retire`] no-ops) so `stats.instructions` and fuel accounting
 //! retire in the same order; every cycle charge, memory-system call,
 //! telemetry probe and sanitizer shadow update is sequenced exactly as the
-//! tree-walker sequences it. The engines differ only in real wall-clock
+//! tree-walker sequences it. The two differ only in real wall-clock
 //! time: no per-call register `Vec`, no per-edge update `Vec`, no operand
 //! re-decoding, and the whole guard path compiled down to one `Copy` match
-//! arm. `tests/random_programs.rs` locks the two engines together over a
-//! 200-seed differential corpus.
+//! arm. `tests/random_programs.rs` locks them together over a 200-seed
+//! differential corpus.
 
 use crate::machine::{exec_binop, exec_cast, exec_fcmp, exec_icmp, kill_custody, shadow, Machine};
 use crate::memsys::{MemorySystem, GLOBAL_BASE, STACK_BASE};
@@ -816,18 +817,10 @@ impl RegStack {
 }
 
 impl<'m, M: MemorySystem> Machine<'m, M> {
-    /// Entry point from [`Machine::run`]: lowers the module on first use,
-    /// then executes `fid` in a root bytecode frame.
+    /// Entry point from [`Machine::run`]: executes `fid` in a root bytecode
+    /// frame.
     pub(crate) fn run_bytecode(&mut self, fid: FuncId, args: &[u64]) -> Result<u64, Trap> {
-        let prog = match &self.bc {
-            Some(p) => Rc::clone(p),
-            None => {
-                let p = Rc::new(lower_module(self.module));
-                self.engine_stats.lowered_fns += p.funcs.len() as u64;
-                self.bc = Some(Rc::clone(&p));
-                p
-            }
-        };
+        let prog = Rc::clone(&self.bc);
         {
             let f = self.module.function(fid);
             assert_eq!(
@@ -841,7 +834,6 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
             regs: std::mem::take(&mut self.bc_regs),
             cov: std::mem::take(&mut self.bc_cov),
         };
-        let before = self.stats.instructions;
         let r = if self.sanitize {
             self.root_frame::<true>(&prog, fid, args, &mut rs)
         } else {
@@ -849,10 +841,6 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
         };
         self.bc_regs = rs.regs;
         self.bc_cov = rs.cov;
-        // Every retired instruction in this engine was dispatched from
-        // bytecode (the lowering is 1:1), so the delta is the dispatch
-        // count — counted here so the hot loop pays nothing for it.
-        self.engine_stats.dispatched_insts += self.stats.instructions - before;
         r
     }
 
@@ -1653,7 +1641,6 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::ExecEngine;
     use crate::memsys::LocalMem;
     use tfm_ir::{FunctionBuilder, Signature};
     use trackfm::CostModel;
@@ -1662,20 +1649,23 @@ mod tests {
         Machine::new(m, LocalMem::new(1 << 20), CostModel::default(), 1 << 20)
     }
 
-    /// Runs `m` under both engines and asserts bit-identical outcomes.
+    /// Runs `m` and, in an `oracle` build, asserts the reference engine's
+    /// outcome is bit-identical.
     fn both(m: &Module, func: &str, args: &[u64]) -> Result<crate::stats::RunResult, Trap> {
-        let mut tw = machine(m);
-        let a = tw.run(func, args);
-        let mut bc = machine(m);
-        bc.set_engine(ExecEngine::Bytecode);
-        let b = bc.run(func, args);
-        match (&a, &b) {
-            (Ok(x), Ok(y)) => {
-                assert_eq!(x.ret, y.ret);
-                assert_eq!(x.stats, y.stats);
+        let b = machine(m).run(func, args);
+        #[cfg(feature = "oracle")]
+        {
+            let mut tw = machine(m);
+            tw.set_engine(crate::ExecEngine::TreeWalk);
+            let a = tw.run(func, args);
+            match (&a, &b) {
+                (Ok(x), Ok(y)) => {
+                    assert_eq!(x.ret, y.ret);
+                    assert_eq!(x.stats, y.stats);
+                }
+                (Err(x), Err(y)) => assert_eq!(x, y),
+                _ => panic!("engines disagree: {a:?} vs {b:?}"),
             }
-            (Err(x), Err(y)) => assert_eq!(x, y),
-            _ => panic!("engines disagree: {a:?} vs {b:?}"),
         }
         b
     }
@@ -1870,32 +1860,5 @@ mod tests {
         assert!(dis.contains("\"f:v1:read\""), "{dis}");
         assert!(dis.contains("load.i64"), "{dis}");
         assert!(dis.contains("ret        r2"), "{dis}");
-    }
-
-    #[test]
-    fn dispatched_insts_match_retired_instructions() {
-        let mut m = Module::new("t");
-        let id = m.declare_function("f", Signature::new(vec![Type::I64], Some(Type::I64)));
-        {
-            let mut b = FunctionBuilder::new(m.function_mut(id));
-            let n = b.param(0);
-            let zero = b.iconst(Type::I64, 0);
-            b.counted_loop(zero, n, 1, |_b, _i| {});
-            b.ret(Some(n));
-        }
-        m.verify().unwrap();
-        let mut mach = machine(&m);
-        mach.set_engine(ExecEngine::Bytecode);
-        let r = mach.run("f", &[100]).unwrap();
-        assert_eq!(r.engine.lowered_fns, 1);
-        assert_eq!(r.engine.dispatched_insts, r.stats.instructions);
-        // A second run reuses the lowered program but keeps dispatching.
-        let r2 = mach.run("f", &[100]).unwrap();
-        assert_eq!(r2.engine.lowered_fns, 1, "lowering happens once");
-        assert_eq!(r2.engine.dispatched_insts, r2.stats.instructions);
-        // The tree-walker reports all-zero engine stats.
-        let mut tw = machine(&m);
-        let r3 = tw.run("f", &[100]).unwrap();
-        assert_eq!(r3.engine, crate::stats::EngineStats::default());
     }
 }

@@ -16,12 +16,13 @@
 //! returns a [`RunResult`] with cycles, guard/fault counters and network
 //! byte ledgers — everything the paper's tables and figures plot.
 //!
-//! Two execution engines sit behind [`Machine::run`], selected with
-//! [`Machine::set_engine`]: the tree-walking interpreter (default) and the
-//! flattened register-[`bytecode`] engine, which lowers the module once and
-//! dispatches from dense pre-resolved instructions. Both are bit-identical
-//! in every simulated quantity; bytecode is ~an order of magnitude faster
-//! in real time (see DESIGN.md §6j).
+//! One execution engine sits behind [`Machine::run`]: the flattened
+//! register-[`bytecode`] engine, which lowers the module once in
+//! [`Machine::new`] and dispatches from dense pre-resolved instructions.
+//! The tree-walking interpreter it replaced is kept as the reference the
+//! differential tests compare against, behind the off-by-default `oracle`
+//! cargo feature — a build-time test seam, not a run-time choice (see
+//! DESIGN.md §6j).
 //!
 //! ## Example: the sum loop end to end
 //!
@@ -68,15 +69,19 @@
 pub mod bytecode;
 mod machine;
 mod memsys;
+#[cfg(feature = "oracle")]
+mod oracle;
 mod sched;
 mod stats;
 mod trap;
 
-pub use machine::{ExecEngine, Machine};
+pub use machine::Machine;
 pub use memsys::{
     FastswapMem, HybridMem, LocalMem, MemSummary, MemorySystem, TrackFmMem, GLOBAL_BASE, HEAP_BASE,
     STACK_BASE,
 };
+#[cfg(feature = "oracle")]
+pub use oracle::ExecEngine;
 pub use sched::CoreSet;
-pub use stats::{EngineStats, ExecStats, RunResult};
+pub use stats::{ExecStats, RunResult};
 pub use trap::Trap;

@@ -9,36 +9,19 @@
 //! Integer values are stored sign-extended to 64 bits; unsigned operations
 //! mask to the operand width first. `f64` values are stored as raw bits.
 
-use crate::bytecode::Program;
+use crate::bytecode::{lower_module, Program};
 use crate::memsys::{MemorySystem, GLOBAL_BASE, HEAP_BASE, STACK_BASE};
-use crate::stats::{EngineStats, ExecStats, RunResult};
+#[cfg(feature = "oracle")]
+use crate::oracle::ExecEngine;
+use crate::stats::{ExecStats, RunResult};
 use crate::trap::Trap;
 use std::collections::HashMap;
 use std::rc::Rc;
 use tfm_analysis::profile::Profile;
-use tfm_ir::{
-    BinOp, Block, CastOp, CmpOp, FCmpOp, FuncId, Function, InstKind, Intrinsic, Module, Type, Value,
-};
+use tfm_ir::{BinOp, Block, CastOp, CmpOp, FCmpOp, FuncId, Intrinsic, Module, Type};
 use tfm_runtime::TfmPtr;
 use tfm_telemetry::{EventKind, SiteKey, SpanKind, Telemetry};
 use trackfm::CostModel;
-
-/// Selects the execution engine behind [`Machine::run`].
-///
-/// Both engines implement identical semantics and cycle accounting — every
-/// simulated quantity (results, cycles, stats, traps, telemetry) is
-/// bit-identical between them. The bytecode engine only changes *real*
-/// wall-clock throughput (see DESIGN.md §6j).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum ExecEngine {
-    /// The original tree-walking interpreter over [`tfm_ir::InstKind`].
-    #[default]
-    TreeWalk,
-    /// The flattened register-bytecode engine (see [`crate::bytecode`]):
-    /// the module is lowered once into dense [`crate::bytecode::Program`]
-    /// form and executed by a tight dispatch loop.
-    Bytecode,
-}
 
 /// Downgrades every killable custody bit (see [`shadow`]): the dynamic
 /// counterpart of the static analysis clearing its cover map at calls and
@@ -106,17 +89,14 @@ pub struct Machine<'m, M: MemorySystem> {
     /// Custody shadow of the value the last `Ret` returned (the dynamic
     /// mirror of summary return covers).
     pub(crate) ret_cov: u8,
-    /// Which engine [`Machine::run`] executes on.
-    engine: ExecEngine,
-    /// Lowering/dispatch counters for the bytecode engine (zero under the
-    /// tree-walker, keeping its reports byte-identical).
-    pub(crate) engine_stats: EngineStats,
-    /// The lowered module, built lazily on the first bytecode run and
-    /// reused for every subsequent call (`Rc` so the dispatch loop can hold
-    /// it across `&mut self` method calls).
-    pub(crate) bc: Option<Rc<Program>>,
+    /// Which engine [`Machine::run`] executes on (test builds only).
+    #[cfg(feature = "oracle")]
+    pub(crate) engine: ExecEngine,
+    /// The module lowered to register bytecode (`Rc` so the dispatch loop
+    /// can hold it across `&mut self` method calls).
+    pub(crate) bc: Rc<Program>,
     /// Shared register stack for bytecode frames (one zero-filled window
-    /// per active call, replacing the tree-walker's per-call `Vec`).
+    /// per active call).
     pub(crate) bc_regs: Vec<u64>,
     /// Shadow custody stack parallel to [`Self::bc_regs`] (sanitizer only).
     pub(crate) bc_cov: Vec<u8>,
@@ -172,25 +152,13 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
             kill_epoch: 0,
             arg_cov: Vec::new(),
             ret_cov: shadow::NONE,
-            engine: ExecEngine::TreeWalk,
-            engine_stats: EngineStats::default(),
-            bc: None,
+            #[cfg(feature = "oracle")]
+            engine: ExecEngine::default(),
+            bc: Rc::new(lower_module(module)),
             bc_regs: Vec::new(),
             bc_cov: Vec::new(),
             bc_scratch: Vec::new(),
         }
-    }
-
-    /// Selects the execution engine for subsequent [`Machine::run`] calls.
-    /// Both engines are bit-identical in every simulated quantity; the
-    /// bytecode engine is simply faster in real time.
-    pub fn set_engine(&mut self, engine: ExecEngine) {
-        self.engine = engine;
-    }
-
-    /// The engine [`Machine::run`] currently executes on.
-    pub fn engine(&self) -> ExecEngine {
-        self.engine
     }
 
     /// Enables the dynamic guard sanitizer: every register carries a shadow
@@ -375,9 +343,11 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
             .module
             .find_function(func)
             .unwrap_or_else(|| panic!("no function named `{func}`"));
-        let ret = match self.engine {
-            ExecEngine::TreeWalk => self.exec_function(fid, args)?,
-            ExecEngine::Bytecode => self.run_bytecode(fid, args)?,
+        // One engine; an `oracle` build can divert to the reference.
+        let ret = match () {
+            #[cfg(feature = "oracle")]
+            () if self.engine == ExecEngine::TreeWalk => self.exec_function(fid, args)?,
+            () => self.run_bytecode(fid, args)?,
         };
         let mut stats = self.stats;
         stats.cycles = self.clock;
@@ -385,294 +355,11 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
         Ok(RunResult {
             ret,
             stats,
-            engine: self.engine_stats,
             runtime: summary.runtime,
             pager: summary.pager,
             transfers: summary.transfers,
             shards: summary.shards,
         })
-    }
-
-    fn exec_function(&mut self, fid: FuncId, args: &[u64]) -> Result<u64, Trap> {
-        let module = self.module;
-        let f = module.function(fid);
-        assert_eq!(
-            args.len(),
-            f.sig.params.len(),
-            "argument count mismatch calling `{}`",
-            f.name
-        );
-        let mut regs = vec![0u64; f.num_insts()];
-        regs[..args.len()].copy_from_slice(args);
-        // Shadow custody state per register. Parameters inherit the shadows
-        // their arguments held at the call site (staged by the `Call` arm),
-        // mirroring the interprocedural entry covers; the harness-level
-        // entry call stages nothing, so roots start uncovered.
-        let mut cov = vec![shadow::NONE; if self.sanitize { f.num_insts() } else { 0 }];
-        if self.sanitize {
-            let staged = std::mem::take(&mut self.arg_cov);
-            let n = staged.len().min(args.len());
-            cov[..n].copy_from_slice(&staged[..n]);
-        }
-        let saved_stack = self.stack_top;
-        let mut block = f.entry_block();
-        self.profile_block(fid, block, f.num_blocks());
-        'blocks: loop {
-            let insts = f.block_insts(block);
-            for &v in insts {
-                self.stats.instructions += 1;
-                if self.stats.instructions > self.fuel {
-                    return Err(Trap::FuelExhausted);
-                }
-                match f.kind(v) {
-                    InstKind::Nop | InstKind::Param(_) | InstKind::Phi(_) => {}
-                    InstKind::ConstInt(c) => regs[v.index()] = *c as u64,
-                    InstKind::ConstFloat(c) => regs[v.index()] = c.to_bits(),
-                    InstKind::Binary(op, a, b) => {
-                        self.clock += self.cost.alu;
-                        let ty = f.ty(v).unwrap_or(Type::I64);
-                        regs[v.index()] = exec_binop(*op, regs[a.index()], regs[b.index()], ty)?;
-                        if self.sanitize {
-                            cov[v.index()] = cov[a.index()].max(cov[b.index()]);
-                        }
-                    }
-                    InstKind::Icmp(op, a, b) => {
-                        self.clock += self.cost.alu;
-                        let ty = f.ty(*a).unwrap_or(Type::I64);
-                        regs[v.index()] =
-                            exec_icmp(*op, regs[a.index()], regs[b.index()], ty) as u64;
-                    }
-                    InstKind::Fcmp(op, a, b) => {
-                        self.clock += self.cost.alu;
-                        let (x, y) = (
-                            f64::from_bits(regs[a.index()]),
-                            f64::from_bits(regs[b.index()]),
-                        );
-                        regs[v.index()] = exec_fcmp(*op, x, y) as u64;
-                    }
-                    InstKind::Cast(op, a) => {
-                        self.clock += self.cost.alu;
-                        let from_ty = f.ty(*a).unwrap_or(Type::I64);
-                        let to_ty = f.ty(v).unwrap_or(Type::I64);
-                        regs[v.index()] = exec_cast(*op, regs[a.index()], from_ty, to_ty);
-                        if self.sanitize {
-                            cov[v.index()] = cov[a.index()];
-                        }
-                    }
-                    InstKind::Alloca { size, align } => {
-                        let top = self.stack_top.next_multiple_of((*align).max(1) as u64);
-                        if top + *size as u64 > self.stack.len() as u64 {
-                            return Err(Trap::StackOverflow);
-                        }
-                        regs[v.index()] = STACK_BASE + top;
-                        self.stack_top = top + *size as u64;
-                        if self.sanitize {
-                            cov[v.index()] = shadow::STABLE;
-                        }
-                    }
-                    InstKind::Load { ptr } => {
-                        let addr = regs[ptr.index()];
-                        let ty = f.ty(v).unwrap_or(Type::I64);
-                        let size = ty.size() as u64;
-                        if self.sanitize
-                            && cov[ptr.index()] == shadow::NONE
-                            && self.is_sanitized_addr(addr)
-                        {
-                            return Err(Trap::UnguardedAccess {
-                                addr,
-                                func: fid.0,
-                                block: block.0,
-                                inst: v.0,
-                            });
-                        }
-                        self.stats.loads += 1;
-                        let extra =
-                            self.mem
-                                .data_access(addr, size, false, self.clock, &mut self.stats)?;
-                        self.clock += self.cost.load_store + extra;
-                        let addr = self.mem.canonical(addr);
-                        regs[v.index()] = self.read_mem(addr, ty)?;
-                    }
-                    InstKind::Store { ptr, val } => {
-                        let addr = regs[ptr.index()];
-                        let ty = f.ty(*val).unwrap_or(Type::I64);
-                        let size = ty.size() as u64;
-                        if self.sanitize
-                            && cov[ptr.index()] == shadow::NONE
-                            && self.is_sanitized_addr(addr)
-                        {
-                            return Err(Trap::UnguardedAccess {
-                                addr,
-                                func: fid.0,
-                                block: block.0,
-                                inst: v.0,
-                            });
-                        }
-                        self.stats.stores += 1;
-                        let extra =
-                            self.mem
-                                .data_access(addr, size, true, self.clock, &mut self.stats)?;
-                        self.clock += self.cost.load_store + extra;
-                        let addr = self.mem.canonical(addr);
-                        self.write_mem(addr, regs[val.index()], ty)?;
-                    }
-                    InstKind::Gep {
-                        base,
-                        index,
-                        scale,
-                        disp,
-                    } => {
-                        self.clock += self.cost.alu;
-                        regs[v.index()] = regs[base.index()]
-                            .wrapping_add(
-                                (regs[index.index()] as i64).wrapping_mul(*scale as i64) as u64
-                            )
-                            .wrapping_add(*disp as u64);
-                        if self.sanitize {
-                            cov[v.index()] = cov[base.index()];
-                        }
-                    }
-                    InstKind::Call { func, args } => {
-                        self.clock += self.cost.call_overhead;
-                        let vals: Vec<u64> = args.iter().map(|a| regs[a.index()]).collect();
-                        if self.sanitize {
-                            self.arg_cov = args.iter().map(|a| cov[a.index()]).collect();
-                        }
-                        let epoch = self.kill_epoch;
-                        regs[v.index()] = self.exec_function(*func, &vals)?;
-                        if self.sanitize {
-                            // Custody lapses only when the callee actually
-                            // executed a killing operation — the dynamic
-                            // mirror of custody-transparency summaries.
-                            if self.kill_epoch != epoch {
-                                kill_custody(&mut cov);
-                            }
-                            cov[v.index()] = std::mem::replace(&mut self.ret_cov, shadow::NONE);
-                        }
-                    }
-                    InstKind::IntrinsicCall { intr, args } => {
-                        let vals: Vec<u64> = args.iter().map(|a| regs[a.index()]).collect();
-                        let site = SiteKey::new(fid.0, v.index() as u32);
-                        regs[v.index()] = self.exec_intrinsic(*intr, &vals, site)?;
-                        if self.sanitize {
-                            match intr {
-                                Intrinsic::GuardRead | Intrinsic::GuardWrite => {
-                                    cov[v.index()] = shadow::CUSTODY;
-                                    // The guarded pointer itself is covered
-                                    // too (static `apply` inserts both).
-                                    if let Some(a) = args.first() {
-                                        if cov[a.index()] == shadow::NONE {
-                                            cov[a.index()] = shadow::CUSTODY;
-                                        }
-                                    }
-                                }
-                                Intrinsic::ChunkDeref => {
-                                    cov[v.index()] = shadow::CUSTODY;
-                                    if let Some(a) = args.get(1) {
-                                        if cov[a.index()] == shadow::NONE {
-                                            cov[a.index()] = shadow::CUSTODY;
-                                        }
-                                    }
-                                }
-                                Intrinsic::Malloc | Intrinsic::Calloc => {
-                                    kill_custody(&mut cov);
-                                    self.kill_epoch += 1;
-                                    // Pruned local allocation: always local,
-                                    // never needs a guard.
-                                    cov[v.index()] = shadow::STABLE;
-                                }
-                                _ => {
-                                    kill_custody(&mut cov);
-                                    self.kill_epoch += 1;
-                                }
-                            }
-                        }
-                    }
-                    InstKind::GlobalAddr(g) => {
-                        regs[v.index()] = GLOBAL_BASE + self.global_offsets[g.index()];
-                        if self.sanitize {
-                            cov[v.index()] = shadow::STABLE;
-                        }
-                    }
-                    InstKind::Select { cond, tval, fval } => {
-                        self.clock += self.cost.alu;
-                        let taken = if regs[cond.index()] != 0 { tval } else { fval };
-                        regs[v.index()] = regs[taken.index()];
-                        if self.sanitize {
-                            cov[v.index()] = cov[taken.index()];
-                        }
-                    }
-                    InstKind::Br(target) => {
-                        self.clock += self.cost.branch;
-                        let target = *target;
-                        self.take_edge(f, fid, block, target, &mut regs, &mut cov);
-                        block = target;
-                        continue 'blocks;
-                    }
-                    InstKind::CondBr {
-                        cond,
-                        then_bb,
-                        else_bb,
-                    } => {
-                        self.clock += self.cost.branch;
-                        let target = if regs[cond.index()] != 0 {
-                            *then_bb
-                        } else {
-                            *else_bb
-                        };
-                        self.take_edge(f, fid, block, target, &mut regs, &mut cov);
-                        block = target;
-                        continue 'blocks;
-                    }
-                    InstKind::Ret(val) => {
-                        self.clock += self.cost.branch;
-                        self.stack_top = saved_stack;
-                        if self.sanitize {
-                            self.ret_cov = val.map(|v| cov[v.index()]).unwrap_or(shadow::NONE);
-                        }
-                        return Ok(val.map(|v| regs[v.index()]).unwrap_or(0));
-                    }
-                    InstKind::Unreachable => return Err(Trap::Unreachable),
-                }
-            }
-            unreachable!("block fell through without a terminator (verifier bug)");
-        }
-    }
-
-    /// Evaluates the target block's phis against the edge being taken, then
-    /// records profiling.
-    fn take_edge(
-        &mut self,
-        f: &Function,
-        fid: FuncId,
-        from: Block,
-        to: Block,
-        regs: &mut [u64],
-        cov: &mut [u8],
-    ) {
-        // Phis evaluate in parallel: read all incoming values first.
-        let insts = f.block_insts(to);
-        let mut updates: Vec<(Value, u64, u8)> = Vec::new();
-        for &v in insts {
-            match f.kind(v) {
-                InstKind::Phi(incs) => {
-                    if let Some((_, iv)) = incs.iter().find(|(p, _)| *p == from) {
-                        let c = if self.sanitize { cov[iv.index()] } else { 0 };
-                        updates.push((v, regs[iv.index()], c));
-                    }
-                }
-                InstKind::Param(_) => continue,
-                _ => break,
-            }
-        }
-        for (v, val, c) in updates {
-            regs[v.index()] = val;
-            if self.sanitize {
-                cov[v.index()] = c;
-            }
-        }
-        self.note_edge(fid, from.0, to.0);
-        self.profile_block(fid, to, f.num_blocks());
     }
 
     /// True if the sanitizer polices accesses to `addr`: tagged TrackFM
@@ -683,7 +370,7 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
         TfmPtr::is_tfm(addr) || (addr >= HEAP_BASE && addr < HEAP_BASE + self.heap.len() as u64)
     }
 
-    /// Records one edge traversal when profiling is on (both engines).
+    /// Records one edge traversal when profiling is on.
     #[inline]
     pub(crate) fn note_edge(&mut self, fid: FuncId, from: u32, to: u32) {
         if let Some(col) = &mut self.profiler {

@@ -102,43 +102,6 @@ impl MergeStats for ExecStats {
     }
 }
 
-/// Execution-engine counters (see [`crate::bytecode`]). Kept out of
-/// [`ExecStats`] deliberately: engine choice changes real wall-clock
-/// behavior only, so these counters must not participate in the simulated
-/// statistics that are compared bit-for-bit across engines.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub struct EngineStats {
-    /// Functions flattened to register bytecode (0 under the tree-walker;
-    /// the whole module's function count after the first bytecode run).
-    pub lowered_fns: u64,
-    /// Instructions retired by the bytecode dispatch loop. Equals
-    /// [`ExecStats::instructions`] when every call ran on bytecode.
-    pub dispatched_insts: u64,
-}
-
-impl StatGroup for EngineStats {
-    fn group_name(&self) -> &'static str {
-        "engine"
-    }
-
-    fn stat_fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("lowered_fns", self.lowered_fns),
-            ("dispatched_insts", self.dispatched_insts),
-        ]
-    }
-}
-
-impl MergeStats for EngineStats {
-    fn merge(&mut self, other: &Self) {
-        // Lowering is per-machine, not per-run: merging parallel runs of the
-        // same lowered module keeps the module's function count, it does not
-        // double it.
-        self.lowered_fns = self.lowered_fns.max(other.lowered_fns);
-        self.dispatched_insts += other.dispatched_insts;
-    }
-}
-
 /// The result of running a program to completion.
 #[derive(Clone, Debug)]
 pub struct RunResult {
@@ -146,8 +109,6 @@ pub struct RunResult {
     pub ret: u64,
     /// Interpreter counters.
     pub stats: ExecStats,
-    /// Execution-engine counters (all zero under the tree-walker).
-    pub engine: EngineStats,
     /// Far-memory runtime counters (TrackFM/AIFM runs).
     pub runtime: Option<RuntimeStats>,
     /// Pager counters (Fastswap runs).
@@ -210,7 +171,6 @@ mod tests {
                 cycles: 2_400_000_000,
                 ..Default::default()
             },
-            engine: EngineStats::default(),
             runtime: None,
             pager: None,
             transfers: None,

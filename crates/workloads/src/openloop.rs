@@ -323,6 +323,7 @@ fn drive<M: MemorySystem>(
     report: Option<trackfm::CompileReport>,
 ) -> OpenLoopRun {
     let mut machine = Machine::new(module, mem, cfg.cost, heap);
+    #[cfg(feature = "oracle")]
     machine.set_engine(cfg.engine);
     let args = runner::setup(&ol.spec, &mut machine, false);
     let tel = if cfg.trace.enabled {

@@ -13,9 +13,7 @@ use tfm_fastswap::PagerConfig;
 use tfm_ir::Module;
 use tfm_net::{BackendSpec, FaultPlan, LinkParams};
 use tfm_runtime::{FarMemoryConfig, PrefetchConfig, RetryPolicy};
-use tfm_sim::{
-    ExecEngine, FastswapMem, HybridMem, LocalMem, Machine, MemorySystem, RunResult, TrackFmMem,
-};
+use tfm_sim::{FastswapMem, HybridMem, LocalMem, Machine, MemorySystem, RunResult, TrackFmMem};
 use tfm_telemetry::{Json, RunReport, SiteKey, Telemetry, TelemetrySnapshot, TraceConfig};
 use trackfm::{CompileReport, CompilerOptions, CostModel, TrackFmCompiler};
 
@@ -81,10 +79,10 @@ pub struct RunConfig {
     /// `1` keeps even open-loop runs on the synchronous single-machine
     /// path, bit-identical to every other run.
     pub cores: u32,
-    /// Which execution engine interprets the program. Both engines produce
-    /// bit-identical simulated results; the bytecode engine only runs
-    /// faster in real time (see `tfm_sim::bytecode`).
-    pub engine: ExecEngine,
+    /// Test seam: runs on the reference tree-walker when set to
+    /// [`tfm_sim::ExecEngine::TreeWalk`].
+    #[cfg(feature = "oracle")]
+    pub engine: tfm_sim::ExecEngine,
 }
 
 impl RunConfig {
@@ -103,7 +101,8 @@ impl RunConfig {
             faults: FaultPlan::none(),
             backend: BackendSpec::SingleNode,
             cores: 1,
-            engine: ExecEngine::TreeWalk,
+            #[cfg(feature = "oracle")]
+            engine: tfm_sim::ExecEngine::default(),
         }
     }
 
@@ -198,9 +197,10 @@ impl RunConfig {
         self
     }
 
-    /// Selects the execution engine ([`ExecEngine::Bytecode`] for fast
-    /// wall-clock sweeps; simulated results are identical either way).
-    pub fn with_engine(mut self, engine: ExecEngine) -> Self {
+    /// Test seam: selects the engine (the reference tree-walker, for the
+    /// differential tests).
+    #[cfg(feature = "oracle")]
+    pub fn with_engine(mut self, engine: tfm_sim::ExecEngine) -> Self {
         self.engine = engine;
         self
     }
@@ -390,15 +390,7 @@ pub fn build_report(spec: &WorkloadSpec, cfg: &RunConfig, outcome: &Outcome) -> 
     if !cfg.backend.is_single() {
         rep.push_meta("backend", cfg.backend);
     }
-    // Engine visibility is gated on actual bytecode activity so tree-walk
-    // reports stay byte-identical to their historical form.
-    if outcome.result.engine.lowered_fns > 0 {
-        rep.push_meta("engine", "bytecode");
-    }
     rep.push_section(&outcome.result.stats);
-    if outcome.result.engine.lowered_fns > 0 {
-        rep.push_section(&outcome.result.engine);
-    }
     if let Some(rt) = &outcome.result.runtime {
         rep.push_section(rt);
     }
@@ -495,6 +487,7 @@ fn run_machine<M: MemorySystem>(
     cold: bool,
 ) -> (RunResult, Option<TelemetrySnapshot>) {
     let mut machine = Machine::new(module, mem, cfg.cost, heap);
+    #[cfg(feature = "oracle")]
     machine.set_engine(cfg.engine);
     let args = setup(spec, &mut machine, cold);
     // Telemetry attaches only after setup: the report should describe the

@@ -236,7 +236,7 @@ fn main() {
     }
     // ------------------------------------------------------------------
     // The execution engine's view: the compiled module flattened into
-    // dense register bytecode (what `ExecEngine::Bytecode` dispatches).
+    // dense register bytecode (what `Machine::run` dispatches).
     // ------------------------------------------------------------------
     let prog = trackfm_suite::sim::bytecode::lower_module(&compiled);
     println!("\n================ REGISTER BYTECODE ================");

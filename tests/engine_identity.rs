@@ -1,34 +1,26 @@
 //! Engine bit-identity across the workload matrix.
 //!
-//! The bytecode engine's whole contract is that switching engines changes
-//! *nothing* the simulation measures: results, simulated cycles, every
-//! counter, every trap, every rendered report — under every system, and
-//! under the hard configurations (fault injection, sharding, replication
-//! with a mid-run crash, multi-core open-loop dispatch, span tracing).
-//! These tests run the same workload+config on both engines and compare
-//! the rendered [`RunReport`]s byte for byte, modulo the engine's own
-//! telemetry lines (which exist precisely to make the engine choice
-//! visible).
+//! The production bytecode engine's whole contract is that it measures
+//! exactly what the reference tree-walker (the `oracle` feature of
+//! `tfm-sim`, enabled for this package's tests only) measures: results,
+//! simulated cycles, every counter, every trap, every rendered report,
+//! every collected profile — under every system, and under the hard
+//! configurations (fault injection, sharding, replication with a mid-run
+//! crash, multi-core open-loop dispatch, span tracing). These tests run
+//! the same workload+config as production does (no engine selected) and on
+//! the reference, and compare the rendered [`RunReport`]s byte for byte.
 
+use trackfm_suite::compiler::CostModel;
 use trackfm_suite::net::{BackendSpec, FaultPlan};
-use trackfm_suite::sim::ExecEngine;
+use trackfm_suite::sim::{ExecEngine, LocalMem, Machine};
+use trackfm_suite::workloads::analytics::{analytics, AnalyticsParams};
+use trackfm_suite::workloads::kmeans::{kmeans, KmeansParams};
+use trackfm_suite::workloads::nas::{self, NasParams};
 use trackfm_suite::workloads::openloop::{
     execute_open_loop_with_report, open_loop, OpenLoopParams,
 };
-use trackfm_suite::workloads::runner::{execute_with_report, RunConfig};
+use trackfm_suite::workloads::runner::{self, execute_with_report, RunConfig};
 use trackfm_suite::workloads::stream::{self, StreamParams};
-
-/// Strips the bytecode engine's self-identification from a rendered report:
-/// the `engine=bytecode` meta entry and the `[  engine]` section line. What
-/// remains must be byte-identical to the tree-walk rendering.
-fn normalize(rendered: &str) -> String {
-    rendered
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("[  engine]"))
-        .map(|l| l.replace(" engine=bytecode", ""))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
 
 /// Runs `cfg` on both engines and asserts byte-identical reports and
 /// identical result payloads.
@@ -37,8 +29,8 @@ fn assert_config_identical(
     spec: &trackfm_suite::workloads::WorkloadSpec,
     cfg: RunConfig,
 ) {
-    let (tw_out, tw_rep) = execute_with_report(spec, &cfg);
-    let (bc_out, bc_rep) = execute_with_report(spec, &cfg.with_engine(ExecEngine::Bytecode));
+    let (tw_out, tw_rep) = execute_with_report(spec, &cfg.with_engine(ExecEngine::TreeWalk));
+    let (bc_out, bc_rep) = execute_with_report(spec, &cfg);
     assert_eq!(
         tw_out.result.ret, bc_out.result.ret,
         "{ctx}: results differ"
@@ -63,29 +55,10 @@ fn assert_config_identical(
         tw_out.result.shards, bc_out.result.shards,
         "{ctx}: shard snapshots differ"
     );
-    // The bytecode run must identify itself…
-    assert!(
-        bc_out.result.engine.lowered_fns > 0,
-        "{ctx}: lowering counter"
-    );
-    assert!(
-        bc_rep.render().contains("engine=bytecode"),
-        "{ctx}: report must surface the engine"
-    );
-    assert!(
-        bc_rep.render().contains("[  engine]"),
-        "{ctx}: report must carry the engine section"
-    );
-    // …and the tree-walk run must look exactly like it always did.
-    assert!(
-        !tw_rep.render().contains("engine"),
-        "{ctx}: tree-walk leaks"
-    );
-    // Everything else: byte-identical.
     assert_eq!(
-        normalize(&tw_rep.render()),
-        normalize(&bc_rep.render()),
-        "{ctx}: rendered reports differ beyond the engine lines"
+        tw_rep.render(),
+        bc_rep.render(),
+        "{ctx}: rendered reports differ"
     );
 }
 
@@ -138,9 +111,9 @@ fn open_loop_multicore_is_engine_invariant() {
             RunConfig::trackfm(0.25).with_cores(cores).with_tracing(),
         ] {
             let ctx = format!("cores={cores} system={}", cfg.system.name());
-            let (tw, tw_rep) = execute_open_loop_with_report(&ol, &cfg);
-            let (bc, bc_rep) =
-                execute_open_loop_with_report(&ol, &cfg.with_engine(ExecEngine::Bytecode));
+            let (tw, tw_rep) =
+                execute_open_loop_with_report(&ol, &cfg.with_engine(ExecEngine::TreeWalk));
+            let (bc, bc_rep) = execute_open_loop_with_report(&ol, &cfg);
             assert_eq!(tw.checksum, bc.checksum, "{ctx}: checksums differ");
             assert_eq!(tw.makespan, bc.makespan, "{ctx}: makespans differ");
             assert_eq!(tw.core_clocks, bc.core_clocks, "{ctx}: core clocks differ");
@@ -154,10 +127,58 @@ fn open_loop_multicore_is_engine_invariant() {
                 "{ctx}: exec stats differ"
             );
             assert_eq!(
-                normalize(&tw_rep.render()),
-                normalize(&bc_rep.render()),
-                "{ctx}: rendered reports differ beyond the engine lines"
+                tw_rep.render(),
+                bc_rep.render(),
+                "{ctx}: rendered reports differ"
             );
         }
+    }
+}
+
+/// Profile collection feeds the profile-guided figure benches (fig08/14/
+/// 15/17) through `collect_profile`, so a drift here would silently move
+/// simulated figures: block and edge counts must match the reference's on
+/// every profiled workload.
+#[test]
+fn collected_profiles_are_engine_invariant() {
+    let specs = [
+        kmeans(&KmeansParams {
+            points: 1_500,
+            dims: 8,
+            k: 4,
+            iters: 2,
+        }),
+        analytics(&AnalyticsParams {
+            rows: 8_000,
+            groups: 600,
+        }),
+    ]
+    .into_iter()
+    .chain(nas::all(&NasParams { shrink: 25 }));
+    for spec in specs {
+        let production = runner::collect_profile(&spec);
+        let heap = spec.heap_size(4096);
+        let mut machine = Machine::new(
+            &spec.module,
+            LocalMem::new(heap),
+            CostModel::default(),
+            heap,
+        );
+        machine.set_engine(ExecEngine::TreeWalk);
+        machine.enable_profiling();
+        let args = runner::setup(&spec, &mut machine, false);
+        machine.run("main", &args).unwrap();
+        let reference = machine.take_profile();
+        assert!(!reference.edge_counts.is_empty(), "{}: no edges", spec.name);
+        assert_eq!(
+            production.block_counts, reference.block_counts,
+            "{}: block counts differ",
+            spec.name
+        );
+        assert_eq!(
+            production.edge_counts, reference.edge_counts,
+            "{}: edge counts differ",
+            spec.name
+        );
     }
 }
