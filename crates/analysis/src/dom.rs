@@ -8,7 +8,6 @@ use tfm_ir::{Block, Function};
 #[derive(Clone, Debug)]
 pub struct DomTree {
     idom: Vec<Option<Block>>,
-    rpo_num: Vec<usize>,
     rpo: Vec<Block>,
 }
 
@@ -45,7 +44,7 @@ impl DomTree {
                 }
             }
         }
-        DomTree { idom, rpo_num, rpo }
+        DomTree { idom, rpo }
     }
 
     fn intersect(idom: &[Option<Block>], rpo: &[usize], mut a: Block, mut b: Block) -> Block {
@@ -100,11 +99,6 @@ impl DomTree {
     /// The blocks in reverse postorder.
     pub fn rpo(&self) -> &[Block] {
         &self.rpo
-    }
-
-    /// Reverse-postorder number of a block (`usize::MAX` if unreachable).
-    pub fn rpo_number(&self, b: Block) -> usize {
-        self.rpo_num[b.index()]
     }
 
     /// Children lists of the dominator tree (indexed by block).

@@ -6,17 +6,13 @@
 //! on a miss-heavy open-loop Zipf key-value workload: the issue/complete
 //! split lets cores pipeline the link, and 8 cores must clear at least 4×
 //! the simulated-cycle throughput of 1.
-//!
-//! Emits `BENCH_concurrency.json` (machine-readable rows + the identity
-//! verdict) for CI trend tracking.
 
-use tfm_sim::{Machine, TrackFmMem};
-use tfm_telemetry::{Histogram, Json, SiteKey, Telemetry};
+use tfm_sim::Machine;
+use tfm_telemetry::{Histogram, Telemetry};
 use tfm_workloads::openloop::{
     execute_open_loop, execute_open_loop_with_report, open_loop, OpenLoopParams, OpenLoopSpec,
 };
 use tfm_workloads::runner::{self, RunConfig};
-use trackfm::TrackFmCompiler;
 
 fn workload() -> OpenLoopSpec {
     // Miss-heavy small-object serving: a 10% local budget with prefetching
@@ -41,9 +37,7 @@ fn config() -> RunConfig {
 /// what the suite did before the scheduler existed — and assembles the
 /// identical open-loop report.
 fn manual_sync(ol: &OpenLoopSpec, cfg: &RunConfig) -> (tfm_workloads::Outcome, Histogram) {
-    let mut module = ol.spec.module.clone();
-    let report = TrackFmCompiler::new(cfg.compiler).compile(&mut module, None);
-    let mem = TrackFmMem::new(runner::far_config(&ol.spec, cfg), cfg.cost);
+    let (module, report, mem) = runner::compile_for(&ol.spec, cfg, None);
     let heap = ol.spec.heap_size(cfg.object_size);
     let mut machine = Machine::new(&module, mem, cfg.cost, heap);
     let args = runner::setup(&ol.spec, &mut machine, false);
@@ -62,13 +56,7 @@ fn manual_sync(ol: &OpenLoopSpec, cfg: &RunConfig) -> (tfm_workloads::Outcome, H
     let mut result = last.expect("at least one request");
     result.stats.cycles = machine.clock();
     let mut telemetry = tel.snapshot();
-    if let Some(snap) = &mut telemetry {
-        for s in &report.elision.sites {
-            snap.sites
-                .stats_mut(SiteKey::new(s.func, s.survivor))
-                .elided += s.absorbed as u64;
-        }
-    }
+    runner::attribute_removed_guards(&report, &mut telemetry);
     (
         tfm_workloads::Outcome {
             result,
@@ -114,7 +102,7 @@ fn main() {
     // 2. What concurrency buys: the 1/2/4/8-core sweep.
     // ------------------------------------------------------------------
     println!("\nconcurrency_scaling ({requests} open-loop gets, miss-heavy Zipf):");
-    let mut rows = Vec::new();
+    let mut eight = base;
     for cores in [1u32, 2, 4, 8] {
         let run = execute_open_loop(&ol, &cfg.with_cores(cores));
         let rt = run.outcome.result.runtime.as_ref().unwrap();
@@ -129,48 +117,10 @@ fn main() {
             run.latency.p99(),
             rt.fetch_joins,
         );
-        rows.push((cores, run));
+        eight = run.makespan; // the sweep ends on 8 cores
     }
-    let eight = &rows.iter().find(|(c, _)| *c == 8).unwrap().1;
     assert!(
-        eight.makespan * 4 <= base,
-        "8 cores must clear >= 4x the throughput of 1: {} vs {base} cycles",
-        eight.makespan
+        eight * 4 <= base,
+        "8 cores must clear >= 4x the throughput of 1: {eight} vs {base} cycles"
     );
-
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("concurrency_scaling".into())),
-        ("cores1_identical".into(), Json::Bool(true)),
-        ("requests".into(), Json::Int(requests as u64)),
-        (
-            "speedup_8core_x100".into(),
-            Json::Int(base * 100 / eight.makespan),
-        ),
-        (
-            "rows".into(),
-            Json::Arr(
-                rows.iter()
-                    .map(|(cores, run)| {
-                        let rt = run.outcome.result.runtime.as_ref().unwrap();
-                        Json::Obj(vec![
-                            ("cores".into(), Json::Int(*cores as u64)),
-                            ("makespan_cycles".into(), Json::Int(run.makespan)),
-                            (
-                                "throughput_milli".into(),
-                                Json::Int(run.throughput_milli(requests)),
-                            ),
-                            ("latency_p50".into(), Json::Int(run.latency.p50())),
-                            ("latency_p90".into(), Json::Int(run.latency.p90())),
-                            ("latency_p99".into(), Json::Int(run.latency.p99())),
-                            ("remote_fetches".into(), Json::Int(rt.remote_fetches)),
-                            ("fetch_joins".into(), Json::Int(rt.fetch_joins)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    std::fs::write("BENCH_concurrency.json", doc.to_string_pretty())
-        .expect("write BENCH_concurrency.json");
-    println!("\n  wrote BENCH_concurrency.json");
 }

@@ -5,12 +5,8 @@
 //! prices what redundancy costs: mirrored writebacks on a clean fabric, and
 //! the full crash → drain → restart → resync arc under a scripted cold
 //! crash, which must end with zero lost acknowledged writebacks.
-//!
-//! Emits `BENCH_failover.json` (machine-readable rows + the identity
-//! verdict) for CI trend tracking.
 
 use tfm_net::{BackendSpec, FaultPlan};
-use tfm_telemetry::Json;
 use tfm_workloads::runner::{execute, execute_with_report, RunConfig};
 use tfm_workloads::spec::WorkloadSpec;
 use tfm_workloads::stream::{self, StreamParams};
@@ -93,37 +89,4 @@ fn main() {
             rt.lost_objects,
         );
     }
-
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("failover_overhead".into())),
-        ("replicas1_identical".into(), Json::Bool(true)),
-        ("lost_acked_writebacks".into(), Json::Int(crt.lost_objects)),
-        (
-            "rows".into(),
-            Json::Arr(
-                rows.iter()
-                    .map(|(name, out)| {
-                        let tx = out.result.transfers.as_ref().unwrap();
-                        let rt = out.result.runtime.as_ref().unwrap();
-                        Json::Obj(vec![
-                            ("config".into(), Json::Str((*name).into())),
-                            ("cycles".into(), Json::Int(out.result.stats.cycles)),
-                            (
-                                "bytes_written_back".into(),
-                                Json::Int(tx.bytes_written_back),
-                            ),
-                            ("shard_downs".into(), Json::Int(rt.shard_downs)),
-                            ("shard_recoveries".into(), Json::Int(rt.shard_recoveries)),
-                            ("resynced_objects".into(), Json::Int(rt.resynced_objects)),
-                            ("re_replications".into(), Json::Int(rt.re_replications)),
-                            ("lost_objects".into(), Json::Int(rt.lost_objects)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    std::fs::write("BENCH_failover.json", doc.to_string_pretty())
-        .expect("write BENCH_failover.json");
-    println!("\n  wrote BENCH_failover.json");
 }

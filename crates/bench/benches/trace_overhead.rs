@@ -4,14 +4,10 @@
 //! timeline, it never participates in it) — and with tracing on, the
 //! wall-clock cost of recording ~10⁴ spans plus the windowed timeline
 //! stays within a generous constant factor of plain telemetry.
-//!
-//! Emits `BENCH_trace_overhead.json` (machine-readable rows + the identity
-//! verdict) for CI trend tracking.
 
 use std::time::Instant;
 
 use tfm_net::FaultPlan;
-use tfm_telemetry::Json;
 use tfm_workloads::hashmap::{hashmap, HashmapParams};
 use tfm_workloads::runner::{execute, RunConfig};
 use tfm_workloads::spec::WorkloadSpec;
@@ -96,22 +92,4 @@ fn main() {
         t_traced * 1e3,
         limit * 1e3
     );
-
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("trace_overhead".into())),
-        ("cycles_identical".into(), Json::Bool(true)),
-        ("simulated_cycles".into(), Json::Int(c_off)),
-        ("spans_recorded".into(), Json::Int(spans as u64)),
-        (
-            "wall_ns_per_run".into(),
-            Json::Obj(vec![
-                ("telemetry_off".into(), Json::Int((t_off * 1e9) as u64)),
-                ("telemetry_on".into(), Json::Int((t_tel * 1e9) as u64)),
-                ("tracing_on".into(), Json::Int((t_traced * 1e9) as u64)),
-            ]),
-        ),
-    ]);
-    std::fs::write("BENCH_trace_overhead.json", doc.to_string_pretty())
-        .expect("write BENCH_trace_overhead.json");
-    println!("\n  wrote BENCH_trace_overhead.json");
 }

@@ -63,4 +63,4 @@ pub use passes::guard_motion::{HoistedSite, MotionOutcome};
 pub use passes::guards::GuardSite;
 pub use passes::lint::{lint_module, LintError};
 pub use passes::o1::O1Outcome;
-pub use pipeline::{CompileReport, CompilerOptions, TrackFmCompiler};
+pub use pipeline::{CompileReport, CompilerOptions, GuardOpt, TrackFmCompiler};

@@ -4,11 +4,22 @@
 //! analysis → loop chunking analysis/transform → guard check transform →
 //! loop-invariant guard motion → redundant-guard elimination → libc
 //! transformation → `tfm-lint` soundness check, optionally preceded by
-//! the O1 scalar pipeline (the Fig. 17b ordering fix). The guard-check
-//! analysis, guard motion, and elision are all optionally refined by
-//! interprocedural [`ModuleSummaries`] (see [`CompilerOptions::interproc`]
-//! and [`CompilerOptions::call_aware_kills`]). Produces a
+//! the O1 scalar pipeline (the Fig. 17b ordering fix). Produces a
 //! [`CompileReport`] with the §4.6 compilation-cost metrics.
+//!
+//! Two decisions per heap access, one option each: chunk it
+//! ([`CompilerOptions::chunking`], §3.4) or guard it
+//! ([`CompilerOptions::guards`], §3.3) — and how hard the guard pipeline
+//! then works to remove what it inserted is the single [`GuardOpt`] level:
+//!
+//! | level | guard-check analysis | guard motion | elision |
+//! |---|---|---|---|
+//! | [`GuardOpt::None`] | per function | off | off (the naive §3.3 transformation) |
+//! | [`GuardOpt::Local`] | per function | off | same function, every call kills custody |
+//! | [`GuardOpt::Full`] (default) | interprocedural [`ModuleSummaries`] | on | call-aware kill sets |
+//!
+//! The lint runs after every guarded compile, always at full
+//! interprocedural precision, whatever the level.
 
 use crate::cost::CostModel;
 use crate::passes::chunking::{self, ChunkingMode, ChunkingOptions, ChunkingOutcome};
@@ -24,6 +35,33 @@ use std::time::Instant;
 use tfm_analysis::profile::Profile;
 use tfm_analysis::summaries::ModuleSummaries;
 use tfm_ir::{FuncId, Module, Value};
+
+/// The entry function: receives the runtime-init hook and roots the
+/// interprocedural summaries.
+const MAIN: &str = "main";
+
+/// How hard the guard pipeline works to remove guards it inserted. Each
+/// level only ever removes guards relative to the one before it, and the
+/// 200-seed corpus (`tests/random_programs.rs`) holds every level to the
+/// lint, the sanitizer, the local-memory oracle and `cycles(None) ≥
+/// cycles(Local) ≥ cycles(Full)`.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub enum GuardOpt {
+    /// The naive §3.3 transformation: every may-heap access keeps its guard.
+    None,
+    /// Summary-free redundant-guard elimination within one function: guards
+    /// dominated by an un-killed guard on the same pointer are deleted, the
+    /// read-then-write pattern folds into one write guard, and every call
+    /// kills custody.
+    Local,
+    /// `Local` plus the interprocedural layer: parameters provably stack /
+    /// global / pruned-local at every call site need no guard in the
+    /// callee, calls to functions that provably never trigger evacuation
+    /// keep custody live, and guards on loop-invariant pointers are hoisted
+    /// into preheaders (folding cross-block read-then-write patterns).
+    #[default]
+    Full,
+}
 
 /// Compiler options.
 #[derive(Copy, Clone, Debug)]
@@ -46,32 +84,10 @@ pub struct CompilerOptions {
     pub prune_local_allocations: bool,
     /// Insert guards on unchunked heap accesses. Disabled by the §5 hybrid
     /// compiler+kernel exploration, where raw accesses fault into a
-    /// kernel-style handler instead (see `tfm_sim::HybridMem`).
+    /// kernel-style handler instead (see `tfm_sim::Flavor::Hybrid`).
     pub guards: bool,
-    /// Delete guards the available-guards dataflow proves redundant
-    /// (dominated by an un-killed guard on the same pointer) and fold the
-    /// read-then-write pattern into a single write guard.
-    pub elide_guards: bool,
-    /// Run the `tfm-lint` soundness check on the pipeline output and panic
-    /// on any may-heap access without live guard custody. Only meaningful
-    /// when `guards` is on (the hybrid system leaves raw accesses on
-    /// purpose).
-    pub lint: bool,
-    /// Use interprocedural function summaries to classify parameters and
-    /// call results during guard-check analysis: pointers provably stack /
-    /// global / pruned-local at every call site need no guard in the
-    /// callee, and pointers guarded at every call site are treated as
-    /// already-localized. Refinement only ever removes guards.
-    pub interproc: bool,
-    /// Use call-aware kill sets (custody-transparency summaries) in guard
-    /// motion and redundant-guard elimination, so calls to functions that
-    /// provably never trigger evacuation don't invalidate live guards.
-    pub call_aware_kills: bool,
-    /// Hoist guards on loop-invariant pointers into loop preheaders and
-    /// fold cross-block read-then-write patterns into one write guard.
-    pub guard_motion: bool,
-    /// Name of the entry function that receives the runtime-init hook.
-    pub main_name: &'static str,
+    /// How many of the inserted guards the pipeline then removes.
+    pub guard_opt: GuardOpt,
 }
 
 impl Default for CompilerOptions {
@@ -84,12 +100,7 @@ impl Default for CompilerOptions {
             o1: false,
             prune_local_allocations: false,
             guards: true,
-            elide_guards: true,
-            lint: true,
-            interproc: true,
-            call_aware_kills: true,
-            guard_motion: true,
-            main_name: "main",
+            guard_opt: GuardOpt::Full,
         }
     }
 }
@@ -179,7 +190,7 @@ impl TrackFmCompiler {
         }
 
         let t = Instant::now();
-        runtime_init::run(module, opts.main_name);
+        runtime_init::run(module, MAIN);
         report
             .pass_nanos
             .push(("runtime-init", t.elapsed().as_nanos()));
@@ -213,14 +224,13 @@ impl TrackFmCompiler {
                 (id, sites)
             })
             .collect();
+        let full = opts.guard_opt == GuardOpt::Full;
         let (mut r, mut w) = (0, 0);
         if opts.guards {
             // Summaries for the guard-check analysis come from the
             // pre-transform IR; the transform only adds guards, so every
             // class/custody fact proven here stays sound afterwards.
-            let sums = opts
-                .interproc
-                .then(|| ModuleSummaries::compute_with_locals(module, &[opts.main_name], &locals));
+            let sums = full.then(|| ModuleSummaries::compute_with_locals(module, &[MAIN], &locals));
             for id in module.function_ids().collect::<Vec<_>>() {
                 let plan = guards::analyze_with_env(module, id, &locals[&id], sums.as_ref());
                 let (pr, pw) = guards::transform(module, id, &plan);
@@ -234,21 +244,19 @@ impl TrackFmCompiler {
             .pass_nanos
             .push(("guard-transform", t.elapsed().as_nanos()));
 
-        // Call-aware kill sets for motion and elision: recomputed on the
-        // post-transform IR so the summaries see the inserted guards.
-        let kill_sums =
-            (opts.guards && opts.call_aware_kills && (opts.guard_motion || opts.elide_guards))
-                .then(|| ModuleSummaries::compute_with_locals(module, &[opts.main_name], &locals));
-
-        if opts.guards && opts.guard_motion {
-            let t = Instant::now();
-            report.motion = guard_motion::run(module, kill_sums.as_ref());
-            report
-                .pass_nanos
-                .push(("guard-motion", t.elapsed().as_nanos()));
-        }
-
-        if opts.guards && opts.elide_guards {
+        if opts.guards && opts.guard_opt != GuardOpt::None {
+            // Call-aware kill sets for motion and elision: recomputed on
+            // the post-transform IR so the summaries see the inserted
+            // guards.
+            let kill_sums =
+                full.then(|| ModuleSummaries::compute_with_locals(module, &[MAIN], &locals));
+            if full {
+                let t = Instant::now();
+                report.motion = guard_motion::run(module, kill_sums.as_ref());
+                report
+                    .pass_nanos
+                    .push(("guard-motion", t.elapsed().as_nanos()));
+            }
             let t = Instant::now();
             report.elision = guard_elim::run_with(module, kill_sums.as_ref());
             report
@@ -269,7 +277,7 @@ impl TrackFmCompiler {
             .verify()
             .expect("TrackFM output must verify — compiler bug");
 
-        if opts.guards && opts.lint {
+        if opts.guards {
             let t = Instant::now();
             let errors = lint::lint_module(module);
             if !errors.is_empty() {
@@ -376,18 +384,20 @@ mod tests {
     }
 
     #[test]
-    fn elision_off_keeps_every_guard() {
+    fn guard_opt_none_keeps_every_guard() {
         let mut m = sum_program(1000);
         let compiler = TrackFmCompiler::new(CompilerOptions {
             chunking: ChunkingMode::Off,
-            elide_guards: false,
+            guard_opt: GuardOpt::None,
             ..Default::default()
         });
         let report = compiler.compile(&mut m, None);
         assert_eq!(report.elision, Default::default());
+        assert_eq!(report.motion, Default::default());
         assert_eq!(count_intr(&m, Intrinsic::GuardRead), 1);
-        // No guard-elide entry in the pass list when disabled.
-        assert!(report.pass_nanos.iter().all(|(n, _)| *n != "guard-elide"));
+        // Neither removal pass appears in the pass list; the lint still does.
+        let ran = |pass: &str| report.pass_nanos.iter().any(|(n, _)| *n == pass);
+        assert!(!ran("guard-elide") && !ran("guard-motion") && ran("tfm-lint"));
     }
 
     #[test]
@@ -459,11 +469,11 @@ mod tests {
     }
 
     #[test]
-    fn guard_motion_off_leaves_guards_in_place() {
+    fn guard_opt_local_leaves_guards_in_place() {
         let mut m = invariant_store_loop();
         let compiler = TrackFmCompiler::new(CompilerOptions {
             chunking: ChunkingMode::Off,
-            guard_motion: false,
+            guard_opt: GuardOpt::Local,
             ..Default::default()
         });
         let report = compiler.compile(&mut m, None);
@@ -472,10 +482,10 @@ mod tests {
     }
 
     #[test]
-    fn interproc_skips_guards_on_provably_local_parameters() {
+    fn full_skips_guards_on_provably_local_parameters() {
         // helper loads through its pointer parameter; the only call site
-        // passes a pruned-local allocation. With interproc on, the callee
-        // access needs no guard; off, it gets one.
+        // passes a pruned-local allocation. At `Full` the callee access
+        // needs no guard; at `Local` it gets one.
         let build = || {
             let mut m = Module::new("ip");
             let h = m.declare_function("helper", Signature::new(vec![Type::Ptr], Some(Type::I64)));
@@ -506,7 +516,7 @@ mod tests {
         let r_with = TrackFmCompiler::new(opts).compile(&mut with, None);
         let mut without = build();
         let r_without = TrackFmCompiler::new(CompilerOptions {
-            interproc: false,
+            guard_opt: GuardOpt::Local,
             ..opts
         })
         .compile(&mut without, None);
@@ -516,10 +526,10 @@ mod tests {
     }
 
     #[test]
-    fn call_aware_kills_let_elision_cross_transparent_calls() {
+    fn full_lets_elision_cross_transparent_calls() {
         // Two loads through the same pointer with a pure call in between:
-        // with call-aware kills the second guard is elided; without, the
-        // call conservatively kills custody and both survive.
+        // at `Full` the call-aware kill sets elide the second guard; at
+        // `Local` the call conservatively kills custody and both survive.
         let build = || {
             let mut m = Module::new("ck");
             let h = m.declare_function("pure", Signature::new(vec![Type::I64], Some(Type::I64)));
@@ -550,7 +560,7 @@ mod tests {
         let r_with = TrackFmCompiler::new(opts).compile(&mut with, None);
         let mut without = build();
         let r_without = TrackFmCompiler::new(CompilerOptions {
-            call_aware_kills: false,
+            guard_opt: GuardOpt::Local,
             ..opts
         })
         .compile(&mut without, None);

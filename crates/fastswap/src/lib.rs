@@ -437,14 +437,8 @@ impl Pager {
                 self.clock.push_back(page);
                 continue;
             }
-            // Reclaim.
-            let dirty = meta.dirty;
-            meta.resident = false;
-            meta.dirty = false;
-            self.resident_pages -= 1;
-            self.ever_evicted.insert(page, ());
+            // Reclaim: the kernel's reclaim work, then the page-out.
             cycles += self.cfg.reclaim_cycles;
-            self.stats.reclaims += 1;
             self.tel.span_leaf(Span {
                 kind: SpanKind::Kernel,
                 start: now + cycles - self.cfg.reclaim_cycles,
@@ -456,17 +450,32 @@ impl Pager {
                 fault: Span::NO_FAULT,
                 core: Span::NO_CORE,
             });
-            if dirty {
-                self.backend.writeback(page, PAGE_SIZE, now + cycles);
-                self.stats.writebacks += 1;
-                self.tel.emit(now + cycles, EventKind::Writeback, page);
-            }
-            if self.tel.is_enabled() {
-                self.tel.emit(now + cycles, EventKind::Eviction, page);
-                self.tel.note_evicted(page, now + cycles);
-            }
+            self.page_out(page, now + cycles);
         }
         cycles
+    }
+
+    /// Pages the resident `page` out at cycle `at`: unmaps it, writes it
+    /// back when dirty, and counts the reclaim.
+    fn page_out(&mut self, page: u64, at: u64) {
+        let meta = self
+            .pages
+            .get_mut(&page)
+            .expect("a resident page has metadata");
+        let dirty = meta.dirty;
+        *meta = PageMeta::default();
+        self.resident_pages -= 1;
+        self.ever_evicted.insert(page, ());
+        self.stats.reclaims += 1;
+        if dirty {
+            self.backend.writeback(page, PAGE_SIZE, at);
+            self.stats.writebacks += 1;
+            self.tel.emit(at, EventKind::Writeback, page);
+        }
+        if self.tel.is_enabled() {
+            self.tel.emit(at, EventKind::Eviction, page);
+            self.tel.note_evicted(page, at);
+        }
     }
 
     /// Pages everything out (dirty pages write back). Benchmarks call this
@@ -476,27 +485,8 @@ impl Pager {
             // Any pending read has logically landed by a full evacuation
             // point (benchmarks call this between phases).
             self.inflight.remove(&page);
-            let Some(meta) = self.pages.get_mut(&page) else {
-                continue;
-            };
-            if !meta.resident {
-                continue;
-            }
-            let dirty = meta.dirty;
-            meta.resident = false;
-            meta.dirty = false;
-            meta.referenced = false;
-            self.resident_pages -= 1;
-            self.ever_evicted.insert(page, ());
-            self.stats.reclaims += 1;
-            if dirty {
-                self.backend.writeback(page, PAGE_SIZE, now);
-                self.stats.writebacks += 1;
-                self.tel.emit(now, EventKind::Writeback, page);
-            }
-            if self.tel.is_enabled() {
-                self.tel.emit(now, EventKind::Eviction, page);
-                self.tel.note_evicted(page, now);
+            if self.pages.get(&page).is_some_and(|m| m.resident) {
+                self.page_out(page, now);
             }
         }
     }

@@ -25,8 +25,8 @@ use crate::state::{StateTable, DIRTY, HOT, INFLIGHT, PRESENT};
 use crate::stats::RuntimeStats;
 use std::collections::{BTreeSet, VecDeque};
 use tfm_net::{
-    build_backend, drive_retries, FailoverAudit, LinkFault, LinkHealth, RemoteBackend,
-    ResyncOutcome, RetryOps, ShardSnapshot, ShardState, TransferStats,
+    build_backend, drive_retries, FailoverAudit, LinkFault, RemoteBackend, ResyncOutcome, RetryOps,
+    ShardSnapshot, ShardState, TransferStats,
 };
 use tfm_telemetry::{EventKind, Span, SpanId, SpanKind, Telemetry};
 
@@ -213,12 +213,6 @@ impl FarMemory {
     /// Bytes currently resident locally.
     pub fn resident_bytes(&self) -> u64 {
         self.resident_bytes
-    }
-
-    /// The backend-health tracker (EWMA fault rate and degraded band),
-    /// aggregated over all shards.
-    pub fn link_health(&self) -> LinkHealth {
-        self.backend.health()
     }
 
     /// True while any shard runs in its degraded configuration (prefetch
@@ -744,57 +738,69 @@ impl FarMemory {
             let Some(o) = self.clock.pop_front() else {
                 break;
             };
-            let e = self.table.entry(o);
-            if e & (PRESENT | INFLIGHT) == 0 {
-                continue; // stale queue entry
-            }
-            self.claim_landed_fetch(o, now);
-            let e = self.table.entry(o);
-            if self.table.pins(o) > 0 || e & INFLIGHT != 0 {
-                self.clock.push_back(o);
+            if !self.reclaimable(o, now) {
                 continue;
             }
-            if e & HOT != 0 {
+            if self.table.entry(o) & HOT != 0 {
                 self.table.clear(o, HOT);
                 self.clock.push_back(o);
                 continue;
             }
-            // Evict.
-            if e & DIRTY != 0 {
-                // Writebacks are asynchronous (fire-and-forget): root span,
-                // not a child of whatever operation forced the eviction.
-                let sp = self.tel.span_begin_root(SpanKind::WritebackOp, o.0, now);
-                match self.transfer_with_retry(o.0, self.cfg.object_size, now, true) {
-                    None => {
-                        // Writeback exhausted its retry budget: defer it. The
-                        // object stays resident and dirty (degrading toward
-                        // local-only operation) and is requeued for a later
-                        // attempt.
-                        self.tel.span_end(sp, now);
-                        self.stats.writeback_deferrals += 1;
-                        self.clock.push_back(o);
-                        continue;
-                    }
-                    Some(done) => self.tel.span_end(sp, done),
-                }
-                self.stats.writebacks += 1;
-                self.tel.emit(now, EventKind::Writeback, o.0);
-                if self.failover_active {
-                    // The writeback is acknowledged: ledger it for replay
-                    // onto a recovering shard.
-                    self.redo.insert(o.0);
-                }
-            }
-            self.table.clear(o, PRESENT | DIRTY | HOT);
-            self.resident_bytes -= self.cfg.object_size;
-            self.stats.evictions += 1;
-            if self.tel.is_enabled() {
-                self.tel.emit(now, EventKind::Eviction, o.0);
-                self.tel.note_evicted(o.0, now);
-            }
+            self.evict(o, now);
         }
         if self.resident_bytes + incoming > budget {
             self.stats.budget_overruns += 1;
+        }
+    }
+
+    /// Whether the evacuator may take queue entry `o`, just popped from the
+    /// CLOCK queue. A landed demand fetch nobody has touched since is
+    /// claimed first; pinned and in-flight objects are requeued, stale
+    /// entries dropped. The one place reclaim decides what is off limits.
+    fn reclaimable(&mut self, o: ObjId, now: u64) -> bool {
+        if self.table.entry(o) & (PRESENT | INFLIGHT) == 0 {
+            return false; // stale queue entry
+        }
+        self.claim_landed_fetch(o, now);
+        if self.table.pins(o) > 0 || self.table.is_inflight(o) {
+            self.clock.push_back(o);
+            return false;
+        }
+        true
+    }
+
+    /// Evicts the resident, unpinned object `o`, writing it back first when
+    /// dirty. A writeback that exhausts its retry budget is deferred: the
+    /// object stays resident and dirty (degrading toward local-only
+    /// operation) and is requeued for a later attempt.
+    fn evict(&mut self, o: ObjId, now: u64) {
+        if self.table.is_dirty(o) {
+            // Writebacks are asynchronous (fire-and-forget): root span,
+            // not a child of whatever operation forced the eviction.
+            let sp = self.tel.span_begin_root(SpanKind::WritebackOp, o.0, now);
+            match self.transfer_with_retry(o.0, self.cfg.object_size, now, true) {
+                None => {
+                    self.tel.span_end(sp, now);
+                    self.stats.writeback_deferrals += 1;
+                    self.clock.push_back(o);
+                    return;
+                }
+                Some(done) => self.tel.span_end(sp, done),
+            }
+            self.stats.writebacks += 1;
+            self.tel.emit(now, EventKind::Writeback, o.0);
+            if self.failover_active {
+                // The writeback is acknowledged: ledger it for replay
+                // onto a recovering shard.
+                self.redo.insert(o.0);
+            }
+        }
+        self.table.clear(o, PRESENT | DIRTY | HOT);
+        self.resident_bytes -= self.cfg.object_size;
+        self.stats.evictions += 1;
+        if self.tel.is_enabled() {
+            self.tel.emit(now, EventKind::Eviction, o.0);
+            self.tel.note_evicted(o.0, now);
         }
     }
 
@@ -821,41 +827,8 @@ impl FarMemory {
             let Some(o) = self.clock.pop_front() else {
                 break;
             };
-            let e = self.table.entry(o);
-            if e & (PRESENT | INFLIGHT) == 0 {
-                continue;
-            }
-            self.claim_landed_fetch(o, now);
-            let e = self.table.entry(o);
-            if self.table.pins(o) > 0 || e & INFLIGHT != 0 {
-                self.clock.push_back(o);
-                continue;
-            }
-            if e & DIRTY != 0 {
-                let sp = self.tel.span_begin_root(SpanKind::WritebackOp, o.0, now);
-                match self.transfer_with_retry(o.0, self.cfg.object_size, now, true) {
-                    None => {
-                        self.tel.span_end(sp, now);
-                        self.stats.writeback_deferrals += 1;
-                        self.clock.push_back(o);
-                        continue;
-                    }
-                    Some(done) => self.tel.span_end(sp, done),
-                }
-                self.stats.writebacks += 1;
-                self.tel.emit(now, EventKind::Writeback, o.0);
-                if self.failover_active {
-                    // The writeback is acknowledged: ledger it for replay
-                    // onto a recovering shard.
-                    self.redo.insert(o.0);
-                }
-            }
-            self.table.clear(o, PRESENT | DIRTY | HOT);
-            self.resident_bytes -= self.cfg.object_size;
-            self.stats.evictions += 1;
-            if self.tel.is_enabled() {
-                self.tel.emit(now, EventKind::Eviction, o.0);
-                self.tel.note_evicted(o.0, now);
+            if self.reclaimable(o, now) {
+                self.evict(o, now);
             }
         }
     }

@@ -94,12 +94,6 @@ impl StateTable {
         self.entries[o.index()] & DIRTY != 0
     }
 
-    /// True if the CLOCK reference bit is set.
-    #[inline]
-    pub fn is_hot(&self, o: ObjId) -> bool {
-        self.entries[o.index()] & HOT != 0
-    }
-
     /// True if an async fetch is outstanding.
     #[inline]
     pub fn is_inflight(&self, o: ObjId) -> bool {

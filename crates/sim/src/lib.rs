@@ -1,16 +1,18 @@
 //! # tfm-sim — the execution engine
 //!
 //! Interprets [`tfm_ir`] programs on a simulated cycle timeline against one
-//! of four memory systems, reproducing the four columns of the paper's
-//! evaluation:
+//! of three memory systems, reproducing the four columns of the paper's
+//! evaluation (and its §5 hybrid aside):
 //!
 //! * [`LocalMem`] — everything local (the normalization baseline);
 //! * [`FastswapMem`] — kernel paging over RDMA (Fastswap), running the
 //!   *untransformed* program;
 //! * [`TrackFmMem`] — compiler guards + the AIFM-like object runtime,
 //!   running the *TrackFM-transformed* program;
-//! * [`TrackFmMem::new_aifm`] — the library-based AIFM baseline (same
-//!   runtime, developer-integrated costs).
+//! * the same [`TrackFmMem`] in [`Flavor::Aifm`] — the library-based AIFM
+//!   baseline (developer-integrated costs) — or [`Flavor::Hybrid`] — the §5
+//!   compiler+kernel exploration (guard-free raw accesses, kernel-cost
+//!   faults).
 //!
 //! The [`Machine`] charges [`trackfm::CostModel`] cycles per operation and
 //! returns a [`RunResult`] with cycles, guard/fault counters and network
@@ -77,7 +79,7 @@ mod trap;
 
 pub use machine::Machine;
 pub use memsys::{
-    FastswapMem, HybridMem, LocalMem, MemSummary, MemorySystem, TrackFmMem, GLOBAL_BASE, HEAP_BASE,
+    FastswapMem, Flavor, LocalMem, MemSummary, MemorySystem, TrackFmMem, GLOBAL_BASE, HEAP_BASE,
     STACK_BASE,
 };
 #[cfg(feature = "oracle")]

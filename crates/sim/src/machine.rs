@@ -319,14 +319,6 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
         u64::from_le_bytes(b[..8].try_into().unwrap())
     }
 
-    /// Reads an `f64` from memory without charging cycles.
-    ///
-    /// # Panics
-    /// Panics on out-of-range addresses.
-    pub fn peek_f64(&mut self, ptr: u64) -> f64 {
-        f64::from_bits(self.peek_u64(ptr))
-    }
-
     // ------------------------------------------------------------------
     // Execution.
     // ------------------------------------------------------------------

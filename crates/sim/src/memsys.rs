@@ -1,16 +1,21 @@
-//! Memory systems: the four execution back-ends of the evaluation.
+//! Memory systems: three implementors of [`MemorySystem`], one per runtime.
 //!
 //! | back-end | paper system | program form | access cost |
 //! |---|---|---|---|
 //! | [`LocalMem`] | "all local" baseline | any | plain loads/stores |
 //! | [`FastswapMem`] | Fastswap (kernel paging) | *untransformed* | page faults at 4 KB granularity |
-//! | [`TrackFmMem`] | TrackFM | *transformed* | compiler guards + object runtime |
-//! | [`TrackFmMem::new_aifm`] | AIFM (library) | *transformed*¹ | smart-pointer derefs + object runtime |
+//! | [`TrackFmMem`], [`Flavor::TrackFm`] | TrackFM | *transformed* | compiler guards + object runtime |
+//! | [`TrackFmMem`], [`Flavor::Aifm`] | AIFM (library) | *transformed*¹ | smart-pointer derefs + object runtime |
+//! | [`TrackFmMem`], [`Flavor::Hybrid`] | §5 compiler+kernel hybrid | *transformed, `guards = false`* | chunk streams + kernel-style faults on raw accesses |
 //!
 //! ¹ The AIFM baseline executes the same transformed program but charges the
 //! costs a hand-modified application would pay: no custody checks (the
 //! developer knows which pointers are remoteable) and cheaper dereferences,
 //! per the substitution table in DESIGN.md.
+//!
+//! The three flavors are behaviours of *one* object runtime sharing one
+//! cache: they differ only in what a guard costs and in what a raw access
+//! to a managed pointer does ([`MemorySystem::data_access`]).
 
 use crate::stats::ExecStats;
 use crate::trap::Trap;
@@ -89,19 +94,25 @@ pub trait MemorySystem {
     ) -> Result<u64, Trap>;
 
     /// Executes a guard (Fig. 4): returns `(cycles, localized pointer)`.
+    /// Identity by default — systems without an object runtime execute
+    /// transformed programs with every guard a free no-op.
     ///
     /// # Errors
     /// Out-of-range TrackFM pointers trap.
     fn guard(
         &mut self,
         ptr: u64,
-        write: bool,
-        now: u64,
-        stats: &mut ExecStats,
-    ) -> Result<(u64, u64), Trap>;
+        _write: bool,
+        _now: u64,
+        _stats: &mut ExecStats,
+    ) -> Result<(u64, u64), Trap> {
+        Ok((0, ptr))
+    }
 
     /// Opens a chunk stream; returns `(cycles, handle)`.
-    fn chunk_begin(&mut self, ptr: u64, flags: i64, now: u64) -> (u64, u64);
+    fn chunk_begin(&mut self, _ptr: u64, _flags: i64, _now: u64) -> (u64, u64) {
+        (0, 0)
+    }
 
     /// Chunk dereference (boundary check or locality-invariant guard);
     /// returns `(cycles, localized pointer)`.
@@ -110,26 +121,33 @@ pub trait MemorySystem {
     /// [`Trap::BadChunkHandle`] on invalid handles.
     fn chunk_deref(
         &mut self,
-        handle: u64,
+        _handle: u64,
         ptr: u64,
-        now: u64,
-        stats: &mut ExecStats,
-    ) -> Result<(u64, u64), Trap>;
+        _now: u64,
+        _stats: &mut ExecStats,
+    ) -> Result<(u64, u64), Trap> {
+        Ok((0, ptr))
+    }
 
     /// Closes a chunk stream (unpins its current object).
     ///
     /// # Errors
     /// [`Trap::BadChunkHandle`] on invalid handles.
-    fn chunk_end(&mut self, handle: u64, now: u64) -> Result<u64, Trap>;
+    fn chunk_end(&mut self, _handle: u64, _now: u64) -> Result<u64, Trap> {
+        Ok(0)
+    }
 
     /// Asynchronous localization hint.
-    fn prefetch_hint(&mut self, ptr: u64, now: u64);
+    fn prefetch_hint(&mut self, _ptr: u64, _now: u64) {}
 
     /// Translates an application address to its canonical form for raw data
     /// resolution (strips the TrackFM tag).
-    fn canonical(&self, addr: u64) -> u64;
+    fn canonical(&self, addr: u64) -> u64 {
+        addr
+    }
 
-    /// Charges residency for a byte range (memcpy/memset support).
+    /// Charges residency for a byte range (memcpy/memset support): one
+    /// [`MemorySystem::data_access`] over the whole range by default.
     ///
     /// # Errors
     /// Propagates residency traps.
@@ -140,7 +158,9 @@ pub trait MemorySystem {
         write: bool,
         now: u64,
         stats: &mut ExecStats,
-    ) -> Result<u64, Trap>;
+    ) -> Result<u64, Trap> {
+        self.data_access(addr, len, write, now, stats)
+    }
 
     /// Pages/evacuates everything out (cold-start between setup and run).
     fn evacuate_all(&mut self, now: u64);
@@ -226,51 +246,6 @@ impl MemorySystem for LocalMem {
         Ok(0)
     }
 
-    fn guard(
-        &mut self,
-        ptr: u64,
-        _write: bool,
-        _now: u64,
-        _stats: &mut ExecStats,
-    ) -> Result<(u64, u64), Trap> {
-        Ok((0, ptr))
-    }
-
-    fn chunk_begin(&mut self, _ptr: u64, _flags: i64, _now: u64) -> (u64, u64) {
-        (0, 0)
-    }
-
-    fn chunk_deref(
-        &mut self,
-        _handle: u64,
-        ptr: u64,
-        _now: u64,
-        _stats: &mut ExecStats,
-    ) -> Result<(u64, u64), Trap> {
-        Ok((0, ptr))
-    }
-
-    fn chunk_end(&mut self, _handle: u64, _now: u64) -> Result<u64, Trap> {
-        Ok(0)
-    }
-
-    fn prefetch_hint(&mut self, _ptr: u64, _now: u64) {}
-
-    fn canonical(&self, addr: u64) -> u64 {
-        addr
-    }
-
-    fn access_range(
-        &mut self,
-        _addr: u64,
-        _len: u64,
-        _write: bool,
-        _now: u64,
-        _stats: &mut ExecStats,
-    ) -> Result<u64, Trap> {
-        Ok(0)
-    }
-
     fn evacuate_all(&mut self, _now: u64) {}
 
     fn reset_stats(&mut self) {}
@@ -288,7 +263,8 @@ impl MemorySystem for LocalMem {
 /// faults.
 #[derive(Clone)]
 pub struct FastswapMem {
-    alloc: RegionAllocator,
+    /// The flat heap: allocation is [`LocalMem`]'s, only residency differs.
+    heap: LocalMem,
     pager: Pager,
 }
 
@@ -296,7 +272,7 @@ impl FastswapMem {
     /// Creates a Fastswap memory system.
     pub fn new(heap_size: u64, pager_cfg: PagerConfig) -> Self {
         FastswapMem {
-            alloc: RegionAllocator::new(heap_size, 4096),
+            heap: LocalMem::new(heap_size),
             pager: Pager::new(pager_cfg),
         }
     }
@@ -308,22 +284,16 @@ impl FastswapMem {
 }
 
 impl MemorySystem for FastswapMem {
-    fn alloc(&mut self, size: u64, _now: u64) -> Result<u64, Trap> {
-        let p = self.alloc.alloc(size).map_err(|_| Trap::AllocFailure)?;
-        Ok(HEAP_BASE + p.offset())
+    fn alloc(&mut self, size: u64, now: u64) -> Result<u64, Trap> {
+        self.heap.alloc(size, now)
     }
 
-    fn free(&mut self, ptr: u64, _now: u64) -> Result<(), Trap> {
-        if ptr < HEAP_BASE {
-            return Err(Trap::OutOfBounds { addr: ptr, size: 0 });
-        }
-        self.alloc.free(TfmPtr::from_offset(ptr - HEAP_BASE));
-        Ok(())
+    fn free(&mut self, ptr: u64, now: u64) -> Result<(), Trap> {
+        self.heap.free(ptr, now)
     }
 
     fn alloc_size(&self, ptr: u64) -> Option<u64> {
-        ptr.checked_sub(HEAP_BASE)
-            .and_then(|off| self.alloc.size_of(TfmPtr::from_offset(off)))
+        self.heap.alloc_size(ptr)
     }
 
     fn data_access(
@@ -341,51 +311,6 @@ impl MemorySystem for FastswapMem {
         } else {
             Ok(0)
         }
-    }
-
-    fn guard(
-        &mut self,
-        ptr: u64,
-        _write: bool,
-        _now: u64,
-        _stats: &mut ExecStats,
-    ) -> Result<(u64, u64), Trap> {
-        Ok((0, ptr))
-    }
-
-    fn chunk_begin(&mut self, _ptr: u64, _flags: i64, _now: u64) -> (u64, u64) {
-        (0, 0)
-    }
-
-    fn chunk_deref(
-        &mut self,
-        _handle: u64,
-        ptr: u64,
-        _now: u64,
-        _stats: &mut ExecStats,
-    ) -> Result<(u64, u64), Trap> {
-        Ok((0, ptr))
-    }
-
-    fn chunk_end(&mut self, _handle: u64, _now: u64) -> Result<u64, Trap> {
-        Ok(0)
-    }
-
-    fn prefetch_hint(&mut self, _ptr: u64, _now: u64) {}
-
-    fn canonical(&self, addr: u64) -> u64 {
-        addr
-    }
-
-    fn access_range(
-        &mut self,
-        addr: u64,
-        len: u64,
-        write: bool,
-        now: u64,
-        stats: &mut ExecStats,
-    ) -> Result<u64, Trap> {
-        self.data_access(addr, len, write, now, stats)
     }
 
     fn evacuate_all(&mut self, now: u64) {
@@ -423,8 +348,33 @@ impl MemorySystem for FastswapMem {
 }
 
 // ======================================================================
-// TrackFmMem (and its AIFM flavor)
+// TrackFmMem and its three flavors
 // ======================================================================
+
+/// What a [`TrackFmMem`] charges for a guard and does on a raw access to a
+/// managed pointer. Everything else — allocation, chunk streams, the
+/// object cache, prefetching, eviction — is shared.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Flavor {
+    /// TrackFM: compiler guards pay the custody check plus Table 1's
+    /// fast/slow path; a raw access to a managed pointer is the §3.1
+    /// general-protection fault.
+    TrackFm,
+    /// AIFM (library baseline): developer-integrated costs — no custody
+    /// check, cheap smart-pointer deref.
+    Aifm,
+    /// The §5 "hybrid approach (compiler and kernel)": chunk streams run on
+    /// the object runtime exactly as TrackFM's do, but *unchunked* heap
+    /// accesses carry **no guards at all** (compile with
+    /// `CompilerOptions { guards: false, .. }`) — they execute raw, and a
+    /// miss vectors into a kernel-style fault handler. Resident irregular
+    /// accesses cost *zero* extra cycles, but every miss pays the kernel
+    /// fault cost (Table 2: ~1.3 K cycles) on top of the fetch instead of
+    /// the ~150-cycle slow-path guard. Misses are counted in
+    /// [`ExecStats::guards_slow_remote`]/`_local` (they are the fault-path
+    /// events of this flavor).
+    Hybrid,
+}
 
 #[derive(Clone, Debug)]
 struct ChunkStream {
@@ -450,29 +400,25 @@ pub struct TrackFmMem {
     /// Offsets of always-local allocations (pruned sites), whose objects
     /// hold a permanent pin.
     local_allocs: std::collections::HashSet<u64>,
-    /// AIFM flavor: developer-integrated costs (no custody check, cheap
-    /// smart-pointer deref).
-    aifm: bool,
+    flavor: Flavor,
 }
 
 impl TrackFmMem {
-    /// Creates a TrackFM memory system.
+    /// Creates a TrackFM memory system ([`Flavor::TrackFm`]).
     pub fn new(cfg: FarMemoryConfig, cost: CostModel) -> Self {
+        Self::with_flavor(Flavor::TrackFm, cfg, cost)
+    }
+
+    /// Creates the object runtime in the given flavor.
+    pub fn with_flavor(flavor: Flavor, cfg: FarMemoryConfig, cost: CostModel) -> Self {
         TrackFmMem {
             fm: FarMemory::new(cfg),
             cost,
             streams: Vec::new(),
             free_streams: Vec::new(),
             local_allocs: Default::default(),
-            aifm: false,
+            flavor,
         }
-    }
-
-    /// Creates the AIFM-flavored system (library-based baseline).
-    pub fn new_aifm(cfg: FarMemoryConfig, cost: CostModel) -> Self {
-        let mut s = Self::new(cfg, cost);
-        s.aifm = true;
-        s
     }
 
     /// The underlying runtime (for assertions in tests).
@@ -492,6 +438,28 @@ impl TrackFmMem {
             return Err(Trap::OutOfBounds { addr: ptr, size: 0 });
         }
         Ok(self.fm.obj_of_offset(off))
+    }
+
+    /// The slow path shared by guards and hybrid faults: `base` cycles of
+    /// handler (runtime call or kernel fault), possibly a remote fetch,
+    /// then a collection point (§3.3). Returns the total cycles.
+    fn slow_path(
+        &mut self,
+        obj: ObjId,
+        write: bool,
+        now: u64,
+        base: u64,
+        stats: &mut ExecStats,
+    ) -> u64 {
+        let stall = self.fm.localize(obj, write, now + base);
+        if stall > 0 {
+            stats.guards_slow_remote += 1;
+            stats.stall_cycles += stall;
+        } else {
+            stats.guards_slow_local += 1;
+        }
+        self.fm.collection_point(now + base + stall);
+        base + stall
     }
 
     fn issue_stream_prefetch(&mut self, from: ObjId, dir: i64, now: u64) {
@@ -573,16 +541,28 @@ impl MemorySystem for TrackFmMem {
         &mut self,
         addr: u64,
         _size: u64,
-        _write: bool,
-        _now: u64,
-        _stats: &mut ExecStats,
+        write: bool,
+        now: u64,
+        stats: &mut ExecStats,
     ) -> Result<u64, Trap> {
-        if TfmPtr::is_tfm(addr) {
+        if !TfmPtr::is_tfm(addr) {
+            return Ok(0);
+        }
+        if self.flavor != Flavor::Hybrid {
             // An unguarded access to a TrackFM pointer is the §3.1 general
             // protection fault: the compiler missed a guard.
             return Err(Trap::NonCanonicalAccess { addr });
         }
-        Ok(0)
+        // Hybrid: raw accesses to managed memory are legal. Mapped objects
+        // are free; a miss takes a kernel-style fault that localizes the
+        // object.
+        let obj = self.obj_of_ptr(addr)?;
+        if self.fm.table().is_safe(obj) {
+            self.fm.fast_touch(obj, write);
+            return Ok(0);
+        }
+        let base = PagerConfig::default().kernel_fault_cycles;
+        Ok(self.slow_path(obj, write, now, base, stats))
     }
 
     fn guard(
@@ -594,7 +574,7 @@ impl MemorySystem for TrackFmMem {
     ) -> Result<(u64, u64), Trap> {
         if !TfmPtr::is_tfm(ptr) {
             // Custody check exits early: not a TrackFM pointer.
-            if self.aifm {
+            if self.flavor == Flavor::Aifm {
                 return Ok((0, ptr)); // the developer never wraps these
             }
             stats.custody_exits += 1;
@@ -603,7 +583,7 @@ impl MemorySystem for TrackFmMem {
         let obj = self.obj_of_ptr(ptr)?;
         if self.fm.table().is_safe(obj) {
             // Fast path.
-            let cycles = if self.aifm {
+            let cycles = if self.flavor == Flavor::Aifm {
                 self.cost.aifm_deref
             } else if write {
                 self.cost.custody_check + self.cost.guard_fast_write
@@ -616,22 +596,15 @@ impl MemorySystem for TrackFmMem {
         }
         // Slow path: runtime call, possibly a remote fetch, then a
         // collection point (§3.3).
-        let base = if self.aifm {
+        let base = if self.flavor == Flavor::Aifm {
             self.cost.aifm_slow
         } else if write {
             self.cost.custody_check + self.cost.guard_slow_write
         } else {
             self.cost.custody_check + self.cost.guard_slow_read
         };
-        let stall = self.fm.localize(obj, write, now + base);
-        if stall > 0 {
-            stats.guards_slow_remote += 1;
-            stats.stall_cycles += stall;
-        } else {
-            stats.guards_slow_local += 1;
-        }
-        self.fm.collection_point(now + base + stall);
-        Ok((base + stall, self.canonical_of(ptr)))
+        let cycles = self.slow_path(obj, write, now, base, stats);
+        Ok((cycles, self.canonical_of(ptr)))
     }
 
     fn chunk_begin(&mut self, _ptr: u64, flags: i64, _now: u64) -> (u64, u64) {
@@ -680,7 +653,7 @@ impl MemorySystem for TrackFmMem {
         };
         if cur == Some(obj) || prev == Some(obj) {
             // In-window: the cheap conditional of Fig. 5.
-            let c = if self.aifm {
+            let c = if self.flavor == Flavor::Aifm {
                 self.cost.boundary_check.min(self.cost.aifm_deref)
             } else {
                 self.cost.boundary_check
@@ -691,7 +664,7 @@ impl MemorySystem for TrackFmMem {
         }
         // Object crossing: locality-invariant guard. The window slides:
         // the oldest pin is released, the new object pinned.
-        let base = if self.aifm {
+        let base = if self.flavor == Flavor::Aifm {
             self.cost.aifm_slow
         } else {
             self.cost.locality_guard
@@ -830,174 +803,6 @@ impl MemorySystem for TrackFmMem {
     }
 }
 
-// ======================================================================
-// HybridMem — the §5 "hybrid approach (compiler and kernel)" exploration.
-// ======================================================================
-
-/// A compiler+kernel hybrid: chunk streams (compiler-planned, sub-page,
-/// prefetched) run on the object runtime exactly as TrackFM's do, but
-/// *unchunked* heap accesses carry **no guards at all** — they execute raw,
-/// and a miss vectors into a kernel-style fault handler (fixed kernel cost
-/// plus the object fetch). §5 of the paper: "we were surprised how well
-/// kernel-based approaches perform when there is sufficient temporal
-/// locality [...] This suggests that a hybrid approach (compiler and
-/// kernel) holds promise."
-///
-/// Programs must be compiled with `CompilerOptions { guards: false, .. }`;
-/// running a hybrid binary on [`TrackFmMem`] would trap on the raw accesses.
-///
-/// Trade-offs vs. TrackFM: resident irregular accesses cost *zero* extra
-/// cycles (no custody check, no fast-path guard), but every miss pays the
-/// kernel fault cost (~1.3 K cycles) on top of the fetch instead of the
-/// ~150-cycle slow-path guard. Misses are counted in
-/// [`crate::ExecStats::guards_slow_remote`]/`_local` (they are the
-/// fault-path events of this system).
-#[derive(Clone, Debug)]
-pub struct HybridMem {
-    inner: TrackFmMem,
-    kernel_fault_cycles: u64,
-}
-
-impl HybridMem {
-    /// Creates a hybrid memory system (kernel fault cost from the paper's
-    /// Table 2: 1.3 K cycles).
-    pub fn new(cfg: FarMemoryConfig, cost: CostModel) -> Self {
-        HybridMem {
-            inner: TrackFmMem::new(cfg, cost),
-            kernel_fault_cycles: 1_300,
-        }
-    }
-
-    /// The underlying runtime (for assertions in tests).
-    pub fn far_memory(&self) -> &FarMemory {
-        self.inner.far_memory()
-    }
-}
-
-impl MemorySystem for HybridMem {
-    fn alloc(&mut self, size: u64, now: u64) -> Result<u64, Trap> {
-        self.inner.alloc(size, now)
-    }
-
-    fn alloc_local(&mut self, size: u64, now: u64) -> Result<u64, Trap> {
-        self.inner.alloc_local(size, now)
-    }
-
-    fn free(&mut self, ptr: u64, now: u64) -> Result<(), Trap> {
-        self.inner.free(ptr, now)
-    }
-
-    fn alloc_size(&self, ptr: u64) -> Option<u64> {
-        self.inner.alloc_size(ptr)
-    }
-
-    fn data_access(
-        &mut self,
-        addr: u64,
-        _size: u64,
-        write: bool,
-        now: u64,
-        stats: &mut ExecStats,
-    ) -> Result<u64, Trap> {
-        if !TfmPtr::is_tfm(addr) {
-            return Ok(0);
-        }
-        // Raw access to managed memory: mapped pages are free; a miss takes
-        // a kernel-style fault that localizes the object.
-        let obj = self.inner.obj_of_ptr(addr)?;
-        if self.inner.fm.table().is_safe(obj) {
-            self.inner.fm.fast_touch(obj, write);
-            return Ok(0);
-        }
-        let base = self.kernel_fault_cycles;
-        let stall = self.inner.fm.localize(obj, write, now + base);
-        if stall > 0 {
-            stats.guards_slow_remote += 1;
-            stats.stall_cycles += stall;
-        } else {
-            stats.guards_slow_local += 1;
-        }
-        self.inner.fm.collection_point(now + base + stall);
-        Ok(base + stall)
-    }
-
-    fn guard(
-        &mut self,
-        ptr: u64,
-        write: bool,
-        now: u64,
-        stats: &mut ExecStats,
-    ) -> Result<(u64, u64), Trap> {
-        self.inner.guard(ptr, write, now, stats)
-    }
-
-    fn chunk_begin(&mut self, ptr: u64, flags: i64, now: u64) -> (u64, u64) {
-        self.inner.chunk_begin(ptr, flags, now)
-    }
-
-    fn chunk_deref(
-        &mut self,
-        handle: u64,
-        ptr: u64,
-        now: u64,
-        stats: &mut ExecStats,
-    ) -> Result<(u64, u64), Trap> {
-        self.inner.chunk_deref(handle, ptr, now, stats)
-    }
-
-    fn chunk_end(&mut self, handle: u64, now: u64) -> Result<u64, Trap> {
-        self.inner.chunk_end(handle, now)
-    }
-
-    fn prefetch_hint(&mut self, ptr: u64, now: u64) {
-        self.inner.prefetch_hint(ptr, now);
-    }
-
-    fn canonical(&self, addr: u64) -> u64 {
-        // Raw accesses are legal in hybrid mode: translate managed pointers.
-        self.inner.canonical(addr)
-    }
-
-    fn access_range(
-        &mut self,
-        addr: u64,
-        len: u64,
-        write: bool,
-        now: u64,
-        stats: &mut ExecStats,
-    ) -> Result<u64, Trap> {
-        self.inner.access_range(addr, len, write, now, stats)
-    }
-
-    fn evacuate_all(&mut self, now: u64) {
-        self.inner.evacuate_all(now);
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
-
-    fn summary(&self) -> MemSummary {
-        self.inner.summary()
-    }
-
-    fn set_telemetry(&mut self, tel: Telemetry) {
-        self.inner.set_telemetry(tel);
-    }
-
-    fn set_core(&mut self, core: u32) {
-        self.inner.set_core(core);
-    }
-
-    fn set_async_fetch(&mut self, on: bool) {
-        self.inner.set_async_fetch(on);
-    }
-
-    fn take_completion_horizon(&mut self) -> u64 {
-        self.inner.take_completion_horizon()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1045,14 +850,56 @@ mod tests {
     }
 
     #[test]
-    fn unguarded_tfm_access_is_gp_fault() {
-        let mut m = TrackFmMem::new(tfm_cfg(8), CostModel::default());
+    fn raw_access_to_a_remote_managed_pointer_by_flavor() {
+        let kernel = PagerConfig::default().kernel_fault_cycles;
+        for flavor in [Flavor::TrackFm, Flavor::Aifm, Flavor::Hybrid] {
+            let mut m = TrackFmMem::with_flavor(flavor, tfm_cfg(8), CostModel::default());
+            let mut st = ExecStats::default();
+            let ptr = m.alloc(64, 0).unwrap();
+            m.evacuate_all(0);
+            m.reset_stats();
+            let first = m.data_access(ptr, 8, false, 0, &mut st);
+            // Canonical addresses are fine in every flavor.
+            assert_eq!(m.data_access(HEAP_BASE, 8, false, 0, &mut st), Ok(0));
+            if flavor != Flavor::Hybrid {
+                // The §3.1 general-protection fault: the compiler missed a
+                // guard.
+                assert_eq!(first, Err(Trap::NonCanonicalAccess { addr: ptr }));
+                continue;
+            }
+            // Kernel fault cost plus the fetch; the second touch is free.
+            let c = first.unwrap();
+            assert!(c > kernel + 30_000, "{flavor:?}: fault + fetch = {c}");
+            assert_eq!(st.guards_slow_remote, 1);
+            assert_eq!(st.stall_cycles, c - kernel);
+            assert_eq!(m.summary().runtime.unwrap().remote_fetches, 1);
+            assert_eq!(m.data_access(ptr, 8, true, c, &mut st), Ok(0));
+        }
+    }
+
+    #[test]
+    fn hybrid_fault_is_a_collection_point() {
+        // Budget of two objects, both pinned by a chunk stream's window: a
+        // prefetch of a third overruns the budget. Once the stream closes,
+        // the next fault — a prefetch hit, so nothing is fetched and no
+        // room is made — must bring residency back under budget.
+        let mut m = TrackFmMem::with_flavor(Flavor::Hybrid, tfm_cfg(2), CostModel::default());
         let mut st = ExecStats::default();
-        let ptr = m.alloc(64, 0).unwrap();
-        let err = m.data_access(ptr, 8, false, 0, &mut st).unwrap_err();
-        assert!(matches!(err, Trap::NonCanonicalAccess { .. }));
-        // Canonical addresses are fine.
-        assert!(m.data_access(HEAP_BASE, 8, false, 0, &mut st).is_ok());
+        // Objects 0, 2 and 5: no unit stride, so the runtime's own stride
+        // prefetcher (which would make room) stays out of the picture.
+        let ptr = m.alloc(6 * 4096, 0).unwrap();
+        m.evacuate_all(0);
+        let (_, h) = m.chunk_begin(ptr, 0, 0);
+        m.chunk_deref(h, ptr, 0, &mut st).unwrap();
+        m.chunk_deref(h, ptr + 2 * 4096, 100_000, &mut st).unwrap();
+        m.prefetch_hint(ptr + 5 * 4096, 200_000);
+        m.chunk_end(h, 200_000).unwrap();
+        assert_eq!(m.far_memory().resident_bytes(), 3 * 4096);
+        assert_eq!(
+            m.data_access(ptr + 5 * 4096, 8, false, 1_000_000, &mut st),
+            Ok(PagerConfig::default().kernel_fault_cycles)
+        );
+        assert_eq!(m.far_memory().resident_bytes(), 2 * 4096);
     }
 
     #[test]
@@ -1132,7 +979,7 @@ mod tests {
     fn aifm_flavor_is_cheaper_on_fast_path() {
         let cost = CostModel::default();
         let mut tfm = TrackFmMem::new(tfm_cfg(8), cost);
-        let mut aifm = TrackFmMem::new_aifm(tfm_cfg(8), cost);
+        let mut aifm = TrackFmMem::with_flavor(Flavor::Aifm, tfm_cfg(8), cost);
         let mut st = ExecStats::default();
         let p1 = tfm.alloc(4096, 0).unwrap();
         let p2 = aifm.alloc(4096, 0).unwrap();

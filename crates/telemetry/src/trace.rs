@@ -82,12 +82,6 @@ impl TraceConfig {
         self.max_spans = n.max(1);
         self
     }
-
-    /// Returns a copy with a different timeline bucket width (min 1 cycle).
-    pub fn with_bucket_cycles(mut self, cycles: u64) -> Self {
-        self.bucket_cycles = cycles.max(1);
-        self
-    }
 }
 
 /// What a span covers. Guard kinds mirror [`EventKind`]'s classification;

@@ -12,21 +12,19 @@
 //! split issue/complete protocol overlap fetches across cores.
 //!
 //! With `cores = 1` the driver degenerates to today's synchronous machine —
-//! async fetch stays off, no core is ever tagged — which the concurrency
-//! tests and the `concurrency_scaling` bench gate pin bit-for-bit.
+//! async fetch stays off, no core is ever tagged — which
+//! `tests/concurrency.rs` (200 seeds), the `cores(1)` row of
+//! `tests/identity_matrix.rs` and the `concurrency_scaling` bench gate pin
+//! bit-for-bit against a hand-driven loop.
 
 use crate::memcached::{self, MemcachedParams, Store, HASH_MULT, VALUE_WORDS};
 use crate::rng::SplitMix64;
 use crate::runner::{self, Outcome, RunConfig, SystemKind};
 use crate::spec::{ArgSpec, InputData, WorkloadSpec};
 use crate::zipf::ZipfGen;
-use tfm_fastswap::PagerConfig;
 use tfm_ir::{BinOp, CmpOp, FunctionBuilder, Module, Signature, Type};
-use tfm_sim::{
-    CoreSet, FastswapMem, HybridMem, LocalMem, Machine, MemorySystem, RunResult, TrackFmMem,
-};
-use tfm_telemetry::{Histogram, RunReport, Telemetry};
-use trackfm::TrackFmCompiler;
+use tfm_sim::{CoreSet, FastswapMem, LocalMem, Machine, MemorySystem, RunResult};
+use tfm_telemetry::{Histogram, RunReport};
 
 /// Open-loop key-value workload parameters.
 #[derive(Copy, Clone, Debug)]
@@ -257,39 +255,11 @@ pub fn execute_open_loop(ol: &OpenLoopSpec, cfg: &RunConfig) -> OpenLoopRun {
     match cfg.system {
         SystemKind::Local => drive(ol, &ol.spec.module, LocalMem::new(heap), cfg, heap, None),
         SystemKind::Fastswap => {
-            let pcfg = PagerConfig {
-                local_budget: ol.spec.local_budget(cfg.local_fraction, 4096),
-                faults: cfg.faults,
-                backend: cfg.backend,
-                ..PagerConfig::default()
-            };
-            drive(
-                ol,
-                &ol.spec.module,
-                FastswapMem::new(heap, pcfg),
-                cfg,
-                heap,
-                None,
-            )
+            let mem = FastswapMem::new(heap, runner::pager_config(&ol.spec, cfg));
+            drive(ol, &ol.spec.module, mem, cfg, heap, None)
         }
-        SystemKind::TrackFm | SystemKind::Aifm => {
-            let mut module = ol.spec.module.clone();
-            let compiler = TrackFmCompiler::new(cfg.compiler);
-            let report = compiler.compile(&mut module, None);
-            let fm_cfg = runner::far_config(&ol.spec, cfg);
-            let mem = match cfg.system {
-                SystemKind::TrackFm => TrackFmMem::new(fm_cfg, cfg.cost),
-                _ => TrackFmMem::new_aifm(fm_cfg, cfg.cost),
-            };
-            drive(ol, &module, mem, cfg, heap, Some(report))
-        }
-        SystemKind::Hybrid => {
-            let mut module = ol.spec.module.clone();
-            let mut copts = cfg.compiler;
-            copts.guards = false;
-            let compiler = TrackFmCompiler::new(copts);
-            let report = compiler.compile(&mut module, None);
-            let mem = HybridMem::new(runner::far_config(&ol.spec, cfg), cfg.cost);
+        SystemKind::TrackFm | SystemKind::Aifm | SystemKind::Hybrid => {
+            let (module, report, mem) = runner::compile_for(&ol.spec, cfg, None);
             drive(ol, &module, mem, cfg, heap, Some(report))
         }
     }
@@ -326,13 +296,7 @@ fn drive<M: MemorySystem>(
     #[cfg(feature = "oracle")]
     machine.set_engine(cfg.engine);
     let args = runner::setup(&ol.spec, &mut machine, false);
-    let tel = if cfg.trace.enabled {
-        Telemetry::with_trace(cfg.trace)
-    } else if cfg.telemetry {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
+    let tel = runner::telemetry_for(cfg);
     machine.set_telemetry(tel.clone());
 
     let mut cores = CoreSet::new(cfg.cores);
@@ -383,8 +347,7 @@ fn drive<M: MemorySystem>(
     result.stats.cycles = cores.makespan();
     let mut telemetry = tel.snapshot();
     if let Some(rep) = &report {
-        runner::attribute_elision(rep, &mut telemetry);
-        runner::attribute_motion(rep, &mut telemetry);
+        runner::attribute_removed_guards(rep, &mut telemetry);
     }
     OpenLoopRun {
         outcome: Outcome {
@@ -491,39 +454,5 @@ mod tests {
         // race to the same in-flight object.
         let rt = four.outcome.result.runtime.as_ref().unwrap();
         assert!(rt.remote_fetches > 0);
-    }
-
-    #[test]
-    fn one_core_run_is_the_synchronous_machine_bit_for_bit() {
-        // The scheduler with one core must be indistinguishable from a
-        // hand-rolled synchronous loop over the same machine.
-        let ol = open_loop(&small());
-        let cfg = RunConfig::trackfm(0.2).with_object_size(64);
-        let sched = execute_open_loop(&ol, &cfg);
-
-        let mut module = ol.spec.module.clone();
-        TrackFmCompiler::new(cfg.compiler).compile(&mut module, None);
-        let fm_cfg = runner::far_config(&ol.spec, &cfg);
-        let mem = TrackFmMem::new(fm_cfg, cfg.cost);
-        let heap = ol.spec.heap_size(cfg.object_size);
-        let mut machine = Machine::new(&module, mem, cfg.cost, heap);
-        let args = runner::setup(&ol.spec, &mut machine, false);
-        let mut last = None;
-        for req in &ol.requests {
-            let start = machine.clock().max(req.arrival);
-            machine.set_clock(start);
-            let mut call = args.clone();
-            call.push(req.key);
-            last = Some(machine.run("get", &call).unwrap());
-        }
-        let manual = last.unwrap();
-        assert_eq!(sched.makespan, machine.clock());
-        let mut want = manual.stats;
-        want.cycles = machine.clock();
-        assert_eq!(sched.outcome.result.stats, want);
-        assert_eq!(
-            sched.outcome.result.runtime.as_ref().unwrap(),
-            manual.runtime.as_ref().unwrap()
-        );
     }
 }

@@ -1,10 +1,17 @@
-//! Executes [`WorkloadSpec`]s under each of the paper's four systems.
+//! Executes [`WorkloadSpec`]s under each of the paper's four systems (and
+//! its §5 hybrid).
 //!
 //! The flow mirrors the paper's methodology: build the program once, run the
 //! *untransformed* binary on the local-only and Fastswap systems, run the
-//! *TrackFM-compiled* binary on the TrackFM and AIFM systems, always with
-//! warm-start residency (what in-app initialization leaves behind under the
-//! budget) and counters reset after setup.
+//! *TrackFM-compiled* binary on the TrackFM, AIFM and hybrid flavors of the
+//! object runtime, always with warm-start residency (what in-app
+//! initialization leaves behind under the budget) and counters reset after
+//! setup.
+//!
+//! One place builds a run: [`far_config`] / [`pager_config`] size the data
+//! plane, [`compile_for`] produces the transformed module and its memory
+//! system, [`telemetry_for`] the sink. [`execute_with_profile`] and
+//! [`crate::openloop::execute_open_loop`] are three short arms over them.
 
 use crate::spec::{ArgSpec, InputData, WorkloadSpec};
 use std::collections::HashMap;
@@ -13,7 +20,7 @@ use tfm_fastswap::PagerConfig;
 use tfm_ir::Module;
 use tfm_net::{BackendSpec, FaultPlan, LinkParams};
 use tfm_runtime::{FarMemoryConfig, PrefetchConfig, RetryPolicy};
-use tfm_sim::{FastswapMem, HybridMem, LocalMem, Machine, MemorySystem, RunResult, TrackFmMem};
+use tfm_sim::{FastswapMem, Flavor, LocalMem, Machine, MemorySystem, RunResult, TrackFmMem};
 use tfm_telemetry::{Json, RunReport, SiteKey, Telemetry, TelemetrySnapshot, TraceConfig};
 use trackfm::{CompileReport, CompilerOptions, CostModel, TrackFmCompiler};
 
@@ -246,6 +253,57 @@ pub fn far_config(spec: &WorkloadSpec, cfg: &RunConfig) -> FarMemoryConfig {
     }
 }
 
+/// The pager configuration a run of `spec` under `cfg` uses
+/// ([`far_config`]'s Fastswap sibling).
+pub fn pager_config(spec: &WorkloadSpec, cfg: &RunConfig) -> PagerConfig {
+    PagerConfig {
+        local_budget: spec.local_budget(cfg.local_fraction, 4096),
+        faults: cfg.faults,
+        backend: cfg.backend,
+        ..PagerConfig::default()
+    }
+}
+
+/// Compiles `spec` for the object runtime and builds the memory system it
+/// runs on, in the flavor `cfg.system` names. The hybrid is compiled
+/// guard-free whatever `cfg.compiler.guards` says.
+///
+/// # Panics
+/// Panics when `cfg.system` runs untransformed binaries (`Local`,
+/// `Fastswap`).
+pub fn compile_for(
+    spec: &WorkloadSpec,
+    cfg: &RunConfig,
+    profile: Option<&Profile>,
+) -> (Module, CompileReport, TrackFmMem) {
+    let flavor = match cfg.system {
+        SystemKind::TrackFm => Flavor::TrackFm,
+        SystemKind::Aifm => Flavor::Aifm,
+        SystemKind::Hybrid => Flavor::Hybrid,
+        SystemKind::Local | SystemKind::Fastswap => {
+            panic!("{} runs the untransformed binary", cfg.system.name())
+        }
+    };
+    let mut copts = cfg.compiler;
+    copts.guards &= flavor != Flavor::Hybrid;
+    let mut module = spec.module.clone();
+    let report = TrackFmCompiler::new(copts).compile(&mut module, profile);
+    let mem = TrackFmMem::with_flavor(flavor, far_config(spec, cfg), cfg.cost);
+    (module, report, mem)
+}
+
+/// The telemetry sink `cfg` asks for: tracing implies telemetry, and a
+/// disabled sink costs nothing.
+pub fn telemetry_for(cfg: &RunConfig) -> Telemetry {
+    if cfg.trace.enabled {
+        Telemetry::with_trace(cfg.trace)
+    } else if cfg.telemetry {
+        Telemetry::enabled()
+    } else {
+        Telemetry::disabled()
+    }
+}
+
 /// Runs `spec` under `cfg`, returning the result and any compile report.
 ///
 /// # Panics
@@ -267,100 +325,39 @@ pub fn execute_with_profile(
 ) -> Outcome {
     let heap = spec.heap_size(cfg.object_size);
     match cfg.system {
-        SystemKind::Local => {
-            let (result, telemetry) =
-                run_machine(spec, &spec.module, LocalMem::new(heap), cfg, heap, false);
-            Outcome {
-                result,
-                report: None,
-                telemetry,
-            }
-        }
+        SystemKind::Local => run_machine(spec, &spec.module, LocalMem::new(heap), cfg, heap, None),
         SystemKind::Fastswap => {
-            let pcfg = PagerConfig {
-                local_budget: spec.local_budget(cfg.local_fraction, 4096),
-                faults: cfg.faults,
-                backend: cfg.backend,
-                ..PagerConfig::default()
-            };
-            let (result, telemetry) = run_machine(
-                spec,
-                &spec.module,
-                FastswapMem::new(heap, pcfg),
-                cfg,
-                heap,
-                false,
-            );
-            Outcome {
-                result,
-                report: None,
-                telemetry,
-            }
+            let mem = FastswapMem::new(heap, pager_config(spec, cfg));
+            run_machine(spec, &spec.module, mem, cfg, heap, None)
         }
-        SystemKind::TrackFm | SystemKind::Aifm => {
-            let mut module = spec.module.clone();
-            let compiler = TrackFmCompiler::new(cfg.compiler);
-            let report = compiler.compile(&mut module, profile);
-            let fm_cfg = far_config(spec, cfg);
-            let mem = match cfg.system {
-                SystemKind::TrackFm => TrackFmMem::new(fm_cfg, cfg.cost),
-                _ => TrackFmMem::new_aifm(fm_cfg, cfg.cost),
-            };
-            let (result, mut telemetry) = run_machine(spec, &module, mem, cfg, heap, false);
-            attribute_elision(&report, &mut telemetry);
-            attribute_motion(&report, &mut telemetry);
-            Outcome {
-                result,
-                report: Some(report),
-                telemetry,
-            }
-        }
-        SystemKind::Hybrid => {
-            let mut module = spec.module.clone();
-            let mut copts = cfg.compiler;
-            copts.guards = false;
-            let compiler = TrackFmCompiler::new(copts);
-            let report = compiler.compile(&mut module, profile);
-            let mem = HybridMem::new(far_config(spec, cfg), cfg.cost);
-            let (result, telemetry) = run_machine(spec, &module, mem, cfg, heap, false);
-            Outcome {
-                result,
-                report: Some(report),
-                telemetry,
-            }
+        SystemKind::TrackFm | SystemKind::Aifm | SystemKind::Hybrid => {
+            let (module, report, mem) = compile_for(spec, cfg, profile);
+            run_machine(spec, &module, mem, cfg, heap, Some(report))
         }
     }
 }
 
-/// Folds compile-time redundant-guard-elimination attribution into the
-/// run's site table: each surviving site's `elided` counter records how
-/// many duplicate guards were statically folded into it, so the per-site
-/// report shows which hot sites absorbed deleted checks.
-pub(crate) fn attribute_elision(report: &CompileReport, telemetry: &mut Option<TelemetrySnapshot>) {
-    if let Some(snap) = telemetry {
-        for s in &report.elision.sites {
-            snap.sites
-                .stats_mut(SiteKey::new(s.func, s.survivor))
-                .elided += s.absorbed as u64;
-        }
+/// Folds the compiler's guard-removal attribution into the run's site
+/// table, so the per-site report shows which hot sites absorbed deleted
+/// checks: each surviving site's `elided` counter records how many
+/// duplicate guards elision (same-block) and motion (cross-block
+/// read→write folds) statically folded into it, and each hoisted guard's
+/// `hoisted` counter how many loop levels it climbed.
+pub fn attribute_removed_guards(report: &CompileReport, telemetry: &mut Option<TelemetrySnapshot>) {
+    let Some(snap) = telemetry else { return };
+    for s in &report.elision.sites {
+        snap.sites
+            .stats_mut(SiteKey::new(s.func, s.survivor))
+            .elided += s.absorbed as u64;
     }
-}
-
-/// Folds compile-time guard-motion attribution into the run's site table:
-/// each hoisted guard's `hoisted` counter records how many loop levels it
-/// climbed, and cross-block read→write folds count into the survivor's
-/// `elided` like elision's same-block folds do.
-pub(crate) fn attribute_motion(report: &CompileReport, telemetry: &mut Option<TelemetrySnapshot>) {
-    if let Some(snap) = telemetry {
-        for s in &report.motion.sites {
-            let stats = snap.sites.stats_mut(SiteKey::new(s.func, s.value));
-            stats.hoisted = stats.hoisted.max(s.levels as u64);
-        }
-        for s in &report.motion.folds {
-            snap.sites
-                .stats_mut(SiteKey::new(s.func, s.survivor))
-                .elided += s.absorbed as u64;
-        }
+    for s in &report.motion.sites {
+        let stats = snap.sites.stats_mut(SiteKey::new(s.func, s.value));
+        stats.hoisted = stats.hoisted.max(s.levels as u64);
+    }
+    for s in &report.motion.folds {
+        snap.sites
+            .stats_mut(SiteKey::new(s.func, s.survivor))
+            .elided += s.absorbed as u64;
     }
 }
 
@@ -484,27 +481,29 @@ fn run_machine<M: MemorySystem>(
     mem: M,
     cfg: &RunConfig,
     heap: u64,
-    cold: bool,
-) -> (RunResult, Option<TelemetrySnapshot>) {
+    report: Option<CompileReport>,
+) -> Outcome {
     let mut machine = Machine::new(module, mem, cfg.cost, heap);
     #[cfg(feature = "oracle")]
     machine.set_engine(cfg.engine);
-    let args = setup(spec, &mut machine, cold);
+    let args = setup(spec, &mut machine, false);
     // Telemetry attaches only after setup: the report should describe the
     // measured phase, not in-app initialization.
-    let tel = if cfg.trace.enabled {
-        Telemetry::with_trace(cfg.trace)
-    } else if cfg.telemetry {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
+    let tel = telemetry_for(cfg);
     machine.set_telemetry(tel.clone());
-    let r = machine
+    let result = machine
         .run("main", &args)
         .unwrap_or_else(|t| panic!("{}: execution trapped: {t}", spec.name));
-    check_expected(spec, r.ret);
-    (r, tel.snapshot())
+    check_expected(spec, result.ret);
+    let mut telemetry = tel.snapshot();
+    if let Some(rep) = &report {
+        attribute_removed_guards(rep, &mut telemetry);
+    }
+    Outcome {
+        result,
+        report,
+        telemetry,
+    }
 }
 
 fn check_expected(spec: &WorkloadSpec, ret: u64) {

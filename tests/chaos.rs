@@ -20,15 +20,17 @@ fn spec() -> trackfm_suite::workloads::spec::WorkloadSpec {
     stream::sum(&StreamParams { elems: 64 << 10 })
 }
 
-/// Drop rates 0, 0.1%, 1%, 10%: the result never moves, and once drops are
+/// Drop rates 0.1%, 1%, 10%: the result never moves, and once drops are
 /// plausible on this schedule the run both pays for them (faults counted,
-/// cycles grow) and still terminates.
+/// cycles grow) and still terminates. (The zero rate — an inactive plan is
+/// bit-identical to the flawless fabric — is the `faults` row of
+/// `identity_matrix.rs`.)
 #[test]
 fn drop_rate_sweep_preserves_semantics() {
     let spec = spec();
     let clean = execute(&spec, &RunConfig::trackfm(0.25));
 
-    for drop_ppm in [0, 1_000, 10_000, 100_000] {
+    for drop_ppm in [1_000, 10_000, 100_000] {
         let cfg = RunConfig::trackfm(0.25).with_faults(FaultPlan::drops(0xC0FFEE, drop_ppm));
         let faulty = execute(&spec, &cfg);
         // `execute` already asserts `spec.expected`; cross-check against the
@@ -38,18 +40,10 @@ fn drop_rate_sweep_preserves_semantics() {
             "{drop_ppm} ppm drops changed the answer"
         );
         let rt = faulty.result.runtime.expect("trackfm run");
-        if drop_ppm == 0 {
-            // Zero rates deactivate the plan entirely: bit-identical to the
-            // flawless fabric, including timing.
-            assert_eq!(faulty.result.stats.cycles, clean.result.stats.cycles);
-            assert_eq!(rt.link_faults, 0);
-            assert_eq!(rt.retries, 0);
-        } else {
-            assert!(
-                faulty.result.stats.cycles >= clean.result.stats.cycles,
-                "faults only ever cost time"
-            );
-        }
+        assert!(
+            faulty.result.stats.cycles >= clean.result.stats.cycles,
+            "faults only ever cost time"
+        );
         if drop_ppm >= 100_000 {
             assert!(rt.link_faults > 0, "10% drops must actually fire");
             // Every fault is answered: demand fetches and writebacks retry,

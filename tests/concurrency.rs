@@ -6,22 +6,22 @@
 //!    object whose fetch is already in flight, it joins the pending entry
 //!    and stalls for the remainder instead of issuing its own transfer.
 //! 2. **Pay-for-use** — `cores(1)` is today's synchronous machine, bit for
-//!    bit: same cycles, same counters, same rendered report, under faults,
-//!    sharding and tracing alike (a 200-seed sweep).
+//!    bit: same cycles and counters under faults, sharding and tracing
+//!    alike (a 200-seed sweep; the rendered report and trace are the
+//!    `cores(1)` row of `identity_matrix.rs`).
 //! 3. **Determinism** — `cores(N)` is a pure function of seed and config:
 //!    the same inputs reproduce identical core clocks, stats, latencies
 //!    and checksums on every run.
 
-use trackfm_suite::compiler::TrackFmCompiler;
+mod common;
+
+use common::manual_sync_outcome;
 use trackfm_suite::net::FaultPlan;
 use trackfm_suite::runtime::{FarMemory, FarMemoryConfig};
-use trackfm_suite::sim::Machine;
-use trackfm_suite::sim::TrackFmMem;
-use trackfm_suite::telemetry::SiteKey;
 use trackfm_suite::workloads::openloop::{
-    execute_open_loop, execute_open_loop_with_report, open_loop, OpenLoopParams, OpenLoopSpec,
+    execute_open_loop, execute_open_loop_with_report, open_loop, OpenLoopParams,
 };
-use trackfm_suite::workloads::runner::{self, Outcome, RunConfig};
+use trackfm_suite::workloads::runner::RunConfig;
 
 /// SplitMix64, re-derived so the sweep's schedules are reproducible.
 fn mix(mut x: u64) -> u64 {
@@ -98,52 +98,6 @@ fn synchronous_mode_never_populates_the_inflight_table() {
     assert!(stall > 0);
     assert_eq!(fm.demand_inflight_len(), 0);
     assert_eq!(fm.stats().fetch_joins, 0);
-}
-
-/// Runs the open-loop requests by hand on a plain synchronous machine —
-/// exactly what the suite did before the scheduler existed — and builds the
-/// same report the runner would.
-fn manual_sync_outcome(ol: &OpenLoopSpec, cfg: &RunConfig) -> (Outcome, u64) {
-    let mut module = ol.spec.module.clone();
-    let report = TrackFmCompiler::new(cfg.compiler).compile(&mut module, None);
-    let mem = TrackFmMem::new(runner::far_config(&ol.spec, cfg), cfg.cost);
-    let heap = ol.spec.heap_size(cfg.object_size);
-    let mut machine = Machine::new(&module, mem, cfg.cost, heap);
-    let args = runner::setup(&ol.spec, &mut machine, false);
-    let tel = if cfg.trace.enabled {
-        trackfm_suite::telemetry::Telemetry::with_trace(cfg.trace)
-    } else if cfg.telemetry {
-        trackfm_suite::telemetry::Telemetry::enabled()
-    } else {
-        trackfm_suite::telemetry::Telemetry::disabled()
-    };
-    machine.set_telemetry(tel.clone());
-    let mut last = None;
-    for req in &ol.requests {
-        let start = machine.clock().max(req.arrival);
-        machine.set_clock(start);
-        let mut call = args.clone();
-        call.push(req.key);
-        last = Some(machine.run("get", &call).unwrap());
-    }
-    let mut result = last.expect("at least one request");
-    result.stats.cycles = machine.clock();
-    let mut telemetry = tel.snapshot();
-    if let Some(snap) = &mut telemetry {
-        for s in &report.elision.sites {
-            snap.sites
-                .stats_mut(SiteKey::new(s.func, s.survivor))
-                .elided += s.absorbed as u64;
-        }
-    }
-    (
-        Outcome {
-            result,
-            report: Some(report),
-            telemetry,
-        },
-        machine.clock(),
-    )
 }
 
 fn tiny(seed: u64) -> OpenLoopParams {
@@ -238,48 +192,6 @@ fn multi_core_runs_are_deterministic_across_the_sweep() {
             "seed {seed}"
         );
     }
-}
-
-#[test]
-fn cores1_report_renders_byte_identical_to_the_synchronous_machine() {
-    // The strongest identity: with tracing, sharding and telemetry all on,
-    // the scheduler's one-core report must render byte-for-byte the same as
-    // one built from a hand-driven synchronous machine — no core lanes, no
-    // async artifacts, nothing.
-    let ol = open_loop(&OpenLoopParams {
-        keys: 512,
-        requests: 600,
-        skew: 1.05,
-        seed: 42,
-        mean_gap_cycles: 300,
-    });
-    let cfg = RunConfig::trackfm(0.2)
-        .with_object_size(64)
-        .with_shards(2)
-        .with_tracing();
-    let (sched, rep) = execute_open_loop_with_report(&ol, &cfg);
-
-    let cfg_tel = cfg.with_telemetry(true);
-    let (manual, _) = manual_sync_outcome(&ol, &cfg_tel);
-    let manual_rep = runner::build_report(&ol.spec, &cfg_tel, &manual);
-    // The open-loop report adds scheduling metadata and the latency
-    // histogram on top of the standard report; everything the synchronous
-    // machine produces must match byte for byte.
-    assert_eq!(sched.outcome.result.stats, manual.result.stats);
-    let render = manual_rep.render();
-    for line in render.lines() {
-        assert!(
-            rep.render().contains(line),
-            "scheduler report lost a line of the synchronous report: {line}"
-        );
-    }
-    assert!(!render.contains("core"), "no core artifacts at cores(1)");
-    // And the traces agree span for span.
-    let t_sched = runner::chrome_trace(&sched.outcome)
-        .unwrap()
-        .to_string_pretty();
-    let t_manual = runner::chrome_trace(&manual).unwrap().to_string_pretty();
-    assert_eq!(t_sched, t_manual, "chrome traces must be byte-identical");
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //!    lost, whatever the crash schedule: a 200-seed sweep of scripted
 //!    crash/restart windows ends every run with a clean audit.
 //! 2. **Pay-for-use** — `replicas(1)` is the plain sharded backend, bit for
-//!    bit: same cycles, same counters, same rendered report.
+//!    bit: same cycles, same counters, same rendered report (the
+//!    `replicas(1)` row of `identity_matrix.rs`).
 //! 3. **Determinism** — the same seed reproduces the identical failover
 //!    story: downs, recoveries, re-replications, per-shard epochs.
 //! 4. **Honest loss** — without replication a cold crash *does* lose
@@ -194,31 +195,6 @@ fn observed_crash_re_replicates_and_recovers() {
     assert_eq!(fm.backend().shard_epoch(2), 1, "restart bumps the epoch");
     let audit = fm.failover_audit().unwrap();
     assert_eq!((audit.lost, audit.under_replicated), (0, 0));
-}
-
-/// `replicas(1)` is pay-for-use: a whole workload run is bit-identical to
-/// the plain sharded backend — cycles, counters, ledgers, and the rendered
-/// run report.
-#[test]
-fn replicas_one_is_bitwise_free() {
-    let spec = spec();
-    let plain = RunConfig::trackfm(0.25).with_backend(BackendSpec::sharded(4));
-    let r1 = RunConfig::trackfm(0.25).with_backend(BackendSpec::sharded(4).with_replicas(1));
-    let (a, rep_a) = execute_with_report(&spec, &plain);
-    let (b, rep_b) = execute_with_report(&spec, &r1);
-    assert_eq!(a.result.ret, b.result.ret);
-    assert_eq!(
-        a.result.stats, b.result.stats,
-        "replicas(1) must cost nothing"
-    );
-    assert_eq!(a.result.runtime, b.result.runtime);
-    assert_eq!(a.result.transfers, b.result.transfers);
-    assert_eq!(a.result.shards, b.result.shards);
-    assert_eq!(
-        rep_a.render(),
-        rep_b.render(),
-        "even the report is identical"
-    );
 }
 
 /// End to end through the workload runner: a replicated run rides out a cold

@@ -1,0 +1,204 @@
+//! The pay-for-use identity matrix: a feature at its neutral value changes
+//! nothing.
+//!
+//! Every optional subsystem promises to cost nothing until it is switched
+//! on. One table holds them all to the same standard: run the workload
+//! with the feature absent and with it present at its neutral value, and
+//! require the two runs to agree on the result, every counter section,
+//! every per-shard ledger, the byte-for-byte rendered report (human and
+//! JSON), and both trace exports. Both reports echo the *baseline*
+//! configuration, so the only thing compared is what was measured.
+//!
+//! | row | baseline | neutral value |
+//! |---|---|---|
+//! | `faults` | flawless fabric | a plan whose rates are all zero |
+//! | `sharded(1)` | `SingleNode` | one shard |
+//! | `sharded(1)+faults` | `SingleNode` under an active plan | one shard, same plan |
+//! | `replicas(1)` | 4 shards | 4 shards, one copy of each object |
+//! | `tracing-off` | telemetry on | a `TraceConfig` present but disabled |
+//! | `cores(1)` | hand-driven synchronous machine | the one-core scheduler |
+
+mod common;
+
+use trackfm_suite::net::{BackendSpec, FaultPlan};
+use trackfm_suite::telemetry::{RunReport, TraceConfig};
+use trackfm_suite::workloads::hashmap::{hashmap, HashmapParams};
+use trackfm_suite::workloads::openloop::{execute_open_loop, open_loop, OpenLoopParams};
+use trackfm_suite::workloads::runner::{
+    build_report, chrome_trace, execute, flamegraph, Outcome, RunConfig,
+};
+use trackfm_suite::workloads::spec::WorkloadSpec;
+use trackfm_suite::workloads::stream::{self, StreamParams};
+
+/// The two runs of one row, each with the report built from it.
+struct Pair {
+    baseline: (Outcome, RunReport),
+    neutral: (Outcome, RunReport),
+}
+
+/// Runs `spec` closed-loop under both configurations with telemetry on.
+fn closed_loop(spec: &WorkloadSpec, baseline: RunConfig, neutral: RunConfig) -> Pair {
+    let echo = baseline.with_telemetry(true);
+    let run = |cfg: RunConfig| {
+        let out = execute(spec, &cfg.with_telemetry(true));
+        let rep = build_report(spec, &echo, &out);
+        (out, rep)
+    };
+    Pair {
+        baseline: run(baseline),
+        neutral: run(neutral),
+    }
+}
+
+fn stream_sum() -> WorkloadSpec {
+    stream::sum(&StreamParams { elems: 64 << 10 })
+}
+
+/// Zero rates deactivate the plan entirely.
+fn faults() -> Pair {
+    let plan = FaultPlan::drops(0xC0FFEE, 0);
+    assert!(!plan.is_active());
+    let base = RunConfig::trackfm(0.25);
+    let pair = closed_loop(&stream_sum(), base, base.with_faults(plan));
+    let rt = pair.neutral.0.result.runtime.as_ref().unwrap();
+    assert_eq!((rt.link_faults, rt.retries), (0, 0));
+    pair
+}
+
+/// `Sharded` with one shard is the degenerate case of `SingleNode` — it
+/// publishes no per-shard sections either.
+fn sharded_one() -> Pair {
+    let base = RunConfig::trackfm(0.25);
+    let pair = closed_loop(
+        &stream_sum(),
+        base,
+        base.with_backend(BackendSpec::sharded(1)),
+    );
+    assert!(pair.neutral.0.result.shards.is_empty());
+    pair
+}
+
+/// Shard 0 keeps the plan's seed verbatim, so `sharded(1)` replays the
+/// exact fault schedule `SingleNode` sees.
+fn sharded_one_under_faults() -> Pair {
+    let plan = FaultPlan::drops(0xC0FFEE, 50_000).with_stalls(20_000, 9_000);
+    let base = RunConfig::trackfm(0.25).with_faults(plan);
+    let pair = closed_loop(
+        &stream_sum(),
+        base,
+        base.with_backend(BackendSpec::sharded(1)),
+    );
+    let rt = pair.baseline.0.result.runtime.as_ref().unwrap();
+    assert!(rt.link_faults > 0, "plan must fire");
+    pair
+}
+
+fn replicas_one() -> Pair {
+    let base = RunConfig::trackfm(0.25).with_backend(BackendSpec::sharded(4));
+    let one = RunConfig::trackfm(0.25).with_backend(BackendSpec::sharded(4).with_replicas(1));
+    closed_loop(&stream_sum(), base, one)
+}
+
+/// A disabled `TraceConfig` leaves the whole report byte-identical to
+/// plain telemetry and exports nothing — and switching tracing *on*
+/// changes observation, never the simulation.
+fn tracing_off() -> Pair {
+    // Zipf-skewed probes under 20% drops on two shards: remote guard roots,
+    // faulted transfers and retries, everything tracing would decorate.
+    let spec = hashmap(&HashmapParams {
+        keys: 4_000,
+        lookups: 4_000,
+        skew: 1.02,
+        seed: 0xC0FFEE,
+    });
+    let base = RunConfig::trackfm(0.25)
+        .with_shards(2)
+        .with_faults(FaultPlan::drops(0xBAD_CAB1E, 200_000));
+    assert!(!TraceConfig::default().enabled);
+    let pair = closed_loop(&spec, base, base.with_trace(TraceConfig::default()));
+    let (gated, rep) = &pair.neutral;
+    assert!(
+        !rep.to_json().to_string_pretty().contains("timeline"),
+        "untraced reports must not grow a timeline section"
+    );
+    assert!(chrome_trace(gated).is_none() && flamegraph(gated).is_none());
+    let traced = execute(&spec, &base.with_tracing());
+    assert_eq!(traced.result.stats.cycles, gated.result.stats.cycles);
+    pair
+}
+
+/// The strongest identity: with tracing, sharding and telemetry all on,
+/// the scheduler's one-core run must be indistinguishable from a
+/// hand-driven synchronous machine — no core lanes, no async artifacts,
+/// and (checked by the matrix) the traces agree span for span.
+fn cores_one() -> Pair {
+    let ol = open_loop(&OpenLoopParams {
+        keys: 512,
+        requests: 600,
+        skew: 1.05,
+        seed: 42,
+        mean_gap_cycles: 300,
+    });
+    let cfg = RunConfig::trackfm(0.2)
+        .with_object_size(64)
+        .with_shards(2)
+        .with_tracing()
+        .with_telemetry(true);
+    let (manual, clock) = common::manual_sync_outcome(&ol, &cfg);
+    let sched = execute_open_loop(&ol, &cfg);
+    assert_eq!(sched.makespan, clock);
+    let report = |out: &Outcome| build_report(&ol.spec, &cfg, out);
+    let pair = Pair {
+        baseline: (manual.clone(), report(&manual)),
+        neutral: (sched.outcome.clone(), report(&sched.outcome)),
+    };
+    assert!(
+        !pair.neutral.1.render().contains("core"),
+        "no core artifacts at cores(1)"
+    );
+    pair
+}
+
+/// What every row must satisfy.
+fn assert_identical(name: &str, pair: Pair) {
+    let Pair {
+        baseline: (a, rep_a),
+        neutral: (b, rep_b),
+    } = pair;
+    assert_eq!(a.result.ret, b.result.ret, "{name}: result");
+    assert_eq!(a.result.stats, b.result.stats, "{name}: exec stats");
+    assert_eq!(a.result.runtime, b.result.runtime, "{name}: runtime stats");
+    assert_eq!(a.result.transfers, b.result.transfers, "{name}: ledger");
+    assert_eq!(a.result.shards, b.result.shards, "{name}: shard ledgers");
+    assert_eq!(rep_a.render(), rep_b.render(), "{name}: rendered report");
+    assert_eq!(
+        rep_a.to_json().to_string_pretty(),
+        rep_b.to_json().to_string_pretty(),
+        "{name}: JSON report"
+    );
+    assert_eq!(
+        chrome_trace(&a).map(|t| t.to_string_pretty()),
+        chrome_trace(&b).map(|t| t.to_string_pretty()),
+        "{name}: chrome trace"
+    );
+    assert_eq!(flamegraph(&a), flamegraph(&b), "{name}: flamegraph");
+}
+
+/// The matrix: one test per row, named after it.
+macro_rules! identity_matrix {
+    ($($test:ident: $row:ident,)*) => {$(
+        #[test]
+        fn $test() {
+            assert_identical(stringify!($row), $row());
+        }
+    )*};
+}
+
+identity_matrix! {
+    inactive_fault_plan_changes_nothing: faults,
+    one_shard_changes_nothing: sharded_one,
+    one_shard_under_faults_changes_nothing: sharded_one_under_faults,
+    one_replica_changes_nothing: replicas_one,
+    disabled_tracing_changes_nothing: tracing_off,
+    one_core_changes_nothing: cores_one,
+}

@@ -6,7 +6,9 @@
 //! `lint_module` reports **zero** may-heap accesses without guard custody.
 //! A deliberately tampered module proves the lint is not vacuous.
 
-use trackfm_suite::compiler::{lint_module, ChunkingMode, CompilerOptions, TrackFmCompiler};
+use trackfm_suite::compiler::{
+    lint_module, ChunkingMode, CompilerOptions, GuardOpt, TrackFmCompiler,
+};
 use trackfm_suite::ir::{
     BinOp, CastOp, FunctionBuilder, InstKind, Intrinsic, Module, Signature, Type,
 };
@@ -16,9 +18,16 @@ fn configs() -> Vec<(&'static str, CompilerOptions)> {
     vec![
         ("default", CompilerOptions::default()),
         (
-            "no-elide",
+            "guard-opt-local",
             CompilerOptions {
-                elide_guards: false,
+                guard_opt: GuardOpt::Local,
+                ..Default::default()
+            },
+        ),
+        (
+            "guard-opt-none",
+            CompilerOptions {
+                guard_opt: GuardOpt::None,
                 ..Default::default()
             },
         ),

@@ -230,60 +230,6 @@ fn run_trackfm_sanitized(m: &Module, a: u64, b: u64) -> (u64, u64) {
     (r.ret, r.stats.cycles)
 }
 
-/// The static soundness lint and the dynamic guard sanitizer must agree on
-/// pipeline output: over a few hundred seeded programs, `tfm-lint` reports
-/// zero errors and the sanitizer reports zero traps — with redundant-guard
-/// elimination both off and on. Elision must also never change the result
-/// or increase simulated cycles, and must fire somewhere in the corpus.
-#[test]
-fn lint_and_sanitizer_agree_on_random_corpus() {
-    let mut rng = SplitMix64::seed_from_u64(0x5EED_0004);
-    let mut total_eliminated = 0usize;
-    for case in 0..200 {
-        let ops: Vec<Op> = (0..rng.next_range(1, 31))
-            .map(|_| random_op(&mut rng))
-            .collect();
-        let seed = rng.next_u64() as i64;
-        let a = rng.next_u64();
-        let b = rng.next_u64();
-        let m = build(&ops, seed);
-        let want = run_local(&m, a, b);
-
-        let mut cycles = [0u64; 2];
-        for elide in [false, true] {
-            let mut far = m.clone();
-            let compiler = TrackFmCompiler::new(trackfm_suite::compiler::CompilerOptions {
-                elide_guards: elide,
-                ..Default::default()
-            });
-            let report = compiler.compile(&mut far, None);
-            // Static: the pipeline's own lint stage already ran (it panics
-            // on errors); check the exported entry point agrees.
-            assert!(
-                trackfm_suite::compiler::lint_module(&far).is_empty(),
-                "case {case} (elide={elide}): lint must pass on pipeline output"
-            );
-            // Dynamic: the sanitizer sees every access of the taken path.
-            let (got, cyc) = run_trackfm_sanitized(&far, a, b);
-            assert_eq!(got, want, "case {case} (elide={elide}): wrong result");
-            cycles[elide as usize] = cyc;
-            if elide {
-                total_eliminated += report.elision.eliminated;
-            }
-        }
-        assert!(
-            cycles[1] <= cycles[0],
-            "case {case}: elision increased cycles ({} -> {})",
-            cycles[0],
-            cycles[1]
-        );
-    }
-    assert!(
-        total_eliminated > 0,
-        "the corpus should contain redundant guards for elision to fold"
-    );
-}
-
 /// One operation of the *interprocedural* generator: the base ops plus
 /// calls into helper functions and constant-trip loops over an invariant
 /// far-memory slot — the shapes the interprocedural custody analysis and
@@ -465,83 +411,88 @@ fn build_interproc(ops: &[ExtOp], seed: i64) -> Module {
     m
 }
 
-/// The all-combos gate for the interprocedural layer. Over 200 seeded
-/// multi-function programs, every on/off combination of
-/// `{interproc, call_aware_kills, guard_motion}`:
+/// One seeded corpus case: even cases come from the single-function
+/// generator, odd ones from the interprocedural one.
+fn corpus_case(rng: &mut SplitMix64, case: usize) -> (Module, u64, u64) {
+    let m = if case.is_multiple_of(2) {
+        let ops: Vec<Op> = (0..rng.next_range(1, 31)).map(|_| random_op(rng)).collect();
+        build(&ops, rng.next_u64() as i64)
+    } else {
+        let ops: Vec<ExtOp> = (0..rng.next_range(1, 25))
+            .map(|_| random_ext_op(rng))
+            .collect();
+        build_interproc(&ops, rng.next_u64() as i64)
+    };
+    (m, rng.next_u64(), rng.next_u64())
+}
+
+/// The guard-removal gate. Over 200 seeded programs (single- and
+/// multi-function), every [`GuardOpt`] level:
 ///
 /// * passes the (always fully interprocedural) static lint;
-/// * runs clean under the dynamic guard sanitizer;
+/// * runs clean under the dynamic guard sanitizer — the two checkers agree;
 /// * returns the bit-identical result of a [`LocalMem`] oracle run;
-/// * never simulates *more* cycles than the all-off configuration.
+/// * never simulates *more* cycles than the level below it.
 ///
-/// The transforms must also demonstrably fire somewhere in the corpus.
+/// Each level's transforms must also demonstrably fire somewhere in the
+/// corpus.
 #[test]
-fn all_interproc_flag_combos_agree_on_random_corpus() {
+fn every_guard_opt_level_agrees_on_random_corpus() {
+    use trackfm_suite::compiler::{CompilerOptions, GuardOpt};
     let mut rng = SplitMix64::seed_from_u64(0x5EED_0008);
-    let mut total_hoisted = 0usize;
-    let mut interproc_elided_guards = false;
-    let mut call_aware_extra_elision = false;
+    let mut local_elided = 0usize;
+    let mut full_hoisted = 0usize;
+    let mut full_skipped_guards = false;
+    let mut full_extra_elision = false;
     for case in 0..200 {
-        let ops: Vec<ExtOp> = (0..rng.next_range(1, 25))
-            .map(|_| random_ext_op(&mut rng))
-            .collect();
-        let seed = rng.next_u64() as i64;
-        let a = rng.next_u64();
-        let b = rng.next_u64();
-        let m = build_interproc(&ops, seed);
+        let (m, a, b) = corpus_case(&mut rng, case);
         assert!(m.verify().is_ok(), "case {case}: program must verify");
         let want = run_local(&m, a, b);
 
-        let mut all_off_cycles = 0u64;
-        let mut guards_by_combo = [0usize; 8];
-        let mut elided_by_combo = [0usize; 8];
-        for combo in 0..8u8 {
-            let opts = trackfm_suite::compiler::CompilerOptions {
-                interproc: combo & 1 != 0,
-                call_aware_kills: combo & 2 != 0,
-                guard_motion: combo & 4 != 0,
-                ..Default::default()
-            };
-            let mut far = m.clone();
-            let report = TrackFmCompiler::new(opts).compile(&mut far, None);
-            // Static: full-precision lint, regardless of transform flags.
-            assert!(
-                trackfm_suite::compiler::lint_module(&far).is_empty(),
-                "case {case} combo {combo:03b}: lint must pass"
-            );
-            // Dynamic: the sanitizer checks custody on the taken path.
-            let (got, cyc) = run_trackfm_sanitized(&far, a, b);
-            assert_eq!(
-                got, want,
-                "case {case} combo {combo:03b}: result differs from the LocalMem oracle"
-            );
-            if combo == 0 {
-                all_off_cycles = cyc;
-            } else {
+        let [(none, c_none), (local, c_local), (full, c_full)] =
+            [GuardOpt::None, GuardOpt::Local, GuardOpt::Full].map(|level| {
+                let mut far = m.clone();
+                let report = TrackFmCompiler::new(CompilerOptions {
+                    guard_opt: level,
+                    ..Default::default()
+                })
+                .compile(&mut far, None);
+                // Static: the pipeline's own lint stage already ran (it
+                // panics on errors); check the exported entry point agrees.
                 assert!(
-                    cyc <= all_off_cycles,
-                    "case {case} combo {combo:03b}: cycles increased \
-                     ({all_off_cycles} -> {cyc})"
+                    trackfm_suite::compiler::lint_module(&far).is_empty(),
+                    "case {case} {level:?}: lint must pass on pipeline output"
                 );
-            }
-            total_hoisted += report.motion.hoisted;
-            guards_by_combo[combo as usize] = report.total_guards();
-            elided_by_combo[combo as usize] = report.elision.eliminated;
-        }
-        if guards_by_combo[1] < guards_by_combo[0] {
-            interproc_elided_guards = true;
-        }
-        if elided_by_combo[2] > elided_by_combo[0] {
-            call_aware_extra_elision = true;
-        }
+                // Dynamic: the sanitizer checks custody on the taken path.
+                let (got, cycles) = run_trackfm_sanitized(&far, a, b);
+                assert_eq!(
+                    got, want,
+                    "case {case} {level:?}: result differs from the LocalMem oracle"
+                );
+                (report, cycles)
+            });
+        assert!(
+            c_none >= c_local && c_local >= c_full,
+            "case {case}: a level increased cycles ({c_none} -> {c_local} -> {c_full})"
+        );
+        assert_eq!(none.elision.eliminated + none.motion.hoisted, 0);
+        assert_eq!(local.motion.hoisted, 0);
+        local_elided += local.elision.eliminated;
+        full_hoisted += full.motion.hoisted;
+        full_skipped_guards |= full.total_guards() < local.total_guards();
+        full_extra_elision |= full.elision.eliminated > local.elision.eliminated;
     }
-    assert!(total_hoisted > 0, "guard motion must fire in the corpus");
     assert!(
-        interproc_elided_guards,
-        "interproc classification must skip guards somewhere in the corpus"
+        local_elided > 0,
+        "the corpus should contain redundant guards for Local to fold"
+    );
+    assert!(full_hoisted > 0, "guard motion must fire in the corpus");
+    assert!(
+        full_skipped_guards,
+        "interprocedural classification must skip guards somewhere in the corpus"
     );
     assert!(
-        call_aware_extra_elision,
+        full_extra_elision,
         "call-aware kills must enable extra elision somewhere in the corpus"
     );
 }
@@ -670,19 +621,7 @@ fn engines_agree_on_random_corpus_in_lockstep() {
     use trackfm_suite::sim::ExecEngine;
     let mut rng = SplitMix64::seed_from_u64(0x5EED_0010);
     for case in 0..200 {
-        let (m, a, b) = if case % 2 == 0 {
-            let ops: Vec<Op> = (0..rng.next_range(1, 31))
-                .map(|_| random_op(&mut rng))
-                .collect();
-            let seed = rng.next_u64() as i64;
-            (build(&ops, seed), rng.next_u64(), rng.next_u64())
-        } else {
-            let ops: Vec<ExtOp> = (0..rng.next_range(1, 25))
-                .map(|_| random_ext_op(&mut rng))
-                .collect();
-            let seed = rng.next_u64() as i64;
-            (build_interproc(&ops, seed), rng.next_u64(), rng.next_u64())
-        };
+        let (m, a, b) = corpus_case(&mut rng, case);
         let mut far = m.clone();
         TrackFmCompiler::default().compile(&mut far, None);
 

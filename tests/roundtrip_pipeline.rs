@@ -12,7 +12,9 @@
 //! shape (functions, blocks, instructions). For random programs the
 //! reparsed module must also *behave* identically under far memory.
 
-use trackfm_suite::compiler::{ChunkingMode, CompilerOptions, CostModel, TrackFmCompiler};
+use trackfm_suite::compiler::{
+    ChunkingMode, CompilerOptions, CostModel, GuardOpt, TrackFmCompiler,
+};
 use trackfm_suite::ir::{parse_module, Module};
 use trackfm_suite::runtime::FarMemoryConfig;
 use trackfm_suite::sim::{Machine, TrackFmMem};
@@ -24,9 +26,16 @@ fn configs() -> Vec<(&'static str, CompilerOptions)> {
     vec![
         ("default", CompilerOptions::default()),
         (
-            "no-elide",
+            "guard-opt-local",
             CompilerOptions {
-                elide_guards: false,
+                guard_opt: GuardOpt::Local,
+                ..Default::default()
+            },
+        ),
+        (
+            "guard-opt-none",
+            CompilerOptions {
+                guard_opt: GuardOpt::None,
                 ..Default::default()
             },
         ),

@@ -1,13 +1,11 @@
 //! Sharding suite: routing invariants of the multi-node remote backend.
 //!
-//! Two properties make sharded runs trustworthy:
-//!
-//! 1. **Placement determinism** — shard assignment is a pure function of
-//!    `(key, shard_count, policy)`: the same object set lands on the same
-//!    shards run after run, so per-shard ledgers are reproducible.
-//! 2. **Single-shard identity** — `Sharded` with one shard is the degenerate
-//!    case of `SingleNode`, and a whole workload run costs exactly the same
-//!    under either spelling: same cycles, same counters, same ledger.
+//! **Placement determinism** makes sharded runs trustworthy: shard
+//! assignment is a pure function of `(key, shard_count, policy)`, so the
+//! same object set lands on the same shards run after run and per-shard
+//! ledgers are reproducible. (The single-shard identity — `Sharded` with
+//! one shard costs exactly what `SingleNode` does, fault plans included —
+//! is the two `sharded(1)` rows of `identity_matrix.rs`.)
 
 use trackfm_suite::net::{build_backend, BackendSpec, FaultPlan, LinkParams, PlacementPolicy};
 use trackfm_suite::workloads::runner::{execute, RunConfig};
@@ -57,46 +55,4 @@ fn repeated_runs_agree_on_every_shard_ledger() {
     // Shard ledgers sum to the aggregate.
     let total: u64 = a.result.shards.iter().map(|s| s.stats.bytes_fetched).sum();
     assert_eq!(a.result.transfers.unwrap().bytes_fetched, total);
-}
-
-/// A full workload run under `sharded(1)` is cost-identical to
-/// `SingleNode`: same cycles, same runtime counters, same transfer ledger.
-#[test]
-fn one_shard_run_costs_exactly_what_single_node_does() {
-    let spec = spec();
-    let single = execute(&spec, &RunConfig::trackfm(0.25));
-    let sharded = execute(
-        &spec,
-        &RunConfig::trackfm(0.25).with_backend(BackendSpec::sharded(1)),
-    );
-    assert_eq!(sharded.result.ret, single.result.ret);
-    assert_eq!(sharded.result.stats, single.result.stats);
-    assert_eq!(sharded.result.runtime, single.result.runtime);
-    assert_eq!(sharded.result.transfers, single.result.transfers);
-    // The only visible difference: a sharded backend publishes no per-shard
-    // sections at count 1 either — it *is* the single-node world.
-    assert!(sharded.result.shards.is_empty());
-}
-
-/// The identity holds under an active fault plan too: shard 0 keeps the
-/// plan's seed verbatim, so `sharded(1)` replays the exact same fault
-/// schedule as `SingleNode`.
-#[test]
-fn one_shard_identity_survives_fault_injection() {
-    let spec = spec();
-    let plan = FaultPlan::drops(0xC0FFEE, 50_000).with_stalls(20_000, 9_000);
-    let single = execute(&spec, &RunConfig::trackfm(0.25).with_faults(plan));
-    let sharded = execute(
-        &spec,
-        &RunConfig::trackfm(0.25)
-            .with_faults(plan)
-            .with_backend(BackendSpec::sharded(1)),
-    );
-    assert_eq!(sharded.result.stats, single.result.stats);
-    assert_eq!(sharded.result.runtime, single.result.runtime);
-    assert_eq!(sharded.result.transfers, single.result.transfers);
-    assert!(
-        single.result.runtime.unwrap().link_faults > 0,
-        "plan must fire"
-    );
 }

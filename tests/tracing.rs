@@ -11,14 +11,13 @@
 //! 2. **Determinism** — the same seed produces byte-identical trace
 //!    exports, run after run.
 //! 3. **Pay-for-use** — with tracing off, cycles and the rendered report
-//!    are bit-identical to a build that has never heard of spans.
+//!    are bit-identical to a build that has never heard of spans (the
+//!    `tracing-off` row of `identity_matrix.rs`).
 
 use trackfm_suite::net::FaultPlan;
-use trackfm_suite::telemetry::{Json, TraceConfig};
+use trackfm_suite::telemetry::Json;
 use trackfm_suite::workloads::hashmap::{hashmap, HashmapParams};
-use trackfm_suite::workloads::runner::{
-    build_report, chrome_trace, execute, execute_with_report, flamegraph, RunConfig,
-};
+use trackfm_suite::workloads::runner::{chrome_trace, execute_with_report, flamegraph, RunConfig};
 use trackfm_suite::workloads::spec::WorkloadSpec;
 
 fn spec() -> WorkloadSpec {
@@ -144,41 +143,4 @@ fn traces_are_deterministic() {
         rep_a.to_json().to_string_pretty(),
         rep_b.to_json().to_string_pretty()
     );
-}
-
-/// Tracing off is free: a disabled `TraceConfig` leaves cycles and the
-/// whole report byte-identical to plain telemetry, and a telemetry-off run
-/// byte-identical to itself before this subsystem existed.
-#[test]
-fn disabled_tracing_pays_nothing() {
-    let spec = spec();
-    let base = RunConfig::trackfm(0.25)
-        .with_shards(2)
-        .with_faults(FaultPlan::drops(0xBAD_CAB1E, 200_000));
-
-    // telemetry on, tracing off vs. tracing config present but disabled.
-    let plain = execute(&spec, &base.with_telemetry(true));
-    let gated = execute(
-        &spec,
-        &base.with_telemetry(true).with_trace(TraceConfig::default()),
-    );
-    assert!(!TraceConfig::default().enabled);
-    assert_eq!(plain.result.stats.cycles, gated.result.stats.cycles);
-    let rep_plain = build_report(&spec, &base.with_telemetry(true), &plain);
-    let rep_gated = build_report(&spec, &base.with_telemetry(true), &gated);
-    assert_eq!(
-        rep_plain.to_json().to_string_pretty(),
-        rep_gated.to_json().to_string_pretty()
-    );
-    assert!(
-        !rep_plain.to_json().to_string_pretty().contains("timeline"),
-        "untraced reports must not grow a timeline section"
-    );
-    assert!(chrome_trace(&gated).is_none());
-    assert!(flamegraph(&gated).is_none());
-
-    // Tracing changes observation, never the simulation: traced cycles
-    // match untraced cycles bit-for-bit.
-    let traced = execute(&spec, &base.with_tracing());
-    assert_eq!(traced.result.stats.cycles, plain.result.stats.cycles);
 }
