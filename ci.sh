@@ -15,12 +15,12 @@ cargo test -q --workspace
 #                     ledgers.
 #   failover        — a 200-seed crash/restart sweep under replicas(2) asserts
 #                     zero lost acknowledged writebacks, and the R=1 loss case
-#                     stays honestly accounted.
+#                     (four shards or the one node) stays honestly accounted.
 #   identity_matrix — pay-for-use, one table: a feature at its neutral value
-#                     (inactive fault plan, sharded(1) with and without
-#                     faults, replicas(1), tracing off, cores(1)) leaves the
-#                     results, every counter, the rendered report and both
-#                     trace exports byte-identical.
+#                     (inactive fault plan, sharded(1) flawless, under faults
+#                     and under a crash, replicas(1), tracing off, cores(1))
+#                     leaves the results, every counter, the rendered report
+#                     and both trace exports byte-identical.
 #   lint_gate,      — soundness gate: tfm-lint must report zero uncovered heap
 #   random_programs   accesses on every workload/example/config, and the
 #                     static lint must agree with the dynamic guard sanitizer
@@ -48,7 +48,7 @@ cargo test -q --workspace
 #                         for a quick pass).
 #   fault_overhead      — the no-fault fast path is bit-identical.
 #   trace_overhead      — tracing off is bit-identical; on, bounded.
-#   shard_scaling       — sharded(1) == SingleNode, then the shard sweep.
+#   shard_scaling       — the shard sweep; every shard count gives one answer.
 #   failover_overhead   — replicas(1) bit-identical; crash row loses zero
 #                         acknowledged writebacks.
 #   concurrency_scaling — cores(1) bit-identical; 8 cores >= 4x throughput.
@@ -74,3 +74,5 @@ benchmark/run.sh --quick | awk '
 # lints the `oracle` build; the second line lints what production compiles.
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p tfm-sim -p tfm-workloads -p tfm-bench --all-targets -- -D warnings
+# Intra-doc links are checked too: a renamed item must not leave a dead one.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -7,7 +7,7 @@
 //! this invariant; this lint *proves* it on the pipeline's output by
 //! combining two analyses:
 //!
-//! * [`points_to::PointsTo`] classifies every accessed pointer. Stack,
+//! * [`PointsTo`] classifies every accessed pointer. Stack,
 //!   global, and pruned-local-heap accesses need no guard. `Heap` and
 //!   `Unknown` pointers must never be dereferenced directly.
 //! * [`AvailableGuards`] proves, for each `Localized` pointer, that custody

@@ -1,21 +1,18 @@
-//! Pluggable remote-memory backends.
+//! The remote-memory backend.
 //!
-//! The runtime and the pager used to be hard-wired to a single [`Link`]: one
-//! far-memory node behind one wire. This module decouples *what* a caller
-//! asks for (fetch/writeback an object, observe health and occupancy) from
-//! *where* the bytes live, behind the [`RemoteBackend`] trait:
+//! The runtime and the pager ask for *what* they need (fetch/writeback an
+//! object, observe health and occupancy) through the [`RemoteBackend`]
+//! trait; [`Sharded`], its one implementor, decides *where* the bytes live.
+//! It spreads objects across N nodes, each with its own [`Link`]
+//! (independent bandwidth queues), its own [`FaultPlan`] schedule, and its
+//! own [`LinkHealth`] tracker — one shard can degrade or die while the others
+//! keep serving. The paper's fabric, one far-memory node behind one wire, is
+//! the N = 1 case ([`BackendSpec::SingleNode`]), not a second implementation.
 //!
-//! * [`SingleNode`] wraps exactly one [`Link`] — behavior- and
-//!   cost-identical to the pre-trait world (the paper's evaluation fabric);
-//! * [`Sharded`] spreads objects across N nodes, each with its own link
-//!   (independent bandwidth queues), its own [`FaultPlan`] schedule, and its
-//!   own [`LinkHealth`] tracker — one shard can degrade or die while the
-//!   others keep serving.
-//!
-//! Every operation takes a `key` (the caller's object id or page number);
-//! backends route it through a deterministic [`PlacementPolicy`], so the
-//! same seed and the same object set always produce the same shard
-//! assignment — and therefore the same counters and the same run reports.
+//! Every operation takes a `key` (the caller's object id or page number),
+//! routed through a deterministic [`PlacementPolicy`], so the same seed and
+//! the same object set always produce the same shard assignment — and
+//! therefore the same counters and the same run reports.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -112,6 +109,14 @@ pub struct FailoverAudit {
 /// ([`try_transfer`](Self::try_transfer)/[`try_writeback`](Self::try_writeback))
 /// surface the [`LinkFault`] so policy-aware callers (the runtime's
 /// retry/backoff loop) own the retry schedule.
+///
+/// [`Sharded`] is the only implementor. The trait stays as a compile-time
+/// firewall, not for substitution: callers hold `Box<dyn RemoteBackend>`, so
+/// the backend's ledger types and drop glue are instantiated in this crate
+/// only. Holding `Sharded` by value re-partitions the codegen units of
+/// `tfm-runtime` and `tfm-fastswap` so that their hot map lookups stop
+/// inlining — measured at +1.3 to +2.6 % host time on three `tfm-perf`
+/// workloads (ROADMAP item 8a).
 pub trait RemoteBackend: fmt::Debug {
     /// Number of remote nodes behind this backend.
     fn shard_count(&self) -> usize;
@@ -127,34 +132,16 @@ pub trait RemoteBackend: fmt::Debug {
     fn writeback(&mut self, key: u64, bytes: u64, now: u64) -> u64;
 
     /// One fetch attempt; the caller owns retry policy on failure.
+    ///
+    /// This is also the issue half of the asynchronous protocol (DESIGN.md
+    /// §6h): the link model computes the completion cycle analytically at
+    /// issue time (bandwidth slot + pipelined latency), so the wire is
+    /// occupied and the ledger charged immediately while the *caller* keeps
+    /// computing and compares the returned cycle against its advancing clock.
     fn try_transfer(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault>;
 
     /// One writeback attempt; the caller owns retry policy on failure.
     fn try_writeback(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault>;
-
-    // --- issue/poll-completion surface (DESIGN.md §6h) --------------------
-    //
-    // The link model computes a transfer's completion cycle analytically at
-    // issue time (bandwidth slot + pipelined latency), so the asynchronous
-    // protocol is a thin split over `try_transfer`: issue the attempt now,
-    // learn the completion cycle immediately, poll it against the caller's
-    // advancing clock. Sharding, replicas, and the fault fabric compose
-    // unchanged underneath — a default method, not a per-backend feature.
-
-    /// Issues one asynchronous fetch attempt for `key` at cycle `now`.
-    /// Returns the cycle the data will be resident (the wire is occupied
-    /// and the ledger charged immediately; the *caller* keeps computing
-    /// until it polls the completion). Fault contract matches
-    /// [`try_transfer`](Self::try_transfer).
-    fn issue_transfer(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
-        self.try_transfer(key, bytes, now)
-    }
-
-    /// True once an issued transfer with completion cycle `done` has
-    /// delivered by cycle `now`.
-    fn poll_complete(&self, done: u64, now: u64) -> bool {
-        now >= done
-    }
 
     /// True if any shard has an active fault plan attached. Callers use
     /// this to keep the flawless-fabric fast path (no retry bookkeeping).
@@ -191,83 +178,51 @@ pub trait RemoteBackend: fmt::Debug {
     fn clone_box(&self) -> Box<dyn RemoteBackend>;
 
     // --- failover surface (DESIGN.md §6g) ---------------------------------
-    //
-    // Every method defaults to the unreplicated, crash-free behaviour, so a
-    // backend that never sees a crash plan pays nothing and implements
-    // nothing.
 
     /// True when the crash/replication machinery is armed (replication
     /// factor > 1 or a scripted crash on some shard). Callers gate their
     /// failover bookkeeping on this — pay-for-use.
-    fn failover_active(&self) -> bool {
-        false
-    }
+    fn failover_active(&self) -> bool;
 
     /// Replication factor R (1 = unreplicated).
-    fn replicas(&self) -> u32 {
-        1
-    }
+    fn replicas(&self) -> u32;
 
     /// Advances scripted crash/restart transitions to cycle `now` without
     /// issuing traffic (cold restarts wipe the crashed shard's store here).
-    fn poll(&mut self, _now: u64) {}
+    fn poll(&mut self, now: u64);
 
     /// Failover state of one shard.
-    fn shard_state(&self, _shard: usize) -> ShardState {
-        ShardState::Up
-    }
+    fn shard_state(&self, shard: usize) -> ShardState;
 
     /// Restart epoch of one shard (0 until its first crash).
-    fn shard_epoch(&self, _shard: usize) -> u64 {
-        0
-    }
+    fn shard_epoch(&self, shard: usize) -> u64;
 
     /// Declares a recovering shard re-synced (`Recovering → Up`), lifting
     /// its epoch fence. Called by the owner after ledger replay.
-    fn mark_synced(&mut self, _shard: usize) {}
+    fn mark_synced(&mut self, shard: usize);
 
     /// Re-writes `key`'s acknowledged version onto `shard` from a surviving
     /// replica, charging `bytes` of writeback traffic, if the shard's copy
     /// is stale or missing.
-    fn resync_key(&mut self, _shard: usize, _key: u64, _bytes: u64, _now: u64) -> ResyncOutcome {
-        ResyncOutcome::Clean
-    }
+    fn resync_key(&mut self, shard: usize, key: u64, bytes: u64, now: u64) -> ResyncOutcome;
 
     /// Restores `key`'s redundancy by copying it from a surviving replica
     /// onto a substitute shard and re-homing the key off Down shard `from`
     /// (the migration hook). Returns the copy's completion cycle if a copy
     /// was made.
-    fn re_replicate(&mut self, _key: u64, _from: usize, _bytes: u64, _now: u64) -> Option<u64> {
-        None
-    }
+    fn re_replicate(&mut self, key: u64, from: usize, bytes: u64, now: u64) -> Option<u64>;
 
     /// Backend-driven recovery for callers without their own redo ledger
     /// (the pager): re-syncs every acknowledged key hosted by `shard`, then
     /// marks it synced. Returns `(resynced, lost)` counts.
-    fn recover_shard(&mut self, shard: usize, _bytes_per_key: u64, _now: u64) -> (u64, u64) {
-        self.mark_synced(shard);
-        (0, 0)
-    }
+    fn recover_shard(&mut self, shard: usize, bytes_per_key: u64, now: u64) -> (u64, u64);
 
     /// End-of-run durability audit; `None` unless the replication machinery
     /// is armed.
-    fn audit(&self) -> Option<FailoverAudit> {
-        None
-    }
+    fn audit(&self) -> Option<FailoverAudit>;
 
     /// Per-shard ledger + health, for reports. Cheap (copies counters).
-    fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        (0..self.shard_count())
-            .map(|s| ShardSnapshot {
-                stats: self.shard_stats(s),
-                health: self.shard_health(s),
-                state: self.shard_state(s),
-                epoch: self.shard_epoch(s),
-                failover_reads: 0,
-                divergent_writes: 0,
-            })
-            .collect()
-    }
+    fn shard_snapshots(&self) -> Vec<ShardSnapshot>;
 }
 
 impl Clone for Box<dyn RemoteBackend> {
@@ -507,164 +462,34 @@ impl fmt::Display for BackendSpec {
 /// Builds a live backend from a spec: link parameters are shared by every
 /// shard, the fault plan is attached per the spec's targeting rules.
 ///
-/// Seed derivation for untargeted sharded plans: shard 0 keeps the plan's
-/// seed verbatim (so `Sharded` with one shard is schedule-identical to
-/// [`SingleNode`]); shard `i > 0` draws `mix(seed ^ i)` so shards fault
-/// independently instead of in lockstep.
+/// [`BackendSpec::SingleNode`] is one shard with the plan on it. Seed
+/// derivation for untargeted plans: shard 0 keeps the plan's seed verbatim
+/// (so one shard replays exactly the schedule a lone [`Link`] would); shard
+/// `i > 0` draws `mix(seed ^ i)` so shards fault independently instead of in
+/// lockstep.
 pub fn build_backend(
     params: LinkParams,
     spec: BackendSpec,
     faults: FaultPlan,
 ) -> Box<dyn RemoteBackend> {
     spec.validate().unwrap_or_else(|e| panic!("{e}"));
-    match spec {
-        BackendSpec::SingleNode => {
-            let mut b = SingleNode::new(params);
-            b.set_fault_plan(faults);
-            Box::new(b)
-        }
+    let (shards, placement, fault_shard, replicas) = match spec {
+        BackendSpec::SingleNode => (1, PlacementPolicy::Hash, None, 1),
         BackendSpec::Sharded {
             shards,
             placement,
             fault_shard,
             replicas,
-        } => {
-            let mut b = Sharded::new(params, shards.max(1), placement);
-            match fault_shard {
-                Some(fs) => b.set_fault_plan_on(fs as usize, faults),
-                None if faults.is_active() => {
-                    for s in 0..b.shard_count() {
-                        let mut plan = faults;
-                        if s > 0 {
-                            plan.seed = mix(faults.seed ^ s as u64);
-                        }
-                        b.set_fault_plan_on(s, plan);
-                    }
-                }
-                None => {}
-            }
-            b.set_replicas(replicas);
-            Box::new(b)
-        }
+        } => (shards, placement, fault_shard, replicas),
+    };
+    let mut b = Sharded::new(params, shards, placement);
+    match fault_shard {
+        Some(fs) => b.set_fault_plan_on(fs as usize, faults),
+        None if faults.is_active() => b.set_fault_plan_everywhere(faults),
+        None => {}
     }
-}
-
-// ======================================================================
-// SingleNode
-// ======================================================================
-
-/// The classic one-node backend: a thin wrapper over today's [`Link`],
-/// behavior- and cost-identical to driving the link directly (the routing
-/// key is ignored; there is nowhere else to go).
-#[derive(Clone, Debug)]
-pub struct SingleNode {
-    link: Link,
-}
-
-impl SingleNode {
-    /// Creates a single-node backend over an idle link.
-    pub fn new(params: LinkParams) -> Self {
-        SingleNode {
-            link: Link::new(params),
-        }
-    }
-
-    /// Attaches a fault plan to the node's link.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.link.set_fault_plan(plan);
-    }
-
-    /// The wrapped link (for assertions in tests).
-    pub fn link(&self) -> &Link {
-        &self.link
-    }
-}
-
-impl RemoteBackend for SingleNode {
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn shard_of(&self, _key: u64) -> usize {
-        0
-    }
-
-    fn transfer(&mut self, _key: u64, bytes: u64, now: u64) -> u64 {
-        self.link.transfer(bytes, now)
-    }
-
-    fn writeback(&mut self, _key: u64, bytes: u64, now: u64) -> u64 {
-        self.link.writeback(bytes, now)
-    }
-
-    fn try_transfer(&mut self, _key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
-        self.link.try_transfer(bytes, now)
-    }
-
-    fn try_writeback(&mut self, _key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
-        self.link.try_writeback(bytes, now)
-    }
-
-    fn faults_active(&self) -> bool {
-        self.link.fault_plan().is_active()
-    }
-
-    fn health(&self) -> LinkHealth {
-        self.link.health()
-    }
-
-    fn shard_health(&self, shard: usize) -> LinkHealth {
-        assert_eq!(shard, 0, "single node has exactly one shard");
-        self.link.health()
-    }
-
-    fn stats(&self) -> TransferStats {
-        self.link.stats()
-    }
-
-    fn shard_stats(&self, shard: usize) -> TransferStats {
-        assert_eq!(shard, 0, "single node has exactly one shard");
-        self.link.stats()
-    }
-
-    fn set_telemetry(&mut self, tel: Telemetry) {
-        self.link.set_telemetry(tel);
-    }
-
-    fn reset_stats(&mut self) {
-        self.link.reset_stats();
-    }
-
-    fn clone_box(&self) -> Box<dyn RemoteBackend> {
-        Box::new(self.clone())
-    }
-
-    // With one node there is nowhere to fail over to: crashes surface as
-    // fail-fast faults and the state machine is visible, but there is no
-    // replica store to audit (a single-node cold restart's loss is the
-    // caller's problem — that is exactly what replication buys you).
-    fn failover_active(&self) -> bool {
-        self.link.fault_plan().crash.is_some()
-    }
-
-    fn poll(&mut self, now: u64) {
-        self.link.poll_failover(now);
-    }
-
-    fn shard_state(&self, shard: usize) -> ShardState {
-        assert_eq!(shard, 0, "single node has exactly one shard");
-        self.link.failover_state()
-    }
-
-    fn shard_epoch(&self, shard: usize) -> u64 {
-        assert_eq!(shard, 0, "single node has exactly one shard");
-        self.link.epoch()
-    }
-
-    fn mark_synced(&mut self, shard: usize) {
-        assert_eq!(shard, 0, "single node has exactly one shard");
-        self.link.mark_synced();
-    }
+    b.set_replicas(replicas);
+    Box::new(b)
 }
 
 // ======================================================================
@@ -752,6 +577,18 @@ impl Sharded {
         self.refresh_tracked();
     }
 
+    /// Attaches an untargeted plan to every shard under the seed rule of
+    /// [`build_backend`]: verbatim on shard 0, `mix(seed ^ i)` on shard `i`.
+    fn set_fault_plan_everywhere(&mut self, faults: FaultPlan) {
+        for s in 0..self.links.len() {
+            let mut plan = faults;
+            if s > 0 {
+                plan.seed = mix(faults.seed ^ s as u64);
+            }
+            self.set_fault_plan_on(s, plan);
+        }
+    }
+
     /// Sets the replication factor.
     ///
     /// # Panics
@@ -772,18 +609,13 @@ impl Sharded {
             self.replicas > 1 || self.links.iter().any(|l| l.fault_plan().crash.is_some());
     }
 
-    /// The routing policy.
-    pub fn placement(&self) -> PlacementPolicy {
-        self.placement
-    }
-
-    /// One shard's link (for assertions in tests).
-    pub fn link(&self, shard: usize) -> &Link {
-        &self.links[shard]
-    }
-
     #[inline]
     fn route(&self, key: u64) -> usize {
+        // One node (the paper's fabric, and the default): there is nowhere
+        // else to go, so skip the hash and the division by a runtime length.
+        if self.links.len() == 1 {
+            return 0;
+        }
         self.placement.shard_of(key, self.links.len())
     }
 
@@ -1212,30 +1044,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_with_one_shard_matches_single_node() {
-        // Cost-identity: same transfers, same completion cycles, same
-        // ledger — with and without an active fault plan (shard 0 keeps the
-        // plan's seed verbatim).
-        for faults in [FaultPlan::none(), FaultPlan::drops(0xFEED, 300_000)] {
-            let mut single = build_backend(LinkParams::tcp_25g(), BackendSpec::single(), faults);
-            let mut sharded = build_backend(LinkParams::tcp_25g(), BackendSpec::sharded(1), faults);
-            for k in 0..256u64 {
-                let (bytes, at) = (64 + k * 131, k * 5000);
-                assert_eq!(
-                    single.transfer(k, bytes, at),
-                    sharded.transfer(k, bytes, at)
-                );
-                assert_eq!(
-                    single.writeback(k, bytes, at),
-                    sharded.writeback(k, bytes, at)
-                );
-            }
-            assert_eq!(single.stats(), sharded.stats());
-            assert_eq!(single.health(), sharded.health());
-        }
-    }
-
-    #[test]
     fn shards_have_independent_bandwidth_queues() {
         let params = LinkParams {
             base_latency: 1000,
@@ -1306,25 +1114,10 @@ mod tests {
     #[test]
     fn untargeted_plans_get_per_shard_seeds() {
         let faults = FaultPlan::drops(0xABCD, 500_000);
-        let b = build_backend(LinkParams::tcp_25g(), BackendSpec::sharded(4), faults);
-        // Reach through the snapshots: drive each shard's schedule by
-        // routing keys per shard and checking the schedules differ. Cheaper:
-        // the plans themselves must carry distinct seeds but identical rates.
-        let sharded = b; // Box<dyn>; inspect via a fresh build instead
-        drop(sharded);
         let mut direct = Sharded::new(LinkParams::tcp_25g(), 4, PlacementPolicy::Hash);
-        for s in 0..4 {
-            let mut plan = faults;
-            if s > 0 {
-                plan.seed = mix(faults.seed ^ s as u64);
-            }
-            direct.set_fault_plan_on(s, plan);
-        }
-        let seeds: Vec<u64> = (0..4).map(|s| direct.link(s).fault_plan().seed).collect();
-        assert_eq!(
-            seeds[0], faults.seed,
-            "shard 0 keeps the seed (1-shard identity)"
-        );
+        direct.set_fault_plan_everywhere(faults);
+        let seeds: Vec<u64> = direct.links.iter().map(|l| l.fault_plan().seed).collect();
+        assert_eq!(seeds[0], faults.seed, "shard 0 keeps the seed");
         let mut uniq = seeds.clone();
         uniq.sort_unstable();
         uniq.dedup();
@@ -1333,8 +1126,27 @@ mod tests {
             4,
             "shards must not fault in lockstep: {seeds:?}"
         );
-        for s in 0..4 {
-            assert_eq!(direct.link(s).fault_plan().drop_ppm, faults.drop_ppm);
+        for l in &direct.links {
+            assert_eq!(l.fault_plan().drop_ppm, faults.drop_ppm);
+        }
+    }
+
+    #[test]
+    fn single_node_spec_costs_what_a_lone_link_does() {
+        // The paper's fabric through `build_backend`: one shard, every key
+        // routed to it, the plan's seed verbatim — so completion cycles and
+        // the ledger match a bare `Link` under the same plan.
+        for faults in [FaultPlan::none(), FaultPlan::drops(0xFEED, 300_000)] {
+            let mut single = build_backend(LinkParams::tcp_25g(), BackendSpec::single(), faults);
+            let mut link = Link::new(LinkParams::tcp_25g());
+            link.set_fault_plan(faults);
+            for k in 0..256u64 {
+                let (bytes, at) = (64 + k * 131, k * 5000);
+                assert_eq!(single.transfer(k, bytes, at), link.transfer(bytes, at));
+                assert_eq!(single.writeback(k, bytes, at), link.writeback(bytes, at));
+            }
+            assert_eq!(single.stats(), link.stats());
+            assert_eq!(single.health(), link.health());
         }
     }
 

@@ -43,7 +43,7 @@ mod retry;
 
 pub use backend::{
     build_backend, BackendSpec, FailoverAudit, PlacementPolicy, RemoteBackend, ResyncOutcome,
-    ShardSnapshot, Sharded, SingleNode, SpecError,
+    ShardSnapshot, Sharded, SpecError,
 };
 pub use fault::{
     CrashWindow, FaultKind, FaultPlan, LinkFault, LinkHealth, OutageWindow, ShardState, PPM,

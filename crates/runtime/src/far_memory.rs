@@ -232,7 +232,8 @@ impl FarMemory {
     }
 
     /// The replica audit (acknowledged keys, losses, under-replication) —
-    /// `None` on backends that do not track failover.
+    /// `None` unless the backend tracks failover (replication or a crash
+    /// plan).
     pub fn failover_audit(&self) -> Option<FailoverAudit> {
         self.backend.audit()
     }
@@ -1403,37 +1404,6 @@ mod tests {
             now += fm.localize(ObjId(2 + 4 * k), false, now.max(1_500_000));
         }
         assert!(!fm.is_degraded(), "shard 2 recovers after the window");
-    }
-
-    #[test]
-    fn sharded_single_shard_matches_single_node_costs() {
-        use tfm_net::BackendSpec;
-        let run = |backend: BackendSpec| {
-            let cfg = FarMemoryConfig {
-                heap_size: 1 << 20,
-                object_size: 4096,
-                local_budget: 8 * 4096,
-                link: LinkParams::tcp_25g(),
-                ..FarMemoryConfig::small()
-            }
-            .with_backend(backend);
-            let mut fm = FarMemory::new(cfg);
-            let p = fm.allocate(32 * 4096, 0).unwrap();
-            let base = fm.obj_of_offset(p.offset());
-            fm.evacuate_all(0);
-            fm.reset_stats();
-            let mut now = 0;
-            for k in 0..32u64 {
-                now += fm.localize(ObjId(base.0 + k), true, now);
-            }
-            fm.evacuate_all(now);
-            (*fm.stats(), fm.transfer_stats(), now)
-        };
-        assert_eq!(
-            run(BackendSpec::single()),
-            run(BackendSpec::sharded(1)),
-            "one shard must be cost-identical to the single-node backend"
-        );
     }
 
     #[test]

@@ -233,7 +233,7 @@ pub enum Bc {
     },
     /// Function return; `val == u32::MAX` returns 0 (void).
     Ret {
-        /// Returned register, or [`NO_REG`].
+        /// Returned register, or `u32::MAX` for none.
         val: u32,
     },
     /// `unreachable` executed.

@@ -35,10 +35,10 @@ fn mix(mut x: u64) -> u64 {
 /// One seeded crash scenario against a raw `FarMemory`: write everything,
 /// ack it with an evacuation, then ride a scripted crash window (reads,
 /// writes, another evacuation) and finish past the restart. Returns the
-/// runtime so callers can audit it.
-fn crash_run(seed: u64, replicas: u32) -> FarMemory {
-    let shards = 4u32;
-    let sick = (mix(seed) % shards as u64) as u32;
+/// runtime so callers can audit it. The crash hits one seeded shard of
+/// `backend` (the only node, for `BackendSpec::single()`).
+fn crash_run(seed: u64, backend: BackendSpec) -> FarMemory {
+    let sick = (mix(seed) % backend.shard_count() as u64) as u32;
     // Windows land inside the traffic phase below: start in [80K, 280K),
     // 60K-200K cycles long, warm or cold on a coin flip.
     let start = 80_000 + mix(seed ^ 1) % 200_000;
@@ -55,12 +55,7 @@ fn crash_run(seed: u64, replicas: u32) -> FarMemory {
         link: LinkParams::tcp_25g(),
         ..FarMemoryConfig::small()
     }
-    .with_backend(
-        BackendSpec::sharded(shards)
-            .with_placement(PlacementPolicy::Interleave)
-            .with_replicas(replicas)
-            .with_fault_shard(sick),
-    )
+    .with_backend(backend.with_fault_shard(sick))
     .with_faults(plan);
     let mut fm = FarMemory::new(cfg);
     let p = fm.allocate(32 * 4096, 0).unwrap();
@@ -93,12 +88,19 @@ fn crash_run(seed: u64, replicas: u32) -> FarMemory {
     fm
 }
 
+/// Four interleaved shards holding `replicas` copies of every object.
+fn four_shards(replicas: u32) -> BackendSpec {
+    BackendSpec::sharded(4)
+        .with_placement(PlacementPolicy::Interleave)
+        .with_replicas(replicas)
+}
+
 /// 200 seeded crash/restart schedules under `replicas(2)`: every run ends
 /// with acknowledged data intact — zero lost writebacks, full redundancy.
 #[test]
 fn chaos_sweep_never_loses_an_acknowledged_writeback() {
     for seed in 0..200u64 {
-        let fm = crash_run(seed, 2);
+        let fm = crash_run(seed, four_shards(2));
         let audit = fm.failover_audit().expect("replicated backend audits");
         assert!(
             audit.acked_keys > 0,
@@ -118,8 +120,8 @@ fn chaos_sweep_never_loses_an_acknowledged_writeback() {
 #[test]
 fn same_seed_crash_schedule_is_bit_identical() {
     for seed in [7u64, 42, 1234] {
-        let a = crash_run(seed, 2);
-        let b = crash_run(seed, 2);
+        let a = crash_run(seed, four_shards(2));
+        let b = crash_run(seed, four_shards(2));
         assert_eq!(a.stats(), b.stats(), "seed {seed}");
         assert_eq!(a.transfer_stats(), b.transfer_stats(), "seed {seed}");
         assert_eq!(a.shard_snapshots(), b.shard_snapshots(), "seed {seed}");
@@ -128,23 +130,31 @@ fn same_seed_crash_schedule_is_bit_identical() {
 
 /// Without replication, a cold crash that lands before the redo ledger can
 /// be replayed from a surviving copy *does* lose acknowledged state — and
-/// the audit reports it instead of wedging or hiding it.
+/// the audit reports it instead of wedging or hiding it. The paper's one
+/// remote node is the same backend with one shard, so it is held to the
+/// same books.
 #[test]
 fn unreplicated_cold_crash_loses_acknowledged_state_honestly() {
-    let mut lost_somewhere = false;
-    for seed in 0..40u64 {
-        let fm = crash_run(seed, 1);
-        let audit = fm.failover_audit().expect("crash plan activates the audit");
-        // The run completed (no wedge) and the books balance: whatever was
-        // lost is counted, never silently resurrected.
-        assert_eq!(fm.stats().lost_objects, audit.lost, "seed {seed}");
-        lost_somewhere |= audit.lost > 0;
+    for backend in [four_shards(1), BackendSpec::single()] {
+        let mut lost_somewhere = false;
+        for seed in 0..40u64 {
+            let fm = crash_run(seed, backend);
+            let audit = fm.failover_audit().expect("crash plan activates the audit");
+            // The run completed (no wedge) and the books balance: whatever
+            // was lost is counted, never silently resurrected.
+            assert_eq!(
+                fm.stats().lost_objects,
+                audit.lost,
+                "{backend}, seed {seed}"
+            );
+            lost_somewhere |= audit.lost > 0;
+        }
+        assert!(
+            lost_somewhere,
+            "{backend}: 40 unreplicated cold/warm crashes never losing data \
+             means the fault injector is not firing"
+        );
     }
-    assert!(
-        lost_somewhere,
-        "40 unreplicated cold/warm crashes never losing data means the \
-         fault injector is not firing"
-    );
 }
 
 /// A crash observed mid-traffic triggers live re-replication: the ledger is
