@@ -15,10 +15,11 @@
 //!    reclamation").
 //!
 //! [`Pager`] reproduces all three on the simulated cycle timeline: a page
-//! table over the heap address range, CLOCK reclamation with dirty
-//! writebacks, and per-fault cost accounting over an RDMA
-//! [`tfm_net::Link`]. The *untransformed* program runs against it — kernel
-//! paging needs no compiler support, which is exactly its appeal.
+//! table over the heap address range (one packed word per page, indexed by
+//! page number), CLOCK reclamation with dirty writebacks, and per-fault cost
+//! accounting over an RDMA [`tfm_net::Link`]. The *untransformed* program
+//! runs against it — kernel paging needs no compiler support, which is
+//! exactly its appeal.
 //!
 //! ```
 //! use tfm_fastswap::{Pager, PagerConfig};
@@ -34,10 +35,10 @@
 //! assert_eq!(p.access(0x1008, 8, false, minor + major), 0);
 //! ```
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use tfm_net::{
-    build_backend, drive_retries, BackendSpec, FaultPlan, LinkFault, LinkParams, RemoteBackend,
-    RetryOps, ShardSnapshot, ShardState, TransferStats,
+    build_backend, drive_retries, BackendSpec, FaultPlan, LinkFault, LinkParams, RetryOps,
+    ShardSnapshot, ShardState, Sharded, TransferStats,
 };
 use tfm_telemetry::{EventKind, MergeStats, Span, SpanKind, StatGroup, Telemetry};
 
@@ -74,17 +75,29 @@ impl Default for PagerConfig {
             reclaim_cycles: 400,
             link: LinkParams::rdma_25g(),
             faults: FaultPlan::none(),
-            backend: BackendSpec::SingleNode,
+            backend: BackendSpec::single(),
         }
     }
 }
 
-#[derive(Copy, Clone, Default)]
-struct PageMeta {
-    resident: bool,
-    dirty: bool,
-    referenced: bool,
-}
+// One page-table entry, packed like the runtime's `StateTable` word: flag
+// bits on top, the pending RDMA read's completion cycle in the low 48 bits.
+const RESIDENT: u64 = 1 << 63;
+const DIRTY: u64 = 1 << 62;
+/// CLOCK reference bit.
+const REFERENCED: u64 = 1 << 61;
+/// An RDMA read was issued for the page and no touch has consumed it yet;
+/// the payload is its completion cycle. Only the split protocol sets it.
+const PENDING: u64 = 1 << 60;
+/// The page has been paged out at least once, so it has a remote copy.
+/// Pages without one fault "minor" on first touch.
+const REMOTE_COPY: u64 = 1 << 59;
+const CYCLE_MASK: u64 = (1 << 48) - 1;
+/// Entries a page table starts with (512 B); it doubles from there. Not 0:
+/// where this first block lands decides which of glibc's heap layouts a
+/// long `tfm-perf` run settles into, and with it `peak_rss_mb` on
+/// `stream_far` (CHANGES.md, PR 18). Any value from 32 to 256 reads alike.
+const INITIAL_ENTRIES: usize = 64;
 
 /// Fault/reclaim counters.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -152,16 +165,16 @@ impl MergeStats for PagerStats {
 }
 
 /// The page-granularity far-memory pager.
-#[derive(Clone)]
 pub struct Pager {
     cfg: PagerConfig,
-    pages: HashMap<u64, PageMeta>,
-    /// Pages that have a remote copy (have been written back at least once
-    /// or fetched). Pages outside this set fault "minor" on first touch.
-    ever_evicted: HashMap<u64, ()>,
+    /// The page table: entry `page - base_page` is that page's packed word.
+    /// Grows on demand, never past `max_pages`.
+    table: Vec<u64>,
+    base_page: u64,
+    max_pages: u64,
     clock: VecDeque<u64>,
     resident_pages: u64,
-    backend: Box<dyn RemoteBackend>,
+    backend: Sharded,
     stats: PagerStats,
     tel: Telemetry,
     /// Cached `backend.failover_active()`: gates shard-restart polling so
@@ -169,13 +182,10 @@ pub struct Pager {
     failover_active: bool,
     /// Split issue/complete fault handling (multi-core scheduler only):
     /// major faults issue their RDMA read and record the completion cycle
-    /// in `inflight` instead of stalling until it; later touches of the
-    /// page either join the pending read or find it landed. Off (the
+    /// in the page's entry instead of stalling until it; later touches of
+    /// the page either join the pending read or find it landed. Off (the
     /// synchronous path) by default.
     async_fetch: bool,
-    /// Pages with an issued-but-unconsumed RDMA read: page → completion
-    /// cycle. Always empty when `async_fetch` is off.
-    inflight: BTreeMap<u64, u64>,
     /// Latest completion cycle of any read issued asynchronously since the
     /// scheduler last drained it — the core is charged to the issue point,
     /// so request latency learns about the delivery through this horizon.
@@ -183,13 +193,23 @@ pub struct Pager {
 }
 
 impl Pager {
-    /// Creates a pager with an empty resident set.
+    /// Creates a pager with an empty resident set whose page table starts
+    /// at address 0 and grows with the highest page touched.
     pub fn new(cfg: PagerConfig) -> Self {
+        Self::with_range(cfg, 0, u64::MAX)
+    }
+
+    /// Creates a pager for the `len` bytes at `base`. Pages past the range
+    /// are never mapped — a simulated address must not size a host
+    /// allocation — so an access there costs nothing and changes nothing;
+    /// whoever owns the address space rejects it.
+    pub fn with_range(cfg: PagerConfig, base: u64, len: u64) -> Self {
         let backend = build_backend(cfg.link, cfg.backend, cfg.faults);
         let failover_active = backend.failover_active();
         Pager {
-            pages: HashMap::new(),
-            ever_evicted: HashMap::new(),
+            table: Vec::with_capacity(INITIAL_ENTRIES),
+            base_page: base >> PAGE_SHIFT,
+            max_pages: base.saturating_add(len).div_ceil(PAGE_SIZE) - (base >> PAGE_SHIFT),
             clock: VecDeque::new(),
             resident_pages: 0,
             backend,
@@ -197,7 +217,6 @@ impl Pager {
             tel: Telemetry::disabled(),
             failover_active,
             async_fetch: false,
-            inflight: BTreeMap::new(),
             completion_horizon: 0,
             cfg,
         }
@@ -212,7 +231,41 @@ impl Pager {
 
     /// Number of pages with an issued-but-unconsumed RDMA read.
     pub fn inflight_pages(&self) -> usize {
-        self.inflight.len()
+        self.count(PENDING)
+    }
+
+    /// Number of page-table entries (8 bytes of host memory each).
+    pub fn table_len(&self) -> usize {
+        self.table.len()
+    }
+
+    fn count(&self, flag: u64) -> usize {
+        self.table.iter().filter(|&&e| e & flag != 0).count()
+    }
+
+    /// Table index of a page that has been touched before.
+    #[inline]
+    fn index(&self, page: u64) -> usize {
+        (page - self.base_page) as usize
+    }
+
+    /// Table index of `page`, growing the table to reach it; `None` for a
+    /// page past the pager's range.
+    #[inline]
+    fn slot(&mut self, page: u64) -> Option<usize> {
+        let Some(idx) = page.checked_sub(self.base_page) else {
+            panic!(
+                "page {page:#x} lies below the pager's base page {:#x}",
+                self.base_page
+            );
+        };
+        if idx >= self.table.len() as u64 {
+            if idx >= self.max_pages {
+                return None;
+            }
+            self.table.resize(idx as usize + 1, 0);
+        }
+        Some(idx as usize)
     }
 
     /// Drains the completion horizon: the latest completion cycle of any
@@ -246,8 +299,8 @@ impl Pager {
     }
 
     /// The remote backend (shard topology, per-shard ledgers and health).
-    pub fn backend(&self) -> &dyn RemoteBackend {
-        self.backend.as_ref()
+    pub fn backend(&self) -> &Sharded {
+        &self.backend
     }
 
     /// Number of remote nodes behind the pager.
@@ -325,35 +378,27 @@ impl Pager {
     }
 
     fn touch_page(&mut self, page: u64, write: bool, now: u64) -> u64 {
+        let Some(idx) = self.slot(page) else {
+            return 0;
+        };
+        let mut e = self.table[idx];
         // Split-protocol path: an earlier fault may have issued this page's
         // RDMA read without stalling for it. A touch after the completion
         // cycle silently consumes the entry; before it, the toucher joins
         // the pending read and stalls only for its remaining latency.
-        let pending = if self.async_fetch {
-            self.inflight.get(&page).copied()
-        } else {
-            None
-        };
-        if let Some(done) = pending {
-            if now >= done {
-                self.inflight.remove(&page);
-            }
+        if e & PENDING != 0 && now >= e & CYCLE_MASK {
+            e &= !(PENDING | CYCLE_MASK);
         }
-        let meta = self.pages.entry(page).or_default();
-        if meta.resident {
-            meta.referenced = true;
-            meta.dirty |= write;
+        if e & RESIDENT != 0 {
+            self.table[idx] = e | REFERENCED | if write { DIRTY } else { 0 };
             self.tel.timeline_access(now, false);
-            if let Some(done) = pending {
-                if now < done {
-                    // Join the pending read: no second transfer, and the
-                    // joining core moves on too — the shared completion
-                    // cycle reaches the scheduler through the horizon.
-                    self.stats.fault_joins += 1;
-                    self.tel.emit(now, EventKind::FetchJoin, page);
-                    self.completion_horizon = self.completion_horizon.max(done);
-                    return 0;
-                }
+            if e & PENDING != 0 {
+                // Join the pending read: no second transfer, and the
+                // joining core moves on too — the shared completion
+                // cycle reaches the scheduler through the horizon.
+                self.stats.fault_joins += 1;
+                self.tel.emit(now, EventKind::FetchJoin, page);
+                self.completion_horizon = self.completion_horizon.max(e & CYCLE_MASK);
             }
             return 0;
         }
@@ -367,8 +412,8 @@ impl Pager {
         let mut cycles = self.cfg.kernel_fault_cycles;
         self.kernel_leaf(now, 0);
         cycles += self.make_room(now + cycles);
-        let had_remote_copy = self.ever_evicted.contains_key(&page);
-        if had_remote_copy {
+        let mut mapped = RESIDENT | REFERENCED;
+        if e & REMOTE_COPY != 0 {
             // The RDMA read can fault; the kernel re-drives the fault after
             // the timeout, charging another round of fault handling each
             // time (there is no backoff in the kernel fast path).
@@ -380,11 +425,13 @@ impl Pager {
                 // Issue/complete split: record the completion cycle and
                 // return without stalling for the wire; a later touch (any
                 // core) joins or consumes it.
-                self.inflight.insert(page, r.done);
+                debug_assert!(r.done <= CYCLE_MASK, "simulated time overflowed 48 bits");
+                mapped |= PENDING | r.done;
                 self.completion_horizon = self.completion_horizon.max(r.done);
             } else {
                 cycles += r.done.saturating_sub(now + cycles);
             }
+            mapped |= REMOTE_COPY | if write { DIRTY } else { 0 };
             self.stats.major_faults += 1;
             self.tel
                 .span_finish(sp, now + cycles, SpanKind::MajorFault, true);
@@ -394,15 +441,13 @@ impl Pager {
             }
         } else {
             // Fresh page: the kernel just maps a zero page.
+            mapped |= DIRTY;
             self.stats.minor_faults += 1;
             self.tel
                 .span_finish(sp, now + cycles, SpanKind::MinorFault, true);
             self.tel.emit(now, EventKind::MinorFault, page);
         }
-        let meta = self.pages.entry(page).or_default();
-        meta.resident = true;
-        meta.referenced = true;
-        meta.dirty = write || !had_remote_copy;
+        self.table[idx] = mapped;
         self.resident_pages += 1;
         self.clock.push_back(page);
         self.tel.note_resident(page, now);
@@ -420,18 +465,17 @@ impl Pager {
             let Some(page) = self.clock.pop_front() else {
                 break;
             };
-            let Some(meta) = self.pages.get_mut(&page) else {
-                continue;
-            };
-            if !meta.resident {
+            let idx = self.index(page);
+            let e = &mut self.table[idx];
+            if *e & RESIDENT == 0 {
                 continue; // stale entry
             }
-            if meta.referenced {
-                meta.referenced = false;
+            if *e & REFERENCED != 0 {
+                *e &= !REFERENCED;
                 self.clock.push_back(page);
                 continue;
             }
-            if self.async_fetch && self.inflight.contains_key(&page) {
+            if *e & PENDING != 0 {
                 // The page's RDMA read is still in flight; reclaiming it now
                 // would tear the transfer. Give it a second chance instead.
                 self.clock.push_back(page);
@@ -458,16 +502,16 @@ impl Pager {
     /// Pages the resident `page` out at cycle `at`: unmaps it, writes it
     /// back when dirty, and counts the reclaim.
     fn page_out(&mut self, page: u64, at: u64) {
-        let meta = self
-            .pages
-            .get_mut(&page)
-            .expect("a resident page has metadata");
-        let dirty = meta.dirty;
-        *meta = PageMeta::default();
+        let idx = self.index(page);
+        let e = self.table[idx];
+        debug_assert!(
+            e & (RESIDENT | PENDING) == RESIDENT,
+            "paging out page {page:#x}, which is not resident or has a read in flight"
+        );
+        self.table[idx] = REMOTE_COPY;
         self.resident_pages -= 1;
-        self.ever_evicted.insert(page, ());
         self.stats.reclaims += 1;
-        if dirty {
+        if e & DIRTY != 0 {
             self.backend.writeback(page, PAGE_SIZE, at);
             self.stats.writebacks += 1;
             self.tel.emit(at, EventKind::Writeback, page);
@@ -482,13 +526,15 @@ impl Pager {
     /// after setup for a cold start, then [`Pager::reset_stats`].
     pub fn evacuate_all(&mut self, now: u64) {
         while let Some(page) = self.clock.pop_front() {
+            let idx = self.index(page);
             // Any pending read has logically landed by a full evacuation
             // point (benchmarks call this between phases).
-            self.inflight.remove(&page);
-            if self.pages.get(&page).is_some_and(|m| m.resident) {
+            self.table[idx] &= !(PENDING | CYCLE_MASK);
+            if self.table[idx] & RESIDENT != 0 {
                 self.page_out(page, now);
             }
         }
+        debug_assert_eq!(self.resident_pages as usize, self.count(RESIDENT));
     }
 }
 
@@ -796,6 +842,66 @@ mod tests {
         assert_eq!(p.access(0, 8, false, done), 0);
         assert_eq!(p.inflight_pages(), 0);
         assert_eq!(p.stats().fault_joins, 1);
+    }
+
+    #[test]
+    fn a_based_pager_replays_the_base_zero_trace_identically() {
+        // The simulator's heap base: far enough up that indexing the table
+        // by absolute page number would ask for 64 GiB.
+        const BASE: u64 = 0x2000_0000_0000;
+        const PAGES: u64 = 256;
+        let cfg = PagerConfig {
+            local_budget: PAGES / 4 * PAGE_SIZE,
+            ..PagerConfig::default()
+        };
+        let replay = |mut p: Pager, base: u64| {
+            let mut now = 0;
+            let mut stalls = Vec::new();
+            let mut touch = |p: &mut Pager, page: u64, write: bool| {
+                let stall = p.access(base + page * PAGE_SIZE + 8, 8, write, now);
+                now += 100 + stall;
+                stalls.push(stall);
+            };
+            // Sequential fill (grows the table a page at a time), then a
+            // seeded replay skewed toward the low pages.
+            for page in 0..PAGES {
+                touch(&mut p, page, true);
+            }
+            let mut z = 42u64;
+            for i in 0..4096u64 {
+                z = z
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let u = (z >> 33) % PAGES;
+                touch(&mut p, u * u / PAGES, i % 3 == 0);
+            }
+            assert_eq!(p.table_len() as u64, PAGES);
+            (stalls, p.stats(), p.transfer_stats())
+        };
+        let zero = replay(Pager::new(cfg), 0);
+        let based = replay(Pager::with_range(cfg, BASE, PAGES * PAGE_SIZE), BASE);
+        assert!(zero.1.major_faults > 0 && zero.1.writebacks > 0);
+        assert_eq!(zero, based);
+    }
+
+    #[test]
+    fn pages_past_the_range_are_never_mapped() {
+        let mut p = Pager::with_range(PagerConfig::default(), 16 * PAGE_SIZE, 4 * PAGE_SIZE);
+        assert_eq!(p.access(19 * PAGE_SIZE, 8, true, 0), 1_300);
+        let before = (p.resident_bytes(), p.table_len(), p.stats());
+        // One page past the end, a page-straddling access off the end, and
+        // a wild address: no fault, no entry, no allocation.
+        assert_eq!(p.access(20 * PAGE_SIZE, 8, true, 0), 0);
+        assert_eq!(p.access(20 * PAGE_SIZE - 4, 8, true, 0), 0);
+        assert_eq!(p.access(1 << 60, 8, false, 0), 0);
+        assert_eq!((p.resident_bytes(), p.table_len(), p.stats()), before);
+    }
+
+    #[test]
+    #[should_panic(expected = "below the pager's base page")]
+    fn a_page_below_the_base_is_a_caller_bug() {
+        let mut p = Pager::with_range(PagerConfig::default(), 16 * PAGE_SIZE, 4 * PAGE_SIZE);
+        p.access(15 * PAGE_SIZE, 8, false, 0);
     }
 
     #[test]

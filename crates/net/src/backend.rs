@@ -1,13 +1,13 @@
 //! The remote-memory backend.
 //!
 //! The runtime and the pager ask for *what* they need (fetch/writeback an
-//! object, observe health and occupancy) through the [`RemoteBackend`]
-//! trait; [`Sharded`], its one implementor, decides *where* the bytes live.
+//! object, observe health and occupancy); [`Sharded`], which both hold by
+//! value, decides *where* the bytes live.
 //! It spreads objects across N nodes, each with its own [`Link`]
 //! (independent bandwidth queues), its own [`FaultPlan`] schedule, and its
 //! own [`LinkHealth`] tracker — one shard can degrade or die while the others
 //! keep serving. The paper's fabric, one far-memory node behind one wire, is
-//! the N = 1 case ([`BackendSpec::SingleNode`]), not a second implementation.
+//! the N = 1 case ([`BackendSpec::single`]), not a second implementation.
 //!
 //! Every operation takes a `key` (the caller's object id or page number),
 //! routed through a deterministic [`PlacementPolicy`], so the same seed and
@@ -25,7 +25,7 @@ use tfm_telemetry::{StatGroup, Telemetry};
 /// panicking callers unwrap it so the message survives verbatim.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SpecError {
-    /// A sharded spec with zero shards.
+    /// A spec with zero shards.
     ZeroShards,
     /// The targeted fault shard does not exist.
     FaultShardOutOfRange {
@@ -70,7 +70,7 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// Outcome of re-syncing one key onto a recovering shard
-/// ([`RemoteBackend::resync_key`]).
+/// ([`Sharded::resync_key`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ResyncOutcome {
     /// A surviving replica's copy was re-written to the shard; the value is
@@ -85,7 +85,7 @@ pub enum ResyncOutcome {
 }
 
 /// End-of-run durability audit over every acknowledged writeback
-/// ([`RemoteBackend::audit`]). The chaos suite's core assertion is
+/// ([`Sharded::audit`]). The chaos suite's core assertion is
 /// `lost == 0`: no write the backend acknowledged may ever disappear,
 /// whatever the crash schedule did.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -98,137 +98,6 @@ pub struct FailoverAudit {
     /// Acked keys currently held by fewer shards than their replica set
     /// demands — redundancy not yet restored (but no data lost).
     pub under_replicated: u64,
-}
-
-/// A remote-memory data plane: where localize/writeback traffic goes.
-///
-/// All methods mirror [`Link`]'s contract, with an added routing `key` (the
-/// object id or page number being moved). The blocking forms
-/// ([`transfer`](Self::transfer)/[`writeback`](Self::writeback)) retry
-/// blindly until delivery; the fallible forms
-/// ([`try_transfer`](Self::try_transfer)/[`try_writeback`](Self::try_writeback))
-/// surface the [`LinkFault`] so policy-aware callers (the runtime's
-/// retry/backoff loop) own the retry schedule.
-///
-/// [`Sharded`] is the only implementor. The trait stays as a compile-time
-/// firewall, not for substitution: callers hold `Box<dyn RemoteBackend>`, so
-/// the backend's ledger types and drop glue are instantiated in this crate
-/// only. Holding `Sharded` by value re-partitions the codegen units of
-/// `tfm-runtime` and `tfm-fastswap` so that their hot map lookups stop
-/// inlining — measured at +1.3 to +2.6 % host time on three `tfm-perf`
-/// workloads (ROADMAP item 8a).
-pub trait RemoteBackend: fmt::Debug {
-    /// Number of remote nodes behind this backend.
-    fn shard_count(&self) -> usize;
-
-    /// The shard serving `key` (always 0 for a single node).
-    fn shard_of(&self, key: u64) -> usize;
-
-    /// Blocking fetch of `bytes` for `key` at cycle `now`; returns the
-    /// completion cycle. Faulted attempts are transparently retried.
-    fn transfer(&mut self, key: u64, bytes: u64, now: u64) -> u64;
-
-    /// Blocking writeback counterpart of [`transfer`](Self::transfer).
-    fn writeback(&mut self, key: u64, bytes: u64, now: u64) -> u64;
-
-    /// One fetch attempt; the caller owns retry policy on failure.
-    ///
-    /// This is also the issue half of the asynchronous protocol (DESIGN.md
-    /// §6h): the link model computes the completion cycle analytically at
-    /// issue time (bandwidth slot + pipelined latency), so the wire is
-    /// occupied and the ledger charged immediately while the *caller* keeps
-    /// computing and compares the returned cycle against its advancing clock.
-    fn try_transfer(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault>;
-
-    /// One writeback attempt; the caller owns retry policy on failure.
-    fn try_writeback(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault>;
-
-    /// True if any shard has an active fault plan attached. Callers use
-    /// this to keep the flawless-fabric fast path (no retry bookkeeping).
-    fn faults_active(&self) -> bool;
-
-    /// Aggregate health: counters summed, fault-rate EWMA maxed, degraded
-    /// if *any* shard is degraded.
-    fn health(&self) -> LinkHealth;
-
-    /// Health of one shard.
-    ///
-    /// # Panics
-    /// Panics if `shard >= shard_count()`.
-    fn shard_health(&self, shard: usize) -> LinkHealth;
-
-    /// Aggregate transfer ledger (all shards merged).
-    fn stats(&self) -> TransferStats;
-
-    /// Transfer ledger of one shard.
-    ///
-    /// # Panics
-    /// Panics if `shard >= shard_count()`.
-    fn shard_stats(&self, shard: usize) -> TransferStats;
-
-    /// Attaches a telemetry sink (shared across shards).
-    fn set_telemetry(&mut self, tel: Telemetry);
-
-    /// Clears ledgers, occupancy horizons, fault schedules, and health —
-    /// on every shard.
-    fn reset_stats(&mut self);
-
-    /// Clones the backend with its full state (see the blanket
-    /// `Clone for Box<dyn RemoteBackend>`).
-    fn clone_box(&self) -> Box<dyn RemoteBackend>;
-
-    // --- failover surface (DESIGN.md §6g) ---------------------------------
-
-    /// True when the crash/replication machinery is armed (replication
-    /// factor > 1 or a scripted crash on some shard). Callers gate their
-    /// failover bookkeeping on this — pay-for-use.
-    fn failover_active(&self) -> bool;
-
-    /// Replication factor R (1 = unreplicated).
-    fn replicas(&self) -> u32;
-
-    /// Advances scripted crash/restart transitions to cycle `now` without
-    /// issuing traffic (cold restarts wipe the crashed shard's store here).
-    fn poll(&mut self, now: u64);
-
-    /// Failover state of one shard.
-    fn shard_state(&self, shard: usize) -> ShardState;
-
-    /// Restart epoch of one shard (0 until its first crash).
-    fn shard_epoch(&self, shard: usize) -> u64;
-
-    /// Declares a recovering shard re-synced (`Recovering → Up`), lifting
-    /// its epoch fence. Called by the owner after ledger replay.
-    fn mark_synced(&mut self, shard: usize);
-
-    /// Re-writes `key`'s acknowledged version onto `shard` from a surviving
-    /// replica, charging `bytes` of writeback traffic, if the shard's copy
-    /// is stale or missing.
-    fn resync_key(&mut self, shard: usize, key: u64, bytes: u64, now: u64) -> ResyncOutcome;
-
-    /// Restores `key`'s redundancy by copying it from a surviving replica
-    /// onto a substitute shard and re-homing the key off Down shard `from`
-    /// (the migration hook). Returns the copy's completion cycle if a copy
-    /// was made.
-    fn re_replicate(&mut self, key: u64, from: usize, bytes: u64, now: u64) -> Option<u64>;
-
-    /// Backend-driven recovery for callers without their own redo ledger
-    /// (the pager): re-syncs every acknowledged key hosted by `shard`, then
-    /// marks it synced. Returns `(resynced, lost)` counts.
-    fn recover_shard(&mut self, shard: usize, bytes_per_key: u64, now: u64) -> (u64, u64);
-
-    /// End-of-run durability audit; `None` unless the replication machinery
-    /// is armed.
-    fn audit(&self) -> Option<FailoverAudit>;
-
-    /// Per-shard ledger + health, for reports. Cheap (copies counters).
-    fn shard_snapshots(&self) -> Vec<ShardSnapshot>;
-}
-
-impl Clone for Box<dyn RemoteBackend> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 /// One shard's end-of-run counters, as published into run reports.
@@ -312,38 +181,38 @@ impl PlacementPolicy {
 ///
 /// `Copy` on purpose: configs spread freely through the workspace. The spec
 /// is *what to build*; [`build_backend`] turns it into a live backend.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum BackendSpec {
-    /// One remote node behind one link (the paper's fabric). The default.
-    #[default]
-    SingleNode,
-    /// N remote nodes, each with an independent link and fault schedule.
-    Sharded {
-        /// Number of remote nodes (≥ 1).
-        shards: u32,
-        /// Object→shard routing policy.
-        placement: PlacementPolicy,
-        /// When set, the configured fault plan applies *only* to this shard
-        /// (the "one node dies" experiment); otherwise every shard runs the
-        /// plan with a per-shard derived seed.
-        fault_shard: Option<u32>,
-        /// Replication factor R: every object lives on R consecutive shards
-        /// of its placement ring. 1 (the default) is unreplicated and
-        /// bit-identical to the pre-replication backend.
-        replicas: u32,
-    },
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct BackendSpec {
+    /// Number of remote nodes, each with an independent link and fault
+    /// schedule. One — the default — is the paper's fabric.
+    shards: u32,
+    /// Object→shard routing policy.
+    placement: PlacementPolicy,
+    /// When set, the configured fault plan applies *only* to this shard
+    /// (the "one node dies" experiment); otherwise every shard runs the
+    /// plan with a per-shard derived seed.
+    fault_shard: Option<u32>,
+    /// Replication factor R: every object lives on R consecutive shards
+    /// of its placement ring. 1 (the default) is unreplicated and
+    /// bit-identical to the pre-replication backend.
+    replicas: u32,
+}
+
+impl Default for BackendSpec {
+    fn default() -> Self {
+        BackendSpec::single()
+    }
 }
 
 impl BackendSpec {
-    /// The single-node default.
+    /// One remote node behind one link (the paper's fabric): `sharded(1)`.
     pub fn single() -> Self {
-        BackendSpec::SingleNode
+        BackendSpec::sharded(1)
     }
 
-    /// A sharded backend with `shards` nodes, hashed placement, and no
-    /// replication.
+    /// A backend of `shards` nodes, hashed placement, and no replication.
     pub fn sharded(shards: u32) -> Self {
-        BackendSpec::Sharded {
+        BackendSpec {
             shards,
             placement: PlacementPolicy::Hash,
             fault_shard: None,
@@ -351,86 +220,60 @@ impl BackendSpec {
         }
     }
 
-    /// Returns a copy with a different placement policy (sharded specs
-    /// only; a no-op on [`BackendSpec::SingleNode`]).
+    /// Returns a copy with a different placement policy.
     pub fn with_placement(mut self, policy: PlacementPolicy) -> Self {
-        if let BackendSpec::Sharded { placement, .. } = &mut self {
-            *placement = policy;
-        }
+        self.placement = policy;
         self
     }
 
-    /// Returns a copy targeting the fault plan at one shard (sharded specs
-    /// only; a no-op on [`BackendSpec::SingleNode`]).
+    /// Returns a copy targeting the fault plan at one shard.
     pub fn with_fault_shard(mut self, shard: u32) -> Self {
-        if let BackendSpec::Sharded { fault_shard, .. } = &mut self {
-            *fault_shard = Some(shard);
-        }
+        self.fault_shard = Some(shard);
         self
     }
 
-    /// Returns a copy with replication factor `r` (sharded specs only; a
-    /// no-op on [`BackendSpec::SingleNode`]).
+    /// Returns a copy with replication factor `r`.
     pub fn with_replicas(mut self, r: u32) -> Self {
-        if let BackendSpec::Sharded { replicas, .. } = &mut self {
-            *replicas = r;
-        }
+        self.replicas = r;
         self
     }
 
-    /// The spec's replication factor (1 unless a sharded spec raised it).
+    /// The spec's replication factor.
     pub fn replica_count(&self) -> u32 {
-        match self {
-            BackendSpec::SingleNode => 1,
-            BackendSpec::Sharded { replicas, .. } => *replicas,
-        }
+        self.replicas
     }
 
     /// Number of shards this spec builds.
     pub fn shard_count(&self) -> u32 {
-        match self {
-            BackendSpec::SingleNode => 1,
-            BackendSpec::Sharded { shards, .. } => (*shards).max(1),
-        }
+        self.shards.max(1)
     }
 
-    /// True for the single-node default.
+    /// True for one node. Reports of such runs carry no `backend` line and
+    /// no per-shard sections.
     pub fn is_single(&self) -> bool {
-        matches!(self, BackendSpec::SingleNode)
+        self.shards == 1
     }
 
     /// Validates invariants, returning a descriptive [`SpecError`] for a
-    /// sharded spec with zero shards, an out-of-range fault shard, or an
-    /// impossible replication factor. Callers that cannot proceed simply
-    /// unwrap — the error's `Display` is the panic message.
+    /// spec with zero shards, an out-of-range fault shard, or an impossible
+    /// replication factor. Callers that cannot proceed simply unwrap — the
+    /// error's `Display` is the panic message.
     pub fn validate(&self) -> Result<(), SpecError> {
-        if let BackendSpec::Sharded {
-            shards,
-            fault_shard,
-            replicas,
-            ..
-        } = self
-        {
-            if *shards == 0 {
-                return Err(SpecError::ZeroShards);
-            }
-            if let Some(fs) = fault_shard {
-                if fs >= shards {
-                    return Err(SpecError::FaultShardOutOfRange {
-                        fault_shard: *fs,
-                        shards: *shards,
-                    });
-                }
-            }
-            if *replicas == 0 {
-                return Err(SpecError::ZeroReplicas);
-            }
-            if replicas > shards {
-                return Err(SpecError::ReplicasExceedShards {
-                    replicas: *replicas,
-                    shards: *shards,
-                });
-            }
+        let (shards, replicas) = (self.shards, self.replicas);
+        if shards == 0 {
+            return Err(SpecError::ZeroShards);
+        }
+        if let Some(fault_shard) = self.fault_shard.filter(|&fs| fs >= shards) {
+            return Err(SpecError::FaultShardOutOfRange {
+                fault_shard,
+                shards,
+            });
+        }
+        if replicas == 0 {
+            return Err(SpecError::ZeroReplicas);
+        }
+        if replicas > shards {
+            return Err(SpecError::ReplicasExceedShards { replicas, shards });
         }
         Ok(())
     }
@@ -438,58 +281,37 @@ impl BackendSpec {
 
 impl fmt::Display for BackendSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendSpec::SingleNode => write!(f, "single"),
-            BackendSpec::Sharded {
-                shards,
-                placement,
-                fault_shard,
-                replicas,
-            } => {
-                write!(f, "sharded({shards}, {})", placement.name())?;
-                if *replicas > 1 {
-                    write!(f, " replicas={replicas}")?;
-                }
-                if let Some(fs) = fault_shard {
-                    write!(f, " fault_shard={fs}")?;
-                }
-                Ok(())
-            }
+        if self.is_single() {
+            return write!(f, "single");
         }
+        write!(f, "sharded({}, {})", self.shards, self.placement.name())?;
+        if self.replicas > 1 {
+            write!(f, " replicas={}", self.replicas)?;
+        }
+        if let Some(fs) = self.fault_shard {
+            write!(f, " fault_shard={fs}")?;
+        }
+        Ok(())
     }
 }
 
 /// Builds a live backend from a spec: link parameters are shared by every
 /// shard, the fault plan is attached per the spec's targeting rules.
 ///
-/// [`BackendSpec::SingleNode`] is one shard with the plan on it. Seed
-/// derivation for untargeted plans: shard 0 keeps the plan's seed verbatim
-/// (so one shard replays exactly the schedule a lone [`Link`] would); shard
-/// `i > 0` draws `mix(seed ^ i)` so shards fault independently instead of in
-/// lockstep.
-pub fn build_backend(
-    params: LinkParams,
-    spec: BackendSpec,
-    faults: FaultPlan,
-) -> Box<dyn RemoteBackend> {
+/// Seed derivation for untargeted plans: shard 0 keeps the plan's seed
+/// verbatim (so one shard replays exactly the schedule a lone [`Link`]
+/// would); shard `i > 0` draws `mix(seed ^ i)` so shards fault independently
+/// instead of in lockstep.
+pub fn build_backend(params: LinkParams, spec: BackendSpec, faults: FaultPlan) -> Sharded {
     spec.validate().unwrap_or_else(|e| panic!("{e}"));
-    let (shards, placement, fault_shard, replicas) = match spec {
-        BackendSpec::SingleNode => (1, PlacementPolicy::Hash, None, 1),
-        BackendSpec::Sharded {
-            shards,
-            placement,
-            fault_shard,
-            replicas,
-        } => (shards, placement, fault_shard, replicas),
-    };
-    let mut b = Sharded::new(params, shards, placement);
-    match fault_shard {
+    let mut b = Sharded::new(params, spec.shards, spec.placement);
+    match spec.fault_shard {
         Some(fs) => b.set_fault_plan_on(fs as usize, faults),
         None if faults.is_active() => b.set_fault_plan_everywhere(faults),
         None => {}
     }
-    b.set_replicas(replicas);
-    Box::new(b)
+    b.set_replicas(spec.replicas);
+    b
 }
 
 // ======================================================================
@@ -509,7 +331,7 @@ pub fn build_backend(
 /// shard would otherwise serve stale. With `replicas == 1` and no crash
 /// plan, every tracked-mode branch is skipped and the backend is
 /// bit-identical to the pre-replication `Sharded`.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Sharded {
     links: Vec<Link>,
     placement: PlacementPolicy,
@@ -754,12 +576,24 @@ impl Sharded {
     }
 }
 
-impl RemoteBackend for Sharded {
-    fn shard_count(&self) -> usize {
+/// The data plane: where localize/writeback traffic goes.
+///
+/// All methods mirror [`Link`]'s contract, with an added routing `key` (the
+/// object id or page number being moved). The blocking forms
+/// ([`transfer`](Self::transfer)/[`writeback`](Self::writeback)) retry
+/// blindly until delivery; the fallible forms
+/// ([`try_transfer`](Self::try_transfer)/[`try_writeback`](Self::try_writeback))
+/// surface the [`LinkFault`] so policy-aware callers (the runtime's
+/// retry/backoff loop) own the retry schedule. The failover surface
+/// (DESIGN.md §6g) starts at [`failover_active`](Self::failover_active).
+impl Sharded {
+    /// Number of remote nodes behind this backend.
+    pub fn shard_count(&self) -> usize {
         self.links.len()
     }
 
-    fn shard_of(&self, key: u64) -> usize {
+    /// The shard serving `key` (always 0 for a single node).
+    pub fn shard_of(&self, key: u64) -> usize {
         if self.tracked {
             self.replica_set(key)[0]
         } else {
@@ -767,7 +601,9 @@ impl RemoteBackend for Sharded {
         }
     }
 
-    fn transfer(&mut self, key: u64, bytes: u64, now: u64) -> u64 {
+    /// Blocking fetch of `bytes` for `key` at cycle `now`; returns the
+    /// completion cycle. Faulted attempts are transparently retried.
+    pub fn transfer(&mut self, key: u64, bytes: u64, now: u64) -> u64 {
         if self.tracked {
             return self.tracked_blocking(key, bytes, now, false);
         }
@@ -775,7 +611,8 @@ impl RemoteBackend for Sharded {
         self.links[s].transfer(bytes, now)
     }
 
-    fn writeback(&mut self, key: u64, bytes: u64, now: u64) -> u64 {
+    /// Blocking writeback counterpart of [`transfer`](Self::transfer).
+    pub fn writeback(&mut self, key: u64, bytes: u64, now: u64) -> u64 {
         if self.tracked {
             return self.tracked_blocking(key, bytes, now, true);
         }
@@ -783,7 +620,14 @@ impl RemoteBackend for Sharded {
         self.links[s].writeback(bytes, now)
     }
 
-    fn try_transfer(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
+    /// One fetch attempt; the caller owns retry policy on failure.
+    ///
+    /// This is also the issue half of the asynchronous protocol (DESIGN.md
+    /// §6h): the link model computes the completion cycle analytically at
+    /// issue time (bandwidth slot + pipelined latency), so the wire is
+    /// occupied and the ledger charged immediately while the *caller* keeps
+    /// computing and compares the returned cycle against its advancing clock.
+    pub fn try_transfer(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
         if self.tracked {
             return self.tracked_try_transfer(key, bytes, now);
         }
@@ -791,7 +635,8 @@ impl RemoteBackend for Sharded {
         self.links[s].try_transfer(bytes, now)
     }
 
-    fn try_writeback(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
+    /// One writeback attempt; the caller owns retry policy on failure.
+    pub fn try_writeback(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
         if self.tracked {
             return self.tracked_try_writeback(key, bytes, now);
         }
@@ -799,11 +644,15 @@ impl RemoteBackend for Sharded {
         self.links[s].try_writeback(bytes, now)
     }
 
-    fn faults_active(&self) -> bool {
+    /// True if any shard has an active fault plan attached. Callers use
+    /// this to keep the flawless-fabric fast path (no retry bookkeeping).
+    pub fn faults_active(&self) -> bool {
         self.links.iter().any(|l| l.fault_plan().is_active())
     }
 
-    fn health(&self) -> LinkHealth {
+    /// Aggregate health: counters summed, fault-rate EWMA maxed, degraded
+    /// if *any* shard is degraded.
+    pub fn health(&self) -> LinkHealth {
         let mut agg = LinkHealth::default();
         for l in &self.links {
             agg.absorb(&l.health());
@@ -811,11 +660,16 @@ impl RemoteBackend for Sharded {
         agg
     }
 
-    fn shard_health(&self, shard: usize) -> LinkHealth {
+    /// Health of one shard.
+    ///
+    /// # Panics
+    /// Panics if `shard >= shard_count()`.
+    pub fn shard_health(&self, shard: usize) -> LinkHealth {
         self.links[shard].health()
     }
 
-    fn stats(&self) -> TransferStats {
+    /// Aggregate transfer ledger (all shards merged).
+    pub fn stats(&self) -> TransferStats {
         use tfm_telemetry::MergeStats;
         let mut agg = TransferStats::default();
         for l in &self.links {
@@ -824,17 +678,24 @@ impl RemoteBackend for Sharded {
         agg
     }
 
-    fn shard_stats(&self, shard: usize) -> TransferStats {
+    /// Transfer ledger of one shard.
+    ///
+    /// # Panics
+    /// Panics if `shard >= shard_count()`.
+    pub fn shard_stats(&self, shard: usize) -> TransferStats {
         self.links[shard].stats()
     }
 
-    fn set_telemetry(&mut self, tel: Telemetry) {
+    /// Attaches a telemetry sink (shared across shards).
+    pub fn set_telemetry(&mut self, tel: Telemetry) {
         for l in &mut self.links {
             l.set_telemetry(tel.clone());
         }
     }
 
-    fn reset_stats(&mut self) {
+    /// Clears ledgers, occupancy horizons, fault schedules, and health —
+    /// on every shard.
+    pub fn reset_stats(&mut self) {
         for l in &mut self.links {
             l.reset_stats();
         }
@@ -849,37 +710,46 @@ impl RemoteBackend for Sharded {
         self.divergent_writes.fill(0);
     }
 
-    fn clone_box(&self) -> Box<dyn RemoteBackend> {
-        Box::new(self.clone())
-    }
-
-    fn failover_active(&self) -> bool {
+    /// True when the crash/replication machinery is armed (replication
+    /// factor > 1 or a scripted crash on some shard). Callers gate their
+    /// failover bookkeeping on this — pay-for-use.
+    pub fn failover_active(&self) -> bool {
         self.tracked
     }
 
-    fn replicas(&self) -> u32 {
+    /// Replication factor R (1 = unreplicated).
+    pub fn replicas(&self) -> u32 {
         self.replicas
     }
 
-    fn poll(&mut self, now: u64) {
+    /// Advances scripted crash/restart transitions to cycle `now` without
+    /// issuing traffic (cold restarts wipe the crashed shard's store here).
+    pub fn poll(&mut self, now: u64) {
         if self.tracked {
             self.poll_all(now);
         }
     }
 
-    fn shard_state(&self, shard: usize) -> ShardState {
+    /// Failover state of one shard.
+    pub fn shard_state(&self, shard: usize) -> ShardState {
         self.links[shard].failover_state()
     }
 
-    fn shard_epoch(&self, shard: usize) -> u64 {
+    /// Restart epoch of one shard (0 until its first crash).
+    pub fn shard_epoch(&self, shard: usize) -> u64 {
         self.links[shard].epoch()
     }
 
-    fn mark_synced(&mut self, shard: usize) {
+    /// Declares a recovering shard re-synced (`Recovering → Up`), lifting
+    /// its epoch fence. Called by the owner after ledger replay.
+    pub fn mark_synced(&mut self, shard: usize) {
         self.links[shard].mark_synced();
     }
 
-    fn resync_key(&mut self, shard: usize, key: u64, bytes: u64, now: u64) -> ResyncOutcome {
+    /// Re-writes `key`'s acknowledged version onto `shard` from a surviving
+    /// replica, charging `bytes` of writeback traffic, if the shard's copy
+    /// is stale or missing.
+    pub fn resync_key(&mut self, shard: usize, key: u64, bytes: u64, now: u64) -> ResyncOutcome {
         if !self.tracked {
             return ResyncOutcome::Clean;
         }
@@ -915,7 +785,11 @@ impl RemoteBackend for Sharded {
         ResyncOutcome::Synced(done)
     }
 
-    fn re_replicate(&mut self, key: u64, from: usize, bytes: u64, now: u64) -> Option<u64> {
+    /// Restores `key`'s redundancy by copying it from a surviving replica
+    /// onto a substitute shard and re-homing the key off Down shard `from`
+    /// (the migration hook). Returns the copy's completion cycle if a copy
+    /// was made.
+    pub fn re_replicate(&mut self, key: u64, from: usize, bytes: u64, now: u64) -> Option<u64> {
         if !self.tracked || self.replicas <= 1 {
             return None;
         }
@@ -948,7 +822,10 @@ impl RemoteBackend for Sharded {
         Some(done)
     }
 
-    fn recover_shard(&mut self, shard: usize, bytes_per_key: u64, now: u64) -> (u64, u64) {
+    /// Backend-driven recovery for callers without their own redo ledger
+    /// (the pager): re-syncs every acknowledged key hosted by `shard`, then
+    /// marks it synced. Returns `(resynced, lost)` counts.
+    pub fn recover_shard(&mut self, shard: usize, bytes_per_key: u64, now: u64) -> (u64, u64) {
         let keys: Vec<u64> = self.acked.keys().copied().collect();
         let (mut resynced, mut lost) = (0u64, 0u64);
         for key in keys {
@@ -962,7 +839,9 @@ impl RemoteBackend for Sharded {
         (resynced, lost)
     }
 
-    fn audit(&self) -> Option<FailoverAudit> {
+    /// End-of-run durability audit; `None` unless the replication machinery
+    /// is armed.
+    pub fn audit(&self) -> Option<FailoverAudit> {
         if !self.tracked {
             return None;
         }
@@ -991,7 +870,8 @@ impl RemoteBackend for Sharded {
         Some(audit)
     }
 
-    fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
+    /// Per-shard ledger + health, for reports. Cheap (copies counters).
+    pub fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
         (0..self.shard_count())
             .map(|s| ShardSnapshot {
                 stats: self.shard_stats(s),
@@ -1171,21 +1051,11 @@ mod tests {
     }
 
     #[test]
-    fn clone_box_preserves_state() {
-        let mut b: Box<dyn RemoteBackend> = Box::new(Sharded::new(
-            LinkParams::tcp_25g(),
-            2,
-            PlacementPolicy::Hash,
-        ));
-        b.transfer(0, 4096, 0);
-        let c = b.clone();
-        assert_eq!(b.stats(), c.stats());
-        assert_eq!(b.shard_count(), c.shard_count());
-    }
-
-    #[test]
     fn spec_display_and_validation() {
         assert_eq!(BackendSpec::single().to_string(), "single");
+        assert_eq!(BackendSpec::single(), BackendSpec::sharded(1));
+        assert_eq!(BackendSpec::single(), BackendSpec::default());
+        assert!(BackendSpec::single().is_single());
         let s = BackendSpec::sharded(4)
             .with_placement(PlacementPolicy::Interleave)
             .with_fault_shard(1);
@@ -1226,6 +1096,14 @@ mod tests {
         );
         assert!(BackendSpec::sharded(2).with_replicas(2).validate().is_ok());
         assert!(BackendSpec::single().validate().is_ok());
+        // One node is one shard: it cannot hold a second replica either.
+        assert_eq!(
+            BackendSpec::single().with_replicas(2).validate(),
+            Err(SpecError::ReplicasExceedShards {
+                replicas: 2,
+                shards: 1
+            })
+        );
         // The Display text is descriptive — panicking callers surface it
         // verbatim, so config-level #[should_panic] pins keep matching.
         let msg = BackendSpec::sharded(2)

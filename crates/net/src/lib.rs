@@ -42,8 +42,8 @@ mod fault;
 mod retry;
 
 pub use backend::{
-    build_backend, BackendSpec, FailoverAudit, PlacementPolicy, RemoteBackend, ResyncOutcome,
-    ShardSnapshot, Sharded, SpecError,
+    build_backend, BackendSpec, FailoverAudit, PlacementPolicy, ResyncOutcome, ShardSnapshot,
+    Sharded, SpecError,
 };
 pub use fault::{
     CrashWindow, FaultKind, FaultPlan, LinkFault, LinkHealth, OutageWindow, ShardState, PPM,

@@ -5,43 +5,13 @@ use tfm_net::{BackendSpec, FaultPlan, LinkParams};
 /// Retry/backoff policy the runtime applies to faulted link operations.
 ///
 /// A faulted attempt is detected at the link's drop timeout; the runtime
-/// then waits an exponentially growing backoff (`backoff_base << (attempt -
-/// 1)`, capped at [`backoff_cap`](Self::backoff_cap)) before reissuing.
-/// While the link is degraded (see `LinkHealth`), every backoff is
-/// multiplied by [`degraded_backoff_mult`](Self::degraded_backoff_mult) to
-/// shed load from a struggling fabric.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct RetryPolicy {
-    /// Attempts before a *deferrable* operation (writeback) gives up; a
-    /// localize must succeed for correctness and keeps retrying past this.
-    pub max_attempts: u32,
-    /// First retry's backoff in cycles.
-    pub backoff_base: u64,
-    /// Upper bound on a single backoff in cycles.
-    pub backoff_cap: u64,
-    /// Per-operation cycle budget; operations that blow through it are
-    /// counted (`deadline_exceeded`) but still driven to completion.
-    pub deadline: u64,
-    /// Backoff multiplier applied while the link is degraded.
-    pub degraded_backoff_mult: u64,
-    /// Seed of the deterministic per-attempt backoff jitter
-    /// ([`backoff_jittered`](Self::backoff_jittered)); 0 disables jitter,
-    /// restoring the pure exponential schedule.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 16,
-            backoff_base: 4_096,
-            backoff_cap: 1 << 20,
-            deadline: 8_000_000,
-            degraded_backoff_mult: 4,
-            jitter_seed: 0x7C15_DA39_6A1B_44E3,
-        }
-    }
-}
+/// then waits an exponentially growing backoff (`BACKOFF_BASE << (attempt -
+/// 1)`, capped at [`BACKOFF_CAP`](Self::BACKOFF_CAP)) plus a deterministic
+/// jitter before reissuing. While the link is degraded (see `LinkHealth`),
+/// every backoff is multiplied by
+/// [`DEGRADED_BACKOFF_MULT`](Self::DEGRADED_BACKOFF_MULT) to shed load from
+/// a struggling fabric.
+pub struct RetryPolicy;
 
 /// SplitMix64 finalizer (the workspace's standard seeded mixer), local so
 /// the jitter draw needs no cross-crate dependency on `tfm_net` internals.
@@ -54,47 +24,46 @@ fn jitter_mix(mut z: u64) -> u64 {
 }
 
 impl RetryPolicy {
-    /// Backoff charged before retry number `attempt` (1-based), before the
-    /// degraded multiplier.
-    pub fn backoff(&self, attempt: u32) -> u64 {
+    /// Attempts before a *deferrable* operation (writeback) gives up; a
+    /// localize must succeed for correctness and keeps retrying past this.
+    pub const MAX_ATTEMPTS: u32 = 16;
+    /// First retry's backoff in cycles.
+    pub const BACKOFF_BASE: u64 = 4_096;
+    /// Upper bound on a single backoff in cycles, before jitter.
+    pub const BACKOFF_CAP: u64 = 1 << 20;
+    /// Per-operation cycle budget; operations that blow through it are
+    /// counted (`deadline_exceeded`) but still driven to completion.
+    pub const DEADLINE: u64 = 8_000_000;
+    /// Backoff multiplier applied while the link is degraded.
+    pub const DEGRADED_BACKOFF_MULT: u64 = 4;
+    /// Seed of the deterministic per-attempt backoff jitter.
+    pub const JITTER_SEED: u64 = 0x7C15_DA39_6A1B_44E3;
+
+    /// Backoff charged before retry number `attempt` (1-based), before
+    /// jitter and the degraded multiplier.
+    pub fn backoff(attempt: u32) -> u64 {
         let shift = attempt.saturating_sub(1);
-        if shift >= self.backoff_base.leading_zeros() {
-            return self.backoff_cap; // doubling any further would overflow
+        if shift >= Self::BACKOFF_BASE.leading_zeros() {
+            return Self::BACKOFF_CAP; // doubling any further would overflow
         }
-        (self.backoff_base << shift).min(self.backoff_cap)
+        (Self::BACKOFF_BASE << shift).min(Self::BACKOFF_CAP)
     }
 
     /// [`backoff`](Self::backoff) plus a deterministic jitter drawn in
-    /// `[0, backoff/4]`, keyed on `(jitter_seed, key, attempt)`. Concurrent
+    /// `[0, backoff/4]`, keyed on `(core, key, attempt)`. Concurrent
     /// operations against the same recovering shard spread their retries
-    /// instead of re-arriving in lockstep, yet the same seed, key, and
-    /// attempt always draw the same jitter — runs stay bit-identical.
-    pub fn backoff_jittered(&self, attempt: u32, key: u64) -> u64 {
-        let base = self.backoff(attempt);
-        if self.jitter_seed == 0 {
-            return base;
-        }
-        let h = jitter_mix(
-            self.jitter_seed ^ key.wrapping_mul(0xA24B_AED4_963E_E407) ^ u64::from(attempt),
-        );
-        base + h % (base / 4 + 1)
-    }
-
-    /// [`backoff_jittered`](Self::backoff_jittered) with the issuing core
-    /// folded into the seed: each simulated core draws an independent,
-    /// deterministic retry schedule, so two cores backing off from the same
-    /// shard never re-arrive in lockstep. Core 0 (and the synchronous
-    /// single-core machine, which always passes 0) draws exactly the
-    /// un-threaded schedule — the `cores(1)` identity gate depends on it.
-    pub fn backoff_jittered_on(&self, attempt: u32, key: u64, core: u32) -> u64 {
-        if core == 0 {
-            return self.backoff_jittered(attempt, key);
-        }
-        let base = self.backoff(attempt);
-        if self.jitter_seed == 0 {
-            return base;
-        }
-        let seed = self.jitter_seed ^ jitter_mix(u64::from(core));
+    /// instead of re-arriving in lockstep — across keys and across simulated
+    /// cores — yet the same core, key, and attempt always draw the same
+    /// jitter, so runs stay bit-identical. Core 0 (and the synchronous
+    /// single-core machine, which always passes 0) draws from the bare seed:
+    /// the schedule from before cores existed, which the `cores(1)` identity
+    /// gate depends on.
+    pub fn backoff_jittered_on(attempt: u32, key: u64, core: u32) -> u64 {
+        let base = Self::backoff(attempt);
+        let seed = match core {
+            0 => Self::JITTER_SEED,
+            _ => Self::JITTER_SEED ^ jitter_mix(u64::from(core)),
+        };
         let h = jitter_mix(seed ^ key.wrapping_mul(0xA24B_AED4_963E_E407) ^ u64::from(attempt));
         base + h % (base / 4 + 1)
     }
@@ -141,8 +110,6 @@ pub struct FarMemoryConfig {
     /// Fault-injection schedule for the link ([`FaultPlan::none`] = the
     /// flawless fabric of the paper's evaluation).
     pub faults: FaultPlan,
-    /// Retry/backoff policy for faulted link operations.
-    pub retry: RetryPolicy,
     /// Remote-memory topology: one node (the default) or N sharded nodes.
     pub backend: BackendSpec,
 }
@@ -158,8 +125,7 @@ impl FarMemoryConfig {
             link: LinkParams::tcp_25g(),
             prefetch: PrefetchConfig::default(),
             faults: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            backend: BackendSpec::SingleNode,
+            backend: BackendSpec::single(),
         }
     }
 
@@ -229,7 +195,7 @@ impl FarMemoryConfig {
     }
 
     /// Returns a copy with replication factor `r` on the current backend
-    /// (sharded backends only; a no-op on a single node).
+    /// (which needs at least `r` shards).
     pub fn with_replicas(mut self, r: u32) -> Self {
         self.backend = self.backend.with_replicas(r);
         self
@@ -264,99 +230,58 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff(1), p.backoff_base);
-        assert_eq!(p.backoff(2), 2 * p.backoff_base);
-        assert_eq!(p.backoff(3), 4 * p.backoff_base);
-        assert_eq!(p.backoff(60), p.backoff_cap);
+        assert_eq!(RetryPolicy::backoff(1), RetryPolicy::BACKOFF_BASE);
+        assert_eq!(RetryPolicy::backoff(2), 2 * RetryPolicy::BACKOFF_BASE);
+        assert_eq!(RetryPolicy::backoff(3), 4 * RetryPolicy::BACKOFF_BASE);
+        assert_eq!(RetryPolicy::backoff(60), RetryPolicy::BACKOFF_CAP);
         // Huge attempt numbers must not overflow the shift.
-        assert_eq!(p.backoff(u32::MAX), p.backoff_cap);
+        assert_eq!(RetryPolicy::backoff(u32::MAX), RetryPolicy::BACKOFF_CAP);
     }
 
     #[test]
     fn jittered_backoff_is_deterministic_bounded_and_spread() {
-        let p = RetryPolicy::default();
-        for attempt in 1..=20 {
-            for key in [0u64, 1, 17, 0xDEAD_BEEF] {
-                let a = p.backoff_jittered(attempt, key);
-                let b = p.backoff_jittered(attempt, key);
-                assert_eq!(a, b, "same (seed, key, attempt) ⇒ same draw");
-                let base = p.backoff(attempt);
-                assert!(
-                    (base..=base + base / 4).contains(&a),
-                    "jitter must stay within 25% of the base: {a} vs {base}"
-                );
+        for core in 0..8u32 {
+            for attempt in 1..=20 {
+                for key in [0u64, 1, 17, 0xDEAD_BEEF] {
+                    let a = RetryPolicy::backoff_jittered_on(attempt, key, core);
+                    let b = RetryPolicy::backoff_jittered_on(attempt, key, core);
+                    assert_eq!(a, b, "same (core, key, attempt) ⇒ same draw");
+                    let base = RetryPolicy::backoff(attempt);
+                    assert!(
+                        (base..=base + base / 4).contains(&a),
+                        "jitter must stay within 25% of the base: {a} vs {base}"
+                    );
+                }
             }
         }
         // Different keys de-synchronize: across many keys the draws are not
         // all equal (that is the whole point).
-        let draws: Vec<u64> = (0..64).map(|k| p.backoff_jittered(3, k)).collect();
+        let draws: Vec<u64> = (0..64)
+            .map(|k| RetryPolicy::backoff_jittered_on(3, k, 0))
+            .collect();
         let mut uniq = draws.clone();
         uniq.sort_unstable();
         uniq.dedup();
         assert!(uniq.len() > 8, "keys retry in lockstep: {draws:?}");
-        // Two policies with different seeds draw different schedules.
-        let other = RetryPolicy {
-            jitter_seed: 0x1234,
-            ..p
-        };
-        assert!((0..64).any(|k| p.backoff_jittered(2, k) != other.backoff_jittered(2, k)));
+        // Distinct cores draw distinct schedules for the same (key, attempt)
+        // somewhere — otherwise threading the core id bought nothing.
+        assert!((0..64u64).any(|k| {
+            RetryPolicy::backoff_jittered_on(2, k, 1) != RetryPolicy::backoff_jittered_on(2, k, 2)
+        }));
     }
 
     #[test]
     fn core_zero_jitter_matches_the_unthreaded_schedule() {
         // The synchronous machine passes core 0 everywhere; its schedule
-        // must be bit-identical to the pre-multi-core draw.
-        let p = RetryPolicy::default();
-        for attempt in 1..=12 {
-            for key in 0..32 {
-                assert_eq!(
-                    p.backoff_jittered_on(attempt, key, 0),
-                    p.backoff_jittered(attempt, key)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn per_core_jitter_is_deterministic_bounded_and_independent() {
-        let p = RetryPolicy::default();
-        for core in 1..8u32 {
-            for attempt in 1..=12 {
-                for key in [0u64, 3, 0xFEED] {
-                    let a = p.backoff_jittered_on(attempt, key, core);
-                    assert_eq!(a, p.backoff_jittered_on(attempt, key, core));
-                    let base = p.backoff(attempt);
-                    assert!((base..=base + base / 4).contains(&a));
-                }
-            }
-        }
-        // Distinct cores draw distinct schedules for the same (key, attempt)
-        // somewhere — otherwise threading the core id bought nothing.
-        assert!(
-            (0..64u64).any(|k| p.backoff_jittered_on(2, k, 1) != p.backoff_jittered_on(2, k, 2))
+        // must stay the pre-multi-core draw, pinned here by value.
+        let draws: Vec<u64> = (1..=4)
+            .flat_map(|attempt| [0, 9].map(|key| RetryPolicy::backoff_jittered_on(attempt, key, 0)))
+            .collect();
+        assert_eq!(
+            draws,
+            [4209, 5041, 9621, 8966, 16429, 18167, 34689, 38112],
+            "(attempt 1..=4) x (key 0, 9)"
         );
-        // Zero seed still disables jitter on every core.
-        let off = RetryPolicy {
-            jitter_seed: 0,
-            ..p
-        };
-        for core in 0..4 {
-            assert_eq!(off.backoff_jittered_on(3, 9, core), off.backoff(3));
-        }
-    }
-
-    #[test]
-    fn zero_jitter_seed_disables_jitter() {
-        let p = RetryPolicy {
-            jitter_seed: 0,
-            ..RetryPolicy::default()
-        };
-        for attempt in 1..=10 {
-            for key in 0..32 {
-                assert_eq!(p.backoff_jittered(attempt, key), p.backoff(attempt));
-            }
-        }
     }
 
     #[test]
@@ -364,10 +289,12 @@ mod tests {
         let c = FarMemoryConfig::small().with_shards(4).with_replicas(2);
         c.validate();
         assert_eq!(c.backend.replica_count(), 2);
-        // A no-op on the single-node default.
-        let s = FarMemoryConfig::small().with_replicas(2);
-        s.validate();
-        assert!(s.backend.is_single());
+    }
+
+    #[test]
+    #[should_panic(expected = "replication factor 2 exceeds 1 shards")]
+    fn rejects_a_second_replica_on_one_node() {
+        FarMemoryConfig::small().with_replicas(2).validate();
     }
 
     #[test]

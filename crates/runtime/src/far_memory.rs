@@ -19,25 +19,25 @@
 //!   with execution.
 
 use crate::alloc::{AllocError, RegionAllocator};
-use crate::config::FarMemoryConfig;
+use crate::config::{FarMemoryConfig, RetryPolicy};
 use crate::ptr::{ObjId, TfmPtr};
-use crate::state::{StateTable, DIRTY, HOT, INFLIGHT, PRESENT};
+use crate::state::{StateTable, DEMAND, DIRTY, HOT, INFLIGHT, PRESENT};
 use crate::stats::RuntimeStats;
 use std::collections::{BTreeSet, VecDeque};
 use tfm_net::{
-    build_backend, drive_retries, FailoverAudit, LinkFault, RemoteBackend, ResyncOutcome, RetryOps,
-    ShardSnapshot, ShardState, TransferStats,
+    build_backend, drive_retries, FailoverAudit, LinkFault, ResyncOutcome, RetryOps, ShardSnapshot,
+    ShardState, Sharded, TransferStats,
 };
 use tfm_telemetry::{EventKind, Span, SpanId, SpanKind, Telemetry};
 
 /// The far-memory runtime.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct FarMemory {
     cfg: FarMemoryConfig,
     log2_obj: u32,
     table: StateTable,
     alloc: RegionAllocator,
-    backend: Box<dyn RemoteBackend>,
+    backend: Sharded,
     clock: VecDeque<ObjId>,
     resident_bytes: u64,
     stats: RuntimeStats,
@@ -75,10 +75,6 @@ pub struct FarMemory {
     /// the multi-core scheduler; the synchronous machine never sets it, so
     /// `cores(1)` keeps the legacy blocking path bit-identical.
     async_fetch: bool,
-    /// In-flight fetch table: demand fetches issued but not yet claimed.
-    /// A second core missing the same object joins the pending entry — one
-    /// transfer on the wire serves both. Empty unless `async_fetch` is on.
-    demand_inflight: BTreeSet<u64>,
     /// Latest delivery cycle of any fetch issued asynchronously since the
     /// scheduler last drained it: a core is charged only to the issue
     /// point, so the request's semantic completion (data actually landed)
@@ -127,7 +123,6 @@ impl FarMemory {
             failover_active,
             core: 0,
             async_fetch: false,
-            demand_inflight: BTreeSet::new(),
             completion_horizon: 0,
             cfg,
         }
@@ -140,17 +135,18 @@ impl FarMemory {
     }
 
     /// Switches demand fetches to the split issue/complete protocol: a miss
-    /// charges the wire immediately but parks the object in the in-flight
-    /// fetch table instead of blocking, and a second core missing the same
-    /// object joins the pending entry. Only the multi-core scheduler turns
-    /// this on — the synchronous machine keeps the blocking path.
+    /// charges the wire immediately but leaves the object `INFLIGHT | DEMAND`
+    /// in the state table instead of blocking, and a second core missing
+    /// the same object joins the pending fetch — one transfer on the wire
+    /// serves both. Only the multi-core scheduler turns this on — the
+    /// synchronous machine keeps the blocking path.
     pub fn set_async_fetch(&mut self, on: bool) {
         self.async_fetch = on;
     }
 
-    /// Number of demand fetches currently parked in the in-flight table.
+    /// Number of demand fetches issued and not yet claimed (a table scan).
     pub fn demand_inflight_len(&self) -> usize {
-        self.demand_inflight.len()
+        self.table.count(DEMAND)
     }
 
     /// Drains the completion horizon: the latest delivery cycle of any
@@ -244,8 +240,8 @@ impl FarMemory {
     }
 
     /// The remote backend (shard topology, per-shard ledgers and health).
-    pub fn backend(&self) -> &dyn RemoteBackend {
-        self.backend.as_ref()
+    pub fn backend(&self) -> &Sharded {
+        &self.backend
     }
 
     /// Number of remote nodes behind the runtime.
@@ -380,11 +376,9 @@ impl FarMemory {
     /// is degraded) and a per-operation deadline that is counted when blown.
     ///
     /// Returns the completion cycle, or `None` when a *writeback* exhausted
-    /// [`RetryPolicy::max_attempts`] — writebacks are deferrable (the object
+    /// [`RetryPolicy::MAX_ATTEMPTS`] — writebacks are deferrable (the object
     /// simply stays resident and dirty), fetches are not (the caller needs
     /// the data) and keep retrying until the backend delivers.
-    ///
-    /// [`RetryPolicy::max_attempts`]: crate::RetryPolicy::max_attempts
     fn transfer_with_retry(
         &mut self,
         key: u64,
@@ -402,7 +396,7 @@ impl FarMemory {
             });
         }
         let shard = self.backend.shard_of(key);
-        let deadline = now.saturating_add(self.cfg.retry.deadline);
+        let deadline = now.saturating_add(RetryPolicy::DEADLINE);
         let mut ops = RuntimeRetry {
             fm: self,
             key,
@@ -495,12 +489,13 @@ impl FarMemory {
     pub fn localize(&mut self, o: ObjId, write: bool, now: u64) -> u64 {
         let size = self.cfg.object_size;
         let mark = if write { HOT | DIRTY } else { HOT };
-        if self.table.is_present(o) {
+        let entry = self.table.entry(o);
+        if entry & PRESENT != 0 {
             self.table.set(o, mark);
             return 0;
         }
-        let stall = if self.table.is_inflight(o) {
-            if self.demand_inflight.contains(&o.0) {
+        let stall = if entry & INFLIGHT != 0 {
+            if entry & DEMAND != 0 {
                 // Another core's demand fetch is pending on this object.
                 let ready = self.table.ready_cycle(o);
                 if ready > now {
@@ -516,8 +511,7 @@ impl FarMemory {
                     0
                 } else {
                     // The fetch landed unclaimed; silent conversion.
-                    self.demand_inflight.remove(&o.0);
-                    self.table.clear(o, INFLIGHT);
+                    self.table.clear(o, INFLIGHT | DEMAND);
                     self.table.set(o, PRESENT | mark);
                     0
                 }
@@ -558,13 +552,12 @@ impl FarMemory {
             let charged = if self.async_fetch {
                 // Issue/complete split: the core is charged only to the
                 // issue point — queueing for the wire plus occupancy, not
-                // the propagation latency. The object parks in the
-                // in-flight fetch table so other cores can join it, and
+                // the propagation latency. The object stays in flight,
+                // marked as a demand fetch so other cores can join it, and
                 // the delivery cycle flows to the scheduler through the
                 // completion horizon for per-request latency.
-                self.table.set(o, INFLIGHT | mark);
+                self.table.set(o, INFLIGHT | DEMAND | mark);
                 self.table.set_ready_cycle(o, done);
-                self.demand_inflight.insert(o.0);
                 self.completion_horizon = self.completion_horizon.max(done);
                 done.saturating_sub(self.cfg.link.base_latency).max(now) - now
             } else {
@@ -775,6 +768,10 @@ impl FarMemory {
     /// object stays resident and dirty (degrading toward local-only
     /// operation) and is requeued for a later attempt.
     fn evict(&mut self, o: ObjId, now: u64) {
+        debug_assert!(
+            self.table.entry(o) & (PRESENT | INFLIGHT) == PRESENT && self.table.pins(o) == 0,
+            "evicting {o}, which is not resident, is in flight or is pinned"
+        );
         if self.table.is_dirty(o) {
             // Writebacks are asynchronous (fire-and-forget): root span,
             // not a child of whatever operation forced the eviction.
@@ -808,13 +805,12 @@ impl FarMemory {
     /// Converts a completed-but-unclaimed demand fetch back to `PRESENT`
     /// under the evacuator's scan: the data landed at `ready_cycle` but no
     /// core has touched the object since, so it is evictable like any other
-    /// resident object. No-op unless the in-flight fetch table holds it.
+    /// resident object. No-op unless a demand fetch is in flight for it.
     fn claim_landed_fetch(&mut self, o: ObjId, now: u64) {
-        if !self.demand_inflight.contains(&o.0) || self.table.ready_cycle(o) > now {
+        if self.table.entry(o) & DEMAND == 0 || self.table.ready_cycle(o) > now {
             return;
         }
-        self.demand_inflight.remove(&o.0);
-        self.table.clear(o, INFLIGHT);
+        self.table.clear(o, INFLIGHT | DEMAND);
         self.table.set(o, PRESENT);
     }
 
@@ -832,6 +828,10 @@ impl FarMemory {
                 self.evict(o, now);
             }
         }
+        debug_assert_eq!(
+            self.resident_bytes,
+            self.table.count(PRESENT | INFLIGHT) as u64 * self.cfg.object_size
+        );
     }
 }
 
@@ -866,13 +866,12 @@ impl RetryOps for RuntimeRetry<'_> {
     fn on_fault(&mut self, attempts: u32, f: LinkFault) -> Option<u64> {
         let fm = &mut *self.fm;
         fm.stats.link_faults += 1;
-        let pol = fm.cfg.retry;
-        if self.writeback && attempts >= pol.max_attempts {
+        if self.writeback && attempts >= RetryPolicy::MAX_ATTEMPTS {
             return None;
         }
-        let mut backoff = pol.backoff_jittered_on(attempts, self.key, fm.core);
+        let mut backoff = RetryPolicy::backoff_jittered_on(attempts, self.key, fm.core);
         if fm.degraded[self.shard] {
-            backoff = backoff.saturating_mul(pol.degraded_backoff_mult);
+            backoff = backoff.saturating_mul(RetryPolicy::DEGRADED_BACKOFF_MULT);
         }
         let at = f.detected_at + backoff;
         fm.stats.retries += 1;

@@ -7,8 +7,9 @@
 //! The object state table contains metadata entries (8B each) for each
 //! object in the system."
 //!
-//! Each entry is one `u64`: status flags in the high bits, a pin count, and
-//! the asynchronous-fetch ready cycle in the low bits. The compiler-injected
+//! Each entry is one `u64`: status flags in the high bits (including whose
+//! fetch is in flight — a core's or the prefetcher's), a pin count, and the
+//! asynchronous-fetch ready cycle in the low bits. The compiler-injected
 //! fast-path guard (Fig. 4) tests a single mask against this entry.
 
 use crate::ptr::ObjId;
@@ -25,6 +26,11 @@ pub const INFLIGHT: u64 = 1 << 60;
 /// metadata; the single-threaded simulator sets and clears it within one
 /// collection point).
 pub const EVACUATING: u64 = 1 << 59;
+/// The outstanding fetch is a core's demand fetch, issued without blocking
+/// (DESIGN.md §6h), not a prefetch: a second core missing the object joins
+/// it, and the evacuator may claim it once it has landed. Only ever set
+/// together with [`INFLIGHT`].
+pub(crate) const DEMAND: u64 = 1 << 58;
 
 const PIN_SHIFT: u32 = 48;
 const PIN_MASK: u64 = 0xFF << PIN_SHIFT;
@@ -100,16 +106,34 @@ impl StateTable {
         self.entries[o.index()] & INFLIGHT != 0
     }
 
+    /// Number of entries with any of `flags` set (a full scan: for audits
+    /// and tests, not for hot paths).
+    pub(crate) fn count(&self, flags: u64) -> usize {
+        self.entries.iter().filter(|&&e| e & flags != 0).count()
+    }
+
     /// Sets flag bits.
     #[inline]
     pub fn set(&mut self, o: ObjId, flags: u64) {
         self.entries[o.index()] |= flags;
+        self.debug_check(o);
     }
 
     /// Clears flag bits.
     #[inline]
     pub fn clear(&mut self, o: ObjId, flags: u64) {
         self.entries[o.index()] &= !flags;
+        self.debug_check(o);
+    }
+
+    /// What `set` and `clear` must leave true: `DEMAND` qualifies `INFLIGHT`.
+    #[inline]
+    fn debug_check(&self, o: ObjId) {
+        let e = self.entries[o.index()];
+        debug_assert!(
+            e & DEMAND == 0 || e & INFLIGHT != 0,
+            "DEMAND without INFLIGHT on {o}"
+        );
     }
 
     /// Pin count (objects with pins are never evacuated; this is how the
@@ -220,6 +244,15 @@ mod tests {
     fn unpin_underflow_panics() {
         let mut t = StateTable::new(1);
         t.unpin(ObjId(0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "DEMAND without INFLIGHT")]
+    fn demand_may_not_outlive_inflight() {
+        let mut t = StateTable::new(1);
+        t.set(ObjId(0), INFLIGHT | DEMAND);
+        t.clear(ObjId(0), INFLIGHT);
     }
 
     #[test]

@@ -948,19 +948,45 @@ mod tests {
         assert_eq!(mach.run("f", &[]).unwrap_err(), Trap::FuelExhausted);
     }
 
-    #[test]
-    fn out_of_bounds_traps() {
+    /// `f(p) = *p`.
+    fn load_param() -> Module {
         let mut m = Module::new("t");
         let id = m.declare_function("f", Signature::new(vec![Type::Ptr], Some(Type::I64)));
-        {
-            let mut b = FunctionBuilder::new(m.function_mut(id));
-            let p = b.param(0);
-            let x = b.load(Type::I64, p);
-            b.ret(Some(x));
-        }
+        let mut b = FunctionBuilder::new(m.function_mut(id));
+        let p = b.param(0);
+        let x = b.load(Type::I64, p);
+        b.ret(Some(x));
+        m
+    }
+
+    #[test]
+    fn out_of_bounds_traps() {
+        let m = load_param();
         let mut mach = machine(&m);
         let err = mach.run("f", &[0xdead]).unwrap_err();
         assert!(matches!(err, Trap::OutOfBounds { .. }));
+    }
+
+    #[test]
+    fn wild_heap_pointer_traps_without_growing_the_page_table() {
+        // The pager sees a heap-range address before the bounds check does.
+        use crate::memsys::FastswapMem;
+        let m = load_param();
+        let heap = 1 << 20;
+        let mem = FastswapMem::new(heap, tfm_fastswap::PagerConfig::default());
+        let mut mach = Machine::new(&m, mem, CostModel::default(), heap);
+        let p = mach.setup_alloc(64);
+        mach.finish_setup(false);
+        mach.run("f", &[p]).unwrap();
+        let pager = |mach: &Machine<'_, FastswapMem>| {
+            let p = mach.mem.pager();
+            (p.resident_bytes(), p.table_len(), p.stats())
+        };
+        let before = pager(&mach);
+        assert!(before.0 > 0 && before.1 > 0);
+        let err = mach.run("f", &[HEAP_BASE + heap + (1 << 40)]).unwrap_err();
+        assert!(matches!(err, Trap::OutOfBounds { .. }));
+        assert_eq!(pager(&mach), before);
     }
 
     #[test]

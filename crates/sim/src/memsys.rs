@@ -261,7 +261,6 @@ impl MemorySystem for LocalMem {
 
 /// The kernel-paging baseline: untransformed programs, page-granularity
 /// faults.
-#[derive(Clone)]
 pub struct FastswapMem {
     /// The flat heap: allocation is [`LocalMem`]'s, only residency differs.
     heap: LocalMem,
@@ -273,7 +272,7 @@ impl FastswapMem {
     pub fn new(heap_size: u64, pager_cfg: PagerConfig) -> Self {
         FastswapMem {
             heap: LocalMem::new(heap_size),
-            pager: Pager::new(pager_cfg),
+            pager: Pager::with_range(pager_cfg, HEAP_BASE, heap_size),
         }
     }
 
@@ -391,7 +390,7 @@ struct ChunkStream {
 
 /// The TrackFM memory system: compiler guards backed by the AIFM-like
 /// object runtime.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct TrackFmMem {
     fm: FarMemory,
     cost: CostModel,

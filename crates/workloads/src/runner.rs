@@ -19,7 +19,7 @@ use tfm_analysis::profile::Profile;
 use tfm_fastswap::PagerConfig;
 use tfm_ir::Module;
 use tfm_net::{BackendSpec, FaultPlan, LinkParams};
-use tfm_runtime::{FarMemoryConfig, PrefetchConfig, RetryPolicy};
+use tfm_runtime::{FarMemoryConfig, PrefetchConfig};
 use tfm_sim::{FastswapMem, Flavor, LocalMem, Machine, MemorySystem, RunResult, TrackFmMem};
 use tfm_telemetry::{Json, RunReport, SiteKey, Telemetry, TelemetrySnapshot, TraceConfig};
 use trackfm::{CompileReport, CompilerOptions, CostModel, TrackFmCompiler};
@@ -106,7 +106,7 @@ impl RunConfig {
             telemetry: false,
             trace: TraceConfig::default(),
             faults: FaultPlan::none(),
-            backend: BackendSpec::SingleNode,
+            backend: BackendSpec::single(),
             cores: 1,
             #[cfg(feature = "oracle")]
             engine: tfm_sim::ExecEngine::default(),
@@ -213,9 +213,8 @@ impl RunConfig {
     }
 
     /// Keeps `r` copies of every object across the sharded backend (crash
-    /// failover; `r = 1` is free, and the single-node backend is
-    /// unaffected). `r` may not exceed the shard count — the run panics
-    /// when it builds its runtime.
+    /// failover; `r = 1` is free). `r` may not exceed the shard count, one
+    /// node included — the run panics when it builds its runtime.
     pub fn with_replicas(mut self, r: u32) -> Self {
         self.backend = self.backend.with_replicas(r);
         self
@@ -248,7 +247,6 @@ pub fn far_config(spec: &WorkloadSpec, cfg: &RunConfig) -> FarMemoryConfig {
             depth: cfg.prefetch_depth,
         },
         faults: cfg.faults,
-        retry: RetryPolicy::default(),
         backend: cfg.backend,
     }
 }

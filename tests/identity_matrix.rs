@@ -12,9 +12,6 @@
 //! | row | baseline | neutral value |
 //! |---|---|---|
 //! | `faults` | flawless fabric | a plan whose rates are all zero |
-//! | `sharded(1)` | the single-node spec | one shard |
-//! | `sharded(1)+faults` | single node under an active plan | one shard, same plan |
-//! | `sharded(1)+crash` | single node under a cold crash | one shard, same plan |
 //! | `replicas(1)` | 4 shards | 4 shards, one copy of each object |
 //! | `tracing-off` | telemetry on | a `TraceConfig` present but disabled |
 //! | `cores(1)` | hand-driven synchronous machine | the one-core scheduler |
@@ -63,54 +60,6 @@ fn faults() -> Pair {
     let pair = closed_loop(&stream_sum(), base, base.with_faults(plan));
     let rt = pair.neutral.0.result.runtime.as_ref().unwrap();
     assert_eq!((rt.link_faults, rt.retries), (0, 0));
-    pair
-}
-
-/// The single-node spec and `sharded(1)` build the same backend; the spec
-/// only picks the report layout, and one shard publishes no per-shard
-/// sections either.
-fn sharded_one() -> Pair {
-    let base = RunConfig::trackfm(0.25);
-    let pair = closed_loop(
-        &stream_sum(),
-        base,
-        base.with_backend(BackendSpec::sharded(1)),
-    );
-    assert!(pair.neutral.0.result.shards.is_empty());
-    pair
-}
-
-/// Shard 0 keeps the plan's seed verbatim, so `sharded(1)` replays the
-/// exact fault schedule the single-node spec sees.
-fn sharded_one_under_faults() -> Pair {
-    let plan = FaultPlan::drops(0xC0FFEE, 50_000).with_stalls(20_000, 9_000);
-    let base = RunConfig::trackfm(0.25).with_faults(plan);
-    let pair = closed_loop(
-        &stream_sum(),
-        base,
-        base.with_backend(BackendSpec::sharded(1)),
-    );
-    let rt = pair.baseline.0.result.runtime.as_ref().unwrap();
-    assert!(rt.link_faults > 0, "plan must fire");
-    pair
-}
-
-/// A cold crash of the only node wipes acknowledged writebacks, and both
-/// spellings of "one node" must count the loss (a single-node backend
-/// without the acknowledgement ledger would report none).
-fn sharded_one_under_crash() -> Pair {
-    let plan = FaultPlan::none().with_cold_crash(400_000, 800_000);
-    let base = RunConfig::trackfm(0.25).with_faults(plan);
-    let pair = closed_loop(
-        &stream::copy(&StreamParams { elems: 64 << 10 }),
-        base,
-        base.with_backend(BackendSpec::sharded(1)),
-    );
-    let rt = pair.neutral.0.result.runtime.as_ref().unwrap();
-    assert!(
-        rt.lost_objects > 0,
-        "the crash must wipe acknowledged writebacks"
-    );
     pair
 }
 
@@ -217,9 +166,6 @@ macro_rules! identity_matrix {
 
 identity_matrix! {
     inactive_fault_plan_changes_nothing: faults,
-    one_shard_changes_nothing: sharded_one,
-    one_shard_under_faults_changes_nothing: sharded_one_under_faults,
-    one_shard_under_a_crash_changes_nothing: sharded_one_under_crash,
     one_replica_changes_nothing: replicas_one,
     disabled_tracing_changes_nothing: tracing_off,
     one_core_changes_nothing: cores_one,

@@ -3,9 +3,8 @@
 //! **Placement determinism** makes sharded runs trustworthy: shard
 //! assignment is a pure function of `(key, shard_count, policy)`, so the
 //! same object set lands on the same shards run after run and per-shard
-//! ledgers are reproducible. (The single-node spec and `sharded(1)` agreeing,
-//! fault and crash plans included, is the three `sharded(1)` rows of
-//! `identity_matrix.rs`.)
+//! ledgers are reproducible. (One node is `sharded(1)` by construction:
+//! `BackendSpec::single()` is that value.)
 
 use trackfm_suite::net::{build_backend, BackendSpec, FaultPlan, LinkParams, PlacementPolicy};
 use trackfm_suite::workloads::runner::{execute, RunConfig};
