@@ -40,6 +40,17 @@ cargo test -q --workspace
 #                     trace.
 
 # Bench gates (each asserts its own invariants and aborts on violation):
+#   figures             — every exhibit of the paper's evaluation (Tables 1-2,
+#                         Figs. 6-17, Sec. 4.6, the ablations, the Sec. 5
+#                         lessons) from the one table in `tfm_bench::EXHIBITS`,
+#                         at full scale (the goldens exist only there): each
+#                         claim's direction holds, every integer equals
+#                         GOLDEN_cycles.json, and the tables in EXPERIMENTS.md
+#                         are what it would emit. After an intended change:
+#                         `cargo bench -p tfm-bench --bench figures -- --bless`
+#                         and review the diff. `tests/paper_mechanisms.rs`
+#                         checks the same claims at 1/16 size (1/8 or 1/32
+#                         for four exhibits; the divisors are beside the ids).
 #   guard_opt           — the None/Local/Full guard-removal ablation:
 #                         deterministic, result-preserving, never more cycles
 #                         from one level to the next, and Full *strictly*
@@ -51,10 +62,10 @@ cargo test -q --workspace
 #   failover_overhead   — replicas(1) bit-identical; crash row loses zero
 #                         acknowledged writebacks.
 #   concurrency_scaling — cores(1) bit-identical; 8 cores >= 4x throughput.
-# Benches print tables and leave nothing in the tree; the status check after
-# the loop keeps it that way.
+# Benches print tables and leave nothing in the tree (`figures` writes only
+# under `--bless`); the status check after the loop keeps it that way.
 tree_before=$(git status --porcelain)
-for bench in guard_opt fault_overhead trace_overhead shard_scaling \
+for bench in figures guard_opt fault_overhead trace_overhead shard_scaling \
     failover_overhead concurrency_scaling; do
     case "$bench" in
     guard_opt) TFM_SCALE=8 cargo bench -q -p tfm-bench --bench "$bench" ;;

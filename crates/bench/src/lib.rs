@@ -1,33 +1,52 @@
 //! # tfm-bench — the paper-reproduction harness
 //!
-//! One bench target per table/figure of the TrackFM paper's evaluation
-//! (`cargo bench --workspace` regenerates all of them; see the experiment
-//! index in DESIGN.md and the measured-vs-paper record in EXPERIMENTS.md).
-//! Each target prints the rows/series the paper's exhibit plots.
+//! One bench target, `figures`, regenerates every table and figure of the
+//! TrackFM paper's evaluation from one table of exhibits ([`EXHIBITS`]; see
+//! the experiment index in DESIGN.md and the measured-vs-paper record in
+//! EXPERIMENTS.md, whose tables it generates). It prints each exhibit's
+//! tables, asserts the paper's claim about it, and at full scale compares
+//! every integer it produced against `GOLDEN_cycles.json` ([`golden`]). The
+//! other targets are gates and micro-benches that own invariants of their
+//! own.
 //!
 //! Set `TFM_SCALE=<divisor>` to shrink workload sizes for a quick pass
 //! (e.g. `TFM_SCALE=8`); shapes are preserved at small scale, absolute
 //! counts are not.
 
+mod check;
+mod exhibits;
+pub mod golden;
+mod table;
+
+pub use exhibits::{Exhibit, EXHIBITS};
+pub use table::{Cell, Table};
+
 use std::fmt::Display;
 
-use tfm_telemetry::{MergeStats, RunReport};
-
-/// Paper clock rate: 2.4 GHz Xeon E5-2640v4.
-pub const CLOCK_HZ: f64 = 2.4e9;
+use tfm_telemetry::RunReport;
 
 /// Workload scale divisor from `TFM_SCALE` (default 1 = full scale).
+///
+/// # Panics
+/// Panics when the variable is set to anything but a whole number >= 1: a
+/// typo must not silently run (and compare against the golden) at full scale.
 pub fn scale() -> usize {
-    std::env::var("TFM_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(1)
+    match std::env::var("TFM_SCALE") {
+        Ok(s) => parse_scale(Some(&s)),
+        Err(std::env::VarError::NotPresent) => parse_scale(None),
+        Err(e) => panic!("TFM_SCALE: {e}"),
+    }
 }
 
-/// The local-memory fractions the figures sweep.
-pub fn fractions() -> Vec<f64> {
-    vec![0.1, 0.2, 0.4, 0.6, 0.8, 1.0]
+fn parse_scale(var: Option<&str>) -> usize {
+    match var.map(str::parse) {
+        None => 1,
+        Some(Ok(n)) if n >= 1 => n,
+        Some(_) => panic!(
+            "TFM_SCALE must be a whole number >= 1, got {:?}",
+            var.unwrap()
+        ),
+    }
 }
 
 /// Prints a titled, aligned table.
@@ -72,27 +91,6 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Formats a float with 3 decimals.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
-/// Formats bytes as MiB.
-pub fn mib(bytes: u64) -> String {
-    format!("{:.1}", bytes as f64 / (1 << 20) as f64)
-}
-
-/// Folds per-run counter structs into one aggregate via [`MergeStats`]
-/// (counters add, high-water marks take the max). Replaces the hand-summed
-/// per-field accumulation the sweep benches used to do.
-pub fn merge_all<T: MergeStats + Default>(items: impl IntoIterator<Item = T>) -> T {
-    let mut acc = T::default();
-    for it in items {
-        acc.merge(&it);
-    }
-    acc
-}
-
 /// One compact summary line per [`RunReport`], for sweep benches that print
 /// many reports: cycles, stall share, slow-guard share, and the hottest
 /// guard site.
@@ -124,56 +122,28 @@ pub fn report_line(rep: &RunReport) -> String {
     )
 }
 
-/// Geometric mean.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn geomean_of_identity() {
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-    }
-
-    #[test]
     fn formatting() {
         assert_eq!(f2(1.2345), "1.23");
-        assert_eq!(f3(1.2345), "1.234");
-        assert_eq!(mib(1 << 20), "1.0");
     }
 
     #[test]
-    fn scale_defaults_to_one() {
-        assert!(scale() >= 1);
+    fn scale_parses_a_divisor_and_defaults_to_one() {
+        assert_eq!(parse_scale(Some("8")), 8);
+        assert_eq!(parse_scale(None), 1);
     }
 
     #[test]
-    fn merge_all_folds_counters() {
-        use tfm_net::TransferStats;
-        let runs = vec![
-            TransferStats {
-                fetches: 1,
-                bytes_fetched: 100,
-                ..Default::default()
-            },
-            TransferStats {
-                fetches: 2,
-                bytes_fetched: 50,
-                writebacks: 4,
-                ..Default::default()
-            },
-        ];
-        let total = merge_all(runs);
-        assert_eq!(total.fetches, 3);
-        assert_eq!(total.bytes_fetched, 150);
-        assert_eq!(total.writebacks, 4);
+    fn scale_rejects_what_is_not_a_divisor() {
+        for bad in ["0", "x", "O8", "-1", ""] {
+            let caught = std::panic::catch_unwind(|| parse_scale(Some(bad)));
+            let msg = *caught.unwrap_err().downcast::<String>().unwrap();
+            assert!(msg.contains(&format!("{bad:?}")), "{msg}");
+        }
     }
 
     #[test]
