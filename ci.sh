@@ -40,37 +40,38 @@ cargo test -q --workspace
 #                     trace.
 
 # Bench gates (each asserts its own invariants and aborts on violation):
-#   figures             — every exhibit of the paper's evaluation (Tables 1-2,
-#                         Figs. 6-17, Sec. 4.6, the ablations, the Sec. 5
-#                         lessons) from the one table in `tfm_bench::EXHIBITS`,
-#                         at full scale (the goldens exist only there): each
-#                         claim's direction holds, every integer equals
-#                         GOLDEN_cycles.json, and the tables in EXPERIMENTS.md
-#                         are what it would emit. After an intended change:
-#                         `cargo bench -p tfm-bench --bench figures -- --bless`
-#                         and review the diff. `tests/paper_mechanisms.rs`
-#                         checks the same claims at 1/16 size (1/8 or 1/32
-#                         for four exhibits; the divisors are beside the ids).
-#   guard_opt           — the None/Local/Full guard-removal ablation:
-#                         deterministic, result-preserving, never more cycles
-#                         from one level to the next, and Full *strictly*
-#                         faster than Local on the serving loop (TFM_SCALE=8
-#                         for a quick pass).
-#   fault_overhead      — the no-fault fast path is bit-identical.
-#   trace_overhead      — tracing off is bit-identical; on, bounded.
-#   shard_scaling       — the shard sweep; every shard count gives one answer.
-#   failover_overhead   — replicas(1) bit-identical; crash row loses zero
-#                         acknowledged writebacks.
-#   concurrency_scaling — cores(1) bit-identical; 8 cores >= 4x throughput.
+#   figures        — every table of simulated cycles (Tables 1-2, Figs. 6-17,
+#                    Sec. 4.6, the ablations, the Sec. 5 lessons, and this
+#                    repository's guard_opt / shards / failover / cores) from
+#                    the one table in `tfm_bench::EXHIBITS`, at full scale
+#                    (the goldens exist only there): each claim's direction
+#                    holds and every cell equals the exhibit's block in
+#                    EXPERIMENTS.md, which is the golden. After an intended
+#                    change: `cargo bench -p tfm-bench --bench figures --
+#                    --bless` and review the diff. `tests/paper_mechanisms.rs`
+#                    checks the same claims at 1/16 size (1/8 or 1/32 for four
+#                    exhibits; the divisors are beside the ids).
+#   trace_overhead — the traced run records spans at a bounded host cost.
+# Where the guarantees of the five retired gates live:
+#   guard_opt           — exhibit `guard_opt` (no level adds cycles; Full <
+#                         Local and a hoisted guard on serving); determinism:
+#                         pipeline_integration::compilation_is_deterministic.
+#   fault_overhead      — tfm-net's inactive_fault_plan_is_bit_identical_to_
+#                         no_plan and identity_matrix's `faults` row; host
+#                         time is `tfm-perf --trace 1`.
+#   shard_scaling       — exhibit `shards`; one answer at every shard count
+#                         is the runner's result check and `sharding`.
+#   failover_overhead   — exhibit `failover` (crash row loses nothing);
+#                         replicas(1) identity: identity_matrix.
+#   concurrency_scaling — exhibit `cores` (8 cores >= 4x); cores(1) identity:
+#                         identity_matrix and `concurrency`.
+#   trace_overhead's cycle identity (off = telemetry = traced):
+#                         identity_matrix's `tracing-off` row.
 # Benches print tables and leave nothing in the tree (`figures` writes only
 # under `--bless`); the status check after the loop keeps it that way.
 tree_before=$(git status --porcelain)
-for bench in figures guard_opt fault_overhead trace_overhead shard_scaling \
-    failover_overhead concurrency_scaling; do
-    case "$bench" in
-    guard_opt) TFM_SCALE=8 cargo bench -q -p tfm-bench --bench "$bench" ;;
-    *) cargo bench -q -p tfm-bench --bench "$bench" ;;
-    esac
+for bench in figures trace_overhead; do
+    cargo bench -q -p tfm-bench --bench "$bench"
 done
 test "$tree_before" = "$(git status --porcelain)"
 

@@ -1,9 +1,8 @@
-//! Pay-for-use check for span tracing: with tracing off, the simulation is
-//! untouched — simulated cycles are asserted bit-identical across
-//! telemetry-off, telemetry-on, and tracing-on runs (tracing observes the
-//! timeline, it never participates in it) — and with tracing on, the
-//! wall-clock cost of recording ~10⁴ spans plus the windowed timeline
-//! stays within a generous constant factor of plain telemetry.
+//! What span tracing costs the host: with tracing on, the wall-clock cost of
+//! recording ~10⁴ spans plus the windowed timeline stays within a generous
+//! constant factor of plain telemetry. (That observation never moves a
+//! simulated cycle — telemetry off, on, traced — is the `tracing_off` row of
+//! `tests/identity_matrix.rs`.)
 
 use std::time::Instant;
 
@@ -47,17 +46,6 @@ fn main() {
     let tel = off.with_telemetry(true);
     let traced = off.with_tracing();
 
-    // ------------------------------------------------------------------
-    // 1. Deterministic: tracing never perturbs the simulation.
-    // ------------------------------------------------------------------
-    println!("trace_overhead: pay-for-use checks");
-    let c_off = execute(&spec, &off).result.stats.cycles;
-    let c_tel = execute(&spec, &tel).result.stats.cycles;
-    let c_traced = execute(&spec, &traced).result.stats.cycles;
-    assert_eq!(c_off, c_tel, "telemetry must not change simulated cycles");
-    assert_eq!(c_tel, c_traced, "tracing must not change simulated cycles");
-    println!("  simulated cycles: {c_off} — bit-identical off / telemetry / traced");
-
     let spans = execute(&spec, &traced)
         .telemetry
         .and_then(|s| s.trace)
@@ -65,10 +53,7 @@ fn main() {
         .unwrap_or(0);
     assert!(spans > 0, "the traced run must record spans");
 
-    // ------------------------------------------------------------------
-    // 2. Wall clock: what observation costs.
-    // ------------------------------------------------------------------
-    println!("\ntrace_overhead (best-of-5, wall clock, full run):");
+    println!("trace_overhead (best-of-5, wall clock, full run):");
     let t_off = time_run(&spec, &off);
     let t_tel = time_run(&spec, &tel);
     let t_traced = time_run(&spec, &traced);

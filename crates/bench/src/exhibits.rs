@@ -1,7 +1,8 @@
-//! The paper's evaluation as one table: per exhibit an id, the claim it
-//! carries, a function from a scale divisor to tables of integer facts
-//! (plus the ratios derived from them), and the claim's direction as a check
-//! over those tables. `benches/figures.rs` prints, checks and pins them;
+//! The paper's evaluation, and this repository's extensions to it, as one
+//! table: per exhibit an id, the claim it carries, a function from a scale
+//! divisor to tables of integer facts (plus the ratios derived from them),
+//! and the claim's direction as a check over those tables.
+//! `benches/figures.rs` prints, checks and pins them;
 //! `tests/paper_mechanisms.rs` runs the same checks at test-sized divisors.
 
 use crate::check::Check;
@@ -9,18 +10,19 @@ use crate::{f2, Cell, Table};
 use std::time::Instant;
 use tfm_analysis::profile::Profile;
 use tfm_fastswap::{Pager, PagerConfig};
-use tfm_net::LinkParams;
+use tfm_net::{BackendSpec, FaultPlan, LinkParams};
 use tfm_runtime::FarMemoryConfig;
 use tfm_sim::{ExecStats, MemorySystem, TrackFmMem};
+use tfm_workloads::openloop::{execute_open_loop, open_loop, OpenLoopParams};
 use tfm_workloads::runner::{collect_profile, execute, execute_with_profile, Outcome, RunConfig};
-use tfm_workloads::{analytics, hashmap, kmeans, memcached, nas, stream, WorkloadSpec};
-use trackfm::{ChunkingMode, CompilerOptions, CostModel, TrackFmCompiler};
+use tfm_workloads::{analytics, hashmap, kmeans, memcached, nas, serving, stream, WorkloadSpec};
+use trackfm::{ChunkingMode, CompilerOptions, CostModel, GuardOpt, TrackFmCompiler};
 
 /// One exhibit of the paper's evaluation (or of this repository's
 /// extensions to it).
 pub struct Exhibit {
-    /// Short id: the `figures` filter argument, the golden key and the
-    /// `<!-- figures:ID -->` marker in EXPERIMENTS.md.
+    /// Short id: the `figures` filter argument and the `<!-- figures:ID -->`
+    /// marker of its golden block in EXPERIMENTS.md.
     pub id: &'static str,
     /// What the exhibit shows.
     pub title: &'static str,
@@ -43,10 +45,11 @@ impl Exhibit {
     }
 }
 
-/// Every exhibit, in the paper's order. A claim names the rows it is about
-/// and holds at full scale, at `TFM_SCALE=8` and at the divisor
-/// `tests/paper_mechanisms.rs` runs the exhibit at; where that takes a bound
-/// weaker than the full-scale table would allow, the check says why.
+/// Every exhibit: the paper's, in its order, then this repository's. A claim
+/// names the rows it is about and holds at full scale, at `TFM_SCALE=8` and
+/// at the divisor `tests/paper_mechanisms.rs` runs the exhibit at; where that
+/// takes a bound weaker than the full-scale table would allow, the check says
+/// why.
 #[rustfmt::skip]
 pub const EXHIBITS: &[Exhibit] = &[
     Exhibit { id: "table1", run: table1, check: check_table1, title: "Table 1: guard costs with the object local",
@@ -85,6 +88,14 @@ pub const EXHIBITS: &[Exhibit] = &[
         claim: "once the hot set fits its budget Fastswap runs within 3.5x of local, and faster than under a tight budget" },
     Exhibit { id: "sec5b", run: sec5b, check: check_sec5b, title: "Sec. 5 lesson: a hybrid of compiler and kernel holds promise",
         claim: "hybrid binaries carry no guards, keep their results, and beat TrackFM when everything fits and accesses are irregular" },
+    Exhibit { id: "guard_opt", run: guard_opt, check: check_guard_opt, title: "Guard removal: GuardOpt::{None, Local, Full}",
+        claim: "no level adds cycles on any workload; on the serving loop, whose invariant-slot guards only the interprocedural layer can hoist, Full is strictly faster than Local" },
+    Exhibit { id: "shards", run: shards, check: check_shards, title: "Shard scaling: STREAM sum over 1/2/4/8 remote nodes",
+        claim: "the same bytes move at every shard count (aggregate wire occupancy is flat), the occupancy of one wire falls at every doubling, and cycles never rise" },
+    Exhibit { id: "failover", run: failover, check: check_failover, title: "Crash failover: what redundancy costs",
+        claim: "two replicas, with and without a scripted cold crash of one shard, return the single node's result; the crashed shard rejoins and no acknowledged writeback is lost" },
+    Exhibit { id: "cores", run: cores, check: check_cores, title: "Request concurrency: open-loop serving on 1/2/4/8 cores",
+        claim: "on miss-heavy Zipf gets 8 cores clear at least 4x the simulated-cycle throughput of one" },
 ];
 
 /// The local-memory fractions the STREAM and k-means figures sweep.
@@ -948,8 +959,8 @@ fn sec46(scale: usize) -> Vec<Table> {
         row.extend([n(report.total_guards()), n(report.chunking.streams)]);
         rows.push(row);
     }
-    // Host time differs from run to run: stderr, so stdout, the golden and
-    // the doc stay reproducible.
+    // Host time differs from run to run: stderr, so stdout and the golden
+    // block stay reproducible.
     let (mean, each) = (host_time / rows.len() as f64, host_times.join(", "));
     eprintln!("sec46: time vs O1: {each}; mean compile-time ratio: {mean:.1}x (paper: <6x)");
     let mean = t(f2(growth / rows.len() as f64));
@@ -1171,4 +1182,228 @@ fn check_sec5b(c: &mut Check) {
     for workload in c.tables[1].labels() {
         c.is((1, workload, "Hybrid guards"), 0);
     }
+}
+
+// ------------------------------------------- Beyond the paper: this repository's
+
+fn guard_opt(scale: usize) -> Vec<Table> {
+    let s = |full| scaled(full, scale);
+    let (ops, elems, shrink) = (s(1 << 16), s(1 << 20), 25 * scale);
+    let (keys, gets, rows, groups, points) = (s(20_000), s(60_000), s(100_000), s(8_000), s(4_000));
+    let (quarter, small) = (RunConfig::trackfm(0.25), |f| {
+        RunConfig::trackfm(f).with_object_size(64)
+    });
+    // Each workload at its usual budget.
+    let workloads = [
+        (
+            "serving",
+            serving::serving(&serving::ServingParams {
+                ops,
+                buckets: 256,
+                seed: 42,
+            }),
+            small(0.25),
+        ),
+        (
+            "quickstart(stream-sum)",
+            stream::sum(&stream::StreamParams { elems }),
+            quarter,
+        ),
+        (
+            "kv_store(memcached)",
+            memcached::memcached(&memcached::MemcachedParams {
+                keys,
+                gets,
+                skew: 1.05,
+                seed: 99,
+            }),
+            small(0.10),
+        ),
+        (
+            "analytics",
+            analytics::analytics(&analytics::AnalyticsParams { rows, groups }),
+            quarter,
+        ),
+        (
+            "kmeans",
+            kmeans::kmeans(&kmeans::KmeansParams {
+                points,
+                dims: 8,
+                k: 4,
+                iters: 2,
+            }),
+            quarter,
+        ),
+        ("nas-cg", nas::cg(&nas::NasParams { shrink }), quarter),
+    ];
+    let workload = |(name, spec, base): &(&str, WorkloadSpec, RunConfig)| {
+        let runs = [GuardOpt::None, GuardOpt::Local, GuardOpt::Full].map(|level| {
+            let mut cfg = *base;
+            cfg.compiler.guard_opt = level;
+            execute(spec, &cfg)
+        });
+        // Static guard sites that survive the level.
+        let guards = |o: &Outcome| {
+            let rep = o.report.as_ref().unwrap();
+            n(rep.total_guards() - rep.elision.eliminated - rep.motion.upgraded)
+        };
+        let hoisted = n(runs[2].report.as_ref().unwrap().motion.hoisted);
+        let (none, full) = (cycles(&runs[0]) as f64, cycles(&runs[2]) as f64);
+        let saved = t(format!("{:.2}%", 100.0 * (none - full) / none));
+        let cells = runs.iter().map(guards).chain([hoisted]);
+        let cells = cells.chain(runs.iter().map(|o| n(cycles(o))));
+        row(name, cells.chain([saved]))
+    };
+    let headers = "workload | guards (None) | guards (Local) | guards (Full) | hoisted | cycles (None) | cycles (Local) | cycles (Full) | saved";
+    let title = "Guard removal: surviving static guard sites and cycles per level";
+    vec![Table::new(title, headers, workloads.iter().map(workload).collect())
+        .note("guards = static sites left after elision and motion; hoisted = sites Full moved to a preheader; saved = None -> Full.")]
+}
+
+fn check_guard_opt(c: &mut Check) {
+    let [none, local, full] = ["cycles (None)", "cycles (Local)", "cycles (Full)"];
+    for workload in c.tables[0].labels() {
+        c.le((0, workload, local), 1.0, (0, workload, none));
+        c.le((0, workload, full), 1.0, (0, workload, local));
+    }
+    c.lt(1.0, (0, "serving", full), (0, "serving", local));
+    let hoisted = c.get((0, "serving", "hoisted"));
+    c.want(hoisted >= 1, || {
+        format!("want [serving / hoisted] >= 1, got {hoisted}")
+    });
+}
+
+fn shards(scale: usize) -> Vec<Table> {
+    let spec = stream::sum(&stream_params(scale));
+    let cfg = RunConfig::trackfm(0.25);
+    let runs = [1u32, 2, 4, 8].map(|shards| (shards, execute(&spec, &cfg.with_shards(shards))));
+    let one_node = cycles(&runs[0].1);
+    let rows = runs.iter().map(|(shards, out)| {
+        let (result, cycles) = (&out.result, cycles(out));
+        let tx = result.transfers.unwrap();
+        // Wire-busy cycles summed over the shards: the bandwidth term of every
+        // completed attempt (the fabric is flawless, so of the delivered bytes).
+        let busy = LinkParams::tcp_25g().occupancy(tx.total_bytes() + tx.fault_wasted_bytes);
+        // Most fetches on one shard over the mean (one node keeps no per-shard
+        // ledger): 1.00 is perfectly even.
+        let most = result.shards.iter().map(|s| s.stats.fetches).max();
+        let balance = most.unwrap_or(tx.fetches) * u64::from(*shards);
+        let cells = [
+            n(cycles),
+            per(one_node, cycles),
+            n(result.stats.stall_cycles),
+            n(busy),
+            n(busy / u64::from(*shards)),
+            per(balance, tx.fetches),
+        ];
+        row(shards, cells)
+    });
+    let headers = "shards | cycles | speedup | stall cycles | aggregate occ | occ/shard | balance";
+    let title =
+        "Shard scaling (STREAM sum, 25% local): aggregate vs. per-shard bandwidth occupancy";
+    let note =
+        "occ = cycles a wire is busy moving bytes; balance = most fetches on one shard / mean.";
+    vec![Table::new(title, headers, rows.collect()).note(note)]
+}
+
+fn check_shards(c: &mut Check) {
+    let counts = c.tables[0].labels();
+    for pair in counts.windows(2) {
+        c.is(
+            (0, pair[1], "aggregate occ"),
+            c.get((0, pair[0], "aggregate occ")),
+        );
+        c.le((0, pair[1], "cycles"), 1.0, (0, pair[0], "cycles"));
+    }
+    c.falls(0, "occ/shard");
+}
+
+fn failover(scale: usize) -> Vec<Table> {
+    let elems = scaled(256 << 10, scale);
+    let spec = stream::sum(&stream::StreamParams { elems });
+    let on = |backend| execute(&spec, &RunConfig::trackfm(0.25).with_backend(backend));
+    let four = BackendSpec::sharded(4);
+    let mirrored = four.with_replicas(2);
+    let unreplicated = on(four);
+    // Shard 1 goes down cold an eighth into the unreplicated run's length and
+    // restarts empty at half of it.
+    let clean = cycles(&unreplicated);
+    let crash = FaultPlan::none().with_cold_crash(clean / 8, clean / 2);
+    let crash = RunConfig::trackfm(0.25)
+        .with_backend(mirrored.with_fault_shard(1))
+        .with_faults(crash);
+    let runs = [
+        ("single_node", on(BackendSpec::single())),
+        ("sharded4_r1", unreplicated),
+        ("sharded4_r2", on(mirrored)),
+        ("sharded4_r2_crash", execute(&spec, &crash)),
+    ];
+    let rows = runs.iter().map(|(name, out)| {
+        let (tx, rt) = (out.result.transfers.unwrap(), out.result.runtime.unwrap());
+        let cells = [
+            n(out.result.ret),
+            n(cycles(out)),
+            n(tx.bytes_written_back >> 10),
+            n(rt.shard_downs),
+            n(rt.shard_recoveries),
+            n(rt.resynced_objects),
+            n(rt.re_replications),
+            n(rt.lost_objects),
+        ];
+        row(name, cells)
+    });
+    let headers = "configuration | result | cycles | writeback KiB | downs | recoveries | resynced | re-replicated | lost";
+    let title =
+        "Crash failover (STREAM sum, 25% local, 4 shards): mirrored writebacks and a cold crash";
+    vec![Table::new(title, headers, rows.collect())]
+}
+
+fn check_failover(c: &mut Check) {
+    let result = c.get((0, "single_node", "result"));
+    c.is((0, "sharded4_r2", "result"), result);
+    c.is((0, "sharded4_r2_crash", "result"), result);
+    c.is((0, "sharded4_r2_crash", "lost"), 0);
+    let rejoined = c.get((0, "sharded4_r2_crash", "recoveries"));
+    c.want(rejoined >= 1, || {
+        format!("want [sharded4_r2_crash / recoveries] >= 1, got {rejoined}")
+    });
+}
+
+fn cores(scale: usize) -> Vec<Table> {
+    // Miss-heavy small-object serving: a 10% local budget with prefetching
+    // off makes most gets issue a wire fetch, the regime where splitting
+    // issue from completion pays.
+    let (keys, requests) = (scaled(20_000, scale), scaled(30_000, scale));
+    let ol = open_loop(&OpenLoopParams {
+        keys,
+        requests,
+        skew: 1.05,
+        seed: 17,
+        mean_gap_cycles: 100,
+    });
+    let cfg = RunConfig::trackfm(0.1)
+        .with_object_size(64)
+        .with_prefetch(false);
+    let runs = [1u32, 2, 4, 8].map(|cores| (cores, execute_open_loop(&ol, &cfg.with_cores(cores))));
+    let one_core = runs[0].1.makespan;
+    let rows = runs.iter().map(|(cores, run)| {
+        let (latency, rt) = (&run.latency, run.outcome.result.runtime.unwrap());
+        let cells = [
+            n(run.makespan),
+            per(one_core, run.makespan),
+            n(latency.p50()),
+            n(latency.p90()),
+            n(latency.p99()),
+            n(rt.fetch_joins),
+        ];
+        row(cores, cells)
+    });
+    let headers = "cores | makespan | speedup | p50 | p90 | p99 | fetch joins";
+    let title = format!("Request concurrency: {requests} open-loop Zipf(1.05) gets over {keys} keys, 10% local, one arrival per ~100 cycles");
+    vec![Table::new(title, headers, rows.collect())
+        .note("latency percentiles (cycles from arrival) are the run report's `request_latency_cycles` histogram, log2-bucketed.")]
+}
+
+fn check_cores(c: &mut Check) {
+    c.le((0, "8", "makespan"), 0.25, (0, "1", "makespan"));
 }

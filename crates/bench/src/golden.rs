@@ -1,74 +1,9 @@
-//! The golden comparator: the integer facts of a full-scale `figures` run
-//! against the committed `GOLDEN_cycles.json`, and the Markdown the run
-//! would emit against the `<!-- figures:ID -->` blocks of EXPERIMENTS.md.
-//! Pure functions over strings and [`Json`]; `benches/figures.rs` owns the
-//! two files.
+//! The golden comparator: the `<!-- figures:ID -->` blocks of EXPERIMENTS.md
+//! *are* the golden. A full-scale `figures` run renders each exhibit's
+//! tables as Markdown and compares them with its block, cell by cell. Pure
+//! functions over strings; `benches/figures.rs` owns the file.
 
 use crate::Table;
-use tfm_telemetry::Json;
-
-/// The facts of one exhibit: table title → row label → column → integer.
-pub fn facts(tables: &[Table]) -> Json {
-    let titles: Vec<&str> = tables.iter().map(|t| t.title.as_str()).collect();
-    crate::table::assert_unique("an exhibit", "table title", &titles);
-    let table = |t: &Table| {
-        let row = |r| {
-            Json::Obj(
-                t.facts(r)
-                    .map(|(h, n)| (h.to_string(), Json::Int(n)))
-                    .collect(),
-            )
-        };
-        let rows = t.rows.iter().map(|r| (r[0].to_string(), row(r)));
-        // A row of text only (a mean, say) has no place in the golden.
-        Json::Obj(
-            rows.filter(|(_, facts)| *facts != Json::Obj(vec![]))
-                .collect(),
-        )
-    };
-    Json::Obj(tables.iter().map(|t| (t.title.clone(), table(t))).collect())
-}
-
-/// One line per difference between the golden and this run's facts (both
-/// `{exhibit id: facts}`): a changed integer names exhibit / table / row /
-/// column with expected and got; a key on one side only is named with its
-/// side. Empty means equal.
-pub fn compare(golden: &Json, got: &Json) -> Vec<String> {
-    let mut out = Vec::new();
-    diff("", golden, got, &mut out);
-    out
-}
-
-fn diff(path: &str, golden: &Json, got: &Json, out: &mut Vec<String>) {
-    let (Json::Obj(want), Json::Obj(have)) = (golden, got) else {
-        if golden != got {
-            out.push(format!("{path}: expected {golden}, got {got}"));
-        }
-        return;
-    };
-    let at = |key: &str| {
-        if path.is_empty() {
-            key.to_string()
-        } else {
-            format!("{path} / {key}")
-        }
-    };
-    for (key, want) in want {
-        match got.get(key) {
-            Some(have) => diff(&at(key), want, have, out),
-            None => out.push(format!(
-                "{}: in the golden, not produced by this run",
-                at(key)
-            )),
-        }
-    }
-    for (key, _) in have.iter().filter(|(key, _)| golden.get(key).is_none()) {
-        out.push(format!(
-            "{}: produced by this run, no golden entry",
-            at(key)
-        ));
-    }
-}
 
 /// What EXPERIMENTS.md holds between an exhibit's markers.
 pub fn doc_block(tables: &[Table]) -> String {
@@ -88,21 +23,60 @@ fn block(doc: &str, id: &str) -> Result<std::ops::Range<usize>, String> {
     Ok(start..start + len)
 }
 
-/// Checks that the document's block for exhibit `id` is byte-equal to
-/// `want`; the error names the first line that is not.
-pub fn check_doc(doc: &str, id: &str, want: &str) -> Result<(), String> {
-    let have = &doc[block(doc, id)?];
-    if have == want {
-        return Ok(());
+/// The cells of a Markdown table row.
+fn cells(line: &str) -> Option<Vec<&str>> {
+    let inner = line.strip_prefix("| ")?.strip_suffix(" |")?;
+    Some(inner.split(" | ").collect())
+}
+
+/// One line per difference between the document's block for exhibit `id`
+/// (the pin: expected) and `run`, what this run would emit (got). Empty
+/// means byte-equal. A changed cell of a table row names exhibit / table
+/// title / row label / column header; any other difference names its line
+/// of the block and ends the comparison, since the lines under it no longer
+/// pair up.
+pub fn check_doc(doc: &str, id: &str, run: &str) -> Vec<String> {
+    let pinned = match block(doc, id) {
+        Ok(at) => &doc[at],
+        Err(why) => return vec![why],
+    };
+    let at = format!("EXPERIMENTS.md figures:{id}");
+    // The table the walk is in: set by lines equal on both sides.
+    let (mut title, mut header) = ("", None);
+    let mut out = Vec::new();
+    for (n, (want, got)) in lines(pinned).zip(lines(run)).enumerate() {
+        if want == got {
+            let Some(line) = got else { break };
+            if let Some(t) = line.strip_prefix("#### ") {
+                (title, header) = (t, None);
+            } else if header.is_none() {
+                header = cells(line);
+            }
+            continue;
+        }
+        match (want.and_then(cells), got.and_then(cells), &header) {
+            (Some(want), Some(got), Some(h))
+                if want.len() == h.len() && got.len() == h.len() && want[0] == got[0] =>
+            {
+                let moved = (1..h.len()).filter(|&i| want[i] != got[i]);
+                out.extend(moved.map(|i| {
+                    let (label, col, want, got) = (want[0], h[i], want[i], got[i]);
+                    format!("{at} / {title} / {label} / {col}: expected {want}, got {got}")
+                }));
+            }
+            _ => {
+                let show = |l: Option<&str>| {
+                    l.map_or("the end of the block".to_string(), |l| format!("`{l}`"))
+                };
+                let (n, want, got) = (n + 1, show(want), show(got));
+                out.push(format!(
+                    "{at}, line {n} of the block: expected {want}, got {got}"
+                ));
+                break;
+            }
+        }
     }
-    let (want, have) = (lines(want), lines(have));
-    let mut pairs = want.zip(have).enumerate();
-    let (n, (w, h)) = pairs.find(|(_, (w, h))| w != h).expect("unequal blocks");
-    let show = |l: Option<&str>| l.map_or("the end of the block".to_string(), |l| format!("`{l}`"));
-    let (n, w, h) = (n + 1, show(w), show(h));
-    Err(format!(
-        "EXPERIMENTS.md figures:{id}, line {n} of the block: expected {w}, got {h}"
-    ))
+    out
 }
 
 /// The lines of a block, then `None` forever.
@@ -110,10 +84,10 @@ fn lines(s: &str) -> impl Iterator<Item = Option<&str>> {
     s.split('\n').map(Some).chain(std::iter::repeat(None))
 }
 
-/// The document with exhibit `id`'s block replaced by `want`.
-pub fn bless_doc(doc: &str, id: &str, want: &str) -> Result<String, String> {
+/// The document with exhibit `id`'s block replaced by `run`.
+pub fn bless_doc(doc: &str, id: &str, run: &str) -> Result<String, String> {
     let at = block(doc, id)?;
-    Ok(format!("{}{want}{}", &doc[..at.start], &doc[at.end..]))
+    Ok(format!("{}{run}{}", &doc[..at.start], &doc[at.end..]))
 }
 
 #[cfg(test)]
@@ -121,63 +95,65 @@ mod tests {
     use super::*;
     use crate::Cell::{Fact, Text};
 
-    fn run(cycles: u64) -> Json {
+    /// An exhibit of two tables; the second has a note.
+    fn run(cycles: u64, note: &str) -> String {
         let rows = vec![
             vec![Text("0.10".into()), Fact(cycles), Text("1.39".into())],
             vec![Text("mean".into()), Text("".into()), Text("1.39".into())],
         ];
-        let table = Table::new(
-            "Fig. 7 (Sum)",
-            "local frac | cycles (naive) | speedup",
-            rows,
-        );
-        Json::Obj(vec![("fig07".to_string(), facts(&[table]))])
+        let headers = "local frac | cycles (naive) | speedup";
+        let sum = Table::new("Fig. 7 (Sum)", headers, rows.clone());
+        doc_block(&[sum, Table::new("Fig. 7 (Copy)", headers, rows).note(note)])
     }
 
-    #[test]
-    fn equal_facts_compare_clean_and_only_facts_are_pinned() {
-        assert_eq!(compare(&run(7), &run(7)), Vec::<String>::new());
-        assert_eq!(
-            run(7).to_string(),
-            r#"{"fig07":{"Fig. 7 (Sum)":{"0.10":{"cycles (naive)":7}}}}"#
-        );
+    fn doc(block: &str) -> String {
+        format!("intro\n<!-- figures:fig07 -->\n{block}<!-- /figures:fig07 -->\nprose\n")
     }
 
     #[test]
     fn a_changed_integer_names_exhibit_table_row_column_expected_and_got() {
-        let want = "fig07 / Fig. 7 (Sum) / 0.10 / cycles (naive): expected 7, got 8";
-        assert_eq!(compare(&run(7), &run(8)), [want]);
-    }
-
-    #[test]
-    fn a_key_on_one_side_only_fails_and_says_which() {
-        let none = Json::Obj(vec![]);
+        // Both tables hold the cell: each is named under its own title.
+        let at = "EXPERIMENTS.md figures:fig07";
+        let want = ["Sum", "Copy"].map(|kernel| {
+            format!("{at} / Fig. 7 ({kernel}) / 0.10 / cycles (naive): expected 7, got 8")
+        });
         assert_eq!(
-            compare(&run(7), &none),
-            ["fig07: in the golden, not produced by this run"]
-        );
-        assert_eq!(
-            compare(&none, &run(7)),
-            ["fig07: produced by this run, no golden entry"]
+            check_doc(&doc(&run(7, "paper")), "fig07", &run(8, "paper")),
+            want
         );
     }
 
     #[test]
-    fn blessed_output_reads_back_equal() {
-        let golden = Json::parse(&run(7).to_string_pretty()).unwrap();
-        assert_eq!(compare(&golden, &run(7)), Vec::<String>::new());
-
-        let doc = "intro\n<!-- figures:fig07 -->\nstale\n<!-- /figures:fig07 -->\nprose\n";
-        let stale = check_doc(doc, "fig07", "\n| 7 |\n").unwrap_err();
+    fn a_changed_note_or_a_row_of_another_width_names_the_block_line() {
+        let pinned = doc(&run(7, "paper: 1.5"));
+        let note = check_doc(&pinned, "fig07", &run(7, "paper: 1.6"));
+        assert_eq!(note.len(), 1, "{note:?}");
         assert!(
-            stale.contains("fig07, line 1 of the block: expected ``, got `stale`"),
-            "{stale}"
+            note[0].ends_with("line 16 of the block: expected `paper: 1.5`, got `paper: 1.6`"),
+            "{note:?}"
         );
-        let blessed = bless_doc(doc, "fig07", "\n| 7 |\n").unwrap();
-        assert_eq!(check_doc(&blessed, "fig07", "\n| 7 |\n"), Ok(()));
-        assert_eq!(bless_doc(&blessed, "fig07", "\n| 7 |\n").unwrap(), blessed);
-        assert!(check_doc(doc, "fig08", "")
-            .unwrap_err()
-            .contains("no `<!-- figures:fig08 -->` marker"));
+        // A row with a cell more than its header: the line, and nothing
+        // under it (the Copy table's 7 -> 8 goes unreported).
+        let wider = run(8, "paper: 1.5").replacen("| 8 |", "| 8 | 9 |", 1);
+        let width = check_doc(&pinned, "fig07", &wider);
+        assert_eq!(width.len(), 1, "{width:?}");
+        assert!(
+            width[0].contains("line 6 of the block: expected `| 0.10 | 7 | 1.39 |`, got `| 0.10 | 8 | 9 | 1.39 |`"),
+            "{width:?}"
+        );
+        let empty = check_doc(&doc(""), "fig07", &run(7, "paper"));
+        let want = "line 2 of the block: expected the end of the block, got `#### Fig. 7 (Sum)`";
+        assert!(empty[0].ends_with(want), "{empty:?}");
+    }
+
+    #[test]
+    fn bless_then_check_is_clean_and_idempotent_and_a_missing_marker_is_named() {
+        let run = run(7, "paper");
+        let blessed = bless_doc(&doc("stale\n"), "fig07", &run).unwrap();
+        assert_eq!(check_doc(&blessed, "fig07", &run), Vec::<String>::new());
+        assert_eq!(bless_doc(&blessed, "fig07", &run).unwrap(), blessed);
+        let missing = "EXPERIMENTS.md: no `<!-- figures:fig08 -->` marker";
+        assert_eq!(check_doc(&blessed, "fig08", &run), [missing]);
+        assert_eq!(bless_doc(&blessed, "fig08", &run), Err(missing.to_string()));
     }
 }

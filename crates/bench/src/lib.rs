@@ -1,13 +1,14 @@
 //! # tfm-bench — the paper-reproduction harness
 //!
-//! One bench target, `figures`, regenerates every table and figure of the
-//! TrackFM paper's evaluation from one table of exhibits ([`EXHIBITS`]; see
-//! the experiment index in DESIGN.md and the measured-vs-paper record in
-//! EXPERIMENTS.md, whose tables it generates). It prints each exhibit's
-//! tables, asserts the paper's claim about it, and at full scale compares
-//! every integer it produced against `GOLDEN_cycles.json` ([`golden`]). The
-//! other targets are gates and micro-benches that own invariants of their
-//! own.
+//! One bench target, `figures`, regenerates every table of simulated cycles
+//! (the TrackFM paper's evaluation and this repository's extensions to it)
+//! from one table of exhibits ([`EXHIBITS`]; see the experiment index in
+//! DESIGN.md and the measured-vs-paper record in EXPERIMENTS.md, whose
+//! tables it generates). It prints each exhibit's tables, asserts the claim
+//! about it, and at full scale compares every cell it produced with the
+//! exhibit's block in EXPERIMENTS.md ([`golden`]). The other targets measure
+//! host time (`trace_overhead`, `guard_micro`) or print run reports
+//! (`telemetry_report`).
 //!
 //! Set `TFM_SCALE=<divisor>` to shrink workload sizes for a quick pass
 //! (e.g. `TFM_SCALE=8`); shapes are preserved at small scale, absolute
@@ -20,8 +21,6 @@ mod table;
 
 pub use exhibits::{Exhibit, EXHIBITS};
 pub use table::{Cell, Table};
-
-use std::fmt::Display;
 
 use tfm_telemetry::RunReport;
 
@@ -46,43 +45,6 @@ fn parse_scale(var: Option<&str>) -> usize {
             "TFM_SCALE must be a whole number >= 1, got {:?}",
             var.unwrap()
         ),
-    }
-}
-
-/// Prints a titled, aligned table.
-pub fn print_table<H: Display, C: Display>(title: &str, headers: &[H], rows: &[Vec<C>]) {
-    println!("\n=== {title} ===");
-    let headers: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
-    let rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| r.iter().map(|c| c.to_string()).collect())
-        .collect();
-    let ncols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for r in &rows {
-        for (i, c) in r.iter().enumerate().take(ncols) {
-            widths[i] = widths[i].max(c.len());
-        }
-    }
-    let line = |cells: &[String]| {
-        let parts: Vec<String> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>w$}", c, w = widths.get(i).copied().unwrap_or(8)))
-            .collect();
-        println!("  {}", parts.join("  "));
-    };
-    line(&headers);
-    println!(
-        "  {}",
-        widths
-            .iter()
-            .map(|w| "-".repeat(*w))
-            .collect::<Vec<_>>()
-            .join("  ")
-    );
-    for r in &rows {
-        line(r);
     }
 }
 

@@ -7,7 +7,8 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq)]
 pub enum Cell {
     /// An integer the run produced (cycles, event counts, bytes, static
-    /// instruction and guard counts): pinned by `GOLDEN_cycles.json`.
+    /// instruction and guard counts): pinned by the exhibit's
+    /// `<!-- figures:ID -->` block in EXPERIMENTS.md.
     Fact(u64),
     /// Display text: row labels, ratios derived from facts, paper columns.
     Text(String),
@@ -30,8 +31,9 @@ pub(crate) fn assert_unique<T: PartialEq + fmt::Debug>(within: &str, what: &str,
     }
 }
 
-/// One table of an exhibit. A row's first cell is its label; the golden
-/// keys a fact by (table title, row label, column header).
+/// One table of an exhibit. A row's first cell is its label; the claims and
+/// the golden comparator name a fact by (table title, row label, column
+/// header).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Table {
     /// Printed above the table; unique within the exhibit.
@@ -46,9 +48,17 @@ pub struct Table {
 
 impl Table {
     /// A table without notes; `headers` is one string, `" | "`-separated.
+    ///
+    /// # Panics
+    /// Panics on a header or cell containing `|` or a newline: the golden
+    /// comparator finds a cell by splitting the Markdown row.
     pub fn new(title: impl Into<String>, headers: &str, rows: Vec<Vec<Cell>>) -> Table {
         let headers: Vec<String> = headers.split(" | ").map(String::from).collect();
         assert!(rows.iter().all(|r| r.len() == headers.len()));
+        let cells = rows.iter().flatten().map(Cell::to_string);
+        for text in headers.iter().cloned().chain(cells) {
+            assert!(!text.contains(['|', '\n']), "a cell holds {text:?}");
+        }
         let table = Table {
             title: title.into(),
             headers,
@@ -108,7 +118,20 @@ impl Table {
 
     /// Prints the table to stdout: aligned columns, then the notes.
     pub fn print(&self) {
-        crate::print_table(&self.title, &self.headers, &self.rows);
+        println!("\n=== {} ===", self.title);
+        let text = |r: &Vec<Cell>| r.iter().map(Cell::to_string).collect();
+        let rows: Vec<Vec<String>> = self.rows.iter().map(text).collect();
+        let width =
+            |(i, h): (usize, &String)| rows.iter().map(|r| r[i].len()).fold(h.len(), usize::max);
+        let widths: Vec<usize> = self.headers.iter().enumerate().map(width).collect();
+        let line = |cells: &[String]| {
+            let cells = cells.iter().zip(&widths);
+            let cells: Vec<String> = cells.map(|(c, w)| format!("{c:>w$}")).collect();
+            println!("  {}", cells.join("  "));
+        };
+        line(&self.headers);
+        line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
+        rows.iter().for_each(|r| line(r));
         for n in &self.notes {
             println!("  {n}");
         }

@@ -539,7 +539,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn presets_match_table2_calibration() {
+    fn presets_put_a_4k_fetch_near_35k_cycles() {
         // TCP 4KB fetch ≈ 35K cycles once the 144-cycle slow-path guard is
         // added by the runtime; the raw link cost must sit just below that.
         let tcp = LinkParams::tcp_25g().solo_cost(4096);

@@ -13,9 +13,8 @@
 //!
 //! With `cores = 1` the driver degenerates to today's synchronous machine —
 //! async fetch stays off, no core is ever tagged — which
-//! `tests/concurrency.rs` (200 seeds), the `cores(1)` row of
-//! `tests/identity_matrix.rs` and the `concurrency_scaling` bench gate pin
-//! bit-for-bit against a hand-driven loop.
+//! `tests/concurrency.rs` (200 seeds) and the `cores(1)` row of
+//! `tests/identity_matrix.rs` pin bit-for-bit against a hand-driven loop.
 
 use crate::memcached::{self, MemcachedParams, Store, HASH_MULT, VALUE_WORDS};
 use crate::rng::SplitMix64;

@@ -70,8 +70,8 @@ fn replicas_one() -> Pair {
 }
 
 /// A disabled `TraceConfig` leaves the whole report byte-identical to
-/// plain telemetry and exports nothing — and switching tracing *on*
-/// changes observation, never the simulation.
+/// plain telemetry and exports nothing — and switching tracing *on* or
+/// telemetry *off* changes observation, never the simulation.
 fn tracing_off() -> Pair {
     // Zipf-skewed probes under 20% drops on two shards: remote guard roots,
     // faulted transfers and retries, everything tracing would decorate.
@@ -94,6 +94,8 @@ fn tracing_off() -> Pair {
     assert!(chrome_trace(gated).is_none() && flamegraph(gated).is_none());
     let traced = execute(&spec, &base.with_tracing());
     assert_eq!(traced.result.stats.cycles, gated.result.stats.cycles);
+    let off = execute(&spec, &base);
+    assert_eq!(off.result.stats.cycles, gated.result.stats.cycles);
     pair
 }
 

@@ -6,7 +6,7 @@ use trackfm_suite::analysis::dom::DomTree;
 use trackfm_suite::analysis::loops::LoopForest;
 use trackfm_suite::compiler::{ChunkingMode, CompilerOptions, CostModel, TrackFmCompiler};
 use trackfm_suite::ir::{BinOp, FunctionBuilder, InstKind, Intrinsic, Module, Signature, Type};
-use trackfm_suite::workloads::{analytics, kmeans, memcached, nas, stream};
+use trackfm_suite::workloads::{analytics, kmeans, memcached, nas, serving, stream};
 
 fn count_intrinsic(m: &Module, which: Intrinsic) -> usize {
     m.functions()
@@ -52,6 +52,14 @@ fn workload_modules() -> Vec<(String, Module)> {
                 gets: 100,
                 skew: 1.1,
                 seed: 0,
+            })
+            .module,
+        ),
+        (
+            "serving".into(),
+            serving::serving(&serving::ServingParams {
+                ops: 256,
+                ..Default::default()
             })
             .module,
         ),
@@ -150,16 +158,14 @@ fn chunk_begins_live_in_preheaders_outside_their_loops() {
 
 #[test]
 fn compilation_is_deterministic() {
-    let build = || {
-        let mut m = analytics::analytics(&analytics::AnalyticsParams {
-            rows: 500,
-            groups: 50,
-        })
-        .module;
-        TrackFmCompiler::default().compile(&mut m, None);
-        m.to_string()
-    };
-    assert_eq!(build(), build());
+    for (name, module) in workload_modules() {
+        let build = || {
+            let mut m = module.clone();
+            TrackFmCompiler::default().compile(&mut m, None);
+            m.to_string()
+        };
+        assert_eq!(build(), build(), "{name}");
+    }
 }
 
 #[test]
