@@ -68,10 +68,16 @@ cargo test -q --workspace
 #   trace_overhead's cycle identity (off = telemetry = traced):
 #                         identity_matrix's `tracing-off` row.
 # Benches print tables and leave nothing in the tree (`figures` writes only
-# under `--bless`); the status check after the loop keeps it that way.
+# under `--bless`); the status check after the loops keeps it that way.
 tree_before=$(git status --porcelain)
 for bench in figures trace_overhead; do
     cargo bench -q -p tfm-bench --bench "$bench"
+done
+# Every example runs once: `cargo test` only compiles them, and their
+# `assert!`s (e.g. "faults must not change the answer") hold only if run.
+# `chaos` writes its trace exports under the ignored `target/`.
+for example in examples/*.rs; do
+    cargo run -q --release --example "$(basename "$example" .rs)" >/dev/null
 done
 test "$tree_before" = "$(git status --porcelain)"
 

@@ -40,7 +40,7 @@ use tfm_net::{
     build_backend, drive_retries, BackendSpec, FaultPlan, LinkFault, LinkParams, RetryOps,
     ShardSnapshot, ShardState, Sharded, TransferStats,
 };
-use tfm_telemetry::{EventKind, MergeStats, Span, SpanKind, StatGroup, Telemetry};
+use tfm_telemetry::{Span, SpanKind, StatGroup, Telemetry};
 
 /// The architected page size Fastswap is bound to.
 pub const PAGE_SIZE: u64 = 4096;
@@ -147,20 +147,6 @@ impl StatGroup for PagerStats {
             ("lost_pages", self.lost_pages),
             ("fault_joins", self.fault_joins),
         ]
-    }
-}
-
-impl MergeStats for PagerStats {
-    fn merge(&mut self, other: &Self) {
-        self.major_faults += other.major_faults;
-        self.minor_faults += other.minor_faults;
-        self.reclaims += other.reclaims;
-        self.writebacks += other.writebacks;
-        self.fault_retries += other.fault_retries;
-        self.recoveries += other.recoveries;
-        self.resynced_pages += other.resynced_pages;
-        self.lost_pages += other.lost_pages;
-        self.fault_joins += other.fault_joins;
     }
 }
 
@@ -274,9 +260,9 @@ impl Pager {
         std::mem::take(&mut self.completion_horizon)
     }
 
-    /// Attaches a telemetry sink (shared with the backend's links): fault,
-    /// reclaim and writeback events, fault-service latency, and page
-    /// residency lifetimes flow there.
+    /// Attaches a telemetry sink (shared with the backend's links):
+    /// fault-service latency, page residency lifetimes and fault/reclaim
+    /// spans flow there.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.backend.set_telemetry(tel.clone());
         self.tel = tel;
@@ -367,12 +353,10 @@ impl Pager {
         self.backend.poll(now);
         for s in 0..self.backend.shard_count() {
             if self.backend.shard_state(s) == ShardState::Recovering {
-                self.tel.emit(now, EventKind::ShardRecovering, s as u64);
                 let (resynced, lost) = self.backend.recover_shard(s, PAGE_SIZE, now);
                 self.stats.recoveries += 1;
                 self.stats.resynced_pages += resynced;
                 self.stats.lost_pages += lost;
-                self.tel.emit(now, EventKind::ShardUp, s as u64);
             }
         }
     }
@@ -397,7 +381,6 @@ impl Pager {
                 // joining core moves on too — the shared completion
                 // cycle reaches the scheduler through the horizon.
                 self.stats.fault_joins += 1;
-                self.tel.emit(now, EventKind::FetchJoin, page);
                 self.completion_horizon = self.completion_horizon.max(e & CYCLE_MASK);
             }
             return 0;
@@ -435,17 +418,13 @@ impl Pager {
             self.stats.major_faults += 1;
             self.tel
                 .span_finish(sp, now + cycles, SpanKind::MajorFault, true);
-            if self.tel.is_enabled() {
-                self.tel.emit(now, EventKind::MajorFault, page);
-                self.tel.record_fetch_latency(cycles);
-            }
+            self.tel.record_fetch_latency(cycles);
         } else {
             // Fresh page: the kernel just maps a zero page.
             mapped |= DIRTY;
             self.stats.minor_faults += 1;
             self.tel
                 .span_finish(sp, now + cycles, SpanKind::MinorFault, true);
-            self.tel.emit(now, EventKind::MinorFault, page);
         }
         self.table[idx] = mapped;
         self.resident_pages += 1;
@@ -514,12 +493,8 @@ impl Pager {
         if e & DIRTY != 0 {
             self.backend.writeback(page, PAGE_SIZE, at);
             self.stats.writebacks += 1;
-            self.tel.emit(at, EventKind::Writeback, page);
         }
-        if self.tel.is_enabled() {
-            self.tel.emit(at, EventKind::Eviction, page);
-            self.tel.note_evicted(page, at);
-        }
+        self.tel.note_evicted(page, at);
     }
 
     /// Pages everything out (dirty pages write back). Benchmarks call this
@@ -554,9 +529,6 @@ impl RetryOps for PagerRetry<'_> {
 
     fn on_fault(&mut self, attempts: u32, fault: LinkFault) -> Option<u64> {
         self.pager.stats.fault_retries += 1;
-        self.pager
-            .tel
-            .emit(fault.detected_at, EventKind::Retry, attempts as u64);
         self.pager.kernel_leaf(fault.detected_at, attempts as u64);
         self.pager.service_failover(fault.detected_at);
         Some(fault.detected_at + self.pager.cfg.kernel_fault_cycles)

@@ -670,7 +670,6 @@ impl Sharded {
 
     /// Aggregate transfer ledger (all shards merged).
     pub fn stats(&self) -> TransferStats {
-        use tfm_telemetry::MergeStats;
         let mut agg = TransferStats::default();
         for l in &self.links {
             agg.merge(&l.stats());
@@ -889,7 +888,6 @@ impl Sharded {
 mod tests {
     use super::*;
     use crate::fault::PPM;
-    use tfm_telemetry::MergeStats;
 
     #[test]
     fn placement_is_deterministic_and_in_range() {

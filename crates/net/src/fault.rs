@@ -55,7 +55,7 @@ impl FaultKind {
         }
     }
 
-    /// Stable numeric code — the `arg` of `FaultInjected` telemetry events.
+    /// Stable numeric code — the `fault` tag of traced transfer spans.
     pub fn code(self) -> u64 {
         match self {
             FaultKind::Drop => 0,

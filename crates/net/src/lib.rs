@@ -35,7 +35,7 @@
 
 use std::fmt;
 
-use tfm_telemetry::{EventKind, MergeStats, Span, SpanKind, StatGroup, Telemetry};
+use tfm_telemetry::{Span, SpanKind, StatGroup, Telemetry};
 
 mod backend;
 mod fault;
@@ -157,6 +157,19 @@ impl TransferStats {
     pub fn total_bytes(&self) -> u64 {
         self.bytes_fetched + self.bytes_written_back
     }
+
+    /// Folds another ledger into this one (every counter adds): how the
+    /// sharded backend sums its per-shard ledgers.
+    pub fn merge(&mut self, other: &Self) {
+        self.fetches += other.fetches;
+        self.bytes_fetched += other.bytes_fetched;
+        self.writebacks += other.writebacks;
+        self.bytes_written_back += other.bytes_written_back;
+        self.faults += other.faults;
+        self.fault_wasted_bytes += other.fault_wasted_bytes;
+        self.delayed += other.delayed;
+        self.delay_cycles += other.delay_cycles;
+    }
 }
 
 impl StatGroup for TransferStats {
@@ -175,19 +188,6 @@ impl StatGroup for TransferStats {
             ("delayed", self.delayed),
             ("delay_cycles", self.delay_cycles),
         ]
-    }
-}
-
-impl MergeStats for TransferStats {
-    fn merge(&mut self, other: &Self) {
-        self.fetches += other.fetches;
-        self.bytes_fetched += other.bytes_fetched;
-        self.writebacks += other.writebacks;
-        self.bytes_written_back += other.bytes_written_back;
-        self.faults += other.faults;
-        self.fault_wasted_bytes += other.fault_wasted_bytes;
-        self.delayed += other.delayed;
-        self.delay_cycles += other.delay_cycles;
     }
 }
 
@@ -309,8 +309,6 @@ impl Link {
                 // full drop timeout. Fail-fast is what lets the failover
                 // machinery react orders of magnitude sooner than a drop.
                 self.stats.faults += 1;
-                self.tel
-                    .emit(now, EventKind::FaultInjected, FaultKind::Crash.code());
                 self.health.on_attempt(true);
                 self.fstate = ShardState::Down;
                 let detected_at = now + self.params.base_latency.max(1);
@@ -352,7 +350,6 @@ impl Link {
                 if let Fate::Slow(kind, extra) = fate {
                     self.stats.delayed += 1;
                     self.stats.delay_cycles += extra;
-                    self.tel.emit(start, EventKind::FaultInjected, kind.code());
                     fault_code = kind.code() as u32;
                     done += extra;
                 }
@@ -376,7 +373,6 @@ impl Link {
             Fate::Fail(kind) => {
                 self.stats.faults += 1;
                 self.stats.fault_wasted_bytes += bytes;
-                self.tel.emit(start, EventKind::FaultInjected, kind.code());
                 self.health.on_attempt(true);
                 self.refresh_suspect();
                 let detected_at = self.free_at + self.params.drop_timeout();
@@ -426,8 +422,6 @@ impl Link {
                         attempts,
                         self.fault_plan(),
                     );
-                    self.tel
-                        .emit(f.detected_at, EventKind::Retry, attempts as u64);
                     now = f.detected_at;
                 }
             }

@@ -37,7 +37,7 @@ pub struct Retried {
 /// `drive_retries` calls [`issue`](Self::issue) once per attempt; on a
 /// fault it asks [`on_fault`](Self::on_fault) for the next issue cycle —
 /// `None` abandons the operation (deferred writeback, exhausted budget).
-/// The implementor owns all side effects: stats, events, spans, health and
+/// The implementor owns all side effects: stats, spans, health and
 /// failover polling.
 pub trait RetryOps {
     /// One attempt at cycle `at`. `attempts` is how many faults preceded it.

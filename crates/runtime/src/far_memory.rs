@@ -28,7 +28,7 @@ use tfm_net::{
     build_backend, drive_retries, FailoverAudit, LinkFault, ResyncOutcome, RetryOps, ShardSnapshot,
     ShardState, Sharded, TransferStats,
 };
-use tfm_telemetry::{EventKind, Span, SpanId, SpanKind, Telemetry};
+use tfm_telemetry::{Span, SpanId, SpanKind, Telemetry};
 
 /// The far-memory runtime.
 #[derive(Debug)]
@@ -47,9 +47,8 @@ pub struct FarMemory {
     streams: Vec<StrideStream>,
     stream_victim: usize,
     tel: Telemetry,
-    /// Per-shard mirror of the backend's degraded flags; transitions emit
-    /// `Degraded`/`Recovered` events and gate the prefetcher on the
-    /// affected shard only.
+    /// Per-shard mirror of the backend's degraded flags; transitions count
+    /// `degradations` and gate the prefetcher on the affected shard only.
     degraded: Vec<bool>,
     /// Cached `backend.faults_active()`: gates the retry machinery so the
     /// flawless fabric keeps the legacy single-attempt path.
@@ -60,8 +59,8 @@ pub struct FarMemory {
     /// never written) unless the backend tracks failover.
     redo: BTreeSet<u64>,
     /// Per-shard mirror of the backend's failover state machine;
-    /// transitions emit `ShardDown`/`ShardRecovering`/`ShardUp` events and
-    /// trigger drain/replay exactly once per edge.
+    /// transitions count `shard_downs`/`shard_recoveries` and trigger
+    /// drain/replay exactly once per edge.
     shard_states: Vec<ShardState>,
     /// Cached `backend.failover_active()`: gates the redo ledger and the
     /// failover service so untracked runs keep the legacy path
@@ -158,9 +157,9 @@ impl FarMemory {
         std::mem::take(&mut self.completion_horizon)
     }
 
-    /// Attaches a telemetry sink (shared with the backend's links):
-    /// fetch/prefetch/eviction events, fetch latency, and residency
-    /// lifetimes flow there.
+    /// Attaches a telemetry sink (shared with the backend's links): fetch
+    /// latency, retry penalties, residency lifetimes and operation spans
+    /// flow there.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.backend.set_telemetry(tel.clone());
         self.tel = tel;
@@ -270,7 +269,7 @@ impl FarMemory {
     // ------------------------------------------------------------------
 
     /// Reconciles the runtime's degraded flag for one shard with that
-    /// shard's health tracker, emitting `Degraded`/`Recovered` transitions.
+    /// shard's health tracker, counting each transition into degraded mode.
     /// With a single-node backend this is the same signal as before the
     /// backend refactor; with shards, each node degrades and recovers on
     /// its own.
@@ -282,17 +281,10 @@ impl FarMemory {
             health.fault_rate_ppm(),
             health.is_degraded(),
         );
-        if health.is_degraded() != self.degraded[shard] {
-            self.degraded[shard] = health.is_degraded();
-            if self.degraded[shard] {
-                self.stats.degradations += 1;
-                self.tel
-                    .emit(now, EventKind::Degraded, health.fault_rate_ppm());
-            } else {
-                self.tel
-                    .emit(now, EventKind::Recovered, health.fault_rate_ppm());
-            }
+        if health.is_degraded() && !self.degraded[shard] {
+            self.stats.degradations += 1;
         }
+        self.degraded[shard] = health.is_degraded();
     }
 
     /// Polls the backend's failover state machines and services any
@@ -313,7 +305,6 @@ impl FarMemory {
             match cur {
                 ShardState::Down => {
                     self.stats.shard_downs += 1;
-                    self.tel.emit(now, EventKind::ShardDown, s as u64);
                     self.drain_shard(s, now);
                 }
                 ShardState::Recovering => self.replay_shard(s, now),
@@ -336,7 +327,6 @@ impl FarMemory {
         for key in keys {
             if self.backend.re_replicate(key, shard, size, now).is_some() {
                 self.stats.re_replications += 1;
-                self.tel.emit(now, EventKind::ReReplicate, key);
             }
         }
     }
@@ -347,7 +337,6 @@ impl FarMemory {
     /// An object with no surviving replica is counted lost — the chaos
     /// suite asserts this stays zero whenever R ≥ 2.
     fn replay_shard(&mut self, shard: usize, now: u64) {
-        self.tel.emit(now, EventKind::ShardRecovering, shard as u64);
         let sp = self
             .tel
             .span_begin_root(SpanKind::Recovery, shard as u64, now);
@@ -358,7 +347,6 @@ impl FarMemory {
             match self.backend.resync_key(shard, key, size, now) {
                 ResyncOutcome::Synced(done) => {
                     self.stats.resynced_objects += 1;
-                    self.tel.emit(now, EventKind::Resync, key);
                     end = end.max(done);
                 }
                 ResyncOutcome::Clean => {}
@@ -368,7 +356,6 @@ impl FarMemory {
         self.backend.mark_synced(shard);
         self.stats.shard_recoveries += 1;
         self.tel.span_end(sp, end);
-        self.tel.emit(end, EventKind::ShardUp, shard as u64);
     }
 
     /// Drives one backend operation to completion under the retry policy:
@@ -443,7 +430,6 @@ impl FarMemory {
         }
         self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(self.resident_bytes);
         self.stats.allocations += 1;
-        self.tel.emit(now, EventKind::Alloc, size);
         Ok(ptr)
     }
 
@@ -452,10 +438,9 @@ impl FarMemory {
     ///
     /// # Panics
     /// Panics on invalid or double free.
-    pub fn free(&mut self, ptr: TfmPtr, now: u64) {
+    pub fn free(&mut self, ptr: TfmPtr) {
         self.alloc.free(ptr);
         self.stats.frees += 1;
-        self.tel.emit(now, EventKind::Free, ptr.offset());
     }
 
     /// The allocator (for size queries and accounting).
@@ -505,7 +490,6 @@ impl FarMemory {
                     // delivery cycle, reported through the completion
                     // horizon.
                     self.stats.fetch_joins += 1;
-                    self.tel.emit(now, EventKind::FetchJoin, o.0);
                     self.table.set(o, mark);
                     self.completion_horizon = self.completion_horizon.max(ready);
                     0
@@ -523,11 +507,9 @@ impl FarMemory {
                 self.table.set(o, PRESENT | mark);
                 if ready > now {
                     self.stats.prefetch_late += 1;
-                    self.tel.emit(now, EventKind::PrefetchLate, o.0);
                     ready - now
                 } else {
                     self.stats.prefetch_hits += 1;
-                    self.tel.emit(now, EventKind::PrefetchHit, o.0);
                     0
                 }
             }
@@ -570,7 +552,6 @@ impl FarMemory {
             self.clock.push_back(o);
             self.stats.remote_fetches += 1;
             if self.tel.is_enabled() {
-                self.tel.emit(now, EventKind::DemandFetch, o.0);
                 self.tel.record_fetch_latency(done - now);
                 self.tel.note_resident(o.0, now);
                 self.tel.timeline_occupancy(now, self.resident_bytes);
@@ -679,10 +660,7 @@ impl FarMemory {
         self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(self.resident_bytes);
         self.clock.push_back(o);
         self.stats.prefetch_issued += 1;
-        if self.tel.is_enabled() {
-            self.tel.emit(now, EventKind::PrefetchIssue, o.0);
-            self.tel.note_resident(o.0, now);
-        }
+        self.tel.note_resident(o.0, now);
         true
     }
 
@@ -786,7 +764,6 @@ impl FarMemory {
                 Some(done) => self.tel.span_end(sp, done),
             }
             self.stats.writebacks += 1;
-            self.tel.emit(now, EventKind::Writeback, o.0);
             if self.failover_active {
                 // The writeback is acknowledged: ledger it for replay
                 // onto a recovering shard.
@@ -796,10 +773,7 @@ impl FarMemory {
         self.table.clear(o, PRESENT | DIRTY | HOT);
         self.resident_bytes -= self.cfg.object_size;
         self.stats.evictions += 1;
-        if self.tel.is_enabled() {
-            self.tel.emit(now, EventKind::Eviction, o.0);
-            self.tel.note_evicted(o.0, now);
-        }
+        self.tel.note_evicted(o.0, now);
     }
 
     /// Converts a completed-but-unclaimed demand fetch back to `PRESENT`
@@ -836,7 +810,7 @@ impl FarMemory {
 }
 
 /// [`RetryOps`] adapter driving one backend operation for the runtime. It
-/// owns every per-attempt side effect — stats, events, spans, health and
+/// owns every per-attempt side effect — stats, spans, health and
 /// failover polling — so the shared [`drive_retries`] loop stays
 /// attempt-for-attempt identical to the pre-refactor in-place loop.
 struct RuntimeRetry<'a> {
@@ -875,8 +849,6 @@ impl RetryOps for RuntimeRetry<'_> {
         }
         let at = f.detected_at + backoff;
         fm.stats.retries += 1;
-        fm.tel
-            .emit(f.detected_at, EventKind::Retry, attempts as u64);
         // The retry interval: fault detection through the end of the
         // backoff wait, after which the next attempt issues.
         fm.tel.span_leaf(Span {
@@ -1075,7 +1047,7 @@ mod tests {
     fn free_then_realloc_reuses_space() {
         let mut fm = fm_with(16);
         let p = fm.allocate(64, 0).unwrap();
-        fm.free(p, 0);
+        fm.free(p);
         let q = fm.allocate(64, 0).unwrap();
         assert_eq!(p.offset(), q.offset());
         assert_eq!(fm.stats().frees, 1);
@@ -1176,7 +1148,7 @@ mod tests {
 
     #[test]
     fn telemetry_sees_fetch_eviction_and_residency() {
-        use tfm_telemetry::{EventKind, Telemetry};
+        use tfm_telemetry::Telemetry;
         let mut fm = fm_with(8);
         let tel = Telemetry::enabled();
         fm.set_telemetry(tel.clone());
@@ -1187,15 +1159,13 @@ mod tests {
         assert!(stall > 0);
         fm.evacuate_all(500_000);
 
-        let snap = tel.snapshot().unwrap();
-        assert_eq!(snap.count(EventKind::Alloc), 1);
-        assert_eq!(snap.count(EventKind::DemandFetch), 1);
+        let s = fm.stats();
+        assert_eq!(s.allocations, 1);
+        assert_eq!(s.remote_fetches, 1);
         // 2 allocated objects evicted cold, then the re-fetched one again.
-        assert_eq!(snap.count(EventKind::Eviction), 3);
-        assert!(
-            snap.count(EventKind::Writeback) >= 2,
-            "fresh objects are dirty"
-        );
+        assert_eq!(s.evictions, 3);
+        assert!(s.writebacks >= 2, "fresh objects are dirty");
+        let snap = tel.snapshot().unwrap();
         assert_eq!(snap.fetch_latency.count(), 1);
         assert!(snap.fetch_latency.max() > 30_000);
         // Residency lifetimes: all three evictions had a matching
@@ -1238,8 +1208,7 @@ mod tests {
         assert_eq!(s.link_faults, s.retries + s.prefetch_canceled, "{s}");
         let snap = tel.snapshot().unwrap();
         assert!(snap.retry_latency.count() > 0, "retry penalty recorded");
-        assert!(snap.count(tfm_telemetry::EventKind::Retry) > 0);
-        assert!(snap.count(tfm_telemetry::EventKind::FaultInjected) > 0);
+        assert!(fm.transfer_stats().faults > 0, "the link counts each fault");
     }
 
     #[test]
@@ -1298,7 +1267,6 @@ mod tests {
     #[test]
     fn outage_degrades_runtime_then_recovery_restores_prefetch() {
         use tfm_net::FaultPlan;
-        use tfm_telemetry::{EventKind, Telemetry};
         let cfg = FarMemoryConfig {
             heap_size: 1 << 20,
             object_size: 4096,
@@ -1308,8 +1276,6 @@ mod tests {
         }
         .with_faults(FaultPlan::none().with_outage(1_000_000, 1_500_000));
         let mut fm = FarMemory::new(cfg);
-        let tel = Telemetry::enabled();
-        fm.set_telemetry(tel.clone());
         let p = fm.allocate(64 * 4096, 0).unwrap();
         let base = fm.obj_of_offset(p.offset());
         fm.evacuate_all(0); // before the outage: all writebacks succeed
@@ -1332,10 +1298,7 @@ mod tests {
             now += fm.localize(ObjId(base.0 + k), false, now);
         }
         assert!(!fm.is_degraded(), "clean link must recover");
-        assert_eq!(fm.stats().degradations, 1);
-        let snap = tel.snapshot().unwrap();
-        assert_eq!(snap.count(EventKind::Degraded), 1);
-        assert_eq!(snap.count(EventKind::Recovered), 1);
+        assert_eq!(fm.stats().degradations, 1, "one degraded episode");
         // After recovery the prefetcher works again.
         assert!(fm.prefetch(ObjId(base.0 + 200), now));
     }
@@ -1408,7 +1371,6 @@ mod tests {
     #[test]
     fn observed_crash_drains_the_shard_then_recovery_rejoins_it() {
         use tfm_net::{BackendSpec, FaultPlan, PlacementPolicy, ShardState};
-        use tfm_telemetry::{EventKind, Telemetry};
         let cfg = FarMemoryConfig {
             heap_size: 1 << 20,
             object_size: 4096,
@@ -1424,8 +1386,6 @@ mod tests {
         )
         .with_faults(FaultPlan::none().with_cold_crash(1_000_000, 2_000_000));
         let mut fm = FarMemory::new(cfg);
-        let tel = Telemetry::enabled();
-        fm.set_telemetry(tel.clone());
         let p = fm.allocate(32 * 4096, 0).unwrap();
         let base = fm.obj_of_offset(p.offset());
         assert_eq!(base.0, 0, "interleave test assumes objects start at 0");
@@ -1465,11 +1425,6 @@ mod tests {
         let audit = fm.failover_audit().expect("replicated backend audits");
         assert!(audit.acked_keys >= 32);
         assert_eq!(audit.lost, 0, "R=2 rides through a cold crash");
-        let snap = tel.snapshot().unwrap();
-        assert_eq!(snap.count(EventKind::ShardDown), 1);
-        assert_eq!(snap.count(EventKind::ShardRecovering), 1);
-        assert_eq!(snap.count(EventKind::ShardUp), 1);
-        assert!(snap.count(EventKind::ReReplicate) > 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use tfm_telemetry::{MergeStats, StatGroup};
+use tfm_telemetry::StatGroup;
 
 /// Counters maintained by the far-memory runtime.
 ///
@@ -148,34 +148,6 @@ impl StatGroup for RuntimeStats {
     }
 }
 
-impl MergeStats for RuntimeStats {
-    fn merge(&mut self, other: &Self) {
-        self.remote_fetches += other.remote_fetches;
-        self.prefetch_issued += other.prefetch_issued;
-        self.prefetch_hits += other.prefetch_hits;
-        self.prefetch_late += other.prefetch_late;
-        self.evictions += other.evictions;
-        self.writebacks += other.writebacks;
-        self.budget_overruns += other.budget_overruns;
-        self.allocations += other.allocations;
-        self.frees += other.frees;
-        self.peak_resident_bytes = self.peak_resident_bytes.max(other.peak_resident_bytes);
-        self.link_faults += other.link_faults;
-        self.retries += other.retries;
-        self.deadline_exceeded += other.deadline_exceeded;
-        self.prefetch_canceled += other.prefetch_canceled;
-        self.prefetch_suppressed += other.prefetch_suppressed;
-        self.writeback_deferrals += other.writeback_deferrals;
-        self.degradations += other.degradations;
-        self.shard_downs += other.shard_downs;
-        self.shard_recoveries += other.shard_recoveries;
-        self.resynced_objects += other.resynced_objects;
-        self.re_replications += other.re_replications;
-        self.lost_objects += other.lost_objects;
-        self.fetch_joins += other.fetch_joins;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,24 +225,5 @@ mod tests {
         assert!(faulty.contains("link faults: 3"), "{faulty}");
         assert!(faulty.contains("retries: 2"), "{faulty}");
         assert!(faulty.contains("wb deferrals: 1"), "{faulty}");
-    }
-
-    #[test]
-    fn merge_adds_counters_and_maxes_peak() {
-        let mut a = RuntimeStats {
-            remote_fetches: 1,
-            peak_resident_bytes: 100,
-            ..Default::default()
-        };
-        let b = RuntimeStats {
-            remote_fetches: 2,
-            frees: 3,
-            peak_resident_bytes: 50,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.remote_fetches, 3);
-        assert_eq!(a.frees, 3);
-        assert_eq!(a.peak_resident_bytes, 100, "peak is a high-water mark");
     }
 }

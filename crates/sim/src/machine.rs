@@ -20,7 +20,7 @@ use std::rc::Rc;
 use tfm_analysis::profile::Profile;
 use tfm_ir::{BinOp, Block, CastOp, CmpOp, FCmpOp, FuncId, Intrinsic, Module, Type};
 use tfm_runtime::TfmPtr;
-use tfm_telemetry::{EventKind, SiteKey, SpanKind, Telemetry};
+use tfm_telemetry::{SiteKey, SpanKind, Telemetry};
 use trackfm::CostModel;
 
 /// Downgrades every killable custody bit (see [`shadow`]): the dynamic
@@ -36,21 +36,6 @@ pub(crate) fn kill_custody(cov: &mut [u8]) {
 
 /// Default simulated stack size (1 MiB).
 pub(crate) const STACK_SIZE: usize = 1 << 20;
-
-/// Maps a classified guard outcome to the span kind it should be recorded
-/// as, plus whether the span is worth keeping when tracing. Fast-path
-/// outcomes (no stall, no runtime excursion) are discarded so the arena
-/// holds only spans with interior structure or real latency.
-fn span_kind_of(kind: EventKind) -> (SpanKind, bool) {
-    match kind {
-        EventKind::GuardSlowRemote => (SpanKind::GuardSlowRemote, true),
-        EventKind::GuardSlowLocal => (SpanKind::GuardSlowLocal, true),
-        EventKind::LocalityGuard => (SpanKind::LocalityGuard, true),
-        EventKind::BoundaryCheck => (SpanKind::BoundaryCheck, false),
-        EventKind::CustodyExit => (SpanKind::CustodyExit, false),
-        _ => (SpanKind::GuardFast, false),
-    }
-}
 
 #[derive(Default)]
 struct ProfileCollector {
@@ -173,8 +158,8 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
     }
 
     /// Attaches a telemetry sink: the machine attributes guard and chunk
-    /// events to their originating IR site, and forwards the handle to the
-    /// memory system for fetch/eviction/residency events.
+    /// outcomes to their originating IR site, and forwards the handle to
+    /// the memory system for fetch latency, residency and spans.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.mem.set_telemetry(tel.clone());
         self.tel = tel;
@@ -385,15 +370,18 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
     }
 
     /// Classifies a guard/chunk outcome from the stat deltas around the
-    /// memory-system call, emits the matching event tagged with the site
-    /// key, and folds the cost into the per-site attribution table.
+    /// memory-system call, folds the cost into the per-site attribution
+    /// table, and returns the span kind the guard's span is recorded as,
+    /// plus whether that span is worth keeping when tracing. Fast-path
+    /// outcomes (no stall, no runtime excursion) are discarded so the arena
+    /// holds only spans with interior structure or real latency.
     fn note_guard_site(
         &mut self,
         site: SiteKey,
         now: u64,
         cycles: u64,
         before: &ExecStats,
-    ) -> EventKind {
+    ) -> (SpanKind, bool) {
         let s = self.stats;
         let stall = s.stall_cycles - before.stall_cycles;
         let d_fast = s.guards_fast - before.guards_fast;
@@ -402,22 +390,21 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
         let d_custody = s.custody_exits - before.custody_exits;
         let d_boundary = s.boundary_checks - before.boundary_checks;
         let d_locality = s.locality_guards - before.locality_guards;
-        let kind = if d_remote > 0 {
-            EventKind::GuardSlowRemote
+        let span = if d_remote > 0 {
+            (SpanKind::GuardSlowRemote, true)
         } else if d_local > 0 {
-            EventKind::GuardSlowLocal
+            (SpanKind::GuardSlowLocal, true)
         } else if d_locality > 0 {
-            EventKind::LocalityGuard
+            (SpanKind::LocalityGuard, true)
         } else if d_boundary > 0 {
-            EventKind::BoundaryCheck
+            (SpanKind::BoundaryCheck, false)
         } else if d_custody > 0 {
-            EventKind::CustodyExit
+            (SpanKind::CustodyExit, false)
         } else {
             // Includes transparent guards (LocalMem, Fastswap): the site
             // was hit, nothing stalled.
-            EventKind::GuardFast
+            (SpanKind::GuardFast, false)
         };
-        self.tel.emit(now, kind, site.0);
         self.tel.timeline_access(now, d_remote > 0);
         self.tel.record_stall(stall);
         self.tel.record_site(site, |ss| {
@@ -431,7 +418,7 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
             ss.cycles += cycles;
             ss.stall_cycles += stall;
         });
-        kind
+        span
     }
 
     pub(crate) fn exec_intrinsic(
@@ -498,8 +485,7 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
                     let sp = self.tel.span_begin(SpanKind::GuardSlowRemote, site.0, now);
                     let (c, out) = self.mem.guard(args[0], write, now, &mut self.stats)?;
                     self.clock += c;
-                    let kind = self.note_guard_site(site, now, c, &before);
-                    let (sk, keep) = span_kind_of(kind);
+                    let (sk, keep) = self.note_guard_site(site, now, c, &before);
                     self.tel.span_finish(sp, now + c, sk, keep);
                     Ok(out)
                 } else {
@@ -525,8 +511,7 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
                         .mem
                         .chunk_deref(args[0], args[1], now, &mut self.stats)?;
                     self.clock += c;
-                    let kind = self.note_guard_site(site, now, c, &before);
-                    let (sk, keep) = span_kind_of(kind);
+                    let (sk, keep) = self.note_guard_site(site, now, c, &before);
                     self.tel.span_finish(sp, now + c, sk, keep);
                     Ok(out)
                 } else {
@@ -1046,11 +1031,11 @@ mod tests {
         let ptr = mach.setup_alloc(4096);
         mach.finish_setup(true); // cold start: the first guard fetches
         mach.run("f", &[ptr]).unwrap();
-        mach.run("f", &[ptr]).unwrap(); // now resident: fast path
+        let r = mach.run("f", &[ptr]).unwrap(); // now resident: fast path
 
+        assert_eq!(r.stats.guards_slow_remote, 1);
+        assert_eq!(r.stats.guards_fast, 1);
         let snap = tel.snapshot().unwrap();
-        assert_eq!(snap.count(EventKind::GuardSlowRemote), 1);
-        assert_eq!(snap.count(EventKind::GuardFast), 1);
         let sites: Vec<_> = snap.sites.iter().collect();
         assert_eq!(sites.len(), 1, "one guard instruction, one site");
         let (key, stats) = sites[0];

@@ -499,7 +499,7 @@ impl MemorySystem for TrackFmMem {
         Ok(HEAP_BASE + p.offset())
     }
 
-    fn free(&mut self, ptr: u64, now: u64) -> Result<(), Trap> {
+    fn free(&mut self, ptr: u64, _now: u64) -> Result<(), Trap> {
         // TrackFM's free performs its own custody check: pruned allocations
         // arrive as canonical pointers.
         let offset = if TfmPtr::is_tfm(ptr) {
@@ -521,7 +521,7 @@ impl MemorySystem for TrackFmMem {
                 self.fm.unpin(ObjId(o));
             }
         }
-        self.fm.free(TfmPtr::from_offset(offset), now);
+        self.fm.free(TfmPtr::from_offset(offset));
         Ok(())
     }
 

@@ -4,7 +4,7 @@ use std::fmt;
 use tfm_fastswap::PagerStats;
 use tfm_net::{ShardSnapshot, TransferStats};
 use tfm_runtime::RuntimeStats;
-use tfm_telemetry::{MergeStats, StatGroup};
+use tfm_telemetry::StatGroup;
 
 /// Counters accumulated while interpreting a program.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -83,22 +83,6 @@ impl StatGroup for ExecStats {
             ("locality_guards", self.locality_guards),
             ("stall_cycles", self.stall_cycles),
         ]
-    }
-}
-
-impl MergeStats for ExecStats {
-    fn merge(&mut self, other: &Self) {
-        self.cycles += other.cycles;
-        self.instructions += other.instructions;
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.custody_exits += other.custody_exits;
-        self.guards_fast += other.guards_fast;
-        self.guards_slow_local += other.guards_slow_local;
-        self.guards_slow_remote += other.guards_slow_remote;
-        self.boundary_checks += other.boundary_checks;
-        self.locality_guards += other.locality_guards;
-        self.stall_cycles += other.stall_cycles;
     }
 }
 

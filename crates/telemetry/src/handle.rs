@@ -2,8 +2,8 @@
 //!
 //! [`Telemetry`] is a cheaply-clonable handle passed to every component of a
 //! run (machine, memory system, runtime, link, pager). All clones feed one
-//! shared sink, so the trace interleaves events from the whole stack on one
-//! cycle timeline. A disabled handle (`Telemetry::disabled()`, the default)
+//! shared sink, so the histograms, the site table and the span trace see
+//! the whole stack on one cycle timeline. A disabled handle (`Telemetry::disabled()`, the default)
 //! is a `None` — every probe is a branch on `Option::is_some` and nothing
 //! else, which keeps the instrumented hot paths within noise of the
 //! un-instrumented ones.
@@ -12,19 +12,13 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::events::{Event, EventKind, EventRing};
 use crate::hist::Histogram;
 use crate::site::{SiteKey, SiteStats, SiteTable};
 use crate::trace::{Span, SpanId, SpanKind, SpanTracer, TraceConfig, TraceSnapshot};
 
-/// Default trace-ring capacity for [`Telemetry::enabled`].
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
-
 /// The shared sink behind a [`Telemetry`] handle.
 #[derive(Clone, Debug)]
 pub struct TelemetryInner {
-    /// The event trace ring.
-    pub ring: EventRing,
     /// Demand-fetch completion latency (cycles).
     pub fetch_latency: Histogram,
     /// Stall cycles per guarded access (zero for fast paths).
@@ -49,9 +43,8 @@ pub struct TelemetryInner {
 }
 
 impl TelemetryInner {
-    fn new(ring_capacity: usize) -> Self {
+    fn new() -> Self {
         Self {
-            ring: EventRing::new(ring_capacity),
             fetch_latency: Histogram::new(),
             stall_per_access: Histogram::new(),
             residency: Histogram::new(),
@@ -77,22 +70,17 @@ impl Telemetry {
         Self { inner: None }
     }
 
-    /// An enabled handle with the default ring capacity.
+    /// An enabled handle without a span tracer.
     pub fn enabled() -> Self {
-        Self::with_ring_capacity(DEFAULT_RING_CAPACITY)
-    }
-
-    /// An enabled handle retaining at most `capacity` trace events.
-    pub fn with_ring_capacity(capacity: usize) -> Self {
         Self {
-            inner: Some(Rc::new(RefCell::new(TelemetryInner::new(capacity)))),
+            inner: Some(Rc::new(RefCell::new(TelemetryInner::new()))),
         }
     }
 
     /// An enabled handle with a causal span tracer attached (when
     /// `cfg.enabled`; otherwise identical to [`Telemetry::enabled`]).
     pub fn with_trace(cfg: TraceConfig) -> Self {
-        let mut inner = TelemetryInner::new(DEFAULT_RING_CAPACITY);
+        let mut inner = TelemetryInner::new();
         if cfg.enabled {
             inner.trace = Some(SpanTracer::new(cfg));
         }
@@ -114,14 +102,6 @@ impl Telemetry {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Records a cycle-stamped event.
-    #[inline]
-    pub fn emit(&self, cycle: u64, kind: EventKind, arg: u64) {
-        if let Some(i) = &self.inner {
-            i.borrow_mut().ring.push(Event { cycle, kind, arg });
-        }
     }
 
     /// Records a demand-fetch latency sample.
@@ -316,12 +296,7 @@ impl Telemetry {
         self.inner.as_ref().map(|i| {
             let i = i.borrow();
             TelemetrySnapshot {
-                events: i.ring.to_vec(),
-                event_counts: EventKind::ALL
-                    .iter()
-                    .map(|&k| (k, i.ring.count(k)))
-                    .collect(),
-                events_dropped: i.ring.dropped(),
+                events_dropped: 0,
                 fetch_latency: i.fetch_latency.clone(),
                 stall_per_access: i.stall_per_access.clone(),
                 residency: i.residency.clone(),
@@ -337,11 +312,9 @@ impl Telemetry {
 /// An owned copy of everything a [`Telemetry`] sink collected.
 #[derive(Clone, Debug)]
 pub struct TelemetrySnapshot {
-    /// Retained trace events, oldest first.
-    pub events: Vec<Event>,
-    /// Total emitted events per kind (including ones the ring dropped).
-    pub event_counts: Vec<(EventKind, u64)>,
-    /// Events not retained by the ring.
+    /// Always 0: nothing is buffered, so nothing is dropped. Kept only
+    /// because `tfm-perf` reads it (`benchmark/src/traced.rs`, its pinned
+    /// `telemetry.events_dropped` row); it goes once that row does.
     pub events_dropped: u64,
     /// Demand-fetch completion latency (cycles).
     pub fetch_latency: Histogram,
@@ -359,17 +332,6 @@ pub struct TelemetrySnapshot {
     pub trace: Option<TraceSnapshot>,
 }
 
-impl TelemetrySnapshot {
-    /// Total events of `kind` emitted during the run.
-    pub fn count(&self, kind: EventKind) -> u64 {
-        self.event_counts
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, c)| *c)
-            .unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,7 +340,6 @@ mod tests {
     fn disabled_handle_is_inert() {
         let t = Telemetry::disabled();
         assert!(!t.is_enabled());
-        t.emit(1, EventKind::GuardFast, 0);
         t.record_fetch_latency(10);
         t.record_site(SiteKey::new(0, 0), |s| s.hits += 1);
         assert!(t.snapshot().is_none());
@@ -386,16 +347,16 @@ mod tests {
 
     #[test]
     fn clones_share_one_sink() {
-        let t = Telemetry::with_ring_capacity(8);
+        let t = Telemetry::enabled();
         let u = t.clone();
-        t.emit(1, EventKind::DemandFetch, 42);
-        u.emit(2, EventKind::Eviction, 42);
-        u.record_fetch_latency(100);
-        let s = t.snapshot().unwrap();
-        assert_eq!(s.events.len(), 2);
-        assert_eq!(s.count(EventKind::DemandFetch), 1);
-        assert_eq!(s.count(EventKind::Eviction), 1);
-        assert_eq!(s.fetch_latency.count(), 1);
+        t.record_fetch_latency(100);
+        u.record_fetch_latency(300);
+        t.record_site(SiteKey::new(0, 7), |s| s.hits += 1);
+        u.record_site(SiteKey::new(0, 7), |s| s.hits += 2);
+        let s = u.snapshot().unwrap();
+        assert_eq!(s.fetch_latency.count(), 2);
+        assert_eq!(s.sites.get(SiteKey::new(0, 7)).unwrap().hits, 3);
+        assert_eq!(s.events_dropped, 0);
     }
 
     #[test]

@@ -149,17 +149,6 @@ impl Histogram {
             })
     }
 
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Self) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// JSON form: summary stats plus the occupied buckets.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
@@ -292,19 +281,5 @@ mod tests {
         assert_eq!(h.max(), 7);
         let buckets: Vec<_> = h.buckets().collect();
         assert_eq!(buckets[0], (0, 0, 5));
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extremes() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(1);
-        a.record(2);
-        b.record(1 << 20);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), 1);
-        assert_eq!(a.max(), 1 << 20);
-        assert_eq!(a.sum(), 3 + (1 << 20));
     }
 }

@@ -5,11 +5,10 @@
 //!
 //! * [`Telemetry`] — a cheaply-clonable handle shared by the machine, the
 //!   memory systems, the runtime, the pager, and the link, so one run's
-//!   events interleave on a single cycle timeline. Disabled by default;
-//!   every probe on a disabled handle is a single branch.
-//! * [`EventRing`] / [`Event`] / [`EventKind`] — a fixed-capacity trace of
-//!   cycle-stamped events (guard fast/slow, custody exit, demand fetch,
-//!   prefetch issue/hit/late, eviction, writeback, page fault, alloc/free).
+//!   samples land on a single cycle timeline. Disabled by default; every
+//!   probe on a disabled handle is a single branch. Event *counts* (guard
+//!   paths, fetches, evictions, faults, shard transitions) are not kept
+//!   here: each subsystem's own stats struct counts them once.
 //! * [`Histogram`] — log₂-bucketed distributions with p50/p90/p99
 //!   accessors, used for fetch latency, stall-per-access, residency
 //!   lifetime, and transfer sizes.
@@ -20,8 +19,6 @@
 //!   structs (via [`StatGroup`]), the histograms, and the site table, with
 //!   human-readable and JSON renderers. [`Json`] is a minimal hand-rolled
 //!   tree/writer/parser so nothing here needs serde.
-//! * [`MergeStats`] — the common `merge` trait the bench harness uses for
-//!   multi-run aggregation.
 //! * [`trace`] — causal span tracing: a fixed-capacity span tree stamped
 //!   in simulated cycles (roots per runtime operation, children per
 //!   transfer/retry/kernel round), a windowed [`Timeline`] of miss rate /
@@ -31,7 +28,6 @@
 //! See `DESIGN.md` ("Telemetry & run reports") for how the pieces wire
 //! together.
 
-pub mod events;
 pub mod handle;
 pub mod hist;
 pub mod json;
@@ -39,11 +35,10 @@ pub mod report;
 pub mod site;
 pub mod trace;
 
-pub use events::{Event, EventKind, EventRing, EVENT_KINDS};
-pub use handle::{Telemetry, TelemetryInner, TelemetrySnapshot, DEFAULT_RING_CAPACITY};
+pub use handle::{Telemetry, TelemetryInner, TelemetrySnapshot};
 pub use hist::{Histogram, BUCKETS};
 pub use json::Json;
-pub use report::{MergeStats, RunReport, SiteRow, StatGroup, StatSection, TOP_SITES};
+pub use report::{RunReport, SiteRow, StatGroup, StatSection, TOP_SITES};
 pub use site::{SiteKey, SiteStats, SiteTable};
 pub use trace::{
     sparkline, Span, SpanId, SpanKind, SpanTracer, Timeline, TimelineSnapshot, TraceConfig,

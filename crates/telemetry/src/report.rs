@@ -5,7 +5,6 @@
 //! telemetry histograms, and the per-guard-site attribution table, and
 //! renders as either a human-readable text block or machine-readable JSON.
 
-use crate::events::EventKind;
 use crate::hist::Histogram;
 use crate::json::Json;
 use crate::site::{SiteKey, SiteStats, SiteTable};
@@ -32,12 +31,6 @@ pub trait StatGroup {
                 .collect(),
         }
     }
-}
-
-/// Counter structs that can be folded together for multi-run aggregation.
-pub trait MergeStats {
-    /// Accumulates `other` into `self` (counters add, peaks take the max).
-    fn merge(&mut self, other: &Self);
 }
 
 /// One named group of counters inside a report.
@@ -79,10 +72,6 @@ pub struct RunReport {
     pub histograms: Vec<(String, Histogram)>,
     /// Guard-site attribution, hottest (most stall cycles) first.
     pub sites: Vec<SiteRow>,
-    /// Per-kind event totals (nonzero kinds only).
-    pub event_counts: Vec<(String, u64)>,
-    /// Events not retained by the trace ring.
-    pub events_dropped: u64,
     /// Windowed time series (only when the run traced; `None` keeps the
     /// report byte-identical to untraced runs).
     pub timeline: Option<TimelineSnapshot>,
@@ -135,18 +124,6 @@ impl RunReport {
                 stats,
             })
             .collect();
-    }
-
-    /// Records the per-kind event totals from a ring's counters.
-    pub fn set_event_counts(&mut self, count_of: impl Fn(EventKind) -> u64, dropped: u64) {
-        self.event_counts = EventKind::ALL
-            .iter()
-            .filter_map(|&k| {
-                let c = count_of(k);
-                (c > 0).then(|| (k.name().to_string(), c))
-            })
-            .collect();
-        self.events_dropped = dropped;
     }
 
     /// Attaches the windowed time series of a traced run.
@@ -240,16 +217,6 @@ impl RunReport {
                         .collect(),
                 ),
             ),
-            (
-                "events".into(),
-                Json::Obj(
-                    self.event_counts
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Int(*v)))
-                        .collect(),
-                ),
-            ),
-            ("events_dropped".into(), Json::Int(self.events_dropped)),
         ];
         if let Some(t) = &self.timeline {
             pairs.push(("timeline".into(), t.to_json()));
@@ -277,28 +244,6 @@ impl RunReport {
         }
         for (name, h) in &self.histograms {
             let _ = writeln!(out, "hist {name}: {h}");
-        }
-        if !self.event_counts.is_empty() {
-            let kv: Vec<String> = self
-                .event_counts
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
-            let _ = writeln!(
-                out,
-                "events: {} (dropped={})",
-                kv.join(" "),
-                self.events_dropped
-            );
-        }
-        if self.events_dropped > 0 {
-            let _ = writeln!(
-                out,
-                "warning: {} event(s) dropped from the trace ring — per-kind \
-                 totals above remain exact, but the retained event list is \
-                 truncated",
-                self.events_dropped
-            );
         }
         if let Some(t) = &self.timeline {
             out.push_str(&t.render());
@@ -377,7 +322,6 @@ mod tests {
         s.slow_remote = 3;
         s.stall_cycles = 90_000;
         r.set_sites(&t, |k| (k.value() == 7).then(|| "main:v7:read".to_string()));
-        r.set_event_counts(|k| if k == EventKind::DemandFetch { 3 } else { 0 }, 1);
         r
     }
 
@@ -416,6 +360,21 @@ mod tests {
         let r = sample_report();
         let text = r.to_json().to_string_pretty();
         let doc = Json::parse(&text).unwrap();
+        let Json::Obj(pairs) = &doc else {
+            panic!("a report is a JSON object")
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "workload",
+                "system",
+                "meta",
+                "stats",
+                "histograms",
+                "guard_sites"
+            ]
+        );
         assert_eq!(doc.get("workload").and_then(Json::as_str), Some("stream"));
         assert_eq!(
             doc.get("stats")
@@ -442,14 +401,6 @@ mod tests {
             sites[0].get("stall_cycles").and_then(Json::as_u64),
             Some(90_000)
         );
-        assert_eq!(
-            doc.get("events")
-                .unwrap()
-                .get("demand_fetch")
-                .and_then(Json::as_u64),
-            Some(3)
-        );
-        assert_eq!(doc.get("events_dropped").and_then(Json::as_u64), Some(1));
     }
 
     #[test]
@@ -460,15 +411,6 @@ mod tests {
         assert!(text.contains("top guard sites"));
         assert!(text.contains("main:v7:read"));
         assert!(text.contains("fetch_latency_cycles"));
-    }
-
-    #[test]
-    fn dropped_events_raise_a_warning_line() {
-        let mut r = sample_report();
-        // sample_report records dropped=1.
-        assert!(r.render().contains("warning: 1 event(s) dropped"));
-        r.set_event_counts(|_| 1, 0);
-        assert!(!r.render().contains("warning:"));
     }
 
     #[test]

@@ -65,19 +65,6 @@ pub struct SiteStats {
 }
 
 impl SiteStats {
-    /// Folds another site's counters into this one.
-    pub fn merge(&mut self, other: &Self) {
-        self.hits += other.hits;
-        self.fast += other.fast;
-        self.slow_local += other.slow_local;
-        self.slow_remote += other.slow_remote;
-        self.custody_exits += other.custody_exits;
-        self.cycles += other.cycles;
-        self.stall_cycles += other.stall_cycles;
-        self.elided += other.elided;
-        self.hoisted = self.hoisted.max(other.hoisted);
-    }
-
     /// Slow-path executions of either flavor.
     pub fn slow(&self) -> u64 {
         self.slow_local + self.slow_remote
@@ -135,13 +122,6 @@ impl SiteTable {
         rows.truncate(n);
         rows
     }
-
-    /// Folds another table into this one.
-    pub fn merge(&mut self, other: &Self) {
-        for (k, v) in other.map.iter() {
-            self.map.entry(*k).or_default().merge(v);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -170,18 +150,5 @@ mod tests {
         assert_eq!(top[0].0, SiteKey::new(0, 2));
         assert_eq!(top[1].0, SiteKey::new(0, 3));
         assert_eq!(top[2].0, SiteKey::new(0, 4));
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = SiteTable::new();
-        let mut b = SiteTable::new();
-        a.stats_mut(SiteKey::new(1, 1)).hits = 2;
-        b.stats_mut(SiteKey::new(1, 1)).hits = 3;
-        b.stats_mut(SiteKey::new(1, 2)).fast = 1;
-        a.merge(&b);
-        assert_eq!(a.get(SiteKey::new(1, 1)).unwrap().hits, 5);
-        assert_eq!(a.get(SiteKey::new(1, 2)).unwrap().fast, 1);
-        assert_eq!(a.len(), 2);
     }
 }

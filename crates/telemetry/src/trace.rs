@@ -1,6 +1,6 @@
 //! Causal span tracing and windowed time-series metrics.
 //!
-//! The event ring and histograms (PR 1) aggregate: they say *how much* but
+//! The stats counters and histograms aggregate: they say *how much* but
 //! never *why this operation was slow*. This module adds the missing causal
 //! layer — a span tree stamped in simulated cycles:
 //!
@@ -84,11 +84,9 @@ impl TraceConfig {
     }
 }
 
-/// What a span covers. Guard kinds mirror [`EventKind`]'s classification;
-/// the rest are the runtime/pager/link operations a guard (or raw access)
-/// decomposes into.
-///
-/// [`EventKind`]: crate::EventKind
+/// What a span covers. Guard kinds mirror the machine's guard-outcome
+/// counters (`ExecStats::guards_*`); the rest are the runtime/pager/link
+/// operations a guard (or raw access) decomposes into.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// Guard took the fast path (normally canceled, kept only if something

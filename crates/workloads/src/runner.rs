@@ -70,7 +70,8 @@ pub struct RunConfig {
     pub compiler: CompilerOptions,
     /// The cycle cost model.
     pub cost: CostModel,
-    /// Record telemetry (trace events, histograms, guard-site attribution)
+    /// Record telemetry (histograms, guard-site attribution, and spans when
+    /// `trace` is on)
     /// during the measured phase. Off by default: the probes cost time.
     pub telemetry: bool,
     /// Causal span tracing + windowed timeline (implies telemetry when
@@ -373,7 +374,7 @@ pub fn execute_with_report(spec: &WorkloadSpec, cfg: &RunConfig) -> (Outcome, Ru
 
 /// Assembles the unified [`RunReport`] for one finished run: subsystem
 /// counter sections, telemetry histograms, the guard-site table (labeled
-/// via the compile report, when one exists), and event totals.
+/// via the compile report, when one exists), and the traced timeline.
 pub fn build_report(spec: &WorkloadSpec, cfg: &RunConfig, outcome: &Outcome) -> RunReport {
     let mut rep = RunReport::new(&spec.name, cfg.system.name());
     rep.push_meta("local_fraction", cfg.local_fraction);
@@ -411,7 +412,6 @@ pub fn build_report(spec: &WorkloadSpec, cfg: &RunConfig, outcome: &Outcome) -> 
             .map(|s| (SiteKey::new(s.func, s.value), s.label.as_str()))
             .collect();
         rep.set_sites(&snap.sites, |k| labels.get(&k).map(|l| l.to_string()));
-        rep.set_event_counts(|k| snap.count(k), snap.events_dropped);
         if let Some(trace) = &snap.trace {
             rep.set_timeline(trace.timeline.clone());
         }

@@ -13,7 +13,6 @@
 //! ```
 
 use trackfm_suite::net::FaultPlan;
-use trackfm_suite::telemetry::EventKind;
 use trackfm_suite::workloads::hashmap::{hashmap, HashmapParams};
 use trackfm_suite::workloads::runner::{
     chrome_trace, execute, execute_with_report, flamegraph, RunConfig,
@@ -26,8 +25,7 @@ fn main() {
     // ------------------------------------------------------------------
     // Zipf-skewed hash-map probes: random, unchunked accesses that ride the
     // guard slow path, so the span trace shows remote guards with their
-    // transfer/retry/backoff children. Sized so the full event trace fits
-    // the telemetry ring.
+    // transfer/retry/backoff children.
     let spec = hashmap(&HashmapParams {
         keys: 20_000,
         lookups: 20_000,
@@ -61,30 +59,12 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // 3. The degradation/recovery timeline, straight from telemetry.
+    // 3. What the runtime counted. Degraded mode is prefetch off and
+    //    backoff x4; the report's timeline below shows when it was on.
     // ------------------------------------------------------------------
     let rt = out.result.runtime.as_ref().unwrap();
-    let snap = out.telemetry.as_ref().unwrap();
-    println!("\n== link-health timeline ==");
+    println!("\n== link health ==");
     println!("  outage window: [{outage_start}, {outage_end})");
-    let mut transitions = 0;
-    for e in &snap.events {
-        match e.kind {
-            EventKind::Degraded => println!(
-                "  cycle {:>12}  DEGRADED   (fault rate {} ppm: prefetch off, backoff x4)",
-                e.cycle, e.arg
-            ),
-            EventKind::Recovered => println!(
-                "  cycle {:>12}  RECOVERED  (fault rate {} ppm: full service restored)",
-                e.cycle, e.arg
-            ),
-            _ => continue,
-        }
-        transitions += 1;
-    }
-    if transitions == 0 {
-        println!("  (transition events evicted from the trace ring; see counts below)");
-    }
     println!(
         "  {} faults injected, {} retries, {} deadline overruns",
         rt.link_faults, rt.retries, rt.deadline_exceeded
@@ -93,16 +73,13 @@ fn main() {
         "  {} prefetches suppressed while degraded, {} canceled on faults",
         rt.prefetch_suppressed, rt.prefetch_canceled
     );
-    println!(
-        "  degraded {} time(s); recovered {} time(s)",
-        snap.count(EventKind::Degraded),
-        snap.count(EventKind::Recovered)
-    );
+    println!("  degraded {} time(s)", rt.degradations);
 
     // ------------------------------------------------------------------
     // 4. The unified run report: the fault plan in the metadata, fault and
-    //    retry counters in every ledger, and the retry-latency histogram
-    //    (detect + backoff penalty per retried operation).
+    //    retry counters in every ledger, the retry-latency histogram
+    //    (detect + backoff penalty per retried operation), and the
+    //    timeline's per-shard degraded windows.
     // ------------------------------------------------------------------
     print!("\n{rep}");
 

@@ -13,7 +13,6 @@
 //! ```
 
 use trackfm_suite::net::{BackendSpec, FaultPlan};
-use trackfm_suite::telemetry::EventKind;
 use trackfm_suite::workloads::runner::{execute, execute_with_report, RunConfig};
 use trackfm_suite::workloads::stream::{self, StreamParams};
 
@@ -68,6 +67,7 @@ fn main() {
     // ------------------------------------------------------------------
     let rt = out.result.runtime.unwrap();
     println!("\n== recovery ledger ==");
+    println!("  degradations           {}", rt.degradations);
     println!("  shard downs observed   {}", rt.shard_downs);
     println!("  shard recoveries       {}", rt.shard_recoveries);
     println!("  objects re-replicated  {}", rt.re_replications);
@@ -84,11 +84,16 @@ fn main() {
     println!("\n== per-shard failover state ==");
     for (i, snap) in out.result.shards.iter().enumerate() {
         println!(
-            "  shard{i}: state {:?}, epoch {}, {} failover reads, {} divergent writes{}",
+            "  shard{i}: state {:?}, epoch {}, {} failover reads, {} divergent writes, {}{}",
             snap.state,
             snap.epoch,
             snap.failover_reads,
             snap.divergent_writes,
+            if snap.health.is_degraded() {
+                "degraded"
+            } else {
+                "healthy"
+            },
             if i == SICK as usize {
                 "   <- scripted crash"
             } else {
@@ -96,14 +101,6 @@ fn main() {
             },
         );
     }
-    let snap = out.telemetry.as_ref().unwrap();
-    println!(
-        "  telemetry: {} ShardDown, {} ShardRecovering, {} ShardUp, {} ReReplicate",
-        snap.count(EventKind::ShardDown),
-        snap.count(EventKind::ShardRecovering),
-        snap.count(EventKind::ShardUp),
-        snap.count(EventKind::ReReplicate),
-    );
 
     // ------------------------------------------------------------------
     // 4. The unified run report: replica count in the backend metadata,

@@ -13,7 +13,6 @@
 //! ```
 
 use trackfm_suite::net::{BackendSpec, FaultPlan};
-use trackfm_suite::telemetry::EventKind;
 use trackfm_suite::workloads::runner::{execute, execute_with_report, RunConfig};
 use trackfm_suite::workloads::stream::{self, StreamParams};
 
@@ -81,12 +80,17 @@ fn main() {
             },
         );
     }
-    let snap = out.telemetry.as_ref().unwrap();
+    let rt = out.result.runtime.as_ref().unwrap();
+    let degraded_at_end = out
+        .result
+        .shards
+        .iter()
+        .filter(|s| s.health.is_degraded())
+        .count();
     println!(
-        "  degraded {} time(s), recovered {} time(s) — shard {SICK} only; \
-         the other shards never tripped",
-        snap.count(EventKind::Degraded),
-        snap.count(EventKind::Recovered)
+        "  degraded {} time(s) — shard {SICK} only; {} shard down(s), {} recovery(ies), \
+         {} re-replication(s); {degraded_at_end} of {SHARDS} shards degraded at the end",
+        rt.degradations, rt.shard_downs, rt.shard_recoveries, rt.re_replications
     );
 
     // ------------------------------------------------------------------

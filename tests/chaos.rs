@@ -12,7 +12,7 @@
 //!    heals; nothing wedges, every workload completes.
 
 use trackfm_suite::net::{BackendSpec, FaultPlan, PPM};
-use trackfm_suite::telemetry::EventKind;
+use trackfm_suite::telemetry::TraceConfig;
 use trackfm_suite::workloads::runner::{execute, execute_with_report, RunConfig};
 use trackfm_suite::workloads::stream::{self, StreamParams};
 
@@ -103,9 +103,9 @@ fn stalls_and_jitter_delay_without_failing() {
 }
 
 /// A scripted remote-node outage mid-run: the runtime rides it out on
-/// retry/backoff, visibly degrades (prefetch suppressed, Degraded event),
-/// then recovers once the link heals — and the workload still finishes with
-/// the right answer.
+/// retry/backoff, visibly degrades (prefetch suppressed, degradation
+/// counted), then recovers once the link heals — and the workload still
+/// finishes with the right answer.
 #[test]
 fn outage_window_degrades_then_recovers() {
     let spec = spec();
@@ -115,7 +115,14 @@ fn outage_window_degrades_then_recovers() {
     let total = clean.result.stats.cycles;
     let start = total / 4;
     let end = start + total / 8;
-    let cfg = RunConfig::trackfm(0.25).with_faults(FaultPlan::none().with_outage(start, end));
+    // Timeline buckets of 1/64 of the run, so the last one samples only
+    // the tail of the run rather than folding in the window's end.
+    let cfg = RunConfig::trackfm(0.25)
+        .with_faults(FaultPlan::none().with_outage(start, end))
+        .with_trace(TraceConfig {
+            bucket_cycles: total / 64,
+            ..TraceConfig::on()
+        });
     let (out, rep) = execute_with_report(&spec, &cfg);
 
     assert_eq!(
@@ -134,15 +141,17 @@ fn outage_window_degrades_then_recovers() {
         "degraded mode turns the prefetcher off"
     );
 
-    // The transitions are observable in telemetry, and recovery happened:
-    // every Degraded has a matching Recovered (the run ends healthy).
-    let snap = out.telemetry.as_ref().unwrap();
-    let degraded = snap.count(EventKind::Degraded);
-    let recovered = snap.count(EventKind::Recovered);
-    assert_eq!(degraded, rt.degradations);
-    assert_eq!(recovered, degraded, "the link heals after the window");
-    assert!(snap.count(EventKind::FaultInjected) > 0);
-    assert!(snap.count(EventKind::Retry) > 0);
+    assert!(out.result.transfers.unwrap().faults > 0);
+
+    // The degraded window shows on the traced timeline, and recovery
+    // happened: the node's last health sample is healthy again.
+    let degraded = &rep.timeline.as_ref().expect("traced run").shard_degraded[0];
+    assert!(degraded.contains(&true), "the timeline shows the window");
+    assert_eq!(
+        degraded.last(),
+        Some(&false),
+        "the link heals after the window"
+    );
 
     // The retry-latency histogram made it into the run report.
     let h = rep.histogram("retry_latency_cycles").unwrap();
@@ -197,20 +206,10 @@ fn shard_outage_stays_confined_to_the_sick_shard() {
             );
         } else {
             assert_eq!(snap.stats.faults, 0, "shard {i} must stay flawless");
-            assert!(!snap.health.is_degraded(), "shard {i} must stay healthy");
         }
+        // Every shard — the sick one included — ends the run healthy.
+        assert!(!snap.health.is_degraded(), "shard {i} ends the run healthy");
     }
-    // Degraded/Recovered events fired for the sick shard alone: the event
-    // count matches the runtime's ledger, and every shard — the sick one
-    // included — ends the run healthy again.
-    let snap = out.telemetry.as_ref().unwrap();
-    assert_eq!(snap.count(EventKind::Degraded), rt.degradations);
-    assert_eq!(
-        snap.count(EventKind::Recovered),
-        snap.count(EventKind::Degraded),
-        "the sick shard heals after the window"
-    );
-    assert!(!shards[sick as usize].health.is_degraded());
 
     // The report publishes one section per shard, faults where they belong.
     assert!(rep.field("shard2", "faults").unwrap() > 0);

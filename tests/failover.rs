@@ -15,7 +15,6 @@
 
 use trackfm_suite::net::{BackendSpec, FaultPlan, LinkParams, PlacementPolicy};
 use trackfm_suite::runtime::{FarMemory, FarMemoryConfig, ObjId};
-use trackfm_suite::telemetry::EventKind;
 use trackfm_suite::workloads::runner::{execute, execute_with_report, RunConfig};
 use trackfm_suite::workloads::stream::{self, StreamParams};
 
@@ -209,7 +208,7 @@ fn observed_crash_re_replicates_and_recovers() {
 
 /// End to end through the workload runner: a replicated run rides out a cold
 /// crash with the right answer, zero loss, and the full failover story in
-/// telemetry and the run report.
+/// the runtime counters and the run report.
 #[test]
 fn workload_survives_cold_crash_with_zero_loss() {
     let spec = spec();
@@ -231,14 +230,9 @@ fn workload_survives_cold_crash_with_zero_loss() {
         "every down shard rejoins"
     );
 
-    // Telemetry narrates the arc: down, recovering, up again.
-    let snap = out.telemetry.as_ref().unwrap();
-    assert!(snap.count(EventKind::ShardDown) >= 1);
-    assert_eq!(
-        snap.count(EventKind::ShardRecovering),
-        snap.count(EventKind::ShardUp),
-        "every recovery completes"
-    );
+    // A completed recovery is one replay: the shard went Recovering and
+    // rejoined Up in the same step.
+    assert!(rt.shard_recoveries >= 1, "every recovery completes");
 
     // The report publishes per-shard failover state and epochs.
     for s in 0..4 {
