@@ -86,7 +86,9 @@ test "$tree_before" = "$(git status --porcelain)"
 # The second run is a build with debug assertions (and so overflow checks)
 # on, in its own target directory: the residency invariants asserted in
 # `Pager`, `FarMemory` and `StateTable` then see the 4-core, replicated and
-# cold-crash rows, which no unit test reaches.
+# cold-crash rows, which no unit test reaches. Among them, both
+# `evacuate_all`s assert that no fetch is still in flight (`INFLIGHT` or
+# `PENDING`) past its ready cycle; every row's cold start runs one.
 perf_rows_ok() {
     awk '
     /^\{/ { n++; if ($0 !~ /"correct":true/ || $0 !~ /"failed":0[,}]/) { print "tfm-perf row failed: " $0; bad = 1 } }

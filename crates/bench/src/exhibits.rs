@@ -690,9 +690,13 @@ fn fig14(scale: usize) -> Vec<Table> {
 /// Whether the budget in `row` of table 0 holds seven chunk streams, as
 /// analytics and CG run (`sec46`'s streams column), each pinning its object
 /// and prefetching up to 8 ahead. Both have one row whose budget does so at
-/// full scale and not at 1/8 size, where every far-memory configuration
-/// thrashes alike (ROADMAP item 1 makes it worse: landed prefetches nobody
-/// touched stay pinned); a direction is claimed for it where they fit.
+/// full scale and not below it; a direction is claimed for it where they
+/// fit. Where they do not, the look-ahead of seven streams overruns the
+/// budget (ROADMAP item 3): the row no longer thrashes, but its order is
+/// off. At 1/8 size analytics at 10% local reads TrackFM 13 070 792 cycles,
+/// above Fastswap's 11 500 754 and below AIFM's 13 866 869 (fig14), and the
+/// model's chunking loses to none (fig15). CG's row holds at 1/8 and fails
+/// at 1/16: TrackFM 12 406 276 against Fastswap's 8 472 058.
 fn streams_fit(c: &Check, row: &str) -> bool {
     c.get((0, row, "local budget (bytes)")) >= 7 * (1 + 8) * 4096
 }

@@ -449,6 +449,10 @@ impl Pager {
             if *e & RESIDENT == 0 {
                 continue; // stale entry
             }
+            if *e & PENDING != 0 && now >= *e & CYCLE_MASK {
+                // Landed and never consumed: an ordinary resident page now.
+                *e &= !(PENDING | CYCLE_MASK);
+            }
             if *e & REFERENCED != 0 {
                 *e &= !REFERENCED;
                 self.clock.push_back(page);
@@ -510,6 +514,12 @@ impl Pager {
             }
         }
         debug_assert_eq!(self.resident_pages as usize, self.count(RESIDENT));
+        debug_assert!(
+            self.table
+                .iter()
+                .all(|&e| e & PENDING == 0 || e & CYCLE_MASK > now),
+            "a read landed by cycle {now} is still pending after a full evacuation"
+        );
     }
 }
 
@@ -814,6 +824,24 @@ mod tests {
         assert_eq!(p.access(0, 8, false, done), 0);
         assert_eq!(p.inflight_pages(), 0);
         assert_eq!(p.stats().fault_joins, 1);
+    }
+
+    #[test]
+    fn make_room_reclaims_a_landed_pending_page() {
+        let mut p = pager(1);
+        p.access(0, 8, true, 0);
+        p.access(PAGE_SIZE, 8, true, 0);
+        p.evacuate_all(0);
+        p.reset_stats();
+        p.set_async_fetch(true);
+        p.access(0, 8, false, 0);
+        assert_eq!(p.inflight_pages(), 1);
+        // Page 0's read landed long ago and nobody consumed it: the next
+        // fault reclaims it instead of going over budget.
+        p.access(PAGE_SIZE, 8, false, 10_000_000);
+        assert_eq!(p.stats().reclaims, 1);
+        assert_eq!(p.resident_bytes(), PAGE_SIZE);
+        assert_eq!(p.inflight_pages(), 1, "only page 1's read is pending");
     }
 
     #[test]

@@ -419,7 +419,7 @@ impl FarMemory {
         for o in first.0..=last.0 {
             let o = ObjId(o);
             if !self.table.is_present(o) && !self.table.is_inflight(o) {
-                self.ensure_capacity(self.cfg.object_size, now);
+                self.ensure_capacity(self.cfg.object_size, now, INFLIGHT);
                 self.table.set(o, PRESENT | DIRTY | HOT);
                 self.resident_bytes += self.cfg.object_size;
                 self.clock.push_back(o);
@@ -526,7 +526,7 @@ impl FarMemory {
             } else {
                 self.tel.span_begin_root(SpanKind::DemandFetch, o.0, now)
             };
-            self.ensure_capacity(size, now);
+            self.ensure_capacity(size, now, INFLIGHT);
             let done = self
                 .transfer_with_retry(o.0, size, now, false)
                 .expect("demand fetches retry until delivered");
@@ -631,7 +631,9 @@ impl FarMemory {
             return false;
         }
         let size = self.cfg.object_size;
-        self.ensure_capacity(size, now);
+        // A prefetch may not take a landed prefetch: the stream that issued
+        // it is about to reach it.
+        self.ensure_capacity(size, now, DEMAND);
         // Prefetch lifetime extends past the triggering access, so it gets
         // its own root span rather than nesting under the open guard span.
         let sp = self.tel.span_begin_root(SpanKind::Prefetch, o.0, now);
@@ -692,12 +694,13 @@ impl FarMemory {
     /// collection point to allow stale objects to be evacuated"): brings
     /// residency back under budget.
     pub fn collection_point(&mut self, now: u64) {
-        self.ensure_capacity(0, now);
+        self.ensure_capacity(0, now, INFLIGHT);
     }
 
     /// Evicts cold objects until `resident + incoming ≤ budget`, or until
     /// only pinned/in-flight objects remain (then records a budget overrun).
-    fn ensure_capacity(&mut self, incoming: u64, now: u64) {
+    /// For `claim`, see [`FarMemory::claim_landed_fetch`].
+    fn ensure_capacity(&mut self, incoming: u64, now: u64, claim: u64) {
         let budget = self.cfg.local_budget;
         if self.resident_bytes + incoming <= budget {
             return;
@@ -710,7 +713,7 @@ impl FarMemory {
             let Some(o) = self.clock.pop_front() else {
                 break;
             };
-            if !self.reclaimable(o, now) {
+            if !self.reclaimable(o, now, claim) {
                 continue;
             }
             if self.table.entry(o) & HOT != 0 {
@@ -726,14 +729,15 @@ impl FarMemory {
     }
 
     /// Whether the evacuator may take queue entry `o`, just popped from the
-    /// CLOCK queue. A landed demand fetch nobody has touched since is
-    /// claimed first; pinned and in-flight objects are requeued, stale
-    /// entries dropped. The one place reclaim decides what is off limits.
-    fn reclaimable(&mut self, o: ObjId, now: u64) -> bool {
+    /// CLOCK queue. A fetch that has landed with nobody touching it since is
+    /// claimed first (when `claim` admits it); pinned objects and fetches
+    /// still on the wire are requeued, stale entries dropped. The one place
+    /// reclaim decides what is off limits.
+    fn reclaimable(&mut self, o: ObjId, now: u64, claim: u64) -> bool {
         if self.table.entry(o) & (PRESENT | INFLIGHT) == 0 {
             return false; // stale queue entry
         }
-        self.claim_landed_fetch(o, now);
+        self.claim_landed_fetch(o, now, claim);
         if self.table.pins(o) > 0 || self.table.is_inflight(o) {
             self.clock.push_back(o);
             return false;
@@ -776,16 +780,21 @@ impl FarMemory {
         self.tel.note_evicted(o.0, now);
     }
 
-    /// Converts a completed-but-unclaimed demand fetch back to `PRESENT`
-    /// under the evacuator's scan: the data landed at `ready_cycle` but no
-    /// core has touched the object since, so it is evictable like any other
-    /// resident object. No-op unless a demand fetch is in flight for it.
-    fn claim_landed_fetch(&mut self, o: ObjId, now: u64) {
-        if self.table.entry(o) & DEMAND == 0 || self.table.ready_cycle(o) > now {
+    /// Converts a completed-but-unclaimed fetch back to `PRESENT` under the
+    /// evacuator's scan: the data landed at `ready_cycle` but nothing has
+    /// touched the object since, so it is evictable like any other resident
+    /// object. A landed prefetch also gets `HOT`, one CLOCK second chance
+    /// for the stream that asked for it. `claim` is the flag the entry must
+    /// carry: [`INFLIGHT`] takes any landed fetch, [`DEMAND`] (a prefetch's
+    /// own scan) only demand fetches. No-op for anything still on the wire.
+    fn claim_landed_fetch(&mut self, o: ObjId, now: u64, claim: u64) {
+        let entry = self.table.entry(o);
+        if entry & claim == 0 || self.table.ready_cycle(o) > now {
             return;
         }
         self.table.clear(o, INFLIGHT | DEMAND);
-        self.table.set(o, PRESENT);
+        let second_chance = if entry & DEMAND == 0 { HOT } else { 0 };
+        self.table.set(o, PRESENT | second_chance);
     }
 
     /// Evacuates every resident, unpinned object (writing dirty ones back).
@@ -798,13 +807,19 @@ impl FarMemory {
             let Some(o) = self.clock.pop_front() else {
                 break;
             };
-            if self.reclaimable(o, now) {
+            if self.reclaimable(o, now, INFLIGHT) {
                 self.evict(o, now);
             }
         }
         debug_assert_eq!(
             self.resident_bytes,
             self.table.count(PRESENT | INFLIGHT) as u64 * self.cfg.object_size
+        );
+        debug_assert!(
+            (0..self.table.len() as u64)
+                .map(ObjId)
+                .all(|o| !self.table.is_inflight(o) || self.table.ready_cycle(o) > now),
+            "a fetch landed by cycle {now} is still in flight after a full evacuation"
         );
     }
 }
@@ -1073,6 +1088,87 @@ mod tests {
         let _ = fm.localize(o0, false, 10_000_000);
         fm.collection_point(10_000_001);
         assert!(fm.resident_bytes() <= fm.config().local_budget + 4096);
+    }
+
+    #[test]
+    fn landed_untouched_prefetch_yields_to_a_demand_miss() {
+        let mut fm = fm_with(2);
+        let p = fm.allocate(4 * 4096, 0).unwrap();
+        let o = fm.obj_of_offset(p.offset()).0;
+        fm.evacuate_all(0);
+        fm.reset_stats();
+        // Two prefetches fill the budget and land; nothing ever touches them.
+        assert!(fm.prefetch(ObjId(o), 0));
+        assert!(fm.prefetch(ObjId(o + 1), 0));
+        let now = 10_000_000;
+        fm.localize(ObjId(o + 2), false, now);
+        fm.localize(ObjId(o + 3), false, now + 100_000);
+        let s = fm.stats();
+        assert_eq!(
+            s.budget_overruns, 0,
+            "dead prefetches must not pin budget: {s}"
+        );
+        assert_eq!(s.evictions, 2);
+        assert_eq!(s.prefetch_hits, 0);
+        assert!(fm.resident_bytes() <= fm.config().local_budget);
+        assert!(!fm.table().is_inflight(ObjId(o)) && !fm.table().is_present(ObjId(o)));
+    }
+
+    #[test]
+    fn a_claimed_prefetch_gets_one_clock_second_chance() {
+        let mut fm = fm_with(2);
+        let p = fm.allocate(10 * 4096, 0).unwrap();
+        let o = fm.obj_of_offset(p.offset()).0;
+        fm.evacuate_all(0);
+        fm.reset_stats();
+        fm.localize(ObjId(o), false, 0);
+        assert!(fm.prefetch(ObjId(o + 5), 0));
+        // The scan strips the demand-fetched object's reference bit, claims
+        // the landed prefetch as referenced, and so comes back to the former.
+        fm.localize(ObjId(o + 9), false, 10_000_000);
+        assert!(!fm.table().is_present(ObjId(o)));
+        assert!(fm.table().is_present(ObjId(o + 5)));
+        assert_eq!(fm.stats().evictions, 1);
+    }
+
+    #[test]
+    fn a_prefetch_leaves_a_landed_prefetch_resident() {
+        let mut fm = fm_with(1);
+        let p = fm.allocate(2 * 4096, 0).unwrap();
+        let o0 = fm.obj_of_offset(p.offset());
+        let o1 = ObjId(o0.0 + 1);
+        fm.evacuate_all(0);
+        fm.reset_stats();
+        assert!(fm.prefetch(o0, 0));
+        // o0 landed long ago, but the stream that fetched it is about to
+        // reach it: the next prefetch overruns the budget rather than take it.
+        assert!(fm.prefetch(o1, 10_000_000));
+        assert!(fm.table().is_inflight(o0), "unclaimed, still resident");
+        assert_eq!(fm.stats().evictions, 0);
+        assert_eq!(fm.stats().budget_overruns, 1);
+        // A demand scan does take it.
+        fm.collection_point(10_000_000);
+        assert!(!fm.table().is_present(o0) && !fm.table().is_inflight(o0));
+        assert_eq!(fm.stats().evictions, 1);
+    }
+
+    #[test]
+    fn evacuate_all_leaves_no_landed_fetch_in_flight() {
+        let mut fm = fm_with(8);
+        let p = fm.allocate(4 * 4096, 0).unwrap();
+        let o = fm.obj_of_offset(p.offset()).0;
+        fm.evacuate_all(0);
+        for k in 0..3 {
+            assert!(fm.prefetch(ObjId(o + k), 0));
+        }
+        fm.set_async_fetch(true);
+        fm.localize(ObjId(o + 3), false, 0);
+        assert_eq!(fm.demand_inflight_len(), 1);
+        fm.evacuate_all(10_000_000);
+        assert_eq!(fm.resident_bytes(), 0);
+        for k in 0..4 {
+            assert!(!fm.table().is_inflight(ObjId(o + k)), "object {k}");
+        }
     }
 
     #[test]

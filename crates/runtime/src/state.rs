@@ -20,7 +20,8 @@ pub const PRESENT: u64 = 1 << 63;
 pub const DIRTY: u64 = 1 << 62;
 /// CLOCK reference bit, set on access, cleared by the evacuator's hand.
 pub const HOT: u64 = 1 << 61;
-/// An asynchronous fetch (prefetch) is outstanding for this object.
+/// An asynchronous fetch — a prefetch, or a core's with `DEMAND` — is
+/// outstanding; the evacuator may claim either kind once it has landed.
 pub const INFLIGHT: u64 = 1 << 60;
 /// The evacuator has selected this object (kept for fidelity with AIFM's
 /// metadata; the single-threaded simulator sets and clears it within one
@@ -28,8 +29,9 @@ pub const INFLIGHT: u64 = 1 << 60;
 pub const EVACUATING: u64 = 1 << 59;
 /// The outstanding fetch is a core's demand fetch, issued without blocking
 /// (DESIGN.md §6h), not a prefetch: a second core missing the object joins
-/// it, and the evacuator may claim it once it has landed. Only ever set
-/// together with [`INFLIGHT`].
+/// it rather than waiting it out as a late prefetch, and a prefetch's own
+/// reclaim scan may claim it once landed (that scan leaves landed prefetches
+/// alone). Only ever set together with [`INFLIGHT`].
 pub(crate) const DEMAND: u64 = 1 << 58;
 
 const PIN_SHIFT: u32 = 48;

@@ -16,6 +16,8 @@ pub struct RuntimeStats {
     /// Asynchronous fetches issued by the prefetcher.
     pub prefetch_issued: u64,
     /// Prefetches that completed before first use (fully hidden latency).
+    /// A landed prefetch that a demand scan claimed first (it turns
+    /// `PRESENT`) is not counted: its first use takes the fast path.
     pub prefetch_hits: u64,
     /// Prefetches still in flight at first use (partially hidden latency).
     pub prefetch_late: u64,
