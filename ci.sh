@@ -56,9 +56,11 @@ cargo test -q --workspace
 #   guard_opt           — exhibit `guard_opt` (no level adds cycles; Full <
 #                         Local and a hoisted guard on serving); determinism:
 #                         pipeline_integration::compilation_is_deterministic.
-#   fault_overhead      — tfm-net's inactive_fault_plan_is_bit_identical_to_
-#                         no_plan and identity_matrix's `faults` row; host
-#                         time is `tfm-perf --trace 1`.
+#   fault_overhead      — pay-for-use is pinned by identity_matrix's `faults`
+#                         row and tfm-net's inactive_fault_plan_is_bit_
+#                         identical_to_no_plan; a flawless run takes the one
+#                         retry path, so host time is `tfm-perf --trace 1`'s
+#                         `net.*_transfer_ns` and `runtime.localize_miss_ns`.
 #   shard_scaling       — exhibit `shards`; one answer at every shard count
 #                         is the runner's result check and `sharding`.
 #   failover_overhead   — exhibit `failover` (crash row loses nothing);
@@ -88,7 +90,10 @@ test "$tree_before" = "$(git status --porcelain)"
 # `Pager`, `FarMemory` and `StateTable` then see the 4-core, replicated and
 # cold-crash rows, which no unit test reaches. Among them, both
 # `evacuate_all`s assert that no fetch is still in flight (`INFLIGHT` or
-# `PENDING`) past its ready cycle; every row's cold start runs one.
+# `PENDING`) past its ready cycle; every row's cold start runs one. The
+# `Sharded` replication invariants (a replica set is R distinct in-range
+# shards; a key's acked version never goes back) see `serve_openloop`'s
+# 4 shards x 2 replicas and cold-crash rows.
 perf_rows_ok() {
     awk '
     /^\{/ { n++; if ($0 !~ /"correct":true/ || $0 !~ /"failed":0[,}]/) { print "tfm-perf row failed: " $0; bad = 1 } }

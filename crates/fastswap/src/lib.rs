@@ -163,9 +163,6 @@ pub struct Pager {
     backend: Sharded,
     stats: PagerStats,
     tel: Telemetry,
-    /// Cached `backend.failover_active()`: gates shard-restart polling so
-    /// crash-free configurations keep the legacy fault path bit-identical.
-    failover_active: bool,
     /// Split issue/complete fault handling (multi-core scheduler only):
     /// major faults issue their RDMA read and record the completion cycle
     /// in the page's entry instead of stalling until it; later touches of
@@ -191,7 +188,6 @@ impl Pager {
     /// whoever owns the address space rejects it.
     pub fn with_range(cfg: PagerConfig, base: u64, len: u64) -> Self {
         let backend = build_backend(cfg.link, cfg.backend, cfg.faults);
-        let failover_active = backend.failover_active();
         Pager {
             table: Vec::with_capacity(INITIAL_ENTRIES),
             base_page: base >> PAGE_SHIFT,
@@ -201,7 +197,6 @@ impl Pager {
             backend,
             stats: PagerStats::default(),
             tel: Telemetry::disabled(),
-            failover_active,
             async_fetch: false,
             completion_horizon: 0,
             cfg,
@@ -347,7 +342,7 @@ impl Pager {
     /// has no redo log of its own — the backend's acknowledgement ledger
     /// is the source of truth), and puts the shard back in service.
     fn service_failover(&mut self, now: u64) {
-        if !self.failover_active {
+        if !self.backend.failover_active() {
             return;
         }
         self.backend.poll(now);
@@ -693,6 +688,26 @@ mod tests {
         // Determinism: the same seed reproduces the exact same run.
         let mut p2 = mk();
         assert_eq!(run(&mut p2), (stats, transfer, elapsed));
+    }
+
+    #[test]
+    fn writeback_re_sends_are_blind_and_charge_no_kernel_cost() {
+        let mut p = Pager::new(PagerConfig {
+            local_budget: 32 * PAGE_SIZE,
+            faults: FaultPlan::drops(0xFA57, 500_000), // 50% drops
+            ..PagerConfig::default()
+        });
+        for i in 0..16u64 {
+            p.access(i * PAGE_SIZE, 8, true, 0);
+        }
+        p.evacuate_all(0);
+        let (stats, transfer) = (p.stats(), p.transfer_stats());
+        assert_eq!(stats.writebacks, 16, "every dirty page writes back");
+        assert_eq!(transfer.writebacks, stats.writebacks);
+        assert!(transfer.faults > 0, "a 50% plan must drop some writebacks");
+        // Re-sending a dropped writeback is the backend's blind policy: no
+        // kernel re-drive, so the pager's retry counter stays at zero.
+        assert_eq!(stats.fault_retries, 0);
     }
 
     #[test]

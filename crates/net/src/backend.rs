@@ -18,6 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::fault::{mix, FaultKind, FaultPlan, LinkFault, LinkHealth, ShardState};
+use crate::retry::blind;
 use crate::{Link, LinkParams, TransferStats};
 use tfm_telemetry::{StatGroup, Telemetry};
 
@@ -444,24 +445,20 @@ impl Sharded {
     /// The shards hosting `key`: R consecutive ring positions starting at
     /// the placement shard, unless the re-replicator has re-homed the key.
     fn replica_set(&self, key: u64) -> Vec<usize> {
-        if let Some(m) = self.moved.get(&key) {
-            return m.iter().map(|&s| s as usize).collect();
-        }
         let n = self.links.len();
-        let p = self.route(key);
-        (0..self.replicas as usize).map(|i| (p + i) % n).collect()
-    }
-
-    /// Drives every link's crash state machine to `now`; a cold restart
-    /// wipes the shard's store (that is what "cold" means).
-    fn poll_all(&mut self, now: u64) {
-        for s in 0..self.links.len() {
-            if let Some(cold) = self.links[s].poll_failover(now) {
-                if cold {
-                    self.stores[s].clear();
-                }
+        let set: Vec<usize> = match self.moved.get(&key) {
+            Some(m) => m.iter().map(|&s| s as usize).collect(),
+            None => {
+                let p = self.route(key);
+                (0..self.replicas as usize).map(|i| (p + i) % n).collect()
             }
-        }
+        };
+        debug_assert!(
+            set.len() == self.replicas as usize
+                && (0..set.len()).all(|i| set[i] < n && !set[..i].contains(&set[i])),
+            "key {key}: replica set {set:?} is not R distinct shards of {n}"
+        );
+        set
     }
 
     /// The fabricated fault for an operation with no serving replica:
@@ -496,7 +493,7 @@ impl Sharded {
 
     /// Tracked-mode fetch: read failover across the replica set.
     fn tracked_try_transfer(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
-        self.poll_all(now);
+        self.poll(now);
         let set = self.replica_set(key);
         let Some(s) = self.choose_serving(&set, key) else {
             return Err(self.unreachable_fault(now));
@@ -513,7 +510,7 @@ impl Sharded {
     /// when *all* live replicas hold it; a Down replica is skipped and its
     /// divergence recorded, to be repaid by resync or re-replication.
     fn tracked_try_writeback(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
-        self.poll_all(now);
+        self.poll(now);
         let set = self.replica_set(key);
         self.next_version += 1;
         let ver = self.next_version;
@@ -544,7 +541,11 @@ impl Sharded {
             // (any partial copies carry a version nobody acked — harmless).
             (Some(f), _) => Err(f),
             (None, Some(d)) => {
-                self.acked.insert(key, ver);
+                let prev = self.acked.insert(key, ver);
+                debug_assert!(
+                    prev.is_none_or(|p| p < ver),
+                    "key {key}: acked version went back from {prev:?} to {ver}"
+                );
                 Ok(d)
             }
             // Every replica is Down.
@@ -552,72 +553,57 @@ impl Sharded {
         }
     }
 
-    /// Blind-retry wrapper for the blocking entry points in tracked mode.
-    fn tracked_blocking(&mut self, key: u64, bytes: u64, mut now: u64, writeback: bool) -> u64 {
-        let mut attempts = 0u32;
-        loop {
-            let res = if writeback {
-                self.tracked_try_writeback(key, bytes, now)
-            } else {
-                self.tracked_try_transfer(key, bytes, now)
-            };
-            match res {
-                Ok(done) => return done,
-                Err(f) => {
-                    attempts += 1;
-                    assert!(
-                        attempts < 10_000,
-                        "no replica of key {key} ever came back: {attempts} consecutive faults"
-                    );
-                    now = f.detected_at;
-                }
-            }
-        }
+    /// Drives `attempt` at `key` under the blind policy until it delivers.
+    fn blind(
+        &mut self,
+        key: u64,
+        now: u64,
+        attempt: impl FnMut(&mut Self, u64) -> Result<u64, LinkFault>,
+    ) -> u64 {
+        blind(self, now, attempt, |_, n| {
+            format!("no replica of key {key} ever came back: {n} consecutive faults")
+        })
     }
 }
 
 /// The data plane: where localize/writeback traffic goes.
 ///
 /// All methods mirror [`Link`]'s contract, with an added routing `key` (the
-/// object id or page number being moved). The blocking forms
-/// ([`transfer`](Self::transfer)/[`writeback`](Self::writeback)) retry
-/// blindly until delivery; the fallible forms
+/// object id or page number being moved). The fallible forms
 /// ([`try_transfer`](Self::try_transfer)/[`try_writeback`](Self::try_writeback))
-/// surface the [`LinkFault`] so policy-aware callers (the runtime's
-/// retry/backoff loop) own the retry schedule. The failover surface
-/// (DESIGN.md §6g) starts at [`failover_active`](Self::failover_active).
+/// are the one data-plane surface: each is one attempt that surfaces its
+/// [`LinkFault`], and every retry schedule is a [`RetryOps`](crate::RetryOps)
+/// policy over them in [`drive_retries`](crate::drive_retries). The blocking
+/// forms ([`transfer`](Self::transfer)/[`writeback`](Self::writeback)) are
+/// the blind policy (re-issue at detection, no backoff) over `try_*`. The
+/// failover surface (DESIGN.md §6g) starts at
+/// [`failover_active`](Self::failover_active).
 impl Sharded {
     /// Number of remote nodes behind this backend.
     pub fn shard_count(&self) -> usize {
         self.links.len()
     }
 
-    /// The shard serving `key` (always 0 for a single node).
+    /// The shard serving `key` (always 0 for a single node): the first of
+    /// its replica set. Only tracked mode ever re-homes a key.
+    #[inline]
     pub fn shard_of(&self, key: u64) -> usize {
-        if self.tracked {
-            self.replica_set(key)[0]
-        } else {
-            self.route(key)
+        match self.moved.get(&key) {
+            Some(set) => set[0] as usize,
+            None => self.route(key),
         }
     }
 
     /// Blocking fetch of `bytes` for `key` at cycle `now`; returns the
-    /// completion cycle. Faulted attempts are transparently retried.
+    /// completion cycle. Faulted attempts are retried under the blind
+    /// policy until one delivers.
     pub fn transfer(&mut self, key: u64, bytes: u64, now: u64) -> u64 {
-        if self.tracked {
-            return self.tracked_blocking(key, bytes, now, false);
-        }
-        let s = self.route(key);
-        self.links[s].transfer(bytes, now)
+        self.blind(key, now, |b, at| b.try_transfer(key, bytes, at))
     }
 
     /// Blocking writeback counterpart of [`transfer`](Self::transfer).
     pub fn writeback(&mut self, key: u64, bytes: u64, now: u64) -> u64 {
-        if self.tracked {
-            return self.tracked_blocking(key, bytes, now, true);
-        }
-        let s = self.route(key);
-        self.links[s].writeback(bytes, now)
+        self.blind(key, now, |b, at| b.try_writeback(key, bytes, at))
     }
 
     /// One fetch attempt; the caller owns retry policy on failure.
@@ -627,6 +613,7 @@ impl Sharded {
     /// issue time (bandwidth slot + pipelined latency), so the wire is
     /// occupied and the ledger charged immediately while the *caller* keeps
     /// computing and compares the returned cycle against its advancing clock.
+    #[inline]
     pub fn try_transfer(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
         if self.tracked {
             return self.tracked_try_transfer(key, bytes, now);
@@ -636,6 +623,7 @@ impl Sharded {
     }
 
     /// One writeback attempt; the caller owns retry policy on failure.
+    #[inline]
     pub fn try_writeback(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
         if self.tracked {
             return self.tracked_try_writeback(key, bytes, now);
@@ -644,8 +632,8 @@ impl Sharded {
         self.links[s].try_writeback(bytes, now)
     }
 
-    /// True if any shard has an active fault plan attached. Callers use
-    /// this to keep the flawless-fabric fast path (no retry bookkeeping).
+    /// True if any shard has an active fault plan attached. The runtime
+    /// samples shard health into traced timelines only then.
     pub fn faults_active(&self) -> bool {
         self.links.iter().any(|l| l.fault_plan().is_active())
     }
@@ -722,10 +710,15 @@ impl Sharded {
     }
 
     /// Advances scripted crash/restart transitions to cycle `now` without
-    /// issuing traffic (cold restarts wipe the crashed shard's store here).
+    /// issuing traffic; a cold restart wipes the shard's store (that is what
+    /// "cold" means). A no-op unless some shard has a crash plan.
     pub fn poll(&mut self, now: u64) {
-        if self.tracked {
-            self.poll_all(now);
+        for s in 0..self.links.len() {
+            if let Some(cold) = self.links[s].poll_failover(now) {
+                if cold {
+                    self.stores[s].clear();
+                }
+            }
         }
     }
 
@@ -749,9 +742,6 @@ impl Sharded {
     /// replica, charging `bytes` of writeback traffic, if the shard's copy
     /// is stale or missing.
     pub fn resync_key(&mut self, shard: usize, key: u64, bytes: u64, now: u64) -> ResyncOutcome {
-        if !self.tracked {
-            return ResyncOutcome::Clean;
-        }
         let Some(&ver) = self.acked.get(&key) else {
             return ResyncOutcome::Clean;
         };
@@ -789,7 +779,7 @@ impl Sharded {
     /// (the migration hook). Returns the copy's completion cycle if a copy
     /// was made.
     pub fn re_replicate(&mut self, key: u64, from: usize, bytes: u64, now: u64) -> Option<u64> {
-        if !self.tracked || self.replicas <= 1 {
+        if self.replicas <= 1 {
             return None;
         }
         let set = self.replica_set(key);
@@ -1273,6 +1263,15 @@ mod tests {
         assert_eq!(b.shard_stats(0).writebacks, 1);
         // Re-replicating an already-drained key is a no-op.
         assert!(b.re_replicate(0, 0, 4096, 400_000).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "no replica of key 7 ever came back")]
+    fn blocking_transfer_with_every_replica_down_for_good_panics() {
+        let spec = BackendSpec::sharded(2).with_replicas(2);
+        let crash = FaultPlan::none().with_crash(0, u64::MAX); // never restarts
+        let mut b = build_backend(LinkParams::tcp_25g(), spec, crash);
+        b.transfer(7, 64, 0);
     }
 
     #[test]

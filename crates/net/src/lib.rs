@@ -49,6 +49,7 @@ pub use fault::{
     CrashWindow, FaultKind, FaultPlan, LinkFault, LinkHealth, OutageWindow, ShardState, PPM,
 };
 use fault::{Fate, FaultState};
+use retry::blind;
 pub use retry::{drive_retries, Retried, RetryOps, MAX_DRIVEN_RETRIES};
 
 /// Parameters of a simulated link.
@@ -236,12 +237,6 @@ pub struct Link {
     crash_done: bool,
 }
 
-/// Safety valve for the blocking [`Link::transfer`]/[`Link::writeback`]
-/// retry loops: a fault plan hostile enough to fail this many consecutive
-/// attempts means the link is permanently dead, which the simulation cannot
-/// make progress under.
-const MAX_BLIND_RETRIES: u32 = 10_000;
-
 impl Link {
     /// Creates an idle link.
     pub fn new(params: LinkParams) -> Self {
@@ -406,42 +401,28 @@ impl Link {
         self.attempt(bytes, now, true)
     }
 
-    /// Blindly retries `attempt` until it succeeds, charging each failure's
-    /// detection timeout but no backoff. The legacy synchronous interface —
-    /// policy-aware callers use [`Link::try_transfer`] instead.
-    fn retry_until_delivered(&mut self, bytes: u64, mut now: u64, writeback: bool) -> u64 {
-        let mut attempts = 0u32;
-        loop {
-            match self.attempt(bytes, now, writeback) {
-                Ok(done) => return done,
-                Err(f) => {
-                    attempts += 1;
-                    assert!(
-                        attempts < MAX_BLIND_RETRIES,
-                        "link permanently dead: {} consecutive faults (plan: {})",
-                        attempts,
-                        self.fault_plan(),
-                    );
-                    now = f.detected_at;
-                }
-            }
-        }
-    }
-
     /// Schedules a fetch of `bytes` at cycle `now`; returns the completion
     /// cycle. Synchronous callers stall until then; asynchronous callers
     /// (the prefetcher) record it as the object's ready time. Under an
-    /// attached fault plan, faulted attempts are transparently retried
-    /// (timeout charged, no backoff) until one delivers.
+    /// attached fault plan, faulted attempts are retried under the blind
+    /// policy (timeout charged, no backoff) until one delivers.
     pub fn transfer(&mut self, bytes: u64, now: u64) -> u64 {
-        self.retry_until_delivered(bytes, now, false)
+        blind(self, now, |l, at| l.try_transfer(bytes, at), Link::dead)
     }
 
     /// Schedules a writeback (evacuation of a dirty object/page). Returns the
     /// completion cycle, though callers typically fire-and-forget: the cost
     /// surfaces as queueing delay for subsequent fetches.
     pub fn writeback(&mut self, bytes: u64, now: u64) -> u64 {
-        self.retry_until_delivered(bytes, now, true)
+        blind(self, now, |l, at| l.try_writeback(bytes, at), Link::dead)
+    }
+
+    /// The blind policy's panic message for a permanently dead link.
+    fn dead(&self, attempts: u32) -> String {
+        format!(
+            "link permanently dead: {attempts} consecutive faults (plan: {})",
+            self.fault_plan()
+        )
     }
 
     /// Health-driven `Up ↔ Suspect` hysteresis. Never touches `Down` /
@@ -670,6 +651,14 @@ mod tests {
         assert!(s.faults > 10, "a 50% plan must have faulted: {}", s.faults);
         assert_eq!(s.bytes_fetched, 64 * 4096);
         assert_eq!(s.fault_wasted_bytes, s.faults * 4096);
+    }
+
+    #[test]
+    #[should_panic(expected = "link permanently dead")]
+    fn blocking_transfer_on_a_dead_link_panics() {
+        let mut l = Link::new(LinkParams::tcp_25g());
+        l.set_fault_plan(FaultPlan::drops(7, fault::PPM)); // every attempt drops
+        l.transfer(4096, 0);
     }
 
     #[test]

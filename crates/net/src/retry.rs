@@ -1,16 +1,14 @@
-//! The shared retry/backoff/deadline driver.
-//!
-//! The runtime's slow path and the fastswap pager both wrap a fallible
-//! backend attempt in the same skeleton — try, on fault pick the next issue
-//! cycle (backoff, kernel re-drive, deadline bookkeeping), give up only when
-//! the policy says so, and panic if the link is permanently dead. The two
-//! copies drifted since PR 6; this module is the single implementation,
-//! with the policy-specific pieces factored behind [`RetryOps`].
+//! The one retry loop: every re-issue of a faulted backend attempt in the
+//! tree runs through [`drive_retries`] — try, on fault pick the next issue
+//! cycle, give up only when the policy says so, and panic if the link is
+//! permanently dead. Three [`RetryOps`] policies plug into it: the runtime's
+//! `RuntimeRetry` (backoff, deadline, deferrable writebacks), the pager's
+//! `PagerRetry` (a kernel round per re-drive) and [`Blind`] (re-issue at
+//! detection; the blocking `transfer`/`writeback` of `Link` and `Sharded`).
 //!
 //! The driver is deliberately dumb: it owns the attempt counter and the
 //! dead-link safety valve, nothing else. Telemetry, stats, health polling,
-//! and backoff arithmetic all live in the caller's [`RetryOps`], so the
-//! pre-refactor emission order is preserved attempt for attempt.
+//! and backoff arithmetic all live in the policy.
 
 use crate::fault::LinkFault;
 
@@ -58,6 +56,7 @@ pub trait RetryOps {
 /// # Panics
 /// Panics with [`RetryOps::describe_dead`] after [`MAX_DRIVEN_RETRIES`]
 /// consecutive faults: the link is permanently dead.
+#[inline]
 pub fn drive_retries(ops: &mut impl RetryOps, start: u64) -> Option<Retried> {
     let mut at = start;
     let mut attempts = 0u32;
@@ -84,6 +83,43 @@ pub fn drive_retries(ops: &mut impl RetryOps, start: u64) -> Option<Retried> {
             }
         }
     }
+}
+
+/// The blind policy: re-issue at the fault's detection cycle, with no
+/// backoff, and never give up. Holds the target, one attempt on it, and the
+/// target's dead-link panic message.
+struct Blind<'a, T, A, D>(&'a mut T, A, D);
+
+impl<T, A, D> RetryOps for Blind<'_, T, A, D>
+where
+    A: FnMut(&mut T, u64) -> Result<u64, LinkFault>,
+    D: Fn(&T, u32) -> String,
+{
+    fn issue(&mut self, at: u64, _attempts: u32) -> Result<u64, LinkFault> {
+        (self.1)(self.0, at)
+    }
+
+    fn on_fault(&mut self, _attempts: u32, fault: LinkFault) -> Option<u64> {
+        Some(fault.detected_at)
+    }
+
+    fn describe_dead(&self, attempts: u32) -> String {
+        (self.2)(self.0, attempts)
+    }
+}
+
+/// Drives `attempt` on `target` from cycle `start` under the [`Blind`]
+/// policy and returns the completion cycle; panics with `dead`'s message
+/// when the link is permanently dead.
+#[inline]
+pub(crate) fn blind<T>(
+    target: &mut T,
+    start: u64,
+    attempt: impl FnMut(&mut T, u64) -> Result<u64, LinkFault>,
+    dead: impl Fn(&T, u32) -> String,
+) -> u64 {
+    let r = drive_retries(&mut Blind(target, attempt, dead), start);
+    r.expect("the blind policy never gives up").done
 }
 
 #[cfg(test)]

@@ -50,9 +50,6 @@ pub struct FarMemory {
     /// Per-shard mirror of the backend's degraded flags; transitions count
     /// `degradations` and gate the prefetcher on the affected shard only.
     degraded: Vec<bool>,
-    /// Cached `backend.faults_active()`: gates the retry machinery so the
-    /// flawless fabric keeps the legacy single-attempt path.
-    faults_active: bool,
     /// Redo ledger: keys whose writeback has been acknowledged since the
     /// last reset. Replayed onto a recovering shard to re-sync it, and
     /// walked to drain a Down shard's objects onto substitutes. Empty (and
@@ -62,10 +59,6 @@ pub struct FarMemory {
     /// transitions count `shard_downs`/`shard_recoveries` and trigger
     /// drain/replay exactly once per edge.
     shard_states: Vec<ShardState>,
-    /// Cached `backend.failover_active()`: gates the redo ledger and the
-    /// failover service so untracked runs keep the legacy path
-    /// bit-identical.
-    failover_active: bool,
     /// The simulated core currently driving this runtime (0 on the
     /// synchronous single-core machine). Folded into the retry jitter seed
     /// so each core draws an independent deterministic backoff schedule.
@@ -100,8 +93,6 @@ impl FarMemory {
     pub fn new(cfg: FarMemoryConfig) -> Self {
         cfg.validate();
         let backend = build_backend(cfg.link, cfg.backend, cfg.faults);
-        let faults_active = backend.faults_active();
-        let failover_active = backend.failover_active();
         let degraded = vec![false; backend.shard_count()];
         let shard_states = vec![ShardState::Up; backend.shard_count()];
         FarMemory {
@@ -116,10 +107,8 @@ impl FarMemory {
             stream_victim: 0,
             tel: Telemetry::disabled(),
             degraded,
-            faults_active,
             redo: BTreeSet::new(),
             shard_states,
-            failover_active,
             core: 0,
             async_fetch: false,
             completion_horizon: 0,
@@ -268,23 +257,31 @@ impl FarMemory {
     // Fault handling.
     // ------------------------------------------------------------------
 
-    /// Reconciles the runtime's degraded flag for one shard with that
-    /// shard's health tracker, counting each transition into degraded mode.
-    /// With a single-node backend this is the same signal as before the
-    /// backend refactor; with shards, each node degrades and recovers on
-    /// its own.
-    fn sync_shard_health(&mut self, shard: usize, now: u64) {
+    /// Runs after every backend attempt, delivered or faulted. Reconciles
+    /// the runtime's degraded flag for `shard` with that shard's health
+    /// tracker, counting each transition into degraded mode (each shard
+    /// degrades and recovers on its own), then services failover
+    /// transitions when the backend tracks them.
+    #[inline]
+    fn observe_attempt(&mut self, shard: usize, now: u64) {
         let health = self.backend.shard_health(shard);
-        self.tel.timeline_shard(
-            now,
-            shard as u32,
-            health.fault_rate_ppm(),
-            health.is_degraded(),
-        );
-        if health.is_degraded() && !self.degraded[shard] {
-            self.stats.degradations += 1;
+        // Sampled only under a fault plan: a flawless run's timeline has no
+        // shard lanes.
+        if self.tel.is_enabled() && self.backend.faults_active() {
+            self.tel.timeline_shard(
+                now,
+                shard as u32,
+                health.fault_rate_ppm(),
+                health.is_degraded(),
+            );
         }
-        self.degraded[shard] = health.is_degraded();
+        if health.is_degraded() != self.degraded[shard] {
+            self.stats.degradations += u64::from(health.is_degraded());
+            self.degraded[shard] = health.is_degraded();
+        }
+        if self.backend.failover_active() {
+            self.service_failover(now);
+        }
     }
 
     /// Polls the backend's failover state machines and services any
@@ -293,9 +290,6 @@ impl FarMemory {
     /// shard that restarted into Recovering gets the redo ledger replayed
     /// before rejoining as Up under its bumped epoch.
     fn service_failover(&mut self, now: u64) {
-        if !self.failover_active {
-            return;
-        }
         self.backend.poll(now);
         for s in 0..self.shard_states.len() {
             let cur = self.backend.shard_state(s);
@@ -361,6 +355,8 @@ impl FarMemory {
     /// Drives one backend operation to completion under the retry policy:
     /// exponential backoff between attempts (widened while the target shard
     /// is degraded) and a per-operation deadline that is counted when blown.
+    /// On the flawless fabric the first attempt delivers and none of that
+    /// runs.
     ///
     /// Returns the completion cycle, or `None` when a *writeback* exhausted
     /// [`RetryPolicy::MAX_ATTEMPTS`] — writebacks are deferrable (the object
@@ -373,15 +369,6 @@ impl FarMemory {
         now: u64,
         writeback: bool,
     ) -> Option<u64> {
-        if !self.faults_active {
-            // Flawless fabric: the legacy single-attempt path, bit-identical
-            // to the pre-fault runtime.
-            return Some(if writeback {
-                self.backend.writeback(key, bytes, now)
-            } else {
-                self.backend.transfer(key, bytes, now)
-            });
-        }
         let shard = self.backend.shard_of(key);
         let deadline = now.saturating_add(RetryPolicy::DEADLINE);
         let mut ops = RuntimeRetry {
@@ -637,23 +624,18 @@ impl FarMemory {
         // Prefetch lifetime extends past the triggering access, so it gets
         // its own root span rather than nesting under the open guard span.
         let sp = self.tel.span_begin_root(SpanKind::Prefetch, o.0, now);
-        let ready = if self.faults_active {
-            let res = self.backend.try_transfer(o.0, size, now);
-            self.sync_shard_health(shard, now);
-            self.service_failover(now);
-            match res {
-                Ok(r) => r,
-                Err(f) => {
-                    self.stats.link_faults += 1;
-                    self.stats.prefetch_canceled += 1;
-                    // The canceled attempt still burned cycles on the wire;
-                    // keep the span (its transfer leaf carries the fault).
-                    self.tel.span_end(sp, f.detected_at);
-                    return false;
-                }
+        let res = self.backend.try_transfer(o.0, size, now);
+        self.observe_attempt(shard, now);
+        let ready = match res {
+            Ok(r) => r,
+            Err(f) => {
+                self.stats.link_faults += 1;
+                self.stats.prefetch_canceled += 1;
+                // The canceled attempt still burned cycles on the wire;
+                // keep the span (its transfer leaf carries the fault).
+                self.tel.span_end(sp, f.detected_at);
+                return false;
             }
-        } else {
-            self.backend.transfer(o.0, size, now)
         };
         self.tel.span_end(sp, ready);
         self.table.set(o, INFLIGHT);
@@ -768,7 +750,7 @@ impl FarMemory {
                 Some(done) => self.tel.span_end(sp, done),
             }
             self.stats.writebacks += 1;
-            if self.failover_active {
+            if self.backend.failover_active() {
                 // The writeback is acknowledged: ledger it for replay
                 // onto a recovering shard.
                 self.redo.insert(o.0);
@@ -824,10 +806,9 @@ impl FarMemory {
     }
 }
 
-/// [`RetryOps`] adapter driving one backend operation for the runtime. It
-/// owns every per-attempt side effect — stats, spans, health and
-/// failover polling — so the shared [`drive_retries`] loop stays
-/// attempt-for-attempt identical to the pre-refactor in-place loop.
+/// The runtime's [`RetryOps`] policy for one backend operation: backoff,
+/// deadline, deferrable writebacks. It owns every per-attempt side effect —
+/// stats, spans, health and failover polling.
 struct RuntimeRetry<'a> {
     fm: &'a mut FarMemory,
     key: u64,
@@ -845,10 +826,7 @@ impl RetryOps for RuntimeRetry<'_> {
         } else {
             self.fm.backend.try_transfer(self.key, self.bytes, at)
         };
-        // Every attempt — delivered or faulted — feeds the health tracker
-        // and advances the failover state machines.
-        self.fm.sync_shard_health(self.shard, at);
-        self.fm.service_failover(at);
+        self.fm.observe_attempt(self.shard, at);
         res
     }
 

@@ -128,6 +128,11 @@ fn cores_one() -> Pair {
         !pair.neutral.1.render().contains("core"),
         "no core artifacts at cores(1)"
     );
+    // Shard-health lanes are sampled only under a fault plan.
+    assert!(
+        !pair.baseline.1.render().contains(" ppm "),
+        "a flawless trace has no shard-health lane"
+    );
     pair
 }
 
