@@ -93,7 +93,10 @@ test "$tree_before" = "$(git status --porcelain)"
 # `PENDING`) past its ready cycle; every row's cold start runs one. The
 # `Sharded` replication invariants (a replica set is R distinct in-range
 # shards; a key's acked version never goes back) see `serve_openloop`'s
-# 4 shards x 2 replicas and cold-crash rows.
+# 4 shards x 2 replicas and cold-crash rows. The cold-crash row also
+# reaches the two recovery invariants at the end of `Sharded::service`: no
+# shard is left `Recovering`, and every acked key a just-synced shard hosts
+# is held there at its acked version or is in the loss ledger.
 perf_rows_ok() {
     awk '
     /^\{/ { n++; if ($0 !~ /"correct":true/ || $0 !~ /"failed":0[,}]/) { print "tfm-perf row failed: " $0; bad = 1 } }

@@ -38,7 +38,7 @@
 use std::collections::VecDeque;
 use tfm_net::{
     build_backend, drive_retries, BackendSpec, FaultPlan, LinkFault, LinkParams, RetryOps,
-    ShardSnapshot, ShardState, Sharded, TransferStats,
+    ShardSnapshot, Sharded, TransferStats,
 };
 use tfm_telemetry::{Span, SpanKind, StatGroup, Telemetry};
 
@@ -336,24 +336,16 @@ impl Pager {
         });
     }
 
-    /// The kernel's shard re-registration path: when a crashed memory
-    /// server restarts, the swap device reconnects, re-copies every page
-    /// the restarted shard should hold from a surviving replica (Fastswap
-    /// has no redo log of its own — the backend's acknowledgement ledger
-    /// is the source of truth), and puts the shard back in service.
+    /// The kernel's shard re-registration path: the backend drains a dead
+    /// memory server's pages onto substitutes and, when it restarts,
+    /// re-copies every page it should hold from a surviving replica before
+    /// putting it back in service (the backend's ack ledger is the source
+    /// of truth). The pager only counts what that did.
     fn service_failover(&mut self, now: u64) {
-        if !self.backend.failover_active() {
-            return;
-        }
-        self.backend.poll(now);
-        for s in 0..self.backend.shard_count() {
-            if self.backend.shard_state(s) == ShardState::Recovering {
-                let (resynced, lost) = self.backend.recover_shard(s, PAGE_SIZE, now);
-                self.stats.recoveries += 1;
-                self.stats.resynced_pages += resynced;
-                self.stats.lost_pages += lost;
-            }
-        }
+        let r = self.backend.service(now, PAGE_SIZE);
+        self.stats.recoveries += r.recoveries;
+        self.stats.resynced_pages += r.resynced;
+        self.stats.lost_pages += r.lost;
     }
 
     fn touch_page(&mut self, page: u64, write: bool, now: u64) -> u64 {
@@ -547,6 +539,7 @@ impl RetryOps for PagerRetry<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tfm_net::ShardState;
 
     fn pager(pages: u64) -> Pager {
         Pager::new(PagerConfig {
@@ -802,6 +795,45 @@ mod tests {
         let audit = p.backend().audit().unwrap();
         assert_eq!(audit.lost, 0, "R=2 loses nothing to a cold crash");
         assert_eq!(p.backend().shard_epoch(0), 1);
+    }
+
+    #[test]
+    fn an_observed_crash_re_homes_the_dead_shards_pages() {
+        use tfm_net::PlacementPolicy;
+        let mut p = Pager::new(PagerConfig {
+            local_budget: 4 * PAGE_SIZE,
+            backend: BackendSpec::sharded(4)
+                .with_placement(PlacementPolicy::Interleave)
+                .with_replicas(2)
+                .with_fault_shard(0),
+            faults: FaultPlan::none().with_cold_crash(100_000, 400_000),
+            ..PagerConfig::default()
+        });
+        for i in 0..8u64 {
+            p.access(i * PAGE_SIZE, 8, true, 0);
+        }
+        p.evacuate_all(0);
+        let writebacks = |p: &Pager| -> Vec<u64> {
+            p.shard_snapshots()
+                .iter()
+                .map(|s| s.stats.writebacks)
+                .collect()
+        };
+        // Page k mirrors onto shards k and k + 1 (mod 4).
+        assert_eq!(writebacks(&p), [4, 4, 4, 4]);
+        // A fault inside the window sees shard 0 Down. Its pages 0 and 4
+        // move to shard 2, and pages 3 and 7 to shard 1: the next live
+        // shard outside each replica set.
+        p.access(PAGE_SIZE, 8, false, 100_000);
+        assert_eq!(p.backend().shard_state(0), ShardState::Down);
+        assert_eq!(writebacks(&p), [4, 6, 6, 4]);
+        let audit = p.backend().audit().unwrap();
+        assert_eq!((audit.lost, audit.under_replicated), (0, 0));
+        // The restart finds nothing left to rebuild.
+        p.access(2 * PAGE_SIZE, 8, false, 400_000);
+        let s = p.stats();
+        assert_eq!((s.recoveries, s.resynced_pages, s.lost_pages), (1, 0, 0));
+        assert_eq!(p.backend().shard_state(0), ShardState::Up);
     }
 
     #[test]

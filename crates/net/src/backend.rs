@@ -20,7 +20,7 @@ use std::fmt;
 use crate::fault::{mix, FaultKind, FaultPlan, LinkFault, LinkHealth, ShardState};
 use crate::retry::blind;
 use crate::{Link, LinkParams, TransferStats};
-use tfm_telemetry::{StatGroup, Telemetry};
+use tfm_telemetry::{SpanKind, StatGroup, Telemetry};
 
 /// Why a [`BackendSpec`] is invalid. Returned by [`BackendSpec::validate`];
 /// panicking callers unwrap it so the message survives verbatim.
@@ -70,19 +70,22 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// Outcome of re-syncing one key onto a recovering shard
-/// ([`Sharded::resync_key`]).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ResyncOutcome {
-    /// A surviving replica's copy was re-written to the shard; the value is
-    /// the copy's completion cycle.
-    Synced(u64),
-    /// Nothing to do: the shard already holds the acknowledged version, is
-    /// not a home for the key, or the key has no acknowledged writeback.
-    Clean,
-    /// Every copy of the acknowledged version is gone — an acknowledged
-    /// writeback has been lost. [`FailoverAudit::lost`] counts these.
-    Lost,
+/// What one [`Sharded::service`] pass did: the failover edges it saw and
+/// the recovery work they triggered. The runtime and the pager add these to
+/// their own counters.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Recovered {
+    /// Shards newly seen `Down`.
+    pub downs: u64,
+    /// Restarted shards re-synced and rejoined as `Up`.
+    pub recoveries: u64,
+    /// Acked keys copied off a `Down` shard onto a substitute.
+    pub re_replicated: u64,
+    /// Acked keys re-copied onto a restarted shard from a surviving replica.
+    pub resynced: u64,
+    /// Acked keys a restarted shard should hold that no shard holds any
+    /// more: acknowledged writebacks lost.
+    pub lost: u64,
 }
 
 /// End-of-run durability audit over every acknowledged writeback
@@ -360,6 +363,12 @@ pub struct Sharded {
     failover_reads: Vec<u64>,
     /// Per shard: writebacks missed while Down (replica divergence).
     divergent_writes: Vec<u64>,
+    /// Per shard: the failover state [`Sharded::service`] last acted on, so
+    /// each `Down` or `Recovering` edge is serviced exactly once. Sized by
+    /// the first tracked pass: an untracked backend allocates nothing here.
+    serviced: Vec<ShardState>,
+    /// The sink shared with the links; recovery spans open here.
+    tel: Telemetry,
 }
 
 impl Sharded {
@@ -388,6 +397,8 @@ impl Sharded {
             lost_keys: BTreeSet::new(),
             failover_reads: vec![0; shards as usize],
             divergent_writes: vec![0; shards as usize],
+            serviced: Vec::new(),
+            tel: Telemetry::disabled(),
         }
     }
 
@@ -479,10 +490,7 @@ impl Sharded {
     /// version (a restarted replica that has not been re-synced).
     fn choose_serving(&self, set: &[usize], key: u64) -> Option<usize> {
         let acked = self.acked.get(&key).copied();
-        let fenced_ok = |s: usize| match acked {
-            Some(v) => self.stores[s].get(&key).is_some_and(|&held| held >= v),
-            None => true,
-        };
+        let fenced_ok = |s: usize| acked.is_none_or(|v| self.holds(s, key, v));
         let in_state = |want: ShardState| {
             set.iter()
                 .copied()
@@ -673,11 +681,13 @@ impl Sharded {
         self.links[shard].stats()
     }
 
-    /// Attaches a telemetry sink (shared across shards).
+    /// Attaches a telemetry sink (shared across shards; recovery spans open
+    /// there too).
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         for l in &mut self.links {
             l.set_telemetry(tel.clone());
         }
+        self.tel = tel;
     }
 
     /// Clears ledgers, occupancy horizons, fault schedules, and health —
@@ -695,6 +705,7 @@ impl Sharded {
         self.lost_keys.clear();
         self.failover_reads.fill(0);
         self.divergent_writes.fill(0);
+        self.serviced.fill(ShardState::Up);
     }
 
     /// True when the crash/replication machinery is armed (replication
@@ -709,10 +720,108 @@ impl Sharded {
         self.replicas
     }
 
+    /// Services the failover edges since the last call (DESIGN.md §6g).
+    /// Advances the crash schedules to `now`, then, in shard order, drains a
+    /// newly `Down` shard (each acked key it hosts is copied onto a
+    /// substitute and re-homed there for good) and re-syncs a newly
+    /// `Recovering` one before it rejoins `Up`. Each copy moves `key_bytes`.
+    /// Returns zeros at once unless the backend is tracked.
+    pub fn service(&mut self, now: u64, key_bytes: u64) -> Recovered {
+        let mut r = Recovered::default();
+        if !self.tracked {
+            return r;
+        }
+        self.serviced.resize(self.links.len(), ShardState::Up);
+        self.poll(now);
+        let mut synced = Vec::new();
+        for s in 0..self.links.len() {
+            let cur = self.links[s].failover_state();
+            if cur == self.serviced[s] {
+                continue;
+            }
+            match cur {
+                ShardState::Down => {
+                    r.downs += 1;
+                    for key in self.acked.keys().copied().collect::<Vec<_>>() {
+                        if self.re_replicate(key, s, key_bytes, now).is_some() {
+                            r.re_replicated += 1;
+                        }
+                    }
+                }
+                ShardState::Recovering => {
+                    self.resync_shard(s, key_bytes, now, &mut r);
+                    synced.push(s);
+                }
+                ShardState::Up | ShardState::Suspect => {}
+            }
+            // A resync advances the shard past `cur` (to Up): re-read.
+            self.serviced[s] = self.links[s].failover_state();
+        }
+        debug_assert!(
+            self.links
+                .iter()
+                .all(|l| l.failover_state() != ShardState::Recovering),
+            "a restarted shard is still Recovering after service at cycle {now}"
+        );
+        debug_assert!(
+            synced
+                .iter()
+                .all(|&s| self.acked.iter().all(|(&key, &ver)| {
+                    !self.replica_set(key).contains(&s)
+                        || self.holds(s, key, ver)
+                        || self.lost_keys.contains(&key)
+                })),
+            "a just-synced shard of {synced:?} misses an acked key it hosts"
+        );
+        r
+    }
+
+    /// Re-syncs restarted `shard`: every acked key it hosts whose copy is
+    /// stale or wiped is re-copied from a surviving replica, then the shard
+    /// rejoins `Up`. A key with no surviving copy is lost.
+    fn resync_shard(&mut self, shard: usize, key_bytes: u64, now: u64, r: &mut Recovered) {
+        let sp = self
+            .tel
+            .span_begin_root(SpanKind::Recovery, shard as u64, now);
+        let mut end = now;
+        for (key, ver) in self.acked.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>() {
+            if !self.replica_set(key).contains(&shard) || self.holds(shard, key, ver) {
+                continue;
+            }
+            let source = (0..self.links.len()).any(|s| {
+                s != shard
+                    && self.links[s].failover_state() != ShardState::Down
+                    && self.holds(s, key, ver)
+            });
+            if source {
+                // Cost model: one writeback's worth of traffic into the
+                // shard (the source's read side is off the critical path).
+                end = end.max(self.links[shard].writeback(key_bytes, now));
+                self.stores[shard].insert(key, ver);
+                r.resynced += 1;
+            } else {
+                // The acked version is gone everywhere. Drop the fence (the
+                // restarted shard becomes the authoritative — empty — home,
+                // so future writes can land) but keep the loss on the books.
+                self.acked.remove(&key);
+                self.lost_keys.insert(key);
+                r.lost += 1;
+            }
+        }
+        self.links[shard].mark_synced();
+        r.recoveries += 1;
+        self.tel.span_end(sp, end);
+    }
+
+    /// Whether shard `s` holds `key` at version `ver` or newer.
+    fn holds(&self, s: usize, key: u64, ver: u64) -> bool {
+        self.stores[s].get(&key).is_some_and(|&h| h >= ver)
+    }
+
     /// Advances scripted crash/restart transitions to cycle `now` without
     /// issuing traffic; a cold restart wipes the shard's store (that is what
     /// "cold" means). A no-op unless some shard has a crash plan.
-    pub fn poll(&mut self, now: u64) {
+    fn poll(&mut self, now: u64) {
         for s in 0..self.links.len() {
             if let Some(cold) = self.links[s].poll_failover(now) {
                 if cold {
@@ -732,53 +841,11 @@ impl Sharded {
         self.links[shard].epoch()
     }
 
-    /// Declares a recovering shard re-synced (`Recovering → Up`), lifting
-    /// its epoch fence. Called by the owner after ledger replay.
-    pub fn mark_synced(&mut self, shard: usize) {
-        self.links[shard].mark_synced();
-    }
-
-    /// Re-writes `key`'s acknowledged version onto `shard` from a surviving
-    /// replica, charging `bytes` of writeback traffic, if the shard's copy
-    /// is stale or missing.
-    pub fn resync_key(&mut self, shard: usize, key: u64, bytes: u64, now: u64) -> ResyncOutcome {
-        let Some(&ver) = self.acked.get(&key) else {
-            return ResyncOutcome::Clean;
-        };
-        let set = self.replica_set(key);
-        if !set.contains(&shard) {
-            return ResyncOutcome::Clean;
-        }
-        if self.stores[shard].get(&key).is_some_and(|&h| h >= ver) {
-            return ResyncOutcome::Clean;
-        }
-        // The copy comes from a surviving replica holding the acked
-        // version; without one, the acknowledged write is gone.
-        let have_source = (0..self.links.len()).any(|s| {
-            s != shard
-                && self.links[s].failover_state() != ShardState::Down
-                && self.stores[s].get(&key).is_some_and(|&h| h >= ver)
-        });
-        if !have_source {
-            // The acked version is gone everywhere. Drop the fence (the
-            // restarted shard becomes the authoritative — empty — home, so
-            // future writes can land) but keep the loss on the books.
-            self.acked.remove(&key);
-            self.lost_keys.insert(key);
-            return ResyncOutcome::Lost;
-        }
-        // Cost model: one writeback's worth of traffic into the recovering
-        // shard (the source's read side is off the caller's critical path).
-        let done = self.links[shard].writeback(bytes, now);
-        self.stores[shard].insert(key, ver);
-        ResyncOutcome::Synced(done)
-    }
-
     /// Restores `key`'s redundancy by copying it from a surviving replica
     /// onto a substitute shard and re-homing the key off Down shard `from`
     /// (the migration hook). Returns the copy's completion cycle if a copy
     /// was made.
-    pub fn re_replicate(&mut self, key: u64, from: usize, bytes: u64, now: u64) -> Option<u64> {
+    fn re_replicate(&mut self, key: u64, from: usize, bytes: u64, now: u64) -> Option<u64> {
         if self.replicas <= 1 {
             return None;
         }
@@ -790,7 +857,7 @@ impl Sharded {
         let have_source = set.iter().any(|&s| {
             s != from
                 && self.links[s].failover_state() != ShardState::Down
-                && self.stores[s].get(&key).is_some_and(|&h| h >= ver)
+                && self.holds(s, key, ver)
         });
         if !have_source {
             return None;
@@ -811,23 +878,6 @@ impl Sharded {
         Some(done)
     }
 
-    /// Backend-driven recovery for callers without their own redo ledger
-    /// (the pager): re-syncs every acknowledged key hosted by `shard`, then
-    /// marks it synced. Returns `(resynced, lost)` counts.
-    pub fn recover_shard(&mut self, shard: usize, bytes_per_key: u64, now: u64) -> (u64, u64) {
-        let keys: Vec<u64> = self.acked.keys().copied().collect();
-        let (mut resynced, mut lost) = (0u64, 0u64);
-        for key in keys {
-            match self.resync_key(shard, key, bytes_per_key, now) {
-                ResyncOutcome::Synced(_) => resynced += 1,
-                ResyncOutcome::Lost => lost += 1,
-                ResyncOutcome::Clean => {}
-            }
-        }
-        self.mark_synced(shard);
-        (resynced, lost)
-    }
-
     /// End-of-run durability audit; `None` unless the replication machinery
     /// is armed.
     pub fn audit(&self) -> Option<FailoverAudit> {
@@ -840,15 +890,12 @@ impl Sharded {
         for (&key, &ver) in &self.acked {
             audit.acked_keys += 1;
             let set = self.replica_set(key);
-            let in_set = set
-                .iter()
-                .filter(|&&s| self.stores[s].get(&key).is_some_and(|&h| h >= ver))
-                .count();
+            let in_set = set.iter().filter(|&&s| self.holds(s, key, ver)).count();
             // Copies parked outside the current set (an old home that was
             // re-homed away) still avert loss, though they don't count
             // toward the set's redundancy.
             let anywhere = (0..self.links.len())
-                .filter(|&s| self.stores[s].get(&key).is_some_and(|&h| h >= ver))
+                .filter(|&s| self.holds(s, key, ver))
                 .count();
             if anywhere == 0 {
                 audit.lost += 1;
@@ -1201,7 +1248,7 @@ mod tests {
         b.poll(600_000);
         assert_eq!(b.shard_state(0), ShardState::Recovering);
         assert_eq!(b.shard_epoch(0), 1);
-        b.mark_synced(0);
+        b.links[0].mark_synced();
         assert_eq!(b.shard_state(0), ShardState::Up);
         let before = b.shard_stats(1).fetches;
         b.try_transfer(0, 4096, 600_000).unwrap();
@@ -1212,8 +1259,9 @@ mod tests {
         );
         assert_eq!(b.shard_stats(0).fetches, 0);
         // Resync repays the divergence; now the primary serves again.
-        let out = b.resync_key(0, 0, 4096, 700_000);
-        assert!(matches!(out, ResyncOutcome::Synced(_)), "{out:?}");
+        let mut r = Recovered::default();
+        b.resync_shard(0, 4096, 700_000, &mut r);
+        assert_eq!((r.resynced, r.lost), (1, 0));
         b.try_transfer(0, 4096, 800_000).unwrap();
         assert_eq!(b.shard_stats(0).fetches, 1);
         let a = b.audit().unwrap();
@@ -1234,10 +1282,8 @@ mod tests {
         assert_eq!(b.audit().unwrap().lost, 0);
         b.poll(600_000);
         assert_eq!(b.audit().unwrap().lost, 1, "the only copy was wiped");
-        assert!(matches!(
-            b.resync_key(0, 0, 4096, 600_000),
-            ResyncOutcome::Lost
-        ));
+        let r = b.service(600_000, 4096);
+        assert_eq!((r.recoveries, r.resynced, r.lost), (1, 0, 1));
     }
 
     #[test]
@@ -1245,13 +1291,12 @@ mod tests {
         let mut b = Sharded::new(LinkParams::tcp_25g(), 4, PlacementPolicy::Interleave);
         b.set_replicas(2);
         b.set_fault_plan_on(0, FaultPlan::none().with_cold_crash(100_000, 10_000_000));
-        b.try_writeback(0, 4096, 0).unwrap(); // shards {0, 1}
-        b.poll(200_000);
+        b.try_writeback(0, 4096, 0).unwrap();
+        // The Down edge drains key 0 off the dead shard: of its homes
+        // {0, 1}, shard 1 survives, so the substitute is shard 2.
+        let r = b.service(200_000, 4096);
+        assert_eq!((r.downs, r.re_replicated), (1, 1));
         assert_eq!(b.shard_state(0), ShardState::Down);
-        // Drain key 0 off the dead shard: shard 1 is already a home, so the
-        // substitute is shard 2.
-        let done = b.re_replicate(0, 0, 4096, 200_000);
-        assert!(done.is_some());
         assert_eq!(b.shard_stats(2).writebacks, 1);
         assert_eq!(b.shard_of(0), 2, "primary re-homed to the substitute");
         let a = b.audit().unwrap();
@@ -1275,19 +1320,32 @@ mod tests {
     }
 
     #[test]
-    fn recover_shard_resyncs_every_hosted_key() {
+    fn service_resyncs_every_hosted_key_across_a_restart() {
         let mut b = Sharded::new(LinkParams::instant(), 3, PlacementPolicy::Interleave);
         b.set_replicas(2);
         b.set_fault_plan_on(1, FaultPlan::none().with_cold_crash(1_000, 2_000));
         // Keys 0 (shards {0,1}) and 1 (shards {1,2}) both live on shard 1.
         b.try_writeback(0, 64, 0).unwrap();
         b.try_writeback(1, 64, 0).unwrap();
-        b.poll(5_000);
-        assert_eq!(b.shard_state(1), ShardState::Recovering);
-        let (resynced, lost) = b.recover_shard(1, 64, 5_000);
-        assert_eq!((resynced, lost), (2, 0));
+        assert_eq!(
+            b.service(500, 64),
+            Recovered::default(),
+            "before the window"
+        );
+        // Nobody looks during the window: the first pass after it sees the
+        // restart, rebuilds the wiped store and rejoins the shard.
+        let r = b.service(5_000, 64);
+        let want = Recovered {
+            recoveries: 1,
+            resynced: 2,
+            ..Recovered::default()
+        };
+        assert_eq!(r, want);
         assert_eq!(b.shard_state(1), ShardState::Up);
+        assert_eq!(b.shard_stats(1).writebacks, 4, "2 mirrors, then 2 resyncs");
         let a = b.audit().unwrap();
         assert_eq!((a.lost, a.under_replicated), (0, 0));
+        // Each edge is serviced once.
+        assert_eq!(b.service(6_000, 64), Recovered::default());
     }
 }

@@ -126,7 +126,8 @@ impl CrashWindow {
 /// `Up → Suspect` when the health EWMA degrades; `Suspect → Up` when it
 /// recovers. `→ Down` on a crash signal; `Down → Recovering` at restart
 /// (epoch bump, cold-restart store wipe); `Recovering → Up` once the
-/// owner has replayed its redo ledger onto the shard.
+/// backend has re-synced the shard from its ack ledger
+/// (`Sharded::service`).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum ShardState {
     /// Healthy and serving.
@@ -137,7 +138,7 @@ pub enum ShardState {
     /// Crashed: every attempt fails fast; reads fail over, writes skip it.
     Down,
     /// Restarted but not yet re-synced: it must not serve reads (epoch
-    /// fence) until the redo ledger has been replayed onto it.
+    /// fence) until every acked key it hosts has been re-synced onto it.
     Recovering,
 }
 

@@ -42,8 +42,8 @@ mod fault;
 mod retry;
 
 pub use backend::{
-    build_backend, BackendSpec, FailoverAudit, PlacementPolicy, ResyncOutcome, ShardSnapshot,
-    Sharded, SpecError,
+    build_backend, BackendSpec, FailoverAudit, PlacementPolicy, Recovered, ShardSnapshot, Sharded,
+    SpecError,
 };
 pub use fault::{
     CrashWindow, FaultKind, FaultPlan, LinkFault, LinkHealth, OutageWindow, ShardState, PPM,
@@ -438,11 +438,11 @@ impl Link {
     /// Advances the crash-driven failover transitions to cycle `now`
     /// without issuing any traffic. Returns `Some(cold)` exactly once per
     /// scripted crash, at the `Down → Recovering` edge (restart): the
-    /// epoch is bumped and the caller owns re-syncing the node (a `cold`
+    /// epoch is bumped and `Sharded` owns re-syncing the node (a `cold`
     /// restart additionally lost its un-synced store). The edge fires even
     /// if no attempt ever landed inside the window — the crash happened
     /// whether or not anyone was talking to the node.
-    pub fn poll_failover(&mut self, now: u64) -> Option<bool> {
+    pub(crate) fn poll_failover(&mut self, now: u64) -> Option<bool> {
         let c = self.fault.as_ref().and_then(|f| f.plan.crash)?;
         // Once the restart has been processed the window is history: an
         // attempt stamped with an in-window cycle can still arrive later
@@ -474,9 +474,9 @@ impl Link {
         self.epoch
     }
 
-    /// `Recovering → Up`: the owner finished replaying the redo ledger
-    /// onto the restarted node, so it may serve reads again.
-    pub fn mark_synced(&mut self) {
+    /// `Recovering → Up`: the backend finished re-syncing the restarted
+    /// node from its ack ledger, so it may serve reads again.
+    pub(crate) fn mark_synced(&mut self) {
         if self.fstate == ShardState::Recovering {
             self.fstate = ShardState::Up;
         }

@@ -23,10 +23,10 @@ use crate::config::{FarMemoryConfig, RetryPolicy};
 use crate::ptr::{ObjId, TfmPtr};
 use crate::state::{StateTable, DEMAND, DIRTY, HOT, INFLIGHT, PRESENT};
 use crate::stats::RuntimeStats;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use tfm_net::{
-    build_backend, drive_retries, FailoverAudit, LinkFault, ResyncOutcome, RetryOps, ShardSnapshot,
-    ShardState, Sharded, TransferStats,
+    build_backend, drive_retries, FailoverAudit, LinkFault, RetryOps, ShardSnapshot, ShardState,
+    Sharded, TransferStats,
 };
 use tfm_telemetry::{Span, SpanId, SpanKind, Telemetry};
 
@@ -50,15 +50,13 @@ pub struct FarMemory {
     /// Per-shard mirror of the backend's degraded flags; transitions count
     /// `degradations` and gate the prefetcher on the affected shard only.
     degraded: Vec<bool>,
-    /// Redo ledger: keys whose writeback has been acknowledged since the
-    /// last reset. Replayed onto a recovering shard to re-sync it, and
-    /// walked to drain a Down shard's objects onto substitutes. Empty (and
-    /// never written) unless the backend tracks failover.
-    redo: BTreeSet<u64>,
-    /// Per-shard mirror of the backend's failover state machine;
-    /// transitions count `shard_downs`/`shard_recoveries` and trigger
-    /// drain/replay exactly once per edge.
-    shard_states: Vec<ShardState>,
+    /// Never read. Its one small allocation, made right after `degraded`,
+    /// keeps glibc's heap layout where it was when this runtime kept its own
+    /// per-shard failover mirror there: without it `tfm-perf`'s `stream_far`
+    /// `peak_rss_mb` reads 116.6 MiB instead of 97.6 (see CHANGES.md).
+    /// Delete it with the pager's `INITIAL_ENTRIES` once ROADMAP item 2c
+    /// pins glibc's mmap threshold.
+    _heap_ballast: Vec<ShardState>,
     /// The simulated core currently driving this runtime (0 on the
     /// synchronous single-core machine). Folded into the retry jitter seed
     /// so each core draws an independent deterministic backoff schedule.
@@ -94,7 +92,7 @@ impl FarMemory {
         cfg.validate();
         let backend = build_backend(cfg.link, cfg.backend, cfg.faults);
         let degraded = vec![false; backend.shard_count()];
-        let shard_states = vec![ShardState::Up; backend.shard_count()];
+        let _heap_ballast = vec![ShardState::Up; backend.shard_count()];
         FarMemory {
             log2_obj: cfg.log2_object_size(),
             table: StateTable::new(cfg.num_objects()),
@@ -107,8 +105,7 @@ impl FarMemory {
             stream_victim: 0,
             tel: Telemetry::disabled(),
             degraded,
-            redo: BTreeSet::new(),
-            shard_states,
+            _heap_ballast,
             core: 0,
             async_fetch: false,
             completion_horizon: 0,
@@ -222,11 +219,6 @@ impl FarMemory {
         self.backend.audit()
     }
 
-    /// Number of acknowledged writebacks in the redo ledger.
-    pub fn redo_ledger_len(&self) -> usize {
-        self.redo.len()
-    }
-
     /// The remote backend (shard topology, per-shard ledgers and health).
     pub fn backend(&self) -> &Sharded {
         &self.backend
@@ -249,8 +241,6 @@ impl FarMemory {
         self.stats = RuntimeStats::default();
         self.backend.reset_stats();
         self.degraded.fill(false);
-        self.redo.clear();
-        self.shard_states.fill(ShardState::Up);
     }
 
     // ------------------------------------------------------------------
@@ -260,8 +250,8 @@ impl FarMemory {
     /// Runs after every backend attempt, delivered or faulted. Reconciles
     /// the runtime's degraded flag for `shard` with that shard's health
     /// tracker, counting each transition into degraded mode (each shard
-    /// degrades and recovers on its own), then services failover
-    /// transitions when the backend tracks them.
+    /// degrades and recovers on its own), then lets the backend service
+    /// failover transitions and counts what that did.
     #[inline]
     fn observe_attempt(&mut self, shard: usize, now: u64) {
         let health = self.backend.shard_health(shard);
@@ -279,77 +269,12 @@ impl FarMemory {
             self.stats.degradations += u64::from(health.is_degraded());
             self.degraded[shard] = health.is_degraded();
         }
-        if self.backend.failover_active() {
-            self.service_failover(now);
-        }
-    }
-
-    /// Polls the backend's failover state machines and services any
-    /// transitions since the last call: a shard that went Down has its
-    /// ledger objects drained onto substitutes (re-replication), and a
-    /// shard that restarted into Recovering gets the redo ledger replayed
-    /// before rejoining as Up under its bumped epoch.
-    fn service_failover(&mut self, now: u64) {
-        self.backend.poll(now);
-        for s in 0..self.shard_states.len() {
-            let cur = self.backend.shard_state(s);
-            if cur == self.shard_states[s] {
-                continue;
-            }
-            match cur {
-                ShardState::Down => {
-                    self.stats.shard_downs += 1;
-                    self.drain_shard(s, now);
-                }
-                ShardState::Recovering => self.replay_shard(s, now),
-                ShardState::Up | ShardState::Suspect => {}
-            }
-            // Replay may have advanced the shard past `cur` (to Up), so
-            // re-read rather than store the stale observation.
-            self.shard_states[s] = self.backend.shard_state(s);
-        }
-    }
-
-    /// Restores replication for every redo-ledger object hosted on a Down
-    /// shard by copying the acknowledged version from a surviving replica
-    /// onto a substitute node. Objects are permanently re-homed — the
-    /// ROADMAP-4 migration hook — so a later cold restart of the dead
-    /// shard cannot strand them.
-    fn drain_shard(&mut self, shard: usize, now: u64) {
-        let keys: Vec<u64> = self.redo.iter().copied().collect();
-        let size = self.cfg.object_size;
-        for key in keys {
-            if self.backend.re_replicate(key, shard, size, now).is_some() {
-                self.stats.re_replications += 1;
-            }
-        }
-    }
-
-    /// Replays the redo ledger onto a restarted shard: every acknowledged
-    /// object it hosts whose copy is stale (or wiped by a cold restart) is
-    /// re-synced from a surviving replica, then the shard rejoins as Up.
-    /// An object with no surviving replica is counted lost — the chaos
-    /// suite asserts this stays zero whenever R ≥ 2.
-    fn replay_shard(&mut self, shard: usize, now: u64) {
-        let sp = self
-            .tel
-            .span_begin_root(SpanKind::Recovery, shard as u64, now);
-        let keys: Vec<u64> = self.redo.iter().copied().collect();
-        let size = self.cfg.object_size;
-        let mut end = now;
-        for key in keys {
-            match self.backend.resync_key(shard, key, size, now) {
-                ResyncOutcome::Synced(done) => {
-                    self.stats.resynced_objects += 1;
-                    end = end.max(done);
-                }
-                ResyncOutcome::Clean => {}
-                ResyncOutcome::Lost => self.stats.lost_objects += 1,
-            }
-        }
-        self.backend.mark_synced(shard);
-        self.stats.shard_recoveries += 1;
-        self.tel.span_end(sp, end);
+        let r = self.backend.service(now, self.cfg.object_size);
+        self.stats.shard_downs += r.downs;
+        self.stats.shard_recoveries += r.recoveries;
+        self.stats.re_replications += r.re_replicated;
+        self.stats.resynced_objects += r.resynced;
+        self.stats.lost_objects += r.lost;
     }
 
     /// Drives one backend operation to completion under the retry policy:
@@ -750,11 +675,6 @@ impl FarMemory {
                 Some(done) => self.tel.span_end(sp, done),
             }
             self.stats.writebacks += 1;
-            if self.backend.failover_active() {
-                // The writeback is acknowledged: ledger it for replay
-                // onto a recovering shard.
-                self.redo.insert(o.0);
-            }
         }
         self.table.clear(o, PRESENT | DIRTY | HOT);
         self.resident_bytes -= self.cfg.object_size;
@@ -1465,7 +1385,7 @@ mod tests {
         assert_eq!(base.0, 0, "interleave test assumes objects start at 0");
         fm.evacuate_all(0);
         assert_eq!(
-            fm.redo_ledger_len(),
+            fm.failover_audit().unwrap().acked_keys,
             32,
             "every acked writeback is ledgered"
         );
@@ -1485,8 +1405,8 @@ mod tests {
         let snaps = fm.shard_snapshots();
         assert!(snaps.iter().map(|s| s.failover_reads).sum::<u64>() > 0);
 
-        // Traffic after the window drives restart: epoch bump, redo-ledger
-        // replay, rejoin as Up — with zero acknowledged writes lost.
+        // Traffic after the window drives restart: epoch bump, ack-ledger
+        // resync, rejoin as Up — with zero acknowledged writes lost.
         let mut now = 2_000_000;
         for k in 0..32u64 {
             now += fm.localize(ObjId(k), true, now);
@@ -1502,7 +1422,7 @@ mod tests {
     }
 
     #[test]
-    fn unobserved_cold_crash_is_resynced_from_the_redo_ledger() {
+    fn unobserved_cold_crash_is_resynced_from_the_ack_ledger() {
         use tfm_net::{BackendSpec, FaultPlan, PlacementPolicy, ShardState};
         let cfg = FarMemoryConfig {
             heap_size: 1 << 20,

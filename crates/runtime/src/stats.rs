@@ -51,13 +51,13 @@ pub struct RuntimeStats {
     pub degradations: u64,
     /// Shards observed crashing (Up/Suspect → Down transitions).
     pub shard_downs: u64,
-    /// Shard recoveries completed (ledger replayed, shard rejoined).
+    /// Shard recoveries completed (ack ledger resynced, shard rejoined).
     pub shard_recoveries: u64,
-    /// Redo-ledger objects re-synced onto recovering shards.
+    /// Acknowledged objects re-synced onto recovering shards.
     pub resynced_objects: u64,
     /// Objects re-replicated off Down shards onto substitutes.
     pub re_replications: u64,
-    /// Acknowledged writebacks found unrecoverable during replay (must stay
+    /// Acknowledged writebacks found unrecoverable during resync (must stay
     /// zero under replication — the chaos suite pins this).
     pub lost_objects: u64,
     /// Demand misses that joined another core's pending fetch instead of

@@ -123,7 +123,7 @@ pub enum SpanKind {
     Retry,
     /// One round of kernel fault handling (leaf).
     Kernel,
-    /// Redo-ledger replay onto a recovering shard (root; `arg` = shard
+    /// Ack-ledger resync onto a recovering shard (root; `arg` = shard
     /// index, covers restart to rejoin).
     Recovery,
 }

@@ -3,10 +3,11 @@
 //!
 //! `sharded(4).with_replicas(2)` mirrors every acknowledged writeback onto a
 //! backup shard. When shard 1 cold-crashes (its store wiped on restart), the
-//! runtime fails reads over to the surviving replica, drains the dead
+//! backend fails reads over to the surviving replica, drains the dead
 //! shard's objects onto substitutes, and — once the node restarts with a
-//! bumped epoch — replays its redo ledger to re-sync it. The answer never
-//! moves and the audit proves zero acknowledged writebacks were lost.
+//! bumped epoch — re-syncs it from its ack ledger. The runtime only counts
+//! what that did. The answer never moves and the audit proves zero
+//! acknowledged writebacks were lost.
 //!
 //! ```sh
 //! cargo run --release --example failover

@@ -127,8 +127,8 @@ fn same_seed_crash_schedule_is_bit_identical() {
     }
 }
 
-/// Without replication, a cold crash that lands before the redo ledger can
-/// be replayed from a surviving copy *does* lose acknowledged state — and
+/// Without replication, a cold crash leaves the ack ledger no surviving
+/// copy to re-sync from, so it *does* lose acknowledged state — and
 /// the audit reports it instead of wedging or hiding it. The paper's one
 /// remote node is the same backend with one shard, so it is held to the
 /// same books.
