@@ -33,9 +33,8 @@
 //! redundant-guard elimination pass (`trackfm::passes::guard_elim`) replaces
 //! a covered, duplicate guard with the earlier guard's canonical result.
 
-use crate::cfg;
 use std::collections::HashMap;
-use tfm_ir::{Block, Function, InstKind, Intrinsic, Value};
+use tfm_ir::{Block, Cfg, Function, InstKind, Intrinsic, Value};
 
 /// What kind of custody a cover carries.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -255,8 +254,8 @@ impl AvailableGuards {
     pub fn compute_with(f: &Function, effects: Option<CallEffects>) -> Self {
         let fx = effects.as_ref();
         let nblocks = f.num_blocks();
-        let rpo = cfg::reverse_postorder(f);
-        let preds = cfg::predecessors(f);
+        let cfg = Cfg::of(f);
+        let rpo = cfg.reverse_postorder(f.entry_block());
         // `None` = ⊤ (not yet computed / unreachable): optimistic start so
         // loop back-edges don't pessimize the first pass.
         let mut ins: Vec<Option<CoverMap>> = vec![None; nblocks];
@@ -289,7 +288,7 @@ impl AvailableGuards {
                     // Intersection over predecessors with known out-state;
                     // ⊤ predecessors are skipped (optimism).
                     let mut acc: Option<CoverMap> = None;
-                    for &p in &preds[b.index()] {
+                    for &p in cfg.preds(b) {
                         if let Some(po) = &outs[p.index()] {
                             acc = Some(match acc {
                                 None => po.clone(),

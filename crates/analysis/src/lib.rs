@@ -8,8 +8,8 @@
 //!
 //! This crate provides the equivalents over [`tfm_ir`]:
 //!
-//! * [`mod@cfg`] — reverse postorder and friends;
-//! * [`dom`] — a Cooper–Harvey–Kennedy dominator tree;
+//! * [`dom`] — dominator and post-dominator trees (re-exported from the
+//!   one CFG core in [`tfm_ir`]) and dominance frontiers;
 //! * [`loops`] — natural-loop forest, preheader creation, exit edges;
 //! * [`defuse`] — def-use chains;
 //! * [`points_to`] — allocation-site memory classification (heap / stack /
@@ -31,7 +31,6 @@
 //!   and consumed by the chunking cost model.
 
 pub mod callgraph;
-pub mod cfg;
 pub mod defuse;
 pub mod dom;
 pub mod guard_check;

@@ -5,10 +5,9 @@
 //! loop forest, loop exits, and provides preheader creation (needed to host
 //! `tfm.chunk.begin`).
 
-use crate::cfg;
 use crate::dom::DomTree;
 use std::collections::HashSet;
-use tfm_ir::{Block, Function, InstData, InstKind};
+use tfm_ir::{Block, Cfg, Function, InstData, InstKind};
 
 /// A natural loop.
 #[derive(Clone, Debug)]
@@ -72,7 +71,7 @@ impl LoopForest {
     /// header dominates the latch). Loops sharing a header are merged.
     pub fn compute(f: &Function, dt: &DomTree) -> Self {
         let mut by_header: Vec<(Block, Vec<Block>)> = Vec::new();
-        for b in cfg::reverse_postorder(f) {
+        for &b in dt.rpo() {
             for s in f.succs(b) {
                 if dt.dominates(s, b) {
                     match by_header.iter_mut().find(|(h, _)| *h == s) {
@@ -82,7 +81,7 @@ impl LoopForest {
                 }
             }
         }
-        let preds = cfg::predecessors(f);
+        let cfg = Cfg::of(f);
         let mut loops: Vec<NaturalLoop> = by_header
             .into_iter()
             .map(|(header, latches)| {
@@ -91,7 +90,7 @@ impl LoopForest {
                 let mut stack: Vec<Block> = latches.clone();
                 while let Some(b) = stack.pop() {
                     if blocks.insert(b) {
-                        for &p in &preds[b.index()] {
+                        for &p in cfg.preds(b) {
                             if dt.is_reachable(p) {
                                 stack.push(p);
                             }

@@ -22,10 +22,10 @@
 //! Eliminated guards are attributed to the surviving site so telemetry can
 //! report per-site elision counts alongside runtime hit counts.
 
-use std::collections::HashMap;
-use tfm_analysis::guard_check::{AvailableGuards, CoverSrc, GuardKind};
+use std::collections::{BTreeMap, HashMap};
+use tfm_analysis::guard_check::{AvailableGuards, Cover, CoverSrc, GuardKind};
 use tfm_analysis::summaries::ModuleSummaries;
-use tfm_ir::{InstKind, Intrinsic, Module, Value};
+use tfm_ir::{Function, InstKind, Intrinsic, Module, Value};
 
 /// One surviving guard that absorbed eliminated duplicates.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,7 +46,7 @@ pub struct ElisionOutcome {
     /// Surviving read guards upgraded to write guards to absorb a
     /// same-block write duplicate (counted inside `eliminated` too).
     pub upgraded: usize,
-    /// Per-survivor attribution, in elimination order.
+    /// Per-survivor attribution, ordered by `(func, survivor)`.
     pub sites: Vec<ElidedSite>,
 }
 
@@ -56,6 +56,97 @@ fn chase(repl: &HashMap<Value, Value>, mut v: Value) -> Value {
         v = n;
     }
     v
+}
+
+/// What a guard-removal pass does with a guard an earlier one covers.
+pub(crate) enum Fold {
+    /// Leave the guard in place.
+    Keep,
+    /// Delete it; its uses read the survivor's result.
+    Replace,
+    /// Strengthen the surviving read guard to a write guard in place, then
+    /// delete this one.
+    Upgrade,
+}
+
+/// The fold loop both guard-removal passes run over one function. It walks
+/// every reachable block from its available-guards in-state; for each guard
+/// `v` whose pointer one earlier guard (or guarded-pointer call) `g` covers,
+/// `decide(f, v, need, g, cover_kind)` picks the rewrite, where `need` is
+/// `v`'s own kind and `g` is chased through this walk's earlier folds (the
+/// analysis saw the IR before them). Each fold is counted in `absorbed`
+/// under `(func, g)`. Returns `(folded, upgraded)`.
+pub(crate) fn fold_guards(
+    f: &mut Function,
+    func: u32,
+    ag: &AvailableGuards,
+    absorbed: &mut BTreeMap<(u32, u32), u32>,
+    decide: impl Fn(&Function, Value, GuardKind, Value, GuardKind) -> Fold,
+) -> (usize, usize) {
+    let (mut folded, mut upgraded) = (0, 0);
+    let mut repl: HashMap<Value, Value> = HashMap::new();
+    for b in f.blocks().collect::<Vec<_>>() {
+        let Some(mut map) = ag.block_in(b).cloned() else {
+            continue; // unreachable
+        };
+        for v in f.block_insts(b).to_vec() {
+            let decision = match f.kind(v) {
+                InstKind::IntrinsicCall {
+                    intr: intr @ (Intrinsic::GuardRead | Intrinsic::GuardWrite),
+                    args,
+                } => match map.get(&args[0]) {
+                    Some(&Cover {
+                        src: CoverSrc::Guard(src),
+                        kind,
+                    }) => {
+                        let need = if *intr == Intrinsic::GuardWrite {
+                            GuardKind::Write
+                        } else {
+                            GuardKind::Read
+                        };
+                        let g = chase(&repl, src);
+                        (g != v).then(|| (g, decide(f, v, need, g, kind)))
+                    }
+                    _ => None,
+                },
+                _ => None,
+            };
+            let g = match decision {
+                Some((g, Fold::Replace)) => g,
+                Some((g, Fold::Upgrade)) => {
+                    if let InstKind::IntrinsicCall { intr, .. } = &mut f.inst_mut(g).kind {
+                        *intr = Intrinsic::GuardWrite;
+                    }
+                    upgraded += 1;
+                    g
+                }
+                Some((_, Fold::Keep)) | None => {
+                    ag.apply(f, &mut map, v);
+                    continue;
+                }
+            };
+            f.replace_all_uses(v, g);
+            f.remove_inst(v);
+            repl.insert(v, g);
+            folded += 1;
+            *absorbed.entry((func, g.index() as u32)).or_insert(0) += 1;
+            // Skip the transfer: the deleted guard gens nothing, and its
+            // pointer stays covered by the survivor.
+        }
+    }
+    (folded, upgraded)
+}
+
+/// Per-survivor attribution, ordered by `(func, survivor)`.
+pub(crate) fn elided_sites(absorbed: BTreeMap<(u32, u32), u32>) -> Vec<ElidedSite> {
+    absorbed
+        .into_iter()
+        .map(|((func, survivor), absorbed)| ElidedSite {
+            func,
+            survivor,
+            absorbed,
+        })
+        .collect()
 }
 
 /// Runs redundant-guard elimination over every function of `module` with
@@ -71,113 +162,49 @@ pub fn run(module: &mut Module) -> ElisionOutcome {
 /// later duplicate guards collapse into.
 pub fn run_with(module: &mut Module, summaries: Option<&ModuleSummaries>) -> ElisionOutcome {
     let mut outcome = ElisionOutcome::default();
-    let mut absorbed: HashMap<(u32, u32), u32> = HashMap::new();
+    let mut absorbed = BTreeMap::new();
     for fid in module.function_ids().collect::<Vec<_>>() {
         let fx = summaries.map(|s| s.effects_for(fid, module.function(fid)));
         let ag = AvailableGuards::compute_with(module.function(fid), fx);
         let f = module.function_mut(fid);
-        // Eliminated guard → its survivor (the analysis was computed on the
-        // pre-elimination IR, so cover sources must be chased through it).
-        let mut repl: HashMap<Value, Value> = HashMap::new();
-        let blocks: Vec<_> = f.blocks().collect();
-        for b in blocks {
-            let Some(mut map) = ag.block_in(b).cloned() else {
-                continue; // unreachable
-            };
-            for v in f.block_insts(b).to_vec() {
-                let InstKind::IntrinsicCall { intr, args } = f.kind(v) else {
-                    ag.apply(f, &mut map, v);
-                    continue;
-                };
-                let need = match intr {
-                    Intrinsic::GuardRead => GuardKind::Read,
-                    Intrinsic::GuardWrite => GuardKind::Write,
-                    _ => {
-                        ag.apply(f, &mut map, v);
-                        continue;
-                    }
-                };
-                let ptr = args[0];
-                let Some(cover) = map.get(&ptr).copied() else {
-                    ag.apply(f, &mut map, v);
-                    continue;
-                };
-                let CoverSrc::Guard(src) = cover.src else {
-                    ag.apply(f, &mut map, v);
-                    continue;
-                };
-                let g = chase(&repl, src);
-                if g == v {
-                    ag.apply(f, &mut map, v);
-                    continue;
-                }
-                // The survivor's *current* kind (upgrades rewrite the IR).
-                let have = match f.kind(g) {
+        let (folded, upgraded) =
+            fold_guards(f, fid.0, &ag, &mut absorbed, |f, v, need, g, kind| {
+                // The survivor's *current* kind (upgrades rewrite the IR), and
+                // whether it is a read guard that can be upgraded in place.
+                let (have, read_guard) = match f.kind(g) {
                     InstKind::IntrinsicCall {
                         intr: Intrinsic::GuardRead,
                         ..
-                    } => GuardKind::Read,
+                    } => (GuardKind::Read, true),
                     InstKind::IntrinsicCall {
                         intr: Intrinsic::GuardWrite,
                         ..
-                    } => GuardKind::Write,
-                    // A call returning a canonical guarded pointer: its
-                    // cover kind is the callee's return custody. Calls are
-                    // never rewritten in place, so the analysis kind is
-                    // still current.
-                    InstKind::Call { .. } => cover.kind,
-                    _ => GuardKind::Chunk, // chunk custody: never reused
+                    } => (GuardKind::Write, false),
+                    // A call returning a canonical guarded pointer: its cover
+                    // kind is the callee's return custody. Calls are never
+                    // rewritten in place, so the analysis kind is still current.
+                    InstKind::Call { .. } => (kind, false),
+                    _ => (GuardKind::Chunk, false), // chunk custody: never reused
                 };
-                let upgradeable_guard = matches!(
-                    f.kind(g),
-                    InstKind::IntrinsicCall {
-                        intr: Intrinsic::GuardRead,
-                        ..
-                    }
-                );
-                let eliminable = if have.covers(need) {
-                    true
-                } else if upgradeable_guard
-                    && have == GuardKind::Read
+                if have.covers(need) {
+                    Fold::Replace
+                } else if read_guard
                     && need == GuardKind::Write
-                    && f.inst(g).block == b
+                    && f.inst(g).block == f.inst(v).block
                 {
-                    // Same-block read→write upgrade (RMW pattern): the
-                    // duplicate write guard always executes right after the
-                    // read guard, so strengthening in place adds
-                    // dirty-marking exactly where the store already is.
-                    if let InstKind::IntrinsicCall { intr, .. } = &mut f.inst_mut(g).kind {
-                        *intr = Intrinsic::GuardWrite;
-                    }
-                    outcome.upgraded += 1;
-                    true
+                    // Same-block read→write upgrade (RMW pattern): the duplicate
+                    // write guard always executes right after the read guard, so
+                    // strengthening in place adds dirty-marking exactly where
+                    // the store already is.
+                    Fold::Upgrade
                 } else {
-                    false
-                };
-                if eliminable {
-                    f.replace_all_uses(v, g);
-                    f.remove_inst(v);
-                    repl.insert(v, g);
-                    outcome.eliminated += 1;
-                    *absorbed.entry((fid.0, g.index() as u32)).or_insert(0) += 1;
-                    // Skip the transfer: the deleted guard gens nothing, and
-                    // `ptr` stays covered by the survivor.
-                } else {
-                    ag.apply(f, &mut map, v);
+                    Fold::Keep
                 }
-            }
-        }
+            });
+        outcome.eliminated += folded;
+        outcome.upgraded += upgraded;
     }
-    let mut sites: Vec<ElidedSite> = absorbed
-        .into_iter()
-        .map(|((func, survivor), n)| ElidedSite {
-            func,
-            survivor,
-            absorbed: n,
-        })
-        .collect();
-    sites.sort_by_key(|s| (s.func, s.survivor));
-    outcome.sites = sites;
+    outcome.sites = elided_sites(absorbed);
     outcome
 }
 

@@ -34,14 +34,14 @@
 //! The pass moves instructions without renumbering them, so guard `Value`
 //! ids — and therefore telemetry `SiteKey`s — survive hoisting.
 
-use crate::passes::guard_elim::ElidedSite;
-use std::collections::HashMap;
+use crate::passes::guard_elim::{elided_sites, fold_guards, ElidedSite, Fold};
+use std::collections::BTreeMap;
 use tfm_analysis::dom::{DomTree, PostDomTree};
-use tfm_analysis::guard_check::{AvailableGuards, CoverSrc, GuardKind};
+use tfm_analysis::guard_check::{AvailableGuards, GuardKind};
 use tfm_analysis::induction::{basic_ivs, static_trip_count};
 use tfm_analysis::loops::{LoopForest, NaturalLoop};
 use tfm_analysis::summaries::ModuleSummaries;
-use tfm_ir::{Block, Function, InstKind, Intrinsic, Module, Value};
+use tfm_ir::{Block, FuncId, Function, InstKind, Intrinsic, Module, Value};
 
 /// One guard moved out of (possibly several nested) loops.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,14 +67,6 @@ pub struct MotionOutcome {
     pub sites: Vec<HoistedSite>,
     /// Per-survivor attribution of the cross-block folds.
     pub folds: Vec<ElidedSite>,
-}
-
-/// Follows the replacement chain to the guard that finally survived.
-fn chase(repl: &HashMap<Value, Value>, mut v: Value) -> Value {
-    while let Some(&n) = repl.get(&v) {
-        v = n;
-    }
-    v
 }
 
 /// True when executing the loop body can never clobber custody: no killing
@@ -155,104 +147,17 @@ fn collect_chain(
     ok
 }
 
-/// The cross-block RMW fold over one function. CFG shape is untouched
-/// (instructions are only rewritten/deleted), so the dominator structures
-/// stay valid throughout.
-fn fold_cross_block_rmw(
-    module: &mut Module,
-    fid: tfm_ir::FuncId,
-    summaries: Option<&ModuleSummaries>,
-    outcome: &mut MotionOutcome,
-    absorbed: &mut HashMap<(u32, u32), u32>,
-) {
-    let fx = summaries.map(|s| s.effects_for(fid, module.function(fid)));
-    let ag = AvailableGuards::compute_with(module.function(fid), fx);
-    let f = module.function(fid);
-    let dt = DomTree::compute(f);
-    let pdt = PostDomTree::compute(f);
-    let forest = LoopForest::compute(f, &dt);
-    let f = module.function_mut(fid);
-    let mut repl: HashMap<Value, Value> = HashMap::new();
-    let blocks: Vec<Block> = f.blocks().collect();
-    for b in blocks {
-        let Some(mut map) = ag.block_in(b).cloned() else {
-            continue; // unreachable
-        };
-        for v in f.block_insts(b).to_vec() {
-            let InstKind::IntrinsicCall {
-                intr: Intrinsic::GuardWrite,
-                args,
-            } = f.kind(v)
-            else {
-                ag.apply(f, &mut map, v);
-                continue;
-            };
-            let ptr = args[0];
-            let foldable = map
-                .get(&ptr)
-                .copied()
-                .and_then(|cover| match cover.src {
-                    CoverSrc::Guard(src) => Some((chase(&repl, src), cover.kind)),
-                    CoverSrc::Merged => None,
-                })
-                .filter(|&(g, kind)| {
-                    kind == GuardKind::Read
-                        && g != v
-                        && matches!(
-                            f.kind(g),
-                            InstKind::IntrinsicCall {
-                                intr: Intrinsic::GuardRead,
-                                ..
-                            }
-                        )
-                })
-                .filter(|&(g, _)| {
-                    let b1 = f.inst(g).block;
-                    // Same execution count: the write's block postdominates
-                    // the read's, both sit in exactly the same loops, and
-                    // the write's block dominates the shared innermost
-                    // loop's latches (each completed iteration runs both).
-                    b1 != b
-                        && pdt.postdominates(b, b1)
-                        && forest.loops.iter().all(|l| l.contains(b1) == l.contains(b))
-                        && forest
-                            .innermost_containing(b)
-                            .is_none_or(|l| l.latches.iter().all(|&lt| dt.dominates(b, lt)))
-                });
-            match foldable {
-                Some((g, _)) => {
-                    if let InstKind::IntrinsicCall { intr, .. } = &mut f.inst_mut(g).kind {
-                        *intr = Intrinsic::GuardWrite;
-                    }
-                    f.replace_all_uses(v, g);
-                    f.remove_inst(v);
-                    repl.insert(v, g);
-                    outcome.upgraded += 1;
-                    *absorbed.entry((fid.0, g.index() as u32)).or_insert(0) += 1;
-                    // Skip the transfer: `ptr` stays covered by the
-                    // (now-write) survivor.
-                }
-                None => ag.apply(f, &mut map, v),
-            }
-        }
-    }
-}
-
 /// One round of hoisting over one function: moves every eligible guard one
-/// loop level outward. Returns the guards moved. The CFG is never changed —
-/// instructions only migrate between existing blocks — so analyses are
-/// recomputed once per round, not per move.
+/// loop level outward. Returns the guards moved. `dt` and `forest` describe
+/// the function's CFG, which hoisting never changes.
 fn hoist_one_level(
     module: &mut Module,
-    fid: tfm_ir::FuncId,
+    fid: FuncId,
     summaries: Option<&ModuleSummaries>,
+    dt: &DomTree,
+    forest: &LoopForest,
 ) -> Vec<Value> {
     let f = module.function(fid);
-    let dt = DomTree::compute(f);
-    let forest = LoopForest::compute(f, &dt);
-    if forest.loops.is_empty() {
-        return Vec::new();
-    }
     // Per-loop eligibility, resolved once.
     let loop_ok: Vec<Option<Block>> = forest
         .loops
@@ -322,12 +227,47 @@ fn hoist_one_level(
 /// then iterated one-level hoisting until no guard can climb further.
 pub fn run(module: &mut Module, summaries: Option<&ModuleSummaries>) -> MotionOutcome {
     let mut outcome = MotionOutcome::default();
-    let mut absorbed: HashMap<(u32, u32), u32> = HashMap::new();
-    let mut levels: HashMap<(u32, u32), u32> = HashMap::new();
+    let mut absorbed = BTreeMap::new();
+    let mut levels: BTreeMap<(u32, u32), u32> = BTreeMap::new();
     for fid in module.function_ids().collect::<Vec<_>>() {
-        fold_cross_block_rmw(module, fid, summaries, &mut outcome, &mut absorbed);
+        // Motion moves and deletes instructions but never changes the CFG,
+        // so one set of CFG analyses serves the fold and every hoist round.
+        let f = module.function(fid);
+        let fx = summaries.map(|s| s.effects_for(fid, f));
+        let ag = AvailableGuards::compute_with(f, fx);
+        let dt = DomTree::compute(f);
+        let pdt = PostDomTree::compute(f);
+        let forest = LoopForest::compute(f, &dt);
+        let f = module.function_mut(fid);
+        let (folded, _) = fold_guards(f, fid.0, &ag, &mut absorbed, |f, v, need, g, kind| {
+            let (b1, b) = (f.inst(g).block, f.inst(v).block);
+            // A write guard folds into a read guard in another block when
+            // both run the same number of times: the write's block
+            // postdominates the read's, both sit in exactly the same loops,
+            // and the write's block dominates the shared innermost loop's
+            // latches (each completed iteration runs both).
+            let same_count = b1 != b
+                && pdt.postdominates(b, b1)
+                && forest.loops.iter().all(|l| l.contains(b1) == l.contains(b))
+                && forest
+                    .innermost_containing(b)
+                    .is_none_or(|l| l.latches.iter().all(|&lt| dt.dominates(b, lt)));
+            let read_guard = matches!(
+                f.kind(g),
+                InstKind::IntrinsicCall {
+                    intr: Intrinsic::GuardRead,
+                    ..
+                }
+            );
+            if need == GuardKind::Write && kind == GuardKind::Read && read_guard && same_count {
+                Fold::Upgrade
+            } else {
+                Fold::Keep
+            }
+        });
+        outcome.upgraded += folded;
         loop {
-            let moved = hoist_one_level(module, fid, summaries);
+            let moved = hoist_one_level(module, fid, summaries, &dt, &forest);
             if moved.is_empty() {
                 break;
             }
@@ -345,16 +285,7 @@ pub fn run(module: &mut Module, summaries: Option<&ModuleSummaries>) -> MotionOu
             levels,
         })
         .collect();
-    outcome.sites.sort_by_key(|s| (s.func, s.value));
-    outcome.folds = absorbed
-        .into_iter()
-        .map(|((func, survivor), n)| ElidedSite {
-            func,
-            survivor,
-            absorbed: n,
-        })
-        .collect();
-    outcome.folds.sort_by_key(|s| (s.func, s.survivor));
+    outcome.folds = elided_sites(absorbed);
     outcome
 }
 

@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 use tfm_analysis::dom::DomTree;
 use tfm_analysis::loops::LoopForest;
-use tfm_ir::{BinOp, CmpOp, FuncId, Function, InstKind, Module, Type, Value};
+use tfm_ir::{BinOp, Cfg, CmpOp, FuncId, Function, InstKind, Module, Type, Value};
 
 /// What the O1 pipeline accomplished (per module).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -419,18 +419,9 @@ pub fn simplify_cfg(f: &mut Function) -> usize {
 
         // Blocks that became unreachable: clear them and prune their phi
         // incomings from reachable successors.
-        let reachable = {
-            let mut seen = std::collections::HashSet::new();
-            let mut stack = vec![f.entry_block()];
-            while let Some(b) = stack.pop() {
-                if seen.insert(b) {
-                    stack.extend(f.succs(b));
-                }
-            }
-            seen
-        };
+        let reachable = Cfg::of(f).reachable(f.entry_block());
         for b in f.blocks().collect::<Vec<_>>() {
-            if reachable.contains(&b) || f.block_insts(b).is_empty() {
+            if reachable[b.index()] || f.block_insts(b).is_empty() {
                 continue;
             }
             for v in f.block_insts(b).to_vec() {
@@ -440,16 +431,16 @@ pub fn simplify_cfg(f: &mut Function) -> usize {
             n += 1;
         }
         for b in f.blocks().collect::<Vec<_>>() {
-            if !reachable.contains(&b) {
+            if !reachable[b.index()] {
                 continue;
             }
             for v in f.block_insts(b).to_vec() {
                 if let InstKind::Phi(incs) = f.kind(v) {
-                    if incs.iter().any(|(p, _)| !reachable.contains(p)) {
+                    if incs.iter().any(|(p, _)| !reachable[p.index()]) {
                         let pruned: Vec<_> = incs
                             .iter()
                             .copied()
-                            .filter(|(p, _)| reachable.contains(p))
+                            .filter(|(p, _)| reachable[p.index()])
                             .collect();
                         f.inst_mut(v).kind = InstKind::Phi(pruned);
                         changed = true;

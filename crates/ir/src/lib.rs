@@ -16,7 +16,10 @@
 //!   through `Gep` (base + index × scale + displacement), mirroring LLVM's
 //!   `getelementptr`;
 //! * runtime interactions — `malloc`/`free` as well as the guard, chunking and
-//!   prefetch hooks that TrackFM injects — are [`Intrinsic`] calls.
+//!   prefetch hooks that TrackFM injects — are [`Intrinsic`] calls;
+//! * one CFG core — [`Cfg`] (predecessor table, reverse postorder,
+//!   reachability), [`DomTree`] and [`PostDomTree`] (one Cooper–Harvey–Kennedy
+//!   solver) — serves the verifier and every analysis in `tfm-analysis`.
 //!
 //! The representation is deliberately arena-based: instruction ids
 //! ([`Value`]s) are stable across pass mutations, deleted instructions become
@@ -66,6 +69,7 @@
 //! ```
 
 mod builder;
+mod cfg;
 mod entities;
 mod function;
 mod inst;
@@ -76,6 +80,7 @@ mod types;
 mod verifier;
 
 pub use builder::FunctionBuilder;
+pub use cfg::{Cfg, DomTree, PostDomTree};
 pub use entities::{Block, FuncId, GlobalId, Value};
 pub use function::{BlockData, Function, InstData, Signature};
 pub use inst::{

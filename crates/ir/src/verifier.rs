@@ -1,15 +1,21 @@
 //! The IR verifier: structural SSA well-formedness checks.
 //!
 //! Checks performed per function:
+//! * every branch targets an existing block;
 //! * every reachable block is non-empty and ends in exactly one terminator,
 //!   with no terminators mid-block;
 //! * phis appear only at the head of a block (after entry parameters) and
 //!   their incoming labels exactly match the block's CFG predecessors;
 //! * no operand refers to a tombstone;
-//! * every non-phi use is dominated by its definition (iterative dominance);
+//! * every non-phi use is dominated by its definition (the shared
+//!   [`DomTree`]);
 //! * operand/result types are consistent (binops homogeneous, loads/stores
 //!   through `ptr`, calls match callee signatures, intrinsic signatures).
+//!
+//! Blocks are checked in reverse postorder, so the error reported first is
+//! the same on every run.
 
+use crate::cfg::{Cfg, DomTree};
 use crate::entities::{Block, Value};
 use crate::function::Function;
 use crate::inst::InstKind;
@@ -89,10 +95,21 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
 /// # Errors
 /// Returns the first error found.
 pub fn verify_function(f: &Function, module: Option<&Module>) -> Result<(), VerifyError> {
-    let reachable = reachable_blocks(f);
+    // Branch targets first: the CFG every later check walks is built from
+    // them.
+    for b in f.blocks() {
+        if let Some(s) = f.succs(b).into_iter().find(|s| s.index() >= f.num_blocks()) {
+            return Err(err_in(f, b, format!("{b} branches to nonexistent {s}")));
+        }
+    }
+    let cfg = Cfg::of(f);
+    let dt = DomTree::solve(&cfg, f.entry_block());
+    // Every check below walks the reachable blocks in reverse postorder, so
+    // the first error reported does not depend on a hash seed.
+    let rpo = dt.rpo();
 
     // Block structure.
-    for &b in &reachable {
+    for &b in rpo {
         let insts = f.block_insts(b);
         if insts.is_empty() {
             return Err(err_in(f, b, format!("{b} is reachable but empty")));
@@ -139,19 +156,13 @@ pub fn verify_function(f: &Function, module: Option<&Module>) -> Result<(), Veri
         }
     }
 
-    // Branch targets and phi predecessor labels.
-    for &b in &reachable {
-        for s in f.succs(b) {
-            if s.index() >= f.num_blocks() {
-                return Err(err_in(f, b, format!("{b} branches to nonexistent {s}")));
-            }
-        }
-    }
-    for &b in &reachable {
-        let preds: HashSet<Block> = f
+    // Phi predecessor labels.
+    for &b in rpo {
+        let preds: HashSet<Block> = cfg
             .preds(b)
-            .into_iter()
-            .filter(|p| reachable.contains(p))
+            .iter()
+            .copied()
+            .filter(|&p| dt.is_reachable(p))
             .collect();
         for &v in f.block_insts(b) {
             if let InstKind::Phi(incs) = f.kind(v) {
@@ -179,7 +190,7 @@ pub fn verify_function(f: &Function, module: Option<&Module>) -> Result<(), Veri
     }
 
     // Operand liveness + types.
-    for &b in &reachable {
+    for &b in rpo {
         for &v in f.block_insts(b) {
             let mut bad = None;
             f.kind(v).for_each_operand(|op| {
@@ -196,23 +207,7 @@ pub fn verify_function(f: &Function, module: Option<&Module>) -> Result<(), Veri
         }
     }
 
-    // Dominance.
-    verify_dominance(f, &reachable)?;
-
-    Ok(())
-}
-
-fn reachable_blocks(f: &Function) -> HashSet<Block> {
-    let mut seen = HashSet::new();
-    let mut stack = vec![f.entry_block()];
-    while let Some(b) = stack.pop() {
-        if seen.insert(b) {
-            for s in f.succs(b) {
-                stack.push(s);
-            }
-        }
-    }
-    seen
+    verify_dominance(f, &dt)
 }
 
 fn check_types(f: &Function, v: Value, module: Option<&Module>) -> Result<(), VerifyError> {
@@ -315,90 +310,22 @@ fn check_types(f: &Function, v: Value, module: Option<&Module>) -> Result<(), Ve
     Ok(())
 }
 
-/// Iterative dominator computation (bitset-free, predecessor-intersection on
-/// reverse-postorder), then a per-use dominance check.
-fn verify_dominance(f: &Function, reachable: &HashSet<Block>) -> Result<(), VerifyError> {
-    // Reverse postorder.
-    let mut order = Vec::new();
-    let mut state: Vec<u8> = vec![0; f.num_blocks()];
-    let mut stack = vec![(f.entry_block(), 0usize)];
-    state[f.entry_block().index()] = 1;
-    while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-        let succs = f.succs(b);
-        if *i < succs.len() {
-            let s = succs[*i];
-            *i += 1;
-            if state[s.index()] == 0 {
-                state[s.index()] = 1;
-                stack.push((s, 0));
-            }
-        } else {
-            order.push(b);
-            stack.pop();
-        }
-    }
-    order.reverse();
-    let mut rpo_num = vec![usize::MAX; f.num_blocks()];
-    for (i, b) in order.iter().enumerate() {
-        rpo_num[b.index()] = i;
-    }
-
-    // Cooper-Harvey-Kennedy.
-    let mut idom: Vec<Option<Block>> = vec![None; f.num_blocks()];
-    idom[f.entry_block().index()] = Some(f.entry_block());
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in order.iter().skip(1) {
-            let preds: Vec<Block> = f
-                .preds(b)
-                .into_iter()
-                .filter(|p| idom[p.index()].is_some())
-                .collect();
-            let Some(&first) = preds.first() else {
-                continue;
-            };
-            let mut new_idom = first;
-            for &p in &preds[1..] {
-                new_idom = intersect(&idom, &rpo_num, p, new_idom);
-            }
-            if idom[b.index()] != Some(new_idom) {
-                idom[b.index()] = Some(new_idom);
-                changed = true;
-            }
-        }
-    }
-
-    let dominates = |a: Block, b: Block| -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            let Some(next) = idom[cur.index()] else {
-                return false;
-            };
-            if next == cur {
-                return cur == a;
-            }
-            cur = next;
-        }
-    };
-
-    // Per-use dominance. Within a block, position indices order defs/uses.
+/// Per-use dominance over the shared dominator tree.
+fn verify_dominance(f: &Function, dt: &DomTree) -> Result<(), VerifyError> {
+    // Within a block, position indices order defs/uses.
     let mut pos = vec![usize::MAX; f.num_insts()];
-    for &b in reachable {
+    for &b in dt.rpo() {
         for (i, &v) in f.block_insts(b).iter().enumerate() {
             pos[v.index()] = i;
         }
     }
-    for &b in reachable {
+    for &b in dt.rpo() {
         for &v in f.block_insts(b) {
             if let InstKind::Phi(incs) = f.kind(v) {
                 // Phi operands must dominate the end of the incoming edge's block.
                 for (p, iv) in incs {
                     let defb = f.inst(*iv).block;
-                    if !dominates(defb, *p) {
+                    if !dt.dominates(defb, *p) {
                         return Err(err_at(
                             f,
                             b,
@@ -418,7 +345,7 @@ fn verify_dominance(f: &Function, reachable: &HashSet<Block>) -> Result<(), Veri
                 let ok = if defb == b {
                     pos[op.index()] < pos[v.index()]
                 } else {
-                    dominates(defb, b)
+                    dt.dominates(defb, b)
                 };
                 if !ok {
                     bad = Some(format!("{v} uses {op} which does not dominate it"));
@@ -430,18 +357,6 @@ fn verify_dominance(f: &Function, reachable: &HashSet<Block>) -> Result<(), Veri
         }
     }
     Ok(())
-}
-
-fn intersect(idom: &[Option<Block>], rpo: &[usize], mut a: Block, mut b: Block) -> Block {
-    while a != b {
-        while rpo[a.index()] > rpo[b.index()] {
-            a = idom[a.index()].expect("processed pred");
-        }
-        while rpo[b.index()] > rpo[a.index()] {
-            b = idom[b.index()].expect("processed pred");
-        }
-    }
-    a
 }
 
 #[cfg(test)]
@@ -660,6 +575,50 @@ mod tests {
             b.ret(Some(p));
         }
         m.verify().unwrap();
+    }
+
+    #[test]
+    fn rejects_branch_to_missing_block() {
+        let mut m = Module::new("t");
+        let id = m.declare_function("f", Signature::new(vec![], None));
+        let f = m.function_mut(id);
+        let e = f.entry_block();
+        f.push_inst(
+            e,
+            InstData {
+                kind: InstKind::Br(Block::from_index(7)),
+                ty: None,
+                block: e,
+            },
+        );
+        let err = m.verify().unwrap_err();
+        assert!(err.message.contains("nonexistent bb7"), "{err}");
+        assert_eq!(err.block, Some(0));
+    }
+
+    #[test]
+    fn reports_the_first_broken_block_in_reverse_postorder() {
+        // entry -> (bb1 | bb2), neither terminated. The depth-first walk
+        // finishes bb1 first, so reverse postorder meets bb2 first.
+        let mut m = Module::new("t");
+        let id = m.declare_function("f", Signature::new(vec![Type::I64], None));
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(id));
+            let x = b.param(0);
+            let bb1 = b.create_block();
+            let bb2 = b.create_block();
+            b.cond_br(x, bb1, bb2);
+            b.switch_to_block(bb1);
+            b.binop(BinOp::Add, x, x);
+            b.switch_to_block(bb2);
+            b.binop(BinOp::Sub, x, x);
+        }
+        // Each call would draw fresh hash keys if the walk depended on them.
+        for _ in 0..16 {
+            let e = m.verify().unwrap_err();
+            assert_eq!(e.block, Some(2), "{e}");
+            assert!(e.message.contains("does not end in a terminator"), "{e}");
+        }
     }
 
     #[test]

@@ -507,17 +507,22 @@ impl FarMemory {
             }
         }
         if let Some(dir) = fire {
-            if self.cfg.prefetch.enabled {
-                let depth = self.prefetch_depth() as i64;
-                let max_obj = self.cfg.num_objects() as i64;
-                for k in 1..=depth {
-                    let t = o.0 as i64 + k * dir;
-                    if t < 0 || t >= max_obj {
-                        break;
-                    }
-                    self.prefetch(ObjId(t as u64), now);
-                }
+            self.prefetch_ahead(o, dir, now);
+        }
+    }
+
+    /// The one stream look-ahead loop, behind both the stride detector and
+    /// the compiler's chunk streams: prefetches up to
+    /// [`FarMemory::prefetch_depth`] objects past `from` in direction `dir`
+    /// (±1), nearest first, stopping at either end of the object space.
+    pub fn prefetch_ahead(&mut self, from: ObjId, dir: i64, now: u64) {
+        let max_obj = self.cfg.num_objects() as i64;
+        for k in 1..=self.prefetch_depth() as i64 {
+            let t = from.0 as i64 + k * dir;
+            if t < 0 || t >= max_obj {
+                break;
             }
+            self.prefetch(ObjId(t as u64), now);
         }
     }
 

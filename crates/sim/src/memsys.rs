@@ -460,18 +460,6 @@ impl TrackFmMem {
         self.fm.collection_point(now + base + stall);
         base + stall
     }
-
-    fn issue_stream_prefetch(&mut self, from: ObjId, dir: i64, now: u64) {
-        let depth = self.fm.prefetch_depth() as i64;
-        let max_obj = self.fm.config().num_objects() as i64;
-        for k in 1..=depth {
-            let target = from.0 as i64 + k * dir;
-            if target < 0 || target >= max_obj {
-                break;
-            }
-            self.fm.prefetch(ObjId(target as u64), now);
-        }
-    }
 }
 
 impl MemorySystem for TrackFmMem {
@@ -683,7 +671,7 @@ impl MemorySystem for TrackFmMem {
         self.fm.collection_point(now + base + stall);
         if prefetch {
             let dir = self.streams[idx].last_dir;
-            self.issue_stream_prefetch(obj, dir, now + base + stall);
+            self.fm.prefetch_ahead(obj, dir, now + base + stall);
         }
         self.streams[idx].prev = cur;
         self.streams[idx].cur = Some(obj);

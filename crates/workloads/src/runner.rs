@@ -131,14 +131,12 @@ impl RunConfig {
     }
 
     /// The §5 hybrid compiler+kernel configuration (chunk streams, no
-    /// guards).
+    /// guards: [`compile_for`] compiles the hybrid guard-free).
     pub fn hybrid(local_fraction: f64) -> Self {
-        let mut cfg = RunConfig {
+        RunConfig {
             system: SystemKind::Hybrid,
             ..Self::trackfm(local_fraction)
-        };
-        cfg.compiler.guards = false;
-        cfg
+        }
     }
 
     /// The local-only baseline.
