@@ -54,7 +54,8 @@ cargo test -q --workspace
 #   trace_overhead — the traced run records spans at a bounded host cost.
 # Where the guarantees of the five retired gates live:
 #   guard_opt           — exhibit `guard_opt` (no level adds cycles; Full <
-#                         Local and a hoisted guard on serving); determinism:
+#                         Local and a hoisted guard on serving); determinism,
+#                         with o1 off and on:
 #                         pipeline_integration::compilation_is_deterministic.
 #   fault_overhead      — pay-for-use is pinned by identity_matrix's `faults`
 #                         row and tfm-net's inactive_fault_plan_is_bit_

@@ -12,7 +12,7 @@
 //! argument). Phi placement uses iterated dominance frontiers; renaming
 //! walks the dominator tree.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use tfm_analysis::dom::{dominance_frontier, DomTree};
 use tfm_ir::{Block, FuncId, Function, InstData, InstKind, Module, Type, Value};
 
@@ -116,9 +116,11 @@ fn run_on_function(f: &mut Function, _id: FuncId) -> usize {
     candidates.len()
 }
 
-/// Finds allocas whose only uses are direct typed loads and stores.
-fn promotable_allocas(f: &Function) -> HashMap<Value, Type> {
-    let mut ok: HashMap<Value, Type> = HashMap::new();
+/// Finds allocas whose only uses are direct typed loads and stores, in value
+/// order: phis and zero constants are placed in this order, so it fixes the
+/// output's instruction order and value numbers.
+fn promotable_allocas(f: &Function) -> BTreeMap<Value, Type> {
+    let mut ok: BTreeMap<Value, Type> = BTreeMap::new();
     let mut bad: HashSet<Value> = HashSet::new();
     let allocas: HashSet<Value> = f
         .live_insts()
@@ -180,7 +182,7 @@ fn rename(
     f: &mut Function,
     block: Block,
     children: &[Vec<Block>],
-    vars: &HashMap<Value, Type>,
+    vars: &BTreeMap<Value, Type>,
     phi_for: &HashMap<(Block, Value), Value>,
     current: &mut HashMap<Value, Vec<Value>>,
     to_delete: &mut Vec<Value>,

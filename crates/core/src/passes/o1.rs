@@ -272,7 +272,11 @@ pub fn licm(module: &mut Module, func: FuncId) -> usize {
         let Some(anchor) = f.terminator(pre) else {
             continue;
         };
-        let loop_has_side_effects = lp.blocks.iter().any(|&b| {
+        // Block order fixes the order hoisted instructions land in the
+        // preheader, so walk the loop body sorted, not in hash order.
+        let mut blocks: Vec<_> = lp.blocks.iter().copied().collect();
+        blocks.sort();
+        let loop_has_side_effects = blocks.iter().any(|&b| {
             f.block_insts(b).iter().any(|&v| {
                 matches!(
                     f.kind(v),
@@ -285,7 +289,7 @@ pub fn licm(module: &mut Module, func: FuncId) -> usize {
         let mut hoisted_here: std::collections::HashSet<Value> = Default::default();
         while changed {
             changed = false;
-            for &b in &lp.blocks {
+            for &b in &blocks {
                 for &v in f.block_insts(b) {
                     if moved.contains(&v) || hoisted_here.contains(&v) {
                         continue;

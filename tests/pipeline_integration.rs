@@ -159,12 +159,18 @@ fn chunk_begins_live_in_preheaders_outside_their_loops() {
 #[test]
 fn compilation_is_deterministic() {
     for (name, module) in workload_modules() {
-        let build = || {
-            let mut m = module.clone();
-            TrackFmCompiler::default().compile(&mut m, None);
-            m.to_string()
-        };
-        assert_eq!(build(), build(), "{name}");
+        for o1 in [false, true] {
+            let build = || {
+                let mut m = module.clone();
+                TrackFmCompiler::new(CompilerOptions {
+                    o1,
+                    ..Default::default()
+                })
+                .compile(&mut m, None);
+                m.to_string()
+            };
+            assert_eq!(build(), build(), "{name} o1={o1}");
+        }
     }
 }
 
