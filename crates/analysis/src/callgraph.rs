@@ -15,28 +15,13 @@
 use std::collections::HashMap;
 use tfm_ir::{FuncId, InstKind, Module};
 
-/// One call site: the calling function and the call instruction's callee.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct CallSite {
-    /// The function containing the call.
-    pub caller: FuncId,
-    /// The call instruction (a value of `caller`).
-    pub inst: tfm_ir::Value,
-    /// The function being called.
-    pub callee: FuncId,
-}
-
 /// The module's direct call graph plus its SCC condensation.
 #[derive(Clone, Debug)]
 pub struct CallGraph {
-    /// Every function in the module, in id order.
-    funcs: Vec<FuncId>,
     /// Per caller: distinct callees (deduplicated, in first-call order).
     callees: HashMap<FuncId, Vec<FuncId>>,
     /// Per callee: distinct callers (deduplicated).
     callers: HashMap<FuncId, Vec<FuncId>>,
-    /// Every call site, in (caller, instruction) order.
-    sites: Vec<CallSite>,
     /// SCC id per function (indexed by `FuncId.0`); components are numbered
     /// in reverse topological (bottom-up) order: callees' components first.
     scc_of: Vec<u32>,
@@ -50,16 +35,10 @@ impl CallGraph {
         let funcs: Vec<FuncId> = module.function_ids().collect();
         let mut callees: HashMap<FuncId, Vec<FuncId>> = HashMap::new();
         let mut callers: HashMap<FuncId, Vec<FuncId>> = HashMap::new();
-        let mut sites = Vec::new();
         for &id in &funcs {
             let f = module.function(id);
             for v in f.live_insts() {
                 if let InstKind::Call { func, .. } = f.kind(v) {
-                    sites.push(CallSite {
-                        caller: id,
-                        inst: v,
-                        callee: *func,
-                    });
                     let outs = callees.entry(id).or_default();
                     if !outs.contains(func) {
                         outs.push(*func);
@@ -73,18 +52,11 @@ impl CallGraph {
         }
         let (scc_of, sccs) = condense(&funcs, &callees);
         CallGraph {
-            funcs,
             callees,
             callers,
-            sites,
             scc_of,
             sccs,
         }
-    }
-
-    /// All functions, in id order.
-    pub fn functions(&self) -> &[FuncId] {
-        &self.funcs
     }
 
     /// Distinct direct callees of `f` (empty for leaves).
@@ -95,16 +67,6 @@ impl CallGraph {
     /// Distinct direct callers of `f` (empty for roots).
     pub fn callers(&self, f: FuncId) -> &[FuncId] {
         self.callers.get(&f).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Every call site in the module.
-    pub fn sites(&self) -> &[CallSite] {
-        &self.sites
-    }
-
-    /// Call sites whose callee is `f`.
-    pub fn sites_of(&self, f: FuncId) -> impl Iterator<Item = &CallSite> {
-        self.sites.iter().filter(move |s| s.callee == f)
     }
 
     /// The SCC id of `f`. Components are numbered bottom-up: if `f` calls
@@ -124,17 +86,6 @@ impl CallGraph {
     /// one member, or it calls itself directly).
     pub fn is_recursive(&self, f: FuncId) -> bool {
         self.sccs[self.scc_of[f.0 as usize] as usize].len() > 1 || self.callees(f).contains(&f)
-    }
-
-    /// Functions with no in-module callers. Entry points reached from
-    /// outside (e.g. `main`, or anything a harness invokes by name) must be
-    /// treated as roots by interprocedural refinement regardless.
-    pub fn uncalled(&self) -> Vec<FuncId> {
-        self.funcs
-            .iter()
-            .copied()
-            .filter(|f| self.callers(*f).is_empty())
-            .collect()
     }
 }
 
@@ -236,16 +187,14 @@ mod tests {
     }
 
     #[test]
-    fn edges_and_sites_are_exact() {
+    fn edges_are_exact() {
         let (m, ids) = graph(3, &[(0, 1), (0, 2), (1, 2)]);
         let cg = CallGraph::compute(&m);
         assert_eq!(cg.callees(ids[0]), &[ids[1], ids[2]]);
         assert_eq!(cg.callees(ids[1]), &[ids[2]]);
         assert!(cg.callees(ids[2]).is_empty());
         assert_eq!(cg.callers(ids[2]), &[ids[0], ids[1]]);
-        assert_eq!(cg.sites().len(), 3);
-        assert_eq!(cg.sites_of(ids[2]).count(), 2);
-        assert_eq!(cg.uncalled(), vec![ids[0]]);
+        assert!(cg.callers(ids[0]).is_empty());
     }
 
     #[test]
@@ -258,8 +207,10 @@ mod tests {
         assert!(cg.scc_id(ids[1]) < cg.scc_id(ids[0]));
         assert!(cg.scc_id(ids[3]) < cg.scc_id(ids[0]));
         // Walking sccs_bottom_up in index order respects every edge.
-        for site in cg.sites() {
-            assert!(cg.scc_id(site.callee) <= cg.scc_id(site.caller));
+        for &caller in &ids {
+            for &callee in cg.callees(caller) {
+                assert!(cg.scc_id(callee) <= cg.scc_id(caller));
+            }
         }
         assert_eq!(cg.sccs_bottom_up().len(), 4);
     }

@@ -145,19 +145,11 @@ fn meet_maps(a: &CoverMap, b: &CoverMap) -> CoverMap {
     out
 }
 
-/// Applies one (non-phi) instruction's transfer function to `map`.
-///
-/// Phis are resolved at block entry by [`AvailableGuards::compute`]; this
-/// helper ignores them, so consumers can walk a block's instructions from
-/// the block-in state and query coverage before each access.
-pub fn apply(f: &Function, map: &mut CoverMap, v: Value) {
-    apply_ctx(f, map, v, None);
-}
-
-/// [`apply`], with optional interprocedural call effects: transparent
-/// callees keep the set alive, and calls returning guarded pointers gen a
-/// cover for their result.
-pub fn apply_ctx(f: &Function, map: &mut CoverMap, v: Value, fx: Option<&CallEffects>) {
+/// Applies one (non-phi) instruction's transfer function to `map`, with
+/// optional interprocedural call effects: transparent callees keep the set
+/// alive, and calls returning guarded pointers gen a cover for their result.
+/// Phis are resolved at block entry by [`AvailableGuards::compute_with`].
+fn apply_ctx(f: &Function, map: &mut CoverMap, v: Value, fx: Option<&CallEffects>) {
     match f.kind(v) {
         InstKind::IntrinsicCall { intr, args } => match intr {
             Intrinsic::GuardRead | Intrinsic::GuardWrite => {
@@ -241,16 +233,10 @@ pub struct AvailableGuards {
 }
 
 impl AvailableGuards {
-    /// Runs the forward dataflow to its greatest fixpoint with the
-    /// conservative intraprocedural call model (every call kills).
-    pub fn compute(f: &Function) -> Self {
-        Self::compute_with(f, None)
-    }
-
-    /// [`AvailableGuards::compute`], with optional interprocedural call
-    /// effects: custody-transparent callees no longer clear the set, calls
-    /// returning guarded pointers gen covers, and parameters guarded at
-    /// every call site seed the entry state.
+    /// Runs the forward dataflow to its greatest fixpoint. Without call
+    /// effects every call kills; with them, custody-transparent callees no
+    /// longer clear the set, calls returning guarded pointers gen covers,
+    /// and parameters guarded at every call site seed the entry state.
     pub fn compute_with(f: &Function, effects: Option<CallEffects>) -> Self {
         let fx = effects.as_ref();
         let nblocks = f.num_blocks();
@@ -352,10 +338,10 @@ impl AvailableGuards {
         }
     }
 
-    /// Applies one instruction's transfer function under the same call
-    /// effects this analysis was computed with. Consumers walking a block
-    /// from [`AvailableGuards::block_in`] must use this (not the free
-    /// [`apply`]) so their view matches the fixpoint.
+    /// Applies one (non-phi) instruction's transfer function under the same
+    /// call effects this analysis was computed with. Consumers walk a block
+    /// from [`AvailableGuards::block_in`] with it and query coverage before
+    /// each access.
     pub fn apply(&self, f: &Function, map: &mut CoverMap, v: Value) {
         apply_ctx(f, map, v, self.effects.as_ref());
     }
@@ -365,27 +351,32 @@ impl AvailableGuards {
     pub fn block_in(&self, b: Block) -> Option<&CoverMap> {
         self.block_in.get(b.index()).and_then(|m| m.as_ref())
     }
-
-    /// The cover of `ptr` immediately before instruction `at` (walking the
-    /// block from its in-state). `None` when `at`'s block is unreachable or
-    /// `ptr` is not covered there.
-    pub fn cover_before(&self, f: &Function, at: Value, ptr: Value) -> Option<Cover> {
-        let b = f.inst(at).block;
-        let mut map = self.block_in(b)?.clone();
-        for &v in f.block_insts(b) {
-            if v == at {
-                break;
-            }
-            apply_ctx(f, &mut map, v, self.effects.as_ref());
-        }
-        map.get(&ptr).copied()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tfm_ir::{BinOp, FunctionBuilder, InstKind, Module, Signature, Type};
+
+    /// The intraprocedural analysis (every call kills).
+    fn compute(f: &Function) -> AvailableGuards {
+        AvailableGuards::compute_with(f, None)
+    }
+
+    /// The cover of `ptr` immediately before instruction `at`, walking its
+    /// block from the in-state; `None` when the block is unreachable or
+    /// `ptr` is not covered there.
+    fn cover_before(ag: &AvailableGuards, f: &Function, at: Value, ptr: Value) -> Option<Cover> {
+        let b = f.inst(at).block;
+        let mut map = ag.block_in(b)?.clone();
+        for &v in f.block_insts(b) {
+            if v == at {
+                break;
+            }
+            ag.apply(f, &mut map, v);
+        }
+        map.get(&ptr).copied()
+    }
 
     fn guard(b: &mut FunctionBuilder, p: Value, write: bool) -> Value {
         let intr = if write {
@@ -419,17 +410,17 @@ mod tests {
             b.ret(Some(s2));
         }
         let f = m.function(id);
-        let ag = AvailableGuards::compute(f);
+        let ag = compute(f);
         // Covered between the guard and the call...
-        let c = ag.cover_before(f, x, p).unwrap();
+        let c = cover_before(&ag, f, x, p).unwrap();
         assert_eq!(c.src, CoverSrc::Guard(g));
         assert_eq!(c.kind, GuardKind::Read);
-        assert!(ag.cover_before(f, x, g).is_some());
+        assert!(cover_before(&ag, f, x, g).is_some());
         // ...and killed by the call.
         let after = f.block_insts(f.entry_block());
         let second_load = after[after.iter().position(|&v| v == call).unwrap() + 1];
-        assert!(ag.cover_before(f, second_load, p).is_none());
-        assert!(ag.cover_before(f, second_load, g).is_none());
+        assert!(cover_before(&ag, f, second_load, p).is_none());
+        assert!(cover_before(&ag, f, second_load, g).is_none());
     }
 
     #[test]
@@ -449,17 +440,17 @@ mod tests {
             b.ret(None);
         }
         let f = m.function(id);
-        let ag = AvailableGuards::compute(f);
+        let ag = compute(f);
         // The second guard does not kill the first pointer's custody...
-        let c = ag.cover_before(f, mal, p).unwrap();
+        let c = cover_before(&ag, f, mal, p).unwrap();
         assert_eq!(c.kind, GuardKind::Read);
-        assert_eq!(ag.cover_before(f, mal, q).unwrap().kind, GuardKind::Write);
+        assert_eq!(cover_before(&ag, f, mal, q).unwrap().kind, GuardKind::Write);
         // ...but the allocation kills everything.
         let insts = f.block_insts(f.entry_block());
         let store_v = insts[insts.iter().position(|&v| v == mal).unwrap() + 1];
         assert!(matches!(f.kind(store_v), InstKind::Store { .. }));
-        assert!(ag.cover_before(f, store_v, p).is_none());
-        assert!(ag.cover_before(f, store_v, q).is_none());
+        assert!(cover_before(&ag, f, store_v, p).is_none());
+        assert!(cover_before(&ag, f, store_v, q).is_none());
     }
 
     #[test]
@@ -496,12 +487,12 @@ mod tests {
             b.ret(None);
         }
         let f = m.function(id);
-        let ag = AvailableGuards::compute(f);
+        let ag = compute(f);
         assert!(
-            ag.cover_before(f, join_load, p).is_none(),
+            cover_before(&ag, f, join_load, p).is_none(),
             "one-sided guard"
         );
-        let cq = ag.cover_before(f, join_load, q).unwrap();
+        let cq = cover_before(&ag, f, join_load, q).unwrap();
         assert_eq!(cq.src, CoverSrc::Merged, "two different guards merge");
         assert_eq!(cq.kind, GuardKind::Read);
     }
@@ -535,8 +526,8 @@ mod tests {
             b.ret(None);
         }
         let f = m.function(id);
-        let ag = AvailableGuards::compute(f);
-        let c = ag.cover_before(f, use_load, phi).unwrap();
+        let ag = compute(f);
+        let c = cover_before(&ag, f, use_load, phi).unwrap();
         assert_eq!(c.src, CoverSrc::Merged);
         assert_eq!(c.kind, GuardKind::Write);
     }
@@ -569,8 +560,8 @@ mod tests {
             b.ret(None);
         }
         let f = m.function(id);
-        let ag = AvailableGuards::compute(f);
-        assert!(ag.cover_before(f, use_load, phi).is_none());
+        let ag = compute(f);
+        assert!(cover_before(&ag, f, use_load, phi).is_none());
     }
 
     #[test]
@@ -596,14 +587,14 @@ mod tests {
         }
         body_load = body_load_v.unwrap();
         let f = m.function(id);
-        let ag = AvailableGuards::compute(f);
-        let c = ag.cover_before(f, body_load, g).unwrap();
+        let ag = compute(f);
+        let c = cover_before(&ag, f, body_load, g).unwrap();
         assert_eq!(c.src, CoverSrc::Guard(g));
         // The derived gep address is covered too.
         let InstKind::Load { ptr } = *f.kind(body_load) else {
             panic!()
         };
-        assert!(ag.cover_before(f, body_load, ptr).is_some());
+        assert!(cover_before(&ag, f, body_load, ptr).is_some());
     }
 
     #[test]
@@ -635,9 +626,9 @@ mod tests {
         }
         let body_load = body_load_v.unwrap();
         let f = m.function(id);
-        let ag = AvailableGuards::compute(f);
+        let ag = compute(f);
         assert!(
-            ag.cover_before(f, body_load, g).is_none(),
+            cover_before(&ag, f, body_load, g).is_none(),
             "call inside the loop kills coverage across the backedge"
         );
     }
@@ -664,10 +655,10 @@ mod tests {
             b.ret(None);
         }
         let f = m.function(id);
-        let ag = AvailableGuards::compute(f);
-        let c = ag.cover_before(f, use_load, cd).unwrap();
+        let ag = compute(f);
+        let c = cover_before(&ag, f, use_load, cd).unwrap();
         assert_eq!(c.kind, GuardKind::Chunk);
-        let cs = ag.cover_before(f, use_load, sel).unwrap();
+        let cs = cover_before(&ag, f, use_load, sel).unwrap();
         assert_eq!(cs.src, CoverSrc::Merged);
         assert_eq!(cs.kind, GuardKind::Read, "chunk meets write as read");
     }
@@ -697,7 +688,7 @@ mod tests {
         }
         m.verify().unwrap();
         let f = m.function(id);
-        let ag = AvailableGuards::compute(f);
+        let ag = compute(f);
         // The dead block is never computed ...
         assert_eq!(ag.block_in(dead), None);
         // ... and the join sees no cover for p despite dead's guard.

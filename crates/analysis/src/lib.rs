@@ -11,7 +11,6 @@
 //! * [`dom`] — dominator and post-dominator trees (re-exported from the
 //!   one CFG core in [`tfm_ir`]) and dominance frontiers;
 //! * [`loops`] — natural-loop forest, preheader creation, exit edges;
-//! * [`defuse`] — def-use chains;
 //! * [`points_to`] — allocation-site memory classification (heap / stack /
 //!   global / localized / unknown), the alias backbone of the guard-check
 //!   analysis;
@@ -23,15 +22,13 @@
 //! * [`callgraph`] — the module call graph with Tarjan SCC condensation,
 //!   giving the bottom-up order interprocedural analyses run in;
 //! * [`summaries`] — per-function effect summaries (custody transparency,
-//!   may-free / may-evacuate, region read/write sets, parameter and
-//!   return-value memory classes and custody) propagated across call
-//!   sites, the whole-program layer behind call-aware guard checking,
-//!   interprocedural parameter classification, and guard motion;
+//!   parameter and return-value memory classes and custody) propagated
+//!   across call sites, the whole-program layer behind call-aware guard
+//!   checking, interprocedural parameter classification, and guard motion;
 //! * [`profile`] — edge/block execution profiles gathered by the simulator
 //!   and consumed by the chunking cost model.
 
 pub mod callgraph;
-pub mod defuse;
 pub mod dom;
 pub mod guard_check;
 pub mod induction;
@@ -40,11 +37,11 @@ pub mod points_to;
 pub mod profile;
 pub mod summaries;
 
-pub use callgraph::{CallGraph, CallSite};
+pub use callgraph::CallGraph;
 pub use dom::{DomTree, PostDomTree};
 pub use guard_check::{AvailableGuards, CallEffects, Cover, CoverSrc, GuardKind};
 pub use induction::{BasicIv, LoopAccess};
 pub use loops::{LoopForest, NaturalLoop};
 pub use points_to::{MemClass, PointsTo};
 pub use profile::Profile;
-pub use summaries::{FnSummary, ModuleSummaries, RegionSet};
+pub use summaries::{FnSummary, ModuleSummaries};

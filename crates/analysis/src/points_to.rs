@@ -174,12 +174,6 @@ impl PointsTo {
     pub fn class(&self, v: Value) -> MemClass {
         self.class[v.index()]
     }
-
-    /// True if an access through `ptr` must be guarded: the pointer may be a
-    /// TrackFM heap pointer.
-    pub fn needs_guard(&self, ptr: Value) -> bool {
-        matches!(self.class(ptr), MemClass::Heap | MemClass::Unknown)
-    }
 }
 
 #[cfg(test)]
@@ -212,8 +206,6 @@ mod tests {
         });
         assert_eq!(pt.class(v[0]), MemClass::Heap);
         assert_eq!(pt.class(v[1]), MemClass::Stack);
-        assert!(pt.needs_guard(v[0]));
-        assert!(!pt.needs_guard(v[1]));
     }
 
     #[test]
@@ -239,7 +231,6 @@ mod tests {
             vec![back]
         });
         assert_eq!(pt.class(v[0]), MemClass::Heap);
-        assert!(pt.needs_guard(v[0]));
     }
 
     #[test]
@@ -251,7 +242,6 @@ mod tests {
         });
         assert_eq!(pt.class(v[0]), MemClass::Unknown);
         assert_eq!(pt.class(v[1]), MemClass::Unknown);
-        assert!(pt.needs_guard(v[0]));
     }
 
     #[test]
@@ -262,7 +252,6 @@ mod tests {
             vec![loc]
         });
         assert_eq!(pt.class(v[0]), MemClass::Localized);
-        assert!(!pt.needs_guard(v[0]));
     }
 
     #[test]
@@ -291,7 +280,6 @@ mod tests {
         }
         let pt = PointsTo::compute(m.function(id));
         assert_eq!(pt.class(phi), MemClass::Unknown);
-        assert!(pt.needs_guard(phi));
     }
 
     #[test]
@@ -320,7 +308,6 @@ mod tests {
         }
         let pt = PointsTo::compute(m.function(id));
         assert_eq!(pt.class(phi), MemClass::Heap);
-        assert!(pt.needs_guard(phi));
     }
 
     #[test]
@@ -340,7 +327,6 @@ mod tests {
         });
         assert_eq!(pt.class(v[0]), MemClass::Heap);
         assert_eq!(pt.class(v[1]), MemClass::Unknown);
-        assert!(pt.needs_guard(v[1]));
     }
 
     #[test]
@@ -378,9 +364,7 @@ mod tests {
         }
         let pt = PointsTo::compute(m.function(id));
         assert_eq!(pt.class(chain), MemClass::Heap);
-        assert!(pt.needs_guard(chain));
         assert_eq!(pt.class(locchain), MemClass::Localized);
-        assert!(!pt.needs_guard(locchain));
     }
 
     #[test]
@@ -398,7 +382,6 @@ mod tests {
             vec![g2]
         });
         assert_eq!(pt.class(v[0]), MemClass::Unknown);
-        assert!(pt.needs_guard(v[0]));
     }
 
     #[test]
@@ -419,7 +402,6 @@ mod tests {
         let pt = PointsTo::compute_with_locals(m.function(id), &locals);
         assert_eq!(pt.class(site), MemClass::LocalHeap);
         assert_eq!(pt.class(derived), MemClass::LocalHeap);
-        assert!(!pt.needs_guard(derived));
     }
 
     #[test]

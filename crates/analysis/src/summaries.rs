@@ -54,79 +54,11 @@ use crate::points_to::{MemClass, PointsTo};
 use std::collections::{HashMap, HashSet};
 use tfm_ir::{FuncId, Function, InstKind, Intrinsic, Module, Type, Value};
 
-/// A set of abstract memory regions a function may read or write.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct RegionSet(u8);
-
-impl RegionSet {
-    /// TrackFM-managed (or localized) heap memory.
-    pub const HEAP: RegionSet = RegionSet(1);
-    /// Stack slots.
-    pub const STACK: RegionSet = RegionSet(2);
-    /// Module globals.
-    pub const GLOBAL: RegionSet = RegionSet(4);
-    /// Unknown provenance.
-    pub const UNKNOWN: RegionSet = RegionSet(8);
-
-    /// The empty set.
-    pub fn empty() -> RegionSet {
-        RegionSet(0)
-    }
-
-    /// Set union (in place).
-    pub fn insert(&mut self, other: RegionSet) {
-        self.0 |= other.0;
-    }
-
-    /// True when `other`'s regions are all present.
-    pub fn contains(self, other: RegionSet) -> bool {
-        self.0 & other.0 == other.0
-    }
-
-    /// True when no region is present.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// The region an access through a pointer of class `c` touches.
-    pub fn of_class(c: MemClass) -> RegionSet {
-        match c {
-            MemClass::Heap | MemClass::Localized | MemClass::LocalHeap => RegionSet::HEAP,
-            MemClass::Stack => RegionSet::STACK,
-            MemClass::Global => RegionSet::GLOBAL,
-            MemClass::NonPtr | MemClass::Unknown => RegionSet::UNKNOWN,
-        }
-    }
-
-    /// Compact `HSG?` rendering (dash for absent regions).
-    pub fn render(self) -> String {
-        let mut s = String::new();
-        for (bit, ch) in [
-            (RegionSet::HEAP, 'H'),
-            (RegionSet::STACK, 'S'),
-            (RegionSet::GLOBAL, 'G'),
-            (RegionSet::UNKNOWN, '?'),
-        ] {
-            s.push(if self.contains(bit) { ch } else { '-' });
-        }
-        s
-    }
-}
-
 /// The per-function effect summary.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FnSummary {
     /// May this function (transitively) clobber the caller's custody set?
     pub kills_custody: bool,
-    /// May it (transitively) free or shrink heap memory?
-    pub may_free: bool,
-    /// May it (transitively) allocate — and therefore trigger evacuation at
-    /// a collection point?
-    pub may_evacuate: bool,
-    /// Regions it (transitively) reads.
-    pub reads: RegionSet,
-    /// Regions it (transitively) writes.
-    pub writes: RegionSet,
     /// Join over every call site of each argument's memory class
     /// (`Unknown` for root parameters).
     pub param_class: Vec<MemClass>,
@@ -140,36 +72,6 @@ pub struct FnSummary {
 }
 
 impl FnSummary {
-    /// The conservative summary: kills everything, parameters unknown.
-    pub fn conservative(f: &Function) -> FnSummary {
-        FnSummary {
-            kills_custody: true,
-            may_free: true,
-            may_evacuate: true,
-            reads: RegionSet::UNKNOWN,
-            writes: RegionSet::UNKNOWN,
-            param_class: f
-                .sig
-                .params
-                .iter()
-                .map(|t| {
-                    if *t == Type::Ptr {
-                        MemClass::Unknown
-                    } else {
-                        MemClass::NonPtr
-                    }
-                })
-                .collect(),
-            param_custody: vec![None; f.sig.params.len()],
-            ret_class: if f.sig.ret == Some(Type::Ptr) {
-                MemClass::Unknown
-            } else {
-                MemClass::NonPtr
-            },
-            ret_custody: None,
-        }
-    }
-
     /// True when calling this function provably leaves the caller's
     /// available-guard set intact.
     pub fn custody_transparent(&self) -> bool {
@@ -214,12 +116,10 @@ fn propagable(k: GuardKind) -> Option<GuardKind> {
     }
 }
 
-/// Whole-module summaries plus the call graph they were computed over.
+/// Whole-module summaries, one per function.
 #[derive(Clone, Debug)]
 pub struct ModuleSummaries {
-    cg: CallGraph,
     sums: HashMap<FuncId, FnSummary>,
-    roots: HashSet<FuncId>,
 }
 
 impl ModuleSummaries {
@@ -249,55 +149,26 @@ impl ModuleSummaries {
         let locals_of =
             |fid: FuncId| -> &HashSet<Value> { local_sites.get(&fid).unwrap_or(&empty_locals) };
 
-        // Phase 1 — boolean effects, a least fixpoint (optimistic `false`
+        // Phase 1 — custody kills, a least fixpoint (optimistic `false`
         // start) over the bottom-up SCC order; only intra-SCC edges need
-        // iteration.
+        // iteration. Every intrinsic but a guard or chunk dereference kills.
         let mut kills = vec![false; n];
-        let mut frees = vec![false; n];
-        let mut evacs = vec![false; n];
         for scc in cg.sccs_bottom_up() {
             let mut changed = true;
             while changed {
                 changed = false;
                 for &fid in scc {
                     let f = module.function(fid);
-                    let (mut k, mut fr, mut ev) = (false, false, false);
-                    for v in f.live_insts() {
-                        match f.kind(v) {
-                            InstKind::IntrinsicCall { intr, .. } => match intr {
-                                Intrinsic::GuardRead
-                                | Intrinsic::GuardWrite
-                                | Intrinsic::ChunkDeref => {}
-                                Intrinsic::Malloc
-                                | Intrinsic::Calloc
-                                | Intrinsic::TfmAlloc
-                                | Intrinsic::TfmCalloc => {
-                                    k = true;
-                                    ev = true;
-                                }
-                                Intrinsic::Realloc | Intrinsic::TfmRealloc => {
-                                    k = true;
-                                    ev = true;
-                                    fr = true;
-                                }
-                                Intrinsic::Free | Intrinsic::TfmFree => {
-                                    k = true;
-                                    fr = true;
-                                }
-                                _ => k = true,
-                            },
-                            InstKind::Call { func, .. } => {
-                                k |= kills[func.index()];
-                                fr |= frees[func.index()];
-                                ev |= evacs[func.index()];
-                            }
-                            _ => {}
-                        }
-                    }
-                    if (k, fr, ev) != (kills[fid.index()], frees[fid.index()], evacs[fid.index()]) {
-                        kills[fid.index()] |= k;
-                        frees[fid.index()] |= fr;
-                        evacs[fid.index()] |= ev;
+                    let k = f.live_insts().into_iter().any(|v| match f.kind(v) {
+                        InstKind::IntrinsicCall { intr, .. } => !matches!(
+                            intr,
+                            Intrinsic::GuardRead | Intrinsic::GuardWrite | Intrinsic::ChunkDeref
+                        ),
+                        InstKind::Call { func, .. } => kills[func.index()],
+                        _ => false,
+                    });
+                    if k && !kills[fid.index()] {
+                        kills[fid.index()] = true;
                         changed = true;
                     }
                 }
@@ -423,24 +294,24 @@ impl ModuleSummaries {
             })
             .collect();
         let mut ret_class: Vec<MemClass> = vec![MemClass::NonPtr; n];
-        let mut pts: HashMap<FuncId, PointsTo> = HashMap::new();
         loop {
             let mut changed = false;
-            let rc_snapshot = ret_class.clone();
-            pts.clear();
-            for fid in module.function_ids() {
+            // Every function is classified against this round's state
+            // before any of it is updated.
+            let pts: Vec<(FuncId, PointsTo)> = module
+                .function_ids()
+                .map(|fid| {
+                    let pt = PointsTo::compute_with_env(
+                        module.function(fid),
+                        locals_of(fid),
+                        &param_class[fid.index()],
+                        &|g| ret_class[g.index()],
+                    );
+                    (fid, pt)
+                })
+                .collect();
+            for (fid, pt) in pts {
                 let f = module.function(fid);
-                let pt = PointsTo::compute_with_env(
-                    f,
-                    locals_of(fid),
-                    &param_class[fid.index()],
-                    &|g| rc_snapshot[g.index()],
-                );
-                pts.insert(fid, pt);
-            }
-            for fid in module.function_ids() {
-                let f = module.function(fid);
-                let pt = &pts[&fid];
                 for v in f.live_insts() {
                     match f.kind(v) {
                         InstKind::Ret(Some(rv)) if f.sig.ret == Some(Type::Ptr) => {
@@ -477,55 +348,6 @@ impl ModuleSummaries {
             }
         }
 
-        // Phase 4 — region read/write sets with the final classes, another
-        // bottom-up boolean-ish fixpoint.
-        let mut reads = vec![RegionSet::empty(); n];
-        let mut writes = vec![RegionSet::empty(); n];
-        for scc in cg.sccs_bottom_up() {
-            let mut changed = true;
-            while changed {
-                changed = false;
-                for &fid in scc {
-                    let f = module.function(fid);
-                    let pt = &pts[&fid];
-                    let (mut r, mut w) = (RegionSet::empty(), RegionSet::empty());
-                    for v in f.live_insts() {
-                        match f.kind(v) {
-                            InstKind::Load { ptr } => r.insert(RegionSet::of_class(pt.class(*ptr))),
-                            InstKind::Store { ptr, .. } => {
-                                w.insert(RegionSet::of_class(pt.class(*ptr)))
-                            }
-                            InstKind::IntrinsicCall { intr, .. } => match intr {
-                                Intrinsic::GuardRead | Intrinsic::ChunkDeref => {
-                                    r.insert(RegionSet::HEAP)
-                                }
-                                Intrinsic::GuardWrite => {
-                                    r.insert(RegionSet::HEAP);
-                                    w.insert(RegionSet::HEAP);
-                                }
-                                i if i.is_allocation() => w.insert(RegionSet::HEAP),
-                                Intrinsic::Memcpy | Intrinsic::Memset => {
-                                    r.insert(RegionSet::UNKNOWN);
-                                    w.insert(RegionSet::UNKNOWN);
-                                }
-                                _ => {}
-                            },
-                            InstKind::Call { func, .. } => {
-                                r.insert(reads[func.index()]);
-                                w.insert(writes[func.index()]);
-                            }
-                            _ => {}
-                        }
-                    }
-                    if r != reads[fid.index()] || w != writes[fid.index()] {
-                        reads[fid.index()].insert(r);
-                        writes[fid.index()].insert(w);
-                        changed = true;
-                    }
-                }
-            }
-        }
-
         let sums = module
             .function_ids()
             .map(|fid| {
@@ -534,10 +356,6 @@ impl ModuleSummaries {
                     fid,
                     FnSummary {
                         kills_custody: kills[i],
-                        may_free: frees[i],
-                        may_evacuate: evacs[i],
-                        reads: reads[i],
-                        writes: writes[i],
                         param_class: param_class[i].clone(),
                         param_custody: param_cust[i].iter().map(|c| c.out()).collect(),
                         ret_class: ret_class[i],
@@ -546,27 +364,12 @@ impl ModuleSummaries {
                 )
             })
             .collect();
-        ModuleSummaries {
-            cg,
-            sums,
-            roots: root_set,
-        }
+        ModuleSummaries { sums }
     }
 
     /// The summary of `f`.
     pub fn summary(&self, f: FuncId) -> &FnSummary {
         &self.sums[&f]
-    }
-
-    /// The call graph the summaries were computed over.
-    pub fn callgraph(&self) -> &CallGraph {
-        &self.cg
-    }
-
-    /// True when `f` is treated as externally callable (parameters unknown,
-    /// no custody).
-    pub fn is_root(&self, f: FuncId) -> bool {
-        self.roots.contains(&f)
     }
 
     /// Builds the per-instruction [`CallEffects`] for `fid`, ready to hand
@@ -725,9 +528,7 @@ mod tests {
         m.verify().unwrap();
         let sums = ModuleSummaries::compute(&m, &["main"]);
         assert!(sums.summary(pure).custody_transparent());
-        assert!(!sums.summary(pure).may_evacuate);
         assert!(sums.summary(alloc).kills_custody);
-        assert!(sums.summary(alloc).may_evacuate);
         assert!(sums.summary(wrap).kills_custody, "kill propagates up");
         assert!(sums.summary(main).kills_custody);
     }
@@ -790,7 +591,7 @@ mod tests {
         assert!(sums.summary(even).custody_transparent());
         assert!(sums.summary(odd).custody_transparent());
         assert!(sums.summary(selfalloc).kills_custody);
-        assert!(sums.callgraph().is_recursive(even));
+        assert!(CallGraph::compute(&m).is_recursive(even));
     }
 
     #[test]
@@ -833,12 +634,6 @@ mod tests {
         assert_eq!(sums.summary(sink).param_class[0], MemClass::Unknown);
         assert_eq!(sums.summary(stacky).param_class[0], MemClass::Stack);
         assert_eq!(sums.summary(main).param_class[0], MemClass::Unknown);
-        assert!(sums.is_root(main));
-        assert!(!sums.is_root(stacky));
-        // stacky only touches the stack; sink may touch anything.
-        assert!(sums.summary(stacky).reads.contains(RegionSet::STACK));
-        assert!(!sums.summary(stacky).reads.contains(RegionSet::UNKNOWN));
-        assert!(sums.summary(sink).reads.contains(RegionSet::UNKNOWN));
     }
 
     #[test]
@@ -936,25 +731,5 @@ mod tests {
         assert!(fx.ret_cover.contains_key(&calls[0]));
         assert!(!fx.ret_cover.contains_key(&calls[1]));
         assert!(fx.transparent.contains(&calls[0]), "guards do not kill");
-    }
-
-    #[test]
-    fn conservative_summary_matches_legacy_assumptions() {
-        let mut m = Module::new("t");
-        let id = m.declare_function(
-            "f",
-            Signature::new(vec![Type::Ptr, Type::I64], Some(Type::Ptr)),
-        );
-        {
-            let mut b = FunctionBuilder::new(m.function_mut(id));
-            let p = b.param(0);
-            b.ret(Some(p));
-        }
-        let s = FnSummary::conservative(m.function(id));
-        assert!(s.kills_custody && s.may_free && s.may_evacuate);
-        assert_eq!(s.param_class, vec![MemClass::Unknown, MemClass::NonPtr]);
-        assert_eq!(s.ret_class, MemClass::Unknown);
-        assert_eq!(s.param_custody, vec![None, None]);
-        assert_eq!(s.ret_custody, None);
     }
 }

@@ -149,13 +149,8 @@ pub(crate) fn elided_sites(absorbed: BTreeMap<(u32, u32), u32>) -> Vec<ElidedSit
         .collect()
 }
 
-/// Runs redundant-guard elimination over every function of `module` with
-/// the conservative intraprocedural call model (every call kills custody).
-pub fn run(module: &mut Module) -> ElisionOutcome {
-    run_with(module, None)
-}
-
-/// [`run`], optionally call-aware: with [`ModuleSummaries`] the
+/// Runs redundant-guard elimination over every function of `module`.
+/// Without summaries every call kills custody. With [`ModuleSummaries`] the
 /// available-guards dataflow keeps covers alive across custody-transparent
 /// callees (so guards straddling pure helper calls fold), and calls
 /// returning canonical guarded pointers act as cover sources whose results
@@ -247,7 +242,7 @@ mod tests {
             x2 = b.load(Type::I64, g2);
             b.ret(Some(x2));
         }
-        let out = run(&mut m);
+        let out = run_with(&mut m, None);
         assert_eq!(out.eliminated, 1);
         assert_eq!(out.upgraded, 0);
         assert_eq!(
@@ -282,7 +277,7 @@ mod tests {
             let x = b.load(Type::I64, g2);
             b.ret(Some(x));
         }
-        let out = run(&mut m);
+        let out = run_with(&mut m, None);
         assert_eq!(out.eliminated, 1);
         assert_eq!(count_guards(&m), (0, 1));
         m.verify().unwrap();
@@ -304,7 +299,7 @@ mod tests {
             b.store(g2, x2);
             b.ret(None);
         }
-        let out = run(&mut m);
+        let out = run_with(&mut m, None);
         assert_eq!(out.eliminated, 1);
         assert_eq!(out.upgraded, 1);
         // One write guard survives; both the load and the store use it.
@@ -335,7 +330,7 @@ mod tests {
             b.switch_to_block(done);
             b.ret(None);
         }
-        let out = run(&mut m);
+        let out = run_with(&mut m, None);
         assert_eq!(out.eliminated, 0);
         assert_eq!(out.upgraded, 0);
         assert_eq!(count_guards(&m), (1, 1));
@@ -362,7 +357,7 @@ mod tests {
             let x = b.load(Type::I64, g2);
             b.ret(Some(x));
         }
-        let out = run(&mut m);
+        let out = run_with(&mut m, None);
         assert_eq!(out.eliminated, 0);
         assert_eq!(count_guards(&m), (2, 0));
     }
@@ -384,7 +379,7 @@ mod tests {
             let x = b.load(Type::I64, g3);
             b.ret(Some(x));
         }
-        let out = run(&mut m);
+        let out = run_with(&mut m, None);
         assert_eq!(out.eliminated, 2);
         assert_eq!(out.sites.len(), 1);
         assert_eq!(out.sites[0].absorbed, 2);
@@ -423,7 +418,7 @@ mod tests {
             let x = b.load(Type::I64, g3);
             b.ret(Some(x));
         }
-        let out = run(&mut m);
+        let out = run_with(&mut m, None);
         assert_eq!(out.eliminated, 0);
         assert_eq!(count_guards(&m), (3, 0));
     }

@@ -12,6 +12,7 @@
 //! slow-path runtime call, returning a canonical localized pointer
 //! (Fig. 4).
 
+use std::collections::HashSet;
 use tfm_analysis::guard_check::{AvailableGuards, GuardKind};
 use tfm_analysis::points_to::{MemClass, PointsTo};
 use tfm_analysis::summaries::ModuleSummaries;
@@ -39,55 +40,36 @@ impl GuardPlan {
 }
 
 /// The guard check analysis: classifies every load/store pointer and keeps
-/// the ones that may reference the heap. Pointers already localized by a
-/// guard or a chunk dereference are skipped (so this composes with the
-/// chunking transform, which runs first).
-pub fn analyze(module: &Module, func: FuncId) -> GuardPlan {
-    analyze_with_locals(module, func, &std::collections::HashSet::new())
-}
-
-/// [`analyze`], treating `local_sites` (allocation sites pruned from
-/// remoting, §5) as always-local: accesses derived exclusively from them
-/// need no guards.
-pub fn analyze_with_locals(
-    module: &Module,
-    func: FuncId,
-    local_sites: &std::collections::HashSet<tfm_ir::Value>,
-) -> GuardPlan {
-    analyze_with_env(module, func, local_sites, None)
-}
-
-/// [`analyze_with_locals`], optionally refined by interprocedural
-/// [`ModuleSummaries`]. With summaries the pointer classes come from
-/// [`ModuleSummaries::points_to_for`] (parameters and call results inherit
-/// the classes proven at their call sites), so provably stack / global /
-/// local-heap pointers are skipped across function boundaries. A pointer
-/// classified `Localized` interprocedurally is only skipped while the
-/// call-aware available-guards dataflow proves custody is live at the
-/// access (with write intent for stores); otherwise a guard is inserted as
-/// a custody-reacquire backstop — exactly where the legacy analysis would
-/// have inserted one anyway, so refinement never adds guards.
+/// the ones that may reference the heap, in one walk over the reachable
+/// blocks. Accesses derived exclusively from `local_sites` (allocation
+/// sites pruned from remoting, §5) need no guard.
+///
+/// Pointer classes and call effects come from the interprocedural
+/// [`ModuleSummaries`] when given ([`ModuleSummaries::points_to_for`]:
+/// parameters and call results inherit the classes proven at their call
+/// sites, so provably stack / global / local-heap pointers are skipped
+/// across function boundaries), otherwise from the function alone, where
+/// every call kills custody. A `Localized` pointer — a guard or chunk
+/// dereference result, so this composes with chunking, which runs first —
+/// is skipped only while the available-guards dataflow proves its custody
+/// live at the access (with write intent for stores); otherwise it is
+/// guarded again.
 pub fn analyze_with_env(
     module: &Module,
     func: FuncId,
-    local_sites: &std::collections::HashSet<tfm_ir::Value>,
+    local_sites: &HashSet<Value>,
     summaries: Option<&ModuleSummaries>,
 ) -> GuardPlan {
     let f = module.function(func);
-    let mut plan = GuardPlan::default();
-    let Some(sums) = summaries else {
-        let pt = PointsTo::compute_with_locals(f, local_sites);
-        for v in f.live_insts() {
-            match f.kind(v) {
-                InstKind::Load { ptr } if pt.needs_guard(*ptr) => plan.loads.push(v),
-                InstKind::Store { ptr, .. } if pt.needs_guard(*ptr) => plan.stores.push(v),
-                _ => {}
-            }
-        }
-        return plan;
+    let (pt, fx) = match summaries {
+        Some(sums) => (
+            sums.points_to_for(func, f, local_sites),
+            Some(sums.effects_for(func, f)),
+        ),
+        None => (PointsTo::compute_with_locals(f, local_sites), None),
     };
-    let pt = sums.points_to_for(func, f, local_sites);
-    let ag = AvailableGuards::compute_with(f, Some(sums.effects_for(func, f)));
+    let ag = AvailableGuards::compute_with(f, fx);
+    let mut plan = GuardPlan::default();
     for b in f.blocks() {
         let Some(mut map) = ag.block_in(b).cloned() else {
             continue; // unreachable
@@ -101,28 +83,21 @@ pub fn analyze_with_env(
                     continue;
                 }
             };
-            match pt.class(ptr) {
-                MemClass::NonPtr | MemClass::Stack | MemClass::Global | MemClass::LocalHeap => {}
-                MemClass::Heap | MemClass::Unknown => {
-                    if is_store {
-                        plan.stores.push(v);
-                    } else {
-                        plan.loads.push(v);
-                    }
+            let guard = match pt.class(ptr) {
+                MemClass::NonPtr | MemClass::Stack | MemClass::Global | MemClass::LocalHeap => {
+                    false
                 }
-                // Canonical pointer: guard-free only while custody is live.
+                MemClass::Heap | MemClass::Unknown => true,
                 // A read cover does not carry write intent, so a store
                 // through it still takes a write guard (dirty marking).
-                MemClass::Localized => match map.get(&ptr) {
-                    Some(c) if !is_store || c.kind != GuardKind::Read => {}
-                    _ => {
-                        if is_store {
-                            plan.stores.push(v);
-                        } else {
-                            plan.loads.push(v);
-                        }
-                    }
-                },
+                MemClass::Localized => {
+                    !matches!(map.get(&ptr), Some(c) if !is_store || c.kind != GuardKind::Read)
+                }
+            };
+            if guard && is_store {
+                plan.stores.push(v);
+            } else if guard {
+                plan.loads.push(v);
             }
             ag.apply(f, &mut map, v);
         }
@@ -215,23 +190,28 @@ pub fn collect_sites(module: &Module) -> Vec<GuardSite> {
     sites
 }
 
-/// Convenience: analyze + transform every function of the module. Returns
-/// total `(read_guards, write_guards)`.
-pub fn run(module: &mut Module) -> (usize, usize) {
-    let mut totals = (0, 0);
-    for id in module.function_ids().collect::<Vec<_>>() {
-        let plan = analyze(module, id);
-        let (r, w) = transform(module, id, &plan);
-        totals.0 += r;
-        totals.1 += w;
-    }
-    totals
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tfm_ir::{FunctionBuilder, Signature};
+
+    /// The intraprocedural plan for `func`, nothing pruned.
+    fn analyze(module: &Module, func: FuncId) -> GuardPlan {
+        analyze_with_env(module, func, &HashSet::new(), None)
+    }
+
+    /// Analyzes and transforms every function; returns total
+    /// `(read_guards, write_guards)`.
+    fn run(module: &mut Module) -> (usize, usize) {
+        let mut totals = (0, 0);
+        for id in module.function_ids().collect::<Vec<_>>() {
+            let plan = analyze(module, id);
+            let (r, w) = transform(module, id, &plan);
+            totals.0 += r;
+            totals.1 += w;
+        }
+        totals
+    }
 
     #[test]
     fn guards_heap_skips_stack_and_globals() {

@@ -571,6 +571,49 @@ mod tests {
     }
 
     #[test]
+    fn localized_pointer_without_live_custody_is_reguarded_at_every_level() {
+        // `g = guard.read(p); call alloc(); load g`: the call allocates, so
+        // custody of `g` is dead at the load and every level must guard it
+        // again, or the lint rejects the output.
+        for level in [GuardOpt::None, GuardOpt::Local, GuardOpt::Full] {
+            let mut m = Module::new("relocalize");
+            let alloc = m.declare_function("alloc", Signature::new(vec![], Some(Type::I64)));
+            {
+                let mut b = FunctionBuilder::new(m.function_mut(alloc));
+                let _ = b.malloc_const(8);
+                let z = b.iconst(Type::I64, 0);
+                b.ret(Some(z));
+            }
+            let id = m.declare_function("main", Signature::new(vec![Type::Ptr], Some(Type::I64)));
+            let (g, x);
+            {
+                let mut b = FunctionBuilder::new(m.function_mut(id));
+                let p = b.param(0);
+                g = b.intrinsic(Intrinsic::GuardRead, vec![p]);
+                let _ = b.call(alloc, vec![], Some(Type::I64));
+                x = b.load(Type::I64, g);
+                b.ret(Some(x));
+            }
+            m.verify().unwrap();
+            let report = TrackFmCompiler::new(CompilerOptions {
+                chunking: ChunkingMode::Off,
+                guard_opt: level,
+                ..Default::default()
+            })
+            .compile(&mut m, None);
+            assert_eq!(report.read_guards, 1, "{level:?}");
+            let f = m.function(id);
+            let InstKind::Load { ptr } = *f.kind(x) else {
+                panic!("{level:?}: the load survives")
+            };
+            assert!(
+                matches!(f.kind(ptr), InstKind::IntrinsicCall { intr: Intrinsic::GuardRead, args } if args[0] == g),
+                "{level:?}: the load goes through a fresh guard on g"
+            );
+        }
+    }
+
+    #[test]
     fn code_size_growth_is_guard_proportional() {
         // A program with many distinct (unchunkable) accesses grows more
         // than a chunkable one — §4.6's "roughly proportional to the number

@@ -9,6 +9,7 @@
 //! ```
 
 use trackfm_suite::analysis::callgraph::CallGraph;
+use trackfm_suite::analysis::guard_check::GuardKind;
 use trackfm_suite::analysis::summaries::ModuleSummaries;
 use trackfm_suite::compiler::{ChunkingMode, CompilerOptions, TrackFmCompiler};
 use trackfm_suite::ir::{BinOp, FunctionBuilder, Intrinsic, Module, Signature, Type};
@@ -125,24 +126,25 @@ fn print_interproc_tables(m: &Module) {
     }
 
     let sums = ModuleSummaries::compute(m, &["main"]);
+    // Custody is printed as its guard kind, `-` for none.
+    let custody = |c: &Option<GuardKind>| c.map_or("-".to_string(), |k| format!("{k:?}"));
     println!("\nfunction summaries:");
     println!(
-        "  {:<10} {:>6} {:>5} {:>5} {:<24} {:<10} reads/writes",
-        "function", "kills", "frees", "evac", "params", "ret"
+        "  {:<10} {:>6} {:<24} {:<16} {:<10} ret custody",
+        "function", "kills", "params", "param custody", "ret"
     );
     for (fid, f) in m.functions() {
         let s = sums.summary(fid);
         let params: Vec<String> = s.param_class.iter().map(|c| format!("{c:?}")).collect();
+        let param_custody: Vec<String> = s.param_custody.iter().map(custody).collect();
         println!(
-            "  {:<10} {:>6} {:>5} {:>5} {:<24} {:<10} r:{} w:{}",
+            "  {:<10} {:>6} {:<24} {:<16} {:<10} {}",
             f.name,
             s.kills_custody,
-            s.may_free,
-            s.may_evacuate,
             params.join(","),
+            param_custody.join(","),
             format!("{:?}", s.ret_class),
-            s.reads.render(),
-            s.writes.render(),
+            custody(&s.ret_custody),
         );
     }
 }
