@@ -38,6 +38,20 @@ cargo test -q --workspace
 #                     cores(1) bitwise-identity + cores(N) determinism sweep,
 #                     and overlapping demand-fetch spans in the multi-core
 #                     trace.
+#   dominance_oracle — the one dominator solver (`DomTree`, `PostDomTree`)
+#                     against brute-force path definitions, on seeded
+#                     random CFGs and on every suite function before and
+#                     after compilation.
+#   pipeline_integration — compiled suite modules verify and carry the
+#                     runtime hooks, chunk begin/deref/end are balanced with
+#                     begins in preheaders, compilation is deterministic
+#                     (o1 off and on), and recompiling output is safe.
+#   roundtrip_pipeline — print->parse of pipeline output reaches a fixpoint
+#                     for every workload and config, and reparsed random
+#                     programs behave identically under far memory.
+#   semantic_preservation — every workload computes its host checksum on
+#                     every system, chunking mode and object size, under
+#                     random memory pressure, and with o1 on.
 
 # Bench gates (each asserts its own invariants and aborts on violation):
 #   figures        — every table of simulated cycles (Tables 1-2, Figs. 6-17,

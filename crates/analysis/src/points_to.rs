@@ -30,9 +30,6 @@ pub enum MemClass {
     /// Canonical pointer produced by a guard or chunk dereference: already
     /// localized, must not be re-guarded.
     Localized,
-    /// Heap allocation pruned from remoting (§5 / MaPHeA-style): always
-    /// local, never guarded.
-    LocalHeap,
     /// Could be anything; top of the lattice.
     Unknown,
 }
@@ -58,20 +55,10 @@ pub struct PointsTo {
 impl PointsTo {
     /// Runs the classification to a fixpoint.
     pub fn compute(f: &Function) -> Self {
-        Self::compute_with_locals(f, &std::collections::HashSet::new())
+        Self::compute_with_env(f, &[], &|_| MemClass::Unknown)
     }
 
-    /// [`PointsTo::compute`], with a set of allocation sites that have been
-    /// pruned from remoting: their results classify as
-    /// [`MemClass::LocalHeap`] and need no guards.
-    pub fn compute_with_locals(
-        f: &Function,
-        local_sites: &std::collections::HashSet<Value>,
-    ) -> Self {
-        Self::compute_with_env(f, local_sites, &[], &|_| MemClass::Unknown)
-    }
-
-    /// [`PointsTo::compute_with_locals`], with interprocedural facts: the
+    /// [`PointsTo::compute`], with interprocedural facts: the
     /// classes of this function's own pointer parameters (by parameter
     /// index; missing entries fall back to [`MemClass::Unknown`]) and the
     /// return-value class of each callee. Both refine values the
@@ -80,7 +67,6 @@ impl PointsTo {
     /// refinement can only *narrow* the guarded set, never grow it.
     pub fn compute_with_env(
         f: &Function,
-        local_sites: &std::collections::HashSet<Value>,
         param_class: &[MemClass],
         ret_class_of: &dyn Fn(FuncId) -> MemClass,
     ) -> Self {
@@ -91,11 +77,7 @@ impl PointsTo {
         while changed {
             changed = false;
             for &v in &live {
-                let new = if local_sites.contains(&v) {
-                    MemClass::LocalHeap
-                } else {
-                    Self::transfer(f, &class, v, param_class, ret_class_of)
-                };
+                let new = Self::transfer(f, &class, v, param_class, ret_class_of);
                 let joined = class[v.index()].join(new);
                 if joined != class[v.index()] {
                     class[v.index()] = joined;
@@ -385,34 +367,14 @@ mod tests {
     }
 
     #[test]
-    fn pruned_local_sites_propagate_localheap() {
-        use std::collections::HashSet;
-        let mut m = Module::new("t");
-        let id = m.declare_function("f", Signature::new(vec![Type::I64], Some(Type::I64)));
-        let (site, derived);
-        {
-            let mut b = FunctionBuilder::new(m.function_mut(id));
-            let i = b.param(0);
-            site = b.malloc_const(64);
-            derived = b.gep(site, i, 8, 0);
-            let z = b.iconst(Type::I64, 0);
-            b.ret(Some(z));
-        }
-        let locals: HashSet<_> = [site].into_iter().collect();
-        let pt = PointsTo::compute_with_locals(m.function(id), &locals);
-        assert_eq!(pt.class(site), MemClass::LocalHeap);
-        assert_eq!(pt.class(derived), MemClass::LocalHeap);
-    }
-
-    #[test]
     fn join_laws() {
         use MemClass::*;
-        for a in [NonPtr, Heap, Stack, Global, Localized, LocalHeap, Unknown] {
+        for a in [NonPtr, Heap, Stack, Global, Localized, Unknown] {
             assert_eq!(a.join(a), a);
             assert_eq!(a.join(NonPtr), a);
             assert_eq!(NonPtr.join(a), a);
             assert_eq!(a.join(Unknown), Unknown);
-            for b in [Heap, Stack, Global, Localized, LocalHeap] {
+            for b in [Heap, Stack, Global, Localized] {
                 if a != b && a != NonPtr {
                     assert_eq!(a.join(b), Unknown);
                 }

@@ -15,8 +15,8 @@
 //!    the join over every call site of the argument's [`MemClass`] (and the
 //!    join over every return of the returned value's class), so `points_to`
 //!    can classify parameters the intraprocedural analysis writes off as
-//!    `Unknown` — and the `guards` pass can skip provably stack / global /
-//!    local-heap pointers entirely.
+//!    `Unknown` — and the `guards` pass can skip provably stack / global
+//!    pointers entirely.
 //! 3. **Custody propagation** (`param_custody`, `ret_custody`): the meet
 //!    over every call site of the argument's cover (and over every return
 //!    of the returned value's cover), so custody established in the caller
@@ -52,7 +52,7 @@ use crate::callgraph::CallGraph;
 use crate::guard_check::{AvailableGuards, CallEffects, GuardKind};
 use crate::points_to::{MemClass, PointsTo};
 use std::collections::{HashMap, HashSet};
-use tfm_ir::{FuncId, Function, InstKind, Intrinsic, Module, Type, Value};
+use tfm_ir::{FuncId, Function, InstKind, Intrinsic, Module, Type};
 
 /// The per-function effect summary.
 #[derive(Clone, Debug, PartialEq)]
@@ -128,16 +128,6 @@ impl ModuleSummaries {
     /// passes its `main_name`); uncalled functions and source SCCs are
     /// added automatically.
     pub fn compute(module: &Module, roots: &[&str]) -> Self {
-        Self::compute_with_locals(module, roots, &HashMap::new())
-    }
-
-    /// [`ModuleSummaries::compute`], honoring pruned-local allocation sites
-    /// (per function) so classes agree with what the `guards` pass sees.
-    pub fn compute_with_locals(
-        module: &Module,
-        roots: &[&str],
-        local_sites: &HashMap<FuncId, HashSet<Value>>,
-    ) -> Self {
         let cg = CallGraph::compute(module);
         let root_set = root_set(module, &cg, roots);
         let n = module
@@ -145,9 +135,6 @@ impl ModuleSummaries {
             .map(|f| f.index() + 1)
             .max()
             .unwrap_or(0);
-        let empty_locals = HashSet::new();
-        let locals_of =
-            |fid: FuncId| -> &HashSet<Value> { local_sites.get(&fid).unwrap_or(&empty_locals) };
 
         // Phase 1 — custody kills, a least fixpoint (optimistic `false`
         // start) over the bottom-up SCC order; only intra-SCC edges need
@@ -303,7 +290,6 @@ impl ModuleSummaries {
                 .map(|fid| {
                     let pt = PointsTo::compute_with_env(
                         module.function(fid),
-                        locals_of(fid),
                         &param_class[fid.index()],
                         &|g| ret_class[g.index()],
                     );
@@ -401,16 +387,9 @@ impl ModuleSummaries {
     }
 
     /// Per-function [`PointsTo`] refined with this module's summaries.
-    pub fn points_to_for(
-        &self,
-        fid: FuncId,
-        f: &Function,
-        local_sites: &HashSet<Value>,
-    ) -> PointsTo {
+    pub fn points_to_for(&self, fid: FuncId, f: &Function) -> PointsTo {
         let s = self.summary(fid);
-        PointsTo::compute_with_env(f, local_sites, &s.param_class, &|g| {
-            self.summary(g).ret_class
-        })
+        PointsTo::compute_with_env(f, &s.param_class, &|g| self.summary(g).ret_class)
     }
 }
 
@@ -476,7 +455,7 @@ fn build_effects(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfm_ir::{FunctionBuilder, Signature};
+    use tfm_ir::{FunctionBuilder, Signature, Value};
 
     fn guard(b: &mut FunctionBuilder, p: Value, write: bool) -> Value {
         let intr = if write {

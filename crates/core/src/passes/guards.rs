@@ -12,7 +12,6 @@
 //! slow-path runtime call, returning a canonical localized pointer
 //! (Fig. 4).
 
-use std::collections::HashSet;
 use tfm_analysis::guard_check::{AvailableGuards, GuardKind};
 use tfm_analysis::points_to::{MemClass, PointsTo};
 use tfm_analysis::summaries::ModuleSummaries;
@@ -41,13 +40,12 @@ impl GuardPlan {
 
 /// The guard check analysis: classifies every load/store pointer and keeps
 /// the ones that may reference the heap, in one walk over the reachable
-/// blocks. Accesses derived exclusively from `local_sites` (allocation
-/// sites pruned from remoting, §5) need no guard.
+/// blocks.
 ///
 /// Pointer classes and call effects come from the interprocedural
 /// [`ModuleSummaries`] when given ([`ModuleSummaries::points_to_for`]:
 /// parameters and call results inherit the classes proven at their call
-/// sites, so provably stack / global / local-heap pointers are skipped
+/// sites, so provably stack / global pointers are skipped
 /// across function boundaries), otherwise from the function alone, where
 /// every call kills custody. A `Localized` pointer — a guard or chunk
 /// dereference result, so this composes with chunking, which runs first —
@@ -57,16 +55,12 @@ impl GuardPlan {
 pub fn analyze_with_env(
     module: &Module,
     func: FuncId,
-    local_sites: &HashSet<Value>,
     summaries: Option<&ModuleSummaries>,
 ) -> GuardPlan {
     let f = module.function(func);
     let (pt, fx) = match summaries {
-        Some(sums) => (
-            sums.points_to_for(func, f, local_sites),
-            Some(sums.effects_for(func, f)),
-        ),
-        None => (PointsTo::compute_with_locals(f, local_sites), None),
+        Some(sums) => (sums.points_to_for(func, f), Some(sums.effects_for(func, f))),
+        None => (PointsTo::compute(f), None),
     };
     let ag = AvailableGuards::compute_with(f, fx);
     let mut plan = GuardPlan::default();
@@ -84,9 +78,7 @@ pub fn analyze_with_env(
                 }
             };
             let guard = match pt.class(ptr) {
-                MemClass::NonPtr | MemClass::Stack | MemClass::Global | MemClass::LocalHeap => {
-                    false
-                }
+                MemClass::NonPtr | MemClass::Stack | MemClass::Global => false,
                 MemClass::Heap | MemClass::Unknown => true,
                 // A read cover does not carry write intent, so a store
                 // through it still takes a write guard (dirty marking).
@@ -195,9 +187,9 @@ mod tests {
     use super::*;
     use tfm_ir::{FunctionBuilder, Signature};
 
-    /// The intraprocedural plan for `func`, nothing pruned.
+    /// The intraprocedural plan for `func`.
     fn analyze(module: &Module, func: FuncId) -> GuardPlan {
-        analyze_with_env(module, func, &HashSet::new(), None)
+        analyze_with_env(module, func, None)
     }
 
     /// Analyzes and transforms every function; returns total

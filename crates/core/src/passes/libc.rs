@@ -6,67 +6,19 @@
 //! AIFM's region-based allocator under the covers to allocate remotable
 //! memory."
 
-use std::collections::HashSet;
-use tfm_ir::{FuncId, Function, InstKind, Intrinsic, Module, Value};
+use tfm_ir::{FuncId, InstKind, Intrinsic, Module};
 
 /// Rewrites libc allocation intrinsics to their TrackFM-managed
 /// counterparts across the whole module. Returns the number of call sites
 /// rewritten.
 pub fn run(module: &mut Module) -> usize {
-    run_pruned(module, None).0
-}
-
-/// Allocation sites pruned from remoting in `f` (§5 / MaPHeA-style): calls
-/// to `malloc`/`calloc` with a compile-time-constant size below
-/// `threshold` bytes. Small allocations (counters, headers, tiny tables)
-/// cost a guard per access but occupy almost no memory — keeping them
-/// permanently local trades a negligible amount of local DRAM for
-/// custody-free access.
-pub fn local_alloc_sites(f: &Function, threshold: u64) -> HashSet<Value> {
-    let mut out = HashSet::new();
-    for v in f.live_insts() {
-        let InstKind::IntrinsicCall { intr, args } = f.kind(v) else {
-            continue;
-        };
-        let const_size = match intr {
-            Intrinsic::Malloc => match f.kind(args[0]) {
-                InstKind::ConstInt(c) => Some(*c),
-                _ => None,
-            },
-            Intrinsic::Calloc => match (f.kind(args[0]), f.kind(args[1])) {
-                (InstKind::ConstInt(a), InstKind::ConstInt(b)) => a.checked_mul(*b),
-                _ => None,
-            },
-            _ => None,
-        };
-        if let Some(sz) = const_size {
-            if sz >= 0 && (sz as u64) < threshold {
-                out.insert(v);
-            }
-        }
-    }
-    out
-}
-
-/// [`run`], optionally keeping pruned sites on libc `malloc` (always-local).
-/// Returns `(rewritten, kept_local)`.
-pub fn run_pruned(module: &mut Module, prune_threshold: Option<u64>) -> (usize, usize) {
     let mut rewritten = 0;
-    let mut kept = 0;
     for id in module.function_ids().collect::<Vec<FuncId>>() {
-        let keep: HashSet<Value> = match prune_threshold {
-            Some(t) => local_alloc_sites(module.function(id), t),
-            None => HashSet::new(),
-        };
         let f = module.function_mut(id);
         for v in f.live_insts() {
             let InstKind::IntrinsicCall { intr, .. } = f.kind(v) else {
                 continue;
             };
-            if keep.contains(&v) {
-                kept += 1;
-                continue;
-            }
             let replacement = match intr {
                 Intrinsic::Malloc => Intrinsic::TfmAlloc,
                 Intrinsic::Calloc => Intrinsic::TfmCalloc,
@@ -80,7 +32,7 @@ pub fn run_pruned(module: &mut Module, prune_threshold: Option<u64>) -> (usize, 
             }
         }
     }
-    (rewritten, kept)
+    rewritten
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! this invariant; this lint *proves* it on the pipeline's output by
 //! combining two analyses:
 //!
-//! * [`PointsTo`] classifies every accessed pointer. Stack,
-//!   global, and pruned-local-heap accesses need no guard. `Heap` and
-//!   `Unknown` pointers must never be dereferenced directly.
+//! * [`PointsTo`] classifies every accessed pointer. Stack and global
+//!   accesses need no guard. `Heap` and `Unknown` pointers must never be
+//!   dereferenced directly.
 //! * [`AvailableGuards`] proves, for each `Localized` pointer, that custody
 //!   is still live at the access: the pointer is covered on **all** paths
 //!   and no kill (call, allocation) intervened.
@@ -21,15 +21,15 @@
 //!
 //! The lint is wired into the pipeline as a final (optional) verify stage
 //! and into CI across every workload, example, and seeded random program.
-//! Modules are linted *post*-pipeline, where any surviving `malloc`/`calloc`
-//! is a pruned local allocation (see `passes::libc::run_pruned`).
+//! Modules are linted *post*-pipeline, where the libc pass has rewritten
+//! every `malloc`/`calloc`: an access through one that survives is a
+//! `Heap` access like any other and needs a guard.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use tfm_analysis::guard_check::{AvailableGuards, CoverSrc, GuardKind};
 use tfm_analysis::points_to::{MemClass, PointsTo};
 use tfm_analysis::summaries::ModuleSummaries;
-use tfm_ir::{FuncId, Function, InstKind, Intrinsic, Module, Value, CHUNK_FLAG_WRITE};
+use tfm_ir::{Function, InstKind, Intrinsic, Module, Value, CHUNK_FLAG_WRITE};
 
 /// One uncovered (or wrongly covered) may-heap access.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -80,22 +80,6 @@ fn chunk_has_write_intent(f: &Function, cd: Value) -> Option<bool> {
     Some(*flags & CHUNK_FLAG_WRITE != 0)
 }
 
-/// Post-pipeline, surviving plain malloc/calloc are pruned local allocs.
-fn pruned_local_sites(f: &Function) -> HashSet<Value> {
-    f.live_insts()
-        .into_iter()
-        .filter(|&v| {
-            matches!(
-                f.kind(v),
-                InstKind::IntrinsicCall {
-                    intr: Intrinsic::Malloc | Intrinsic::Calloc,
-                    ..
-                }
-            )
-        })
-        .collect()
-}
-
 fn lint_function(
     name: &str,
     f: &Function,
@@ -125,7 +109,7 @@ fn lint_function(
                 message,
             };
             match pt.class(ptr) {
-                MemClass::NonPtr | MemClass::Stack | MemClass::Global | MemClass::LocalHeap => {}
+                MemClass::NonPtr | MemClass::Stack | MemClass::Global => {}
                 MemClass::Heap | MemClass::Unknown => errors.push(err(format!(
                     "{what} through %{} which may point to the far heap but never \
                      passed through a guard",
@@ -175,14 +159,10 @@ fn lint_function(
 /// allowed to produce, while the dynamic sanitizer independently checks the
 /// executed path.
 pub fn lint_module(module: &Module) -> Vec<LintError> {
-    let locals: HashMap<FuncId, HashSet<Value>> = module
-        .functions()
-        .map(|(fid, f)| (fid, pruned_local_sites(f)))
-        .collect();
-    let sums = ModuleSummaries::compute_with_locals(module, &[], &locals);
+    let sums = ModuleSummaries::compute(module, &[]);
     let mut errors = Vec::new();
     for (fid, f) in module.functions() {
-        let pt = sums.points_to_for(fid, f, &locals[&fid]);
+        let pt = sums.points_to_for(fid, f);
         let ag = AvailableGuards::compute_with(f, Some(sums.effects_for(fid, f)));
         lint_function(&f.name, f, &pt, &ag, &mut errors);
     }
@@ -284,8 +264,7 @@ mod tests {
     #[test]
     fn interprocedural_classes_cover_callee_parameter_accesses() {
         // The helper dereferences its parameter raw; every call site passes
-        // a pruned local allocation, so the access provably never touches
-        // the far heap.
+        // a stack slot, so the access provably never touches the far heap.
         let mut m = Module::new("t");
         let h = m.declare_function("h", Signature::new(vec![Type::Ptr], Some(Type::I64)));
         {
@@ -297,10 +276,10 @@ mod tests {
         let id = m.declare_function("main", Signature::new(vec![], Some(Type::I64)));
         {
             let mut b = FunctionBuilder::new(m.function_mut(id));
-            let loc = b.malloc_const(32);
+            let slot = b.alloca(8, 8);
             let z = b.iconst(Type::I64, 9);
-            b.store(loc, z);
-            let x = b.call(h, vec![loc], Some(Type::I64));
+            b.store(slot, z);
+            let x = b.call(h, vec![slot], Some(Type::I64));
             b.ret(Some(x));
         }
         assert!(lint_module(&m).is_empty());
@@ -368,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn stack_and_pruned_local_accesses_need_no_guard() {
+    fn stack_accesses_need_no_guard() {
         let mut m = Module::new("t");
         let id = m.declare_function("f", Signature::new(vec![], Some(Type::I64)));
         {
@@ -376,12 +355,31 @@ mod tests {
             let s = b.alloca(8, 8);
             let z = b.iconst(Type::I64, 3);
             b.store(s, z);
-            // Post-pipeline plain malloc == pruned local allocation.
-            let loc = b.malloc_const(64);
-            b.store(loc, z);
-            let x = b.load(Type::I64, loc);
+            let x = b.load(Type::I64, s);
             b.ret(Some(x));
         }
         assert!(lint_module(&m).is_empty());
+    }
+
+    #[test]
+    fn surviving_libc_malloc_accesses_are_errors() {
+        // The libc pass rewrites every `malloc`, so one left in compiled
+        // output is a far-heap pointer like any other: each unguarded
+        // access through it is an error.
+        let mut m = Module::new("t");
+        let id = m.declare_function("main", Signature::new(vec![], Some(Type::I64)));
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(id));
+            let p = b.malloc_const(64);
+            let z = b.iconst(Type::I64, 3);
+            b.store(p, z);
+            let x = b.load(Type::I64, p);
+            b.ret(Some(x));
+        }
+        let errs = lint_module(&m);
+        assert_eq!(errs.len(), 2, "{errs:?}");
+        assert!(errs
+            .iter()
+            .all(|e| e.message.contains("never passed through a guard")));
     }
 }

@@ -30,11 +30,10 @@ use crate::passes::libc;
 use crate::passes::lint;
 use crate::passes::o1::{self, O1Outcome};
 use crate::passes::runtime_init;
-use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use tfm_analysis::profile::Profile;
 use tfm_analysis::summaries::ModuleSummaries;
-use tfm_ir::{FuncId, Module, Value};
+use tfm_ir::Module;
 
 /// The entry function: receives the runtime-init hook and roots the
 /// interprocedural summaries.
@@ -54,11 +53,11 @@ pub enum GuardOpt {
     /// read-then-write pattern folds into one write guard, and every call
     /// kills custody.
     Local,
-    /// `Local` plus the interprocedural layer: parameters provably stack /
-    /// global / pruned-local at every call site need no guard in the
-    /// callee, calls to functions that provably never trigger evacuation
-    /// keep custody live, and guards on loop-invariant pointers are hoisted
-    /// into preheaders (folding cross-block read-then-write patterns).
+    /// `Local` plus the interprocedural layer: parameters provably stack or
+    /// global at every call site need no guard in the callee, calls to
+    /// functions that provably never trigger evacuation keep custody live,
+    /// and guards on loop-invariant pointers are hoisted into preheaders
+    /// (folding cross-block read-then-write patterns).
     #[default]
     Full,
 }
@@ -78,10 +77,6 @@ pub struct CompilerOptions {
     pub prefetch: bool,
     /// Run the O1 scalar pipeline before the TrackFM passes (Fig. 17b).
     pub o1: bool,
-    /// Prune small constant-size allocations from remoting (§5 /
-    /// MaPHeA-style): they stay on libc `malloc`, permanently local and
-    /// guard-free. Uses `object_size` as the threshold.
-    pub prune_local_allocations: bool,
     /// Insert guards on unchunked heap accesses. Disabled by the §5 hybrid
     /// compiler+kernel exploration, where raw accesses fault into a
     /// kernel-style handler instead (see `tfm_sim::Flavor::Hybrid`).
@@ -98,7 +93,6 @@ impl Default for CompilerOptions {
             chunking: ChunkingMode::CostModel,
             prefetch: true,
             o1: false,
-            prune_local_allocations: false,
             guards: true,
             guard_opt: GuardOpt::Full,
         }
@@ -116,8 +110,6 @@ pub struct CompileReport {
     pub chunking: ChunkingOutcome,
     /// O1 outcome (if the pre-pipeline ran).
     pub o1: Option<O1Outcome>,
-    /// Allocation sites pruned from remoting (kept always-local).
-    pub pruned_local_sites: usize,
     /// What redundant-guard elimination did (`read_guards`/`write_guards`
     /// count insertions *before* elision; subtract `elision.eliminated` for
     /// the surviving total).
@@ -213,26 +205,15 @@ impl TrackFmCompiler {
             .push(("loop-chunking", t.elapsed().as_nanos()));
 
         let t = Instant::now();
-        let prune_threshold = opts.prune_local_allocations.then_some(opts.object_size);
-        let locals: HashMap<FuncId, HashSet<Value>> = module
-            .function_ids()
-            .map(|id| {
-                let sites = match prune_threshold {
-                    Some(th) => libc::local_alloc_sites(module.function(id), th),
-                    None => Default::default(),
-                };
-                (id, sites)
-            })
-            .collect();
         let full = opts.guard_opt == GuardOpt::Full;
         let (mut r, mut w) = (0, 0);
         if opts.guards {
             // Summaries for the guard-check analysis come from the
             // pre-transform IR; the transform only adds guards, so every
             // class/custody fact proven here stays sound afterwards.
-            let sums = full.then(|| ModuleSummaries::compute_with_locals(module, &[MAIN], &locals));
+            let sums = full.then(|| ModuleSummaries::compute(module, &[MAIN]));
             for id in module.function_ids().collect::<Vec<_>>() {
-                let plan = guards::analyze_with_env(module, id, &locals[&id], sums.as_ref());
+                let plan = guards::analyze_with_env(module, id, sums.as_ref());
                 let (pr, pw) = guards::transform(module, id, &plan);
                 r += pr;
                 w += pw;
@@ -248,8 +229,7 @@ impl TrackFmCompiler {
             // Call-aware kill sets for motion and elision: recomputed on
             // the post-transform IR so the summaries see the inserted
             // guards.
-            let kill_sums =
-                full.then(|| ModuleSummaries::compute_with_locals(module, &[MAIN], &locals));
+            let kill_sums = full.then(|| ModuleSummaries::compute(module, &[MAIN]));
             if full {
                 let t = Instant::now();
                 report.motion = guard_motion::run(module, kill_sums.as_ref());
@@ -265,8 +245,7 @@ impl TrackFmCompiler {
         }
 
         let t = Instant::now();
-        let (_, kept) = libc::run_pruned(module, prune_threshold);
-        report.pruned_local_sites = kept;
+        libc::run(module);
         report
             .pass_nanos
             .push(("libc-transform", t.elapsed().as_nanos()));
@@ -484,8 +463,8 @@ mod tests {
     #[test]
     fn full_skips_guards_on_provably_local_parameters() {
         // helper loads through its pointer parameter; the only call site
-        // passes a pruned-local allocation. At `Full` the callee access
-        // needs no guard; at `Local` it gets one.
+        // passes a stack slot. At `Full` the callee access needs no guard;
+        // at `Local` it gets one.
         let build = || {
             let mut m = Module::new("ip");
             let h = m.declare_function("helper", Signature::new(vec![Type::Ptr], Some(Type::I64)));
@@ -498,10 +477,10 @@ mod tests {
             let id = m.declare_function("main", Signature::new(vec![], Some(Type::I64)));
             {
                 let mut b = FunctionBuilder::new(m.function_mut(id));
-                let loc = b.malloc_const(64);
+                let slot = b.alloca(8, 8);
                 let z = b.iconst(Type::I64, 5);
-                b.store(loc, z);
-                let x = b.call(h, vec![loc], Some(Type::I64));
+                b.store(slot, z);
+                let x = b.call(h, vec![slot], Some(Type::I64));
                 b.ret(Some(x));
             }
             m.verify().unwrap();
@@ -509,7 +488,6 @@ mod tests {
         };
         let opts = CompilerOptions {
             chunking: ChunkingMode::Off,
-            prune_local_allocations: true,
             ..Default::default()
         };
         let mut with = build();

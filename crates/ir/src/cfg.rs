@@ -199,8 +199,6 @@ fn intersect(idom: &[Option<Block>], rpo: &[usize], mut a: Block, mut b: Block) 
 #[derive(Clone, Debug)]
 pub struct PostDomTree {
     tree: DomTree,
-    /// The virtual exit node (index `num_blocks`).
-    exit: Block,
 }
 
 impl PostDomTree {
@@ -216,14 +214,7 @@ impl PostDomTree {
         );
         PostDomTree {
             tree: DomTree::solve(&Cfg::from_succs(rsuccs), exit),
-            exit,
         }
-    }
-
-    /// The immediate post-dominator of `b` (`None` when `b` is the last
-    /// block before exit or never reaches one).
-    pub fn ipdom(&self, b: Block) -> Option<Block> {
-        self.tree.idom(b).filter(|&d| d != self.exit)
     }
 
     /// True iff `a` post-dominates `b` (reflexive; false when `b` never
@@ -384,8 +375,6 @@ mod tests {
         // through the header); the body does not post-dominate the header.
         assert!(pdt.postdominates(hdr, body));
         assert!(!pdt.postdominates(body, hdr));
-        assert_eq!(pdt.ipdom(a), Some(join));
-        assert_eq!(pdt.ipdom(exit), None);
     }
 
     #[test]

@@ -284,20 +284,6 @@ impl Intrinsic {
         }
     }
 
-    /// True for the intrinsics that allocate heap memory (either the libc
-    /// originals or the TrackFM-managed replacements).
-    pub fn is_allocation(self) -> bool {
-        matches!(
-            self,
-            Intrinsic::Malloc
-                | Intrinsic::Calloc
-                | Intrinsic::Realloc
-                | Intrinsic::TfmAlloc
-                | Intrinsic::TfmCalloc
-                | Intrinsic::TfmRealloc
-        )
-    }
-
     /// True for the guard intrinsics injected by the guard transform.
     pub fn is_guard(self) -> bool {
         matches!(self, Intrinsic::GuardRead | Intrinsic::GuardWrite)
@@ -658,9 +644,6 @@ mod tests {
             assert!(params.len() <= 3, "{intr} has too many params");
             assert!(!intr.name().is_empty());
         }
-        assert!(Intrinsic::Malloc.is_allocation());
-        assert!(Intrinsic::TfmRealloc.is_allocation());
-        assert!(!Intrinsic::Free.is_allocation());
         assert!(Intrinsic::GuardRead.is_guard());
         assert!(!Intrinsic::ChunkDeref.is_guard());
     }

@@ -242,11 +242,6 @@ impl BackendSpec {
         self
     }
 
-    /// The spec's replication factor.
-    pub fn replica_count(&self) -> u32 {
-        self.replicas
-    }
-
     /// Number of shards this spec builds.
     pub fn shard_count(&self) -> u32 {
         self.shards.max(1)
@@ -1097,11 +1092,9 @@ mod tests {
         assert_eq!(s.to_string(), "sharded(4, interleave) fault_shard=1");
         assert_eq!(s.shard_count(), 4);
         assert!(!s.is_single());
-        assert_eq!(s.replica_count(), 1);
         s.validate().unwrap();
         let r = BackendSpec::sharded(4).with_replicas(2);
         assert_eq!(r.to_string(), "sharded(4, hash) replicas=2");
-        assert_eq!(r.replica_count(), 2);
         r.validate().unwrap();
     }
 

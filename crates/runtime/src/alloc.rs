@@ -160,11 +160,6 @@ impl RegionAllocator {
         self.peak_bytes
     }
 
-    /// Number of live allocations.
-    pub fn live_allocations(&self) -> usize {
-        self.live.len()
-    }
-
     /// The object size the allocator aligns large allocations to.
     pub fn obj_size(&self) -> u64 {
         self.obj_size
@@ -234,7 +229,6 @@ mod tests {
         assert_eq!(a.free(p), 64);
         let q = a.alloc(64).unwrap();
         assert_eq!(q.offset(), off, "freed slot should be reused");
-        assert_eq!(a.live_allocations(), 1);
     }
 
     #[test]

@@ -288,7 +288,7 @@ mod tests {
     fn replicas_builder_updates_the_backend_spec() {
         let c = FarMemoryConfig::small().with_shards(4).with_replicas(2);
         c.validate();
-        assert_eq!(c.backend.replica_count(), 2);
+        assert_eq!(c.backend, BackendSpec::sharded(4).with_replicas(2));
     }
 
     #[test]

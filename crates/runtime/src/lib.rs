@@ -43,5 +43,5 @@ pub use alloc::{AllocError, RegionAllocator};
 pub use config::{FarMemoryConfig, PrefetchConfig, RetryPolicy};
 pub use far_memory::FarMemory;
 pub use ptr::{ObjId, TfmPtr, OFFSET_MASK, TFM_BIT};
-pub use state::{StateTable, DIRTY, EVACUATING, HOT, INFLIGHT, PRESENT, SAFETY_MASK};
+pub use state::{StateTable, DIRTY, HOT, INFLIGHT, PRESENT, SAFETY_MASK};
 pub use stats::RuntimeStats;

@@ -75,12 +75,6 @@ impl ObjId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// First far-heap byte offset of this object.
-    #[inline]
-    pub fn start_offset(self, log2_obj_size: u32) -> u64 {
-        self.0 << log2_obj_size
-    }
 }
 
 impl fmt::Display for ObjId {
@@ -107,7 +101,6 @@ mod tests {
         // 4 KiB objects → shift 12.
         let p = TfmPtr::from_offset(3 * 4096 + 17);
         assert_eq!(p.object(12), ObjId(3));
-        assert_eq!(ObjId(3).start_offset(12), 3 * 4096);
         // 64 B objects → shift 6.
         assert_eq!(p.object(6), ObjId((3 * 4096 + 17) / 64));
     }

@@ -23,10 +23,6 @@ pub const HOT: u64 = 1 << 61;
 /// An asynchronous fetch — a prefetch, or a core's with `DEMAND` — is
 /// outstanding; the evacuator may claim either kind once it has landed.
 pub const INFLIGHT: u64 = 1 << 60;
-/// The evacuator has selected this object (kept for fidelity with AIFM's
-/// metadata; the single-threaded simulator sets and clears it within one
-/// collection point).
-pub const EVACUATING: u64 = 1 << 59;
 /// The outstanding fetch is a core's demand fetch, issued without blocking
 /// (DESIGN.md §6h), not a prefetch: a second core missing the object joins
 /// it rather than waiting it out as a late prefetch, and a prefetch's own
@@ -39,9 +35,9 @@ const PIN_MASK: u64 = 0xFF << PIN_SHIFT;
 const PAYLOAD_MASK: u64 = (1 << PIN_SHIFT) - 1;
 
 /// Mask of the bits that must be *exactly* `PRESENT` for the fast path: the
-/// object is local, no fetch is racing it, and the evacuator has not claimed
-/// it. This is the "is object safe (localized)?" test of Fig. 4 line 6.
-pub const SAFETY_MASK: u64 = PRESENT | INFLIGHT | EVACUATING;
+/// object is local and no fetch is racing it. This is the "is object safe
+/// (localized)?" test of Fig. 4 line 6.
+pub const SAFETY_MASK: u64 = PRESENT | INFLIGHT;
 
 /// The contiguous metadata table: one 8-byte entry per object.
 #[derive(Clone, Debug)]
@@ -219,9 +215,6 @@ mod tests {
         t.set(o, INFLIGHT);
         assert!(!t.is_safe(o));
         t.clear(o, INFLIGHT);
-        t.set(o, EVACUATING);
-        assert!(!t.is_safe(o));
-        t.clear(o, EVACUATING);
         assert!(t.is_safe(o));
         // Dirty/hot do not affect safety.
         t.set(o, DIRTY | HOT);

@@ -1354,6 +1354,8 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
                                 }
                             }
                             Intrinsic::Malloc | Intrinsic::Calloc => {
+                                // libc allocation: only untransformed modules
+                                // make one, and their accesses need no guard.
                                 kill_custody(&mut rs.cov[base..fend]);
                                 self.kill_epoch += 1;
                                 rs.set_cov(base, dst, shadow::STABLE);

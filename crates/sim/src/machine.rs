@@ -98,7 +98,9 @@ pub(crate) mod shadow {
     /// intrinsic (mirrors the static kill set of
     /// `tfm_analysis::guard_check`).
     pub const CUSTODY: u8 = 1;
-    /// Permanently safe: stack slots, globals, pruned local allocations.
+    /// Permanently safe: stack slots, globals, and libc `malloc`/`calloc`
+    /// results (only untransformed modules call libc, and they run on
+    /// memory systems whose accesses need no guard).
     pub const STABLE: u8 = 2;
 }
 
@@ -294,16 +296,6 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
         self.stats = ExecStats::default();
     }
 
-    /// Reads a `u64` from memory without charging cycles (checksums).
-    ///
-    /// # Panics
-    /// Panics on out-of-range addresses.
-    pub fn peek_u64(&mut self, ptr: u64) -> u64 {
-        let addr = self.mem.canonical(ptr);
-        let b = self.resolve(addr, 8).expect("peek out of range");
-        u64::from_le_bytes(b[..8].try_into().unwrap())
-    }
-
     // ------------------------------------------------------------------
     // Execution.
     // ------------------------------------------------------------------
@@ -430,22 +422,12 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
         match intr {
             Intrinsic::Malloc | Intrinsic::TfmAlloc => {
                 self.clock += self.cost.alloc_cycles;
-                // Plain `malloc` surviving the libc transform is a pruned,
-                // always-local allocation (§5); `tfm.alloc` is remotable.
-                if intr == Intrinsic::Malloc {
-                    self.mem.alloc_local(args[0], self.clock)
-                } else {
-                    self.mem.alloc(args[0], self.clock)
-                }
+                self.mem.alloc(args[0], self.clock)
             }
             Intrinsic::Calloc | Intrinsic::TfmCalloc => {
                 self.clock += self.cost.alloc_cycles;
                 let bytes = args[0].saturating_mul(args[1]);
-                let ptr = if intr == Intrinsic::Calloc {
-                    self.mem.alloc_local(bytes, self.clock)?
-                } else {
-                    self.mem.alloc(bytes, self.clock)?
-                };
+                let ptr = self.mem.alloc(bytes, self.clock)?;
                 self.clock += bytes / self.cost.memcpy_bytes_per_cycle.max(1);
                 let addr = self.mem.canonical(ptr);
                 let dst = self.resolve(addr, bytes)?;
@@ -1215,7 +1197,7 @@ mod tests {
             b.store(slot, one);
             let ga = b.global_addr(g);
             b.store(ga, one);
-            // Pruned local allocation stays accessible even across a call.
+            // A libc allocation stays accessible even across a call.
             let loc = b.malloc_const(64);
             b.store(loc, one);
             let _ = b.call(h, vec![], Some(Type::I64));

@@ -60,17 +60,6 @@ pub trait MemorySystem {
     /// [`Trap::AllocFailure`] when the heap is exhausted.
     fn alloc(&mut self, size: u64, now: u64) -> Result<u64, Trap>;
 
-    /// Allocates *always-local* heap memory (libc `malloc` left untouched
-    /// by the pruning pass, §5): returns a canonical pointer whose objects
-    /// are never evacuated. Defaults to [`MemorySystem::alloc`] for systems
-    /// without a remote/local distinction.
-    ///
-    /// # Errors
-    /// [`Trap::AllocFailure`] when the heap is exhausted.
-    fn alloc_local(&mut self, size: u64, now: u64) -> Result<u64, Trap> {
-        self.alloc(size, now)
-    }
-
     /// Frees an allocation.
     ///
     /// # Errors
@@ -396,9 +385,6 @@ pub struct TrackFmMem {
     cost: CostModel,
     streams: Vec<ChunkStream>,
     free_streams: Vec<usize>,
-    /// Offsets of always-local allocations (pruned sites), whose objects
-    /// hold a permanent pin.
-    local_allocs: std::collections::HashSet<u64>,
     flavor: Flavor,
 }
 
@@ -415,7 +401,6 @@ impl TrackFmMem {
             cost,
             streams: Vec::new(),
             free_streams: Vec::new(),
-            local_allocs: Default::default(),
             flavor,
         }
     }
@@ -470,58 +455,19 @@ impl MemorySystem for TrackFmMem {
             .map_err(|_| Trap::AllocFailure)
     }
 
-    fn alloc_local(&mut self, size: u64, now: u64) -> Result<u64, Trap> {
-        let p = self
-            .fm
-            .allocate(size, now)
-            .map_err(|_| Trap::AllocFailure)?;
-        // Pin every covered object: pruned allocations never leave local
-        // memory (they still count against the budget, as real DRAM would).
-        let rounded = self.fm.allocator().size_of(p).unwrap_or(size);
-        let first = self.fm.obj_of_offset(p.offset()).0;
-        let last = self.fm.obj_of_offset(p.offset() + rounded - 1).0;
-        for o in first..=last {
-            self.fm.pin(ObjId(o));
-        }
-        self.local_allocs.insert(p.offset());
-        Ok(HEAP_BASE + p.offset())
-    }
-
     fn free(&mut self, ptr: u64, _now: u64) -> Result<(), Trap> {
-        // TrackFM's free performs its own custody check: pruned allocations
-        // arrive as canonical pointers.
-        let offset = if TfmPtr::is_tfm(ptr) {
-            TfmPtr(ptr).offset()
-        } else if ptr >= HEAP_BASE && ptr < HEAP_BASE + self.fm.config().heap_size {
-            ptr - HEAP_BASE
-        } else {
+        if !TfmPtr::is_tfm(ptr) {
             return Err(Trap::OutOfBounds { addr: ptr, size: 0 });
-        };
-        if self.local_allocs.remove(&offset) {
-            let rounded = self
-                .fm
-                .allocator()
-                .size_of(TfmPtr::from_offset(offset))
-                .unwrap_or(1);
-            let first = self.fm.obj_of_offset(offset).0;
-            let last = self.fm.obj_of_offset(offset + rounded - 1).0;
-            for o in first..=last {
-                self.fm.unpin(ObjId(o));
-            }
         }
-        self.fm.free(TfmPtr::from_offset(offset));
+        self.fm.free(TfmPtr(ptr));
         Ok(())
     }
 
     fn alloc_size(&self, ptr: u64) -> Option<u64> {
-        let offset = if TfmPtr::is_tfm(ptr) {
-            TfmPtr(ptr).offset()
-        } else if ptr >= HEAP_BASE && ptr < HEAP_BASE + self.fm.config().heap_size {
-            ptr - HEAP_BASE
-        } else {
+        if !TfmPtr::is_tfm(ptr) {
             return None;
-        };
-        self.fm.allocator().size_of(TfmPtr::from_offset(offset))
+        }
+        self.fm.allocator().size_of(TfmPtr(ptr))
     }
 
     fn data_access(

@@ -213,8 +213,9 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
                                 Intrinsic::Malloc | Intrinsic::Calloc => {
                                     kill_custody(&mut cov);
                                     self.kill_epoch += 1;
-                                    // Pruned local allocation: always local,
-                                    // never needs a guard.
+                                    // libc allocation: only untransformed
+                                    // modules make one, and their accesses
+                                    // need no guard.
                                     cov[v.index()] = shadow::STABLE;
                                 }
                                 _ => {

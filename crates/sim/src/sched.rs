@@ -83,11 +83,6 @@ impl CoreSet {
     pub fn makespan(&self) -> u64 {
         self.clocks.iter().copied().max().unwrap_or(0)
     }
-
-    /// Sum of all core clocks (total busy + idle cycles across cores).
-    pub fn total_cycles(&self) -> u64 {
-        self.clocks.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -134,13 +129,12 @@ mod tests {
     }
 
     #[test]
-    fn makespan_and_total_track_the_fleet() {
+    fn makespan_is_the_latest_core_clock() {
         let mut s = CoreSet::new(4);
         for (core, end) in [(0u32, 40u64), (1, 90), (2, 10), (3, 60)] {
             s.finish(core, end);
         }
         assert_eq!(s.makespan(), 90);
-        assert_eq!(s.total_cycles(), 200);
     }
 
     #[test]

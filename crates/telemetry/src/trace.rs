@@ -76,12 +76,6 @@ impl TraceConfig {
             ..Self::default()
         }
     }
-
-    /// Returns a copy with a different span-arena capacity (min 1).
-    pub fn with_max_spans(mut self, n: usize) -> Self {
-        self.max_spans = n.max(1);
-        self
-    }
 }
 
 /// What a span covers. Guard kinds mirror the machine's guard-outcome
@@ -710,16 +704,6 @@ const TID_SHARD0: u64 = 3;
 const TID_CORE0: u64 = 100;
 
 impl TraceSnapshot {
-    /// Indices of the direct children of span `idx`.
-    pub fn children_of(&self, idx: usize) -> Vec<usize> {
-        self.spans
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.parent as usize == idx && s.has_parent())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// For every span, the index of its root ancestor. Parents always
     /// precede children in the arena, so one forward pass suffices.
     fn roots(&self) -> Vec<u32> {
@@ -950,7 +934,6 @@ mod tests {
         assert_eq!(snap.spans[2].parent, 0, "inner under root");
         assert_eq!(snap.spans[3].parent, 2, "retry under inner");
         assert_eq!(snap.spans[0].dur(), 150);
-        assert_eq!(snap.children_of(0), vec![1, 2]);
     }
 
     #[test]
@@ -984,7 +967,10 @@ mod tests {
 
     #[test]
     fn full_arena_drops_deterministically() {
-        let mut t = SpanTracer::new(TraceConfig::on().with_max_spans(2));
+        let mut t = SpanTracer::new(TraceConfig {
+            max_spans: 2,
+            ..TraceConfig::on()
+        });
         let a = t.begin(SpanKind::GuardSlowRemote, 1, 0);
         t.leaf(leaf(SpanKind::Transfer, 0, 10));
         let b = t.begin(SpanKind::DemandFetch, 2, 5); // arena full

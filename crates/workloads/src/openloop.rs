@@ -233,17 +233,6 @@ pub struct OpenLoopRun {
     pub checksum: u64,
 }
 
-impl OpenLoopRun {
-    /// Requests served per thousand simulated cycles of makespan, ×1000
-    /// (integer fixed-point so comparisons stay exact).
-    pub fn throughput_milli(&self, requests: usize) -> u64 {
-        if self.makespan == 0 {
-            return 0;
-        }
-        (requests as u64).saturating_mul(1_000_000) / self.makespan
-    }
-}
-
 /// Runs the open-loop workload under `cfg` on `cfg.cores` simulated cores.
 ///
 /// # Panics
