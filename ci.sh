@@ -111,7 +111,12 @@ test "$tree_before" = "$(git status --porcelain)"
 # 4 shards x 2 replicas and cold-crash rows. The cold-crash row also
 # reaches the two recovery invariants at the end of `Sharded::service`: no
 # shard is left `Recovering`, and every acked key a just-synced shard hosts
-# is held there at its acked version or is in the loss ledger.
+# is held there at its acked version or is in the loss ledger. Two compiler
+# checks run there too: `TrackFmCompiler::compile` verifies the module after
+# every pass it times, and loop chunking compares the loop forest it keeps up
+# to date with a fresh one after every loop it transforms.
+# `compile_corpus`'s synthetic ladder is where they see the most loops: up to
+# 24 per function, some nested two deep.
 perf_rows_ok() {
     awk '
     /^\{/ { n++; if ($0 !~ /"correct":true/ || $0 !~ /"failed":0[,}]/) { print "tfm-perf row failed: " $0; bad = 1 } }

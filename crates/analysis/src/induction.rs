@@ -55,12 +55,6 @@ impl LoopAccess {
     pub fn element_size(&self) -> u64 {
         self.stride.unsigned_abs().max(1)
     }
-
-    /// True when consecutive iterations touch adjacent or overlapping
-    /// elements in ascending order — the profile the stride prefetcher wants.
-    pub fn is_sequential(&self) -> bool {
-        self.stride > 0
-    }
 }
 
 /// Finds the basic induction variables of a loop.
@@ -295,7 +289,7 @@ mod tests {
         assert_eq!(load.stride, 4);
         assert_eq!(load.access_size, 4);
         assert_eq!(load.element_size(), 4);
-        assert!(load.is_sequential());
+        assert!(load.stride > 0);
         assert_eq!(store.stride, 4);
     }
 
@@ -391,7 +385,7 @@ mod tests {
         assert_eq!(ivs[0].step, -2);
         let acc = strided_accesses(f, lp, &ivs);
         assert_eq!(acc[0].stride, -16);
-        assert!(!acc[0].is_sequential());
+        assert!(acc[0].stride < 0);
         assert_eq!(acc[0].element_size(), 16);
         // `0 < i` form with const bound and init: trip count = 50.
         assert_eq!(static_trip_count(f, lp, &ivs), Some(50));
@@ -472,7 +466,7 @@ mod tests {
         let acc = strided_accesses(f, lp, &ivs);
         assert_eq!(acc.len(), 1);
         assert_eq!(acc[0].stride, -8);
-        assert!(!acc[0].is_sequential());
+        assert!(acc[0].stride < 0);
         assert_eq!(static_trip_count(f, lp, &ivs), Some(64));
     }
 
@@ -500,7 +494,7 @@ mod tests {
         assert_eq!(accesses[0].stride, 12);
         assert_eq!(accesses[0].access_size, 4);
         assert_eq!(accesses[0].element_size(), 12);
-        assert!(accesses[0].is_sequential());
+        assert!(accesses[0].stride > 0);
         assert_eq!(tc, Some(4));
     }
 

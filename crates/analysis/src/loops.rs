@@ -153,7 +153,8 @@ impl LoopForest {
 ///
 /// A new block is inserted between all outside predecessors and the header;
 /// phi labels are rewritten. Returns the preheader block. The loop's block
-/// set is unchanged (the preheader is outside the loop).
+/// set is unchanged (the preheader is outside the loop); the preheader lies
+/// inside every loop that encloses this one.
 pub fn ensure_preheader(f: &mut Function, lp: &NaturalLoop) -> Block {
     if let Some(ph) = lp.preheader(f) {
         return ph;
@@ -217,7 +218,9 @@ pub fn ensure_preheader(f: &mut Function, lp: &NaturalLoop) -> Block {
 
 /// Splits the CFG edge `from → to`, returning the new intermediate block
 /// (which ends in `br to`). Phi labels in `to` are rewritten. Used to host
-/// `tfm.chunk.end` on loop-exit edges.
+/// `tfm.chunk.end` on loop-exit edges. The new block lies inside exactly the
+/// loops that contain both `from` and `to`; in one that `to` heads, it
+/// replaces `from` as a latch.
 ///
 /// # Panics
 /// Panics if `from` has no terminator or no edge to `to`.

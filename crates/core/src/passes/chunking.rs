@@ -24,8 +24,8 @@ use tfm_analysis::induction::{basic_ivs, strided_accesses, LoopAccess};
 use tfm_analysis::loops::{ensure_preheader, split_edge, LoopForest};
 use tfm_analysis::profile::Profile;
 use tfm_ir::{
-    Block, FuncId, InstData, InstKind, Intrinsic, Module, Type, Value, CHUNK_FLAG_PREFETCH,
-    CHUNK_FLAG_WRITE,
+    Block, FuncId, Function, InstData, InstKind, Intrinsic, Module, Type, Value,
+    CHUNK_FLAG_PREFETCH, CHUNK_FLAG_WRITE,
 };
 
 /// When to apply the chunking transform.
@@ -85,63 +85,76 @@ pub fn run(
     if opts.mode == ChunkingMode::Off {
         return outcome;
     }
-    let mut processed_headers: HashSet<Block> = HashSet::new();
-    let mut handled_accesses: HashSet<Value> = HashSet::new();
+    let mut handled: HashSet<Value> = HashSet::new();
 
-    // Snapshot profile-derived trip counts on the pristine CFG: later
-    // preheader insertion and exit-edge splitting perturb the very edges
-    // `loop_entries` counts. Headers are stable across those mutations.
-    let mut trips_by_header: std::collections::HashMap<Block, f64> = Default::default();
-    if let Some(p) = profile {
-        let f = module.function(func);
-        let dt = DomTree::compute(f);
-        for lp in &LoopForest::compute(f, &dt).loops {
-            if let Some(t) = p.avg_trip_count(f, lp) {
-                trips_by_header.insert(lp.header, t);
-            }
-        }
-    }
+    // One loop forest per function, kept valid across the preheaders and
+    // split exit edges each transformed loop adds (see `join_enclosing`).
+    // Profile trip counts are read before any edit: those edits perturb the
+    // very edges `loop_entries` counts.
+    let f = module.function_mut(func);
+    let mut forest = LoopForest::compute(f, &DomTree::compute(f));
+    let trip = |lp| profile.and_then(|p| p.avg_trip_count(f, lp));
+    let trips: Vec<Option<f64>> = forest.loops.iter().map(trip).collect();
 
-    // Transforming a loop mutates the CFG (preheaders, split exit edges), so
-    // we recompute the loop forest after each transformed loop and always
-    // pick the innermost unprocessed loop next (inner streams must claim
-    // their accesses before enclosing loops see them).
-    loop {
-        let f = module.function(func);
-        let dt = DomTree::compute(f);
-        let forest = LoopForest::compute(f, &dt);
-        let Some(lp) = forest
-            .loops
-            .iter()
-            .filter(|l| !processed_headers.contains(&l.header))
-            .max_by_key(|l| l.depth)
-        else {
-            break;
-        };
-        let lp = lp.clone();
-        processed_headers.insert(lp.header);
-        let trips = if profile.is_some() {
-            trips_by_header.get(&lp.header).copied()
-        } else {
-            None
-        };
-        let o = run_on_loop(module, func, &lp, cost, opts, trips, &mut handled_accesses);
+    // Innermost first (inner streams must claim their accesses before
+    // enclosing loops see them); among equals, later in forest order first.
+    let mut order: Vec<usize> = (0..forest.loops.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse((forest.loops[i].depth, i)));
+    for i in order {
+        let o = run_on_loop(f, &mut forest, i, cost, opts, trips[i], &mut handled);
         outcome.merge(o);
     }
     outcome
 }
 
+/// Adds `new`, which chunking put on an edge `from → to` leaving loop `lp`, to
+/// the enclosing loops that now hold it (see `split_edge`; a preheader passes
+/// `lp`'s header as both ends, and joins every enclosing loop).
+fn join_enclosing(forest: &mut LoopForest, lp: usize, from: Block, to: Block, new: Block) {
+    let mut cur = forest.loops[lp].parent;
+    while let Some(a) = cur {
+        let outer = &mut forest.loops[a];
+        if outer.contains(to) {
+            outer.blocks.insert(new);
+            if to == outer.header {
+                let latch = outer.latches.iter_mut().find(|l| **l == from);
+                *latch.expect("an edge into the header is a back edge") = new;
+            }
+        }
+        cur = outer.parent;
+    }
+}
+
+/// Panics unless `forest` matches a fresh `LoopForest::compute` of `f`: the
+/// same headers, and per header the same blocks, latches, parent and depth.
+#[cfg(debug_assertions)]
+fn assert_forest_current(f: &Function, forest: &LoopForest) {
+    let fresh = LoopForest::compute(f, &DomTree::compute(f));
+    let shape = |fo: &LoopForest, l: &tfm_analysis::loops::NaturalLoop| {
+        let mut latches = l.latches.clone();
+        latches.sort();
+        let parent = l.parent.map(|p| fo.loops[p].header);
+        (l.blocks.clone(), latches, parent, l.depth)
+    };
+    assert_eq!(forest.loops.len(), fresh.loops.len(), "loops in {}", f.name);
+    for l in &forest.loops {
+        let g = fresh.loops.iter().find(|g| g.header == l.header);
+        let current = g.is_some_and(|g| shape(forest, l) == shape(&fresh, g));
+        assert!(current, "stale loop {} in {}", l.header, f.name);
+    }
+}
+
 fn run_on_loop(
-    module: &mut Module,
-    func: FuncId,
-    lp: &tfm_analysis::loops::NaturalLoop,
+    f: &mut Function,
+    forest: &mut LoopForest,
+    i: usize,
     cost: &CostModel,
     opts: &ChunkingOptions,
     avg_trips: Option<f64>,
     handled: &mut HashSet<Value>,
 ) -> ChunkingOutcome {
     let mut outcome = ChunkingOutcome::default();
-    let f = module.function(func);
+    let lp = &forest.loops[i];
     let ivs = basic_ivs(f, lp);
     if ivs.is_empty() {
         return outcome;
@@ -187,8 +200,12 @@ fn run_on_loop(
 
     // Transform. All streams of this loop share the preheader and the exit
     // edge splits.
-    let f = module.function_mut(func);
+    let (header, n_blocks) = (lp.header, f.num_blocks());
     let preheader = ensure_preheader(f, lp);
+    let exits = lp.exit_edges(f);
+    if f.num_blocks() > n_blocks {
+        join_enclosing(forest, i, header, header, preheader);
+    }
     let ph_term = f.terminator(preheader).expect("preheader terminated");
     let mut handles = Vec::new();
     for (base, list) in &approved {
@@ -250,8 +267,9 @@ fn run_on_loop(
     outcome.chunked_loops += 1;
 
     // Release pins on every exit edge.
-    for (from, to) in lp.exit_edges(f) {
+    for (from, to) in exits {
         let mid = split_edge(f, from, to);
+        join_enclosing(forest, i, from, to, mid);
         let mid_term = f.terminator(mid).expect("split block terminated");
         for &h in &handles {
             f.insert_before(
@@ -267,13 +285,15 @@ fn run_on_loop(
             );
         }
     }
+    #[cfg(debug_assertions)]
+    assert_forest_current(f, forest);
     outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfm_ir::{BinOp, FunctionBuilder, Signature};
+    use tfm_ir::{BinOp, CmpOp, FunctionBuilder, Signature};
 
     fn stream_sum_module(elems: i64, elem_bytes: u32) -> (Module, FuncId) {
         let mut m = Module::new("t");
@@ -526,5 +546,101 @@ mod tests {
         assert_eq!(out.streams, 2);
         assert_eq!(out.chunked_accesses, 3);
         m.verify().unwrap();
+    }
+
+    /// Two inner loops `A` and `B` in an outer loop `P`, shaped so chunking's
+    /// edits must update enclosing loops in the two ways `counted_loop`
+    /// never needs:
+    ///
+    /// ```text
+    /// entry -> hP;  hP: k < n ? hA : done     (reads a[k])
+    /// hA: i < n ? bodyA : hB;  bodyA: a[i] == 7 ? done : hA
+    /// hB: j < n ? bodyB : hP;  bodyB: b[j] += 1; -> hB
+    /// ```
+    ///
+    /// `bodyA -> done` breaks out of both loops, so its split block stays out
+    /// of `P`; `hB -> hP` is `P`'s back edge, so its split block becomes
+    /// `P`'s latch. `hA` also branches two ways, so `B` (whose header `hA`
+    /// enters) and `A` (entered from `hP`) get fresh preheaders inside `P`.
+    /// In debug builds `run` checks its forest against a fresh one after
+    /// every loop it transforms.
+    #[test]
+    fn hand_built_nest_keeps_forest_across_breaks_and_back_edge_exits() {
+        let mut m = Module::new("t");
+        let sig = Signature::new(vec![Type::Ptr, Type::Ptr, Type::I64], Some(Type::I64));
+        let id = m.declare_function("main", sig);
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(id));
+            let entry = b.current_block();
+            let [hp, ha, body_a, hb, body_b, done] = [(); 6].map(|_| b.create_block());
+            let (a, arr_b, n) = (b.param(0), b.param(1), b.param(2));
+            let zero = b.iconst(Type::I64, 0);
+            let one = b.iconst(Type::I64, 1);
+            let seven = b.iconst(Type::I64, 7);
+            b.br(hp);
+
+            b.switch_to_block(hp);
+            let k = b.phi(Type::I64, &[(entry, zero)]);
+            let pk = b.gep(a, k, 8, 0);
+            let _ = b.load(Type::I64, pk);
+            let k1 = b.binop(BinOp::Add, k, one);
+            let ck = b.icmp(CmpOp::Slt, k, n);
+            b.cond_br(ck, ha, done);
+
+            b.switch_to_block(ha);
+            let i = b.phi(Type::I64, &[(hp, zero)]);
+            let ci = b.icmp(CmpOp::Slt, i, n);
+            b.cond_br(ci, body_a, hb);
+
+            b.switch_to_block(body_a);
+            let pi = b.gep(a, i, 8, 0);
+            let x = b.load(Type::I64, pi);
+            let i1 = b.binop(BinOp::Add, i, one);
+            b.add_phi_incoming(i, body_a, i1);
+            let brk = b.icmp(CmpOp::Eq, x, seven);
+            b.cond_br(brk, done, ha);
+
+            b.switch_to_block(hb);
+            let j = b.phi(Type::I64, &[(ha, zero)]);
+            b.add_phi_incoming(k, hb, k1);
+            let cj = b.icmp(CmpOp::Slt, j, n);
+            b.cond_br(cj, body_b, hp);
+
+            b.switch_to_block(body_b);
+            let pj = b.gep(arr_b, j, 8, 0);
+            let y = b.load(Type::I64, pj);
+            let y1 = b.binop(BinOp::Add, y, one);
+            b.store(pj, y1);
+            let j1 = b.binop(BinOp::Add, j, one);
+            b.add_phi_incoming(j, body_b, j1);
+            b.br(hb);
+
+            b.switch_to_block(done);
+            b.ret(Some(zero));
+        }
+        m.verify().unwrap();
+        let f = m.function(id);
+        let forest = LoopForest::compute(f, &DomTree::compute(f));
+        let depths: Vec<u32> = forest.loops.iter().map(|l| l.depth).collect();
+        assert_eq!(depths.iter().filter(|&&d| d == 2).count(), 2, "{depths:?}");
+
+        let out = run(
+            &mut m,
+            id,
+            &CostModel::default(),
+            &opts(ChunkingMode::AllLoops),
+            None,
+        );
+        assert_eq!(out.chunked_loops, 3);
+        assert_eq!(out.streams, 3);
+        assert_eq!(
+            out.chunked_accesses, 4,
+            "a[k], a[i], and b[j]'s load and store"
+        );
+        m.verify().unwrap();
+        assert_eq!(count_intr(&m, id, Intrinsic::ChunkBegin), 3);
+        // A: two exits; B: one; P: its own exit plus the split `A -> done`
+        // block, which lies outside `P`.
+        assert_eq!(count_intr(&m, id, Intrinsic::ChunkEnd), 2 + 1 + 2);
     }
 }

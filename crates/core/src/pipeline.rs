@@ -144,6 +144,17 @@ impl CompileReport {
         self.read_guards + self.write_guards
     }
 
+    /// Records `pass`'s time since `t`. Debug builds then verify `module`
+    /// and panic naming `pass` if it fails.
+    fn end_pass(&mut self, pass: &'static str, t: Instant, module: &Module) {
+        self.pass_nanos.push((pass, t.elapsed().as_nanos()));
+        if cfg!(debug_assertions) {
+            if let Err(e) = module.verify() {
+                panic!("{pass} left an invalid module: {e}");
+            }
+        }
+    }
+
     /// Total compile time across passes.
     pub fn total_nanos(&self) -> u128 {
         self.pass_nanos.iter().map(|(_, n)| n).sum()
@@ -178,14 +189,12 @@ impl TrackFmCompiler {
         if opts.o1 {
             let t = Instant::now();
             report.o1 = Some(o1::run(module));
-            report.pass_nanos.push(("o1", t.elapsed().as_nanos()));
+            report.end_pass("o1", t, module);
         }
 
         let t = Instant::now();
         runtime_init::run(module, MAIN);
-        report
-            .pass_nanos
-            .push(("runtime-init", t.elapsed().as_nanos()));
+        report.end_pass("runtime-init", t, module);
 
         let t = Instant::now();
         let chunk_opts = ChunkingOptions {
@@ -200,9 +209,7 @@ impl TrackFmCompiler {
             report.chunking.chunked_loops += out.chunked_loops;
             report.chunking.skipped_low_benefit += out.skipped_low_benefit;
         }
-        report
-            .pass_nanos
-            .push(("loop-chunking", t.elapsed().as_nanos()));
+        report.end_pass("loop-chunking", t, module);
 
         let t = Instant::now();
         let full = opts.guard_opt == GuardOpt::Full;
@@ -221,9 +228,7 @@ impl TrackFmCompiler {
         }
         report.read_guards = r;
         report.write_guards = w;
-        report
-            .pass_nanos
-            .push(("guard-transform", t.elapsed().as_nanos()));
+        report.end_pass("guard-transform", t, module);
 
         if opts.guards && opts.guard_opt != GuardOpt::None {
             // Call-aware kill sets for motion and elision: recomputed on
@@ -233,22 +238,16 @@ impl TrackFmCompiler {
             if full {
                 let t = Instant::now();
                 report.motion = guard_motion::run(module, kill_sums.as_ref());
-                report
-                    .pass_nanos
-                    .push(("guard-motion", t.elapsed().as_nanos()));
+                report.end_pass("guard-motion", t, module);
             }
             let t = Instant::now();
             report.elision = guard_elim::run_with(module, kill_sums.as_ref());
-            report
-                .pass_nanos
-                .push(("guard-elide", t.elapsed().as_nanos()));
+            report.end_pass("guard-elide", t, module);
         }
 
         let t = Instant::now();
         libc::run(module);
-        report
-            .pass_nanos
-            .push(("libc-transform", t.elapsed().as_nanos()));
+        report.end_pass("libc-transform", t, module);
 
         report.guard_sites = guards::collect_sites(module);
         report.insts_after = module.total_live_insts();
@@ -266,7 +265,7 @@ impl TrackFmCompiler {
                     msgs.join("\n")
                 );
             }
-            report.pass_nanos.push(("tfm-lint", t.elapsed().as_nanos()));
+            report.end_pass("tfm-lint", t, module);
         }
         report
     }
