@@ -187,7 +187,8 @@ impl Pager {
     /// allocation — so an access there costs nothing and changes nothing;
     /// whoever owns the address space rejects it.
     pub fn with_range(cfg: PagerConfig, base: u64, len: u64) -> Self {
-        let backend = build_backend(cfg.link, cfg.backend, cfg.faults);
+        let mut backend = build_backend(cfg.link, cfg.backend, cfg.faults);
+        backend.set_key_base(base >> PAGE_SHIFT);
         Pager {
             table: Vec::with_capacity(INITIAL_ENTRIES),
             base_page: base >> PAGE_SHIFT,
@@ -763,38 +764,43 @@ mod tests {
     #[test]
     fn replicated_pager_survives_a_cold_crash_without_losing_pages() {
         use tfm_net::PlacementPolicy;
-        let mut p = Pager::new(PagerConfig {
-            local_budget: 4 * PAGE_SIZE,
-            backend: BackendSpec::sharded(2)
-                .with_placement(PlacementPolicy::Interleave)
-                .with_replicas(2)
-                .with_fault_shard(0),
-            faults: FaultPlan::none().with_cold_crash(100_000, 400_000),
-            ..PagerConfig::default()
-        });
-        for i in 0..8u64 {
-            p.access(i * PAGE_SIZE, 8, true, 0);
+        // At the simulator's heap base page numbers are near 1 << 33: the
+        // replica ledger must start at the base page, as the table does.
+        for base in [0, 0x2000_0000_0000] {
+            let cfg = PagerConfig {
+                local_budget: 4 * PAGE_SIZE,
+                backend: BackendSpec::sharded(2)
+                    .with_placement(PlacementPolicy::Interleave)
+                    .with_replicas(2)
+                    .with_fault_shard(0),
+                faults: FaultPlan::none().with_cold_crash(100_000, 400_000),
+                ..PagerConfig::default()
+            };
+            let mut p = Pager::with_range(cfg, base, 8 * PAGE_SIZE);
+            for i in 0..8u64 {
+                p.access(base + i * PAGE_SIZE, 8, true, 0);
+            }
+            p.evacuate_all(0);
+            // Inside the window every read is served by the surviving
+            // replica — no re-drive storm, just failover.
+            let mut now = 100_000;
+            for i in 0..8u64 {
+                now += p.access(base + i * PAGE_SIZE, 8, false, now);
+            }
+            assert_eq!(p.stats().major_faults, 8);
+            assert_eq!(p.stats().fault_retries, 0, "the replica absorbs the crash");
+            let snaps = p.shard_snapshots();
+            assert!(snaps[1].failover_reads > 0, "shard 1 covered for shard 0");
+            // After the restart the wiped store is rebuilt from the replica.
+            p.evacuate_all(now);
+            let _ = p.access(base, 8, false, now.max(400_000));
+            assert_eq!(p.stats().recoveries, 1);
+            assert_eq!(p.stats().resynced_pages, 8, "cold store rebuilt in full");
+            assert_eq!(p.stats().lost_pages, 0);
+            let audit = p.backend().audit().unwrap();
+            assert_eq!(audit.lost, 0, "R=2 loses nothing to a cold crash");
+            assert_eq!(p.backend().shard_epoch(0), 1);
         }
-        p.evacuate_all(0);
-        // Inside the window every read is served by the surviving replica —
-        // no re-drive storm, just failover.
-        let mut now = 100_000;
-        for i in 0..8u64 {
-            now += p.access(i * PAGE_SIZE, 8, false, now);
-        }
-        assert_eq!(p.stats().major_faults, 8);
-        assert_eq!(p.stats().fault_retries, 0, "the replica absorbs the crash");
-        let snaps = p.shard_snapshots();
-        assert!(snaps[1].failover_reads > 0, "shard 1 covered for shard 0");
-        // After the restart the wiped store is rebuilt from the replica.
-        p.evacuate_all(now);
-        let _ = p.access(0, 8, false, now.max(400_000));
-        assert_eq!(p.stats().recoveries, 1);
-        assert_eq!(p.stats().resynced_pages, 8, "cold store rebuilt in full");
-        assert_eq!(p.stats().lost_pages, 0);
-        let audit = p.backend().audit().unwrap();
-        assert_eq!(audit.lost, 0, "R=2 loses nothing to a cold crash");
-        assert_eq!(p.backend().shard_epoch(0), 1);
     }
 
     #[test]
