@@ -4,22 +4,32 @@ set -eux
 
 cargo fmt --check
 cargo build --workspace --release
+# The benchmark (its own workspace) imports the crates' public items: build it
+# now, into the target directory `benchmark/run.sh` reuses below, so a change
+# that deletes or renames one fails here, naming it, before the long stages.
+cargo build -q --release --manifest-path benchmark/Cargo.toml --target-dir target
 cargo test -q --workspace
 # The `--workspace` run above includes the root package's integration
 # suites; what each one gates:
-#   chaos           — seeded fault schedules (fixed seeds inside the tests):
-#                     semantic preservation, determinism, and degradation/
-#                     recovery under outage, including a per-shard outage
-#                     confined to the sick shard.
+#   chaos           — seeded drop and outage schedules (fixed seeds inside
+#                     the tests): semantic preservation across drop rates,
+#                     determinism, and degradation/recovery under outage
+#                     (the traced timeline shows the window, then healthy
+#                     buckets), including a per-shard outage confined to
+#                     the sick shard.
 #   sharding        — deterministic placement and reproducible per-shard
 #                     ledgers.
 #   failover        — a 200-seed crash/restart sweep under replicas(2) asserts
 #                     zero lost acknowledged writebacks, and the R=1 loss case
 #                     (four shards or the one node) stays honestly accounted.
 #   identity_matrix — pay-for-use, one table: a feature at its neutral value
-#                     (inactive fault plan, replicas(1), tracing off,
-#                     cores(1)) leaves the results, every counter, the
-#                     rendered report and both trace exports byte-identical.
+#                     (inactive fault plan, replicas(1), tracing switched
+#                     on then off, cores(1)) leaves the results, every
+#                     counter, the rendered report and both trace exports
+#                     byte-identical. The tracing row also checks that an
+#                     untraced report has no timeline and no trace exports,
+#                     and that traced and telemetry-off runs take the
+#                     untraced run's cycles.
 #   lint_gate,      — soundness gate: tfm-lint must report zero uncovered heap
 #   random_programs   accesses on every workload/example/config, and the
 #                     static lint must agree with the dynamic guard sanitizer
@@ -48,7 +58,10 @@ cargo test -q --workspace
 #                     (o1 off and on), and recompiling output is safe.
 #   roundtrip_pipeline — print->parse of pipeline output reaches a fixpoint
 #                     for every workload and config, and reparsed random
-#                     programs behave identically under far memory.
+#                     programs behave identically under far memory. Two
+#                     seeded fuzz loops feed byte-edited suite modules to
+#                     parse_module/verify/print and a byte-edited run report
+#                     to Json::parse: errors are fine, a panic fails.
 #   semantic_preservation — every workload computes its host checksum on
 #                     every system, chunking mode and object size, under
 #                     random memory pressure, and with o1 on.

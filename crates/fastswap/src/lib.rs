@@ -706,10 +706,9 @@ mod tests {
 
     #[test]
     fn sharded_pager_spreads_pages_across_shards() {
-        use tfm_net::PlacementPolicy;
         let mut p = Pager::new(PagerConfig {
             local_budget: 32 * PAGE_SIZE,
-            backend: BackendSpec::sharded(4).with_placement(PlacementPolicy::Interleave),
+            backend: BackendSpec::sharded(4),
             ..PagerConfig::default()
         });
         for i in 0..16u64 {
@@ -721,22 +720,22 @@ mod tests {
         for i in 0..16u64 {
             now += p.access(i * PAGE_SIZE, 8, false, now);
         }
-        // Four interleaved shards split the refill traffic evenly.
+        // Each shard serves the refills of exactly the pages homed on it,
+        // and every shard gets some.
         assert_eq!(p.stats().major_faults, 16);
         assert_eq!(p.transfer_stats().bytes_fetched, 16 * PAGE_SIZE);
         for (s, snap) in p.shard_snapshots().iter().enumerate() {
-            assert_eq!(snap.stats.fetches, 4, "shard {s} serves its quarter");
+            let homed = (0..16).filter(|&i| p.backend().shard_of(i) == s).count() as u64;
+            assert!(homed > 0, "shard {s} hosts no page");
+            assert_eq!(snap.stats.fetches, homed, "shard {s} serves its pages");
         }
     }
 
     #[test]
     fn unreplicated_warm_crash_re_drives_until_the_shard_restarts() {
-        use tfm_net::PlacementPolicy;
         let mut p = Pager::new(PagerConfig {
             local_budget: 4 * PAGE_SIZE,
-            backend: BackendSpec::sharded(2)
-                .with_placement(PlacementPolicy::Interleave)
-                .with_fault_shard(0),
+            backend: BackendSpec::sharded(2).with_fault_shard(0),
             faults: FaultPlan::none().with_crash(100_000, 400_000),
             ..PagerConfig::default()
         });
@@ -744,10 +743,11 @@ mod tests {
             p.access(i * PAGE_SIZE, 8, true, 0);
         }
         p.evacuate_all(0);
-        // Page 0 lives on the crashed shard and has no replica: the kernel
-        // re-drives the fault (fail-fast, one RTT per round) until the
-        // shard restarts, then re-registers with it and completes.
-        let stall = p.access(0, 8, false, 100_000);
+        // This page lives on the crashed shard and has no replica: the
+        // kernel re-drives the fault (fail-fast, one RTT per round) until
+        // the shard restarts, then re-registers with it and completes.
+        let page = (0..8).find(|&i| p.backend().shard_of(i) == 0).unwrap();
+        let stall = p.access(page * PAGE_SIZE, 8, false, 100_000);
         assert_eq!(p.stats().major_faults, 1);
         assert!(p.stats().fault_retries > 5, "{:?}", p.stats());
         assert!(
@@ -763,16 +763,12 @@ mod tests {
 
     #[test]
     fn replicated_pager_survives_a_cold_crash_without_losing_pages() {
-        use tfm_net::PlacementPolicy;
         // At the simulator's heap base page numbers are near 1 << 33: the
         // replica ledger must start at the base page, as the table does.
         for base in [0, 0x2000_0000_0000] {
             let cfg = PagerConfig {
                 local_budget: 4 * PAGE_SIZE,
-                backend: BackendSpec::sharded(2)
-                    .with_placement(PlacementPolicy::Interleave)
-                    .with_replicas(2)
-                    .with_fault_shard(0),
+                backend: BackendSpec::sharded(2).with_replicas(2).with_fault_shard(0),
                 faults: FaultPlan::none().with_cold_crash(100_000, 400_000),
                 ..PagerConfig::default()
             };
@@ -805,13 +801,9 @@ mod tests {
 
     #[test]
     fn an_observed_crash_re_homes_the_dead_shards_pages() {
-        use tfm_net::PlacementPolicy;
         let mut p = Pager::new(PagerConfig {
             local_budget: 4 * PAGE_SIZE,
-            backend: BackendSpec::sharded(4)
-                .with_placement(PlacementPolicy::Interleave)
-                .with_replicas(2)
-                .with_fault_shard(0),
+            backend: BackendSpec::sharded(4).with_replicas(2).with_fault_shard(0),
             faults: FaultPlan::none().with_cold_crash(100_000, 400_000),
             ..PagerConfig::default()
         });
@@ -825,14 +817,28 @@ mod tests {
                 .map(|s| s.stats.writebacks)
                 .collect()
         };
-        // Page k mirrors onto shards k and k + 1 (mod 4).
-        assert_eq!(writebacks(&p), [4, 4, 4, 4]);
-        // A fault inside the window sees shard 0 Down. Its pages 0 and 4
-        // move to shard 2, and pages 3 and 7 to shard 1: the next live
-        // shard outside each replica set.
+        // A page homed on shard h mirrors onto shards h and h + 1 (mod 4).
+        let homes: Vec<usize> = (0..8).map(|i| p.backend().shard_of(i)).collect();
+        let mut want = [0u64; 4];
+        for &h in &homes {
+            want[h] += 1;
+            want[(h + 1) % 4] += 1;
+        }
+        assert_eq!(writebacks(&p), want);
+        // A fault inside the window sees shard 0 Down. Its pages move to
+        // the next live shard outside each replica set: those homed on 0
+        // (set {0, 1}) to shard 2, those homed on 3 (set {3, 0}) to shard 1.
+        for &h in &homes {
+            match h {
+                0 => want[2] += 1,
+                3 => want[1] += 1,
+                _ => {}
+            }
+        }
+        assert!(writebacks(&p) != want, "shard 0 hosts some page");
         p.access(PAGE_SIZE, 8, false, 100_000);
         assert_eq!(p.backend().shard_state(0), ShardState::Down);
-        assert_eq!(writebacks(&p), [4, 6, 6, 4]);
+        assert_eq!(writebacks(&p), want);
         let audit = p.backend().audit().unwrap();
         assert_eq!((audit.lost, audit.under_replicated), (0, 0));
         // The restart finds nothing left to rebuild.

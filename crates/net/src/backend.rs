@@ -9,10 +9,13 @@
 //! keep serving. The paper's fabric, one far-memory node behind one wire, is
 //! the N = 1 case ([`BackendSpec::single`]), not a second implementation.
 //!
-//! Every operation takes a `key` (the caller's object id or page number),
-//! routed through a deterministic [`PlacementPolicy`], so the same seed and
-//! the same object set always produce the same shard assignment — and
-//! therefore the same counters and the same run reports.
+//! Every operation takes a `key` (the caller's object id or page number).
+//! Placement is hashed: a key's home is `mix(key) % shards` (SplitMix64, a
+//! pure function of key and shard count), so the same object set always
+//! lands on the same shards — and therefore produces the same counters and
+//! the same run reports. Hashing spreads hot ranges evenly and stripes a
+//! sequential scan over every node; [`Sharded::shard_of`] answers where a
+//! key lives.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -141,46 +144,6 @@ impl StatGroup for ShardSnapshot {
     }
 }
 
-/// Deterministic object→shard routing.
-///
-/// Policies are pure functions of `(key, shard_count)`: no state, no
-/// randomness, so shard assignment is reproducible across runs by
-/// construction.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// SplitMix64 hash of the object id, modulo shard count: spreads hot
-    /// ranges evenly, destroys spatial locality (neighboring objects land
-    /// on different shards — good for load balance).
-    #[default]
-    Hash,
-    /// `key % shards`: neighboring objects round-robin across shards, so a
-    /// sequential scan stripes its fetches over every node's bandwidth.
-    Interleave,
-}
-
-impl PlacementPolicy {
-    /// The shard serving `key` out of `shards` nodes.
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero.
-    #[inline]
-    pub fn shard_of(self, key: u64, shards: usize) -> usize {
-        assert!(shards > 0, "a backend needs at least one shard");
-        match self {
-            PlacementPolicy::Hash => (mix(key) % shards as u64) as usize,
-            PlacementPolicy::Interleave => (key % shards as u64) as usize,
-        }
-    }
-
-    /// Stable lowercase name (report labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            PlacementPolicy::Hash => "hash",
-            PlacementPolicy::Interleave => "interleave",
-        }
-    }
-}
-
 /// Declarative backend selection, carried by run configurations.
 ///
 /// `Copy` on purpose: configs spread freely through the workspace. The spec
@@ -190,15 +153,13 @@ pub struct BackendSpec {
     /// Number of remote nodes, each with an independent link and fault
     /// schedule. One — the default — is the paper's fabric.
     shards: u32,
-    /// Object→shard routing policy.
-    placement: PlacementPolicy,
     /// When set, the configured fault plan applies *only* to this shard
     /// (the "one node dies" experiment); otherwise every shard runs the
     /// plan with a per-shard derived seed.
     fault_shard: Option<u32>,
     /// Replication factor R: every object lives on R consecutive shards
-    /// of its placement ring. 1 (the default) is unreplicated and
-    /// bit-identical to the pre-replication backend.
+    /// of its placement ring, starting at its hashed home. 1 (the default)
+    /// is unreplicated and bit-identical to the pre-replication backend.
     replicas: u32,
 }
 
@@ -218,16 +179,9 @@ impl BackendSpec {
     pub fn sharded(shards: u32) -> Self {
         BackendSpec {
             shards,
-            placement: PlacementPolicy::Hash,
             fault_shard: None,
             replicas: 1,
         }
-    }
-
-    /// Returns a copy with a different placement policy.
-    pub fn with_placement(mut self, policy: PlacementPolicy) -> Self {
-        self.placement = policy;
-        self
     }
 
     /// Returns a copy targeting the fault plan at one shard.
@@ -283,7 +237,7 @@ impl fmt::Display for BackendSpec {
         if self.is_single() {
             return write!(f, "single");
         }
-        write!(f, "sharded({}, {})", self.shards, self.placement.name())?;
+        write!(f, "sharded({})", self.shards)?;
         if self.replicas > 1 {
             write!(f, " replicas={}", self.replicas)?;
         }
@@ -303,7 +257,7 @@ impl fmt::Display for BackendSpec {
 /// instead of in lockstep.
 pub fn build_backend(params: LinkParams, spec: BackendSpec, faults: FaultPlan) -> Sharded {
     spec.validate().unwrap_or_else(|e| panic!("{e}"));
-    let mut b = Sharded::new(params, spec.shards, spec.placement);
+    let mut b = Sharded::new(params, spec.shards);
     match spec.fault_shard {
         Some(fs) => b.set_fault_plan_on(fs as usize, faults),
         None if faults.is_active() => b.set_fault_plan_everywhere(faults),
@@ -339,7 +293,6 @@ pub fn build_backend(params: LinkParams, spec: BackendSpec, faults: FaultPlan) -
 #[derive(Debug)]
 pub struct Sharded {
     links: Vec<Link>,
-    placement: PlacementPolicy,
     /// Replication factor R (1 = unreplicated).
     replicas: u32,
     /// Cached "tracked mode" flag: replicas > 1 or any crash plan armed.
@@ -379,7 +332,7 @@ impl Sharded {
     ///
     /// # Panics
     /// Panics if `shards` is zero.
-    pub fn new(params: LinkParams, shards: u32, placement: PlacementPolicy) -> Self {
+    pub fn new(params: LinkParams, shards: u32) -> Self {
         assert!(shards >= 1, "a sharded backend needs at least one shard");
         Sharded {
             links: (0..shards)
@@ -389,7 +342,6 @@ impl Sharded {
                     link
                 })
                 .collect(),
-            placement,
             replicas: 1,
             tracked: false,
             key_base: 0,
@@ -451,6 +403,7 @@ impl Sharded {
             self.replicas > 1 || self.links.iter().any(|l| l.fault_plan().crash.is_some());
     }
 
+    /// `key`'s hashed home: `mix(key) % shards`.
     #[inline]
     fn route(&self, key: u64) -> usize {
         // One node (the paper's fabric, and the default): there is nowhere
@@ -458,7 +411,7 @@ impl Sharded {
         if self.links.len() == 1 {
             return 0;
         }
-        self.placement.shard_of(key, self.links.len())
+        (mix(key) % self.links.len() as u64) as usize
     }
 
     /// Replica `i < R` of `key`: ring position `i` from the placement shard
@@ -972,35 +925,33 @@ mod tests {
     use super::*;
     use crate::fault::PPM;
 
+    /// The `nth` key (from 0) whose home is `shard`.
+    fn key_on(b: &Sharded, shard: usize, nth: usize) -> u64 {
+        (0..).filter(|&k| b.shard_of(k) == shard).nth(nth).unwrap()
+    }
+
     #[test]
     fn placement_is_deterministic_and_in_range() {
-        for policy in [PlacementPolicy::Hash, PlacementPolicy::Interleave] {
-            for shards in [1usize, 2, 4, 7, 8] {
-                let first: Vec<usize> = (0..1024).map(|k| policy.shard_of(k, shards)).collect();
-                let second: Vec<usize> = (0..1024).map(|k| policy.shard_of(k, shards)).collect();
-                assert_eq!(first, second, "{policy:?}/{shards} must be a pure function");
-                assert!(first.iter().all(|&s| s < shards));
+        for shards in [1u32, 2, 4, 7, 8] {
+            let b = Sharded::new(LinkParams::instant(), shards);
+            for k in (0..1024).chain((0..64).map(|k| k << 40)) {
+                let home = b.shard_of(k);
+                assert!(home < shards as usize);
+                assert_eq!(home, (mix(k) % u64::from(shards)) as usize, "key {k}");
             }
         }
     }
 
     #[test]
     fn hash_placement_spreads_contiguous_keys() {
-        let shards = 4;
-        let mut counts = vec![0u64; shards];
+        let b = Sharded::new(LinkParams::instant(), 4);
+        let mut counts = [0u64; 4];
         for k in 0..4096u64 {
-            counts[PlacementPolicy::Hash.shard_of(k, shards)] += 1;
+            counts[b.shard_of(k)] += 1;
         }
         for (s, &c) in counts.iter().enumerate() {
             // Fair share is 1024; a heavily skewed hash would fail loudly.
             assert!((700..1400).contains(&c), "shard {s} got {c} of 4096 keys");
-        }
-    }
-
-    #[test]
-    fn interleave_round_robins() {
-        for k in 0..64u64 {
-            assert_eq!(PlacementPolicy::Interleave.shard_of(k, 4), (k % 4) as usize);
         }
     }
 
@@ -1010,21 +961,22 @@ mod tests {
             base_latency: 1000,
             cycles_per_kib: 1024, // 1 byte/cycle
         };
-        let mut b = Sharded::new(params, 2, PlacementPolicy::Interleave);
-        // Keys 0 and 1 land on different shards: neither queues behind the
-        // other, both complete at the solo cost.
-        let a = b.transfer(0, 1000, 0);
-        let c = b.transfer(1, 1000, 0);
+        let mut b = Sharded::new(params, 2);
+        let (k0, k1, k0_again) = (key_on(&b, 0, 0), key_on(&b, 1, 0), key_on(&b, 0, 1));
+        // Keys on different shards: neither queues behind the other, both
+        // complete at the solo cost.
+        let a = b.transfer(k0, 1000, 0);
+        let c = b.transfer(k1, 1000, 0);
         assert_eq!(a, 1000 + 1000);
         assert_eq!(c, 1000 + 1000, "different shard, no queueing");
         // A second message to shard 0 does queue.
-        let d = b.transfer(2, 1000, 0);
+        let d = b.transfer(k0_again, 1000, 0);
         assert_eq!(d, 2000 + 1000);
     }
 
     #[test]
     fn aggregate_stats_sum_over_shards() {
-        let mut b = Sharded::new(LinkParams::instant(), 4, PlacementPolicy::Interleave);
+        let mut b = Sharded::new(LinkParams::instant(), 4);
         for k in 0..16u64 {
             b.transfer(k, 4096, 0);
         }
@@ -1036,17 +988,21 @@ mod tests {
         assert_eq!(b.stats(), manual);
         assert_eq!(b.stats().fetches, 16);
         assert_eq!(b.stats().writebacks, 1);
-        // Interleaved keys spread evenly: 4 fetches per shard.
+        // Each shard fetched exactly the keys homed on it.
         for s in 0..4 {
-            assert_eq!(b.shard_stats(s).fetches, 4);
+            let homed = (0..16).filter(|&k| b.shard_of(k) == s).count() as u64;
+            assert_eq!(b.shard_stats(s).fetches, homed, "shard {s}");
         }
     }
 
     #[test]
     fn one_dead_shard_leaves_the_others_serving() {
-        let mut b = Sharded::new(LinkParams::tcp_25g(), 4, PlacementPolicy::Interleave);
+        let mut b = Sharded::new(LinkParams::tcp_25g(), 4);
         b.set_fault_plan_on(2, FaultPlan::drops(9, PPM)); // shard 2 always drops
         assert!(b.faults_active());
+        let homed = |b: &Sharded, s| (0..32).filter(|&k| b.shard_of(k) == s).count() as u64;
+        let sick = homed(&b, 2);
+        assert!(sick >= 3, "enough attempts on shard 2 to degrade it");
         let mut now = 0;
         for k in 0..32u64 {
             if b.shard_of(k) == 2 {
@@ -1062,20 +1018,20 @@ mod tests {
                 "shard {s} must stay healthy"
             );
             assert_eq!(b.shard_stats(s).faults, 0);
-            assert_eq!(b.shard_stats(s).fetches, 8);
+            assert_eq!(b.shard_stats(s).fetches, homed(&b, s));
         }
         assert_eq!(b.shard_stats(2).fetches, 0);
-        assert_eq!(b.shard_stats(2).faults, 8);
+        assert_eq!(b.shard_stats(2).faults, sick);
         // Aggregate health reflects the sick shard.
         assert!(b.health().is_degraded());
-        assert_eq!(b.health().faults(), 8);
-        assert_eq!(b.stats().faults, 8);
+        assert_eq!(b.health().faults(), sick);
+        assert_eq!(b.stats().faults, sick);
     }
 
     #[test]
     fn untargeted_plans_get_per_shard_seeds() {
         let faults = FaultPlan::drops(0xABCD, 500_000);
-        let mut direct = Sharded::new(LinkParams::tcp_25g(), 4, PlacementPolicy::Hash);
+        let mut direct = Sharded::new(LinkParams::tcp_25g(), 4);
         direct.set_fault_plan_everywhere(faults);
         let seeds: Vec<u64> = direct.links.iter().map(|l| l.fault_plan().seed).collect();
         assert_eq!(seeds[0], faults.seed, "shard 0 keeps the seed");
@@ -1137,15 +1093,13 @@ mod tests {
         assert_eq!(BackendSpec::single(), BackendSpec::sharded(1));
         assert_eq!(BackendSpec::single(), BackendSpec::default());
         assert!(BackendSpec::single().is_single());
-        let s = BackendSpec::sharded(4)
-            .with_placement(PlacementPolicy::Interleave)
-            .with_fault_shard(1);
-        assert_eq!(s.to_string(), "sharded(4, interleave) fault_shard=1");
+        let s = BackendSpec::sharded(4).with_fault_shard(1);
+        assert_eq!(s.to_string(), "sharded(4) fault_shard=1");
         assert_eq!(s.shard_count(), 4);
         assert!(!s.is_single());
         s.validate().unwrap();
         let r = BackendSpec::sharded(4).with_replicas(2);
-        assert_eq!(r.to_string(), "sharded(4, hash) replicas=2");
+        assert_eq!(r.to_string(), "sharded(4) replicas=2");
         r.validate().unwrap();
     }
 
@@ -1237,11 +1191,12 @@ mod tests {
 
     #[test]
     fn mirrored_writeback_lands_on_every_replica() {
-        let mut b = Sharded::new(LinkParams::instant(), 4, PlacementPolicy::Interleave);
+        let mut b = Sharded::new(LinkParams::instant(), 4);
         b.set_replicas(2);
         assert!(b.failover_active());
         assert_eq!(b.replicas(), 2);
-        b.try_writeback(0, 4096, 0).unwrap(); // replicas on shards 0 and 1
+        let key = key_on(&b, 0, 0);
+        b.try_writeback(key, 4096, 0).unwrap(); // replicas on shards 0 and 1
         assert_eq!(b.shard_stats(0).writebacks, 1);
         assert_eq!(b.shard_stats(1).writebacks, 1);
         assert_eq!(b.shard_stats(2).writebacks, 0);
@@ -1249,28 +1204,29 @@ mod tests {
         assert_eq!(a.acked_keys, 1);
         assert_eq!((a.lost, a.under_replicated), (0, 0));
         // Reads hit only the primary.
-        b.try_transfer(0, 4096, 0).unwrap();
+        b.try_transfer(key, 4096, 0).unwrap();
         assert_eq!(b.shard_stats(0).fetches, 1);
         assert_eq!(b.shard_stats(1).fetches, 0);
     }
 
     #[test]
     fn reads_fail_over_to_the_replica_while_the_primary_is_down() {
-        let mut b = Sharded::new(LinkParams::tcp_25g(), 4, PlacementPolicy::Interleave);
+        let mut b = Sharded::new(LinkParams::tcp_25g(), 4);
         b.set_replicas(2);
         b.set_fault_plan_on(0, FaultPlan::none().with_crash(100_000, 900_000));
-        // Key 0's replicas are shards 0 (primary) and 1.
-        b.try_writeback(0, 4096, 0).unwrap();
+        // The key's replicas are shards 0 (primary) and 1.
+        let key = key_on(&b, 0, 0);
+        b.try_writeback(key, 4096, 0).unwrap();
         // During the crash window the replica serves without a single
         // failed attempt: the poll notices the crash before routing.
-        let done = b.try_transfer(0, 4096, 200_000).unwrap();
+        let done = b.try_transfer(key, 4096, 200_000).unwrap();
         assert!(done > 200_000);
         assert_eq!(b.shard_state(0), ShardState::Down);
         assert_eq!(b.shard_stats(1).fetches, 1, "replica served the read");
         assert_eq!(b.shard_snapshots()[1].failover_reads, 1);
         // A writeback during the window lands only on the live replica and
         // records the divergence — but is still acknowledged.
-        b.try_writeback(0, 4096, 300_000).unwrap();
+        b.try_writeback(key, 4096, 300_000).unwrap();
         assert_eq!(b.shard_snapshots()[0].divergent_writes, 1);
         let a = b.audit().unwrap();
         assert_eq!(a.lost, 0);
@@ -1279,13 +1235,15 @@ mod tests {
 
     #[test]
     fn epoch_fence_blocks_a_stale_restarted_primary_until_resync() {
-        let mut b = Sharded::new(LinkParams::tcp_25g(), 4, PlacementPolicy::Interleave);
+        let mut b = Sharded::new(LinkParams::tcp_25g(), 4);
         b.set_replicas(2);
         b.set_fault_plan_on(0, FaultPlan::none().with_cold_crash(100_000, 500_000));
-        b.try_writeback(0, 4096, 0).unwrap();
+        // The key's replicas are shards 0 (primary) and 1.
+        let key = key_on(&b, 0, 0);
+        b.try_writeback(key, 4096, 0).unwrap();
         // Shard 0 crashes cold; a write during the window bumps the acked
         // version past anything shard 0 will hold at restart.
-        b.try_writeback(0, 4096, 200_000).unwrap();
+        b.try_writeback(key, 4096, 200_000).unwrap();
         // Past the window: shard 0 restarts (Recovering, epoch 1) — but the
         // read must NOT come from it even after mark_synced flips it Up,
         // until its store is re-synced.
@@ -1295,7 +1253,7 @@ mod tests {
         b.links[0].mark_synced();
         assert_eq!(b.shard_state(0), ShardState::Up);
         let before = b.shard_stats(1).fetches;
-        b.try_transfer(0, 4096, 600_000).unwrap();
+        b.try_transfer(key, 4096, 600_000).unwrap();
         assert_eq!(
             b.shard_stats(1).fetches,
             before + 1,
@@ -1306,7 +1264,7 @@ mod tests {
         let mut r = Recovered::default();
         b.resync_shard(0, 4096, 700_000, &mut r);
         assert_eq!((r.resynced, r.lost), (1, 0));
-        b.try_transfer(0, 4096, 800_000).unwrap();
+        b.try_transfer(key, 4096, 800_000).unwrap();
         assert_eq!(b.shard_stats(0).fetches, 1);
         let a = b.audit().unwrap();
         assert_eq!((a.lost, a.under_replicated), (0, 0));
@@ -1316,13 +1274,13 @@ mod tests {
     fn unreplicated_cold_crash_loses_acknowledged_writes() {
         // The audit has teeth: with R=1 a cold crash destroys the only
         // copy, and the audit says so.
-        let mut b = Sharded::new(LinkParams::tcp_25g(), 2, PlacementPolicy::Interleave);
+        let mut b = Sharded::new(LinkParams::tcp_25g(), 2);
         b.set_fault_plan_on(0, FaultPlan::none().with_cold_crash(100_000, 500_000));
         assert!(
             b.failover_active(),
             "a crash plan arms tracking even at R=1"
         );
-        b.try_writeback(0, 4096, 0).unwrap();
+        b.try_writeback(key_on(&b, 0, 0), 4096, 0).unwrap();
         assert_eq!(b.audit().unwrap().lost, 0);
         b.poll(600_000);
         assert_eq!(b.audit().unwrap().lost, 1, "the only copy was wiped");
@@ -1332,26 +1290,27 @@ mod tests {
 
     #[test]
     fn re_replication_restores_redundancy_and_rehomes_the_key() {
-        let mut b = Sharded::new(LinkParams::tcp_25g(), 4, PlacementPolicy::Interleave);
+        let mut b = Sharded::new(LinkParams::tcp_25g(), 4);
         b.set_replicas(2);
         b.set_fault_plan_on(0, FaultPlan::none().with_cold_crash(100_000, 10_000_000));
-        b.try_writeback(0, 4096, 0).unwrap();
-        // The Down edge drains key 0 off the dead shard: of its homes
+        let key = key_on(&b, 0, 0);
+        b.try_writeback(key, 4096, 0).unwrap();
+        // The Down edge drains the key off the dead shard: of its homes
         // {0, 1}, shard 1 survives, so the substitute is shard 2.
         let r = b.service(200_000, 4096);
         assert_eq!((r.downs, r.re_replicated), (1, 1));
         assert_eq!(b.shard_state(0), ShardState::Down);
         assert_eq!(b.shard_stats(2).writebacks, 1);
-        assert_eq!(b.shard_of(0), 2, "primary re-homed to the substitute");
+        assert_eq!(b.shard_of(key), 2, "primary re-homed to the substitute");
         let a = b.audit().unwrap();
         assert_eq!((a.lost, a.under_replicated), (0, 0), "redundancy restored");
         // Subsequent writes mirror to the new set {2, 1} and skip the corpse.
-        b.try_writeback(0, 4096, 300_000).unwrap();
+        b.try_writeback(key, 4096, 300_000).unwrap();
         assert_eq!(b.shard_stats(2).writebacks, 2);
         assert_eq!(b.shard_stats(1).writebacks, 2);
         assert_eq!(b.shard_stats(0).writebacks, 1);
         // Re-replicating an already-drained key is a no-op.
-        assert!(b.re_replicate(0, 0, 4096, 400_000).is_none());
+        assert!(b.re_replicate(key, 0, 4096, 400_000).is_none());
     }
 
     #[test]
@@ -1365,12 +1324,12 @@ mod tests {
 
     #[test]
     fn service_resyncs_every_hosted_key_across_a_restart() {
-        let mut b = Sharded::new(LinkParams::instant(), 3, PlacementPolicy::Interleave);
+        let mut b = Sharded::new(LinkParams::instant(), 3);
         b.set_replicas(2);
         b.set_fault_plan_on(1, FaultPlan::none().with_cold_crash(1_000, 2_000));
-        // Keys 0 (shards {0,1}) and 1 (shards {1,2}) both live on shard 1.
-        b.try_writeback(0, 64, 0).unwrap();
-        b.try_writeback(1, 64, 0).unwrap();
+        // Keys on shards {0,1} and {1,2} both live on shard 1.
+        b.try_writeback(key_on(&b, 0, 0), 64, 0).unwrap();
+        b.try_writeback(key_on(&b, 1, 0), 64, 0).unwrap();
         assert_eq!(
             b.service(500, 64),
             Recovered::default(),
@@ -1395,41 +1354,45 @@ mod tests {
 
     #[test]
     fn the_ledger_covers_every_key_and_a_reset_forgets_it() {
-        let mut b = Sharded::new(LinkParams::instant(), 3, PlacementPolicy::Interleave);
+        let mut b = Sharded::new(LinkParams::instant(), 3);
         b.set_replicas(2);
         b.set_fault_plan_on(0, FaultPlan::none().with_cold_crash(1_000, 2_000));
-        // Homes: 0 -> {0,1}, 2 -> {2,0}, 1 << 20 -> {1,2}.
-        let far = 1 << 20;
-        for key in [0, 2, far] {
+        // Rings: a -> {0,1}, c -> {2,0}, far -> {1,2}; d -> {0,1} comes later.
+        let (a, c, d) = (key_on(&b, 0, 0), key_on(&b, 2, 0), key_on(&b, 0, 1));
+        let far = (1 << 20..).find(|&k| b.shard_of(k) == 1).unwrap();
+        for key in [a, c, far] {
             b.try_writeback(key, 64, 0).unwrap();
         }
-        // The Down edge re-homes the keys shard 0 hosts: 0 -> {2,1}, 2 -> {2,1}.
+        // The Down edge re-homes the keys shard 0 hosts: a -> {2,1}, c -> {2,1}.
         let r = b.service(1_500, 64);
         assert_eq!((r.downs, r.re_replicated), (1, 2));
-        assert_eq!(b.shard_of(0), 2);
-        // Key 3 (ring {0,1}) is acked while shard 0 is dark.
-        b.try_writeback(3, 64, 1_600).unwrap();
+        assert_eq!(b.shard_of(a), 2);
+        // Key d (ring {0,1}) is acked while shard 0 is dark.
+        b.try_writeback(d, 64, 1_600).unwrap();
         // The cold restart wipes shard 0 and no other shard.
         b.poll(5_000);
-        assert!(!b.holds(0, 0, 1) && !b.holds(0, 2, 1));
-        for (s, key) in [(1, 0), (1, 2), (1, 3), (1, far), (2, 0), (2, 2), (2, far)] {
+        assert!(!b.holds(0, a, 1) && !b.holds(0, c, 1));
+        for (s, key) in [(1, a), (1, c), (1, d), (1, far), (2, a), (2, c), (2, far)] {
             assert!(b.holds(s, key, 1), "shard {s} lost key {key}");
         }
-        // Resync copies exactly the acked keys shard 0 still hosts: key 3.
-        let hosted = [0, 2, 3, far]
+        // Resync copies exactly the acked keys shard 0 still hosts: key d.
+        let hosted = [a, c, d, far]
             .into_iter()
             .filter(|&k| b.replica_set(k).contains(&0))
             .count() as u64;
         let r = b.service(5_000, 64);
         assert_eq!((r.recoveries, r.resynced, r.lost), (1, hosted, 0));
         assert_eq!(hosted, 1);
-        let a = b.audit().unwrap();
-        assert_eq!((a.acked_keys, a.lost, a.under_replicated), (4, 0, 0));
+        let audit = b.audit().unwrap();
+        assert_eq!(
+            (audit.acked_keys, audit.lost, audit.under_replicated),
+            (4, 0, 0)
+        );
         // A reset forgets every ack and every re-home.
         b.reset_stats();
         assert_eq!(b.audit().unwrap(), FailoverAudit::default());
-        assert_eq!(b.shard_of(0), 0, "key 0 is back on its ring");
-        b.try_writeback(0, 64, 0).unwrap();
+        assert_eq!(b.shard_of(a), 0, "key a is back on its ring");
+        b.try_writeback(a, 64, 0).unwrap();
         assert_eq!(b.shard_stats(0).writebacks, 1);
         assert_eq!(b.shard_stats(2).writebacks, 0);
     }
@@ -1439,13 +1402,13 @@ mod tests {
         // The pager's keys start at its base page (the simulator's heap base
         // is page 1 << 33): the ledger starts there too, routing does not.
         let base = 1 << 33;
-        let mut b = Sharded::new(LinkParams::instant(), 3, PlacementPolicy::Hash);
+        let mut b = Sharded::new(LinkParams::instant(), 3);
         b.set_replicas(2);
         b.set_key_base(base);
         b.set_fault_plan_on(0, FaultPlan::none().with_cold_crash(1_000, 2_000));
         let keys = base..base + 8;
         for key in keys.clone() {
-            assert_eq!(b.shard_of(key), PlacementPolicy::Hash.shard_of(key, 3));
+            assert_eq!(b.shard_of(key), (mix(key) % 3) as usize);
             b.try_writeback(key, 64, 0).unwrap();
         }
         let hosted = keys.clone().filter(|&k| b.replica_set(k).contains(&0));

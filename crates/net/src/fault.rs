@@ -1,6 +1,6 @@
 //! Deterministic fault injection for the simulated link.
 //!
-//! Production far-memory fabrics lose messages, stall under congestion, and
+//! Production far-memory fabrics lose messages, go dark for a while, and
 //! occasionally lose the remote node entirely. This module models those
 //! hazards on the cycle timeline without giving up determinism: every
 //! transfer attempt draws its fate from a [`FaultPlan`]-seeded hash of the
@@ -16,10 +16,12 @@
 //! * **Outage** — a scripted [`OutageWindow`] during which the remote node
 //!   is unreachable: every attempt whose wire slot starts inside the window
 //!   fails like a drop. This is the "remote node died for N ms" experiment.
-//! * **Stall** — the remote node hiccups (GC pause, scheduler delay): the
-//!   transfer succeeds but completes [`FaultPlan::stall_cycles`] late.
-//! * **Jitter** — congestion noise: the transfer succeeds with a uniformly
-//!   drawn extra latency in `[0, max_jitter)`.
+//! * **Crash** — a scripted [`CrashWindow`]: the shard is down, every
+//!   attempt fails fast, and at restart it re-enters service through the
+//!   failover state machine ([`ShardState`]), warm or cold.
+//!
+//! Every fault is a failed attempt: a transfer that delivers always
+//! completes at the link model's time.
 //!
 //! [`FaultPlan::none`] (the default everywhere) injects nothing and costs
 //! one branch on the transfer path — the machinery is strictly pay-for-use.
@@ -33,10 +35,6 @@ pub enum FaultKind {
     Drop,
     /// Attempt landed inside a scripted remote-node outage window.
     Outage,
-    /// Remote-node stall: success, but late by a fixed amount.
-    Stall,
-    /// Congestion jitter: success, with drawn extra latency.
-    Jitter,
     /// Whole-node crash: the shard is down, every attempt fails fast
     /// (connection refused — no bandwidth slot is burned, detection takes
     /// one base latency instead of the drop timeout).
@@ -49,19 +47,16 @@ impl FaultKind {
         match self {
             FaultKind::Drop => "drop",
             FaultKind::Outage => "outage",
-            FaultKind::Stall => "stall",
-            FaultKind::Jitter => "jitter",
             FaultKind::Crash => "crash",
         }
     }
 
     /// Stable numeric code — the `fault` tag of traced transfer spans.
+    /// Codes 2 and 3 are unused: trace exports read old tags unchanged.
     pub fn code(self) -> u64 {
         match self {
             FaultKind::Drop => 0,
             FaultKind::Outage => 1,
-            FaultKind::Stall => 2,
-            FaultKind::Jitter => 3,
             FaultKind::Crash => 4,
         }
     }
@@ -71,7 +66,8 @@ impl FaultKind {
 /// `Link::try_writeback`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct LinkFault {
-    /// Why the attempt failed ([`FaultKind::Drop`] or [`FaultKind::Outage`]).
+    /// Why the attempt failed: any [`FaultKind`] (a [`FaultKind::Crash`]
+    /// also stands for "no replica can serve" from the sharded backend).
     pub kind: FaultKind,
     /// Cycle at which the sender detects the failure (its timeout fires);
     /// the earliest cycle a retry can be issued.
@@ -186,14 +182,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Fraction of attempts dropped (lost message → timeout → retry).
     pub drop_ppm: u32,
-    /// Fraction of attempts hit by a remote-node stall.
-    pub stall_ppm: u32,
-    /// Extra completion latency of a stalled transfer.
-    pub stall_cycles: u64,
-    /// Fraction of attempts hit by congestion jitter.
-    pub jitter_ppm: u32,
-    /// Exclusive upper bound of the drawn jitter latency.
-    pub max_jitter: u64,
     /// Scripted remote-node outage, if any.
     pub outage: Option<OutageWindow>,
     /// Scripted whole-node crash/restart, if any.
@@ -206,10 +194,6 @@ impl FaultPlan {
         FaultPlan {
             seed: 0,
             drop_ppm: 0,
-            stall_ppm: 0,
-            stall_cycles: 0,
-            jitter_ppm: 0,
-            max_jitter: 0,
             outage: None,
             crash: None,
         }
@@ -255,30 +239,10 @@ impl FaultPlan {
         self
     }
 
-    /// Returns a copy with remote-node stalls (`ppm` of attempts are
-    /// `cycles` late).
-    pub fn with_stalls(mut self, ppm: u32, cycles: u64) -> Self {
-        self.stall_ppm = ppm;
-        self.stall_cycles = cycles;
-        self
-    }
-
-    /// Returns a copy with congestion jitter (`ppm` of attempts gain up to
-    /// `max_jitter` extra cycles).
-    pub fn with_jitter(mut self, ppm: u32, max_jitter: u64) -> Self {
-        self.jitter_ppm = ppm;
-        self.max_jitter = max_jitter;
-        self
-    }
-
     /// True if this plan can ever perturb a transfer. The link skips all
     /// fault bookkeeping for inactive plans (pay-for-use).
     pub fn is_active(&self) -> bool {
-        self.drop_ppm > 0
-            || self.stall_ppm > 0
-            || self.jitter_ppm > 0
-            || self.outage.is_some()
-            || self.crash.is_some()
+        self.drop_ppm > 0 || self.outage.is_some() || self.crash.is_some()
     }
 }
 
@@ -293,11 +257,7 @@ impl std::fmt::Display for FaultPlan {
         if !self.is_active() {
             return write!(f, "none");
         }
-        write!(
-            f,
-            "seed={} drop={}ppm stall={}ppm jitter={}ppm",
-            self.seed, self.drop_ppm, self.stall_ppm, self.jitter_ppm
-        )?;
+        write!(f, "seed={} drop={}ppm", self.seed, self.drop_ppm)?;
         if let Some(w) = self.outage {
             write!(f, " outage=[{}, {})", w.start, w.end)?;
         }
@@ -309,23 +269,13 @@ impl std::fmt::Display for FaultPlan {
     }
 }
 
-/// The fate of one transfer attempt, decided before it touches the wire.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Fate {
-    /// Normal delivery.
-    Deliver,
-    /// Success with `extra` cycles of additional latency.
-    Slow(FaultKind, u64),
-    /// Failure: the sender must time out and retry.
-    Fail(FaultKind),
-}
-
 /// SplitMix64 finalizer: a statistically strong 64-bit mix, the same
-/// generator the workloads crate uses for seeded randomness. Also used by
-/// the sharded backend for hashed object→shard placement and per-shard
-/// seed derivation.
+/// generator the workloads crate uses for seeded randomness. The fault
+/// schedule draws with it, the sharded backend hashes keys to shards and
+/// derives per-shard seeds with it, and the runtime draws its retry jitter
+/// with it.
 #[inline]
-pub(crate) fn mix(mut z: u64) -> u64 {
+pub fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -351,32 +301,16 @@ impl FaultState {
     }
 
     /// Decides the fate of the attempt whose bandwidth slot starts at
-    /// `wire_start`. Consumes one sequence number per call.
-    pub(crate) fn decide(&mut self, wire_start: u64) -> Fate {
+    /// `wire_start`: `None` delivers, `Some(kind)` fails and the sender
+    /// must time out and retry. Consumes one sequence number per call.
+    pub(crate) fn decide(&mut self, wire_start: u64) -> Option<FaultKind> {
         let seq = self.seq;
         self.seq += 1;
-        if let Some(w) = self.plan.outage {
-            if w.contains(wire_start) {
-                return Fate::Fail(FaultKind::Outage);
-            }
+        if self.plan.outage.is_some_and(|w| w.contains(wire_start)) {
+            return Some(FaultKind::Outage);
         }
         let h = mix(self.plan.seed ^ seq.wrapping_mul(0xA24B_AED4_963E_E407));
-        let draw = (h % PPM as u64) as u32;
-        if draw < self.plan.drop_ppm {
-            return Fate::Fail(FaultKind::Drop);
-        }
-        if draw < self.plan.drop_ppm + self.plan.stall_ppm {
-            return Fate::Slow(FaultKind::Stall, self.plan.stall_cycles);
-        }
-        if draw < self.plan.drop_ppm + self.plan.stall_ppm + self.plan.jitter_ppm {
-            let extra = if self.plan.max_jitter == 0 {
-                0
-            } else {
-                mix(h) % self.plan.max_jitter
-            };
-            return Fate::Slow(FaultKind::Jitter, extra);
-        }
-        Fate::Deliver
+        ((h % PPM as u64) < u64::from(self.plan.drop_ppm)).then_some(FaultKind::Drop)
     }
 }
 
@@ -473,22 +407,22 @@ mod tests {
         let mut fs = FaultState::new(FaultPlan::none());
         assert!(!fs.plan.is_active());
         for c in 0..1000 {
-            assert_eq!(fs.decide(c), Fate::Deliver);
+            assert_eq!(fs.decide(c), None);
         }
     }
 
     #[test]
     fn schedule_is_deterministic_in_sequence_numbers() {
-        let plan = FaultPlan::drops(0xC0FFEE, 100_000).with_jitter(200_000, 5_000);
+        let plan = FaultPlan::drops(0xC0FFEE, 300_000);
         let mut a = FaultState::new(plan);
         let mut b = FaultState::new(plan);
-        let fates_a: Vec<Fate> = (0..512).map(|c| a.decide(c)).collect();
-        let fates_b: Vec<Fate> = (0..512).map(|c| b.decide(c)).collect();
+        let fates_a: Vec<_> = (0..512).map(|c| a.decide(c)).collect();
+        let fates_b: Vec<_> = (0..512).map(|c| b.decide(c)).collect();
         assert_eq!(fates_a, fates_b);
         // The schedule keys off the sequence number, not the cycle: shifting
         // issue times leaves the fate sequence unchanged.
         let mut c = FaultState::new(plan);
-        let fates_c: Vec<Fate> = (0..512).map(|i| c.decide(i * 77 + 13)).collect();
+        let fates_c: Vec<_> = (0..512).map(|i| c.decide(i * 77 + 13)).collect();
         assert_eq!(fates_a, fates_c);
     }
 
@@ -497,7 +431,7 @@ mod tests {
         let mut fs = FaultState::new(FaultPlan::drops(7, 100_000)); // 10%
         let n = 100_000;
         let drops = (0..n)
-            .filter(|&c| matches!(fs.decide(c), Fate::Fail(FaultKind::Drop)))
+            .filter(|&c| fs.decide(c) == Some(FaultKind::Drop))
             .count();
         let rate = drops as f64 / n as f64;
         assert!((0.08..0.12).contains(&rate), "drop rate = {rate}");
@@ -507,19 +441,19 @@ mod tests {
     fn outage_window_fails_everything_inside() {
         let plan = FaultPlan::none().with_outage(1_000, 2_000);
         let mut fs = FaultState::new(plan);
-        assert_eq!(fs.decide(999), Fate::Deliver);
-        assert_eq!(fs.decide(1_000), Fate::Fail(FaultKind::Outage));
-        assert_eq!(fs.decide(1_999), Fate::Fail(FaultKind::Outage));
-        assert_eq!(fs.decide(2_000), Fate::Deliver);
+        assert_eq!(fs.decide(999), None);
+        assert_eq!(fs.decide(1_000), Some(FaultKind::Outage));
+        assert_eq!(fs.decide(1_999), Some(FaultKind::Outage));
+        assert_eq!(fs.decide(2_000), None);
     }
 
     #[test]
     fn reset_rewinds_the_schedule() {
         let plan = FaultPlan::drops(42, 500_000);
         let mut fs = FaultState::new(plan);
-        let first: Vec<Fate> = (0..64).map(|c| fs.decide(c)).collect();
+        let first: Vec<_> = (0..64).map(|c| fs.decide(c)).collect();
         fs.reset();
-        let second: Vec<Fate> = (0..64).map(|c| fs.decide(c)).collect();
+        let second: Vec<_> = (0..64).map(|c| fs.decide(c)).collect();
         assert_eq!(first, second);
     }
 
@@ -582,19 +516,15 @@ mod tests {
 
     #[test]
     fn fault_kind_codes_and_names_are_stable() {
-        let kinds = [
-            FaultKind::Drop,
-            FaultKind::Outage,
-            FaultKind::Stall,
-            FaultKind::Jitter,
-            FaultKind::Crash,
-        ];
+        let kinds = [FaultKind::Drop, FaultKind::Outage, FaultKind::Crash];
         let mut codes: Vec<u64> = kinds.iter().map(|k| k.code()).collect();
         codes.sort_unstable();
         codes.dedup();
         assert_eq!(codes.len(), kinds.len());
         assert_eq!(FaultKind::Outage.name(), "outage");
         assert_eq!(FaultKind::Crash.name(), "crash");
+        assert_eq!(FaultKind::Drop.code(), 0);
+        assert_eq!(FaultKind::Outage.code(), 1);
         assert_eq!(FaultKind::Crash.code(), 4);
     }
 

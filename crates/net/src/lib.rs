@@ -42,13 +42,12 @@ mod fault;
 mod retry;
 
 pub use backend::{
-    build_backend, BackendSpec, FailoverAudit, PlacementPolicy, Recovered, ShardSnapshot, Sharded,
-    SpecError,
+    build_backend, BackendSpec, FailoverAudit, Recovered, ShardSnapshot, Sharded, SpecError,
 };
+use fault::FaultState;
 pub use fault::{
-    CrashWindow, FaultKind, FaultPlan, LinkFault, LinkHealth, OutageWindow, ShardState, PPM,
+    mix, CrashWindow, FaultKind, FaultPlan, LinkFault, LinkHealth, OutageWindow, ShardState, PPM,
 };
-use fault::{Fate, FaultState};
 use retry::blind;
 pub use retry::{drive_retries, Retried, RetryOps, MAX_DRIVEN_RETRIES};
 
@@ -142,13 +141,12 @@ pub struct TransferStats {
     pub writebacks: u64,
     /// Bytes written back to the remote node.
     pub bytes_written_back: u64,
-    /// Failed transfer attempts (drops and outage hits).
+    /// Failed transfer attempts (drops, outage hits and crashes).
     pub faults: u64,
     /// Bytes whose bandwidth slot was burned by a failed attempt.
     pub fault_wasted_bytes: u64,
-    /// Successful transfers that completed late (stalls and jitter).
-    pub delayed: u64,
-    /// Total extra completion latency injected into delayed transfers.
+    /// Always 0: every fault fails its attempt, so no transfer completes
+    /// late. Kept only while `tfm-perf`'s `net.delay_cycles` row reads it.
     pub delay_cycles: u64,
 }
 
@@ -168,8 +166,6 @@ impl TransferStats {
         self.bytes_written_back += other.bytes_written_back;
         self.faults += other.faults;
         self.fault_wasted_bytes += other.fault_wasted_bytes;
-        self.delayed += other.delayed;
-        self.delay_cycles += other.delay_cycles;
     }
 }
 
@@ -186,7 +182,6 @@ impl StatGroup for TransferStats {
             ("bytes_written_back", self.bytes_written_back),
             ("faults", self.faults),
             ("fault_wasted_bytes", self.fault_wasted_bytes),
-            ("delayed", self.delayed),
             ("delay_cycles", self.delay_cycles),
         ]
     }
@@ -199,11 +194,11 @@ impl fmt::Display for TransferStats {
             "fetches: {} ({} B), writebacks: {} ({} B)",
             self.fetches, self.bytes_fetched, self.writebacks, self.bytes_written_back
         )?;
-        if self.faults > 0 || self.delayed > 0 {
+        if self.faults > 0 {
             write!(
                 f,
-                ", faults: {} ({} B wasted), delayed: {} (+{} cyc)",
-                self.faults, self.fault_wasted_bytes, self.delayed, self.delay_cycles
+                ", faults: {} ({} B wasted)",
+                self.faults, self.fault_wasted_bytes
             )?;
         }
         Ok(())
@@ -288,13 +283,26 @@ impl Link {
     }
 
     /// One transfer attempt: decides its fate, burns the bandwidth slot
-    /// either way (a lost message still occupied the wire), and updates the
-    /// ledger and health tracker.
+    /// unless the node has crashed (a lost message still occupied the
+    /// wire), and updates the ledger and health tracker.
     fn attempt(&mut self, bytes: u64, now: u64, writeback: bool) -> Result<u64, LinkFault> {
-        let span_kind = if writeback {
-            SpanKind::WritebackXfer
-        } else {
-            SpanKind::Transfer
+        // Every outcome is one leaf span from `now` to `end`.
+        let leaf = |l: &Self, end: u64, wait: u64, fault: Option<FaultKind>| {
+            l.tel.span_leaf(Span {
+                kind: if writeback {
+                    SpanKind::WritebackXfer
+                } else {
+                    SpanKind::Transfer
+                },
+                start: now,
+                end,
+                parent: Span::NO_PARENT,
+                arg: bytes,
+                wait,
+                shard: l.shard,
+                fault: fault.map_or(Span::NO_FAULT, |k| k.code() as u32),
+                core: Span::NO_CORE,
+            })
         };
         if let Some(f) = &self.fault {
             if f.plan.crash.is_some_and(|c| c.contains(now)) && !self.crash_done {
@@ -307,17 +315,7 @@ impl Link {
                 self.health.on_attempt(true);
                 self.fstate = ShardState::Down;
                 let detected_at = now + self.params.base_latency.max(1);
-                self.tel.span_leaf(Span {
-                    kind: span_kind,
-                    start: now,
-                    end: detected_at,
-                    parent: Span::NO_PARENT,
-                    arg: bytes,
-                    wait: 0,
-                    shard: self.shard,
-                    fault: FaultKind::Crash.code() as u32,
-                    core: Span::NO_CORE,
-                });
+                leaf(self, detected_at, 0, Some(FaultKind::Crash));
                 return Err(LinkFault {
                     kind: FaultKind::Crash,
                     detected_at,
@@ -325,66 +323,32 @@ impl Link {
             }
         }
         let start = now.max(self.free_at);
-        let fate = match &mut self.fault {
-            Some(f) => f.decide(start),
-            None => Fate::Deliver,
-        };
+        let fate = self.fault.as_mut().and_then(|f| f.decide(start));
         self.free_at = start + self.params.occupancy(bytes);
-        match fate {
-            Fate::Deliver | Fate::Slow(..) => {
-                if writeback {
-                    self.stats.writebacks += 1;
-                    self.stats.bytes_written_back += bytes;
-                } else {
-                    self.stats.fetches += 1;
-                    self.stats.bytes_fetched += bytes;
-                }
-                self.tel.record_transfer(bytes);
-                let mut done = self.free_at + self.params.base_latency;
-                let mut fault_code = Span::NO_FAULT;
-                if let Fate::Slow(kind, extra) = fate {
-                    self.stats.delayed += 1;
-                    self.stats.delay_cycles += extra;
-                    fault_code = kind.code() as u32;
-                    done += extra;
-                }
-                if self.fault.is_some() {
-                    self.health.on_attempt(false);
-                    self.refresh_suspect();
-                }
-                self.tel.span_leaf(Span {
-                    kind: span_kind,
-                    start: now,
-                    end: done,
-                    parent: Span::NO_PARENT,
-                    arg: bytes,
-                    wait: start - now,
-                    shard: self.shard,
-                    fault: fault_code,
-                    core: Span::NO_CORE,
-                });
-                Ok(done)
-            }
-            Fate::Fail(kind) => {
-                self.stats.faults += 1;
-                self.stats.fault_wasted_bytes += bytes;
-                self.health.on_attempt(true);
-                self.refresh_suspect();
-                let detected_at = self.free_at + self.params.drop_timeout();
-                self.tel.span_leaf(Span {
-                    kind: span_kind,
-                    start: now,
-                    end: detected_at,
-                    parent: Span::NO_PARENT,
-                    arg: bytes,
-                    wait: start - now,
-                    shard: self.shard,
-                    fault: kind.code() as u32,
-                    core: Span::NO_CORE,
-                });
-                Err(LinkFault { kind, detected_at })
-            }
+        if let Some(kind) = fate {
+            self.stats.faults += 1;
+            self.stats.fault_wasted_bytes += bytes;
+            self.health.on_attempt(true);
+            self.refresh_suspect();
+            let detected_at = self.free_at + self.params.drop_timeout();
+            leaf(self, detected_at, start - now, Some(kind));
+            return Err(LinkFault { kind, detected_at });
         }
+        if writeback {
+            self.stats.writebacks += 1;
+            self.stats.bytes_written_back += bytes;
+        } else {
+            self.stats.fetches += 1;
+            self.stats.bytes_fetched += bytes;
+        }
+        self.tel.record_transfer(bytes);
+        let done = self.free_at + self.params.base_latency;
+        if self.fault.is_some() {
+            self.health.on_attempt(false);
+            self.refresh_suspect();
+        }
+        leaf(self, done, start - now, None);
+        Ok(done)
     }
 
     /// Attempts a fetch of `bytes` at cycle `now`. Returns the completion
@@ -674,18 +638,6 @@ mod tests {
         assert!(done > 200_000, "completed at {done} inside the outage");
         assert!(l.stats().faults > 0);
         assert_eq!(l.stats().fetches, 1);
-    }
-
-    #[test]
-    fn stalls_complete_late_and_are_counted() {
-        let p = LinkParams::tcp_25g();
-        let mut l = Link::new(p);
-        l.set_fault_plan(FaultPlan::none().with_stalls(fault::PPM, 777));
-        let done = l.transfer(4096, 0);
-        assert_eq!(done, p.solo_cost(4096) + 777);
-        let s = l.stats();
-        assert_eq!((s.delayed, s.delay_cycles), (1, 777));
-        assert_eq!(s.faults, 0, "a stall is a late success, not a failure");
     }
 
     #[test]

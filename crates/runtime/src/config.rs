@@ -1,6 +1,6 @@
 //! Runtime configuration.
 
-use tfm_net::{BackendSpec, FaultPlan, LinkParams};
+use tfm_net::{mix, BackendSpec, FaultPlan, LinkParams};
 
 /// Retry/backoff policy the runtime applies to faulted link operations.
 ///
@@ -12,16 +12,6 @@ use tfm_net::{BackendSpec, FaultPlan, LinkParams};
 /// [`DEGRADED_BACKOFF_MULT`](Self::DEGRADED_BACKOFF_MULT) to shed load from
 /// a struggling fabric.
 pub struct RetryPolicy;
-
-/// SplitMix64 finalizer (the workspace's standard seeded mixer), local so
-/// the jitter draw needs no cross-crate dependency on `tfm_net` internals.
-#[inline]
-fn jitter_mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 impl RetryPolicy {
     /// Attempts before a *deferrable* operation (writeback) gives up; a
@@ -62,9 +52,9 @@ impl RetryPolicy {
         let base = Self::backoff(attempt);
         let seed = match core {
             0 => Self::JITTER_SEED,
-            _ => Self::JITTER_SEED ^ jitter_mix(u64::from(core)),
+            _ => Self::JITTER_SEED ^ mix(u64::from(core)),
         };
-        let h = jitter_mix(seed ^ key.wrapping_mul(0xA24B_AED4_963E_E407) ^ u64::from(attempt));
+        let h = mix(seed ^ key.wrapping_mul(0xA24B_AED4_963E_E407) ^ u64::from(attempt));
         base + h % (base / 4 + 1)
     }
 }

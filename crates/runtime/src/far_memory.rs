@@ -1221,7 +1221,7 @@ mod tests {
                 link: LinkParams::tcp_25g(),
                 ..FarMemoryConfig::small()
             }
-            .with_faults(FaultPlan::drops(0x5EED, 100_000).with_jitter(100_000, 9_000));
+            .with_faults(FaultPlan::drops(0x5EED, 200_000));
             let mut fm = FarMemory::new(cfg);
             let p = fm.allocate(16 * 4096, 0).unwrap();
             let base = fm.obj_of_offset(p.offset());
@@ -1304,7 +1304,7 @@ mod tests {
 
     #[test]
     fn sharded_outage_degrades_only_the_sick_shard() {
-        use tfm_net::{BackendSpec, FaultPlan, PlacementPolicy};
+        use tfm_net::{BackendSpec, FaultPlan};
         let cfg = FarMemoryConfig {
             heap_size: 1 << 20,
             object_size: 4096,
@@ -1312,32 +1312,31 @@ mod tests {
             link: LinkParams::tcp_25g(),
             ..FarMemoryConfig::small()
         }
-        .with_backend(
-            BackendSpec::sharded(4)
-                .with_placement(PlacementPolicy::Interleave)
-                .with_fault_shard(2),
-        )
+        .with_backend(BackendSpec::sharded(4).with_fault_shard(2))
         .with_faults(FaultPlan::none().with_outage(1_000_000, 1_500_000));
         let mut fm = FarMemory::new(cfg);
         assert_eq!(fm.shard_count(), 4);
         let p = fm.allocate(32 * 4096, 0).unwrap();
         let base = fm.obj_of_offset(p.offset());
-        assert_eq!(base.0, 0, "interleave test assumes objects start at 0");
+        assert_eq!(base.0, 0, "the test's object ids start at 0");
         fm.evacuate_all(0); // before the outage: all writebacks succeed
         fm.reset_stats();
+        // Objects 0..256 split by whether shard 2 is their home.
+        let (sick, well): (Vec<u64>, Vec<u64>) =
+            (0..256).partition(|&o| fm.backend().shard_of(o) == 2);
 
         // Objects on healthy shards fetch cleanly inside the window…
         let mut now = 1_000_000;
-        for o in [0u64, 1, 3] {
+        for &o in &well[..3] {
             let stall = fm.localize(ObjId(o), false, now);
-            assert!(stall < 100_000, "shard {o} is healthy, stall = {stall}");
+            assert!(stall < 100_000, "object {o} is healthy, stall = {stall}");
             now += stall;
         }
         assert!(!fm.is_degraded(), "healthy shards must not degrade");
-        // …while the shard-2 fetch retries its way through the outage and
+        // …while a shard-2 fetch retries its way through the outage and
         // degrades that shard alone.
-        let stall = fm.localize(ObjId(2), false, now);
-        assert!(fm.table().is_present(ObjId(2)));
+        let stall = fm.localize(ObjId(sick[0]), false, now);
+        assert!(fm.table().is_present(ObjId(sick[0])));
         assert!(fm.shard_degraded(2), "shard 2 rode through an outage");
         for s in [0usize, 1, 3] {
             assert!(!fm.shard_degraded(s), "shard {s} stays healthy");
@@ -1345,14 +1344,18 @@ mod tests {
         assert!(fm.is_degraded(), "any sick shard degrades the aggregate");
         assert_eq!(fm.stats().degradations, 1);
 
-        // Prefetch is suppressed onto the sick shard only. (Objects 13/14
-        // sit outside the stride volley localize(2) already fired.)
+        // Prefetch is suppressed onto the sick shard only. (Objects from 13
+        // on sit outside the stride volley the sick fetch already fired.)
         now += stall;
         let suppressed = fm.stats().prefetch_suppressed;
         assert!(suppressed > 0, "the stride volley already hit shard 2");
-        assert!(!fm.prefetch(ObjId(14), now), "routes to degraded shard 2");
+        let far = |objs: &[u64]| ObjId(*objs.iter().find(|&&o| o >= 13).unwrap());
+        assert!(!fm.prefetch(far(&sick), now), "routes to degraded shard 2");
         assert_eq!(fm.stats().prefetch_suppressed, suppressed + 1);
-        assert!(fm.prefetch(ObjId(13), now), "shard 1 keeps prefetching");
+        assert!(
+            fm.prefetch(far(&well), now),
+            "healthy shards keep prefetching"
+        );
 
         // Only shard 2's counters show faults, and clean traffic after the
         // window recovers it.
@@ -1361,15 +1364,15 @@ mod tests {
         for s in [0usize, 1, 3] {
             assert_eq!(snaps[s].stats.faults, 0, "shard {s} saw no faults");
         }
-        for k in 1..40u64 {
-            now += fm.localize(ObjId(2 + 4 * k), false, now.max(1_500_000));
+        for &o in &sick[1..40] {
+            now += fm.localize(ObjId(o), false, now.max(1_500_000));
         }
         assert!(!fm.is_degraded(), "shard 2 recovers after the window");
     }
 
     #[test]
     fn observed_crash_drains_the_shard_then_recovery_rejoins_it() {
-        use tfm_net::{BackendSpec, FaultPlan, PlacementPolicy, ShardState};
+        use tfm_net::{BackendSpec, FaultPlan, ShardState};
         let cfg = FarMemoryConfig {
             heap_size: 1 << 20,
             object_size: 4096,
@@ -1377,17 +1380,13 @@ mod tests {
             link: LinkParams::tcp_25g(),
             ..FarMemoryConfig::small()
         }
-        .with_backend(
-            BackendSpec::sharded(4)
-                .with_placement(PlacementPolicy::Interleave)
-                .with_replicas(2)
-                .with_fault_shard(2),
-        )
+        .with_backend(BackendSpec::sharded(4).with_replicas(2).with_fault_shard(2))
         .with_faults(FaultPlan::none().with_cold_crash(1_000_000, 2_000_000));
         let mut fm = FarMemory::new(cfg);
         let p = fm.allocate(32 * 4096, 0).unwrap();
         let base = fm.obj_of_offset(p.offset());
-        assert_eq!(base.0, 0, "interleave test assumes objects start at 0");
+        assert_eq!(base.0, 0, "the test's object ids start at 0");
+        let sick = ObjId((0..32).find(|&o| fm.backend().shard_of(o) == 2).unwrap());
         fm.evacuate_all(0);
         assert_eq!(
             fm.failover_audit().unwrap().acked_keys,
@@ -1395,11 +1394,11 @@ mod tests {
             "every acked writeback is ledgered"
         );
 
-        // Traffic inside the window observes the crash: object 2's primary
-        // is Down, so the read fails over to its replica and the Down
-        // transition drains every ledgered object off shard 2.
-        let stall = fm.localize(ObjId(2), false, 1_000_000);
-        assert!(fm.table().is_present(ObjId(2)), "replica served the read");
+        // Traffic inside the window observes the crash: the sick object's
+        // primary is Down, so the read fails over to its replica and the
+        // Down transition drains every ledgered object off shard 2.
+        let stall = fm.localize(sick, false, 1_000_000);
+        assert!(fm.table().is_present(sick), "replica served the read");
         assert!(stall < 100_000, "failover read, not a retry storm: {stall}");
         assert_eq!(fm.shard_state(2), ShardState::Down);
         assert_eq!(fm.stats().shard_downs, 1);
@@ -1428,7 +1427,7 @@ mod tests {
 
     #[test]
     fn unobserved_cold_crash_is_resynced_from_the_ack_ledger() {
-        use tfm_net::{BackendSpec, FaultPlan, PlacementPolicy, ShardState};
+        use tfm_net::{BackendSpec, FaultPlan, ShardState};
         let cfg = FarMemoryConfig {
             heap_size: 1 << 20,
             object_size: 4096,
@@ -1436,17 +1435,16 @@ mod tests {
             link: LinkParams::tcp_25g(),
             ..FarMemoryConfig::small()
         }
-        .with_backend(
-            BackendSpec::sharded(4)
-                .with_placement(PlacementPolicy::Interleave)
-                .with_replicas(2)
-                .with_fault_shard(2),
-        )
+        .with_backend(BackendSpec::sharded(4).with_replicas(2).with_fault_shard(2))
         .with_faults(FaultPlan::none().with_cold_crash(1_000_000, 1_500_000));
         let mut fm = FarMemory::new(cfg);
         let p = fm.allocate(32 * 4096, 0).unwrap();
         assert_eq!(fm.obj_of_offset(p.offset()).0, 0);
         fm.evacuate_all(0);
+        // Shard 2 hosts the objects homed on it and on shard 1 (R = 2).
+        let hosted = (0..32)
+            .filter(|&o| matches!(fm.backend().shard_of(o), 1 | 2))
+            .count() as u64;
 
         // Nobody touches the backend during the crash window: the restart
         // edge still fires on the first attempt after it, and the wiped
@@ -1458,9 +1456,10 @@ mod tests {
             "the crash itself went unobserved"
         );
         assert_eq!(fm.stats().shard_recoveries, 1);
-        assert!(
-            fm.stats().resynced_objects >= 16,
-            "shard 2 hosts half the interleaved keys: {}",
+        assert_eq!(
+            fm.stats().resynced_objects,
+            hosted,
+            "every object shard 2 hosts is re-synced: {}",
             fm.stats()
         );
         assert_eq!(fm.stats().lost_objects, 0);

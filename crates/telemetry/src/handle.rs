@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use crate::hist::Histogram;
 use crate::site::{SiteKey, SiteStats, SiteTable};
-use crate::trace::{Span, SpanId, SpanKind, SpanTracer, TraceConfig, TraceSnapshot};
+use crate::trace::{Span, SpanId, SpanKind, SpanTracer, TraceSnapshot};
 
 /// The shared sink behind a [`Telemetry`] handle.
 #[derive(Clone, Debug)]
@@ -33,7 +33,7 @@ pub struct TelemetryInner {
     /// Per-guard-site attribution.
     pub sites: SiteTable,
     /// Causal span tracer — `None` unless the run opted into tracing
-    /// ([`Telemetry::with_trace`]). A second pay-for-use gate: an enabled
+    /// ([`Telemetry::traced`]). A second pay-for-use gate: an enabled
     /// sink without a tracer pays one `Option` branch per span probe, so
     /// telemetry-on/tracing-off output stays byte-identical to pre-tracing
     /// builds.
@@ -77,13 +77,10 @@ impl Telemetry {
         }
     }
 
-    /// An enabled handle with a causal span tracer attached (when
-    /// `cfg.enabled`; otherwise identical to [`Telemetry::enabled`]).
-    pub fn with_trace(cfg: TraceConfig) -> Self {
+    /// An enabled handle with a causal span tracer attached.
+    pub fn traced() -> Self {
         let mut inner = TelemetryInner::new();
-        if cfg.enabled {
-            inner.trace = Some(SpanTracer::new(cfg));
-        }
+        inner.trace = Some(SpanTracer::default());
         Self {
             inner: Some(Rc::new(RefCell::new(inner))),
         }
@@ -375,8 +372,8 @@ mod tests {
     }
 
     #[test]
-    fn with_trace_records_spans_and_timeline() {
-        let t = Telemetry::with_trace(TraceConfig::on());
+    fn traced_records_spans_and_timeline() {
+        let t = Telemetry::traced();
         assert!(t.tracing() && t.is_enabled());
         let root = t.span_begin(SpanKind::GuardSlowRemote, 7, 100);
         assert!(t.span_active());
@@ -397,8 +394,6 @@ mod tests {
         assert_eq!(trace.spans.len(), 2);
         assert_eq!(trace.spans[1].parent, 0);
         assert_eq!(trace.timeline.misses, vec![1]);
-        // A disabled TraceConfig attaches no tracer at all.
-        assert!(!Telemetry::with_trace(TraceConfig::default()).tracing());
     }
 
     #[test]

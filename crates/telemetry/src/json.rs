@@ -140,16 +140,21 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document. Supports the full value grammar emitted by
-    /// the writer (and standard escapes); returns a readable error message
-    /// with a byte offset on malformed input.
+    /// Parses a JSON document in time linear in its length. Supports the
+    /// full value grammar emitted by the writer (and standard escapes);
+    /// returns a readable error message with a byte offset on malformed
+    /// input, and on arrays and objects nested more than 128 deep.
     pub fn parse(s: &str) -> Result<Json, String> {
-        let bytes = s.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            src: s,
+            bytes: s.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != s.len() {
             return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(v)
@@ -178,9 +183,16 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How deeply [`Json::parse`] lets arrays and objects nest: far above any
+/// report, far below what would overflow the parser's stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -222,12 +234,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`] (each level is a parser stack frame).
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {} at byte {}",
+                MAX_DEPTH, self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -252,15 +279,14 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
+                            // Exactly four hex digits (`from_str_radix`
+                            // alone would take a sign).
+                            let code = self
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
+                                .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .ok_or("bad \\u escape")?;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
                         }
@@ -269,12 +295,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8 in string")?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape. Both are
+                    // ASCII, so the run ends on a char boundary.
+                    let rest = &self.src[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -455,6 +481,46 @@ mod tests {
         );
         assert!(Json::parse(r#""\u00g1""#).is_err());
         assert!(Json::parse(r#""\u00""#).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        // `from_str_radix` accepts a leading sign; the grammar does not.
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u041""#] {
+            assert!(Json::parse(bad).is_err(), "accepted: {bad}");
+        }
+        // A multi-byte char where a digit belongs is an error, not a panic.
+        assert!(Json::parse("\"\\u00é\"").is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Each string used to re-validate the rest of the document once per
+        // character: 200 000 characters took minutes. Now it is a copy.
+        let long = "ab\u{e9}\u{4e2d}".repeat(50_000);
+        let many = Json::Arr((0..20_000).map(|i| Json::str(format!("s{i}"))).collect());
+        let start = std::time::Instant::now();
+        assert_eq!(
+            Json::parse(&Json::str(long.as_str()).to_string_compact())
+                .unwrap()
+                .as_str(),
+            Some(long.as_str())
+        );
+        assert_eq!(Json::parse(&many.to_string_pretty()).unwrap(), many);
+        let took = start.elapsed();
+        assert!(took.as_secs() < 5, "parsing took {took:?}");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        for n in [MAX_DEPTH + 1, 100_000] {
+            let err = Json::parse(&deep(n)).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(Json::parse(&objects).is_err());
     }
 
     #[test]

@@ -41,6 +41,5 @@ pub use json::Json;
 pub use report::{RunReport, SiteRow, StatGroup, StatSection, TOP_SITES};
 pub use site::{SiteKey, SiteStats, SiteTable};
 pub use trace::{
-    sparkline, Span, SpanId, SpanKind, SpanTracer, Timeline, TimelineSnapshot, TraceConfig,
-    TraceSnapshot,
+    sparkline, Span, SpanId, SpanKind, SpanTracer, Timeline, TimelineSnapshot, TraceSnapshot,
 };

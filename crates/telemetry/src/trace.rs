@@ -45,38 +45,12 @@
 
 use crate::json::Json;
 
-/// Tracing configuration, threaded through run configs. `Copy` on purpose —
-/// run configurations spread freely through the workspace.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Master switch. Off by default: spans cost memory and time.
-    pub enabled: bool,
-    /// Span arena capacity; once reached, further spans are dropped (and
-    /// counted) instead of reallocating.
-    pub max_spans: usize,
-    /// Timeline bucket width in simulated cycles.
-    pub bucket_cycles: u64,
-}
+/// Span arena capacity: once this many spans are retained, further spans
+/// are dropped (and counted) instead of reallocating.
+pub const MAX_SPANS: usize = 1 << 16;
 
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            enabled: false,
-            max_spans: 1 << 16,
-            bucket_cycles: 1 << 20,
-        }
-    }
-}
-
-impl TraceConfig {
-    /// An enabled configuration with default capacity and bucketing.
-    pub fn on() -> Self {
-        TraceConfig {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-}
+/// Timeline bucket width in simulated cycles.
+pub const BUCKET_CYCLES: u64 = 1 << 20;
 
 /// What a span covers. Guard kinds mirror the machine's guard-outcome
 /// counters (`ExecStats::guards_*`); the rest are the runtime/pager/link
@@ -262,14 +236,13 @@ impl SpanId {
 }
 
 /// Upper bound on timeline buckets (observations beyond it are ignored) so
-/// a tiny bucket width cannot grow the series without bound.
+/// a run of any length cannot grow the series without bound.
 const MAX_BUCKETS: usize = 1 << 16;
 
-/// Windowed time-series collector: per-bucket access/miss counts, local
-/// occupancy, and per-shard health samples.
-#[derive(Clone, Debug)]
+/// Windowed time-series collector: per-[`BUCKET_CYCLES`] access/miss
+/// counts, local occupancy, and per-shard health samples.
+#[derive(Clone, Debug, Default)]
 pub struct Timeline {
-    bucket_cycles: u64,
     accesses: Vec<u64>,
     misses: Vec<u64>,
     /// Last observed local occupancy (bytes) in each bucket; 0 where no
@@ -290,20 +263,9 @@ struct ShardSeries {
 }
 
 impl Timeline {
-    fn new(bucket_cycles: u64) -> Self {
-        Timeline {
-            bucket_cycles: bucket_cycles.max(1),
-            accesses: Vec::new(),
-            misses: Vec::new(),
-            occupancy: Vec::new(),
-            shards: Vec::new(),
-            core_accesses: Vec::new(),
-        }
-    }
-
     #[inline]
     fn bucket(&self, cycle: u64) -> Option<usize> {
-        let b = (cycle / self.bucket_cycles) as usize;
+        let b = (cycle / BUCKET_CYCLES) as usize;
         (b < MAX_BUCKETS).then_some(b)
     }
 
@@ -386,7 +348,7 @@ impl Timeline {
             out
         };
         TimelineSnapshot {
-            bucket_cycles: self.bucket_cycles,
+            bucket_cycles: BUCKET_CYCLES,
             accesses: pad(&self.accesses),
             misses: pad(&self.misses),
             occupancy_bytes: pad(&self.occupancy),
@@ -526,7 +488,6 @@ impl TimelineSnapshot {
 /// [`Telemetry`]: crate::Telemetry
 #[derive(Clone, Debug)]
 pub struct SpanTracer {
-    cfg: TraceConfig,
     spans: Vec<Span>,
     stack: Vec<u32>,
     dropped: u64,
@@ -536,19 +497,20 @@ pub struct SpanTracer {
     current_core: u32,
 }
 
-impl SpanTracer {
-    /// Creates a tracer with its arena preallocated to `cfg.max_spans`.
-    pub fn new(cfg: TraceConfig) -> Self {
+impl Default for SpanTracer {
+    /// A tracer with its arena preallocated to [`MAX_SPANS`].
+    fn default() -> Self {
         SpanTracer {
-            spans: Vec::with_capacity(cfg.max_spans.min(1 << 20)),
+            spans: Vec::with_capacity(MAX_SPANS),
             stack: Vec::with_capacity(16),
             dropped: 0,
-            timeline: Timeline::new(cfg.bucket_cycles),
+            timeline: Timeline::default(),
             current_core: Span::NO_CORE,
-            cfg,
         }
     }
+}
 
+impl SpanTracer {
     /// Sets the worker core stamped onto subsequently recorded spans. The
     /// multi-core scheduler calls this before dispatching each request;
     /// nothing else does, so single-core traces carry [`Span::NO_CORE`]
@@ -583,7 +545,7 @@ impl SpanTracer {
     }
 
     fn alloc(&mut self, span: Span) -> u32 {
-        if self.spans.len() >= self.cfg.max_spans {
+        if self.spans.len() >= MAX_SPANS {
             self.dropped += 1;
             return u32::MAX;
         }
@@ -920,7 +882,7 @@ mod tests {
 
     #[test]
     fn spans_nest_by_open_stack() {
-        let mut t = SpanTracer::new(TraceConfig::on());
+        let mut t = SpanTracer::default();
         let root = t.begin(SpanKind::GuardSlowRemote, 7, 100);
         t.leaf(leaf(SpanKind::Transfer, 100, 200));
         let inner = t.begin(SpanKind::DemandFetch, 9, 150);
@@ -938,7 +900,7 @@ mod tests {
 
     #[test]
     fn begin_root_ignores_the_stack() {
-        let mut t = SpanTracer::new(TraceConfig::on());
+        let mut t = SpanTracer::default();
         let g = t.begin(SpanKind::GuardSlowRemote, 1, 0);
         let p = t.begin_root(SpanKind::Prefetch, 5, 10);
         t.leaf(leaf(SpanKind::Transfer, 10, 50));
@@ -951,7 +913,7 @@ mod tests {
 
     #[test]
     fn canceled_childless_span_vanishes_but_parents_of_children_stay() {
-        let mut t = SpanTracer::new(TraceConfig::on());
+        let mut t = SpanTracer::default();
         // Childless fast guard: canceled, removed.
         let a = t.begin(SpanKind::GuardSlowRemote, 1, 0);
         t.finish(a, 5, SpanKind::GuardFast, false);
@@ -967,30 +929,32 @@ mod tests {
 
     #[test]
     fn full_arena_drops_deterministically() {
-        let mut t = SpanTracer::new(TraceConfig {
-            max_spans: 2,
-            ..TraceConfig::on()
-        });
+        let mut t = SpanTracer::default();
         let a = t.begin(SpanKind::GuardSlowRemote, 1, 0);
-        t.leaf(leaf(SpanKind::Transfer, 0, 10));
+        for _ in 1..MAX_SPANS {
+            t.leaf(leaf(SpanKind::Transfer, 0, 10));
+        }
         let b = t.begin(SpanKind::DemandFetch, 2, 5); // arena full
         assert!(b.is_none());
         t.leaf(leaf(SpanKind::Retry, 5, 8)); // dropped too
         t.end(b, 9); // no-op
         t.end(a, 10);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.len(), MAX_SPANS);
         assert_eq!(t.dropped(), 2);
         assert!(!t.active());
+        assert_eq!(t.spans.capacity(), MAX_SPANS, "the arena never grew");
     }
 
     #[test]
     fn timeline_buckets_and_normalizes() {
-        let mut tl = Timeline::new(100);
-        tl.access(10, false);
-        tl.access(110, true);
-        tl.access(120, true);
-        tl.occupancy(250, 8192);
-        tl.shard(110, 1, 40_000, true);
+        // Cycles in units of a bucket width.
+        let at = |x: u64| x * BUCKET_CYCLES / 100;
+        let mut tl = Timeline::default();
+        tl.access(at(10), false);
+        tl.access(at(110), true);
+        tl.access(at(120), true);
+        tl.occupancy(at(250), 8192);
+        tl.shard(at(110), 1, 40_000, true);
         let s = tl.snapshot();
         assert_eq!(s.accesses, vec![1, 2, 0]);
         assert_eq!(s.misses, vec![0, 2, 0]);
@@ -1002,7 +966,10 @@ mod tests {
         assert!(s.render().contains("miss_rate"));
         assert!(s.render().contains("shard1 ppm"));
         let j = s.to_json();
-        assert_eq!(j.get("bucket_cycles").and_then(Json::as_u64), Some(100));
+        assert_eq!(
+            j.get("bucket_cycles").and_then(Json::as_u64),
+            Some(BUCKET_CYCLES)
+        );
         assert_eq!(j.get("accesses").unwrap().as_arr().unwrap().len(), 3);
     }
 
@@ -1018,7 +985,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_parseable_and_causal() {
-        let mut t = SpanTracer::new(TraceConfig::on());
+        let mut t = SpanTracer::default();
         let g = t.begin(SpanKind::GuardSlowRemote, 42, 100);
         t.leaf(Span {
             shard: 3,
@@ -1063,7 +1030,7 @@ mod tests {
 
     #[test]
     fn core_tagging_stamps_spans_and_moves_chrome_tracks() {
-        let mut t = SpanTracer::new(TraceConfig::on());
+        let mut t = SpanTracer::default();
         // Untagged span first: stays on the runtime track.
         let g0 = t.begin(SpanKind::GuardSlowRemote, 1, 0);
         t.end(g0, 10);
@@ -1119,7 +1086,7 @@ mod tests {
 
     #[test]
     fn untagged_traces_render_without_core_artifacts() {
-        let mut t = SpanTracer::new(TraceConfig::on());
+        let mut t = SpanTracer::default();
         let g = t.begin(SpanKind::GuardSlowRemote, 1, 0);
         t.leaf(leaf(SpanKind::Transfer, 0, 10));
         t.end(g, 20);
@@ -1134,7 +1101,7 @@ mod tests {
 
     #[test]
     fn folded_stacks_weight_self_cycles() {
-        let mut t = SpanTracer::new(TraceConfig::on());
+        let mut t = SpanTracer::default();
         let g = t.begin(SpanKind::GuardSlowRemote, 42, 0);
         t.leaf(leaf(SpanKind::Transfer, 0, 70));
         t.leaf(leaf(SpanKind::Retry, 70, 90));

@@ -16,20 +16,12 @@
 mod common;
 
 use common::manual_sync_outcome;
-use trackfm_suite::net::FaultPlan;
+use trackfm_suite::net::{mix, FaultPlan};
 use trackfm_suite::runtime::{FarMemory, FarMemoryConfig};
 use trackfm_suite::workloads::openloop::{
     execute_open_loop, execute_open_loop_with_report, open_loop, OpenLoopParams,
 };
 use trackfm_suite::workloads::runner::RunConfig;
-
-/// SplitMix64, re-derived so the sweep's schedules are reproducible.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 #[test]
 fn second_core_joins_the_inflight_fetch_one_wire_transfer() {
@@ -126,11 +118,7 @@ fn vary(cfg: RunConfig, seed: u64) -> RunConfig {
         cfg = cfg.with_shards(1 + (mix(seed ^ 1) % 4) as u32);
     }
     if seed % 3 == 1 {
-        cfg = cfg.with_faults(
-            FaultPlan::none()
-                .with_stalls(30_000, 2_000)
-                .with_jitter(50_000, 500),
-        );
+        cfg = cfg.with_faults(FaultPlan::drops(mix(seed ^ 5), 50_000));
     }
     if seed.is_multiple_of(5) {
         cfg = cfg.with_tracing();

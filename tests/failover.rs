@@ -13,22 +13,13 @@
 //! 4. **Honest loss** — without replication a cold crash *does* lose
 //!    un-resynced state, and the audit says so instead of hiding it.
 
-use trackfm_suite::net::{BackendSpec, FaultPlan, LinkParams, PlacementPolicy};
+use trackfm_suite::net::{mix, BackendSpec, FaultPlan, LinkParams};
 use trackfm_suite::runtime::{FarMemory, FarMemoryConfig, ObjId};
 use trackfm_suite::workloads::runner::{execute, execute_with_report, RunConfig};
 use trackfm_suite::workloads::stream::{self, StreamParams};
 
 fn spec() -> trackfm_suite::workloads::spec::WorkloadSpec {
     stream::sum(&StreamParams { elems: 64 << 10 })
-}
-
-/// SplitMix64 — the same generator the fault fabric uses, re-derived here so
-/// the sweep's crash schedules are themselves reproducible.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// One seeded crash scenario against a raw `FarMemory`: write everything,
@@ -87,11 +78,9 @@ fn crash_run(seed: u64, backend: BackendSpec) -> FarMemory {
     fm
 }
 
-/// Four interleaved shards holding `replicas` copies of every object.
+/// Four hashed shards holding `replicas` copies of every object.
 fn four_shards(replicas: u32) -> BackendSpec {
-    BackendSpec::sharded(4)
-        .with_placement(PlacementPolicy::Interleave)
-        .with_replicas(replicas)
+    BackendSpec::sharded(4).with_replicas(replicas)
 }
 
 /// 200 seeded crash/restart schedules under `replicas(2)`: every run ends
@@ -168,12 +157,7 @@ fn observed_crash_re_replicates_and_recovers() {
         link: LinkParams::tcp_25g(),
         ..FarMemoryConfig::small()
     }
-    .with_backend(
-        BackendSpec::sharded(4)
-            .with_placement(PlacementPolicy::Interleave)
-            .with_replicas(2)
-            .with_fault_shard(2),
-    )
+    .with_backend(BackendSpec::sharded(4).with_replicas(2).with_fault_shard(2))
     .with_faults(FaultPlan::none().with_cold_crash(100_000, 2_000_000));
     let mut fm = FarMemory::new(cfg);
     let p = fm.allocate(32 * 4096, 0).unwrap();

@@ -13,13 +13,13 @@
 //! |---|---|---|
 //! | `faults` | flawless fabric | a plan whose rates are all zero |
 //! | `replicas(1)` | 4 shards | 4 shards, one copy of each object |
-//! | `tracing-off` | telemetry on | a `TraceConfig` present but disabled |
+//! | `tracing-off` | telemetry on | tracing switched on, then off again |
 //! | `cores(1)` | hand-driven synchronous machine | the one-core scheduler |
 
 mod common;
 
 use trackfm_suite::net::{BackendSpec, FaultPlan};
-use trackfm_suite::telemetry::{RunReport, TraceConfig};
+use trackfm_suite::telemetry::RunReport;
 use trackfm_suite::workloads::hashmap::{hashmap, HashmapParams};
 use trackfm_suite::workloads::openloop::{execute_open_loop, open_loop, OpenLoopParams};
 use trackfm_suite::workloads::runner::{
@@ -69,7 +69,7 @@ fn replicas_one() -> Pair {
     closed_loop(&stream_sum(), base, one)
 }
 
-/// A disabled `TraceConfig` leaves the whole report byte-identical to
+/// Tracing switched off again leaves the whole report byte-identical to
 /// plain telemetry and exports nothing — and switching tracing *on* or
 /// telemetry *off* changes observation, never the simulation.
 fn tracing_off() -> Pair {
@@ -84,8 +84,10 @@ fn tracing_off() -> Pair {
     let base = RunConfig::trackfm(0.25)
         .with_shards(2)
         .with_faults(FaultPlan::drops(0xBAD_CAB1E, 200_000));
-    assert!(!TraceConfig::default().enabled);
-    let pair = closed_loop(&spec, base, base.with_trace(TraceConfig::default()));
+    assert!(!base.trace);
+    let mut cleared = base.with_tracing();
+    cleared.trace = false;
+    let pair = closed_loop(&spec, base, cleared);
     let (gated, rep) = &pair.neutral;
     assert!(
         !rep.to_json().to_string_pretty().contains("timeline"),

@@ -1,12 +1,12 @@
 //! Sharding suite: routing invariants of the multi-node remote backend.
 //!
 //! **Placement determinism** makes sharded runs trustworthy: shard
-//! assignment is a pure function of `(key, shard_count, policy)`, so the
+//! assignment is a pure hash of `(key, shard_count)`, so the
 //! same object set lands on the same shards run after run and per-shard
 //! ledgers are reproducible. (One node is `sharded(1)` by construction:
 //! `BackendSpec::single()` is that value.)
 
-use trackfm_suite::net::{build_backend, BackendSpec, FaultPlan, LinkParams, PlacementPolicy};
+use trackfm_suite::net::{build_backend, mix, BackendSpec, FaultPlan, LinkParams};
 use trackfm_suite::workloads::runner::{execute, RunConfig};
 use trackfm_suite::workloads::stream::{self, StreamParams};
 
@@ -15,23 +15,22 @@ fn spec() -> trackfm_suite::workloads::spec::WorkloadSpec {
 }
 
 /// The same object set maps to the same shards across independently built
-/// backends, for both placement policies and several shard counts.
+/// backends, for several shard counts: the home is `mix(key) % shards`.
 #[test]
 fn placement_is_reproducible_across_backend_instances() {
-    for policy in [PlacementPolicy::Hash, PlacementPolicy::Interleave] {
-        for shards in [2u32, 3, 4, 8] {
-            let spec = BackendSpec::sharded(shards).with_placement(policy);
-            let a = build_backend(LinkParams::tcp_25g(), spec, FaultPlan::none());
-            let b = build_backend(LinkParams::tcp_25g(), spec, FaultPlan::none());
-            for key in (0..4096u64).chain((0..64).map(|k| k << 40)) {
-                let home = a.shard_of(key);
-                assert!(home < shards as usize, "route must stay in range");
-                assert_eq!(
-                    home,
-                    b.shard_of(key),
-                    "{policy:?}/{shards}: key {key} moved between instances"
-                );
-            }
+    for shards in [2u32, 3, 4, 8] {
+        let spec = BackendSpec::sharded(shards);
+        let a = build_backend(LinkParams::tcp_25g(), spec, FaultPlan::none());
+        let b = build_backend(LinkParams::tcp_25g(), spec, FaultPlan::none());
+        for key in (0..4096u64).chain((0..64).map(|k| k << 40)) {
+            let home = a.shard_of(key);
+            assert!(home < shards as usize, "route must stay in range");
+            assert_eq!(
+                home,
+                b.shard_of(key),
+                "{shards}: key {key} moved between instances"
+            );
+            assert_eq!(home as u64, mix(key) % u64::from(shards), "key {key}");
         }
     }
 }
