@@ -732,11 +732,11 @@ mod tests {
     }
 
     #[test]
-    fn unreplicated_warm_crash_re_drives_until_the_shard_restarts() {
+    fn unreplicated_crash_re_drives_until_the_shard_restarts() {
         let mut p = Pager::new(PagerConfig {
             local_budget: 4 * PAGE_SIZE,
             backend: BackendSpec::sharded(2).with_fault_shard(0),
-            faults: FaultPlan::none().with_crash(100_000, 400_000),
+            faults: FaultPlan::none().with_cold_crash(100_000, 400_000),
             ..PagerConfig::default()
         });
         for i in 0..8u64 {
@@ -757,8 +757,12 @@ mod tests {
         assert_eq!(p.stats().recoveries, 1, "re-registration drove the rejoin");
         assert_eq!(p.backend().shard_state(0), ShardState::Up);
         assert_eq!(p.backend().shard_epoch(0), 1, "restart bumped the epoch");
-        assert_eq!(p.stats().lost_pages, 0, "a warm restart keeps its store");
-        assert_eq!(p.backend().audit().unwrap().lost, 0);
+        // The shard came back empty and no replica holds its pages: each
+        // page homed there is lost, and the books say so.
+        let homed = (0..8).filter(|&i| p.backend().shard_of(i) == 0).count() as u64;
+        assert_eq!(p.stats().lost_pages, homed, "{:?}", p.stats());
+        assert_eq!(p.stats().resynced_pages, 0, "nothing to resync from");
+        assert_eq!(p.backend().audit().unwrap().lost, homed);
     }
 
     #[test]

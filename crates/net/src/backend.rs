@@ -801,14 +801,12 @@ impl Sharded {
     }
 
     /// Advances scripted crash/restart transitions to cycle `now` without
-    /// issuing traffic; a cold restart wipes the shard's store (that is what
-    /// "cold" means). A no-op unless some shard has a crash plan.
+    /// issuing traffic; a restart wipes the shard's store. A no-op unless
+    /// some shard has a crash plan.
     fn poll(&mut self, now: u64) {
         for s in 0..self.links.len() {
-            if let Some(cold) = self.links[s].poll_failover(now) {
-                if cold {
-                    self.stores[s].clear();
-                }
+            if self.links[s].poll_failover(now) {
+                self.stores[s].clear();
             }
         }
     }
@@ -1213,7 +1211,7 @@ mod tests {
     fn reads_fail_over_to_the_replica_while_the_primary_is_down() {
         let mut b = Sharded::new(LinkParams::tcp_25g(), 4);
         b.set_replicas(2);
-        b.set_fault_plan_on(0, FaultPlan::none().with_crash(100_000, 900_000));
+        b.set_fault_plan_on(0, FaultPlan::none().with_cold_crash(100_000, 900_000));
         // The key's replicas are shards 0 (primary) and 1.
         let key = key_on(&b, 0, 0);
         b.try_writeback(key, 4096, 0).unwrap();
@@ -1317,7 +1315,7 @@ mod tests {
     #[should_panic(expected = "no replica of key 7 ever came back")]
     fn blocking_transfer_with_every_replica_down_for_good_panics() {
         let spec = BackendSpec::sharded(2).with_replicas(2);
-        let crash = FaultPlan::none().with_crash(0, u64::MAX); // never restarts
+        let crash = FaultPlan::none().with_cold_crash(0, u64::MAX); // never restarts
         let mut b = build_backend(LinkParams::tcp_25g(), spec, crash);
         b.transfer(7, 64, 0);
     }

@@ -17,8 +17,9 @@
 //!   is unreachable: every attempt whose wire slot starts inside the window
 //!   fails like a drop. This is the "remote node died for N ms" experiment.
 //! * **Crash** — a scripted [`CrashWindow`]: the shard is down, every
-//!   attempt fails fast, and at restart it re-enters service through the
-//!   failover state machine ([`ShardState`]), warm or cold.
+//!   attempt fails fast, and at restart it comes back with an empty store
+//!   and re-enters service through the failover state machine
+//!   ([`ShardState`]).
 //!
 //! Every fault is a failed attempt: a transfer that delivers always
 //! completes at the link model's time.
@@ -96,16 +97,14 @@ impl OutageWindow {
 /// `[start, end)` and restarts at `end`. While down, every attempt fails
 /// fast ([`FaultKind::Crash`]); at restart the shard re-enters service
 /// through the failover state machine (`Down → Recovering → Up`) with a
-/// bumped epoch, and — if `cold` — with its un-synced store wiped.
+/// bumped epoch and its store wiped: it must be re-synced before it may
+/// serve.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct CrashWindow {
     /// First cycle the node is down.
     pub start: u64,
     /// First cycle after the restart (exclusive).
     pub end: u64,
-    /// Cold restart: the node comes back empty and must be re-synced
-    /// before it may serve (a warm restart keeps its durable store).
-    pub cold: bool,
 }
 
 impl CrashWindow {
@@ -121,9 +120,8 @@ impl CrashWindow {
 ///
 /// `Up → Suspect` when the health EWMA degrades; `Suspect → Up` when it
 /// recovers. `→ Down` on a crash signal; `Down → Recovering` at restart
-/// (epoch bump, cold-restart store wipe); `Recovering → Up` once the
-/// backend has re-synced the shard from its ack ledger
-/// (`Sharded::service`).
+/// (epoch bump, store wipe); `Recovering → Up` once the backend has
+/// re-synced the shard from its ack ledger (`Sharded::service`).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum ShardState {
     /// Healthy and serving.
@@ -215,27 +213,11 @@ impl FaultPlan {
         self
     }
 
-    /// Returns a copy with a scripted warm crash/restart: the node is down
-    /// for `[start, end)`, restarts with its store intact.
-    pub fn with_crash(mut self, start: u64, end: u64) -> Self {
-        assert!(start < end, "crash window must be non-empty");
-        self.crash = Some(CrashWindow {
-            start,
-            end,
-            cold: false,
-        });
-        self
-    }
-
     /// Returns a copy with a scripted cold crash/restart: the node is down
     /// for `[start, end)` and loses its un-synced store at restart.
     pub fn with_cold_crash(mut self, start: u64, end: u64) -> Self {
         assert!(start < end, "crash window must be non-empty");
-        self.crash = Some(CrashWindow {
-            start,
-            end,
-            cold: true,
-        });
+        self.crash = Some(CrashWindow { start, end });
         self
     }
 
@@ -262,8 +244,8 @@ impl std::fmt::Display for FaultPlan {
             write!(f, " outage=[{}, {})", w.start, w.end)?;
         }
         if let Some(c) = self.crash {
-            let mode = if c.cold { "cold" } else { "warm" };
-            write!(f, " crash=[{}, {}) {mode}", c.start, c.end)?;
+            // Every restart is cold: the node comes back empty.
+            write!(f, " crash=[{}, {}) cold", c.start, c.end)?;
         }
         Ok(())
     }
@@ -557,7 +539,6 @@ mod tests {
         let c = CrashWindow {
             start: 100,
             end: 200,
-            cold: true,
         };
         assert!(!c.contains(99));
         assert!(c.contains(100));
@@ -629,13 +610,10 @@ mod tests {
 
     #[test]
     fn crash_plan_is_active_and_displays() {
-        let p = FaultPlan::none().with_crash(1_000, 2_000);
-        assert!(p.is_active());
-        assert!(p.to_string().contains("crash=[1000, 2000) warm"));
         let c = FaultPlan::none().with_cold_crash(5, 9);
+        assert!(c.is_active());
         assert!(c.to_string().contains("crash=[5, 9) cold"));
-        assert!(c.crash.unwrap().cold);
-        assert!(!p.crash.unwrap().cold);
+        assert_eq!(c.crash, Some(CrashWindow { start: 5, end: 9 }));
     }
 
     #[test]

@@ -400,26 +400,25 @@ impl Link {
     }
 
     /// Advances the crash-driven failover transitions to cycle `now`
-    /// without issuing any traffic. Returns `Some(cold)` exactly once per
-    /// scripted crash, at the `Down → Recovering` edge (restart): the
-    /// epoch is bumped and `Sharded` owns re-syncing the node (a `cold`
-    /// restart additionally lost its un-synced store). The edge fires even
-    /// if no attempt ever landed inside the window — the crash happened
-    /// whether or not anyone was talking to the node.
-    pub(crate) fn poll_failover(&mut self, now: u64) -> Option<bool> {
-        let c = self.fault.as_ref().and_then(|f| f.plan.crash)?;
+    /// without issuing any traffic. Returns true exactly once per scripted
+    /// crash, at the `Down → Recovering` edge (restart): the epoch is
+    /// bumped, the node lost its store, and `Sharded` owns re-syncing it.
+    /// The edge fires even if no attempt ever landed inside the window —
+    /// the crash happened whether or not anyone was talking to the node.
+    pub(crate) fn poll_failover(&mut self, now: u64) -> bool {
+        let Some(c) = self.fault.as_ref().and_then(|f| f.plan.crash) else {
+            return false;
+        };
         // Once the restart has been processed the window is history: an
         // attempt stamped with an in-window cycle can still arrive later
         // (overlapping operations advance their own timelines at different
         // rates) and must not knock the restarted node back Down.
         if self.crash_done {
-            return None;
+            return false;
         }
         if c.contains(now) {
             self.fstate = ShardState::Down;
-            return None;
-        }
-        if now >= c.end {
+        } else if now >= c.end {
             // A plan scripts one window, and `crash_done` latches its
             // restart edge: the epoch is bumped once per window (only
             // `reset_stats` rewinds it) and no shard re-enters `Recovering`
@@ -427,9 +426,9 @@ impl Link {
             self.crash_done = true;
             self.fstate = ShardState::Recovering;
             self.epoch += 1;
-            return Some(c.cold);
+            return true;
         }
-        None
+        false
     }
 
     /// The node's failover state.
@@ -683,7 +682,7 @@ mod tests {
     fn crash_fails_fast_without_burning_the_wire() {
         let p = LinkParams::tcp_25g();
         let mut l = Link::new(p);
-        l.set_fault_plan(FaultPlan::none().with_crash(0, 500_000));
+        l.set_fault_plan(FaultPlan::none().with_cold_crash(0, 500_000));
         let f = l.try_transfer(4096, 100).unwrap_err();
         assert_eq!(f.kind, FaultKind::Crash);
         // Connection refused: detection after one base latency, not the
@@ -694,10 +693,10 @@ mod tests {
         assert_eq!(l.stats().faults, 1);
         assert_eq!(l.failover_state(), ShardState::Down);
         // Past the window the node restarts: exactly one Recovering edge.
-        assert_eq!(l.poll_failover(600_000), Some(false));
+        assert!(l.poll_failover(600_000));
         assert_eq!(l.failover_state(), ShardState::Recovering);
         assert_eq!(l.epoch(), 1);
-        assert_eq!(l.poll_failover(700_000), None, "restart fires once");
+        assert!(!l.poll_failover(700_000), "restart fires once");
         l.mark_synced();
         assert_eq!(l.failover_state(), ShardState::Up);
         let done = l.try_transfer(4096, 700_000).unwrap();
@@ -707,13 +706,13 @@ mod tests {
     #[test]
     fn unobserved_crash_still_restarts_with_a_bumped_epoch() {
         // Nobody talks to the node during its window; the restart edge must
-        // still fire on the first poll after the window (a cold crash wiped
+        // still fire on the first poll after the window (the crash wiped
         // the store whether or not anyone noticed).
         let mut l = Link::new(LinkParams::tcp_25g());
         l.set_fault_plan(FaultPlan::none().with_cold_crash(1_000, 2_000));
-        assert_eq!(l.poll_failover(500), None, "before the window: nothing");
+        assert!(!l.poll_failover(500), "before the window: nothing");
         assert_eq!(l.failover_state(), ShardState::Up);
-        assert_eq!(l.poll_failover(5_000), Some(true), "cold restart reported");
+        assert!(l.poll_failover(5_000), "restart reported");
         assert_eq!(l.epoch(), 1);
         assert_eq!(l.failover_state(), ShardState::Recovering);
     }
@@ -740,10 +739,10 @@ mod tests {
     #[test]
     fn reset_stats_clears_failover_state_and_epoch() {
         let mut l = Link::new(LinkParams::tcp_25g());
-        l.set_fault_plan(FaultPlan::none().with_crash(0, 1_000));
+        l.set_fault_plan(FaultPlan::none().with_cold_crash(0, 1_000));
         let _ = l.try_transfer(64, 10);
         assert_eq!(l.failover_state(), ShardState::Down);
-        assert_eq!(l.poll_failover(5_000), Some(false));
+        assert!(l.poll_failover(5_000));
         assert_eq!(l.epoch(), 1);
         l.reset_stats();
         assert_eq!(l.failover_state(), ShardState::Up);

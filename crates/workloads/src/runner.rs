@@ -101,6 +101,13 @@ pub struct RunConfig {
     pub engine: tfm_sim::ExecEngine,
 }
 
+// Goes with `_heap_ballast`: a field added or removed fails the build here
+// instead of moving `tfm-perf`'s `peak_rss_mb`.
+const _: () = assert!(
+    std::mem::size_of::<RunConfig>() == 432,
+    "RunConfig must stay 432 bytes: resize `_heap_ballast` (see its doc)"
+);
+
 impl RunConfig {
     /// A TrackFM configuration with default compiler settings.
     pub fn trackfm(local_fraction: f64) -> Self {

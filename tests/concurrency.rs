@@ -13,7 +13,7 @@
 //!    the same inputs reproduce identical core clocks, stats, latencies
 //!    and checksums on every run.
 
-mod common;
+pub mod common;
 
 use common::manual_sync_outcome;
 use trackfm_suite::net::{mix, FaultPlan};

@@ -15,13 +15,14 @@
 //! blocks, self-loops and several exits) and over every function of the
 //! workload suite, before and after compilation.
 
+pub mod common;
+
+use common::{suite, Size};
 use trackfm_suite::compiler::TrackFmCompiler;
 use trackfm_suite::ir::{
     Block, DomTree, Function, FunctionBuilder, Module, PostDomTree, Signature, Type,
 };
-use trackfm_suite::workloads::{
-    analytics, hashmap, kmeans, memcached, nas, serving, stream, SplitMix64,
-};
+use trackfm_suite::workloads::SplitMix64;
 
 /// Nodes reachable from `roots` along `edges`, never entering `avoid`.
 fn reach(edges: &[Vec<usize>], roots: &[usize], avoid: Option<usize>) -> Vec<bool> {
@@ -142,43 +143,7 @@ fn dominators_match_the_path_definition_on_random_cfgs() {
 
 #[test]
 fn dominators_match_the_path_definition_on_the_workload_suite() {
-    let sp = stream::StreamParams { elems: 4 << 10 };
-    let specs = vec![
-        stream::sum(&sp),
-        stream::copy(&sp),
-        stream::triad(&sp),
-        stream::strided_sum(512, 16),
-        kmeans::kmeans(&kmeans::KmeansParams {
-            points: 256,
-            dims: 4,
-            k: 3,
-            iters: 1,
-        }),
-        hashmap::hashmap(&hashmap::HashmapParams {
-            keys: 256,
-            lookups: 512,
-            skew: 1.02,
-            seed: 5,
-        }),
-        analytics::analytics(&analytics::AnalyticsParams {
-            rows: 1024,
-            groups: 64,
-        }),
-        memcached::memcached(&memcached::MemcachedParams {
-            keys: 256,
-            gets: 512,
-            skew: 1.1,
-            seed: 6,
-        }),
-        serving::serving(&serving::ServingParams {
-            ops: 64,
-            buckets: 64,
-            seed: 7,
-        }),
-    ]
-    .into_iter()
-    .chain(nas::all(&nas::NasParams { shrink: 100 }));
-    for spec in specs {
+    for spec in suite(Size::Compile) {
         let mut compiled = spec.module.clone();
         TrackFmCompiler::default().compile(&mut compiled, None);
         for (tag, m) in [("source", &spec.module), ("compiled", &compiled)] {

@@ -10,12 +10,12 @@
 //! the same workload+config as production does (no engine selected) and on
 //! the reference, and compare the rendered [`RunReport`]s byte for byte.
 
+pub mod common;
+
+use common::{suite, Size};
 use trackfm_suite::compiler::CostModel;
 use trackfm_suite::net::{BackendSpec, FaultPlan};
 use trackfm_suite::sim::{ExecEngine, LocalMem, Machine};
-use trackfm_suite::workloads::analytics::{analytics, AnalyticsParams};
-use trackfm_suite::workloads::kmeans::{kmeans, KmeansParams};
-use trackfm_suite::workloads::nas::{self, NasParams};
 use trackfm_suite::workloads::openloop::{
     execute_open_loop_with_report, open_loop, OpenLoopParams,
 };
@@ -138,24 +138,10 @@ fn open_loop_multicore_is_engine_invariant() {
 /// Profile collection feeds the profile-guided figure benches (fig08/14/
 /// 15/17) through `collect_profile`, so a drift here would silently move
 /// simulated figures: block and edge counts must match the reference's on
-/// every profiled workload.
+/// every suite workload.
 #[test]
 fn collected_profiles_are_engine_invariant() {
-    let specs = [
-        kmeans(&KmeansParams {
-            points: 1_500,
-            dims: 8,
-            k: 4,
-            iters: 2,
-        }),
-        analytics(&AnalyticsParams {
-            rows: 8_000,
-            groups: 600,
-        }),
-    ]
-    .into_iter()
-    .chain(nas::all(&NasParams { shrink: 25 }));
-    for spec in specs {
+    for spec in suite(Size::Run) {
         let production = runner::collect_profile(&spec);
         let heap = spec.heap_size(4096);
         let mut machine = Machine::new(

@@ -22,6 +22,31 @@ fn spec() -> trackfm_suite::workloads::spec::WorkloadSpec {
     stream::sum(&StreamParams { elems: 64 << 10 })
 }
 
+/// Phase 1 of every scenario: a 1 MiB far heap of 4 KiB objects with an
+/// eight-object local budget on `backend` under `plan`, its 32 objects
+/// dirtied and their writebacks acknowledged by an evacuation. Returns the
+/// runtime, the first object and the clock.
+fn acked(backend: BackendSpec, plan: FaultPlan) -> (FarMemory, ObjId, u64) {
+    let cfg = FarMemoryConfig {
+        heap_size: 1 << 20,
+        object_size: 4096,
+        local_budget: 8 * 4096,
+        link: LinkParams::tcp_25g(),
+        ..FarMemoryConfig::small()
+    }
+    .with_backend(backend)
+    .with_faults(plan);
+    let mut fm = FarMemory::new(cfg);
+    let p = fm.allocate(32 * 4096, 0).unwrap();
+    let base = fm.obj_of_offset(p.offset());
+    let mut now = 0u64;
+    for k in 0..32u64 {
+        now += fm.localize(ObjId(base.0 + k), true, now);
+    }
+    fm.evacuate_all(now);
+    (fm, base, now)
+}
+
 /// One seeded crash scenario against a raw `FarMemory`: write everything,
 /// ack it with an evacuation, then ride a scripted crash window (reads,
 /// writes, another evacuation) and finish past the restart. Returns the
@@ -30,33 +55,11 @@ fn spec() -> trackfm_suite::workloads::spec::WorkloadSpec {
 fn crash_run(seed: u64, backend: BackendSpec) -> FarMemory {
     let sick = (mix(seed) % backend.shard_count() as u64) as u32;
     // Windows land inside the traffic phase below: start in [80K, 280K),
-    // 60K-200K cycles long, warm or cold on a coin flip.
+    // 60K-200K cycles long.
     let start = 80_000 + mix(seed ^ 1) % 200_000;
     let end = start + 60_000 + mix(seed ^ 2) % 140_000;
-    let plan = if mix(seed ^ 3) & 1 == 0 {
-        FaultPlan::none().with_cold_crash(start, end)
-    } else {
-        FaultPlan::none().with_crash(start, end)
-    };
-    let cfg = FarMemoryConfig {
-        heap_size: 1 << 20,
-        object_size: 4096,
-        local_budget: 8 * 4096,
-        link: LinkParams::tcp_25g(),
-        ..FarMemoryConfig::small()
-    }
-    .with_backend(backend.with_fault_shard(sick))
-    .with_faults(plan);
-    let mut fm = FarMemory::new(cfg);
-    let p = fm.allocate(32 * 4096, 0).unwrap();
-    let base = fm.obj_of_offset(p.offset());
-
-    // Phase 1: dirty every object and acknowledge the writebacks.
-    let mut now = 0u64;
-    for k in 0..32u64 {
-        now += fm.localize(ObjId(base.0 + k), true, now);
-    }
-    fm.evacuate_all(now);
+    let plan = FaultPlan::none().with_cold_crash(start, end);
+    let (mut fm, base, mut now) = acked(backend.with_fault_shard(sick), plan);
 
     // Phase 2: mixed read/write traffic across the crash window, with a
     // second evacuation mid-stream so writebacks race the crash too.
@@ -139,7 +142,7 @@ fn unreplicated_cold_crash_loses_acknowledged_state_honestly() {
         }
         assert!(
             lost_somewhere,
-            "{backend}: 40 unreplicated cold/warm crashes never losing data \
+            "{backend}: 40 unreplicated crashes never losing data \
              means the fault injector is not firing"
         );
     }
@@ -150,26 +153,13 @@ fn unreplicated_cold_crash_loses_acknowledged_state_honestly() {
 /// re-syncs it — redundancy ends the run fully restored.
 #[test]
 fn observed_crash_re_replicates_and_recovers() {
-    let cfg = FarMemoryConfig {
-        heap_size: 1 << 20,
-        object_size: 4096,
-        local_budget: 8 * 4096,
-        link: LinkParams::tcp_25g(),
-        ..FarMemoryConfig::small()
-    }
-    .with_backend(BackendSpec::sharded(4).with_replicas(2).with_fault_shard(2))
-    .with_faults(FaultPlan::none().with_cold_crash(100_000, 2_000_000));
-    let mut fm = FarMemory::new(cfg);
-    let p = fm.allocate(32 * 4096, 0).unwrap();
-    let base = fm.obj_of_offset(p.offset());
-    let mut now = 0u64;
-    for k in 0..32u64 {
-        now += fm.localize(ObjId(base.0 + k), true, now);
-    }
-    fm.evacuate_all(now);
+    let (mut fm, base, _) = acked(
+        BackendSpec::sharded(4).with_replicas(2).with_fault_shard(2),
+        FaultPlan::none().with_cold_crash(100_000, 2_000_000),
+    );
 
     // Inside the window: reads fail over, the down shard is drained.
-    now = 150_000;
+    let mut now = 150_000;
     for k in 0..32u64 {
         now += fm.localize(ObjId(base.0 + k), false, now);
     }

@@ -16,7 +16,7 @@
 //! | `tracing-off` | telemetry on | tracing switched on, then off again |
 //! | `cores(1)` | hand-driven synchronous machine | the one-core scheduler |
 
-mod common;
+pub mod common;
 
 use trackfm_suite::net::{BackendSpec, FaultPlan};
 use trackfm_suite::telemetry::RunReport;

@@ -10,12 +10,14 @@
 //!   behaviour;
 //! * the full TrackFM transformation preserves behaviour under far memory.
 
+pub mod common;
+
+use common::{run_far, Far, FarRun};
 use trackfm_suite::compiler::{CostModel, TrackFmCompiler};
 use trackfm_suite::ir::{
     parse_module, BinOp, CmpOp, FunctionBuilder, Module, Signature, Type, Value,
 };
-use trackfm_suite::runtime::FarMemoryConfig;
-use trackfm_suite::sim::{LocalMem, Machine, TrackFmMem};
+use trackfm_suite::sim::{LocalMem, Machine};
 use trackfm_suite::workloads::SplitMix64;
 
 /// One generated operation.
@@ -57,6 +59,33 @@ const CMPS: [CmpOp; 6] = [
     CmpOp::Uge,
 ];
 
+/// Emits one base op over the values so far. `StackSlot` goes through
+/// `stack` when given, else through `scratch` like `StoreLoad`.
+fn emit(
+    b: &mut FunctionBuilder,
+    op: &Op,
+    vals: &[Value],
+    scratch: Value,
+    stack: Option<&[Value]>,
+) -> Value {
+    let pick = |n: u8| vals[n as usize % vals.len()];
+    match (op, stack) {
+        (Op::Bin(o, x, y), _) => b.binop(BINOPS[*o as usize % BINOPS.len()], pick(*x), pick(*y)),
+        (Op::Cmp(o, x, y), _) => b.icmp(CMPS[*o as usize % CMPS.len()], pick(*x), pick(*y)),
+        (Op::StackSlot(x, s), Some(slots)) => {
+            let sl = slots[(*s % 4) as usize];
+            b.store(sl, pick(*x));
+            b.load(Type::I64, sl)
+        }
+        (Op::StoreLoad(x, s) | Op::StackSlot(x, s), _) => {
+            let slot = b.iconst(Type::I64, (s % 16) as i64);
+            let addr = b.gep(scratch, slot, 8, 0);
+            b.store(addr, pick(*x));
+            b.load(Type::I64, addr)
+        }
+    }
+}
+
 /// Builds a program from the op list: computes over two params plus a
 /// 16-slot heap scratch buffer, ends with a diamond on the running value.
 fn build(ops: &[Op], seed: i64) -> Module {
@@ -76,32 +105,7 @@ fn build(ops: &[Op], seed: i64) -> Module {
         }
         vals.push(c);
         for op in ops {
-            let pick = |n: u8, len: usize| n as usize % len;
-            let v = match op {
-                Op::Bin(o, x, y) => {
-                    let a = vals[pick(*x, vals.len())];
-                    let bb = vals[pick(*y, vals.len())];
-                    b.binop(BINOPS[pick(*o, BINOPS.len())], a, bb)
-                }
-                Op::Cmp(o, x, y) => {
-                    let a = vals[pick(*x, vals.len())];
-                    let bb = vals[pick(*y, vals.len())];
-                    b.icmp(CMPS[pick(*o, CMPS.len())], a, bb)
-                }
-                Op::StoreLoad(x, s) => {
-                    let v = vals[pick(*x, vals.len())];
-                    let slot = b.iconst(Type::I64, (s % 16) as i64);
-                    let addr = b.gep(scratch, slot, 8, 0);
-                    b.store(addr, v);
-                    b.load(Type::I64, addr)
-                }
-                Op::StackSlot(x, s) => {
-                    let v = vals[pick(*x, vals.len())];
-                    let sl = slots[(*s % 4) as usize];
-                    b.store(sl, v);
-                    b.load(Type::I64, sl)
-                }
-            };
+            let v = emit(&mut b, op, &vals, scratch, Some(&slots));
             vals.push(v);
         }
         let last = *vals.last().unwrap();
@@ -125,30 +129,12 @@ fn build(ops: &[Op], seed: i64) -> Module {
     m
 }
 
+/// The oracle: `main(a, b, scratch)` on plain local memory.
 fn run_local(m: &Module, a: u64, b: u64) -> u64 {
     let mut machine = Machine::new(m, LocalMem::new(1 << 16), CostModel::default(), 1 << 16);
     let scratch = machine.setup_alloc(128);
     machine.setup_write_u64s(scratch, &[0; 16]);
     machine.finish_setup(false);
-    machine
-        .run("main", &[a, b, scratch])
-        .expect("clean run")
-        .ret
-}
-
-fn run_trackfm(m: &Module, a: u64, b: u64) -> u64 {
-    let cfg = FarMemoryConfig {
-        heap_size: 1 << 16,
-        object_size: 64,
-        local_budget: 256, // heavy pressure: 4 objects
-        link: trackfm_suite::net::LinkParams::tcp_25g(),
-        ..FarMemoryConfig::small()
-    };
-    let mem = TrackFmMem::new(cfg, CostModel::default());
-    let mut machine = Machine::new(m, mem, CostModel::default(), 1 << 16);
-    let scratch = machine.setup_alloc(128);
-    machine.setup_write_u64s(scratch, &[0; 16]);
-    machine.finish_setup(true); // cold: everything remote at t=0
     machine
         .run("main", &[a, b, scratch])
         .expect("clean run")
@@ -190,7 +176,13 @@ fn random_programs_verify_roundtrip_optimize_and_remote() {
         // The far-memory transformation preserves behaviour under pressure.
         let mut far = m.clone();
         TrackFmCompiler::default().compile(&mut far, None);
-        assert_eq!(run_trackfm(&far, a, b), want, "TrackFM changed behaviour");
+        let run_trackfm = |m: &Module| {
+            run_far(m, &[a, b], Far::default())
+                .0
+                .expect("clean run")
+                .ret
+        };
+        assert_eq!(run_trackfm(&far), want, "TrackFM changed behaviour");
 
         // And O1 + TrackFM together.
         let mut both = m.clone();
@@ -199,35 +191,8 @@ fn random_programs_verify_roundtrip_optimize_and_remote() {
             ..Default::default()
         });
         compiler.compile(&mut both, None);
-        assert_eq!(
-            run_trackfm(&both, a, b),
-            want,
-            "O1+TrackFM changed behaviour"
-        );
+        assert_eq!(run_trackfm(&both), want, "O1+TrackFM changed behaviour");
     }
-}
-
-/// [`run_trackfm`], with the guard sanitizer armed: any dereference of a
-/// heap pointer without live guard custody traps instead of executing.
-/// Returns the result and the simulated cycle count.
-fn run_trackfm_sanitized(m: &Module, a: u64, b: u64) -> (u64, u64) {
-    let cfg = FarMemoryConfig {
-        heap_size: 1 << 16,
-        object_size: 64,
-        local_budget: 256,
-        link: trackfm_suite::net::LinkParams::tcp_25g(),
-        ..FarMemoryConfig::small()
-    };
-    let mem = TrackFmMem::new(cfg, CostModel::default());
-    let mut machine = Machine::new(m, mem, CostModel::default(), 1 << 16);
-    machine.enable_guard_sanitizer();
-    let scratch = machine.setup_alloc(128);
-    machine.setup_write_u64s(scratch, &[0; 16]);
-    machine.finish_setup(true);
-    let r = machine
-        .run("main", &[a, b, scratch])
-        .expect("sanitizer-clean run");
-    (r.ret, r.stats.cycles)
 }
 
 /// One operation of the *interprocedural* generator: the base ops plus
@@ -345,25 +310,7 @@ fn build_interproc(ops: &[ExtOp], seed: i64) -> Module {
         let pick = |vals: &[Value], n: u8| vals[n as usize % vals.len()];
         for op in ops {
             let v = match op {
-                ExtOp::Base(op) => match op {
-                    Op::Bin(o, x, y) => {
-                        let a = pick(&vals, *x);
-                        let bb = pick(&vals, *y);
-                        b.binop(BINOPS[*o as usize % BINOPS.len()], a, bb)
-                    }
-                    Op::Cmp(o, x, y) => {
-                        let a = pick(&vals, *x);
-                        let bb = pick(&vals, *y);
-                        b.icmp(CMPS[*o as usize % CMPS.len()], a, bb)
-                    }
-                    Op::StoreLoad(x, s) | Op::StackSlot(x, s) => {
-                        let v = pick(&vals, *x);
-                        let slot = b.iconst(Type::I64, (s % 16) as i64);
-                        let addr = b.gep(scratch, slot, 8, 0);
-                        b.store(addr, v);
-                        b.load(Type::I64, addr)
-                    }
-                },
+                ExtOp::Base(op) => emit(&mut b, op, &vals, scratch, None),
                 ExtOp::CallPure(x) => {
                     let a = pick(&vals, *x);
                     b.call(pure_fn, vec![a], Some(Type::I64))
@@ -464,12 +411,18 @@ fn every_guard_opt_level_agrees_on_random_corpus() {
                     "case {case} {level:?}: lint must pass on pipeline output"
                 );
                 // Dynamic: the sanitizer checks custody on the taken path.
-                let (got, cycles) = run_trackfm_sanitized(&far, a, b);
+                let sanitized = Far {
+                    sanitize: true,
+                    ..Far::default()
+                };
+                let r = run_far(&far, &[a, b], sanitized)
+                    .0
+                    .expect("sanitizer-clean run");
                 assert_eq!(
-                    got, want,
+                    r.ret, want,
                     "case {case} {level:?}: result differs from the LocalMem oracle"
                 );
-                (report, cycles)
+                (report, r.stats.cycles)
             });
         assert!(
             c_none >= c_local && c_local >= c_full,
@@ -497,6 +450,22 @@ fn every_guard_opt_level_agrees_on_random_corpus() {
     );
 }
 
+/// `main(a, b, p) = *p`: a raw heap dereference that never passed
+/// through a guard.
+fn unguarded_load() -> Module {
+    let mut m = Module::new("bad");
+    let id = m.declare_function(
+        "main",
+        Signature::new(vec![Type::I64, Type::I64, Type::Ptr], Some(Type::I64)),
+    );
+    let mut b = FunctionBuilder::new(m.function_mut(id));
+    let p = b.param(2);
+    let v = b.load(Type::I64, p);
+    b.ret(Some(v));
+    m.verify().unwrap();
+    m
+}
+
 /// Both checkers reject the same broken program: a raw dereference of a
 /// heap pointer that never passed through a guard is a static lint error
 /// *and* a dynamic sanitizer trap.
@@ -504,96 +473,28 @@ fn every_guard_opt_level_agrees_on_random_corpus() {
 fn lint_and_sanitizer_both_reject_unguarded_access() {
     use trackfm_suite::sim::Trap;
 
-    let mut m = Module::new("bad");
-    let id = m.declare_function(
-        "main",
-        Signature::new(vec![Type::I64, Type::I64, Type::Ptr], Some(Type::I64)),
-    );
-    {
-        let mut b = FunctionBuilder::new(m.function_mut(id));
-        let p = b.param(2);
-        let v = b.load(Type::I64, p); // unknown-provenance deref, no guard
-        b.ret(Some(v));
-    }
-    m.verify().unwrap();
-
+    let m = unguarded_load();
     let errors = trackfm_suite::compiler::lint_module(&m);
     assert_eq!(errors.len(), 1, "lint must flag the raw deref: {errors:?}");
     assert!(errors[0]
         .to_string()
         .contains("never passed through a guard"));
 
-    let cfg = FarMemoryConfig {
-        heap_size: 1 << 16,
-        object_size: 64,
-        local_budget: 256,
-        link: trackfm_suite::net::LinkParams::tcp_25g(),
-        ..FarMemoryConfig::small()
+    let sanitized = Far {
+        sanitize: true,
+        ..Far::default()
     };
-    let mem = TrackFmMem::new(cfg, CostModel::default());
-    let mut machine = Machine::new(&m, mem, CostModel::default(), 1 << 16);
-    machine.enable_guard_sanitizer();
-    let scratch = machine.setup_alloc(128);
-    machine.setup_write_u64s(scratch, &[0; 16]);
-    machine.finish_setup(false);
-    match machine.run("main", &[0, 0, scratch]) {
+    match run_far(&m, &[0, 0], sanitized).0 {
         Err(Trap::UnguardedAccess { .. }) => {}
         other => panic!("sanitizer should trap the unguarded deref, got {other:?}"),
     }
-}
-
-/// Runs `m` under far memory on the given engine, returning the outcome
-/// and the machine's final clock (observable even when the run traps —
-/// that's what makes the fuel-lockstep sweep below possible).
-fn exec_far_engine(
-    m: &Module,
-    engine: trackfm_suite::sim::ExecEngine,
-    a: u64,
-    b: u64,
-    sanitize: bool,
-    fuel: u64,
-) -> (
-    Result<trackfm_suite::sim::RunResult, trackfm_suite::sim::Trap>,
-    u64,
-) {
-    let cfg = FarMemoryConfig {
-        heap_size: 1 << 16,
-        object_size: 64,
-        local_budget: 256,
-        link: trackfm_suite::net::LinkParams::tcp_25g(),
-        ..FarMemoryConfig::small()
-    };
-    let mem = TrackFmMem::new(cfg, CostModel::default());
-    let mut machine = Machine::new(m, mem, CostModel::default(), 1 << 16);
-    machine.set_engine(engine);
-    machine.set_fuel(fuel);
-    if sanitize {
-        machine.enable_guard_sanitizer();
-    }
-    let scratch = machine.setup_alloc(128);
-    machine.setup_write_u64s(scratch, &[0; 16]);
-    machine.finish_setup(true);
-    let r = machine.run("main", &[a, b, scratch]);
-    let clock = machine.clock();
-    (r, clock)
 }
 
 /// Asserts the two engines produced bit-identical outcomes: same
 /// result-or-trap (including trap positions), same full [`ExecStats`]
 /// (cycles, instructions, loads/stores, every guard counter, stalls), and
 /// the same final clock.
-#[allow(clippy::type_complexity)]
-fn assert_engines_identical(
-    ctx: &str,
-    tw: (
-        Result<trackfm_suite::sim::RunResult, trackfm_suite::sim::Trap>,
-        u64,
-    ),
-    bc: (
-        Result<trackfm_suite::sim::RunResult, trackfm_suite::sim::Trap>,
-        u64,
-    ),
-) {
+fn assert_engines_identical(ctx: &str, tw: FarRun, bc: FarRun) {
     match (&tw.0, &bc.0) {
         (Ok(x), Ok(y)) => {
             assert_eq!(x.ret, y.ret, "{ctx}: results differ");
@@ -627,9 +528,23 @@ fn engines_agree_on_random_corpus_in_lockstep() {
 
         // Full runs, sanitizer off and on: result, stats, cycles, verdict.
         for sanitize in [false, true] {
-            let tw = exec_far_engine(&far, ExecEngine::TreeWalk, a, b, sanitize, u64::MAX);
-            let bc = exec_far_engine(&far, ExecEngine::Bytecode, a, b, sanitize, u64::MAX);
-            assert_engines_identical(&format!("case {case} sanitize={sanitize}"), tw, bc);
+            let fuel = None;
+            let run = |engine| {
+                run_far(
+                    &far,
+                    &[a, b],
+                    Far {
+                        sanitize,
+                        engine,
+                        fuel,
+                    },
+                )
+            };
+            assert_engines_identical(
+                &format!("case {case} sanitize={sanitize}"),
+                run(ExecEngine::TreeWalk),
+                run(ExecEngine::Bytecode),
+            );
         }
 
         // Per-instruction lockstep on a deterministic subset: truncate both
@@ -638,7 +553,19 @@ fn engines_agree_on_random_corpus_in_lockstep() {
         // engines charge cycles in the same per-instruction order, not just
         // to the same total.
         if case % 10 == 0 {
-            let (full, _) = exec_far_engine(&far, ExecEngine::TreeWalk, a, b, false, u64::MAX);
+            let sanitize = false;
+            let run = |engine, fuel| {
+                run_far(
+                    &far,
+                    &[a, b],
+                    Far {
+                        sanitize,
+                        engine,
+                        fuel,
+                    },
+                )
+            };
+            let (full, _) = run(ExecEngine::TreeWalk, None);
             let retired = full.as_ref().map(|r| r.stats.instructions).unwrap_or(64);
             for k in [
                 1,
@@ -650,9 +577,11 @@ fn engines_agree_on_random_corpus_in_lockstep() {
                 retired.saturating_sub(1),
             ] {
                 let k = k.max(1);
-                let tw = exec_far_engine(&far, ExecEngine::TreeWalk, a, b, false, k);
-                let bc = exec_far_engine(&far, ExecEngine::Bytecode, a, b, false, k);
-                assert_engines_identical(&format!("case {case} fuel={k}"), tw, bc);
+                assert_engines_identical(
+                    &format!("case {case} fuel={k}"),
+                    run(ExecEngine::TreeWalk, Some(k)),
+                    run(ExecEngine::Bytecode, Some(k)),
+                );
             }
         }
     }
@@ -666,20 +595,20 @@ fn engines_agree_on_random_corpus_in_lockstep() {
 fn engines_report_identical_sanitizer_trap_positions() {
     use trackfm_suite::sim::{ExecEngine, Trap};
 
-    let mut m = Module::new("bad");
-    let id = m.declare_function(
-        "main",
-        Signature::new(vec![Type::I64, Type::I64, Type::Ptr], Some(Type::I64)),
-    );
-    {
-        let mut b = FunctionBuilder::new(m.function_mut(id));
-        let p = b.param(2);
-        let v = b.load(Type::I64, p); // unguarded heap deref
-        b.ret(Some(v));
-    }
-    m.verify().unwrap();
-    let tw = exec_far_engine(&m, ExecEngine::TreeWalk, 0, 0, true, u64::MAX);
-    let bc = exec_far_engine(&m, ExecEngine::Bytecode, 0, 0, true, u64::MAX);
+    let m = unguarded_load();
+    let (sanitize, fuel) = (true, None);
+    let run = |engine| {
+        run_far(
+            &m,
+            &[0, 0],
+            Far {
+                sanitize,
+                engine,
+                fuel,
+            },
+        )
+    };
+    let (tw, bc) = (run(ExecEngine::TreeWalk), run(ExecEngine::Bytecode));
     let (t1, t2) = (tw.0.unwrap_err(), bc.0.unwrap_err());
     assert!(matches!(t1, Trap::UnguardedAccess { .. }), "{t1:?}");
     assert_eq!(t1, t2, "trap payloads (incl. positions) must match");

@@ -4,13 +4,45 @@
 //!
 //! Each workload spec carries a host-computed `expected` checksum; the
 //! runner asserts it on every execution, so these tests "only" need to
-//! exercise the configuration space. Property-based tests randomize the
-//! parameters.
+//! exercise the configuration space. Each test is a table of [`Row`]s;
+//! the property-based ones draw their rows' parameters from a seeded RNG.
 
+pub mod common;
+
+use common::{suite, Size};
+use trackfm_suite::analysis::profile::Profile;
 use trackfm_suite::compiler::ChunkingMode;
-use trackfm_suite::workloads::runner::{collect_profile, execute, execute_with_profile, RunConfig};
-use trackfm_suite::workloads::{analytics, hashmap, kmeans, memcached, nas, stream, SplitMix64};
+use trackfm_suite::workloads::runner::{collect_profile, execute_with_profile, Outcome, RunConfig};
+use trackfm_suite::workloads::spec::WorkloadSpec;
+use trackfm_suite::workloads::{hashmap, kmeans, stream, SplitMix64};
 
+/// One row: `spec` must compute its host checksum on every configuration
+/// `systems(frac, object_size)` returns.
+struct Row {
+    spec: WorkloadSpec,
+    systems: fn(f64, u64) -> Vec<RunConfig>,
+    frac: f64,
+    object_size: u64,
+}
+
+impl Row {
+    /// Runs the row, compiling against `profile` if one is given (the
+    /// profile-guided chunking filter). `execute_with_profile` panics if a
+    /// checksum deviates from the host oracle.
+    fn run(&self, profile: Option<&Profile>) -> Vec<Outcome> {
+        (self.systems)(self.frac, self.object_size)
+            .iter()
+            .map(|cfg| {
+                let out = execute_with_profile(&self.spec, cfg, profile);
+                let name = &self.spec.name;
+                assert!(out.result.stats.instructions > 0, "{name} ran nothing");
+                out
+            })
+            .collect()
+    }
+}
+
+/// Local, Fastswap, and the object runtime as TrackFM and as AIFM.
 fn all_systems(frac: f64, object_size: u64) -> Vec<RunConfig> {
     vec![
         RunConfig::local(),
@@ -20,68 +52,67 @@ fn all_systems(frac: f64, object_size: u64) -> Vec<RunConfig> {
     ]
 }
 
-#[test]
-fn every_workload_preserves_semantics_on_every_system() {
-    let specs = vec![
-        stream::sum(&stream::StreamParams { elems: 32 << 10 }),
-        stream::copy(&stream::StreamParams { elems: 32 << 10 }),
-        stream::strided_sum(2_000, 64),
-        kmeans::kmeans(&kmeans::KmeansParams {
-            points: 1_500,
-            dims: 8,
-            k: 4,
-            iters: 2,
-        }),
-        hashmap::hashmap(&hashmap::HashmapParams {
-            keys: 3_000,
-            lookups: 6_000,
-            skew: 1.02,
-            seed: 5,
-        }),
-        analytics::analytics(&analytics::AnalyticsParams {
-            rows: 8_000,
-            groups: 600,
-        }),
-        memcached::memcached(&memcached::MemcachedParams {
-            keys: 2_000,
-            gets: 4_000,
-            skew: 1.1,
-            seed: 6,
-        }),
-    ]
-    .into_iter()
-    .chain(nas::all(&nas::NasParams { shrink: 25 }))
-    .collect::<Vec<_>>();
-
-    for spec in &specs {
-        for cfg in all_systems(0.3, 1024) {
-            // `execute` panics if the checksum deviates from the host oracle.
-            let out = execute(spec, &cfg);
-            assert!(
-                out.result.stats.instructions > 0,
-                "{} ran nothing",
-                spec.name
-            );
-        }
-    }
-}
-
-#[test]
-fn all_chunking_modes_preserve_semantics() {
-    let spec = stream::copy(&stream::StreamParams { elems: 32 << 10 });
-    let profile = collect_profile(&spec);
+/// TrackFM under every chunking mode, with o1 off and on.
+fn chunking_modes(frac: f64, object_size: u64) -> Vec<RunConfig> {
+    let mut cfgs = Vec::new();
     for mode in [
         ChunkingMode::Off,
         ChunkingMode::AllLoops,
         ChunkingMode::CostModel,
     ] {
         for o1 in [false, true] {
-            let mut cfg = RunConfig::trackfm(0.25);
-            cfg.compiler.chunking = mode;
-            cfg.compiler.o1 = o1;
-            execute_with_profile(&spec, &cfg, Some(&profile));
+            let mut cfg = RunConfig::trackfm(frac).with_object_size(object_size);
+            (cfg.compiler.chunking, cfg.compiler.o1) = (mode, o1);
+            cfgs.push(cfg);
         }
     }
+    cfgs
+}
+
+/// TrackFM, then plain local memory for a second opinion, both with o1 on.
+fn o1_systems(frac: f64, object_size: u64) -> Vec<RunConfig> {
+    let mut cfgs = vec![
+        RunConfig::trackfm(frac).with_object_size(object_size),
+        RunConfig::local(),
+    ];
+    for cfg in &mut cfgs {
+        cfg.compiler.o1 = true;
+    }
+    cfgs
+}
+
+/// Local, TrackFM chunking every loop, and Fastswap.
+fn chunk_all_loops(frac: f64, object_size: u64) -> Vec<RunConfig> {
+    let mut all_loops = RunConfig::trackfm(frac).with_object_size(object_size);
+    all_loops.compiler.chunking = ChunkingMode::AllLoops;
+    vec![RunConfig::local(), all_loops, RunConfig::fastswap(frac)]
+}
+
+/// `RunConfig::trackfm`'s object size, for rows that do not vary it.
+const DEFAULT_OBJECT: u64 = 4096;
+
+#[test]
+fn every_workload_preserves_semantics_on_every_system() {
+    for spec in suite(Size::Run) {
+        let row = Row {
+            spec,
+            systems: all_systems,
+            frac: 0.3,
+            object_size: 1024,
+        };
+        row.run(None);
+    }
+}
+
+#[test]
+fn all_chunking_modes_preserve_semantics() {
+    let row = Row {
+        spec: stream::copy(&stream::StreamParams { elems: 32 << 10 }),
+        systems: chunking_modes,
+        frac: 0.25,
+        object_size: DEFAULT_OBJECT,
+    };
+    row.run(Some(&collect_profile(&row.spec)));
 }
 
 /// The O1 pipeline (mem2reg + scalar passes) on the alloca-heavy workloads:
@@ -89,42 +120,20 @@ fn all_chunking_modes_preserve_semantics() {
 /// actually fire.
 #[test]
 fn o1_preserves_semantics_on_alloca_heavy_workloads() {
-    let specs = vec![
-        hashmap::hashmap(&hashmap::HashmapParams {
-            keys: 3_000,
-            lookups: 6_000,
-            skew: 1.02,
-            seed: 5,
-        }),
-        analytics::analytics(&analytics::AnalyticsParams {
-            rows: 8_000,
-            groups: 600,
-        }),
-        kmeans::kmeans(&kmeans::KmeansParams {
-            points: 1_000,
-            dims: 6,
-            k: 3,
-            iters: 2,
-        }),
-    ]
-    .into_iter()
-    .chain(nas::all(&nas::NasParams { shrink: 25 }))
-    .collect::<Vec<_>>();
+    let alloca_heavy = ["hashmap/", "analytics/", "kmeans/", "nas-"];
     let mut promoted_total = 0;
-    for spec in &specs {
-        let mut cfg = RunConfig::trackfm(0.3);
-        cfg.compiler.o1 = true;
-        let out = execute(spec, &cfg); // checksum asserted inside
-        promoted_total += out
-            .report
-            .unwrap()
-            .o1
-            .map(|o| o.promoted_slots)
-            .unwrap_or(0);
-        // Also under plain local memory for a second opinion.
-        let mut lcfg = RunConfig::local();
-        lcfg.compiler.o1 = true;
-        execute(spec, &lcfg);
+    for spec in suite(Size::Run) {
+        if !alloca_heavy.iter().any(|p| spec.name.starts_with(p)) {
+            continue;
+        }
+        let row = Row {
+            spec,
+            systems: o1_systems,
+            frac: 0.3,
+            object_size: DEFAULT_OBJECT,
+        };
+        let trackfm = row.run(None).swap_remove(0);
+        promoted_total += trackfm.report.unwrap().o1.map_or(0, |o| o.promoted_slots);
     }
     assert!(
         promoted_total >= 5,
@@ -133,7 +142,7 @@ fn o1_preserves_semantics_on_alloca_heavy_workloads() {
 }
 
 /// Random element counts, local fractions and object sizes: the stream
-/// checksum must hold everywhere (the runner asserts internally).
+/// checksum must hold everywhere.
 #[test]
 fn stream_sum_is_exact_under_random_pressure() {
     let mut rng = SplitMix64::seed_from_u64(0x5EED_0003);
@@ -141,11 +150,13 @@ fn stream_sum_is_exact_under_random_pressure() {
         let elems = rng.next_range(1_000, 39_999) as usize;
         let frac = 0.05 + rng.next_f64() * 0.95;
         let os_shift = rng.next_range(6, 12) as u32;
-        let spec = stream::sum(&stream::StreamParams { elems });
-        let object_size = 1u64 << os_shift;
-        for cfg in all_systems(frac, object_size) {
-            execute(&spec, &cfg);
-        }
+        let row = Row {
+            spec: stream::sum(&stream::StreamParams { elems }),
+            systems: all_systems,
+            frac,
+            object_size: 1u64 << os_shift,
+        };
+        row.run(None);
     }
 }
 
@@ -159,15 +170,18 @@ fn hashmap_lookups_are_exact() {
         let skew = 1.01 + rng.next_f64() * 0.39;
         let seed = rng.next_u64();
         let frac = 0.1 + rng.next_f64() * 0.9;
-        let spec = hashmap::hashmap(&hashmap::HashmapParams {
-            keys,
-            lookups: keys * 2,
-            skew,
-            seed,
-        });
-        for cfg in all_systems(frac, 256) {
-            execute(&spec, &cfg);
-        }
+        let row = Row {
+            spec: hashmap::hashmap(&hashmap::HashmapParams {
+                keys,
+                lookups: keys * 2,
+                skew,
+                seed,
+            }),
+            systems: all_systems,
+            frac,
+            object_size: 256,
+        };
+        row.run(None);
     }
 }
 
@@ -180,16 +194,17 @@ fn kmeans_is_bit_exact() {
         let points = rng.next_range(200, 1_499) as usize;
         let dims = rng.next_range(2, 9) as usize;
         let k = rng.next_range(2, 5) as usize;
-        let spec = kmeans::kmeans(&kmeans::KmeansParams {
-            points,
-            dims,
-            k,
-            iters: 2,
-        });
-        execute(&spec, &RunConfig::local());
-        let mut all_loops = RunConfig::trackfm(0.4);
-        all_loops.compiler.chunking = ChunkingMode::AllLoops;
-        execute(&spec, &all_loops);
-        execute(&spec, &RunConfig::fastswap(0.4));
+        let row = Row {
+            spec: kmeans::kmeans(&kmeans::KmeansParams {
+                points,
+                dims,
+                k,
+                iters: 2,
+            }),
+            systems: chunk_all_loops,
+            frac: 0.4,
+            object_size: DEFAULT_OBJECT,
+        };
+        row.run(None);
     }
 }
