@@ -8,7 +8,7 @@ cargo build --workspace --release
 # now, into the target directory `benchmark/run.sh` reuses below, so a change
 # that deletes or renames one fails here, naming it, before the long stages.
 cargo build -q --release --manifest-path benchmark/Cargo.toml --target-dir target
-cargo test -q --workspace
+cargo test -q --workspace --no-fail-fast
 # The `--workspace` run above includes the root package's integration
 # suites; what each one gates. The workload suite they walk, the far-memory
 # harness for generated programs and the print/parse check are written
@@ -58,10 +58,10 @@ cargo test -q --workspace
 #                     cores(1) bitwise-identity + cores(N) determinism sweep,
 #                     and overlapping demand-fetch spans in the multi-core
 #                     trace.
-#   dominance_oracle — the one dominator solver (`DomTree`, `PostDomTree`)
-#                     against brute-force path definitions, on seeded
-#                     random CFGs and on every suite function before and
-#                     after compilation.
+#   dominance_oracle — the one dominator solver (`DomTree`) against the
+#                     brute-force path definition, on seeded random CFGs
+#                     and on every suite function before and after
+#                     compilation.
 #   pipeline_integration — chunk begins sit in preheaders, guard counts
 #                     scale with memory instructions, o1 composes with every
 #                     chunking mode, and recompiling output is safe.
@@ -90,7 +90,7 @@ cargo test -q --workspace
 #   trace_overhead — the traced run records spans at a bounded host cost.
 # Where the guarantees of the five retired gates live:
 #   guard_opt           — exhibit `guard_opt` (no level adds cycles; Full <
-#                         Local and a hoisted guard on serving); determinism,
+#                         Local on serving, from the call-aware fold); determinism,
 #                         with o1 off and on: pipeline_integration's
 #                         compilation_is_deterministic.
 #   fault_overhead      — pay-for-use is pinned by identity_matrix's `faults`

@@ -1,8 +1,8 @@
-//! Dominance: the dominator and post-dominator trees (one solver, in
-//! [`tfm_ir`]'s CFG core) and dominance frontiers.
+//! Dominance: the dominator tree (in [`tfm_ir`]'s CFG core) and dominance
+//! frontiers.
 
+pub use tfm_ir::DomTree;
 use tfm_ir::{Block, Cfg, Function};
-pub use tfm_ir::{DomTree, PostDomTree};
 
 /// Dominance frontiers (Cytron et al.): `DF(b)` = blocks where `b`'s
 /// dominance ends — exactly where SSA construction places phis.

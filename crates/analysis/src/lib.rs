@@ -8,8 +8,8 @@
 //!
 //! This crate provides the equivalents over [`tfm_ir`]:
 //!
-//! * [`dom`] — dominator and post-dominator trees (re-exported from the
-//!   one CFG core in [`tfm_ir`]) and dominance frontiers;
+//! * [`dom`] — the dominator tree (re-exported from the one CFG core in
+//!   [`tfm_ir`]) and dominance frontiers;
 //! * [`loops`] — natural-loop forest, preheader creation, exit edges;
 //! * [`points_to`] — allocation-site memory classification (heap / stack /
 //!   global / localized / unknown), the alias backbone of the guard-check
@@ -24,7 +24,7 @@
 //! * [`summaries`] — per-function effect summaries (custody transparency,
 //!   parameter and return-value memory classes and custody) propagated
 //!   across call sites, the whole-program layer behind call-aware guard
-//!   checking, interprocedural parameter classification, and guard motion;
+//!   checking and interprocedural parameter classification;
 //! * [`profile`] — edge/block execution profiles gathered by the simulator
 //!   and consumed by the chunking cost model.
 
@@ -38,7 +38,7 @@ pub mod profile;
 pub mod summaries;
 
 pub use callgraph::CallGraph;
-pub use dom::{DomTree, PostDomTree};
+pub use dom::DomTree;
 pub use guard_check::{AvailableGuards, CallEffects, Cover, CoverSrc, GuardKind};
 pub use induction::{BasicIv, LoopAccess};
 pub use loops::{LoopForest, NaturalLoop};

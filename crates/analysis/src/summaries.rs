@@ -9,8 +9,8 @@
 //!    clobber the caller's available guards? False only when the function
 //!    (and everything it transitively calls) contains no allocation, free,
 //!    or other custody-killing intrinsic — then `guard_check` keeps the
-//!    caller's cover set alive across the call, and `guard_motion` may hoist
-//!    guards out of loops whose bodies call it.
+//!    caller's cover set alive across the call, so redundant-guard
+//!    elimination may fold guard pairs that straddle it.
 //! 2. **Parameter / return memory classes** (`param_class`, `ret_class`):
 //!    the join over every call site of the argument's [`MemClass`] (and the
 //!    join over every return of the returned value's class), so `points_to`

@@ -59,7 +59,6 @@ pub mod pipeline;
 pub use cost::CostModel;
 pub use passes::chunking::{ChunkingMode, ChunkingOptions, ChunkingOutcome};
 pub use passes::guard_elim::{ElidedSite, ElisionOutcome};
-pub use passes::guard_motion::{HoistedSite, MotionOutcome};
 pub use passes::guards::GuardSite;
 pub use passes::lint::{lint_module, LintError};
 pub use passes::o1::O1Outcome;

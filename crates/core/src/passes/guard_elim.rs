@@ -58,8 +58,8 @@ fn chase(repl: &HashMap<Value, Value>, mut v: Value) -> Value {
     v
 }
 
-/// What a guard-removal pass does with a guard an earlier one covers.
-pub(crate) enum Fold {
+/// What elimination does with a guard an earlier one covers.
+enum Fold {
     /// Leave the guard in place.
     Keep,
     /// Delete it; its uses read the survivor's result.
@@ -69,14 +69,14 @@ pub(crate) enum Fold {
     Upgrade,
 }
 
-/// The fold loop both guard-removal passes run over one function. It walks
-/// every reachable block from its available-guards in-state; for each guard
-/// `v` whose pointer one earlier guard (or guarded-pointer call) `g` covers,
-/// `decide(f, v, need, g, cover_kind)` picks the rewrite, where `need` is
-/// `v`'s own kind and `g` is chased through this walk's earlier folds (the
-/// analysis saw the IR before them). Each fold is counted in `absorbed`
-/// under `(func, g)`. Returns `(folded, upgraded)`.
-pub(crate) fn fold_guards(
+/// The fold loop over one function. It walks every reachable block from its
+/// available-guards in-state; for each guard `v` whose pointer one earlier
+/// guard (or guarded-pointer call) `g` covers, `decide(f, v, need, g,
+/// cover_kind)` picks the rewrite, where `need` is `v`'s own kind and `g` is
+/// chased through this walk's earlier folds (the analysis saw the IR before
+/// them). Each fold is counted in `absorbed` under `(func, g)`. Returns
+/// `(folded, upgraded)`.
+fn fold_guards(
     f: &mut Function,
     func: u32,
     ag: &AvailableGuards,
@@ -138,7 +138,7 @@ pub(crate) fn fold_guards(
 }
 
 /// Per-survivor attribution, ordered by `(func, survivor)`.
-pub(crate) fn elided_sites(absorbed: BTreeMap<(u32, u32), u32>) -> Vec<ElidedSite> {
+fn elided_sites(absorbed: BTreeMap<(u32, u32), u32>) -> Vec<ElidedSite> {
     absorbed
         .into_iter()
         .map(|((func, survivor), absorbed)| ElidedSite {

@@ -4,25 +4,22 @@
 //! source IR → [O1 pre-pipeline] → runtime initialization pass
 //!           → guard check analysis → loop chunking analysis
 //!           → loop chunking transform → guard check transform
-//!           → loop-invariant guard motion → redundant-guard elimination
-//!           → libc transformation pass
+//!           → redundant-guard elimination → libc transformation pass
 //!           → [tfm-lint soundness check] → far-memory binary
 //! ```
 //!
 //! The O1 pre-pipeline position reflects the paper's Fig. 17b finding: letting
 //! classic scalar optimizations run *before* guard injection removes
 //! redundant memory instructions and with them most of the injected guards.
-//! Guard motion ([`guard_motion`]) hoists loop-invariant guards into
-//! preheaders, redundant-guard elimination ([`guard_elim`]) then deletes
-//! guards the available-guards dataflow proves duplicated, and the final
-//! lint ([`lint`]) machine-checks the guard-coverage invariant on the
-//! output. The interprocedural layer ([`tfm_analysis::summaries`]) feeds
-//! all three: call-aware kill sets, cross-call parameter/return classes,
-//! and custody-transparent callee facts.
+//! Redundant-guard elimination ([`guard_elim`]) deletes guards the
+//! available-guards dataflow proves duplicated, and the final lint
+//! ([`lint`]) machine-checks the guard-coverage invariant on the output.
+//! The interprocedural layer ([`tfm_analysis::summaries`]) feeds the guard
+//! transform, elimination and the lint: cross-call parameter/return
+//! classes, call-aware kill sets and custody-transparent callee facts.
 
 pub mod chunking;
 pub mod guard_elim;
-pub mod guard_motion;
 pub mod guards;
 pub mod libc;
 pub mod lint;

@@ -2,21 +2,21 @@
 //!
 //! Mirrors Fig. 2 of the paper: runtime initialization → guard check
 //! analysis → loop chunking analysis/transform → guard check transform →
-//! loop-invariant guard motion → redundant-guard elimination → libc
-//! transformation → `tfm-lint` soundness check, optionally preceded by
-//! the O1 scalar pipeline (the Fig. 17b ordering fix). Produces a
-//! [`CompileReport`] with the §4.6 compilation-cost metrics.
+//! redundant-guard elimination → libc transformation → `tfm-lint`
+//! soundness check, optionally preceded by the O1 scalar pipeline (the
+//! Fig. 17b ordering fix). Produces a [`CompileReport`] with the §4.6
+//! compilation-cost metrics.
 //!
 //! Two decisions per heap access, one option each: chunk it
 //! ([`CompilerOptions::chunking`], §3.4) or guard it
 //! ([`CompilerOptions::guards`], §3.3) — and how hard the guard pipeline
 //! then works to remove what it inserted is the single [`GuardOpt`] level:
 //!
-//! | level | guard-check analysis | guard motion | elision |
-//! |---|---|---|---|
-//! | [`GuardOpt::None`] | per function | off | off (the naive §3.3 transformation) |
-//! | [`GuardOpt::Local`] | per function | off | same function, every call kills custody |
-//! | [`GuardOpt::Full`] (default) | interprocedural [`ModuleSummaries`] | on | call-aware kill sets |
+//! | level | guard-check analysis | elision |
+//! |---|---|---|
+//! | [`GuardOpt::None`] | per function | off (the naive §3.3 transformation) |
+//! | [`GuardOpt::Local`] | per function | same function, every call kills custody |
+//! | [`GuardOpt::Full`] (default) | interprocedural [`ModuleSummaries`] | call-aware kill sets |
 //!
 //! The lint runs after every guarded compile, always at full
 //! interprocedural precision, whatever the level.
@@ -24,7 +24,6 @@
 use crate::cost::CostModel;
 use crate::passes::chunking::{self, ChunkingMode, ChunkingOptions, ChunkingOutcome};
 use crate::passes::guard_elim::{self, ElisionOutcome};
-use crate::passes::guard_motion::{self, MotionOutcome};
 use crate::passes::guards;
 use crate::passes::libc;
 use crate::passes::lint;
@@ -53,11 +52,10 @@ pub enum GuardOpt {
     /// read-then-write pattern folds into one write guard, and every call
     /// kills custody.
     Local,
-    /// `Local` plus the interprocedural layer: parameters provably stack or
-    /// global at every call site need no guard in the callee, calls to
-    /// functions that provably never trigger evacuation keep custody live,
-    /// and guards on loop-invariant pointers are hoisted into preheaders
-    /// (folding cross-block read-then-write patterns).
+    /// `Local` plus the interprocedural summaries: parameters provably stack
+    /// or global at every call site need no guard in the callee, and calls
+    /// to functions that provably never trigger evacuation keep custody
+    /// live, so elision folds guards across them.
     #[default]
     Full,
 }
@@ -114,9 +112,9 @@ pub struct CompileReport {
     /// count insertions *before* elision; subtract `elision.eliminated` for
     /// the surviving total).
     pub elision: ElisionOutcome,
-    /// What loop-invariant guard motion did (hoists and cross-block
-    /// read→write folds).
-    pub motion: MotionOutcome,
+    /// Always empty: the compiler moves no guard. Kept only while
+    /// `tfm-perf`'s `core.guards_hoisted` row reads `motion.sites`.
+    pub motion: NoMotion,
     /// Live instructions before compilation.
     pub insts_before: usize,
     /// Live instructions after compilation ("code size").
@@ -126,6 +124,13 @@ pub struct CompileReport {
     /// Every guard/chunk-deref site in the compiled output, for telemetry
     /// attribution (see [`guards::collect_sites`]).
     pub guard_sites: Vec<guards::GuardSite>,
+}
+
+/// The type of the vestigial [`CompileReport::motion`].
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct NoMotion {
+    /// Always empty.
+    pub sites: [(); 0],
 }
 
 impl CompileReport {
@@ -231,15 +236,9 @@ impl TrackFmCompiler {
         report.end_pass("guard-transform", t, module);
 
         if opts.guards && opts.guard_opt != GuardOpt::None {
-            // Call-aware kill sets for motion and elision: recomputed on
-            // the post-transform IR so the summaries see the inserted
-            // guards.
+            // Call-aware kill sets for elision: recomputed on the
+            // post-transform IR so the summaries see the inserted guards.
             let kill_sums = full.then(|| ModuleSummaries::compute(module, &[MAIN]));
-            if full {
-                let t = Instant::now();
-                report.motion = guard_motion::run(module, kill_sums.as_ref());
-                report.end_pass("guard-motion", t, module);
-            }
             let t = Instant::now();
             report.elision = guard_elim::run_with(module, kill_sums.as_ref());
             report.end_pass("guard-elide", t, module);
@@ -323,9 +322,9 @@ mod tests {
         assert_eq!(count_intr(&m, Intrinsic::Malloc), 0);
         assert!(report.code_size_ratio() > 1.0);
         assert!(report.total_nanos() > 0);
-        // runtime-init, loop-chunking, guard-transform, guard-motion,
-        // guard-elide, libc-transform, tfm-lint.
-        assert_eq!(report.pass_nanos.len(), 7);
+        // runtime-init, loop-chunking, guard-transform, guard-elide,
+        // libc-transform, tfm-lint.
+        assert_eq!(report.pass_nanos.len(), 6);
     }
 
     #[test]
@@ -371,11 +370,10 @@ mod tests {
         });
         let report = compiler.compile(&mut m, None);
         assert_eq!(report.elision, Default::default());
-        assert_eq!(report.motion, Default::default());
         assert_eq!(count_intr(&m, Intrinsic::GuardRead), 1);
-        // Neither removal pass appears in the pass list; the lint still does.
+        // The removal pass does not appear in the pass list; the lint does.
         let ran = |pass: &str| report.pass_nanos.iter().any(|(n, _)| *n == pass);
-        assert!(!ran("guard-elide") && !ran("guard-motion") && ran("tfm-lint"));
+        assert!(!ran("guard-elide") && ran("tfm-lint"));
     }
 
     #[test]
@@ -406,8 +404,8 @@ mod tests {
         assert_eq!(report.pass_nanos[0].0, "o1");
     }
 
-    /// A const-trip loop that stores through a loop-invariant pointer: the
-    /// guard is loop-invariant and should be hoisted into the preheader.
+    /// A const-trip loop that loads and stores through a loop-invariant
+    /// pointer.
     fn invariant_store_loop() -> Module {
         let mut m = Module::new("inv");
         let id = m.declare_function("main", Signature::new(vec![Type::Ptr], Some(Type::I64)));
@@ -432,31 +430,33 @@ mod tests {
     }
 
     #[test]
-    fn guard_motion_hoists_invariant_guard_out_of_the_loop() {
-        let mut m = invariant_store_loop();
-        let compiler = TrackFmCompiler::new(CompilerOptions {
-            chunking: ChunkingMode::Off,
-            ..Default::default()
-        });
-        let report = compiler.compile(&mut m, None);
+    fn no_level_moves_a_guard_out_of_its_loop() {
         // The read guard and the write guard fold into one write guard,
-        // which then climbs into the preheader.
-        assert!(report.motion.hoisted >= 1, "motion: {:?}", report.motion);
-        assert_eq!(count_intr(&m, Intrinsic::GuardRead), 0);
-        assert_eq!(count_intr(&m, Intrinsic::GuardWrite), 1);
-    }
-
-    #[test]
-    fn guard_opt_local_leaves_guards_in_place() {
-        let mut m = invariant_store_loop();
-        let compiler = TrackFmCompiler::new(CompilerOptions {
-            chunking: ChunkingMode::Off,
-            guard_opt: GuardOpt::Local,
-            ..Default::default()
-        });
-        let report = compiler.compile(&mut m, None);
-        assert_eq!(report.motion, Default::default());
-        assert!(report.pass_nanos.iter().all(|(n, _)| *n != "guard-motion"));
+        // which stays in the loop body: a guard pins nothing, so only there
+        // does it cover the accesses against evacuation.
+        for level in [GuardOpt::Local, GuardOpt::Full] {
+            let mut m = invariant_store_loop();
+            let compiler = TrackFmCompiler::new(CompilerOptions {
+                chunking: ChunkingMode::Off,
+                guard_opt: level,
+                ..Default::default()
+            });
+            let report = compiler.compile(&mut m, None);
+            assert_eq!(report.elision.upgraded, 1, "{level:?}");
+            assert_eq!(count_intr(&m, Intrinsic::GuardRead), 0, "{level:?}");
+            assert_eq!(count_intr(&m, Intrinsic::GuardWrite), 1, "{level:?}");
+            let f = m.function(m.function_ids().next().unwrap());
+            let in_entry = f.block_insts(f.entry_block()).iter().any(|&v| {
+                matches!(
+                    f.kind(v),
+                    InstKind::IntrinsicCall {
+                        intr: Intrinsic::GuardWrite,
+                        ..
+                    }
+                )
+            });
+            assert!(!in_entry, "{level:?}: the guard left the loop");
+        }
     }
 
     #[test]

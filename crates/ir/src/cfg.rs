@@ -1,17 +1,13 @@
 //! The control-flow graph core every consumer shares: one successor and
 //! predecessor table, one reverse-postorder DFS (which is also the one
 //! reachability walk) and one Cooper–Harvey–Kennedy dominator solver ("a
-//! simple, fast dominance algorithm").
-//!
-//! The solver runs over any graph whose nodes are [`Block`] indices, so the
-//! verifier, the dominator tree of the analyses and the post-dominator tree
-//! (the same solver on the reversed CFG, rooted at a virtual exit) are one
-//! piece of code.
+//! simple, fast dominance algorithm"), so the verifier and the dominator
+//! tree of the analyses are one piece of code.
 
 use crate::entities::Block;
 use crate::function::Function;
 
-/// Successor and predecessor lists of a graph over the nodes `0..n`.
+/// Successor and predecessor lists of a function's blocks.
 #[derive(Clone, Debug)]
 pub struct Cfg {
     succs: Vec<Vec<Block>>,
@@ -20,18 +16,13 @@ pub struct Cfg {
 
 impl Cfg {
     /// The CFG of `f`, built in one pass (unlike [`Function::preds`], which
-    /// is O(blocks) per query).
+    /// is O(blocks) per query). Each predecessor list is in block order.
     ///
     /// # Panics
     /// Panics if a terminator branches to a block `f` does not have; the
     /// verifier reports that as an error before it builds the CFG.
     pub fn of(f: &Function) -> Self {
-        Cfg::from_succs(f.blocks().map(|b| f.succs(b)).collect())
-    }
-
-    /// The graph with the given successor lists. Each predecessor list is in
-    /// node order.
-    fn from_succs(succs: Vec<Vec<Block>>) -> Self {
+        let succs: Vec<Vec<Block>> = f.blocks().map(|b| f.succs(b)).collect();
         let mut preds = vec![Vec::new(); succs.len()];
         for (i, ss) in succs.iter().enumerate() {
             for s in ss {
@@ -186,44 +177,6 @@ fn intersect(idom: &[Option<Block>], rpo: &[usize], mut a: Block, mut b: Block) 
     a
 }
 
-/// The post-dominator tree: `a` post-dominates `b` when every path from `b`
-/// to function exit passes through `a`.
-///
-/// It is the [`DomTree`] of the reversed CFG, rooted at a virtual exit
-/// joining every block without successors — `ret` blocks and `unreachable`
-/// terminators alike, so aborting paths don't vacuously post-dominate. Used
-/// by the guard-motion pass's cross-block read→write upgrade: a write guard
-/// may absorb into an earlier read guard only when the write's block
-/// post-dominates the read's (the upgraded guard never dirties an object the
-/// original program would not have).
-#[derive(Clone, Debug)]
-pub struct PostDomTree {
-    tree: DomTree,
-}
-
-impl PostDomTree {
-    /// Computes the post-dominator tree.
-    pub fn compute(f: &Function) -> Self {
-        let cfg = Cfg::of(f);
-        let exit = Block::from_index(f.num_blocks());
-        let mut rsuccs = cfg.preds;
-        rsuccs.push(
-            f.blocks()
-                .filter(|&b| cfg.succs[b.index()].is_empty() && !f.block_insts(b).is_empty())
-                .collect(),
-        );
-        PostDomTree {
-            tree: DomTree::solve(&Cfg::from_succs(rsuccs), exit),
-        }
-    }
-
-    /// True iff `a` post-dominates `b` (reflexive; false when `b` never
-    /// reaches an exit).
-    pub fn postdominates(&self, a: Block, b: Block) -> bool {
-        self.tree.dominates(a, b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,55 +303,5 @@ mod tests {
         let dt = DomTree::compute(m.function(id));
         assert!(!dt.is_reachable(dead));
         assert!(!dt.dominates(m.function(id).entry_block(), dead));
-    }
-
-    #[test]
-    fn postdominators_of_diamond_and_loop() {
-        let (m, id, bl) = build();
-        let f = m.function(id);
-        let pdt = PostDomTree::compute(f);
-        let (entry, a, bb, join, hdr, body, exit) =
-            (bl[0], bl[1], bl[2], bl[3], bl[4], bl[5], bl[6]);
-        // Every block post-dominates itself; the exit post-dominates all.
-        for &b in &bl {
-            assert!(pdt.postdominates(b, b));
-            assert!(pdt.postdominates(exit, b));
-        }
-        // The join post-dominates both arms and the entry; the arms
-        // post-dominate nothing but themselves.
-        assert!(pdt.postdominates(join, a));
-        assert!(pdt.postdominates(join, bb));
-        assert!(pdt.postdominates(join, entry));
-        assert!(!pdt.postdominates(a, entry));
-        assert!(!pdt.postdominates(bb, entry));
-        // The loop header post-dominates its body (the only way out is back
-        // through the header); the body does not post-dominate the header.
-        assert!(pdt.postdominates(hdr, body));
-        assert!(!pdt.postdominates(body, hdr));
-    }
-
-    #[test]
-    fn unreachable_terminators_do_not_vacuously_postdominate() {
-        // entry -> (ret | unreachable): both arms reach the virtual exit, so
-        // neither post-dominates the entry.
-        let mut m = Module::new("t");
-        let id = m.declare_function("f", Signature::new(vec![Type::I64], Some(Type::I64)));
-        let (entry, r, u);
-        {
-            let mut b = FunctionBuilder::new(m.function_mut(id));
-            entry = b.entry_block();
-            r = b.create_block();
-            u = b.create_block();
-            let x = b.param(0);
-            b.cond_br(x, r, u);
-            b.switch_to_block(r);
-            b.ret(Some(x));
-            b.switch_to_block(u);
-            b.unreachable();
-        }
-        let pdt = PostDomTree::compute(m.function(id));
-        assert!(!pdt.postdominates(r, entry));
-        assert!(!pdt.postdominates(u, entry));
-        assert!(pdt.postdominates(r, r));
     }
 }

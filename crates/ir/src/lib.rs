@@ -18,8 +18,8 @@
 //! * runtime interactions — `malloc`/`free` as well as the guard, chunking and
 //!   prefetch hooks that TrackFM injects — are [`Intrinsic`] calls;
 //! * one CFG core — [`Cfg`] (predecessor table, reverse postorder,
-//!   reachability), [`DomTree`] and [`PostDomTree`] (one Cooper–Harvey–Kennedy
-//!   solver) — serves the verifier and every analysis in `tfm-analysis`.
+//!   reachability) and [`DomTree`] (a Cooper–Harvey–Kennedy solver) —
+//!   serves the verifier and every analysis in `tfm-analysis`.
 //!
 //! The representation is deliberately arena-based: instruction ids
 //! ([`Value`]s) are stable across pass mutations, deleted instructions become
@@ -80,7 +80,7 @@ mod types;
 mod verifier;
 
 pub use builder::FunctionBuilder;
-pub use cfg::{Cfg, DomTree, PostDomTree};
+pub use cfg::{Cfg, DomTree};
 pub use entities::{Block, FuncId, GlobalId, Value};
 pub use function::{BlockData, Function, InstData, Signature};
 pub use inst::{

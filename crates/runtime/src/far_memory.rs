@@ -54,7 +54,7 @@ pub struct FarMemory {
     /// keeps glibc's heap layout where it was when this runtime kept its own
     /// per-shard failover mirror there: without it `tfm-perf`'s `stream_far`
     /// `peak_rss_mb` reads 116.6 MiB instead of 97.6 (see CHANGES.md).
-    /// Delete it with the pager's `INITIAL_ENTRIES` once ROADMAP item 2c
+    /// Delete it with the pager's `INITIAL_ENTRIES` once ROADMAP item 1(c)
     /// pins glibc's mmap threshold.
     _heap_ballast: Vec<ShardState>,
     /// The simulated core currently driving this runtime (0 on the

@@ -211,7 +211,6 @@ impl RunReport {
                                 ("cycles".into(), Json::Int(r.stats.cycles)),
                                 ("stall_cycles".into(), Json::Int(r.stats.stall_cycles)),
                                 ("elided".into(), Json::Int(r.stats.elided)),
-                                ("hoisted".into(), Json::Int(r.stats.hoisted)),
                             ])
                         })
                         .collect(),
@@ -252,22 +251,13 @@ impl RunReport {
             let _ = writeln!(out, "top guard sites by stall cycles:");
             let _ = writeln!(
                 out,
-                "  {:>4}  {:<32} {:>10} {:>10} {:>10} {:>10} {:>12} {:>12} {:>7} {:>7}",
-                "rank",
-                "site",
-                "hits",
-                "fast",
-                "slow_loc",
-                "slow_rem",
-                "cycles",
-                "stall",
-                "elided",
-                "hoist"
+                "  {:>4}  {:<32} {:>10} {:>10} {:>10} {:>10} {:>12} {:>12} {:>7}",
+                "rank", "site", "hits", "fast", "slow_loc", "slow_rem", "cycles", "stall", "elided"
             );
             for (i, r) in self.sites.iter().take(TOP_SITES).enumerate() {
                 let _ = writeln!(
                     out,
-                    "  {:>4}  {:<32} {:>10} {:>10} {:>10} {:>10} {:>12} {:>12} {:>7} {:>7}",
+                    "  {:>4}  {:<32} {:>10} {:>10} {:>10} {:>10} {:>12} {:>12} {:>7}",
                     i + 1,
                     r.label,
                     r.stats.hits,
@@ -276,8 +266,7 @@ impl RunReport {
                     r.stats.slow_remote,
                     r.stats.cycles,
                     r.stats.stall_cycles,
-                    r.stats.elided,
-                    r.stats.hoisted
+                    r.stats.elided
                 );
             }
             if self.sites.len() > TOP_SITES {

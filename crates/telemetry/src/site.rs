@@ -58,10 +58,6 @@ pub struct SiteStats {
     /// redundant-guard elimination. Recorded at compile time, so every run
     /// shows which hot sites absorbed how many deleted checks.
     pub elided: u64,
-    /// Loop levels this site's guard was hoisted out of by loop-invariant
-    /// guard motion (0 = the guard executes where it was inserted).
-    /// Recorded at compile time, like `elided`.
-    pub hoisted: u64,
 }
 
 impl SiteStats {

@@ -347,21 +347,10 @@ pub fn execute_with_profile(
 /// Folds the compiler's guard-removal attribution into the run's site
 /// table, so the per-site report shows which hot sites absorbed deleted
 /// checks: each surviving site's `elided` counter records how many
-/// duplicate guards elision (same-block) and motion (cross-block
-/// read→write folds) statically folded into it, and each hoisted guard's
-/// `hoisted` counter how many loop levels it climbed.
+/// duplicate guards elision statically folded into it.
 pub fn attribute_removed_guards(report: &CompileReport, telemetry: &mut Option<TelemetrySnapshot>) {
     let Some(snap) = telemetry else { return };
     for s in &report.elision.sites {
-        snap.sites
-            .stats_mut(SiteKey::new(s.func, s.survivor))
-            .elided += s.absorbed as u64;
-    }
-    for s in &report.motion.sites {
-        let stats = snap.sites.stats_mut(SiteKey::new(s.func, s.value));
-        stats.hoisted = stats.hoisted.max(s.levels as u64);
-    }
-    for s in &report.motion.folds {
         snap.sites
             .stats_mut(SiteKey::new(s.func, s.survivor))
             .elided += s.absorbed as u64;

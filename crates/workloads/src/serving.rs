@@ -1,5 +1,5 @@
 //! A guard-heavy request-serving loop, built to exercise the
-//! interprocedural custody analysis and loop-invariant guard motion.
+//! interprocedural custody analysis.
 //!
 //! Each request is classified by a *pure helper function* (`classify`),
 //! then charged to a data-dependent bucket counter and to one
@@ -18,9 +18,10 @@
 //!
 //! Without interprocedural summaries the `classify` call pessimistically
 //! kills guard custody every iteration: the total-slot read and write each
-//! need their own guard, per iteration, forever. With call-aware kill sets
-//! the read→write pair folds into one write guard, and guard motion then
-//! hoists it into the preheader — one guard execution for the whole loop.
+//! need their own guard. With call-aware kill sets the call keeps custody
+//! live, so the read→write pair folds into one write guard, still executed
+//! once per request in the loop body, where the object cannot be evacuated
+//! between the guard and the accesses it covers.
 
 use crate::spec::{ArgSpec, InputData, WorkloadSpec};
 use tfm_ir::{BinOp, FunctionBuilder, Module, Signature, Type};
@@ -162,11 +163,13 @@ mod tests {
         let out = execute(&spec, &RunConfig::trackfm(0.25));
         assert_eq!(Some(out.result.ret), spec.expected);
         let rep = out.report.expect("trackfm compiles");
-        // The invariant-slot guard is hoisted out of the serving loop.
-        assert!(
-            rep.motion.hoisted >= 1,
-            "expected a hoisted guard, motion: {:?}",
-            rep.motion
-        );
+        // The call-aware kill sets fold the total slot's read guard and
+        // write guard across `classify`: `Full` leaves one guard site fewer
+        // than `Local`, whose kill sets stop at the call.
+        let sites = |rep: &trackfm::CompileReport| rep.total_guards() - rep.elision.eliminated;
+        let mut local = RunConfig::trackfm(0.25);
+        local.compiler.guard_opt = trackfm::GuardOpt::Local;
+        let local_rep = execute(&spec, &local).report.expect("trackfm compiles");
+        assert_eq!((sites(&rep), sites(&local_rep)), (3, 4));
     }
 }

@@ -2,7 +2,7 @@
 //! stage of the TrackFM pipeline, showing exactly what the compiler injects
 //! (runtime init hook, guards, chunk streams, libc rewrites), plus the
 //! interprocedural view — call graph, per-function custody summaries, and
-//! per-site hoisted/elided guard attribution.
+//! per-site elided guard attribution.
 //!
 //! ```sh
 //! cargo run --release --example compiler_explorer
@@ -54,7 +54,7 @@ fn listing1_program() -> Module {
 
 /// A multi-function serving loop: a pure classifier helper, a bucket RMW,
 /// and a loop-invariant total slot — the program shape the interprocedural
-/// custody analysis and guard motion were built for.
+/// custody analysis was built for.
 fn serving_program() -> Module {
     let mut m = Module::new("serving");
     let classify = m.declare_function("classify", Signature::new(vec![Type::I64], Some(Type::I64)));
@@ -207,29 +207,15 @@ fn main() {
         ..Default::default()
     })
     .compile(&mut compiled, None);
-    println!("\n================ AFTER GUARDS + MOTION + ELISION ================");
+    println!("\n================ AFTER GUARDS + ELISION ================");
     println!(
-        "; {} guards inserted, {} hoisted, {} upgraded by motion, {} elided",
+        "; {} guards inserted, {} elided",
         rep.total_guards(),
-        rep.motion.hoisted,
-        rep.motion.upgraded,
         rep.elision.eliminated,
     );
     print!("{compiled}");
 
     println!("\nper-site attribution:");
-    for s in &rep.motion.sites {
-        println!(
-            "  f{}:v{}  hoisted {} loop level(s) into a preheader",
-            s.func, s.value, s.levels
-        );
-    }
-    for s in &rep.motion.folds {
-        println!(
-            "  f{}:v{}  absorbed {} cross-block read guard(s) as a write guard",
-            s.func, s.survivor, s.absorbed
-        );
-    }
     for s in &rep.elision.sites {
         println!(
             "  f{}:v{}  absorbed {} duplicate guard(s) by elision",
@@ -258,9 +244,9 @@ fn main() {
     println!("\nInterprocedural things to look for:");
     println!("  * `classify` is custody-transparent (kills=false): guards stay live");
     println!("    across the call, so the total-slot read/write pair folds into one");
-    println!("    write guard;");
-    println!("  * that write guard's pointer is loop-invariant, so guard motion");
-    println!("    hoists it into the preheader — one guard execution for the loop;");
-    println!("  * the bucket counter access stays guarded in the loop (its pointer");
-    println!("    is data-dependent), and the post-loop total load reuses custody.");
+    println!("    write guard, and so does the bucket counter's RMW;");
+    println!("  * every guard stays beside the accesses it covers: the total-slot");
+    println!("    guard runs once per iteration even though its pointer is");
+    println!("    loop-invariant, and the post-loop total load takes its own guard,");
+    println!("    because the evacuator may move the object in between.");
 }

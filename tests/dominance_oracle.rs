@@ -1,15 +1,9 @@
 //! The one dominator solver against a brute-force oracle.
 //!
-//! The verifier, the analyses and guard motion all ask the same
-//! Cooper–Harvey–Kennedy solver (`tfm_ir::DomTree`, and `PostDomTree` on the
-//! reversed CFG), so nothing else cross-checks it. This suite does, from the
-//! definitions:
-//!
-//! * `a` dominates `b` iff `b` is reachable from the entry and, with `a`
-//!   removed, no longer is (or `a == b`);
-//! * `a` post-dominates `b` iff `b` reaches an exit and, with `a` removed,
-//!   no longer does (or `a == b`). An exit is a non-empty block without
-//!   successors (`ret` or `unreachable`).
+//! The verifier and the analyses all ask the same Cooper–Harvey–Kennedy
+//! solver (`tfm_ir::DomTree`), so nothing else cross-checks it. This suite
+//! does, from the definition: `a` dominates `b` iff `b` is reachable from
+//! the entry and, with `a` removed, no longer is (or `a == b`).
 //!
 //! It runs over seeded random CFGs (up to 10 blocks, with unreachable
 //! blocks, self-loops and several exits) and over every function of the
@@ -19,9 +13,7 @@ pub mod common;
 
 use common::{suite, Size};
 use trackfm_suite::compiler::TrackFmCompiler;
-use trackfm_suite::ir::{
-    Block, DomTree, Function, FunctionBuilder, Module, PostDomTree, Signature, Type,
-};
+use trackfm_suite::ir::{Block, DomTree, Function, FunctionBuilder, Module, Signature, Type};
 use trackfm_suite::workloads::SplitMix64;
 
 /// Nodes reachable from `roots` along `edges`, never entering `avoid`.
@@ -41,32 +33,18 @@ fn reach(edges: &[Vec<usize>], roots: &[usize], avoid: Option<usize>) -> Vec<boo
     seen
 }
 
-/// Checks both trees of `f` against the path definitions.
+/// Checks the dominator tree of `f` against the path definition.
 fn check(tag: &str, f: &Function) {
     let n = f.num_blocks();
     let succs: Vec<Vec<usize>> = f
         .blocks()
         .map(|b| f.succs(b).iter().map(|s| s.index()).collect())
         .collect();
-    let mut preds = vec![Vec::new(); n];
-    for (b, ss) in succs.iter().enumerate() {
-        for &s in ss {
-            preds[s].push(b);
-        }
-    }
     let entry = [f.entry_block().index()];
-    let exits: Vec<usize> = f
-        .blocks()
-        .filter(|&b| succs[b.index()].is_empty() && !f.block_insts(b).is_empty())
-        .map(|b| b.index())
-        .collect();
     let dt = DomTree::compute(f);
-    let pdt = PostDomTree::compute(f);
     let reachable = reach(&succs, &entry, None);
-    let exiting = reach(&preds, &exits, None);
     for a in 0..n {
         let without_a = reach(&succs, &entry, Some(a));
-        let exiting_without_a = reach(&preds, &exits, Some(a));
         let ab = Block::from_index(a);
         for b in 0..n {
             let bb = Block::from_index(b);
@@ -75,13 +53,6 @@ fn check(tag: &str, f: &Function) {
                 dt.dominates(ab, bb),
                 dom,
                 "{tag}: dominates({ab}, {bb}) of `{}`",
-                f.name
-            );
-            let pdom = exiting[b] && (a == b || !exiting_without_a[b]);
-            assert_eq!(
-                pdt.postdominates(ab, bb),
-                pdom,
-                "{tag}: postdominates({ab}, {bb}) of `{}`",
                 f.name
             );
         }
