@@ -33,8 +33,9 @@ cargo test -q --workspace --no-fail-fast
 #                     and that traced and telemetry-off runs take the
 #                     untraced run's cycles.
 #   lint_gate       — the static matrix (tests/common: every suite workload
-#                     under five compiler configs — default, guard-opt
-#                     local and none, no chunking, o1) is tfm-lint clean.
+#                     under four compiler configs — default (guard-opt
+#                     local), guard-opt none, no chunking, o1) is tfm-lint
+#                     clean.
 #                     Also the quickstart program, and a deleted guard that
 #                     the lint must flag. pipeline_integration and
 #                     roundtrip_pipeline walk the same matrix: the module
@@ -44,9 +45,9 @@ cargo test -q --workspace --no-fail-fast
 #                     on) and reaches a print->parse fixpoint.
 #   random_programs — the static lint must agree with the dynamic guard
 #                     sanitizer over the randomized corpus: one 200-seed
-#                     sweep runs the three GuardOpt levels (None, Local,
-#                     Full) against a LocalMem oracle with cycles(None) >=
-#                     cycles(Local) >= cycles(Full), and the 200-seed
+#                     sweep runs the two GuardOpt levels (None, Local)
+#                     against a LocalMem oracle with cycles(None) >=
+#                     cycles(Local), and the 200-seed
 #                     differential corpus locks the bytecode engine to the
 #                     reference tree-walker (`oracle` feature, tests only).
 #   engine_identity — production vs the reference tree-walker: byte-identical
@@ -73,7 +74,8 @@ cargo test -q --workspace --no-fail-fast
 #   semantic_preservation — a table of (workload, systems, local fraction,
 #                     object size) rows: every suite workload computes its
 #                     host checksum on every system, and so do the chunking
-#                     modes, o1, and rows drawn at random.
+#                     modes, o1, and rows drawn at random. Every TrackFM and
+#                     AIFM run there has the guard sanitizer armed.
 
 # Bench gates (each asserts its own invariants and aborts on violation):
 #   figures        — every table of simulated cycles (Tables 1-2, Figs. 6-17,
@@ -89,10 +91,12 @@ cargo test -q --workspace --no-fail-fast
 #                    exhibits; the divisors are beside the ids).
 #   trace_overhead — the traced run records spans at a bounded host cost.
 # Where the guarantees of the five retired gates live:
-#   guard_opt           — exhibit `guard_opt` (no level adds cycles; Full <
-#                         Local on serving, from the call-aware fold); determinism,
-#                         with o1 off and on: pipeline_integration's
-#                         compilation_is_deterministic.
+#   guard_opt           — exhibit `guard_opt` (two levels, None and Local,
+#                         one row per run-size suite workload: Local keeps
+#                         no more guard sites and adds no cycles but on
+#                         nas-is, whose inversion the claim explains);
+#                         determinism, with o1 off and on:
+#                         pipeline_integration's compilation_is_deterministic.
 #   fault_overhead      — pay-for-use is pinned by identity_matrix's `faults`
 #                         row and tfm-net's inactive_fault_plan_is_bit_
 #                         identical_to_no_plan; a flawless run takes the one

@@ -110,31 +110,6 @@ impl Cover {
 /// The covered-value set at one program point.
 pub type CoverMap = HashMap<Value, Cover>;
 
-/// Interprocedural call effects for one function, precomputed from the
-/// module summaries (see `crate::summaries`): which call instructions are
-/// custody-transparent, which call results carry custody, and which
-/// parameters enter the function already covered at every call site.
-///
-/// This is plain per-instruction data so the dataflow core stays independent
-/// of how the facts were derived; [`crate::summaries::ModuleSummaries`]
-/// builds it bottom-up over the call graph.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CallEffects {
-    /// Call instructions whose callee is custody-transparent (provably never
-    /// frees, allocates, or otherwise clobbers custody): they do **not**
-    /// clear the available set.
-    pub transparent: std::collections::HashSet<Value>,
-    /// Call instructions whose result is a localized pointer guarded on
-    /// every return path of the callee; the call gens a cover of this kind
-    /// for its own result.
-    pub ret_cover: HashMap<Value, GuardKind>,
-    /// Parameter values holding custody established at *every* call site of
-    /// this function; they seed the entry block's in-state with a
-    /// [`CoverSrc::Merged`] cover (lint-usable, never elimination-usable —
-    /// the establishing guard lives in another function).
-    pub entry_cover: HashMap<Value, GuardKind>,
-}
-
 fn meet_maps(a: &CoverMap, b: &CoverMap) -> CoverMap {
     let mut out = CoverMap::new();
     for (v, ca) in a {
@@ -145,11 +120,9 @@ fn meet_maps(a: &CoverMap, b: &CoverMap) -> CoverMap {
     out
 }
 
-/// Applies one (non-phi) instruction's transfer function to `map`, with
-/// optional interprocedural call effects: transparent callees keep the set
-/// alive, and calls returning guarded pointers gen a cover for their result.
-/// Phis are resolved at block entry by [`AvailableGuards::compute_with`].
-fn apply_ctx(f: &Function, map: &mut CoverMap, v: Value, fx: Option<&CallEffects>) {
+/// Applies one (non-phi) instruction's transfer function to `map`. Phis
+/// are resolved at block entry by [`AvailableGuards::compute`].
+fn transfer(f: &Function, map: &mut CoverMap, v: Value) {
     match f.kind(v) {
         InstKind::IntrinsicCall { intr, args } => match intr {
             Intrinsic::GuardRead | Intrinsic::GuardWrite => {
@@ -179,21 +152,7 @@ fn apply_ctx(f: &Function, map: &mut CoverMap, v: Value, fx: Option<&CallEffects
             }
             _ => map.clear(),
         },
-        InstKind::Call { .. } => {
-            let transparent = fx.is_some_and(|fx| fx.transparent.contains(&v));
-            if !transparent {
-                map.clear();
-            }
-            if let Some(&kind) = fx.and_then(|fx| fx.ret_cover.get(&v)) {
-                map.insert(
-                    v,
-                    Cover {
-                        src: CoverSrc::Guard(v),
-                        kind,
-                    },
-                );
-            }
-        }
+        InstKind::Call { .. } => map.clear(),
         // Custody flows through pointer arithmetic on the covered value
         // (within-object offsets; the same rule `points_to` uses to keep
         // `Localized` on derived pointers).
@@ -229,16 +188,12 @@ fn apply_ctx(f: &Function, map: &mut CoverMap, v: Value, fx: Option<&CallEffects
 #[derive(Clone, Debug)]
 pub struct AvailableGuards {
     block_in: Vec<Option<CoverMap>>,
-    effects: Option<CallEffects>,
 }
 
 impl AvailableGuards {
-    /// Runs the forward dataflow to its greatest fixpoint. Without call
-    /// effects every call kills; with them, custody-transparent callees no
-    /// longer clear the set, calls returning guarded pointers gen covers,
-    /// and parameters guarded at every call site seed the entry state.
-    pub fn compute_with(f: &Function, effects: Option<CallEffects>) -> Self {
-        let fx = effects.as_ref();
+    /// Runs the forward dataflow to its greatest fixpoint. The entry block
+    /// starts with nothing covered: parameters carry no custody.
+    pub fn compute(f: &Function) -> Self {
         let nblocks = f.num_blocks();
         let cfg = Cfg::of(f);
         let rpo = cfg.reverse_postorder(f.entry_block());
@@ -247,29 +202,13 @@ impl AvailableGuards {
         let mut ins: Vec<Option<CoverMap>> = vec![None; nblocks];
         let mut outs: Vec<Option<CoverMap>> = vec![None; nblocks];
         let entry = f.entry_block();
-        let entry_map: CoverMap = fx
-            .map(|fx| {
-                fx.entry_cover
-                    .iter()
-                    .map(|(&p, &kind)| {
-                        (
-                            p,
-                            Cover {
-                                src: CoverSrc::Merged,
-                                kind,
-                            },
-                        )
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
 
         let mut changed = true;
         while changed {
             changed = false;
             for &b in &rpo {
                 let mut inb = if b == entry {
-                    entry_map.clone()
+                    CoverMap::new()
                 } else {
                     // Intersection over predecessors with known out-state;
                     // ⊤ predecessors are skipped (optimism).
@@ -324,7 +263,7 @@ impl AvailableGuards {
                 }
                 let mut outb = inb;
                 for &v in f.block_insts(b) {
-                    apply_ctx(f, &mut outb, v, fx);
+                    transfer(f, &mut outb, v);
                 }
                 if outs[b.index()].as_ref() != Some(&outb) {
                     outs[b.index()] = Some(outb);
@@ -332,18 +271,14 @@ impl AvailableGuards {
                 }
             }
         }
-        AvailableGuards {
-            block_in: ins,
-            effects,
-        }
+        AvailableGuards { block_in: ins }
     }
 
-    /// Applies one (non-phi) instruction's transfer function under the same
-    /// call effects this analysis was computed with. Consumers walk a block
-    /// from [`AvailableGuards::block_in`] with it and query coverage before
-    /// each access.
+    /// Applies one (non-phi) instruction's transfer function. Consumers
+    /// walk a block from [`AvailableGuards::block_in`] with it and query
+    /// coverage before each access.
     pub fn apply(&self, f: &Function, map: &mut CoverMap, v: Value) {
-        apply_ctx(f, map, v, self.effects.as_ref());
+        transfer(f, map, v);
     }
 
     /// Covered values at `b`'s entry (after phi resolution); `None` when the
@@ -357,11 +292,6 @@ impl AvailableGuards {
 mod tests {
     use super::*;
     use tfm_ir::{BinOp, FunctionBuilder, InstKind, Module, Signature, Type};
-
-    /// The intraprocedural analysis (every call kills).
-    fn compute(f: &Function) -> AvailableGuards {
-        AvailableGuards::compute_with(f, None)
-    }
 
     /// The cover of `ptr` immediately before instruction `at`, walking its
     /// block from the in-state; `None` when the block is unreachable or
@@ -410,7 +340,7 @@ mod tests {
             b.ret(Some(s2));
         }
         let f = m.function(id);
-        let ag = compute(f);
+        let ag = AvailableGuards::compute(f);
         // Covered between the guard and the call...
         let c = cover_before(&ag, f, x, p).unwrap();
         assert_eq!(c.src, CoverSrc::Guard(g));
@@ -440,7 +370,7 @@ mod tests {
             b.ret(None);
         }
         let f = m.function(id);
-        let ag = compute(f);
+        let ag = AvailableGuards::compute(f);
         // The second guard does not kill the first pointer's custody...
         let c = cover_before(&ag, f, mal, p).unwrap();
         assert_eq!(c.kind, GuardKind::Read);
@@ -487,7 +417,7 @@ mod tests {
             b.ret(None);
         }
         let f = m.function(id);
-        let ag = compute(f);
+        let ag = AvailableGuards::compute(f);
         assert!(
             cover_before(&ag, f, join_load, p).is_none(),
             "one-sided guard"
@@ -526,7 +456,7 @@ mod tests {
             b.ret(None);
         }
         let f = m.function(id);
-        let ag = compute(f);
+        let ag = AvailableGuards::compute(f);
         let c = cover_before(&ag, f, use_load, phi).unwrap();
         assert_eq!(c.src, CoverSrc::Merged);
         assert_eq!(c.kind, GuardKind::Write);
@@ -560,7 +490,7 @@ mod tests {
             b.ret(None);
         }
         let f = m.function(id);
-        let ag = compute(f);
+        let ag = AvailableGuards::compute(f);
         assert!(cover_before(&ag, f, use_load, phi).is_none());
     }
 
@@ -587,7 +517,7 @@ mod tests {
         }
         body_load = body_load_v.unwrap();
         let f = m.function(id);
-        let ag = compute(f);
+        let ag = AvailableGuards::compute(f);
         let c = cover_before(&ag, f, body_load, g).unwrap();
         assert_eq!(c.src, CoverSrc::Guard(g));
         // The derived gep address is covered too.
@@ -626,7 +556,7 @@ mod tests {
         }
         let body_load = body_load_v.unwrap();
         let f = m.function(id);
-        let ag = compute(f);
+        let ag = AvailableGuards::compute(f);
         assert!(
             cover_before(&ag, f, body_load, g).is_none(),
             "call inside the loop kills coverage across the backedge"
@@ -655,7 +585,7 @@ mod tests {
             b.ret(None);
         }
         let f = m.function(id);
-        let ag = compute(f);
+        let ag = AvailableGuards::compute(f);
         let c = cover_before(&ag, f, use_load, cd).unwrap();
         assert_eq!(c.kind, GuardKind::Chunk);
         let cs = cover_before(&ag, f, use_load, sel).unwrap();
@@ -688,7 +618,7 @@ mod tests {
         }
         m.verify().unwrap();
         let f = m.function(id);
-        let ag = compute(f);
+        let ag = AvailableGuards::compute(f);
         // The dead block is never computed ...
         assert_eq!(ag.block_in(dead), None);
         // ... and the join sees no cover for p despite dead's guard.

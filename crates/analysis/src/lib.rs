@@ -19,16 +19,13 @@
 //!   redundant-guard elimination pass;
 //! * [`induction`] — basic and derived induction variables plus strided
 //!   loop accesses, the backbone of loop chunking and prefetch planning;
-//! * [`callgraph`] — the module call graph with Tarjan SCC condensation,
-//!   giving the bottom-up order interprocedural analyses run in;
-//! * [`summaries`] — per-function effect summaries (custody transparency,
-//!   parameter and return-value memory classes and custody) propagated
-//!   across call sites, the whole-program layer behind call-aware guard
-//!   checking and interprocedural parameter classification;
+//! * [`summaries`] — a vestige: [`ModuleSummaries::compute`] classifies
+//!   every function of a module and nothing in the compiler reads it. The
+//!   compiler summarises no callee: every call kills custody, and pointer
+//!   parameters and call results are of unknown provenance;
 //! * [`profile`] — edge/block execution profiles gathered by the simulator
 //!   and consumed by the chunking cost model.
 
-pub mod callgraph;
 pub mod dom;
 pub mod guard_check;
 pub mod induction;
@@ -37,11 +34,10 @@ pub mod points_to;
 pub mod profile;
 pub mod summaries;
 
-pub use callgraph::CallGraph;
 pub use dom::DomTree;
-pub use guard_check::{AvailableGuards, CallEffects, Cover, CoverSrc, GuardKind};
+pub use guard_check::{AvailableGuards, Cover, CoverSrc, GuardKind};
 pub use induction::{BasicIv, LoopAccess};
 pub use loops::{LoopForest, NaturalLoop};
 pub use points_to::{MemClass, PointsTo};
 pub use profile::Profile;
-pub use summaries::{FnSummary, ModuleSummaries};
+pub use summaries::ModuleSummaries;

@@ -14,7 +14,7 @@
 //! parameters) must be guarded; the run-time custody check (Fig. 4) keeps
 //! this conservative answer correct and merely costs a few cycles.
 
-use tfm_ir::{FuncId, Function, InstKind, Intrinsic, Type, Value};
+use tfm_ir::{Function, InstKind, Intrinsic, Type, Value};
 
 /// Conservative classification of what a value may point to.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
@@ -55,21 +55,6 @@ pub struct PointsTo {
 impl PointsTo {
     /// Runs the classification to a fixpoint.
     pub fn compute(f: &Function) -> Self {
-        Self::compute_with_env(f, &[], &|_| MemClass::Unknown)
-    }
-
-    /// [`PointsTo::compute`], with interprocedural facts: the
-    /// classes of this function's own pointer parameters (by parameter
-    /// index; missing entries fall back to [`MemClass::Unknown`]) and the
-    /// return-value class of each callee. Both refine values the
-    /// intraprocedural analysis writes off as `Unknown`; non-pointer-typed
-    /// parameters and call results keep the legacy `NonPtr` treatment, so
-    /// refinement can only *narrow* the guarded set, never grow it.
-    pub fn compute_with_env(
-        f: &Function,
-        param_class: &[MemClass],
-        ret_class_of: &dyn Fn(FuncId) -> MemClass,
-    ) -> Self {
         let n = f.num_insts();
         let mut class = vec![MemClass::NonPtr; n];
         let live = f.live_insts();
@@ -77,7 +62,7 @@ impl PointsTo {
         while changed {
             changed = false;
             for &v in &live {
-                let new = Self::transfer(f, &class, v, param_class, ret_class_of);
+                let new = Self::transfer(f, &class, v);
                 let joined = class[v.index()].join(new);
                 if joined != class[v.index()] {
                     class[v.index()] = joined;
@@ -88,18 +73,12 @@ impl PointsTo {
         PointsTo { class }
     }
 
-    fn transfer(
-        f: &Function,
-        class: &[MemClass],
-        v: Value,
-        param_class: &[MemClass],
-        ret_class_of: &dyn Fn(FuncId) -> MemClass,
-    ) -> MemClass {
+    fn transfer(f: &Function, class: &[MemClass], v: Value) -> MemClass {
         use MemClass::*;
         match f.kind(v) {
             InstKind::Alloca { .. } => Stack,
             InstKind::GlobalAddr(_) => Global,
-            InstKind::IntrinsicCall { intr, args } => match intr {
+            InstKind::IntrinsicCall { intr, .. } => match intr {
                 Intrinsic::Malloc
                 | Intrinsic::Calloc
                 | Intrinsic::Realloc
@@ -107,28 +86,13 @@ impl PointsTo {
                 | Intrinsic::TfmCalloc
                 | Intrinsic::TfmRealloc => Heap,
                 Intrinsic::GuardRead | Intrinsic::GuardWrite | Intrinsic::ChunkDeref => Localized,
-                _ => {
-                    let _ = args;
-                    NonPtr
-                }
+                _ => NonPtr,
             },
-            InstKind::Param(i) => {
-                if f.ty(v) == Some(Type::Ptr) {
-                    param_class.get(*i as usize).copied().unwrap_or(Unknown)
-                } else {
-                    NonPtr
-                }
-            }
-            InstKind::Load { .. } => {
+            // Parameters, pointers loaded from memory and call results are
+            // of unknown provenance.
+            InstKind::Param(_) | InstKind::Load { .. } | InstKind::Call { .. } => {
                 if f.ty(v) == Some(Type::Ptr) {
                     Unknown
-                } else {
-                    NonPtr
-                }
-            }
-            InstKind::Call { func, .. } => {
-                if f.ty(v) == Some(Type::Ptr) {
-                    ret_class_of(*func)
                 } else {
                     NonPtr
                 }

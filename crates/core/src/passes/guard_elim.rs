@@ -24,7 +24,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use tfm_analysis::guard_check::{AvailableGuards, Cover, CoverSrc, GuardKind};
-use tfm_analysis::summaries::ModuleSummaries;
 use tfm_ir::{Function, InstKind, Intrinsic, Module, Value};
 
 /// One surviving guard that absorbed eliminated duplicates.
@@ -69,19 +68,45 @@ enum Fold {
     Upgrade,
 }
 
+/// What to do with guard `v`, of kind `need`, whose pointer the earlier
+/// guard `g` covers.
+fn decide(f: &Function, v: Value, need: GuardKind, g: Value) -> Fold {
+    // The survivor's *current* kind (upgrades rewrite the IR), and whether
+    // it is a read guard that can be upgraded in place.
+    let (have, read_guard) = match f.kind(g) {
+        InstKind::IntrinsicCall {
+            intr: Intrinsic::GuardRead,
+            ..
+        } => (GuardKind::Read, true),
+        InstKind::IntrinsicCall {
+            intr: Intrinsic::GuardWrite,
+            ..
+        } => (GuardKind::Write, false),
+        _ => (GuardKind::Chunk, false), // chunk custody: never reused
+    };
+    if have.covers(need) {
+        Fold::Replace
+    } else if read_guard && need == GuardKind::Write && f.inst(g).block == f.inst(v).block {
+        // Same-block read→write upgrade (RMW pattern): the duplicate write
+        // guard always executes right after the read guard, so strengthening
+        // in place adds dirty-marking exactly where the store already is.
+        Fold::Upgrade
+    } else {
+        Fold::Keep
+    }
+}
+
 /// The fold loop over one function. It walks every reachable block from its
 /// available-guards in-state; for each guard `v` whose pointer one earlier
-/// guard (or guarded-pointer call) `g` covers, `decide(f, v, need, g,
-/// cover_kind)` picks the rewrite, where `need` is `v`'s own kind and `g` is
-/// chased through this walk's earlier folds (the analysis saw the IR before
-/// them). Each fold is counted in `absorbed` under `(func, g)`. Returns
-/// `(folded, upgraded)`.
+/// guard `g` covers, [`decide`] picks the rewrite, with `g` chased through
+/// this walk's earlier folds (the analysis saw the IR before them). Each
+/// fold is counted in `absorbed` under `(func, g)`. Returns `(folded,
+/// upgraded)`.
 fn fold_guards(
     f: &mut Function,
     func: u32,
     ag: &AvailableGuards,
     absorbed: &mut BTreeMap<(u32, u32), u32>,
-    decide: impl Fn(&Function, Value, GuardKind, Value, GuardKind) -> Fold,
 ) -> (usize, usize) {
     let (mut folded, mut upgraded) = (0, 0);
     let mut repl: HashMap<Value, Value> = HashMap::new();
@@ -97,7 +122,7 @@ fn fold_guards(
                 } => match map.get(&args[0]) {
                     Some(&Cover {
                         src: CoverSrc::Guard(src),
-                        kind,
+                        ..
                     }) => {
                         let need = if *intr == Intrinsic::GuardWrite {
                             GuardKind::Write
@@ -105,7 +130,7 @@ fn fold_guards(
                             GuardKind::Read
                         };
                         let g = chase(&repl, src);
-                        (g != v).then(|| (g, decide(f, v, need, g, kind)))
+                        (g != v).then(|| (g, decide(f, v, need, g)))
                     }
                     _ => None,
                 },
@@ -150,52 +175,14 @@ fn elided_sites(absorbed: BTreeMap<(u32, u32), u32>) -> Vec<ElidedSite> {
 }
 
 /// Runs redundant-guard elimination over every function of `module`.
-/// Without summaries every call kills custody. With [`ModuleSummaries`] the
-/// available-guards dataflow keeps covers alive across custody-transparent
-/// callees (so guards straddling pure helper calls fold), and calls
-/// returning canonical guarded pointers act as cover sources whose results
-/// later duplicate guards collapse into.
-pub fn run_with(module: &mut Module, summaries: Option<&ModuleSummaries>) -> ElisionOutcome {
+/// Every call kills custody, so no guard folds across one.
+pub fn run(module: &mut Module) -> ElisionOutcome {
     let mut outcome = ElisionOutcome::default();
     let mut absorbed = BTreeMap::new();
     for fid in module.function_ids().collect::<Vec<_>>() {
-        let fx = summaries.map(|s| s.effects_for(fid, module.function(fid)));
-        let ag = AvailableGuards::compute_with(module.function(fid), fx);
+        let ag = AvailableGuards::compute(module.function(fid));
         let f = module.function_mut(fid);
-        let (folded, upgraded) =
-            fold_guards(f, fid.0, &ag, &mut absorbed, |f, v, need, g, kind| {
-                // The survivor's *current* kind (upgrades rewrite the IR), and
-                // whether it is a read guard that can be upgraded in place.
-                let (have, read_guard) = match f.kind(g) {
-                    InstKind::IntrinsicCall {
-                        intr: Intrinsic::GuardRead,
-                        ..
-                    } => (GuardKind::Read, true),
-                    InstKind::IntrinsicCall {
-                        intr: Intrinsic::GuardWrite,
-                        ..
-                    } => (GuardKind::Write, false),
-                    // A call returning a canonical guarded pointer: its cover
-                    // kind is the callee's return custody. Calls are never
-                    // rewritten in place, so the analysis kind is still current.
-                    InstKind::Call { .. } => (kind, false),
-                    _ => (GuardKind::Chunk, false), // chunk custody: never reused
-                };
-                if have.covers(need) {
-                    Fold::Replace
-                } else if read_guard
-                    && need == GuardKind::Write
-                    && f.inst(g).block == f.inst(v).block
-                {
-                    // Same-block read→write upgrade (RMW pattern): the duplicate
-                    // write guard always executes right after the read guard, so
-                    // strengthening in place adds dirty-marking exactly where
-                    // the store already is.
-                    Fold::Upgrade
-                } else {
-                    Fold::Keep
-                }
-            });
+        let (folded, upgraded) = fold_guards(f, fid.0, &ag, &mut absorbed);
         outcome.eliminated += folded;
         outcome.upgraded += upgraded;
     }
@@ -242,7 +229,7 @@ mod tests {
             x2 = b.load(Type::I64, g2);
             b.ret(Some(x2));
         }
-        let out = run_with(&mut m, None);
+        let out = run(&mut m);
         assert_eq!(out.eliminated, 1);
         assert_eq!(out.upgraded, 0);
         assert_eq!(
@@ -277,7 +264,7 @@ mod tests {
             let x = b.load(Type::I64, g2);
             b.ret(Some(x));
         }
-        let out = run_with(&mut m, None);
+        let out = run(&mut m);
         assert_eq!(out.eliminated, 1);
         assert_eq!(count_guards(&m), (0, 1));
         m.verify().unwrap();
@@ -299,7 +286,7 @@ mod tests {
             b.store(g2, x2);
             b.ret(None);
         }
-        let out = run_with(&mut m, None);
+        let out = run(&mut m);
         assert_eq!(out.eliminated, 1);
         assert_eq!(out.upgraded, 1);
         // One write guard survives; both the load and the store use it.
@@ -330,7 +317,7 @@ mod tests {
             b.switch_to_block(done);
             b.ret(None);
         }
-        let out = run_with(&mut m, None);
+        let out = run(&mut m);
         assert_eq!(out.eliminated, 0);
         assert_eq!(out.upgraded, 0);
         assert_eq!(count_guards(&m), (1, 1));
@@ -357,7 +344,7 @@ mod tests {
             let x = b.load(Type::I64, g2);
             b.ret(Some(x));
         }
-        let out = run_with(&mut m, None);
+        let out = run(&mut m);
         assert_eq!(out.eliminated, 0);
         assert_eq!(count_guards(&m), (2, 0));
     }
@@ -379,7 +366,7 @@ mod tests {
             let x = b.load(Type::I64, g3);
             b.ret(Some(x));
         }
-        let out = run_with(&mut m, None);
+        let out = run(&mut m);
         assert_eq!(out.eliminated, 2);
         assert_eq!(out.sites.len(), 1);
         assert_eq!(out.sites[0].absorbed, 2);
@@ -418,7 +405,7 @@ mod tests {
             let x = b.load(Type::I64, g3);
             b.ret(Some(x));
         }
-        let out = run_with(&mut m, None);
+        let out = run(&mut m);
         assert_eq!(out.eliminated, 0);
         assert_eq!(count_guards(&m), (3, 0));
     }

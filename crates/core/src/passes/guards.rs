@@ -14,7 +14,6 @@
 
 use tfm_analysis::guard_check::{AvailableGuards, GuardKind};
 use tfm_analysis::points_to::{MemClass, PointsTo};
-use tfm_analysis::summaries::ModuleSummaries;
 use tfm_ir::{FuncId, InstData, InstKind, Intrinsic, Module, Type, Value};
 
 /// Per-function analysis result: accesses that must be guarded.
@@ -42,27 +41,16 @@ impl GuardPlan {
 /// the ones that may reference the heap, in one walk over the reachable
 /// blocks.
 ///
-/// Pointer classes and call effects come from the interprocedural
-/// [`ModuleSummaries`] when given ([`ModuleSummaries::points_to_for`]:
-/// parameters and call results inherit the classes proven at their call
-/// sites, so provably stack / global pointers are skipped
-/// across function boundaries), otherwise from the function alone, where
-/// every call kills custody. A `Localized` pointer — a guard or chunk
-/// dereference result, so this composes with chunking, which runs first —
-/// is skipped only while the available-guards dataflow proves its custody
-/// live at the access (with write intent for stores); otherwise it is
-/// guarded again.
-pub fn analyze_with_env(
-    module: &Module,
-    func: FuncId,
-    summaries: Option<&ModuleSummaries>,
-) -> GuardPlan {
+/// The analysis sees one function: pointer parameters and call results are
+/// of unknown provenance, and every call kills custody. A `Localized`
+/// pointer — a guard or chunk dereference result, so this composes with
+/// chunking, which runs first — is skipped only while the available-guards
+/// dataflow proves its custody live at the access (with write intent for
+/// stores); otherwise it is guarded again.
+pub fn analyze(module: &Module, func: FuncId) -> GuardPlan {
     let f = module.function(func);
-    let (pt, fx) = match summaries {
-        Some(sums) => (sums.points_to_for(func, f), Some(sums.effects_for(func, f))),
-        None => (PointsTo::compute(f), None),
-    };
-    let ag = AvailableGuards::compute_with(f, fx);
+    let pt = PointsTo::compute(f);
+    let ag = AvailableGuards::compute(f);
     let mut plan = GuardPlan::default();
     for b in f.blocks() {
         let Some(mut map) = ag.block_in(b).cloned() else {
@@ -186,11 +174,6 @@ pub fn collect_sites(module: &Module) -> Vec<GuardSite> {
 mod tests {
     use super::*;
     use tfm_ir::{FunctionBuilder, Signature};
-
-    /// The intraprocedural plan for `func`.
-    fn analyze(module: &Module, func: FuncId) -> GuardPlan {
-        analyze_with_env(module, func, None)
-    }
 
     /// Analyzes and transforms every function; returns total
     /// `(read_guards, write_guards)`.

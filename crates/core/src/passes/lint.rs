@@ -28,7 +28,6 @@
 use std::fmt;
 use tfm_analysis::guard_check::{AvailableGuards, CoverSrc, GuardKind};
 use tfm_analysis::points_to::{MemClass, PointsTo};
-use tfm_analysis::summaries::ModuleSummaries;
 use tfm_ir::{Function, InstKind, Intrinsic, Module, Value, CHUNK_FLAG_WRITE};
 
 /// One uncovered (or wrongly covered) may-heap access.
@@ -151,19 +150,15 @@ fn lint_function(
 /// Lints every function of `module`; returns **all** violations found (the
 /// pipeline gate is what turns any into a panic).
 ///
-/// The lint always runs at full interprocedural precision, regardless of
-/// which transform flags were enabled: summaries are recomputed here so
-/// custody-transparent callees keep covers alive, guarded arguments cover
-/// callee parameters, and call-site classes refine parameter classification
-/// — the verifier must accept everything the (flag-gated) transforms are
-/// allowed to produce, while the dynamic sanitizer independently checks the
-/// executed path.
+/// Each function is checked alone, under the rule the compiler follows:
+/// every call kills custody, and pointer parameters and call results are of
+/// unknown provenance. The dynamic sanitizer (`tfm_sim::Machine`) applies
+/// the same call rule on the path a run actually takes.
 pub fn lint_module(module: &Module) -> Vec<LintError> {
-    let sums = ModuleSummaries::compute(module, &[]);
     let mut errors = Vec::new();
-    for (fid, f) in module.functions() {
-        let pt = sums.points_to_for(fid, f);
-        let ag = AvailableGuards::compute_with(f, Some(sums.effects_for(fid, f)));
+    for (_, f) in module.functions() {
+        let pt = PointsTo::compute(f);
+        let ag = AvailableGuards::compute(f);
         lint_function(&f.name, f, &pt, &ag, &mut errors);
     }
     errors
@@ -237,9 +232,9 @@ mod tests {
     }
 
     #[test]
-    fn custody_transparent_callee_keeps_coverage_alive() {
-        // Pure helper: the interprocedural lint proves it kills nothing, so
-        // the guard before the call still covers the access after it.
+    fn a_call_to_a_pure_callee_still_kills_custody() {
+        // The helper kills nothing, but the lint summarises no callee: the
+        // access after the call is not re-guarded, so it is flagged.
         let mut m = Module::new("t");
         let h = m.declare_function("h", Signature::new(vec![Type::I64], Some(Type::I64)));
         {
@@ -249,53 +244,35 @@ mod tests {
             b.ret(Some(y));
         }
         let id = m.declare_function("f", Signature::new(vec![Type::Ptr], Some(Type::I64)));
+        let x;
         {
             let mut b = FunctionBuilder::new(m.function_mut(id));
             let p = b.param(0);
             let g = b.intrinsic(Intrinsic::GuardRead, vec![p]);
             let a = b.load(Type::I64, g);
             let _ = b.call(h, vec![a], Some(Type::I64));
-            let x = b.load(Type::I64, g);
+            x = b.load(Type::I64, g);
             b.ret(Some(x));
         }
-        assert!(lint_module(&m).is_empty());
+        let errs = lint_module(&m);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].message.contains("not available on all paths"));
+        assert_eq!(errs[0].site, format!("f:v{}:load", x.index()));
     }
 
     #[test]
-    fn interprocedural_classes_cover_callee_parameter_accesses() {
-        // The helper dereferences its parameter raw; every call site passes
-        // a stack slot, so the access provably never touches the far heap.
+    fn a_parameter_access_needs_its_own_guard_even_when_every_call_site_guards() {
+        // Every call site passes a freshly guarded pointer (or a stack
+        // slot), and no kill intervenes before the call: the callee's raw
+        // parameter access is still flagged, because custody does not cross
+        // a call.
         let mut m = Module::new("t");
         let h = m.declare_function("h", Signature::new(vec![Type::Ptr], Some(Type::I64)));
+        let x;
         {
             let mut b = FunctionBuilder::new(m.function_mut(h));
             let p = b.param(0);
-            let x = b.load(Type::I64, p);
-            b.ret(Some(x));
-        }
-        let id = m.declare_function("main", Signature::new(vec![], Some(Type::I64)));
-        {
-            let mut b = FunctionBuilder::new(m.function_mut(id));
-            let slot = b.alloca(8, 8);
-            let z = b.iconst(Type::I64, 9);
-            b.store(slot, z);
-            let x = b.call(h, vec![slot], Some(Type::I64));
-            b.ret(Some(x));
-        }
-        assert!(lint_module(&m).is_empty());
-    }
-
-    #[test]
-    fn guarded_argument_covers_callee_parameter() {
-        // Every call site passes a freshly guarded pointer and no kill
-        // intervenes: the callee's raw parameter access is covered by the
-        // caller's custody (summary entry covers).
-        let mut m = Module::new("t");
-        let h = m.declare_function("h", Signature::new(vec![Type::Ptr], Some(Type::I64)));
-        {
-            let mut b = FunctionBuilder::new(m.function_mut(h));
-            let p = b.param(0);
-            let x = b.load(Type::I64, p);
+            x = b.load(Type::I64, p);
             b.ret(Some(x));
         }
         let id = m.declare_function("main", Signature::new(vec![Type::Ptr], Some(Type::I64)));
@@ -303,10 +280,16 @@ mod tests {
             let mut b = FunctionBuilder::new(m.function_mut(id));
             let p = b.param(0);
             let g = b.intrinsic(Intrinsic::GuardRead, vec![p]);
-            let x = b.call(h, vec![g], Some(Type::I64));
-            b.ret(Some(x));
+            let a = b.call(h, vec![g], Some(Type::I64));
+            let slot = b.alloca(8, 8);
+            b.store(slot, a);
+            let y = b.call(h, vec![slot], Some(Type::I64));
+            b.ret(Some(y));
         }
-        assert!(lint_module(&m).is_empty());
+        let errs = lint_module(&m);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].message.contains("never passed through a guard"));
+        assert_eq!(errs[0].site, format!("h:v{}:load", x.index()));
     }
 
     #[test]

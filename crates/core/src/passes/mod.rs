@@ -14,9 +14,9 @@
 //! Redundant-guard elimination ([`guard_elim`]) deletes guards the
 //! available-guards dataflow proves duplicated, and the final lint
 //! ([`lint`]) machine-checks the guard-coverage invariant on the output.
-//! The interprocedural layer ([`tfm_analysis::summaries`]) feeds the guard
-//! transform, elimination and the lint: cross-call parameter/return
-//! classes, call-aware kill sets and custody-transparent callee facts.
+//! Every pass sees one function at a time: a call kills custody and no
+//! callee is summarised, the rule the lint checks and the dynamic sanitizer
+//! enforces on the path a run takes.
 
 pub mod chunking;
 pub mod guard_elim;

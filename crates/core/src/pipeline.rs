@@ -9,17 +9,18 @@
 //!
 //! Two decisions per heap access, one option each: chunk it
 //! ([`CompilerOptions::chunking`], §3.4) or guard it
-//! ([`CompilerOptions::guards`], §3.3) — and how hard the guard pipeline
-//! then works to remove what it inserted is the single [`GuardOpt`] level:
+//! ([`CompilerOptions::guards`], §3.3) — and whether the guard pipeline then
+//! removes what it inserted is the single [`GuardOpt`] level:
 //!
-//! | level | guard-check analysis | elision |
-//! |---|---|---|
-//! | [`GuardOpt::None`] | per function | off (the naive §3.3 transformation) |
-//! | [`GuardOpt::Local`] | per function | same function, every call kills custody |
-//! | [`GuardOpt::Full`] (default) | interprocedural [`ModuleSummaries`] | call-aware kill sets |
+//! | level | elision |
+//! |---|---|
+//! | [`GuardOpt::None`] | off (the naive §3.3 transformation) |
+//! | [`GuardOpt::Local`] (default) | within one function; every call kills custody |
 //!
-//! The lint runs after every guarded compile, always at full
-//! interprocedural precision, whatever the level.
+//! Every analysis sees one function at a time, as the paper's does: no
+//! callee is summarised, so pointer parameters and call results are of
+//! unknown provenance. The lint runs after every guarded compile, under the
+//! same rule, whatever the level.
 
 use crate::cost::CostModel;
 use crate::passes::chunking::{self, ChunkingMode, ChunkingOptions, ChunkingOutcome};
@@ -31,33 +32,24 @@ use crate::passes::o1::{self, O1Outcome};
 use crate::passes::runtime_init;
 use std::time::Instant;
 use tfm_analysis::profile::Profile;
-use tfm_analysis::summaries::ModuleSummaries;
 use tfm_ir::Module;
 
-/// The entry function: receives the runtime-init hook and roots the
-/// interprocedural summaries.
+/// The entry function: receives the runtime-init hook.
 const MAIN: &str = "main";
 
-/// How hard the guard pipeline works to remove guards it inserted. Each
-/// level only ever removes guards relative to the one before it, and the
-/// 200-seed corpus (`tests/random_programs.rs`) holds every level to the
-/// lint, the sanitizer, the local-memory oracle and `cycles(None) ≥
-/// cycles(Local) ≥ cycles(Full)`.
+/// Whether the guard pipeline removes guards it inserted. The 200-seed
+/// corpus (`tests/random_programs.rs`) holds both levels to the lint, the
+/// sanitizer, the local-memory oracle and `cycles(None) ≥ cycles(Local)`.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum GuardOpt {
     /// The naive §3.3 transformation: every may-heap access keeps its guard.
     None,
-    /// Summary-free redundant-guard elimination within one function: guards
-    /// dominated by an un-killed guard on the same pointer are deleted, the
+    /// Redundant-guard elimination within one function: guards dominated by
+    /// an un-killed guard on the same pointer are deleted, the
     /// read-then-write pattern folds into one write guard, and every call
     /// kills custody.
-    Local,
-    /// `Local` plus the interprocedural summaries: parameters provably stack
-    /// or global at every call site need no guard in the callee, and calls
-    /// to functions that provably never trigger evacuation keep custody
-    /// live, so elision folds guards across them.
     #[default]
-    Full,
+    Local,
 }
 
 /// Compiler options.
@@ -92,7 +84,7 @@ impl Default for CompilerOptions {
             prefetch: true,
             o1: false,
             guards: true,
-            guard_opt: GuardOpt::Full,
+            guard_opt: GuardOpt::Local,
         }
     }
 }
@@ -217,15 +209,10 @@ impl TrackFmCompiler {
         report.end_pass("loop-chunking", t, module);
 
         let t = Instant::now();
-        let full = opts.guard_opt == GuardOpt::Full;
         let (mut r, mut w) = (0, 0);
         if opts.guards {
-            // Summaries for the guard-check analysis come from the
-            // pre-transform IR; the transform only adds guards, so every
-            // class/custody fact proven here stays sound afterwards.
-            let sums = full.then(|| ModuleSummaries::compute(module, &[MAIN]));
             for id in module.function_ids().collect::<Vec<_>>() {
-                let plan = guards::analyze_with_env(module, id, sums.as_ref());
+                let plan = guards::analyze(module, id);
                 let (pr, pw) = guards::transform(module, id, &plan);
                 r += pr;
                 w += pw;
@@ -236,11 +223,8 @@ impl TrackFmCompiler {
         report.end_pass("guard-transform", t, module);
 
         if opts.guards && opts.guard_opt != GuardOpt::None {
-            // Call-aware kill sets for elision: recomputed on the
-            // post-transform IR so the summaries see the inserted guards.
-            let kill_sums = full.then(|| ModuleSummaries::compute(module, &[MAIN]));
             let t = Instant::now();
-            report.elision = guard_elim::run_with(module, kill_sums.as_ref());
+            report.elision = guard_elim::run(module);
             report.end_pass("guard-elide", t, module);
         }
 
@@ -434,117 +418,26 @@ mod tests {
         // The read guard and the write guard fold into one write guard,
         // which stays in the loop body: a guard pins nothing, so only there
         // does it cover the accesses against evacuation.
-        for level in [GuardOpt::Local, GuardOpt::Full] {
-            let mut m = invariant_store_loop();
-            let compiler = TrackFmCompiler::new(CompilerOptions {
-                chunking: ChunkingMode::Off,
-                guard_opt: level,
-                ..Default::default()
-            });
-            let report = compiler.compile(&mut m, None);
-            assert_eq!(report.elision.upgraded, 1, "{level:?}");
-            assert_eq!(count_intr(&m, Intrinsic::GuardRead), 0, "{level:?}");
-            assert_eq!(count_intr(&m, Intrinsic::GuardWrite), 1, "{level:?}");
-            let f = m.function(m.function_ids().next().unwrap());
-            let in_entry = f.block_insts(f.entry_block()).iter().any(|&v| {
-                matches!(
-                    f.kind(v),
-                    InstKind::IntrinsicCall {
-                        intr: Intrinsic::GuardWrite,
-                        ..
-                    }
-                )
-            });
-            assert!(!in_entry, "{level:?}: the guard left the loop");
-        }
-    }
-
-    #[test]
-    fn full_skips_guards_on_provably_local_parameters() {
-        // helper loads through its pointer parameter; the only call site
-        // passes a stack slot. At `Full` the callee access needs no guard;
-        // at `Local` it gets one.
-        let build = || {
-            let mut m = Module::new("ip");
-            let h = m.declare_function("helper", Signature::new(vec![Type::Ptr], Some(Type::I64)));
-            {
-                let mut b = FunctionBuilder::new(m.function_mut(h));
-                let p = b.param(0);
-                let x = b.load(Type::I64, p);
-                b.ret(Some(x));
-            }
-            let id = m.declare_function("main", Signature::new(vec![], Some(Type::I64)));
-            {
-                let mut b = FunctionBuilder::new(m.function_mut(id));
-                let slot = b.alloca(8, 8);
-                let z = b.iconst(Type::I64, 5);
-                b.store(slot, z);
-                let x = b.call(h, vec![slot], Some(Type::I64));
-                b.ret(Some(x));
-            }
-            m.verify().unwrap();
-            m
-        };
-        let opts = CompilerOptions {
+        let mut m = invariant_store_loop();
+        let compiler = TrackFmCompiler::new(CompilerOptions {
             chunking: ChunkingMode::Off,
             ..Default::default()
-        };
-        let mut with = build();
-        let r_with = TrackFmCompiler::new(opts).compile(&mut with, None);
-        let mut without = build();
-        let r_without = TrackFmCompiler::new(CompilerOptions {
-            guard_opt: GuardOpt::Local,
-            ..opts
-        })
-        .compile(&mut without, None);
-        assert!(r_with.total_guards() < r_without.total_guards());
-        assert_eq!(count_intr(&with, Intrinsic::GuardRead), 0);
-        assert_eq!(count_intr(&without, Intrinsic::GuardRead), 1);
-    }
-
-    #[test]
-    fn full_lets_elision_cross_transparent_calls() {
-        // Two loads through the same pointer with a pure call in between:
-        // at `Full` the call-aware kill sets elide the second guard; at
-        // `Local` the call conservatively kills custody and both survive.
-        let build = || {
-            let mut m = Module::new("ck");
-            let h = m.declare_function("pure", Signature::new(vec![Type::I64], Some(Type::I64)));
-            {
-                let mut b = FunctionBuilder::new(m.function_mut(h));
-                let x = b.param(0);
-                let y = b.binop(BinOp::Add, x, x);
-                b.ret(Some(y));
-            }
-            let id = m.declare_function("main", Signature::new(vec![Type::Ptr], Some(Type::I64)));
-            {
-                let mut b = FunctionBuilder::new(m.function_mut(id));
-                let p = b.param(0);
-                let x = b.load(Type::I64, p);
-                let y = b.call(h, vec![x], Some(Type::I64));
-                let z = b.load(Type::I64, p);
-                let s = b.binop(BinOp::Add, y, z);
-                b.ret(Some(s));
-            }
-            m.verify().unwrap();
-            m
-        };
-        let opts = CompilerOptions {
-            chunking: ChunkingMode::Off,
-            ..Default::default()
-        };
-        let mut with = build();
-        let r_with = TrackFmCompiler::new(opts).compile(&mut with, None);
-        let mut without = build();
-        let r_without = TrackFmCompiler::new(CompilerOptions {
-            guard_opt: GuardOpt::Local,
-            ..opts
-        })
-        .compile(&mut without, None);
-        assert_eq!(r_with.elision.eliminated, 1);
-        assert_eq!(r_without.elision.eliminated, 0);
-        assert_eq!(count_intr(&with, Intrinsic::GuardRead), 1);
-        assert_eq!(count_intr(&without, Intrinsic::GuardRead), 2);
+        });
+        let report = compiler.compile(&mut m, None);
+        assert_eq!(report.elision.upgraded, 1);
+        assert_eq!(count_intr(&m, Intrinsic::GuardRead), 0);
+        assert_eq!(count_intr(&m, Intrinsic::GuardWrite), 1);
+        let f = m.function(m.function_ids().next().unwrap());
+        let in_entry = f.block_insts(f.entry_block()).iter().any(|&v| {
+            matches!(
+                f.kind(v),
+                InstKind::IntrinsicCall {
+                    intr: Intrinsic::GuardWrite,
+                    ..
+                }
+            )
+        });
+        assert!(!in_entry, "the guard left the loop");
     }
 
     #[test]
@@ -552,7 +445,7 @@ mod tests {
         // `g = guard.read(p); call alloc(); load g`: the call allocates, so
         // custody of `g` is dead at the load and every level must guard it
         // again, or the lint rejects the output.
-        for level in [GuardOpt::None, GuardOpt::Local, GuardOpt::Full] {
+        for level in [GuardOpt::None, GuardOpt::Local] {
             let mut m = Module::new("relocalize");
             let alloc = m.declare_function("alloc", Signature::new(vec![], Some(Type::I64)));
             {

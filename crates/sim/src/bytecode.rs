@@ -844,8 +844,8 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
         r
     }
 
-    /// Sets up the root frame (argument registers plus any covers staged by
-    /// the harness) and runs it.
+    /// Sets up the root frame (argument registers; no shadow custody) and
+    /// runs it.
     fn root_frame<const SAN: bool>(
         &mut self,
         prog: &Program,
@@ -856,13 +856,6 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
         let nregs = prog.funcs[fid.index()].nregs as usize;
         rs.push_frame::<SAN>(0, nregs);
         rs.regs[..args.len()].copy_from_slice(args);
-        if SAN {
-            // The harness-level entry stages nothing, but mirror the
-            // tree-walker's unconditional take so staged state never leaks.
-            let staged = std::mem::take(&mut self.arg_cov);
-            let n = staged.len().min(args.len());
-            rs.cov[..n].copy_from_slice(&staged[..n]);
-        }
         self.exec_frame::<SAN>(prog, fid, 0, rs)
     }
 
@@ -1236,17 +1229,13 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
                 } => {
                     clock += cost_call;
                     let callee = FuncId(func);
-                    let epoch = self.kill_epoch;
                     let cbase = fend;
+                    // The callee's shadows start at `NONE`: no custody
+                    // crosses a call.
                     rs.push_frame::<SAN>(cbase, prog.funcs[callee.index()].nregs as usize);
                     for i in 0..nargs as usize {
                         let s = prog.arg_pool[args as usize + i];
                         rs.wr(cbase, i as u32, rs.rd(base, s));
-                        if SAN {
-                            // Entry covers, written in place of the
-                            // tree-walker's `arg_cov` staging vector.
-                            rs.set_cov(cbase, i as u32, rs.cov(base, s));
-                        }
                     }
                     flush!();
                     let r = match self.exec_frame::<SAN>(prog, callee, cbase, rs) {
@@ -1256,14 +1245,9 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
                     reload!();
                     rs.wr(base, dst, r);
                     if SAN {
-                        if self.kill_epoch != epoch {
-                            kill_custody(&mut rs.cov[base..fend]);
-                        }
-                        rs.set_cov(
-                            base,
-                            dst,
-                            std::mem::replace(&mut self.ret_cov, shadow::NONE),
-                        );
+                        // Every call revokes the caller's custody; the
+                        // result's shadow stays `NONE`.
+                        kill_custody(&mut rs.cov[base..fend]);
                     }
                 }
                 Bc::Guard {
@@ -1357,12 +1341,10 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
                                 // libc allocation: only untransformed modules
                                 // make one, and their accesses need no guard.
                                 kill_custody(&mut rs.cov[base..fend]);
-                                self.kill_epoch += 1;
                                 rs.set_cov(base, dst, shadow::STABLE);
                             }
                             _ => {
                                 kill_custody(&mut rs.cov[base..fend]);
-                                self.kill_epoch += 1;
                             }
                         }
                     }
@@ -1406,13 +1388,6 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
                 Bc::Ret { val } => {
                     clock += cost_br;
                     self.stack_top = saved_stack;
-                    if SAN {
-                        self.ret_cov = if val == NO_REG {
-                            shadow::NONE
-                        } else {
-                            rs.cov(base, val)
-                        };
-                    }
                     flush!();
                     return Ok(if val == NO_REG { 0 } else { rs.rd(base, val) });
                 }

@@ -62,18 +62,6 @@ pub struct Machine<'m, M: MemorySystem> {
     pub(crate) fuel: u64,
     tel: Telemetry,
     pub(crate) sanitize: bool,
-    /// Bumped every time a killing operation clobbers custody shadows.
-    /// Callers compare epochs around a call: custody survives when the
-    /// callee (transitively) executed no kill — the dynamic mirror of the
-    /// static custody-transparency summaries, and always a subset of the
-    /// static may-kill set.
-    pub(crate) kill_epoch: u64,
-    /// Argument custody shadows staged by a `Call` for the callee's
-    /// parameters (the dynamic mirror of summary entry covers).
-    pub(crate) arg_cov: Vec<u8>,
-    /// Custody shadow of the value the last `Ret` returned (the dynamic
-    /// mirror of summary return covers).
-    pub(crate) ret_cov: u8,
     /// Which engine [`Machine::run`] executes on (test builds only).
     #[cfg(feature = "oracle")]
     pub(crate) engine: ExecEngine,
@@ -136,9 +124,6 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
             fuel: u64::MAX,
             tel: Telemetry::disabled(),
             sanitize: false,
-            kill_epoch: 0,
-            arg_cov: Vec::new(),
-            ret_cov: shadow::NONE,
             #[cfg(feature = "oracle")]
             engine: ExecEngine::default(),
             bc: Rc::new(lower_module(module)),
@@ -152,9 +137,11 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
     /// custody state, and any load/store of a heap (or tagged) address
     /// through a value without live custody traps with
     /// [`Trap::UnguardedAccess`]. This is the dynamic mirror of the static
-    /// `tfm-lint` pass — a program the lint accepts must run sanitizer-clean
-    /// (the sanitizer tracks the dynamically-taken path, so it is never
-    /// stricter than the all-paths static analysis).
+    /// `tfm-lint` pass, with its call rule: every call revokes the caller's
+    /// custody, a callee frame starts with none, and a return carries none.
+    /// A program the lint accepts must run sanitizer-clean (the sanitizer
+    /// tracks the dynamically-taken path, so it is never stricter than the
+    /// all-paths static analysis).
     pub fn enable_guard_sanitizer(&mut self) {
         self.sanitize = true;
     }
@@ -1106,11 +1093,31 @@ mod tests {
         ));
     }
 
+    /// Runs `f(ptr)` sanitized on a fresh 64-byte heap object holding 7; in
+    /// an `oracle` build the reference engine must return the same.
+    fn sanitized_run(m: &Module) -> Result<u64, Trap> {
+        let run = |mut mach: Machine<'_, LocalMem>| {
+            mach.enable_guard_sanitizer();
+            let ptr = mach.setup_alloc(64);
+            mach.setup_write_u64s(ptr, &[7]);
+            mach.finish_setup(false);
+            mach.run("f", &[ptr]).map(|r| r.ret)
+        };
+        let r = run(machine(m));
+        #[cfg(feature = "oracle")]
+        {
+            let mut tw = machine(m);
+            tw.set_engine(ExecEngine::TreeWalk);
+            assert_eq!(run(tw), r, "engines disagree");
+        }
+        r
+    }
+
     #[test]
-    fn sanitizer_keeps_custody_across_transparent_calls() {
-        // The callee executes no killing operation: custody survives the
-        // call dynamically — matching the custody-transparency summaries,
-        // so call-aware-compiled programs stay sanitizer-clean.
+    fn sanitizer_revokes_custody_at_a_call_even_when_the_callee_kills_nothing() {
+        // The callee executes no killing operation, yet the guard result is
+        // reused after the call without a fresh guard: the call revokes the
+        // caller's custody, as the lint's rule says.
         let mut m = Module::new("t");
         let h = m.declare_function("h", Signature::new(vec![Type::I64], Some(Type::I64)));
         {
@@ -1126,30 +1133,26 @@ mod tests {
             let g = b.intrinsic(Intrinsic::GuardRead, vec![p]);
             let a = b.load(Type::I64, g);
             let _ = b.call(h, vec![a], Some(Type::I64));
-            let x = b.load(Type::I64, g); // custody intact: h is transparent
+            let x = b.load(Type::I64, g); // custody revoked by the call
             b.ret(Some(x));
         }
         m.verify().unwrap();
-        let mut mach = machine(&m);
-        mach.enable_guard_sanitizer();
-        let ptr = mach.setup_alloc(64);
-        mach.setup_write_u64s(ptr, &[7]);
-        mach.finish_setup(false);
-        assert_eq!(mach.run("f", &[ptr]).unwrap().ret, 7);
+        let r = sanitized_run(&m);
+        assert!(matches!(r, Err(Trap::UnguardedAccess { .. })), "{r:?}");
     }
 
     #[test]
-    fn sanitizer_propagates_custody_through_calls() {
-        // Entry covers: a guarded pointer passed as an argument keeps its
-        // custody in the callee. Return covers: a guard result returned to
-        // the caller keeps custody there.
+    fn sanitizer_gives_callee_frames_and_returns_no_custody() {
+        // A guarded pointer passed as an argument carries no custody into
+        // the callee, and a guard result returned to the caller carries
+        // none back: each unguarded access traps.
         let mut m = Module::new("t");
         let reader = m.declare_function("reader", Signature::new(vec![Type::Ptr], Some(Type::I64)));
         let loc = m.declare_function("loc", Signature::new(vec![Type::Ptr], Some(Type::Ptr)));
         {
             let mut b = FunctionBuilder::new(m.function_mut(reader));
             let p = b.param(0);
-            let x = b.load(Type::I64, p); // covered by the caller's guard
+            let x = b.load(Type::I64, p); // the caller's guard does not reach
             b.ret(Some(x));
         }
         {
@@ -1158,25 +1161,29 @@ mod tests {
             let g = b.intrinsic(Intrinsic::GuardRead, vec![p]);
             b.ret(Some(g));
         }
-        let id = m.declare_function("f", Signature::new(vec![Type::Ptr], Some(Type::I64)));
-        {
+        let build = |through_reader: bool| {
+            let mut m = m.clone();
+            let id = m.declare_function("f", Signature::new(vec![Type::Ptr], Some(Type::I64)));
             let mut b = FunctionBuilder::new(m.function_mut(id));
             let p = b.param(0);
-            let g = b.intrinsic(Intrinsic::GuardWrite, vec![p]);
-            let one = b.iconst(Type::I64, 1);
-            b.store(g, one);
-            let a = b.call(reader, vec![g], Some(Type::I64));
-            let q = b.call(loc, vec![p], Some(Type::Ptr));
-            let c = b.load(Type::I64, q); // covered by the callee's guard
-            let s = b.binop(tfm_ir::BinOp::Add, a, c);
-            b.ret(Some(s));
+            let x = if through_reader {
+                let g = b.intrinsic(Intrinsic::GuardRead, vec![p]);
+                b.call(reader, vec![g], Some(Type::I64))
+            } else {
+                let q = b.call(loc, vec![p], Some(Type::Ptr));
+                b.load(Type::I64, q) // the callee's guard does not return
+            };
+            b.ret(Some(x));
+            m.verify().unwrap();
+            m
+        };
+        for through_reader in [true, false] {
+            let r = sanitized_run(&build(through_reader));
+            assert!(
+                matches!(r, Err(Trap::UnguardedAccess { .. })),
+                "through_reader={through_reader}: {r:?}"
+            );
         }
-        m.verify().unwrap();
-        let mut mach = machine(&m);
-        mach.enable_guard_sanitizer();
-        let ptr = mach.setup_alloc(64);
-        mach.finish_setup(false);
-        assert_eq!(mach.run("f", &[ptr]).unwrap().ret, 2);
     }
 
     #[test]

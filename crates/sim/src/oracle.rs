@@ -40,16 +40,9 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
         );
         let mut regs = vec![0u64; f.num_insts()];
         regs[..args.len()].copy_from_slice(args);
-        // Shadow custody state per register. Parameters inherit the shadows
-        // their arguments held at the call site (staged by the `Call` arm),
-        // mirroring the interprocedural entry covers; the harness-level
-        // entry call stages nothing, so roots start uncovered.
+        // Shadow custody state per register. A frame starts with none: no
+        // custody crosses a call.
         let mut cov = vec![shadow::NONE; if self.sanitize { f.num_insts() } else { 0 }];
-        if self.sanitize {
-            let staged = std::mem::take(&mut self.arg_cov);
-            let n = staged.len().min(args.len());
-            cov[..n].copy_from_slice(&staged[..n]);
-        }
         let saved_stack = self.stack_top;
         let mut block = f.entry_block();
         self.profile_block(fid, block, f.num_blocks());
@@ -171,19 +164,11 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
                     InstKind::Call { func, args } => {
                         self.clock += self.cost.call_overhead;
                         let vals: Vec<u64> = args.iter().map(|a| regs[a.index()]).collect();
-                        if self.sanitize {
-                            self.arg_cov = args.iter().map(|a| cov[a.index()]).collect();
-                        }
-                        let epoch = self.kill_epoch;
                         regs[v.index()] = self.exec_function(*func, &vals)?;
                         if self.sanitize {
-                            // Custody lapses only when the callee actually
-                            // executed a killing operation — the dynamic
-                            // mirror of custody-transparency summaries.
-                            if self.kill_epoch != epoch {
-                                kill_custody(&mut cov);
-                            }
-                            cov[v.index()] = std::mem::replace(&mut self.ret_cov, shadow::NONE);
+                            // Every call revokes the caller's custody; the
+                            // result's shadow stays `NONE`.
+                            kill_custody(&mut cov);
                         }
                     }
                     InstKind::IntrinsicCall { intr, args } => {
@@ -212,7 +197,6 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
                                 }
                                 Intrinsic::Malloc | Intrinsic::Calloc => {
                                     kill_custody(&mut cov);
-                                    self.kill_epoch += 1;
                                     // libc allocation: only untransformed
                                     // modules make one, and their accesses
                                     // need no guard.
@@ -220,7 +204,6 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
                                 }
                                 _ => {
                                     kill_custody(&mut cov);
-                                    self.kill_epoch += 1;
                                 }
                             }
                         }
@@ -264,9 +247,6 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
                     InstKind::Ret(val) => {
                         self.clock += self.cost.branch;
                         self.stack_top = saved_stack;
-                        if self.sanitize {
-                            self.ret_cov = val.map(|v| cov[v.index()]).unwrap_or(shadow::NONE);
-                        }
                         return Ok(val.map(|v| regs[v.index()]).unwrap_or(0));
                     }
                     InstKind::Unreachable => return Err(Trap::Unreachable),

@@ -1,18 +1,17 @@
 //! Compiler explorer: print the IR of a small program before and after each
 //! stage of the TrackFM pipeline, showing exactly what the compiler injects
-//! (runtime init hook, guards, chunk streams, libc rewrites), plus the
-//! interprocedural view — call graph, per-function custody summaries, and
-//! per-site elided guard attribution.
+//! (runtime init hook, guards, chunk streams, libc rewrites), then a loop
+//! with a call in it: which guards elision folds, and the guard pair the
+//! call keeps apart.
 //!
 //! ```sh
 //! cargo run --release --example compiler_explorer
 //! ```
 
-use trackfm_suite::analysis::callgraph::CallGraph;
-use trackfm_suite::analysis::guard_check::GuardKind;
-use trackfm_suite::analysis::summaries::ModuleSummaries;
 use trackfm_suite::compiler::{ChunkingMode, CompilerOptions, TrackFmCompiler};
-use trackfm_suite::ir::{BinOp, FunctionBuilder, Intrinsic, Module, Signature, Type};
+use trackfm_suite::ir::{
+    BinOp, FunctionBuilder, InstKind, Intrinsic, Module, Signature, Type, Value,
+};
 
 fn listing1_program() -> Module {
     // The paper's Listing 1, as unmodified IR: allocate an array, sum it,
@@ -53,9 +52,9 @@ fn listing1_program() -> Module {
 }
 
 /// A multi-function serving loop: a pure classifier helper, a bucket RMW,
-/// and a loop-invariant total slot — the program shape the interprocedural
-/// custody analysis was built for.
-fn serving_program() -> Module {
+/// and a loop-invariant total slot. Returns the module and the total slot's
+/// pointer.
+fn serving_program() -> (Module, Value) {
     let mut m = Module::new("serving");
     let classify = m.declare_function("classify", Signature::new(vec![Type::I64], Some(Type::I64)));
     {
@@ -93,60 +92,22 @@ fn serving_program() -> Module {
         });
         let total = b.load(Type::I64, total_slot);
         b.ret(Some(total));
+        m.verify().unwrap();
+        (m, total_slot)
     }
-    m.verify().unwrap();
-    m
 }
 
-/// Prints the call graph (with SCC condensation) and the per-function
-/// custody summary table the interprocedural consumers read.
-fn print_interproc_tables(m: &Module) {
-    let cg = CallGraph::compute(m);
-    println!("call graph (bottom-up SCC order):");
-    for scc in cg.sccs_bottom_up() {
-        for &fid in scc {
-            let f = m.function(fid);
-            let callees: Vec<&str> = cg
-                .callees(fid)
-                .iter()
-                .map(|&c| m.function(c).name.as_str())
-                .collect();
-            println!(
-                "  scc{} {:<10} -> [{}]{}",
-                cg.scc_id(fid),
-                f.name,
-                callees.join(", "),
-                if cg.is_recursive(fid) {
-                    "  (recursive)"
-                } else {
-                    ""
-                }
-            );
-        }
-    }
-
-    let sums = ModuleSummaries::compute(m, &["main"]);
-    // Custody is printed as its guard kind, `-` for none.
-    let custody = |c: &Option<GuardKind>| c.map_or("-".to_string(), |k| format!("{k:?}"));
-    println!("\nfunction summaries:");
-    println!(
-        "  {:<10} {:>6} {:<24} {:<16} {:<10} ret custody",
-        "function", "kills", "params", "param custody", "ret"
-    );
-    for (fid, f) in m.functions() {
-        let s = sums.summary(fid);
-        let params: Vec<String> = s.param_class.iter().map(|c| format!("{c:?}")).collect();
-        let param_custody: Vec<String> = s.param_custody.iter().map(custody).collect();
-        println!(
-            "  {:<10} {:>6} {:<24} {:<16} {:<10} {}",
-            f.name,
-            s.kills_custody,
-            params.join(","),
-            param_custody.join(","),
-            format!("{:?}", s.ret_class),
-            custody(&s.ret_custody),
-        );
-    }
+/// The guards in `main` whose pointer operand is `ptr`, in program order.
+fn guards_on(m: &Module, ptr: Value) -> Vec<Intrinsic> {
+    let (_, f) = m.functions().find(|(_, f)| f.name == "main").unwrap();
+    f.blocks()
+        .flat_map(|b| f.block_insts(b).iter().copied())
+        .filter_map(|v| match f.kind(v) {
+            InstKind::IntrinsicCall { intr, args } if args.first() == Some(&ptr) => Some(*intr),
+            _ => None,
+        })
+        .filter(|i| matches!(i, Intrinsic::GuardRead | Intrinsic::GuardWrite))
+        .collect()
 }
 
 fn main() {
@@ -193,13 +154,11 @@ fn main() {
     println!("    and drops `tfm.chunk.end` on the loop exit edge — Fig. 5 of the paper.");
 
     // ------------------------------------------------------------------
-    // The interprocedural view: a multi-function serving loop.
+    // A loop with a call in it: the serving loop.
     // ------------------------------------------------------------------
-    let serving = serving_program();
-    println!("\n================ INTERPROCEDURAL PROGRAM ================");
+    let (serving, total_slot) = serving_program();
+    println!("\n================ A LOOP WITH A CALL ================");
     print!("{serving}");
-    println!();
-    print_interproc_tables(&serving);
 
     let mut compiled = serving.clone();
     let rep = TrackFmCompiler::new(CompilerOptions {
@@ -241,12 +200,26 @@ fn main() {
         })
     );
 
-    println!("\nInterprocedural things to look for:");
-    println!("  * `classify` is custody-transparent (kills=false): guards stay live");
-    println!("    across the call, so the total-slot read/write pair folds into one");
-    println!("    write guard, and so does the bucket counter's RMW;");
-    println!("  * every guard stays beside the accesses it covers: the total-slot");
-    println!("    guard runs once per iteration even though its pointer is");
-    println!("    loop-invariant, and the post-loop total load takes its own guard,");
-    println!("    because the evacuator may move the object in between.");
+    // The compiler summarises no callee, so the `classify` call between the
+    // total slot's load and store keeps their guards apart.
+    let total_guards = guards_on(&compiled, total_slot);
+    println!("\ntotal-slot guards in main: {total_guards:?}");
+    assert_eq!(
+        total_guards,
+        [
+            Intrinsic::GuardRead,
+            Intrinsic::GuardWrite,
+            Intrinsic::GuardRead
+        ],
+        "the classify call keeps the total slot's guard pair"
+    );
+
+    println!("\nThings to look for in the serving loop:");
+    println!("  * every call kills custody, even one to a pure helper: the total-slot");
+    println!("    read guard before `classify` and the write guard after it both stay;");
+    println!("  * the bucket counter's read and write sit on the same side of the call,");
+    println!("    so elision folds them into one write guard;");
+    println!("  * every guard stays beside the accesses it covers: the post-loop total");
+    println!("    load takes its own guard, because the evacuator may move the object");
+    println!("    in between.");
 }

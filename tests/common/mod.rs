@@ -94,7 +94,6 @@ pub fn configs() -> Vec<(&'static str, CompilerOptions)> {
     };
     vec![
         ("default", CompilerOptions::default()),
-        ("guard-opt-local", with(|o| o.guard_opt = GuardOpt::Local)),
         ("guard-opt-none", with(|o| o.guard_opt = GuardOpt::None)),
         ("no-chunking", with(|o| o.chunking = ChunkingMode::Off)),
         ("o1", with(|o| o.o1 = true)),

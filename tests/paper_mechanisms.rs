@@ -8,8 +8,7 @@
 //! 8 where the rows the claim names need the room (analytics at 25% local
 //! and STREAM sum at 10% must hold their chunk streams and the prefetch
 //! window); 32 for k-means, whose 18 runs are the longest. The four of this
-//! repository stay at 16: 8 cores still clear 110x one core there, and at 32
-//! `Full` reads 5% over `Local` on the then 2 048-request serving loop.
+//! repository stay at 16: 8 cores still clear 110x one core there.
 
 use tfm_bench::EXHIBITS;
 
@@ -58,7 +57,7 @@ exhibits! {
     ablation_orderings => "ablations" / 8,
     lesson_temporal_locality_amortizes_faults => "sec5a" / 16,
     lesson_hybrid_compiler_kernel => "sec5b" / 16,
-    no_guard_opt_level_adds_cycles_and_full_wins_on_serving => "guard_opt" / 16,
+    guard_removal_adds_no_sites_and_no_cycles_but_on_nas_is => "guard_opt" / 16,
     shards_split_the_wire_occupancy => "shards" / 16,
     a_cold_crash_under_two_replicas_loses_nothing => "failover" / 16,
     eight_cores_clear_four_times_one => "cores" / 16,

@@ -12,7 +12,10 @@ pub mod common;
 use common::{suite, Size};
 use trackfm_suite::analysis::profile::Profile;
 use trackfm_suite::compiler::ChunkingMode;
-use trackfm_suite::workloads::runner::{collect_profile, execute_with_profile, Outcome, RunConfig};
+use trackfm_suite::sim::Machine;
+use trackfm_suite::workloads::runner::{
+    self, collect_profile, execute_with_profile, Outcome, RunConfig, SystemKind,
+};
 use trackfm_suite::workloads::spec::WorkloadSpec;
 use trackfm_suite::workloads::{hashmap, kmeans, stream, SplitMix64};
 
@@ -27,18 +30,45 @@ struct Row {
 
 impl Row {
     /// Runs the row, compiling against `profile` if one is given (the
-    /// profile-guided chunking filter). `execute_with_profile` panics if a
-    /// checksum deviates from the host oracle.
+    /// profile-guided chunking filter). [`execute_sanitized`] panics if a
+    /// checksum deviates from the host oracle or a guarded run traps.
     fn run(&self, profile: Option<&Profile>) -> Vec<Outcome> {
         (self.systems)(self.frac, self.object_size)
             .iter()
             .map(|cfg| {
-                let out = execute_with_profile(&self.spec, cfg, profile);
+                let out = execute_sanitized(&self.spec, cfg, profile);
                 let name = &self.spec.name;
                 assert!(out.result.stats.instructions > 0, "{name} ran nothing");
                 out
             })
             .collect()
+    }
+}
+
+/// [`execute_with_profile`], with the guard sanitizer armed on the systems
+/// whose binaries carry guards (TrackFM and AIFM; hybrid binaries carry
+/// none): a heap access without live custody on the path a run takes traps,
+/// under the lint's rule that every call revokes custody. The sanitizer
+/// charges no cycles. Panics on a trap or a wrong checksum.
+fn execute_sanitized(spec: &WorkloadSpec, cfg: &RunConfig, profile: Option<&Profile>) -> Outcome {
+    if !matches!(cfg.system, SystemKind::TrackFm | SystemKind::Aifm) {
+        return execute_with_profile(spec, cfg, profile);
+    }
+    let (module, report, mem) = runner::compile_for(spec, cfg, profile);
+    let mut machine = Machine::new(&module, mem, cfg.cost, spec.heap_size(cfg.object_size));
+    machine.set_engine(cfg.engine);
+    machine.enable_guard_sanitizer();
+    let args = runner::setup(spec, &mut machine, false);
+    let result = machine
+        .run("main", &args)
+        .unwrap_or_else(|t| panic!("{}: execution trapped: {t}", spec.name));
+    if let Some(want) = spec.expected {
+        assert_eq!(result.ret, want, "{}: wrong result", spec.name);
+    }
+    Outcome {
+        result,
+        report: Some(report),
+        telemetry: None,
     }
 }
 
