@@ -129,9 +129,11 @@ test "$tree_before" = "$(git status --porcelain)"
 # The second run is a build with debug assertions (and so overflow checks)
 # on, in its own target directory: the residency invariants asserted in
 # `Pager`, `FarMemory` and `StateTable` then see the 4-core, replicated and
-# cold-crash rows, which no unit test reaches. Among them, both
-# `evacuate_all`s assert that no fetch is still in flight (`INFLIGHT` or
-# `PENDING`) past its ready cycle; every row's cold start runs one. The
+# cold-crash rows, which no unit test reaches. No `tfm-perf` row
+# cold-starts, so the two `evacuate_all` asserts (no fetch still `INFLIGHT`
+# or `PENDING` past its ready cycle) run in the debug `cargo test` stage
+# above instead, where the `tests/common` far-memory harness cold-starts
+# every generated program. The
 # `Sharded` replication invariants (a replica set is R distinct in-range
 # shards; a key's acked version never goes back) see `serve_openloop`'s
 # 4 shards x 2 replicas and cold-crash rows. The cold-crash row also
@@ -139,8 +141,8 @@ test "$tree_before" = "$(git status --porcelain)"
 # shard is left `Recovering`, and every acked key a just-synced shard hosts
 # is held there at its acked version or is in the loss ledger. Two compiler
 # checks run there too: `TrackFmCompiler::compile` verifies the module after
-# every pass it times, and loop chunking compares the loop forest it keeps up
-# to date with a fresh one after every loop it transforms.
+# every pass that edits it, and loop chunking compares the loop forest it
+# keeps up to date with a fresh one after every loop it transforms.
 # `compile_corpus`'s synthetic ladder is where they see the most loops: up to
 # 24 per function, some nested two deep.
 perf_rows_ok() {

@@ -141,10 +141,16 @@ impl CompileReport {
         self.read_guards + self.write_guards
     }
 
-    /// Records `pass`'s time since `t`. Debug builds then verify `module`
-    /// and panic naming `pass` if it fails.
-    fn end_pass(&mut self, pass: &'static str, t: Instant, module: &Module) {
+    /// Records `pass`'s time since `t`, for a pass that leaves the module
+    /// as it found it.
+    fn record_pass(&mut self, pass: &'static str, t: Instant) {
         self.pass_nanos.push((pass, t.elapsed().as_nanos()));
+    }
+
+    /// [`CompileReport::record_pass`], after which debug builds verify
+    /// `module` and panic naming `pass` if it fails.
+    fn end_pass(&mut self, pass: &'static str, t: Instant, module: &Module) {
+        self.record_pass(pass, t);
         if cfg!(debug_assertions) {
             if let Err(e) = module.verify() {
                 panic!("{pass} left an invalid module: {e}");
@@ -232,11 +238,16 @@ impl TrackFmCompiler {
         libc::run(module);
         report.end_pass("libc-transform", t, module);
 
+        let t = Instant::now();
         report.guard_sites = guards::collect_sites(module);
+        report.record_pass("collect-sites", t);
         report.insts_after = module.total_live_insts();
+
+        let t = Instant::now();
         module
             .verify()
             .expect("TrackFM output must verify — compiler bug");
+        report.record_pass("verify", t);
 
         if opts.guards {
             let t = Instant::now();
@@ -307,8 +318,8 @@ mod tests {
         assert!(report.code_size_ratio() > 1.0);
         assert!(report.total_nanos() > 0);
         // runtime-init, loop-chunking, guard-transform, guard-elide,
-        // libc-transform, tfm-lint.
-        assert_eq!(report.pass_nanos.len(), 6);
+        // libc-transform, collect-sites, verify, tfm-lint.
+        assert_eq!(report.pass_nanos.len(), 8);
     }
 
     #[test]

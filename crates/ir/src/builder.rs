@@ -196,7 +196,8 @@ impl<'f> FunctionBuilder<'f> {
     /// The loop runs `i` from `start` (an existing value) while `i < bound`,
     /// stepping by `step`. `body(builder, i)` is invoked with the insertion
     /// point inside the body block; it must NOT terminate the block. Returns
-    /// the exit block (left as the current block).
+    /// the exit block (left as the current block). This is
+    /// [`FunctionBuilder::counted_loop_carried`] with no carried values.
     pub fn counted_loop(
         &mut self,
         start: Value,
@@ -204,6 +205,28 @@ impl<'f> FunctionBuilder<'f> {
         step: i64,
         body: impl FnOnce(&mut Self, Value),
     ) -> Block {
+        self.counted_loop_carried(start, bound, step, [], |b, i, []| {
+            body(b, i);
+            []
+        });
+        self.current_block()
+    }
+
+    /// [`FunctionBuilder::counted_loop`] with `N` loop-carried values.
+    ///
+    /// Each `(type, init)` in `carried` becomes a header phi, after the
+    /// induction variable's, entered with `init`. `body(builder, i, phis)`
+    /// returns the values the phis take on the next iteration, fed from
+    /// whichever block is current when it returns. Returns the phis, which
+    /// hold the exit values in the exit block (left as the current block).
+    pub fn counted_loop_carried<const N: usize>(
+        &mut self,
+        start: Value,
+        bound: Value,
+        step: i64,
+        carried: [(Type, Value); N],
+        body: impl FnOnce(&mut Self, Value, [Value; N]) -> [Value; N],
+    ) -> [Value; N] {
         let pre = self.current_block();
         let header = self.create_block();
         let body_bb = self.create_block();
@@ -212,19 +235,23 @@ impl<'f> FunctionBuilder<'f> {
 
         self.switch_to_block(header);
         let i = self.phi(Type::I64, &[(pre, start)]);
+        let phis = carried.map(|(ty, init)| self.phi(ty, &[(pre, init)]));
         let cont = self.icmp(CmpOp::Slt, i, bound);
         self.cond_br(cont, body_bb, exit);
 
         self.switch_to_block(body_bb);
-        body(self, i);
+        let next = body(self, i, phis);
         let latch = self.current_block();
         let stepc = self.iconst(Type::I64, step);
         let inext = self.binop(BinOp::Add, i, stepc);
         self.add_phi_incoming(i, latch, inext);
+        for (phi, v) in phis.into_iter().zip(next) {
+            self.add_phi_incoming(phi, latch, v);
+        }
         self.br(header);
 
         self.switch_to_block(exit);
-        exit
+        phis
     }
 }
 
@@ -262,6 +289,56 @@ mod tests {
             b.ret(Some(zero));
         }
         m.verify().unwrap();
+    }
+
+    #[test]
+    fn carried_phis_follow_the_iv_and_are_fed_from_the_latch() {
+        let mut m = Module::new("t");
+        let f = m.declare_function("carry", Signature::new(vec![Type::I64], Some(Type::I64)));
+        let (mut body_bb, mut latch, mut inside) = (None, None, None);
+        let exit_vals = {
+            let mut b = FunctionBuilder::new(m.function_mut(f));
+            let n = b.param(0);
+            let zero = b.iconst(Type::I64, 0);
+            let f0 = b.fconst(0.0);
+            let carried = [(Type::I64, zero), (Type::F64, f0)];
+            let [count, total] = b.counted_loop_carried(zero, n, 1, carried, |b, i, phis| {
+                body_bb = Some(b.current_block());
+                // A nested loop moves the insertion point to its exit block,
+                // which becomes this loop's latch.
+                b.counted_loop(zero, i, 1, |_, _| {});
+                latch = Some(b.current_block());
+                inside = Some((i, phis));
+                let one = b.iconst(Type::I64, 1);
+                let fi = b.cast(CastOp::SiToFp, i, Type::F64);
+                [
+                    b.binop(BinOp::Add, phis[0], one),
+                    b.binop(BinOp::Fadd, phis[1], fi),
+                ]
+            });
+            let bits = b.cast(CastOp::Bitcast, total, Type::I64);
+            let r = b.binop(BinOp::Add, count, bits);
+            b.ret(Some(r));
+            [count, total]
+        };
+        m.verify().unwrap();
+
+        let func = m.function(f);
+        let (iv, phis) = inside.unwrap();
+        let latch = latch.unwrap();
+        assert_ne!(latch, body_bb.unwrap());
+        assert_eq!(exit_vals, phis, "the exit values are the header phis");
+        let header = func.inst(iv).block;
+        assert_eq!(func.block_insts(header)[..3], [iv, phis[0], phis[1]]);
+        assert_eq!(func.ty(phis[0]), Some(Type::I64));
+        assert_eq!(func.ty(phis[1]), Some(Type::F64));
+        for phi in [iv, phis[0], phis[1]] {
+            let InstKind::Phi(incomings) = func.kind(phi) else {
+                panic!("{phi:?} is not a phi");
+            };
+            assert_eq!(incomings.len(), 2);
+            assert_eq!(incomings[1].0, latch, "{phi:?} is fed from the latch");
+        }
     }
 
     #[test]

@@ -33,8 +33,6 @@
 //! assert!(second > done);
 //! ```
 
-use std::fmt;
-
 use tfm_telemetry::{Span, SpanKind, StatGroup, Telemetry};
 
 mod backend;
@@ -184,24 +182,6 @@ impl StatGroup for TransferStats {
             ("fault_wasted_bytes", self.fault_wasted_bytes),
             ("delay_cycles", self.delay_cycles),
         ]
-    }
-}
-
-impl fmt::Display for TransferStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "fetches: {} ({} B), writebacks: {} ({} B)",
-            self.fetches, self.bytes_fetched, self.writebacks, self.bytes_written_back
-        )?;
-        if self.faults > 0 {
-            write!(
-                f,
-                ", faults: {} ({} B wasted)",
-                self.faults, self.fault_wasted_bytes
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -549,7 +529,6 @@ mod tests {
         assert_eq!(s.writebacks, 1);
         assert_eq!(s.bytes_written_back, 4096);
         assert_eq!(s.total_bytes(), 8256);
-        assert!(s.to_string().contains("fetches: 2"));
     }
 
     #[test]

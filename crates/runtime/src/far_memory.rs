@@ -578,9 +578,11 @@ impl FarMemory {
         true
     }
 
-    /// Effective prefetcher look-ahead depth (0 when disabled). Capped at a
-    /// quarter of the local budget so aggressive look-ahead cannot evict the
-    /// very objects the application is using (tiny-budget thrash).
+    /// Effective look-ahead depth of one firing stream (0 when disabled).
+    /// Capped at a quarter of the local budget, which bounds that stream
+    /// only: the stride detector has 8 stream slots, and a prefetch can
+    /// still evict an object the application is using, even the one whose
+    /// `localize` triggered it (ROADMAP items 6 and 15).
     pub fn prefetch_depth(&self) -> u32 {
         if !self.cfg.prefetch.enabled {
             return 0;
@@ -1009,7 +1011,7 @@ mod tests {
         let s = fm.stats();
         assert_eq!(
             s.budget_overruns, 0,
-            "dead prefetches must not pin budget: {s}"
+            "dead prefetches must not pin budget: {s:?}"
         );
         assert_eq!(s.evictions, 2);
         assert_eq!(s.prefetch_hits, 0);
@@ -1090,7 +1092,7 @@ mod tests {
         let s = fm.stats();
         assert!(
             s.prefetch_issued > 0,
-            "multi-stream detector must fire on interleaved scans: {s}"
+            "multi-stream detector must fire on interleaved scans: {s:?}"
         );
     }
 
@@ -1201,10 +1203,10 @@ mod tests {
         }
         let s = fm.stats();
         assert_eq!(s.remote_fetches + s.prefetch_issued, 8);
-        assert!(s.link_faults > 0, "a 50% plan must fault: {s}");
-        assert!(s.retries > 0, "demand faults are retried: {s}");
+        assert!(s.link_faults > 0, "a 50% plan must fault: {s:?}");
+        assert!(s.retries > 0, "demand faults are retried: {s:?}");
         // Faults either became retries (demand path) or prefetch cancels.
-        assert_eq!(s.link_faults, s.retries + s.prefetch_canceled, "{s}");
+        assert_eq!(s.link_faults, s.retries + s.prefetch_canceled, "{s:?}");
         let snap = tel.snapshot().unwrap();
         assert!(snap.retry_latency.count() > 0, "retry penalty recorded");
         assert!(fm.transfer_stats().faults > 0, "the link counts each fault");
@@ -1254,7 +1256,7 @@ mod tests {
         let _ = fm.allocate(4096, 0).unwrap();
         let p2 = fm.allocate(4096, 0).unwrap();
         let s = fm.stats();
-        assert!(s.writeback_deferrals > 0, "{s}");
+        assert!(s.writeback_deferrals > 0, "{s:?}");
         assert_eq!(s.writebacks, 0, "no writeback can complete");
         assert!(s.budget_overruns > 0, "deferral leaves us over budget");
         // Both objects are still resident and dirty — degraded to local.
@@ -1459,7 +1461,7 @@ mod tests {
         assert_eq!(
             fm.stats().resynced_objects,
             hosted,
-            "every object shard 2 hosts is re-synced: {}",
+            "every object shard 2 hosts is re-synced: {:?}",
             fm.stats()
         );
         assert_eq!(fm.stats().lost_objects, 0);

@@ -1,7 +1,5 @@
 //! Runtime event counters.
 
-use std::fmt;
-
 use tfm_telemetry::StatGroup;
 
 /// Counters maintained by the far-memory runtime.
@@ -66,56 +64,6 @@ pub struct RuntimeStats {
     pub fetch_joins: u64,
 }
 
-impl fmt::Display for RuntimeStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "fetches: {}, prefetch: {} issued / {} hit / {} late, evictions: {} ({} dirty), \
-             overruns: {}, allocs: {} / frees: {}, peak resident: {} B",
-            self.remote_fetches,
-            self.prefetch_issued,
-            self.prefetch_hits,
-            self.prefetch_late,
-            self.evictions,
-            self.writebacks,
-            self.budget_overruns,
-            self.allocations,
-            self.frees,
-            self.peak_resident_bytes
-        )?;
-        if self.link_faults > 0 || self.retries > 0 || self.degradations > 0 {
-            write!(
-                f,
-                ", link faults: {} / retries: {} / deadline misses: {}, \
-                 prefetch canceled: {} / suppressed: {}, wb deferrals: {}, \
-                 degradations: {}",
-                self.link_faults,
-                self.retries,
-                self.deadline_exceeded,
-                self.prefetch_canceled,
-                self.prefetch_suppressed,
-                self.writeback_deferrals,
-                self.degradations
-            )?;
-        }
-        if self.shard_downs > 0 || self.shard_recoveries > 0 || self.re_replications > 0 {
-            write!(
-                f,
-                ", shard downs: {} / recoveries: {}, resynced: {} / re-replicated: {} / lost: {}",
-                self.shard_downs,
-                self.shard_recoveries,
-                self.resynced_objects,
-                self.re_replications,
-                self.lost_objects
-            )?;
-        }
-        if self.fetch_joins > 0 {
-            write!(f, ", fetch joins: {}", self.fetch_joins)?;
-        }
-        Ok(())
-    }
-}
-
 impl StatGroup for RuntimeStats {
     fn group_name(&self) -> &'static str {
         "runtime"
@@ -155,33 +103,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_zeroed_and_displays() {
-        let s = RuntimeStats::default();
-        assert_eq!(s.remote_fetches, 0);
-        assert_eq!(s.evictions, 0);
-        let text = s.to_string();
-        assert!(text.contains("fetches: 0"));
-        assert!(text.contains("evictions: 0"));
-    }
-
-    #[test]
-    fn display_includes_every_counter() {
-        // Regression: overruns/allocations/frees used to be silently
-        // dropped from the Display output.
-        let s = RuntimeStats {
-            budget_overruns: 7,
-            allocations: 8,
-            frees: 9,
-            ..Default::default()
-        };
-        let text = s.to_string();
-        assert!(text.contains("overruns: 7"), "{text}");
-        assert!(text.contains("allocs: 8"), "{text}");
-        assert!(text.contains("frees: 9"), "{text}");
-    }
-
-    #[test]
-    fn stat_fields_cover_every_display_counter() {
+    fn stat_fields_list_every_report_counter() {
         let s = RuntimeStats {
             remote_fetches: 1,
             prefetch_issued: 2,
@@ -211,21 +133,5 @@ mod tests {
         assert_eq!(fields.len(), 23);
         let vals: Vec<u64> = fields.iter().map(|(_, v)| *v).collect();
         assert_eq!(vals, (1..=23).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn display_shows_fault_counters_only_when_present() {
-        let clean = RuntimeStats::default().to_string();
-        assert!(!clean.contains("link faults"), "{clean}");
-        let faulty = RuntimeStats {
-            link_faults: 3,
-            retries: 2,
-            writeback_deferrals: 1,
-            ..Default::default()
-        }
-        .to_string();
-        assert!(faulty.contains("link faults: 3"), "{faulty}");
-        assert!(faulty.contains("retries: 2"), "{faulty}");
-        assert!(faulty.contains("wb deferrals: 1"), "{faulty}");
     }
 }

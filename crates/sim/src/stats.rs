@@ -1,6 +1,5 @@
 //! Execution statistics.
 
-use std::fmt;
 use tfm_fastswap::PagerStats;
 use tfm_net::{ShardSnapshot, TransferStats};
 use tfm_runtime::RuntimeStats;
@@ -44,23 +43,6 @@ impl ExecStats {
     /// Total slow-path guards.
     pub fn slow_guards(&self) -> u64 {
         self.guards_slow_local + self.guards_slow_remote
-    }
-}
-
-impl fmt::Display for ExecStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} cycles, {} insts, guards {}/{}/{} (fast/slow-local/slow-remote), chunk {}/{} (boundary/locality), {} stall cycles",
-            self.cycles,
-            self.instructions,
-            self.guards_fast,
-            self.guards_slow_local,
-            self.guards_slow_remote,
-            self.boundary_checks,
-            self.locality_guards,
-            self.stall_cycles
-        )
     }
 }
 
@@ -144,7 +126,6 @@ mod tests {
         };
         assert_eq!(s.total_guards(), 15);
         assert_eq!(s.slow_guards(), 5);
-        assert!(s.to_string().contains("10/2/3"));
     }
 
     #[test]

@@ -240,29 +240,14 @@ pub fn analytics(p: &AnalyticsParams) -> WorkloadSpec {
             let start = b.load(Type::I64, oa);
             let end = b.load(Type::I64, ob);
             // Inner short loop with its own accumulator phi.
-            let pre = b.current_block();
-            let hdr = b.create_block();
-            let body = b.create_block();
-            let exit = b.create_block();
             let f00 = b.fconst(0.0);
-            b.br(hdr);
-            b.switch_to_block(hdr);
-            let r = b.phi(Type::I64, &[(pre, start)]);
-            let acc = b.phi(Type::F64, &[(pre, f00)]);
-            let c = b.icmp(CmpOp::Slt, r, end);
-            b.cond_br(c, body, exit);
-            b.switch_to_block(body);
-            let ra = b.gep(rows, r, 8, 0);
-            let ridx = b.load(Type::I64, ra);
-            let fa = b.gep(fare, ridx, 8, 0);
-            let fv = b.load(Type::F64, fa);
-            let acc2 = b.binop(BinOp::Fadd, acc, fv);
-            let one = b.iconst(Type::I64, 1);
-            let r2 = b.binop(BinOp::Add, r, one);
-            b.add_phi_incoming(r, body, r2);
-            b.add_phi_incoming(acc, body, acc2);
-            b.br(hdr);
-            b.switch_to_block(exit);
+            let [acc] = b.counted_loop_carried(start, end, 1, [(Type::F64, f00)], |b, r, [acc]| {
+                let ra = b.gep(rows, r, 8, 0);
+                let ridx = b.load(Type::I64, ra);
+                let fa = b.gep(fare, ridx, 8, 0);
+                let fv = b.load(Type::F64, fa);
+                [b.binop(BinOp::Fadd, acc, fv)]
+            });
             let cur = b.load(Type::F64, q4);
             let nxt = b.binop(BinOp::Fadd, cur, acc);
             b.store(q4, nxt);

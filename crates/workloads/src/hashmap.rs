@@ -8,16 +8,15 @@
 //! (Fig. 9) and page-granularity Fastswap suffers 43× I/O amplification
 //! (Fig. 13).
 //!
-//! The table is open-addressing with linear probing: 16-byte slots
-//! `(key, value)`, key 0 = empty, multiplicative hashing. Probing uses a
-//! masked increment, which is deliberately *not* an affine induction
-//! variable — loop chunking correctly stays away, leaving per-access guards
-//! exactly as the paper describes for irregular structures.
+//! The table is the open-addressing one of the `table` module, which the
+//! memcached store's index shares; its linear probe keeps loop chunking away
+//! and every slot access guarded.
 
 use crate::rng::SplitMix64;
 use crate::spec::{ArgSpec, InputData, WorkloadSpec};
+use crate::table::{emit_probe, Table};
 use crate::zipf::zipf_trace;
-use tfm_ir::{BinOp, CmpOp, FunctionBuilder, Module, Signature, Type};
+use tfm_ir::{BinOp, FunctionBuilder, Module, Signature, Type};
 
 /// Hash-map workload parameters.
 #[derive(Copy, Clone, Debug)]
@@ -43,55 +42,8 @@ impl Default for HashmapParams {
     }
 }
 
-const HASH_MULT: u64 = 0x9E37_79B9_7F4A_7C15;
-
-fn hash_slot(key: u64, mask: u64) -> u64 {
-    (key.wrapping_mul(HASH_MULT) >> 32) & mask
-}
-
 fn value_of(key: u64) -> u64 {
     key.wrapping_mul(0xBF58_476D_1CE4_E5B9)
-}
-
-/// Builds the table host-side (the IR program only does lookups, like the
-/// paper's 50M-lookup measurement phase).
-fn build_table(p: &HashmapParams) -> (Vec<u64>, u64) {
-    let capacity = (p.keys * 2).next_power_of_two() as u64;
-    let mask = capacity - 1;
-    let mut slots = vec![0u64; (capacity * 2) as usize];
-    for rank in 0..p.keys as u64 {
-        let key = rank + 1; // nonzero, distinct
-        let mut h = hash_slot(key, mask);
-        loop {
-            let idx = (h * 2) as usize;
-            if slots[idx] == 0 {
-                slots[idx] = key;
-                slots[idx + 1] = value_of(key);
-                break;
-            }
-            h = (h + 1) & mask;
-        }
-    }
-    (slots, mask)
-}
-
-fn reference(slots: &[u64], mask: u64, trace: &[u64]) -> u64 {
-    let mut sum = 0u64;
-    for &key in trace {
-        let mut h = hash_slot(key, mask);
-        loop {
-            let idx = (h * 2) as usize;
-            if slots[idx] == key {
-                sum = sum.wrapping_add(slots[idx + 1]);
-                break;
-            }
-            if slots[idx] == 0 {
-                break;
-            }
-            h = (h + 1) & mask;
-        }
-    }
-    sum
 }
 
 /// Builds the hash-map workload.
@@ -99,13 +51,20 @@ fn reference(slots: &[u64], mask: u64, trace: &[u64]) -> u64 {
 /// `main(table, mask, trace, n) -> i64` returns the wrapped sum of all
 /// looked-up values.
 pub fn hashmap(p: &HashmapParams) -> WorkloadSpec {
-    let (slots, mask) = build_table(p);
+    // The IR program only does lookups, like the paper's 50M-lookup
+    // measurement phase.
+    let mut table = Table::with_keys(p.keys);
+    for key in 1..=p.keys as u64 {
+        table.insert(key, value_of(key));
+    }
     let mut rng = SplitMix64::seed_from_u64(p.seed);
     let trace: Vec<u64> = zipf_trace(p.keys as u64, p.skew, p.lookups, &mut rng)
         .into_iter()
         .map(|rank| rank + 1)
         .collect();
-    let expected = reference(&slots, mask, &trace);
+    let expected = trace.iter().fold(0u64, |sum, &key| {
+        sum.wrapping_add(table.get(key).unwrap_or(0))
+    });
 
     let mut m = Module::new("hashmap");
     let id = m.declare_function(
@@ -117,7 +76,7 @@ pub fn hashmap(p: &HashmapParams) -> WorkloadSpec {
     );
     {
         let mut b = FunctionBuilder::new(m.function_mut(id));
-        let table = b.param(0);
+        let table_v = b.param(0);
         let mask_v = b.param(1);
         let trace_p = b.param(2);
         let n = b.param(3);
@@ -128,48 +87,11 @@ pub fn hashmap(p: &HashmapParams) -> WorkloadSpec {
         b.counted_loop(zero, n, 1, |b, t| {
             let kaddr = b.gep(trace_p, t, 8, 0);
             let key = b.load(Type::I64, kaddr);
-            let mult = b.iconst(Type::I64, HASH_MULT as i64);
-            let hm = b.binop(BinOp::Mul, key, mult);
-            let c32 = b.iconst(Type::I64, 32);
-            let hs = b.binop(BinOp::Lshr, hm, c32);
-            let h0 = b.binop(BinOp::And, hs, mask_v);
-
-            let pre = b.current_block();
-            let probe = b.create_block();
-            let check_empty = b.create_block();
-            let found = b.create_block();
-            let next = b.create_block();
-            let done = b.create_block();
-
-            b.br(probe);
-            b.switch_to_block(probe);
-            let h = b.phi(Type::I64, &[(pre, h0)]);
-            let slot = b.gep(table, h, 16, 0);
-            let skey = b.load(Type::I64, slot);
-            let hit = b.icmp(CmpOp::Eq, skey, key);
-            b.cond_br(hit, found, check_empty);
-
-            b.switch_to_block(check_empty);
-            let zz = b.iconst(Type::I64, 0);
-            let empty = b.icmp(CmpOp::Eq, skey, zz);
-            b.cond_br(empty, done, next);
-
-            b.switch_to_block(next);
-            let one = b.iconst(Type::I64, 1);
-            let h1 = b.binop(BinOp::Add, h, one);
-            let h2 = b.binop(BinOp::And, h1, mask_v);
-            b.add_phi_incoming(h, next, h2);
-            b.br(probe);
-
-            b.switch_to_block(found);
-            let vaddr = b.gep(table, h, 16, 8);
-            let val = b.load(Type::I64, vaddr);
-            let s = b.load(Type::I64, sum);
-            let s2 = b.binop(BinOp::Add, s, val);
-            b.store(sum, s2);
-            b.br(done);
-
-            b.switch_to_block(done);
+            emit_probe(b, table_v, mask_v, key, |b, val| {
+                let s = b.load(Type::I64, sum);
+                let s2 = b.binop(BinOp::Add, s, val);
+                b.store(sum, s2);
+            });
         });
 
         let out = b.load(Type::I64, sum);
@@ -177,13 +99,14 @@ pub fn hashmap(p: &HashmapParams) -> WorkloadSpec {
     }
     m.verify().expect("hashmap is well-formed");
 
+    let (table, mask) = table.into_input();
     WorkloadSpec {
         name: format!("hashmap/{}k-{}", p.keys / 1000, p.skew),
         module: m,
-        inputs: vec![InputData::U64(slots), InputData::U64(trace)],
+        inputs: vec![table, InputData::U64(trace)],
         args: vec![
             ArgSpec::Input(0),
-            ArgSpec::Const(mask as i64),
+            mask,
             ArgSpec::Input(1),
             ArgSpec::Const(p.lookups as i64),
         ],

@@ -172,31 +172,17 @@ pub fn kmeans(p: &KmeansParams) -> WorkloadSpec {
                     let crow = b.gep(centroids, cd, 8, 0);
                     // Inner distance loop: the low-density nested loop.
                     let z4 = b.iconst(Type::I64, 0);
-                    let pre = b.current_block();
-                    let hdr = b.create_block();
-                    let body = b.create_block();
-                    let exit = b.create_block();
                     let f0 = b.fconst(0.0);
-                    b.br(hdr);
-                    b.switch_to_block(hdr);
-                    let j = b.phi(Type::I64, &[(pre, z4)]);
-                    let acc = b.phi(Type::F64, &[(pre, f0)]);
-                    let cj = b.icmp(CmpOp::Slt, j, d);
-                    b.cond_br(cj, body, exit);
-                    b.switch_to_block(body);
-                    let pa = b.gep(row, j, 8, 0);
-                    let ca = b.gep(crow, j, 8, 0);
-                    let pv = b.load(Type::F64, pa);
-                    let cv = b.load(Type::F64, ca);
-                    let diff = b.binop(BinOp::Fsub, pv, cv);
-                    let sq = b.binop(BinOp::Fmul, diff, diff);
-                    let acc2 = b.binop(BinOp::Fadd, acc, sq);
-                    let one = b.iconst(Type::I64, 1);
-                    let j2 = b.binop(BinOp::Add, j, one);
-                    b.add_phi_incoming(j, body, j2);
-                    b.add_phi_incoming(acc, body, acc2);
-                    b.br(hdr);
-                    b.switch_to_block(exit);
+                    let [acc] =
+                        b.counted_loop_carried(z4, d, 1, [(Type::F64, f0)], |b, j, [acc]| {
+                            let pa = b.gep(row, j, 8, 0);
+                            let ca = b.gep(crow, j, 8, 0);
+                            let pv = b.load(Type::F64, pa);
+                            let cv = b.load(Type::F64, ca);
+                            let diff = b.binop(BinOp::Fsub, pv, cv);
+                            let sq = b.binop(BinOp::Fmul, diff, diff);
+                            [b.binop(BinOp::Fadd, acc, sq)]
+                        });
                     // if acc < bestd { bestd = acc; best = c }
                     let cur = b.load(Type::F64, bestd);
                     let lt = b.fcmp(FCmpOp::Olt, acc, cur);

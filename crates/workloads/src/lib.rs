@@ -43,6 +43,7 @@ pub mod runner;
 pub mod serving;
 pub mod spec;
 pub mod stream;
+mod table;
 pub mod zipf;
 
 pub use autotune::{autotune_object_size, AutotuneReport, CANDIDATE_SIZES};

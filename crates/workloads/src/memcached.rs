@@ -6,16 +6,20 @@
 //! slab area holding 64-byte values that each `get` reads in full. Access
 //! granularity is small and spatially scattered, so Fastswap's 4 KB pages
 //! amplify I/O (66× in the paper) while TrackFM's small objects keep it low.
+//!
+//! The index is the open-addressing table of the `table` module, shared with
+//! the Zipf hashmap; the open-loop `get` ([`crate::openloop`]) serves this
+//! same store.
 
 use crate::rng::SplitMix64;
 use crate::spec::{ArgSpec, InputData, WorkloadSpec};
+use crate::table::{emit_probe, Table};
 use crate::zipf::zipf_trace;
-use tfm_ir::{BinOp, CmpOp, FunctionBuilder, Module, Signature, Type};
+use tfm_ir::{BinOp, FunctionBuilder, Module, Signature, Type, Value};
 
 /// Value payload size (bytes); USR-style small objects.
 pub const VALUE_BYTES: usize = 64;
-pub(crate) const VALUE_WORDS: usize = VALUE_BYTES / 8;
-pub(crate) const HASH_MULT: u64 = 0x9E37_79B9_7F4A_7C15;
+const VALUE_WORDS: usize = VALUE_BYTES / 8;
 
 /// Key-value store parameters.
 #[derive(Copy, Clone, Debug)]
@@ -41,18 +45,26 @@ impl Default for MemcachedParams {
     }
 }
 
-pub(crate) fn hash_slot(key: u64, mask: u64) -> u64 {
-    (key.wrapping_mul(HASH_MULT) >> 32) & mask
-}
-
 fn word_of(slab_idx: u64, w: u64) -> u64 {
     (slab_idx * VALUE_WORDS as u64 + w).wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
 pub(crate) struct Store {
-    pub(crate) index: Vec<u64>,
+    /// Maps each key to its slab index + 1 (0 = empty).
+    pub(crate) index: Table,
     pub(crate) slab: Vec<u64>,
-    pub(crate) mask: u64,
+}
+
+impl Store {
+    /// The xor of `key`'s value words, or `None` if `key` is absent.
+    pub(crate) fn get(&self, key: u64) -> Option<u64> {
+        let base = (self.index.get(key)? - 1) as usize * VALUE_WORDS;
+        Some(
+            self.slab[base..base + VALUE_WORDS]
+                .iter()
+                .fold(0, |x, w| x ^ w),
+        )
+    }
 }
 
 /// Host-side store construction: key `rank+1` lives in slab slot `rank`
@@ -60,51 +72,40 @@ pub(crate) struct Store {
 /// slab is written in insertion order, like a real slab allocator — the §5
 /// "lesson" about batched small allocations limiting I/O-amplification
 /// mitigation applies to the index, not the values).
-pub(crate) fn build(p: &MemcachedParams) -> Store {
-    let capacity = (p.keys * 2).next_power_of_two() as u64;
-    let mask = capacity - 1;
-    let mut index = vec![0u64; (capacity * 2) as usize];
-    let mut slab = vec![0u64; p.keys * VALUE_WORDS];
-    for rank in 0..p.keys as u64 {
-        let key = rank + 1;
-        let mut h = hash_slot(key, mask);
-        loop {
-            let i = (h * 2) as usize;
-            if index[i] == 0 {
-                index[i] = key;
-                index[i + 1] = rank + 1; // slab idx + 1 (0 = empty)
-                break;
-            }
-            h = (h + 1) & mask;
-        }
+pub(crate) fn build(keys: usize) -> Store {
+    let mut index = Table::with_keys(keys);
+    let mut slab = vec![0u64; keys * VALUE_WORDS];
+    for rank in 0..keys as u64 {
+        index.insert(rank + 1, rank + 1);
         for w in 0..VALUE_WORDS as u64 {
             slab[(rank * VALUE_WORDS as u64 + w) as usize] = word_of(rank, w);
         }
     }
-    Store { index, slab, mask }
+    Store { index, slab }
 }
 
-fn reference(s: &Store, trace: &[u64]) -> u64 {
-    let mut sum = 0u64;
-    for &key in trace {
-        let mut h = hash_slot(key, s.mask);
-        loop {
-            let i = (h * 2) as usize;
-            if s.index[i] == key {
-                let slab_idx = s.index[i + 1] - 1;
-                for w in 0..VALUE_WORDS as u64 {
-                    sum ^= s.slab[(slab_idx * VALUE_WORDS as u64 + w) as usize];
-                }
-                sum = sum.wrapping_add(1);
-                break;
-            }
-            if s.index[i] == 0 {
-                break;
-            }
-            h = (h + 1) & s.mask;
-        }
-    }
-    sum
+/// Emits `*acc ^= word` for each word of the value in slab slot
+/// `slabp1 - 1`, and returns the constant 1 it emitted on the way.
+pub(crate) fn emit_xor_value(
+    b: &mut FunctionBuilder<'_>,
+    slab: Value,
+    slabp1: Value,
+    acc: Value,
+) -> Value {
+    let one = b.iconst(Type::I64, 1);
+    let slab_idx = b.binop(BinOp::Sub, slabp1, one);
+    let vwords = b.iconst(Type::I64, VALUE_WORDS as i64);
+    let base_w = b.binop(BinOp::Mul, slab_idx, vwords);
+    let vbase = b.gep(slab, base_w, 8, 0);
+    let zero = b.iconst(Type::I64, 0);
+    b.counted_loop(zero, vwords, 1, |b, w| {
+        let wa = b.gep(vbase, w, 8, 0);
+        let wv = b.load(Type::I64, wa);
+        let s = b.load(Type::I64, acc);
+        let s2 = b.binop(BinOp::Xor, s, wv);
+        b.store(acc, s2);
+    });
+    one
 }
 
 /// Builds the key-value store workload.
@@ -112,13 +113,16 @@ fn reference(s: &Store, trace: &[u64]) -> u64 {
 /// `main(index, mask, slab, trace, n) -> i64` performs `n` `get`s and
 /// returns a checksum over the values read.
 pub fn memcached(p: &MemcachedParams) -> WorkloadSpec {
-    let store = build(p);
+    let store = build(p.keys);
     let mut rng = SplitMix64::seed_from_u64(p.seed);
     let trace: Vec<u64> = zipf_trace(p.keys as u64, p.skew, p.gets, &mut rng)
         .into_iter()
         .map(|r| r + 1)
         .collect();
-    let expected = reference(&store, &trace);
+    let expected = trace.iter().fold(0u64, |sum, &key| match store.get(key) {
+        Some(x) => (sum ^ x).wrapping_add(1),
+        None => sum,
+    });
 
     let mut m = Module::new("memcached");
     let id = m.declare_function(
@@ -142,62 +146,12 @@ pub fn memcached(p: &MemcachedParams) -> WorkloadSpec {
         b.counted_loop(zero, n, 1, |b, t| {
             let kaddr = b.gep(trace_p, t, 8, 0);
             let key = b.load(Type::I64, kaddr);
-            let mult = b.iconst(Type::I64, HASH_MULT as i64);
-            let hm = b.binop(BinOp::Mul, key, mult);
-            let c32 = b.iconst(Type::I64, 32);
-            let hs = b.binop(BinOp::Lshr, hm, c32);
-            let h0 = b.binop(BinOp::And, hs, mask_v);
-
-            let pre = b.current_block();
-            let probe = b.create_block();
-            let check_empty = b.create_block();
-            let found = b.create_block();
-            let next = b.create_block();
-            let done = b.create_block();
-
-            b.br(probe);
-            b.switch_to_block(probe);
-            let h = b.phi(Type::I64, &[(pre, h0)]);
-            let slot = b.gep(index, h, 16, 0);
-            let skey = b.load(Type::I64, slot);
-            let hit = b.icmp(CmpOp::Eq, skey, key);
-            b.cond_br(hit, found, check_empty);
-
-            b.switch_to_block(check_empty);
-            let zz = b.iconst(Type::I64, 0);
-            let empty = b.icmp(CmpOp::Eq, skey, zz);
-            b.cond_br(empty, done, next);
-
-            b.switch_to_block(next);
-            let one = b.iconst(Type::I64, 1);
-            let h1 = b.binop(BinOp::Add, h, one);
-            let h2 = b.binop(BinOp::And, h1, mask_v);
-            b.add_phi_incoming(h, next, h2);
-            b.br(probe);
-
-            // Read the whole 64-byte value from the slab.
-            b.switch_to_block(found);
-            let iaddr = b.gep(index, h, 16, 8);
-            let slabp1 = b.load(Type::I64, iaddr);
-            let one2 = b.iconst(Type::I64, 1);
-            let slab_idx = b.binop(BinOp::Sub, slabp1, one2);
-            let vwords = b.iconst(Type::I64, VALUE_WORDS as i64);
-            let base_w = b.binop(BinOp::Mul, slab_idx, vwords);
-            let vbase = b.gep(slab, base_w, 8, 0);
-            let z2 = b.iconst(Type::I64, 0);
-            b.counted_loop(z2, vwords, 1, |b, w| {
-                let wa = b.gep(vbase, w, 8, 0);
-                let wv = b.load(Type::I64, wa);
+            emit_probe(b, index, mask_v, key, |b, slabp1| {
+                let one = emit_xor_value(b, slab, slabp1, sum);
                 let s = b.load(Type::I64, sum);
-                let s2 = b.binop(BinOp::Xor, s, wv);
+                let s2 = b.binop(BinOp::Add, s, one);
                 b.store(sum, s2);
             });
-            let s = b.load(Type::I64, sum);
-            let s2 = b.binop(BinOp::Add, s, one2);
-            b.store(sum, s2);
-            b.br(done);
-
-            b.switch_to_block(done);
         });
 
         let out = b.load(Type::I64, sum);
@@ -205,17 +159,14 @@ pub fn memcached(p: &MemcachedParams) -> WorkloadSpec {
     }
     m.verify().expect("memcached is well-formed");
 
+    let (index, mask) = store.index.into_input();
     WorkloadSpec {
         name: format!("memcached/{}k-{}", p.keys / 1000, p.skew),
         module: m,
-        inputs: vec![
-            InputData::U64(store.index),
-            InputData::U64(store.slab),
-            InputData::U64(trace),
-        ],
+        inputs: vec![index, InputData::U64(store.slab), InputData::U64(trace)],
         args: vec![
             ArgSpec::Input(0),
-            ArgSpec::Const(store.mask as i64),
+            mask,
             ArgSpec::Input(1),
             ArgSpec::Input(2),
             ArgSpec::Const(p.gets as i64),

@@ -18,7 +18,7 @@
 //!   target).
 
 use crate::spec::{ArgSpec, InputData, WorkloadSpec};
-use tfm_ir::{BinOp, CmpOp, FunctionBuilder, Module, Signature, Type};
+use tfm_ir::{BinOp, CastOp, FunctionBuilder, Module, Signature, Type, Value};
 
 /// Scale factor applied to default sizes (1 = benchmark scale; tests use
 /// smaller).
@@ -37,6 +37,20 @@ impl Default for NasParams {
 /// All five kernels at the given scale, for the Fig. 17 sweep.
 pub fn all(p: &NasParams) -> Vec<WorkloadSpec> {
     vec![cg(p), ft(p), is(p), mg(p), sp(p)]
+}
+
+/// Returns the bits of the sum of the `n` f64s at `arr`: every kernel's
+/// checksum.
+fn ret_f64_sum(b: &mut FunctionBuilder<'_>, arr: Value, n: Value) {
+    let zero = b.iconst(Type::I64, 0);
+    let f0 = b.fconst(0.0);
+    let [acc] = b.counted_loop_carried(zero, n, 1, [(Type::F64, f0)], |b, i, [acc]| {
+        let addr = b.gep(arr, i, 8, 0);
+        let v = b.load(Type::F64, addr);
+        [b.binop(BinOp::Fadd, acc, v)]
+    });
+    let bits = b.cast(CastOp::Bitcast, acc, Type::I64);
+    b.ret(Some(bits));
 }
 
 // ======================================================================
@@ -120,32 +134,18 @@ pub fn cg(p: &NasParams) -> WorkloadSpec {
                 let pb = b.gep(rowptr_p, r, 8, 8);
                 let start = b.load(Type::I64, pa);
                 let end = b.load(Type::I64, pb);
-                let pre = b.current_block();
-                let hdr = b.create_block();
-                let body = b.create_block();
-                let exit = b.create_block();
                 let f0 = b.fconst(0.0);
-                b.br(hdr);
-                b.switch_to_block(hdr);
-                let c = b.phi(Type::I64, &[(pre, start)]);
-                let acc = b.phi(Type::F64, &[(pre, f0)]);
-                let cc = b.icmp(CmpOp::Slt, c, end);
-                b.cond_br(cc, body, exit);
-                b.switch_to_block(body);
-                let va = b.gep(vals_p, c, 8, 0);
-                let ca = b.gep(colidx_p, c, 8, 0);
-                let v = b.load(Type::F64, va);
-                let col = b.load(Type::I64, ca);
-                let xa = b.gep(x_p, col, 8, 0);
-                let xv = b.load(Type::F64, xa);
-                let prod = b.binop(BinOp::Fmul, v, xv);
-                let acc2 = b.binop(BinOp::Fadd, acc, prod);
-                let one = b.iconst(Type::I64, 1);
-                let c2 = b.binop(BinOp::Add, c, one);
-                b.add_phi_incoming(c, body, c2);
-                b.add_phi_incoming(acc, body, acc2);
-                b.br(hdr);
-                b.switch_to_block(exit);
+                let [acc] =
+                    b.counted_loop_carried(start, end, 1, [(Type::F64, f0)], |b, c, [acc]| {
+                        let va = b.gep(vals_p, c, 8, 0);
+                        let ca = b.gep(colidx_p, c, 8, 0);
+                        let v = b.load(Type::F64, va);
+                        let col = b.load(Type::I64, ca);
+                        let xa = b.gep(x_p, col, 8, 0);
+                        let xv = b.load(Type::F64, xa);
+                        let prod = b.binop(BinOp::Fmul, v, xv);
+                        [b.binop(BinOp::Fadd, acc, prod)]
+                    });
                 let ya = b.gep(y_p, r, 8, 0);
                 b.store(ya, acc);
             });
@@ -159,31 +159,7 @@ pub fn cg(p: &NasParams) -> WorkloadSpec {
                 b.store(xa, nx);
             });
         });
-        // Checksum over y.
-        let z2 = b.iconst(Type::I64, 0);
-        let pre = b.current_block();
-        let hdr = b.create_block();
-        let body = b.create_block();
-        let exit = b.create_block();
-        let f0 = b.fconst(0.0);
-        b.br(hdr);
-        b.switch_to_block(hdr);
-        let i = b.phi(Type::I64, &[(pre, z2)]);
-        let acc = b.phi(Type::F64, &[(pre, f0)]);
-        let c = b.icmp(CmpOp::Slt, i, nv);
-        b.cond_br(c, body, exit);
-        b.switch_to_block(body);
-        let ya = b.gep(y_p, i, 8, 0);
-        let yv = b.load(Type::F64, ya);
-        let acc2 = b.binop(BinOp::Fadd, acc, yv);
-        let one = b.iconst(Type::I64, 1);
-        let i2 = b.binop(BinOp::Add, i, one);
-        b.add_phi_incoming(i, body, i2);
-        b.add_phi_incoming(acc, body, acc2);
-        b.br(hdr);
-        b.switch_to_block(exit);
-        let bits = b.cast(tfm_ir::CastOp::Bitcast, acc, Type::I64);
-        b.ret(Some(bits));
+        ret_f64_sum(&mut b, y_p, nv);
     }
     m.verify().expect("cg is well-formed");
 
@@ -363,30 +339,7 @@ pub fn ft(p: &NasParams) -> WorkloadSpec {
         // Checksum over a.
         let zy = b.binop(BinOp::Mul, nzv, nyv);
         let n_total = b.binop(BinOp::Mul, zy, nxv);
-        let z2 = b.iconst(Type::I64, 0);
-        let pre = b.current_block();
-        let hdr = b.create_block();
-        let body = b.create_block();
-        let exit = b.create_block();
-        let f0 = b.fconst(0.0);
-        b.br(hdr);
-        b.switch_to_block(hdr);
-        let i = b.phi(Type::I64, &[(pre, z2)]);
-        let acc = b.phi(Type::F64, &[(pre, f0)]);
-        let c = b.icmp(CmpOp::Slt, i, n_total);
-        b.cond_br(c, body, exit);
-        b.switch_to_block(body);
-        let aa = b.gep(a, i, 8, 0);
-        let av = b.load(Type::F64, aa);
-        let acc2 = b.binop(BinOp::Fadd, acc, av);
-        let one = b.iconst(Type::I64, 1);
-        let i2 = b.binop(BinOp::Add, i, one);
-        b.add_phi_incoming(i, body, i2);
-        b.add_phi_incoming(acc, body, acc2);
-        b.br(hdr);
-        b.switch_to_block(exit);
-        let bits = b.cast(tfm_ir::CastOp::Bitcast, acc, Type::I64);
-        b.ret(Some(bits));
+        ret_f64_sum(&mut b, a, n_total);
     }
     m.verify().expect("ft is well-formed");
 
@@ -465,7 +418,7 @@ pub fn is(p: &NasParams) -> WorkloadSpec {
         b.counted_loop(zero, nv, 1, |b, i| {
             let ka = b.gep(keys_p, i, 4, 0);
             let k32 = b.load(Type::I32, ka);
-            let k = b.cast(tfm_ir::CastOp::Zext, k32, Type::I64);
+            let k = b.cast(CastOp::Zext, k32, Type::I64);
             let bi = b.binop(BinOp::Lshr, k, shift_c);
             let ca = b.gep(cnt_p, bi, 8, 0);
             let cv = b.load(Type::I64, ca);
@@ -490,7 +443,7 @@ pub fn is(p: &NasParams) -> WorkloadSpec {
         b.counted_loop(z2, nv, 1, |b, i| {
             let ka = b.gep(keys_p, i, 4, 0);
             let k32 = b.load(Type::I32, ka);
-            let k = b.cast(tfm_ir::CastOp::Zext, k32, Type::I64);
+            let k = b.cast(CastOp::Zext, k32, Type::I64);
             let bi = b.binop(BinOp::Lshr, k, shift_c);
             let ca = b.gep(cnt_p, bi, 8, 0);
             let posn = b.load(Type::I64, ca);
@@ -507,7 +460,7 @@ pub fn is(p: &NasParams) -> WorkloadSpec {
         b.counted_loop(z3, nv, 1, |b, i| {
             let oa = b.gep(out_p, i, 4, 0);
             let v32 = b.load(Type::I32, oa);
-            let v = b.cast(tfm_ir::CastOp::Zext, v32, Type::I64);
+            let v = b.cast(CastOp::Zext, v32, Type::I64);
             let mask = b.iconst(Type::I64, 0xFF);
             let w = b.binop(BinOp::And, i, mask);
             let prod = b.binop(BinOp::Mul, v, w);
@@ -646,31 +599,7 @@ pub fn mg(p: &NasParams) -> WorkloadSpec {
             });
             b.call(smooth_id, vec![u, nv], None);
         });
-        // Checksum over u.
-        let z3 = b.iconst(Type::I64, 0);
-        let pre = b.current_block();
-        let hdr = b.create_block();
-        let body = b.create_block();
-        let exit = b.create_block();
-        let f0 = b.fconst(0.0);
-        b.br(hdr);
-        b.switch_to_block(hdr);
-        let i = b.phi(Type::I64, &[(pre, z3)]);
-        let acc = b.phi(Type::F64, &[(pre, f0)]);
-        let cnd = b.icmp(CmpOp::Slt, i, nv);
-        b.cond_br(cnd, body, exit);
-        b.switch_to_block(body);
-        let ua = b.gep(u, i, 8, 0);
-        let uv = b.load(Type::F64, ua);
-        let acc2 = b.binop(BinOp::Fadd, acc, uv);
-        let one = b.iconst(Type::I64, 1);
-        let i2 = b.binop(BinOp::Add, i, one);
-        b.add_phi_incoming(i, body, i2);
-        b.add_phi_incoming(acc, body, acc2);
-        b.br(hdr);
-        b.switch_to_block(exit);
-        let bits = b.cast(tfm_ir::CastOp::Bitcast, acc, Type::I64);
-        b.ret(Some(bits));
+        ret_f64_sum(&mut b, u, nv);
     }
     m.verify().expect("mg is well-formed");
 
@@ -796,30 +725,7 @@ pub fn sp(p: &NasParams) -> WorkloadSpec {
         });
         // Checksum over x.
         let total_v = b.binop(BinOp::Mul, lv, nv);
-        let z2 = b.iconst(Type::I64, 0);
-        let pre = b.current_block();
-        let hdr = b.create_block();
-        let body = b.create_block();
-        let exit = b.create_block();
-        let f0 = b.fconst(0.0);
-        b.br(hdr);
-        b.switch_to_block(hdr);
-        let i = b.phi(Type::I64, &[(pre, z2)]);
-        let acc = b.phi(Type::F64, &[(pre, f0)]);
-        let c = b.icmp(CmpOp::Slt, i, total_v);
-        b.cond_br(c, body, exit);
-        b.switch_to_block(body);
-        let xa = b.gep(x_p, i, 8, 0);
-        let xv = b.load(Type::F64, xa);
-        let acc2 = b.binop(BinOp::Fadd, acc, xv);
-        let one = b.iconst(Type::I64, 1);
-        let i2 = b.binop(BinOp::Add, i, one);
-        b.add_phi_incoming(i, body, i2);
-        b.add_phi_incoming(acc, body, acc2);
-        b.br(hdr);
-        b.switch_to_block(exit);
-        let bits = b.cast(tfm_ir::CastOp::Bitcast, acc, Type::I64);
-        b.ret(Some(bits));
+        ret_f64_sum(&mut b, x_p, total_v);
     }
     m.verify().expect("sp is well-formed");
 

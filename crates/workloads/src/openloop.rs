@@ -15,13 +15,17 @@
 //! async fetch stays off, no core is ever tagged — which
 //! `tests/concurrency.rs` (200 seeds) and the `cores(1)` row of
 //! `tests/identity_matrix.rs` pin bit-for-bit against a hand-driven loop.
+//!
+//! The store is [`crate::memcached`]'s, and `get` probes its index with the
+//! `table` module's probe, shared with the Zipf hashmap.
 
-use crate::memcached::{self, MemcachedParams, Store, HASH_MULT, VALUE_WORDS};
+use crate::memcached::{self, emit_xor_value};
 use crate::rng::SplitMix64;
 use crate::runner::{self, Outcome, RunConfig, SystemKind};
 use crate::spec::{ArgSpec, InputData, WorkloadSpec};
+use crate::table::emit_probe;
 use crate::zipf::ZipfGen;
-use tfm_ir::{BinOp, CmpOp, FunctionBuilder, Module, Signature, Type};
+use tfm_ir::{FunctionBuilder, Module, Signature, Type};
 use tfm_sim::{CoreSet, FastswapMem, LocalMem, Machine, MemorySystem, RunResult};
 use tfm_telemetry::{Histogram, RunReport};
 
@@ -59,7 +63,7 @@ impl Default for OpenLoopParams {
 pub struct Request {
     /// Arrival time in simulated cycles.
     pub arrival: u64,
-    /// The key to `get` (always present in the store).
+    /// The key to `get` ([`open_loop`] draws only stored keys).
     pub key: u64,
 }
 
@@ -68,7 +72,8 @@ pub struct Request {
 #[derive(Clone, Debug)]
 pub struct OpenLoopSpec {
     /// The store arrays and the single-`get` program (`get(index, mask,
-    /// slab, key) -> i64` returns the xor of the value's eight words).
+    /// slab, key) -> i64` returns the xor of the value's eight words, or 0
+    /// for a key the store does not hold).
     pub spec: WorkloadSpec,
     /// Requests in arrival order.
     pub requests: Vec<Request>,
@@ -77,34 +82,10 @@ pub struct OpenLoopSpec {
     pub expected: u64,
 }
 
-fn get_ref(store: &Store, key: u64) -> u64 {
-    let mut h = memcached::hash_slot(key, store.mask);
-    loop {
-        let i = (h * 2) as usize;
-        if store.index[i] == key {
-            let slab_idx = store.index[i + 1] - 1;
-            let mut x = 0u64;
-            for w in 0..VALUE_WORDS as u64 {
-                x ^= store.slab[(slab_idx * VALUE_WORDS as u64 + w) as usize];
-            }
-            return x;
-        }
-        if store.index[i] == 0 {
-            return 0;
-        }
-        h = (h + 1) & store.mask;
-    }
-}
-
 /// Builds the open-loop workload: the memcached-style store, a `get`
 /// function over it, and a seeded Zipf request schedule.
 pub fn open_loop(p: &OpenLoopParams) -> OpenLoopSpec {
-    let store = memcached::build(&MemcachedParams {
-        keys: p.keys,
-        gets: 0,
-        skew: 1.01, // unused by store construction
-        seed: 0,
-    });
+    let store = memcached::build(p.keys);
 
     let mut rng = SplitMix64::seed_from_u64(p.seed);
     let gen = ZipfGen::new(p.keys as u64, p.skew);
@@ -120,7 +101,7 @@ pub fn open_loop(p: &OpenLoopParams) -> OpenLoopSpec {
 
     let mut expected = 0u64;
     for r in &requests {
-        expected = expected.wrapping_add(get_ref(&store, r.key));
+        expected = expected.wrapping_add(store.get(r.key).unwrap_or(0));
     }
 
     let mut m = Module::new("kv_openloop");
@@ -141,74 +122,22 @@ pub fn open_loop(p: &OpenLoopParams) -> OpenLoopSpec {
         let res = b.alloca(8, 8);
         b.store(res, zero);
 
-        let mult = b.iconst(Type::I64, HASH_MULT as i64);
-        let hm = b.binop(BinOp::Mul, key, mult);
-        let c32 = b.iconst(Type::I64, 32);
-        let hs = b.binop(BinOp::Lshr, hm, c32);
-        let h0 = b.binop(BinOp::And, hs, mask_v);
-
-        let pre = b.current_block();
-        let probe = b.create_block();
-        let check_empty = b.create_block();
-        let found = b.create_block();
-        let next = b.create_block();
-        let done = b.create_block();
-
-        b.br(probe);
-        b.switch_to_block(probe);
-        let h = b.phi(Type::I64, &[(pre, h0)]);
-        let slot = b.gep(index, h, 16, 0);
-        let skey = b.load(Type::I64, slot);
-        let hit = b.icmp(CmpOp::Eq, skey, key);
-        b.cond_br(hit, found, check_empty);
-
-        b.switch_to_block(check_empty);
-        let zz = b.iconst(Type::I64, 0);
-        let empty = b.icmp(CmpOp::Eq, skey, zz);
-        b.cond_br(empty, done, next);
-
-        b.switch_to_block(next);
-        let one = b.iconst(Type::I64, 1);
-        let h1 = b.binop(BinOp::Add, h, one);
-        let h2 = b.binop(BinOp::And, h1, mask_v);
-        b.add_phi_incoming(h, next, h2);
-        b.br(probe);
-
-        // Read the whole 64-byte value, folding it into the result.
-        b.switch_to_block(found);
-        let iaddr = b.gep(index, h, 16, 8);
-        let slabp1 = b.load(Type::I64, iaddr);
-        let one2 = b.iconst(Type::I64, 1);
-        let slab_idx = b.binop(BinOp::Sub, slabp1, one2);
-        let vwords = b.iconst(Type::I64, VALUE_WORDS as i64);
-        let base_w = b.binop(BinOp::Mul, slab_idx, vwords);
-        let vbase = b.gep(slab, base_w, 8, 0);
-        let z2 = b.iconst(Type::I64, 0);
-        b.counted_loop(z2, vwords, 1, |b, w| {
-            let wa = b.gep(vbase, w, 8, 0);
-            let wv = b.load(Type::I64, wa);
-            let s = b.load(Type::I64, res);
-            let s2 = b.binop(BinOp::Xor, s, wv);
-            b.store(res, s2);
+        // Fold the whole 64-byte value into the result.
+        emit_probe(&mut b, index, mask_v, key, |b, slabp1| {
+            emit_xor_value(b, slab, slabp1, res);
         });
-        b.br(done);
-
-        b.switch_to_block(done);
         let out = b.load(Type::I64, res);
         b.ret(Some(out));
     }
     m.verify().expect("kv_openloop is well-formed");
 
+    let (index, mask) = store.index.into_input();
     OpenLoopSpec {
         spec: WorkloadSpec {
             name: format!("kv-openloop/{}k-{}", p.keys / 1000, p.skew),
             module: m,
-            inputs: vec![InputData::U64(store.index), InputData::U64(store.slab)],
-            args: vec![
-                ArgSpec::Input(0),
-                ArgSpec::Const(store.mask as i64),
-                ArgSpec::Input(1),
-            ],
+            inputs: vec![index, InputData::U64(store.slab)],
+            args: vec![ArgSpec::Input(0), mask, ArgSpec::Input(1)],
             expected: None, // checked per-request by the driver instead
         },
         requests,
@@ -377,6 +306,73 @@ mod tests {
             );
             execute_open_loop(&ol, &RunConfig::fastswap(0.2).with_cores(cores));
         }
+    }
+
+    /// Serves every request of `ol` on one core, returning each `get`'s
+    /// result and the last run's counters.
+    fn serve_each<M: MemorySystem>(
+        ol: &OpenLoopSpec,
+        module: &Module,
+        mem: M,
+        cfg: &RunConfig,
+    ) -> (Vec<u64>, RunResult) {
+        let heap = ol.spec.heap_size(cfg.object_size);
+        let mut machine = Machine::new(module, mem, cfg.cost, heap);
+        let mut call = runner::setup(&ol.spec, &mut machine, false);
+        call.push(0);
+        let mut last = None;
+        let rets = ol
+            .requests
+            .iter()
+            .map(|req| {
+                *call.last_mut().unwrap() = req.key;
+                let r = machine.run("get", &call).unwrap();
+                let ret = r.ret;
+                last = Some(r);
+                ret
+            })
+            .collect();
+        (rets, last.unwrap())
+    }
+
+    #[test]
+    fn absent_keys_miss_through_the_shared_probe() {
+        // The generators draw only stored keys, so the probe's empty-slot
+        // exit runs here alone: every other request asks for a key past the
+        // stored ranks.
+        let p = small();
+        let store = memcached::build(p.keys);
+        let mut ol = open_loop(&p);
+        for req in ol.requests.iter_mut().skip(1).step_by(2) {
+            req.key += p.keys as u64;
+            assert_eq!(store.get(req.key), None);
+        }
+        // No probe may read an empty slot's value word. Point each at key
+        // 1's value, so one that does returns that value instead of 0.
+        let InputData::U64(index) = &mut ol.spec.inputs[0] else {
+            panic!("input 0 is the index");
+        };
+        for slot in index.chunks_exact_mut(2).filter(|slot| slot[0] == 0) {
+            slot[1] = 1;
+        }
+        let want: Vec<u64> = ol
+            .requests
+            .iter()
+            .map(|req| store.get(req.key).unwrap_or(0))
+            .collect();
+
+        let local = RunConfig::local();
+        let mem = LocalMem::new(ol.spec.heap_size(local.object_size));
+        assert_eq!(serve_each(&ol, &ol.spec.module, mem, &local).0, want);
+        let far = RunConfig::trackfm(0.1).with_object_size(64);
+        let (module, _, mem) = runner::compile_for(&ol.spec, &far, None);
+        let (got, last) = serve_each(&ol, &module, mem, &far);
+        assert_eq!(got, want);
+        assert!(last.runtime.unwrap().evictions > 0, "the budget must evict");
+
+        // `execute_open_loop`'s checksum agrees too.
+        ol.expected = want.iter().fold(0, |s, &x| s.wrapping_add(x));
+        execute_open_loop(&ol, &far);
     }
 
     #[test]

@@ -44,27 +44,12 @@ pub fn sum(p: &StreamParams) -> WorkloadSpec {
         let a = b.param(0);
         let n = b.param(1);
         let zero = b.iconst(Type::I64, 0);
-        let pre = b.current_block();
-        let header = b.create_block();
-        let body = b.create_block();
-        let exit = b.create_block();
-        b.br(header);
-        b.switch_to_block(header);
-        let i = b.phi(Type::I64, &[(pre, zero)]);
-        let acc = b.phi(Type::I64, &[(pre, zero)]);
-        let c = b.icmp(tfm_ir::CmpOp::Slt, i, n);
-        b.cond_br(c, body, exit);
-        b.switch_to_block(body);
-        let addr = b.gep(a, i, 4, 0);
-        let x32 = b.load(Type::I32, addr);
-        let x = b.cast(CastOp::Sext, x32, Type::I64);
-        let acc2 = b.binop(BinOp::Add, acc, x);
-        let one = b.iconst(Type::I64, 1);
-        let i2 = b.binop(BinOp::Add, i, one);
-        b.add_phi_incoming(i, body, i2);
-        b.add_phi_incoming(acc, body, acc2);
-        b.br(header);
-        b.switch_to_block(exit);
+        let [acc] = b.counted_loop_carried(zero, n, 1, [(Type::I64, zero)], |b, i, [acc]| {
+            let addr = b.gep(a, i, 4, 0);
+            let x32 = b.load(Type::I32, addr);
+            let x = b.cast(CastOp::Sext, x32, Type::I64);
+            [b.binop(BinOp::Add, acc, x)]
+        });
         b.ret(Some(acc));
     }
     m.verify().expect("stream sum is well-formed");
@@ -95,29 +80,14 @@ pub fn copy(p: &StreamParams) -> WorkloadSpec {
         let dst = b.param(1);
         let n = b.param(2);
         let zero = b.iconst(Type::I64, 0);
-        let pre = b.current_block();
-        let header = b.create_block();
-        let body = b.create_block();
-        let exit = b.create_block();
-        b.br(header);
-        b.switch_to_block(header);
-        let i = b.phi(Type::I64, &[(pre, zero)]);
-        let acc = b.phi(Type::I64, &[(pre, zero)]);
-        let c = b.icmp(tfm_ir::CmpOp::Slt, i, n);
-        b.cond_br(c, body, exit);
-        b.switch_to_block(body);
-        let saddr = b.gep(src, i, 4, 0);
-        let daddr = b.gep(dst, i, 4, 0);
-        let x32 = b.load(Type::I32, saddr);
-        b.store(daddr, x32);
-        let x = b.cast(CastOp::Sext, x32, Type::I64);
-        let acc2 = b.binop(BinOp::Add, acc, x);
-        let one = b.iconst(Type::I64, 1);
-        let i2 = b.binop(BinOp::Add, i, one);
-        b.add_phi_incoming(i, body, i2);
-        b.add_phi_incoming(acc, body, acc2);
-        b.br(header);
-        b.switch_to_block(exit);
+        let [acc] = b.counted_loop_carried(zero, n, 1, [(Type::I64, zero)], |b, i, [acc]| {
+            let saddr = b.gep(src, i, 4, 0);
+            let daddr = b.gep(dst, i, 4, 0);
+            let x32 = b.load(Type::I32, saddr);
+            b.store(daddr, x32);
+            let x = b.cast(CastOp::Sext, x32, Type::I64);
+            [b.binop(BinOp::Add, acc, x)]
+        });
         b.ret(Some(acc));
     }
     m.verify().expect("stream copy is well-formed");
@@ -166,34 +136,19 @@ pub fn triad(p: &StreamParams) -> WorkloadSpec {
         let cc = b.param(2);
         let n_v = b.param(3);
         let zero = b.iconst(Type::I64, 0);
-        let pre = b.current_block();
-        let header = b.create_block();
-        let body = b.create_block();
-        let exit = b.create_block();
         let f0 = b.fconst(0.0);
-        b.br(header);
-        b.switch_to_block(header);
-        let i = b.phi(Type::I64, &[(pre, zero)]);
-        let acc = b.phi(Type::F64, &[(pre, f0)]);
-        let cnd = b.icmp(tfm_ir::CmpOp::Slt, i, n_v);
-        b.cond_br(cnd, body, exit);
-        b.switch_to_block(body);
-        let ba = b.gep(bb, i, 8, 0);
-        let ca = b.gep(cc, i, 8, 0);
-        let aa = b.gep(a, i, 8, 0);
-        let bv = b.load(Type::F64, ba);
-        let cv = b.load(Type::F64, ca);
-        let three = b.fconst(3.0);
-        let scaled = b.binop(BinOp::Fmul, three, cv);
-        let av = b.binop(BinOp::Fadd, bv, scaled);
-        b.store(aa, av);
-        let acc2 = b.binop(BinOp::Fadd, acc, av);
-        let one = b.iconst(Type::I64, 1);
-        let i2 = b.binop(BinOp::Add, i, one);
-        b.add_phi_incoming(i, body, i2);
-        b.add_phi_incoming(acc, body, acc2);
-        b.br(header);
-        b.switch_to_block(exit);
+        let [acc] = b.counted_loop_carried(zero, n_v, 1, [(Type::F64, f0)], |b, i, [acc]| {
+            let ba = b.gep(bb, i, 8, 0);
+            let ca = b.gep(cc, i, 8, 0);
+            let aa = b.gep(a, i, 8, 0);
+            let bv = b.load(Type::F64, ba);
+            let cv = b.load(Type::F64, ca);
+            let three = b.fconst(3.0);
+            let scaled = b.binop(BinOp::Fmul, three, cv);
+            let av = b.binop(BinOp::Fadd, bv, scaled);
+            b.store(aa, av);
+            [b.binop(BinOp::Fadd, acc, av)]
+        });
         let bits = b.cast(CastOp::Bitcast, acc, Type::I64);
         b.ret(Some(bits));
     }
@@ -239,26 +194,11 @@ pub fn strided_sum(elems: usize, elem_bytes: u32) -> WorkloadSpec {
         let a = b.param(0);
         let n = b.param(1);
         let zero = b.iconst(Type::I64, 0);
-        let pre = b.current_block();
-        let header = b.create_block();
-        let body = b.create_block();
-        let exit = b.create_block();
-        b.br(header);
-        b.switch_to_block(header);
-        let i = b.phi(Type::I64, &[(pre, zero)]);
-        let acc = b.phi(Type::I64, &[(pre, zero)]);
-        let c = b.icmp(tfm_ir::CmpOp::Slt, i, n);
-        b.cond_br(c, body, exit);
-        b.switch_to_block(body);
-        let addr = b.gep(a, i, elem_bytes, 0);
-        let x = b.load(Type::I64, addr);
-        let acc2 = b.binop(BinOp::Add, acc, x);
-        let one = b.iconst(Type::I64, 1);
-        let i2 = b.binop(BinOp::Add, i, one);
-        b.add_phi_incoming(i, body, i2);
-        b.add_phi_incoming(acc, body, acc2);
-        b.br(header);
-        b.switch_to_block(exit);
+        let [acc] = b.counted_loop_carried(zero, n, 1, [(Type::I64, zero)], |b, i, [acc]| {
+            let addr = b.gep(a, i, elem_bytes, 0);
+            let x = b.load(Type::I64, addr);
+            [b.binop(BinOp::Add, acc, x)]
+        });
         b.ret(Some(acc));
     }
     m.verify().expect("strided sum is well-formed");
