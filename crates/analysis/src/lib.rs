@@ -26,6 +26,8 @@
 //! * [`profile`] — edge/block execution profiles gathered by the simulator
 //!   and consumed by the chunking cost model.
 
+#![warn(missing_docs)]
+
 pub mod dom;
 pub mod guard_check;
 pub mod induction;

@@ -14,6 +14,8 @@
 //! (e.g. `TFM_SCALE=8`); shapes are preserved at small scale, absolute
 //! counts are not.
 
+#![warn(missing_docs)]
+
 mod check;
 mod exhibits;
 pub mod golden;

@@ -52,6 +52,8 @@
 //! assert_eq!(report.chunking.streams, 1); // the loop was chunked
 //! ```
 
+#![warn(missing_docs)]
+
 pub mod cost;
 pub mod passes;
 pub mod pipeline;

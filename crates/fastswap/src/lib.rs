@@ -35,6 +35,8 @@
 //! assert_eq!(p.access(0x1008, 8, false, minor + major), 0);
 //! ```
 
+#![warn(missing_docs)]
+
 use std::collections::VecDeque;
 use tfm_net::{
     build_backend, drive_retries, BackendSpec, FaultPlan, LinkFault, LinkParams, RetryOps,
@@ -324,17 +326,12 @@ impl Pager {
     /// starting at `at` (the initial fault entry or a re-drive after a
     /// faulted RDMA read; `attempt` is 0 for the initial round).
     fn kernel_leaf(&self, at: u64, attempt: u64) {
-        self.tel.span_leaf(Span {
-            kind: SpanKind::Kernel,
-            start: at,
-            end: at + self.cfg.kernel_fault_cycles,
-            parent: Span::NO_PARENT,
-            arg: attempt,
-            wait: 0,
-            shard: Span::NO_SHARD,
-            fault: Span::NO_FAULT,
-            core: Span::NO_CORE,
-        });
+        self.tel.span_leaf(Span::leaf(
+            SpanKind::Kernel,
+            at,
+            at + self.cfg.kernel_fault_cycles,
+            attempt,
+        ));
     }
 
     /// The kernel's shard re-registration path: the backend drains a dead
@@ -454,17 +451,12 @@ impl Pager {
             }
             // Reclaim: the kernel's reclaim work, then the page-out.
             cycles += self.cfg.reclaim_cycles;
-            self.tel.span_leaf(Span {
-                kind: SpanKind::Kernel,
-                start: now + cycles - self.cfg.reclaim_cycles,
-                end: now + cycles,
-                parent: Span::NO_PARENT,
-                arg: page,
-                wait: 0,
-                shard: Span::NO_SHARD,
-                fault: Span::NO_FAULT,
-                core: Span::NO_CORE,
-            });
+            self.tel.span_leaf(Span::leaf(
+                SpanKind::Kernel,
+                now + cycles - self.cfg.reclaim_cycles,
+                now + cycles,
+                page,
+            ));
             self.page_out(page, now + cycles);
         }
         cycles

@@ -68,6 +68,8 @@
 //! m.verify().expect("well-formed module");
 //! ```
 
+#![warn(missing_docs)]
+
 mod builder;
 mod cfg;
 mod entities;

@@ -33,6 +33,8 @@
 //! assert!(second > done);
 //! ```
 
+#![warn(missing_docs)]
+
 use tfm_telemetry::{Span, SpanKind, StatGroup, Telemetry};
 
 mod backend;
@@ -268,20 +270,16 @@ impl Link {
     fn attempt(&mut self, bytes: u64, now: u64, writeback: bool) -> Result<u64, LinkFault> {
         // Every outcome is one leaf span from `now` to `end`.
         let leaf = |l: &Self, end: u64, wait: u64, fault: Option<FaultKind>| {
+            let kind = if writeback {
+                SpanKind::WritebackXfer
+            } else {
+                SpanKind::Transfer
+            };
             l.tel.span_leaf(Span {
-                kind: if writeback {
-                    SpanKind::WritebackXfer
-                } else {
-                    SpanKind::Transfer
-                },
-                start: now,
-                end,
-                parent: Span::NO_PARENT,
-                arg: bytes,
                 wait,
                 shard: l.shard,
                 fault: fault.map_or(Span::NO_FAULT, |k| k.code() as u32),
-                core: Span::NO_CORE,
+                ..Span::leaf(kind, now, end, bytes)
             })
         };
         if let Some(f) = &self.fault {

@@ -772,15 +772,10 @@ impl RetryOps for RuntimeRetry<'_> {
         // The retry interval: fault detection through the end of the
         // backoff wait, after which the next attempt issues.
         fm.tel.span_leaf(Span {
-            kind: SpanKind::Retry,
-            start: f.detected_at,
-            end: at,
-            parent: Span::NO_PARENT,
-            arg: attempts as u64,
             wait: backoff,
             shard: self.shard as u32,
             fault: f.kind.code() as u32,
-            core: Span::NO_CORE,
+            ..Span::leaf(SpanKind::Retry, f.detected_at, at, attempts as u64)
         });
         if !self.deadline_counted && at > self.deadline {
             fm.stats.deadline_exceeded += 1;

@@ -32,6 +32,8 @@
 //! assert!(stall > 0); // demand fetch over the TCP backend
 //! ```
 
+#![warn(missing_docs)]
+
 mod alloc;
 mod config;
 mod far_memory;

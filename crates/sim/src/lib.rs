@@ -68,6 +68,8 @@
 //! assert!(result.bytes_transferred() > 0); // data came over the network
 //! ```
 
+#![warn(missing_docs)]
+
 pub mod bytecode;
 mod machine;
 mod memsys;

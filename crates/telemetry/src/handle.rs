@@ -14,11 +14,18 @@ use std::rc::Rc;
 
 use crate::hist::Histogram;
 use crate::site::{SiteKey, SiteStats, SiteTable};
-use crate::trace::{Span, SpanId, SpanKind, SpanTracer, TraceSnapshot};
+use crate::trace::{Span, SpanId, SpanKind, SpanTracer, Trace};
 
-/// The shared sink behind a [`Telemetry`] handle.
-#[derive(Clone, Debug)]
-pub struct TelemetryInner {
+/// Everything a [`Telemetry`] sink collects. The sink records into this
+/// struct directly, so [`Telemetry::snapshot`] is its clone.
+#[derive(Clone, Debug, Default)]
+pub struct TelemetrySnapshot {
+    /// Always 0: the histograms and the site table aggregate in place and
+    /// never drop a sample. (Spans a full arena drops are counted in
+    /// [`Trace::dropped`], not here.) Kept only because `tfm-perf` reads it
+    /// (`benchmark/src/traced.rs`, its pinned `telemetry.events_dropped`
+    /// row); it goes once that row does.
+    pub events_dropped: u64,
     /// Demand-fetch completion latency (cycles).
     pub fetch_latency: Histogram,
     /// Stall cycles per guarded access (zero for fast paths).
@@ -32,124 +39,127 @@ pub struct TelemetryInner {
     pub retry_latency: Histogram,
     /// Per-guard-site attribution.
     pub sites: SiteTable,
-    /// Causal span tracer — `None` unless the run opted into tracing
+    /// Causal span trace — `None` unless the run opted into tracing
     /// ([`Telemetry::traced`]). A second pay-for-use gate: an enabled
-    /// sink without a tracer pays one `Option` branch per span probe, so
+    /// sink without a trace pays one `Option` branch per span probe, so
     /// telemetry-on/tracing-off output stays byte-identical to pre-tracing
     /// builds.
-    pub trace: Option<SpanTracer>,
-    /// When each currently-resident object/page became resident.
-    resident_since: HashMap<u64, u64>,
+    pub trace: Option<Trace>,
 }
 
-impl TelemetryInner {
-    fn new() -> Self {
-        Self {
-            fetch_latency: Histogram::new(),
-            stall_per_access: Histogram::new(),
-            residency: Histogram::new(),
-            transfer_bytes: Histogram::new(),
-            retry_latency: Histogram::new(),
-            sites: SiteTable::new(),
-            trace: None,
-            resident_since: HashMap::new(),
-        }
-    }
+/// The shared sink: the record, plus the bookkeeping that feeds it but is
+/// not part of it.
+#[derive(Debug, Default)]
+struct Sink {
+    record: TelemetrySnapshot,
+    /// When each currently-resident object/page became resident.
+    resident_since: HashMap<u64, u64>,
+    /// Open spans and current core for `record.trace`.
+    tracer: SpanTracer,
 }
 
 /// A handle to a run's telemetry sink; `None` inside means disabled and
 /// every probe is a no-op.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
-    inner: Option<Rc<RefCell<TelemetryInner>>>,
+    sink: Option<Rc<RefCell<Sink>>>,
 }
 
 impl Telemetry {
     /// The no-op handle (the default everywhere).
     pub fn disabled() -> Self {
-        Self { inner: None }
+        Self { sink: None }
     }
 
-    /// An enabled handle without a span tracer.
+    fn with_trace(trace: Option<Trace>) -> Self {
+        let mut sink = Sink::default();
+        sink.record.trace = trace;
+        Self {
+            sink: Some(Rc::new(RefCell::new(sink))),
+        }
+    }
+
+    /// An enabled handle without a span trace.
     pub fn enabled() -> Self {
-        Self {
-            inner: Some(Rc::new(RefCell::new(TelemetryInner::new()))),
-        }
+        Self::with_trace(None)
     }
 
-    /// An enabled handle with a causal span tracer attached.
+    /// An enabled handle recording a causal span trace.
     pub fn traced() -> Self {
-        let mut inner = TelemetryInner::new();
-        inner.trace = Some(SpanTracer::default());
-        Self {
-            inner: Some(Rc::new(RefCell::new(inner))),
-        }
+        Self::with_trace(Some(Trace::default()))
     }
 
-    /// True when a span tracer is attached (span/timeline probes record).
+    /// True when a span trace records (span/timeline probes record).
     #[inline]
     pub fn tracing(&self) -> bool {
-        match &self.inner {
-            Some(i) => i.borrow().trace.is_some(),
-            None => false,
-        }
+        self.sink
+            .as_ref()
+            .is_some_and(|s| s.borrow().record.trace.is_some())
     }
 
     /// True when probes record anything.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.sink.is_some()
+    }
+
+    /// Runs `f` on the record when enabled.
+    #[inline]
+    fn record(&self, f: impl FnOnce(&mut TelemetrySnapshot)) {
+        if let Some(s) = &self.sink {
+            f(&mut s.borrow_mut().record);
+        }
+    }
+
+    /// Runs `f` on the tracer and its trace when tracing.
+    #[inline]
+    fn trace<R>(&self, f: impl FnOnce(&mut SpanTracer, &mut Trace) -> R) -> Option<R> {
+        let sink = &mut *self.sink.as_ref()?.borrow_mut();
+        let trace = sink.record.trace.as_mut()?;
+        Some(f(&mut sink.tracer, trace))
     }
 
     /// Records a demand-fetch latency sample.
     #[inline]
     pub fn record_fetch_latency(&self, cycles: u64) {
-        if let Some(i) = &self.inner {
-            i.borrow_mut().fetch_latency.record(cycles);
-        }
+        self.record(|r| r.fetch_latency.record(cycles));
     }
 
     /// Records the stall contribution of one guarded access.
     #[inline]
     pub fn record_stall(&self, cycles: u64) {
-        if let Some(i) = &self.inner {
-            i.borrow_mut().stall_per_access.record(cycles);
-        }
+        self.record(|r| r.stall_per_access.record(cycles));
     }
 
     /// Records one network transfer's size.
     #[inline]
     pub fn record_transfer(&self, bytes: u64) {
-        if let Some(i) = &self.inner {
-            i.borrow_mut().transfer_bytes.record(bytes);
-        }
+        self.record(|r| r.transfer_bytes.record(bytes));
     }
 
     /// Records the total retry penalty (detect + backoff cycles) of one
     /// operation that succeeded only after faulted attempts.
     #[inline]
     pub fn record_retry_latency(&self, cycles: u64) {
-        if let Some(i) = &self.inner {
-            i.borrow_mut().retry_latency.record(cycles);
-        }
+        self.record(|r| r.retry_latency.record(cycles));
     }
 
     /// Marks `id` (object or page) resident as of `now`, for residency
     /// lifetime accounting.
     #[inline]
     pub fn note_resident(&self, id: u64, now: u64) {
-        if let Some(i) = &self.inner {
-            i.borrow_mut().resident_since.insert(id, now);
+        if let Some(s) = &self.sink {
+            s.borrow_mut().resident_since.insert(id, now);
         }
     }
 
     /// Marks `id` evicted at `now`, recording its residency lifetime.
     #[inline]
     pub fn note_evicted(&self, id: u64, now: u64) {
-        if let Some(i) = &self.inner {
-            let mut i = i.borrow_mut();
-            if let Some(since) = i.resident_since.remove(&id) {
-                i.residency.record(now.saturating_sub(since));
+        if let Some(s) = &self.sink {
+            let s = &mut *s.borrow_mut();
+            if let Some(since) = s.resident_since.remove(&id) {
+                s.record.residency.record(now.saturating_sub(since));
             }
         }
     }
@@ -157,21 +167,15 @@ impl Telemetry {
     /// Updates a guard site's counters.
     #[inline]
     pub fn record_site(&self, key: SiteKey, f: impl FnOnce(&mut SiteStats)) {
-        if let Some(i) = &self.inner {
-            f(i.borrow_mut().sites.stats_mut(key));
-        }
+        self.record(|r| f(r.sites.stats_mut(key)));
     }
 
     /// Opens a span as a child of the innermost open span. No-op (returning
-    /// [`SpanId::NONE`]) unless a tracer is attached.
+    /// [`SpanId::NONE`]) unless tracing.
     #[inline]
     pub fn span_begin(&self, kind: SpanKind, arg: u64, cycle: u64) -> SpanId {
-        if let Some(i) = &self.inner {
-            if let Some(t) = &mut i.borrow_mut().trace {
-                return t.begin(kind, arg, cycle);
-            }
-        }
-        SpanId::NONE
+        self.trace(|t, tr| t.begin(tr, kind, arg, cycle))
+            .unwrap_or(SpanId::NONE)
     }
 
     /// Opens a root span regardless of any open span — for asynchronous
@@ -179,24 +183,15 @@ impl Telemetry {
     /// operation that triggered them.
     #[inline]
     pub fn span_begin_root(&self, kind: SpanKind, arg: u64, cycle: u64) -> SpanId {
-        if let Some(i) = &self.inner {
-            if let Some(t) = &mut i.borrow_mut().trace {
-                return t.begin_root(kind, arg, cycle);
-            }
-        }
-        SpanId::NONE
+        self.trace(|t, tr| t.begin_root(tr, kind, arg, cycle))
+            .unwrap_or(SpanId::NONE)
     }
 
     /// Closes an open span at `cycle`.
     #[inline]
     pub fn span_end(&self, id: SpanId, cycle: u64) {
-        if id.is_none() {
-            return;
-        }
-        if let Some(i) = &self.inner {
-            if let Some(t) = &mut i.borrow_mut().trace {
-                t.end(id, cycle);
-            }
+        if !id.is_none() {
+            self.trace(|t, tr| t.end(tr, id, cycle));
         }
     }
 
@@ -204,37 +199,23 @@ impl Telemetry {
     /// `keep = false` a childless span is removed entirely.
     #[inline]
     pub fn span_finish(&self, id: SpanId, cycle: u64, kind: SpanKind, keep: bool) {
-        if id.is_none() {
-            return;
-        }
-        if let Some(i) = &self.inner {
-            if let Some(t) = &mut i.borrow_mut().trace {
-                t.finish(id, cycle, kind, keep);
-            }
+        if !id.is_none() {
+            self.trace(|t, tr| t.finish(tr, id, cycle, kind, keep));
         }
     }
 
-    /// Records a complete leaf span under the innermost open span; the
-    /// caller fills everything but `parent`.
+    /// Records a complete leaf span under the innermost open span (build
+    /// it with [`Span::leaf`]; the tracer stamps `parent` and `core`).
     #[inline]
     pub fn span_leaf(&self, span: Span) {
-        if let Some(i) = &self.inner {
-            if let Some(t) = &mut i.borrow_mut().trace {
-                t.leaf(span);
-            }
-        }
+        self.trace(|t, tr| t.leaf(tr, span));
     }
 
     /// True while a traced operation is open (used to avoid opening a
-    /// redundant root span). Always false without a tracer.
+    /// redundant root span). Always false without a trace.
     #[inline]
     pub fn span_active(&self) -> bool {
-        if let Some(i) = &self.inner {
-            if let Some(t) = &i.borrow().trace {
-                return t.active();
-            }
-        }
-        false
+        self.trace(|t, _| t.active()).unwrap_or(false)
     }
 
     /// Sets the worker core stamped onto subsequently recorded spans and
@@ -243,11 +224,7 @@ impl Telemetry {
     /// traces carry no core tags and render byte-identically.
     #[inline]
     pub fn set_core(&self, core: u32) {
-        if let Some(i) = &self.inner {
-            if let Some(t) = &mut i.borrow_mut().trace {
-                t.set_core(core);
-            }
-        }
+        self.trace(|t, _| t.set_core(core));
     }
 
     /// Timeline probe: one guarded/paged access (`miss` when it went
@@ -255,78 +232,31 @@ impl Telemetry {
     /// current core's lane.
     #[inline]
     pub fn timeline_access(&self, cycle: u64, miss: bool) {
-        if let Some(i) = &self.inner {
-            if let Some(t) = &mut i.borrow_mut().trace {
-                let core = t.current_core();
-                let tl = t.timeline_mut();
-                tl.access(cycle, miss);
-                if core != Span::NO_CORE {
-                    tl.core_access(cycle, core);
-                }
+        self.trace(|t, tr| {
+            tr.timeline.access(cycle, miss);
+            if t.current_core() != Span::NO_CORE {
+                tr.timeline.core_access(cycle, t.current_core());
             }
-        }
+        });
     }
 
     /// Timeline probe: current local occupancy in bytes.
     #[inline]
     pub fn timeline_occupancy(&self, cycle: u64, bytes: u64) {
-        if let Some(i) = &self.inner {
-            if let Some(t) = &mut i.borrow_mut().trace {
-                t.timeline_mut().occupancy(cycle, bytes);
-            }
-        }
+        self.trace(|_, tr| tr.timeline.occupancy(cycle, bytes));
     }
 
     /// Timeline probe: one shard-health sample (EWMA fault ppm + degraded
     /// flag).
     #[inline]
     pub fn timeline_shard(&self, cycle: u64, shard: u32, ppm: u64, degraded: bool) {
-        if let Some(i) = &self.inner {
-            if let Some(t) = &mut i.borrow_mut().trace {
-                t.timeline_mut().shard(cycle, shard, ppm, degraded);
-            }
-        }
+        self.trace(|_, tr| tr.timeline.shard(cycle, shard, ppm, degraded));
     }
 
-    /// A copy of the sink's current contents, or `None` when disabled.
+    /// A copy of the record collected so far, or `None` when disabled.
     pub fn snapshot(&self) -> Option<TelemetrySnapshot> {
-        self.inner.as_ref().map(|i| {
-            let i = i.borrow();
-            TelemetrySnapshot {
-                events_dropped: 0,
-                fetch_latency: i.fetch_latency.clone(),
-                stall_per_access: i.stall_per_access.clone(),
-                residency: i.residency.clone(),
-                transfer_bytes: i.transfer_bytes.clone(),
-                retry_latency: i.retry_latency.clone(),
-                sites: i.sites.clone(),
-                trace: i.trace.as_ref().map(|t| t.snapshot()),
-            }
-        })
+        self.sink.as_ref().map(|s| s.borrow().record.clone())
     }
-}
-
-/// An owned copy of everything a [`Telemetry`] sink collected.
-#[derive(Clone, Debug)]
-pub struct TelemetrySnapshot {
-    /// Always 0: nothing is buffered, so nothing is dropped. Kept only
-    /// because `tfm-perf` reads it (`benchmark/src/traced.rs`, its pinned
-    /// `telemetry.events_dropped` row); it goes once that row does.
-    pub events_dropped: u64,
-    /// Demand-fetch completion latency (cycles).
-    pub fetch_latency: Histogram,
-    /// Stall cycles per guarded access.
-    pub stall_per_access: Histogram,
-    /// Residency lifetime (cycles).
-    pub residency: Histogram,
-    /// Transfer sizes (bytes).
-    pub transfer_bytes: Histogram,
-    /// Retry penalty per operation that needed retries (cycles).
-    pub retry_latency: Histogram,
-    /// Per-guard-site attribution.
-    pub sites: SiteTable,
-    /// Causal span trace (`None` when tracing was off).
-    pub trace: Option<TraceSnapshot>,
 }
 
 #[cfg(test)]
@@ -378,22 +308,42 @@ mod tests {
         let root = t.span_begin(SpanKind::GuardSlowRemote, 7, 100);
         assert!(t.span_active());
         t.span_leaf(Span {
-            kind: SpanKind::Transfer,
-            start: 100,
-            end: 180,
-            parent: Span::NO_PARENT,
-            arg: 4096,
-            wait: 0,
             shard: 0,
-            fault: Span::NO_FAULT,
-            core: Span::NO_CORE,
+            ..Span::leaf(SpanKind::Transfer, 100, 180, 4096)
         });
         t.span_end(root, 200);
         t.timeline_access(100, true);
         let trace = t.snapshot().unwrap().trace.unwrap();
         assert_eq!(trace.spans.len(), 2);
         assert_eq!(trace.spans[1].parent, 0);
-        assert_eq!(trace.timeline.misses, vec![1]);
+        assert_eq!(trace.timeline.misses(), [1]);
+    }
+
+    #[test]
+    fn a_snapshot_does_not_move_when_later_probes_record() {
+        let t = Telemetry::traced();
+        t.record_fetch_latency(100);
+        t.record_site(SiteKey::new(0, 7), |s| s.hits += 1);
+        let g = t.span_begin(SpanKind::GuardSlowRemote, 7, 0);
+        t.span_end(g, 50);
+        t.timeline_access(10, true);
+        t.note_resident(3, 0);
+        let before = t.snapshot().unwrap();
+        let kept = format!("{before:?}");
+        t.record_fetch_latency(900);
+        t.record_stall(5);
+        t.record_transfer(4096);
+        t.record_retry_latency(70);
+        t.note_evicted(3, 400);
+        t.record_site(SiteKey::new(0, 7), |s| s.hits += 1);
+        t.record_site(SiteKey::new(0, 8), |s| s.hits += 1);
+        t.span_leaf(Span::leaf(SpanKind::Transfer, 60, 90, 64));
+        t.set_core(1);
+        t.timeline_access(5 * crate::trace::BUCKET_CYCLES, true);
+        t.timeline_occupancy(20, 8192);
+        t.timeline_shard(20, 1, 9, true);
+        assert_eq!(format!("{before:?}"), kept);
+        assert_ne!(format!("{:?}", t.snapshot().unwrap()), kept);
     }
 
     #[test]

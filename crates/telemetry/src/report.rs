@@ -8,7 +8,7 @@
 use crate::hist::Histogram;
 use crate::json::Json;
 use crate::site::{SiteKey, SiteStats, SiteTable};
-use crate::trace::TimelineSnapshot;
+use crate::trace::Timeline;
 
 /// Counter structs that can publish themselves into a report section.
 /// Implemented by `ExecStats`, `RuntimeStats`, `TransferStats`, and
@@ -74,7 +74,7 @@ pub struct RunReport {
     pub sites: Vec<SiteRow>,
     /// Windowed time series (only when the run traced; `None` keeps the
     /// report byte-identical to untraced runs).
-    pub timeline: Option<TimelineSnapshot>,
+    pub timeline: Option<Timeline>,
 }
 
 impl RunReport {
@@ -127,7 +127,7 @@ impl RunReport {
     }
 
     /// Attaches the windowed time series of a traced run.
-    pub fn set_timeline(&mut self, timeline: TimelineSnapshot) {
+    pub fn set_timeline(&mut self, timeline: Timeline) {
         self.timeline = Some(timeline);
     }
 
@@ -408,19 +408,18 @@ mod tests {
         let json = r.to_json().to_string_pretty();
         assert!(!json.contains("\"timeline\""));
         assert!(!r.render().contains("timeline ("));
-        r.set_timeline(TimelineSnapshot {
-            bucket_cycles: 100,
-            accesses: vec![4, 2],
-            misses: vec![1, 2],
-            occupancy_bytes: vec![0, 4096],
-            shard_ppm: vec![],
-            shard_degraded: vec![],
-            core_accesses: vec![],
-        });
+        let mut t = Timeline::default();
+        t.access(0, true);
+        t.access(crate::trace::BUCKET_CYCLES, false);
+        t.occupancy(crate::trace::BUCKET_CYCLES, 4096);
+        r.set_timeline(t);
         let json = r.to_json().to_string_pretty();
         let doc = Json::parse(&json).unwrap();
         let t = doc.get("timeline").expect("timeline key present");
-        assert_eq!(t.get("bucket_cycles").and_then(Json::as_u64), Some(100));
+        assert_eq!(
+            t.get("bucket_cycles").and_then(Json::as_u64),
+            Some(crate::trace::BUCKET_CYCLES)
+        );
         assert_eq!(t.get("accesses").unwrap().as_arr().unwrap().len(), 2);
         assert!(r.render().contains("miss_rate"));
     }

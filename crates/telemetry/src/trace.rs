@@ -29,17 +29,21 @@
 //! windows), rendered as a `timeline` section in the run report plus a
 //! human sparkline view.
 //!
-//! Two exporters turn a [`TraceSnapshot`] into standard tooling formats:
-//! [`TraceSnapshot::chrome_trace`] (Chrome trace-event JSON, loadable in
+//! The spans, the dropped count and the timeline are one record, [`Trace`];
+//! the [`SpanTracer`] beside it holds only the open-span stack and the
+//! current core, so a snapshot of a trace is a clone of the record. Two
+//! exporters turn a [`Trace`] into standard tooling formats:
+//! [`Trace::chrome_trace`] (Chrome trace-event JSON, loadable in
 //! Perfetto / `chrome://tracing`, with per-shard link tracks) and
-//! [`TraceSnapshot::folded_stacks`] (Brendan-Gregg folded stacks keyed by
+//! [`Trace::folded_stacks`] (Brendan-Gregg folded stacks keyed by
 //! the stable guard-site labels, weighted in simulated cycles — pipe into
 //! any flamegraph renderer).
 //!
 //! Tracing is pay-for-use twice over: a disabled [`Telemetry`] handle skips
-//! everything, and an enabled handle without a tracer pays one `Option`
+//! everything, and an enabled handle without a trace pays one `Option`
 //! branch per probe — simulated cycles and report bytes are identical with
-//! tracing off (asserted by the `trace_overhead` bench and `tests/tracing.rs`).
+//! tracing off (asserted by the `tracing-off` row of
+//! `tests/identity_matrix.rs`).
 //!
 //! [`Telemetry`]: crate::Telemetry
 
@@ -206,6 +210,24 @@ impl Span {
     /// `core` sentinel: not recorded on a multi-core machine.
     pub const NO_CORE: u32 = u32::MAX;
 
+    /// A `kind` span over `[start, end)` carrying `arg`, with no wait and
+    /// every sentinel set. The tracer stamps `parent` and `core` when it
+    /// records the span; callers set `wait`, `shard` and `fault` by struct
+    /// update where they apply.
+    pub fn leaf(kind: SpanKind, start: u64, end: u64, arg: u64) -> Span {
+        Span {
+            kind,
+            start,
+            end,
+            parent: Self::NO_PARENT,
+            arg,
+            wait: 0,
+            shard: Self::NO_SHARD,
+            fault: Self::NO_FAULT,
+            core: Self::NO_CORE,
+        }
+    }
+
     /// Duration in cycles.
     #[inline]
     pub fn dur(&self) -> u64 {
@@ -239,152 +261,25 @@ impl SpanId {
 /// a run of any length cannot grow the series without bound.
 const MAX_BUCKETS: usize = 1 << 16;
 
-/// Windowed time-series collector: per-[`BUCKET_CYCLES`] access/miss
-/// counts, local occupancy, and per-shard health samples.
-#[derive(Clone, Debug, Default)]
+/// Upper bound on shard and core lanes (samples for a higher index are
+/// ignored); no realistic topology exceeds it.
+const MAX_LANES: usize = 64;
+
+/// Windowed time series: per-[`BUCKET_CYCLES`] access/miss counts, local
+/// occupancy, and per-shard health and per-core load lanes.
+///
+/// Every series has one length while it records: a new bucket grows them
+/// all, and a new shard or core lane starts at the current length. So the
+/// stored series are the exported ones. The fields are private because the
+/// recording methods index every lane by the shared length.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Timeline {
     accesses: Vec<u64>,
     misses: Vec<u64>,
-    /// Last observed local occupancy (bytes) in each bucket; 0 where no
-    /// observation landed.
-    occupancy: Vec<u64>,
-    shards: Vec<ShardSeries>,
-    /// Per-core access lanes, populated only on a multi-core machine (the
-    /// tracer routes accesses here when a current core is set).
+    occupancy_bytes: Vec<u64>,
+    shard_ppm: Vec<Vec<u64>>,
+    shard_degraded: Vec<Vec<bool>>,
     core_accesses: Vec<Vec<u64>>,
-}
-
-#[derive(Clone, Debug, Default)]
-struct ShardSeries {
-    /// Last observed EWMA fault rate (ppm) per bucket.
-    ppm: Vec<u64>,
-    /// Whether the shard was observed degraded at any point in the bucket.
-    degraded: Vec<bool>,
-}
-
-impl Timeline {
-    #[inline]
-    fn bucket(&self, cycle: u64) -> Option<usize> {
-        let b = (cycle / BUCKET_CYCLES) as usize;
-        (b < MAX_BUCKETS).then_some(b)
-    }
-
-    fn grow(v: &mut Vec<u64>, b: usize) {
-        if v.len() <= b {
-            v.resize(b + 1, 0);
-        }
-    }
-
-    /// Records one guarded/paged access; `miss` when it went remote.
-    pub fn access(&mut self, cycle: u64, miss: bool) {
-        let Some(b) = self.bucket(cycle) else { return };
-        Self::grow(&mut self.accesses, b);
-        self.accesses[b] += 1;
-        if miss {
-            Self::grow(&mut self.misses, b);
-            self.misses[b] += 1;
-        }
-    }
-
-    /// Records the current local occupancy in bytes.
-    pub fn occupancy(&mut self, cycle: u64, bytes: u64) {
-        let Some(b) = self.bucket(cycle) else { return };
-        Self::grow(&mut self.occupancy, b);
-        self.occupancy[b] = bytes;
-    }
-
-    /// Records one guarded/paged access on a specific worker core's lane
-    /// (on top of the aggregate series — call [`Timeline::access`] too).
-    pub fn core_access(&mut self, cycle: u64, core: u32) {
-        let Some(b) = self.bucket(cycle) else { return };
-        let c = core as usize;
-        if c >= 64 {
-            return; // sanity bound, mirrors the shard lane cap
-        }
-        if self.core_accesses.len() <= c {
-            self.core_accesses.resize(c + 1, Vec::new());
-        }
-        Self::grow(&mut self.core_accesses[c], b);
-        self.core_accesses[c][b] += 1;
-    }
-
-    /// Records one shard-health sample.
-    pub fn shard(&mut self, cycle: u64, shard: u32, ppm: u64, degraded: bool) {
-        let Some(b) = self.bucket(cycle) else { return };
-        let s = shard as usize;
-        if s >= 64 {
-            return; // sanity bound; no realistic topology exceeds it
-        }
-        if self.shards.len() <= s {
-            self.shards.resize(s + 1, ShardSeries::default());
-        }
-        let series = &mut self.shards[s];
-        Self::grow(&mut series.ppm, b);
-        series.ppm[b] = ppm;
-        if series.degraded.len() <= b {
-            series.degraded.resize(b + 1, false);
-        }
-        series.degraded[b] |= degraded;
-    }
-
-    /// An owned, length-normalized copy of the series.
-    pub fn snapshot(&self) -> TimelineSnapshot {
-        let n = self
-            .accesses
-            .len()
-            .max(self.misses.len())
-            .max(self.occupancy.len())
-            .max(
-                self.shards
-                    .iter()
-                    .map(|s| s.ppm.len().max(s.degraded.len()))
-                    .max()
-                    .unwrap_or(0),
-            )
-            .max(self.core_accesses.iter().map(Vec::len).max().unwrap_or(0));
-        let pad = |v: &[u64]| {
-            let mut out = v.to_vec();
-            out.resize(n, 0);
-            out
-        };
-        TimelineSnapshot {
-            bucket_cycles: BUCKET_CYCLES,
-            accesses: pad(&self.accesses),
-            misses: pad(&self.misses),
-            occupancy_bytes: pad(&self.occupancy),
-            shard_ppm: self.shards.iter().map(|s| pad(&s.ppm)).collect(),
-            shard_degraded: self
-                .shards
-                .iter()
-                .map(|s| {
-                    let mut d = s.degraded.clone();
-                    d.resize(n, false);
-                    d
-                })
-                .collect(),
-            core_accesses: self.core_accesses.iter().map(|c| pad(c)).collect(),
-        }
-    }
-}
-
-/// An owned copy of the [`Timeline`] series, all padded to one length.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TimelineSnapshot {
-    /// Bucket width in simulated cycles.
-    pub bucket_cycles: u64,
-    /// Guarded/paged accesses per bucket.
-    pub accesses: Vec<u64>,
-    /// Remote misses per bucket.
-    pub misses: Vec<u64>,
-    /// Last observed local occupancy (bytes) per bucket.
-    pub occupancy_bytes: Vec<u64>,
-    /// Per shard: last observed EWMA fault rate (ppm) per bucket.
-    pub shard_ppm: Vec<Vec<u64>>,
-    /// Per shard: whether the shard was degraded in each bucket.
-    pub shard_degraded: Vec<Vec<bool>>,
-    /// Per worker core: accesses per bucket (empty on the single-core
-    /// machine, so reports stay byte-identical there).
-    pub core_accesses: Vec<Vec<u64>>,
 }
 
 /// Unicode sparkline of a series, max-scaled (empty string for an empty or
@@ -401,10 +296,109 @@ pub fn sparkline(values: &[u64]) -> String {
         .collect()
 }
 
-impl TimelineSnapshot {
+impl Timeline {
+    /// The bucket `cycle` falls in, with every series grown to cover it
+    /// (`None` past [`MAX_BUCKETS`]).
+    fn bucket(&mut self, cycle: u64) -> Option<usize> {
+        let b = (cycle / BUCKET_CYCLES) as usize;
+        if b >= MAX_BUCKETS {
+            return None;
+        }
+        if b >= self.accesses.len() {
+            let n = b + 1;
+            self.accesses.resize(n, 0);
+            self.misses.resize(n, 0);
+            self.occupancy_bytes.resize(n, 0);
+            self.shard_ppm.iter_mut().for_each(|s| s.resize(n, 0));
+            self.shard_degraded
+                .iter_mut()
+                .for_each(|s| s.resize(n, false));
+            self.core_accesses.iter_mut().for_each(|c| c.resize(n, 0));
+        }
+        Some(b)
+    }
+
+    /// Records one guarded/paged access; `miss` when it went remote.
+    pub fn access(&mut self, cycle: u64, miss: bool) {
+        let Some(b) = self.bucket(cycle) else { return };
+        self.accesses[b] += 1;
+        self.misses[b] += miss as u64;
+    }
+
+    /// Records the current local occupancy in bytes.
+    pub fn occupancy(&mut self, cycle: u64, bytes: u64) {
+        let Some(b) = self.bucket(cycle) else { return };
+        self.occupancy_bytes[b] = bytes;
+    }
+
+    /// Records one guarded/paged access on a specific worker core's lane
+    /// (on top of the aggregate series — call [`Timeline::access`] too).
+    pub fn core_access(&mut self, cycle: u64, core: u32) {
+        let c = core as usize;
+        if c >= MAX_LANES {
+            return;
+        }
+        let Some(b) = self.bucket(cycle) else { return };
+        if self.core_accesses.len() <= c {
+            let n = self.accesses.len();
+            self.core_accesses.resize(c + 1, vec![0; n]);
+        }
+        self.core_accesses[c][b] += 1;
+    }
+
+    /// Records one shard-health sample.
+    pub fn shard(&mut self, cycle: u64, shard: u32, ppm: u64, degraded: bool) {
+        let s = shard as usize;
+        if s >= MAX_LANES {
+            return;
+        }
+        let Some(b) = self.bucket(cycle) else { return };
+        if self.shard_ppm.len() <= s {
+            let n = self.accesses.len();
+            self.shard_ppm.resize(s + 1, vec![0; n]);
+            self.shard_degraded.resize(s + 1, vec![false; n]);
+        }
+        self.shard_ppm[s][b] = ppm;
+        self.shard_degraded[s][b] |= degraded;
+    }
+
     /// True when no bucket recorded anything.
     pub fn is_empty(&self) -> bool {
         self.accesses.is_empty()
+    }
+
+    /// Guarded/paged accesses per bucket.
+    pub fn accesses(&self) -> &[u64] {
+        &self.accesses
+    }
+
+    /// Remote misses per bucket.
+    pub fn misses(&self) -> &[u64] {
+        &self.misses
+    }
+
+    /// Last observed local occupancy (bytes) per bucket; 0 where no
+    /// observation landed.
+    pub fn occupancy_bytes(&self) -> &[u64] {
+        &self.occupancy_bytes
+    }
+
+    /// Per shard: last observed EWMA fault rate (ppm) per bucket.
+    pub fn shard_ppm(&self) -> &[Vec<u64>] {
+        &self.shard_ppm
+    }
+
+    /// Per shard: whether the shard was observed degraded at any point in
+    /// each bucket.
+    pub fn shard_degraded(&self) -> &[Vec<bool>] {
+        &self.shard_degraded
+    }
+
+    /// Per worker core: accesses per bucket. Empty on the single-core
+    /// machine (the tracer routes accesses here only when a current core
+    /// is set), so reports stay byte-identical there.
+    pub fn core_accesses(&self) -> &[Vec<u64>] {
+        &self.core_accesses
     }
 
     /// Miss rate per bucket in permille (0 where no access landed).
@@ -420,7 +414,7 @@ impl TimelineSnapshot {
     pub fn to_json(&self) -> Json {
         let ints = |v: &[u64]| Json::Arr(v.iter().map(|&x| Json::Int(x)).collect());
         let mut pairs = vec![
-            ("bucket_cycles".into(), Json::Int(self.bucket_cycles)),
+            ("bucket_cycles".into(), Json::Int(BUCKET_CYCLES)),
             ("accesses".into(), ints(&self.accesses)),
             ("misses".into(), ints(&self.misses)),
             ("occupancy_bytes".into(), ints(&self.occupancy_bytes)),
@@ -458,14 +452,13 @@ impl TimelineSnapshot {
         }
         let _ = writeln!(
             out,
-            "timeline ({} buckets x {} cycles):",
-            self.accesses.len(),
-            self.bucket_cycles
+            "timeline ({} buckets x {BUCKET_CYCLES} cycles):",
+            self.accesses.len()
         );
         let _ = writeln!(out, "  miss_rate  {}", sparkline(&self.miss_permille()));
         let _ = writeln!(out, "  occupancy  {}", sparkline(&self.occupancy_bytes));
-        for (s, ppm) in self.shard_ppm.iter().enumerate() {
-            let degraded = self.shard_degraded[s].iter().filter(|&&d| d).count();
+        for (s, (ppm, degraded)) in self.shard_ppm.iter().zip(&self.shard_degraded).enumerate() {
+            let degraded = degraded.iter().filter(|&&d| d).count();
             let _ = writeln!(
                 out,
                 "  shard{s} ppm {} (degraded in {degraded} bucket(s))",
@@ -479,33 +472,50 @@ impl TimelineSnapshot {
     }
 }
 
-/// The span collector: a preallocated arena plus the stack of open spans.
+/// A run's span trace: the span arena, the spans a full arena dropped, and
+/// the timeline. A [`SpanTracer`] records into it, and a snapshot of it is
+/// its clone.
+#[derive(Clone, Debug)]
+pub struct Trace {
+    /// The span arena, in creation order (parents precede children).
+    pub spans: Vec<Span>,
+    /// Spans not recorded because the arena was full.
+    pub dropped: u64,
+    /// The windowed time series.
+    pub timeline: Timeline,
+}
+
+impl Default for Trace {
+    /// An empty trace with its arena preallocated to [`MAX_SPANS`].
+    fn default() -> Self {
+        Trace {
+            spans: Vec::with_capacity(MAX_SPANS),
+            dropped: 0,
+            timeline: Timeline::default(),
+        }
+    }
+}
+
+/// The recording state kept beside a [`Trace`]: the stack of open spans
+/// and the worker core stamped onto new ones.
 ///
 /// Lives inside the shared telemetry sink; all probes go through the
 /// [`Telemetry`] handle's `span_*`/`timeline_*` methods, which are no-ops
-/// when no tracer is attached.
+/// when no trace is attached.
 ///
 /// [`Telemetry`]: crate::Telemetry
 #[derive(Clone, Debug)]
 pub struct SpanTracer {
-    spans: Vec<Span>,
     stack: Vec<u32>,
-    dropped: u64,
-    timeline: Timeline,
-    /// Worker core stamped onto every span recorded from here on
-    /// ([`Span::NO_CORE`] until a multi-core scheduler sets one).
-    current_core: u32,
+    core: u32,
 }
 
 impl Default for SpanTracer {
-    /// A tracer with its arena preallocated to [`MAX_SPANS`].
+    /// No open span and no core ([`Span::NO_CORE`]).
     fn default() -> Self {
         SpanTracer {
-            spans: Vec::with_capacity(MAX_SPANS),
-            stack: Vec::with_capacity(16),
-            dropped: 0,
-            timeline: Timeline::default(),
-            current_core: Span::NO_CORE,
+            stack: Vec::new(),
+            core: Span::NO_CORE,
         }
     }
 }
@@ -516,116 +526,12 @@ impl SpanTracer {
     /// nothing else does, so single-core traces carry [`Span::NO_CORE`]
     /// everywhere and render byte-identically to before.
     pub fn set_core(&mut self, core: u32) {
-        self.current_core = core;
+        self.core = core;
     }
 
     /// The core stamped onto new spans ([`Span::NO_CORE`] when unset).
     pub fn current_core(&self) -> u32 {
-        self.current_core
-    }
-
-    /// Number of retained spans.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True when no span was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Spans not recorded because the arena was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The timeline collector.
-    pub fn timeline_mut(&mut self) -> &mut Timeline {
-        &mut self.timeline
-    }
-
-    fn alloc(&mut self, span: Span) -> u32 {
-        if self.spans.len() >= MAX_SPANS {
-            self.dropped += 1;
-            return u32::MAX;
-        }
-        let id = self.spans.len() as u32;
-        self.spans.push(span);
-        id
-    }
-
-    fn open(&mut self, kind: SpanKind, arg: u64, cycle: u64, parent: u32) -> SpanId {
-        let id = self.alloc(Span {
-            kind,
-            start: cycle,
-            end: cycle,
-            parent,
-            arg,
-            wait: 0,
-            shard: Span::NO_SHARD,
-            fault: Span::NO_FAULT,
-            core: self.current_core,
-        });
-        if id != u32::MAX {
-            self.stack.push(id);
-        }
-        SpanId(id)
-    }
-
-    /// Opens a span as a child of the innermost open span (a root if none).
-    pub fn begin(&mut self, kind: SpanKind, arg: u64, cycle: u64) -> SpanId {
-        let parent = self.stack.last().copied().unwrap_or(Span::NO_PARENT);
-        self.open(kind, arg, cycle, parent)
-    }
-
-    /// Opens a *root* span regardless of the open stack — for asynchronous
-    /// operations whose lifetime extends past their trigger.
-    pub fn begin_root(&mut self, kind: SpanKind, arg: u64, cycle: u64) -> SpanId {
-        self.open(kind, arg, cycle, Span::NO_PARENT)
-    }
-
-    /// Closes `id` at `cycle` (no-op for [`SpanId::NONE`]).
-    pub fn end(&mut self, id: SpanId, cycle: u64) {
-        if id.is_none() {
-            return;
-        }
-        if let Some(s) = self.spans.get_mut(id.0 as usize) {
-            s.end = cycle;
-        }
-        if let Some(pos) = self.stack.iter().rposition(|&i| i == id.0) {
-            self.stack.truncate(pos);
-        }
-    }
-
-    /// Closes `id` at `cycle`, reclassifying it as `kind`. With
-    /// `keep = false` the span is canceled — removed entirely when it is
-    /// provably childless (it is the newest span in the arena), kept
-    /// otherwise so its children stay attached.
-    pub fn finish(&mut self, id: SpanId, cycle: u64, kind: SpanKind, keep: bool) {
-        if id.is_none() {
-            return;
-        }
-        let idx = id.0 as usize;
-        if let Some(pos) = self.stack.iter().rposition(|&i| i == id.0) {
-            self.stack.truncate(pos);
-        }
-        if !keep && idx + 1 == self.spans.len() {
-            self.spans.truncate(idx);
-            return;
-        }
-        if let Some(s) = self.spans.get_mut(idx) {
-            s.kind = kind;
-            s.end = cycle;
-        }
-    }
-
-    /// Records a complete leaf span attached to the innermost open span.
-    /// The caller fills everything but `parent` and `core` (both stamped
-    /// here, overriding whatever the caller put in them).
-    pub fn leaf(&mut self, mut span: Span) {
-        span.parent = self.stack.last().copied().unwrap_or(Span::NO_PARENT);
-        span.core = self.current_core;
-        self.alloc(span);
+        self.core
     }
 
     /// True while any span is open (used to avoid opening a redundant
@@ -634,25 +540,115 @@ impl SpanTracer {
         !self.stack.is_empty()
     }
 
-    /// An owned copy of everything recorded so far.
-    pub fn snapshot(&self) -> TraceSnapshot {
-        TraceSnapshot {
-            spans: self.spans.clone(),
-            dropped: self.dropped,
-            timeline: self.timeline.snapshot(),
+    fn parent(&self) -> u32 {
+        self.stack.last().copied().unwrap_or(Span::NO_PARENT)
+    }
+
+    /// Appends `span` to the arena, stamped with the current core; `u32::MAX`
+    /// (and a count in `dropped`) when the arena is full.
+    fn alloc(&self, trace: &mut Trace, span: Span) -> u32 {
+        if trace.spans.len() >= MAX_SPANS {
+            trace.dropped += 1;
+            return u32::MAX;
+        }
+        trace.spans.push(Span {
+            core: self.core,
+            ..span
+        });
+        trace.spans.len() as u32 - 1
+    }
+
+    fn open(
+        &mut self,
+        trace: &mut Trace,
+        kind: SpanKind,
+        arg: u64,
+        cycle: u64,
+        parent: u32,
+    ) -> SpanId {
+        let id = self.alloc(
+            trace,
+            Span {
+                parent,
+                ..Span::leaf(kind, cycle, cycle, arg)
+            },
+        );
+        if id != u32::MAX {
+            self.stack.push(id);
+        }
+        SpanId(id)
+    }
+
+    /// Opens a span as a child of the innermost open span (a root if none).
+    pub fn begin(&mut self, trace: &mut Trace, kind: SpanKind, arg: u64, cycle: u64) -> SpanId {
+        let parent = self.parent();
+        self.open(trace, kind, arg, cycle, parent)
+    }
+
+    /// Opens a *root* span regardless of the open stack — for asynchronous
+    /// operations whose lifetime extends past their trigger.
+    pub fn begin_root(
+        &mut self,
+        trace: &mut Trace,
+        kind: SpanKind,
+        arg: u64,
+        cycle: u64,
+    ) -> SpanId {
+        self.open(trace, kind, arg, cycle, Span::NO_PARENT)
+    }
+
+    /// Pops `id` and everything opened after it off the open stack.
+    fn close(&mut self, id: SpanId) {
+        if let Some(pos) = self.stack.iter().rposition(|&i| i == id.0) {
+            self.stack.truncate(pos);
         }
     }
-}
 
-/// An owned copy of a tracer's spans and timeline.
-#[derive(Clone, Debug, Default)]
-pub struct TraceSnapshot {
-    /// The span arena, in creation order (parents precede children).
-    pub spans: Vec<Span>,
-    /// Spans dropped because the arena was full.
-    pub dropped: u64,
-    /// The windowed time series.
-    pub timeline: TimelineSnapshot,
+    /// Closes `id` at `cycle` (no-op for [`SpanId::NONE`]).
+    pub fn end(&mut self, trace: &mut Trace, id: SpanId, cycle: u64) {
+        if id.is_none() {
+            return;
+        }
+        if let Some(s) = trace.spans.get_mut(id.0 as usize) {
+            s.end = cycle;
+        }
+        self.close(id);
+    }
+
+    /// Closes `id` at `cycle`, reclassifying it as `kind`. With
+    /// `keep = false` the span is canceled — removed entirely when it is
+    /// provably childless (it is the newest span in the arena), kept
+    /// otherwise so its children stay attached.
+    pub fn finish(
+        &mut self,
+        trace: &mut Trace,
+        id: SpanId,
+        cycle: u64,
+        kind: SpanKind,
+        keep: bool,
+    ) {
+        if id.is_none() {
+            return;
+        }
+        let idx = id.0 as usize;
+        self.close(id);
+        if !keep && idx + 1 == trace.spans.len() {
+            trace.spans.truncate(idx);
+            return;
+        }
+        if let Some(s) = trace.spans.get_mut(idx) {
+            s.kind = kind;
+            s.end = cycle;
+        }
+    }
+
+    /// Records a complete leaf span attached to the innermost open span.
+    /// The caller fills everything but `parent` and `core` (both stamped
+    /// here, overriding whatever the caller put in them).
+    pub fn leaf(&mut self, trace: &mut Trace, span: Span) {
+        let parent = self.parent();
+        self.alloc(trace, Span { parent, ..span });
+    }
 }
 
 /// Chrome track ids: synchronous runtime operations.
@@ -665,7 +661,7 @@ const TID_SHARD0: u64 = 3;
 /// for core-tagged spans from the multi-core scheduler.
 const TID_CORE0: u64 = 100;
 
-impl TraceSnapshot {
+impl Trace {
     /// For every span, the index of its root ancestor. Parents always
     /// precede children in the arena, so one forward pass suffices.
     fn roots(&self) -> Vec<u32> {
@@ -858,20 +854,6 @@ impl TraceSnapshot {
 mod tests {
     use super::*;
 
-    fn leaf(kind: SpanKind, start: u64, end: u64) -> Span {
-        Span {
-            kind,
-            start,
-            end,
-            parent: Span::NO_PARENT,
-            arg: 0,
-            wait: 0,
-            shard: Span::NO_SHARD,
-            fault: Span::NO_FAULT,
-            core: Span::NO_CORE,
-        }
-    }
-
     #[test]
     fn kind_names_are_unique() {
         let mut names: Vec<&str> = SpanKind::ALL.iter().map(|k| k.name()).collect();
@@ -882,67 +864,65 @@ mod tests {
 
     #[test]
     fn spans_nest_by_open_stack() {
-        let mut t = SpanTracer::default();
-        let root = t.begin(SpanKind::GuardSlowRemote, 7, 100);
-        t.leaf(leaf(SpanKind::Transfer, 100, 200));
-        let inner = t.begin(SpanKind::DemandFetch, 9, 150);
-        t.leaf(leaf(SpanKind::Retry, 150, 180));
-        t.end(inner, 200);
-        t.end(root, 250);
-        let snap = t.snapshot();
-        assert_eq!(snap.spans.len(), 4);
-        assert!(!snap.spans[0].has_parent());
-        assert_eq!(snap.spans[1].parent, 0, "leaf under root");
-        assert_eq!(snap.spans[2].parent, 0, "inner under root");
-        assert_eq!(snap.spans[3].parent, 2, "retry under inner");
-        assert_eq!(snap.spans[0].dur(), 150);
+        let (mut t, mut tr) = (SpanTracer::default(), Trace::default());
+        let root = t.begin(&mut tr, SpanKind::GuardSlowRemote, 7, 100);
+        t.leaf(&mut tr, Span::leaf(SpanKind::Transfer, 100, 200, 0));
+        let inner = t.begin(&mut tr, SpanKind::DemandFetch, 9, 150);
+        t.leaf(&mut tr, Span::leaf(SpanKind::Retry, 150, 180, 0));
+        t.end(&mut tr, inner, 200);
+        t.end(&mut tr, root, 250);
+        assert_eq!(tr.spans.len(), 4);
+        assert!(!tr.spans[0].has_parent());
+        assert_eq!(tr.spans[1].parent, 0, "leaf under root");
+        assert_eq!(tr.spans[2].parent, 0, "inner under root");
+        assert_eq!(tr.spans[3].parent, 2, "retry under inner");
+        assert_eq!(tr.spans[0].dur(), 150);
     }
 
     #[test]
     fn begin_root_ignores_the_stack() {
-        let mut t = SpanTracer::default();
-        let g = t.begin(SpanKind::GuardSlowRemote, 1, 0);
-        let p = t.begin_root(SpanKind::Prefetch, 5, 10);
-        t.leaf(leaf(SpanKind::Transfer, 10, 50));
-        t.end(p, 50);
-        t.end(g, 20);
-        let snap = t.snapshot();
-        assert!(!snap.spans[1].has_parent(), "prefetch is a root");
-        assert_eq!(snap.spans[2].parent, 1, "its transfer nests under it");
+        let (mut t, mut tr) = (SpanTracer::default(), Trace::default());
+        let g = t.begin(&mut tr, SpanKind::GuardSlowRemote, 1, 0);
+        let p = t.begin_root(&mut tr, SpanKind::Prefetch, 5, 10);
+        t.leaf(&mut tr, Span::leaf(SpanKind::Transfer, 10, 50, 0));
+        t.end(&mut tr, p, 50);
+        t.end(&mut tr, g, 20);
+        assert!(!tr.spans[1].has_parent(), "prefetch is a root");
+        assert_eq!(tr.spans[2].parent, 1, "its transfer nests under it");
     }
 
     #[test]
     fn canceled_childless_span_vanishes_but_parents_of_children_stay() {
-        let mut t = SpanTracer::default();
+        let (mut t, mut tr) = (SpanTracer::default(), Trace::default());
         // Childless fast guard: canceled, removed.
-        let a = t.begin(SpanKind::GuardSlowRemote, 1, 0);
-        t.finish(a, 5, SpanKind::GuardFast, false);
-        assert_eq!(t.len(), 0);
+        let a = t.begin(&mut tr, SpanKind::GuardSlowRemote, 1, 0);
+        t.finish(&mut tr, a, 5, SpanKind::GuardFast, false);
+        assert_eq!(tr.spans.len(), 0);
         // A canceled span that acquired a child is kept (reclassified).
-        let b = t.begin(SpanKind::GuardSlowRemote, 1, 10);
-        t.leaf(leaf(SpanKind::Transfer, 10, 30));
-        t.finish(b, 30, SpanKind::GuardFast, false);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.snapshot().spans[0].kind, SpanKind::GuardFast);
+        let b = t.begin(&mut tr, SpanKind::GuardSlowRemote, 1, 10);
+        t.leaf(&mut tr, Span::leaf(SpanKind::Transfer, 10, 30, 0));
+        t.finish(&mut tr, b, 30, SpanKind::GuardFast, false);
+        assert_eq!(tr.spans.len(), 2);
+        assert_eq!(tr.spans[0].kind, SpanKind::GuardFast);
         assert!(!t.active());
     }
 
     #[test]
     fn full_arena_drops_deterministically() {
-        let mut t = SpanTracer::default();
-        let a = t.begin(SpanKind::GuardSlowRemote, 1, 0);
+        let (mut t, mut tr) = (SpanTracer::default(), Trace::default());
+        let a = t.begin(&mut tr, SpanKind::GuardSlowRemote, 1, 0);
         for _ in 1..MAX_SPANS {
-            t.leaf(leaf(SpanKind::Transfer, 0, 10));
+            t.leaf(&mut tr, Span::leaf(SpanKind::Transfer, 0, 10, 0));
         }
-        let b = t.begin(SpanKind::DemandFetch, 2, 5); // arena full
+        let b = t.begin(&mut tr, SpanKind::DemandFetch, 2, 5); // arena full
         assert!(b.is_none());
-        t.leaf(leaf(SpanKind::Retry, 5, 8)); // dropped too
-        t.end(b, 9); // no-op
-        t.end(a, 10);
-        assert_eq!(t.len(), MAX_SPANS);
-        assert_eq!(t.dropped(), 2);
+        t.leaf(&mut tr, Span::leaf(SpanKind::Retry, 5, 8, 0)); // dropped too
+        t.end(&mut tr, b, 9); // no-op
+        t.end(&mut tr, a, 10);
+        assert_eq!(tr.spans.len(), MAX_SPANS);
+        assert_eq!(tr.dropped, 2);
         assert!(!t.active());
-        assert_eq!(t.spans.capacity(), MAX_SPANS, "the arena never grew");
+        assert_eq!(tr.spans.capacity(), MAX_SPANS, "the arena never grew");
     }
 
     #[test]
@@ -955,22 +935,49 @@ mod tests {
         tl.access(at(120), true);
         tl.occupancy(at(250), 8192);
         tl.shard(at(110), 1, 40_000, true);
-        let s = tl.snapshot();
-        assert_eq!(s.accesses, vec![1, 2, 0]);
-        assert_eq!(s.misses, vec![0, 2, 0]);
-        assert_eq!(s.occupancy_bytes, vec![0, 0, 8192]);
-        assert_eq!(s.miss_permille(), vec![0, 1000, 0]);
-        assert_eq!(s.shard_ppm.len(), 2, "shards 0..=1 materialized");
-        assert_eq!(s.shard_ppm[1], vec![0, 40_000, 0]);
-        assert_eq!(s.shard_degraded[1], vec![false, true, false]);
-        assert!(s.render().contains("miss_rate"));
-        assert!(s.render().contains("shard1 ppm"));
-        let j = s.to_json();
+        // A shard lane and a core lane that first appear at the last bucket.
+        tl.shard(at(260), 2, 7, false);
+        tl.core_access(at(270), 1);
+        // Past the lane cap: ignored, and nothing grows.
+        tl.shard(at(990), 64, 1, true);
+        tl.core_access(at(990), 64);
+        assert_eq!(tl.accesses, vec![1, 2, 0]);
+        assert_eq!(tl.misses, vec![0, 2, 0]);
+        assert_eq!(tl.occupancy_bytes, vec![0, 0, 8192]);
+        assert_eq!(tl.miss_permille(), vec![0, 1000, 0]);
+        assert_eq!(tl.shard_ppm.len(), 3, "shards 0..=2 materialized");
+        assert_eq!(tl.shard_ppm[0], vec![0, 0, 0]);
+        assert_eq!(tl.shard_ppm[1], vec![0, 40_000, 0]);
+        assert_eq!(tl.shard_ppm[2], vec![0, 0, 7]);
+        assert_eq!(tl.shard_degraded[1], vec![false, true, false]);
+        assert_eq!(tl.shard_degraded[2], vec![false; 3]);
+        assert_eq!(tl.core_accesses, vec![vec![0; 3], vec![0, 0, 1]]);
+        assert!(tl.render().contains("miss_rate"));
+        assert!(tl.render().contains("shard1 ppm"));
+        assert!(tl.render().contains("core1 load"));
+        let j = tl.to_json();
         assert_eq!(
             j.get("bucket_cycles").and_then(Json::as_u64),
             Some(BUCKET_CYCLES)
         );
+        let len = |key: &str, lane: usize| {
+            j.get(key).unwrap().as_arr().unwrap()[lane]
+                .as_arr()
+                .unwrap()
+                .len()
+        };
         assert_eq!(j.get("accesses").unwrap().as_arr().unwrap().len(), 3);
+        assert_eq!(len("shard_health_ppm", 2), 3, "late shard lane padded");
+        assert_eq!(len("shard_degraded", 2), 3);
+        assert_eq!(len("core_accesses", 0), 3, "late core lane padded");
+        // A later bucket grows every lane, late ones included.
+        tl.access(at(320), false);
+        assert!(tl
+            .shard_ppm
+            .iter()
+            .chain(&tl.core_accesses)
+            .all(|l| l.len() == 4));
+        assert!(tl.shard_degraded.iter().all(|l| l.len() == 4));
     }
 
     #[test]
@@ -985,20 +992,21 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_parseable_and_causal() {
-        let mut t = SpanTracer::default();
-        let g = t.begin(SpanKind::GuardSlowRemote, 42, 100);
-        t.leaf(Span {
-            shard: 3,
-            fault: 0,
-            wait: 7,
-            ..leaf(SpanKind::Transfer, 100, 200)
-        });
-        t.end(g, 260);
-        let p = t.begin_root(SpanKind::Prefetch, 9, 300);
-        t.end(p, 400);
-        let doc = t
-            .snapshot()
-            .chrome_trace(&|arg| (arg == 42).then(|| "main:v7:read".to_string()));
+        let (mut t, mut tr) = (SpanTracer::default(), Trace::default());
+        let g = t.begin(&mut tr, SpanKind::GuardSlowRemote, 42, 100);
+        t.leaf(
+            &mut tr,
+            Span {
+                shard: 3,
+                fault: 0,
+                wait: 7,
+                ..Span::leaf(SpanKind::Transfer, 100, 200, 0)
+            },
+        );
+        t.end(&mut tr, g, 260);
+        let p = t.begin_root(&mut tr, SpanKind::Prefetch, 9, 300);
+        t.end(&mut tr, p, 400);
+        let doc = tr.chrome_trace(&|arg| (arg == 42).then(|| "main:v7:read".to_string()));
         let text = doc.to_string_pretty();
         let back = Json::parse(&text).unwrap();
         let events = back.get("traceEvents").unwrap().as_arr().unwrap();
@@ -1030,26 +1038,28 @@ mod tests {
 
     #[test]
     fn core_tagging_stamps_spans_and_moves_chrome_tracks() {
-        let mut t = SpanTracer::default();
+        let (mut t, mut tr) = (SpanTracer::default(), Trace::default());
         // Untagged span first: stays on the runtime track.
-        let g0 = t.begin(SpanKind::GuardSlowRemote, 1, 0);
-        t.end(g0, 10);
+        let g0 = t.begin(&mut tr, SpanKind::GuardSlowRemote, 1, 0);
+        t.end(&mut tr, g0, 10);
         // Tag core 2: spans and leaves pick it up centrally, even when the
         // caller passed NO_CORE in the literal.
         t.set_core(2);
         assert_eq!(t.current_core(), 2);
-        let g2 = t.begin(SpanKind::DemandFetch, 5, 100);
-        t.leaf(Span {
-            shard: 1,
-            ..leaf(SpanKind::Transfer, 100, 150)
-        });
-        t.end(g2, 160);
-        t.timeline_mut().core_access(100, 2);
-        let snap = t.snapshot();
-        assert_eq!(snap.spans[0].core, Span::NO_CORE);
-        assert_eq!(snap.spans[1].core, 2);
-        assert_eq!(snap.spans[2].core, 2, "leaf stamped too");
-        let doc = snap.chrome_trace(&|_| None);
+        let g2 = t.begin(&mut tr, SpanKind::DemandFetch, 5, 100);
+        t.leaf(
+            &mut tr,
+            Span {
+                shard: 1,
+                ..Span::leaf(SpanKind::Transfer, 100, 150, 0)
+            },
+        );
+        t.end(&mut tr, g2, 160);
+        tr.timeline.core_access(100, 2);
+        assert_eq!(tr.spans[0].core, Span::NO_CORE);
+        assert_eq!(tr.spans[1].core, 2);
+        assert_eq!(tr.spans[2].core, 2, "leaf stamped too");
+        let doc = tr.chrome_trace(&|_| None);
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let fetch = events
             .iter()
@@ -1078,45 +1088,40 @@ mod tests {
                 && e.get("args").unwrap().get("name").and_then(Json::as_str) == Some("core 2")
         }));
         // Core lane landed in the timeline and its exports.
-        assert_eq!(snap.timeline.core_accesses.len(), 3);
-        assert_eq!(snap.timeline.core_accesses[2], vec![1]);
-        assert!(snap.timeline.render().contains("core2 load"));
-        assert!(snap.timeline.to_json().get("core_accesses").is_some());
+        assert_eq!(tr.timeline.core_accesses.len(), 3);
+        assert_eq!(tr.timeline.core_accesses[2], vec![1]);
+        assert!(tr.timeline.render().contains("core2 load"));
+        assert!(tr.timeline.to_json().get("core_accesses").is_some());
     }
 
     #[test]
     fn untagged_traces_render_without_core_artifacts() {
-        let mut t = SpanTracer::default();
-        let g = t.begin(SpanKind::GuardSlowRemote, 1, 0);
-        t.leaf(leaf(SpanKind::Transfer, 0, 10));
-        t.end(g, 20);
-        t.timeline_mut().access(5, true);
-        let snap = t.snapshot();
-        let text = snap.chrome_trace(&|_| None).to_string_pretty();
+        let (mut t, mut tr) = (SpanTracer::default(), Trace::default());
+        let g = t.begin(&mut tr, SpanKind::GuardSlowRemote, 1, 0);
+        t.leaf(&mut tr, Span::leaf(SpanKind::Transfer, 0, 10, 0));
+        t.end(&mut tr, g, 20);
+        tr.timeline.access(5, true);
+        let text = tr.chrome_trace(&|_| None).to_string_pretty();
         assert!(!text.contains("core"), "no core track or arg leaks: {text}");
-        assert!(snap.timeline.core_accesses.is_empty());
-        assert!(snap.timeline.to_json().get("core_accesses").is_none());
-        assert!(!snap.timeline.render().contains("core"));
+        assert!(tr.timeline.core_accesses.is_empty());
+        assert!(tr.timeline.to_json().get("core_accesses").is_none());
+        assert!(!tr.timeline.render().contains("core"));
     }
 
     #[test]
     fn folded_stacks_weight_self_cycles() {
-        let mut t = SpanTracer::default();
-        let g = t.begin(SpanKind::GuardSlowRemote, 42, 0);
-        t.leaf(leaf(SpanKind::Transfer, 0, 70));
-        t.leaf(leaf(SpanKind::Retry, 70, 90));
-        t.end(g, 100);
-        let out = t
-            .snapshot()
-            .folded_stacks(&|arg| (arg == 42).then(|| "main v7;read".to_string()));
+        let (mut t, mut tr) = (SpanTracer::default(), Trace::default());
+        let g = t.begin(&mut tr, SpanKind::GuardSlowRemote, 42, 0);
+        t.leaf(&mut tr, Span::leaf(SpanKind::Transfer, 0, 70, 0));
+        t.leaf(&mut tr, Span::leaf(SpanKind::Retry, 70, 90, 0));
+        t.end(&mut tr, g, 100);
+        let label = |arg| (arg == 42).then(|| "main v7;read".to_string());
+        let out = tr.folded_stacks(&label);
         // Label sanitized; self weight of the root = 100 - 70 - 20 = 10.
         assert!(out.contains("main_v7_read 10\n"), "got: {out}");
         assert!(out.contains("main_v7_read;transfer 70\n"), "got: {out}");
         assert!(out.contains("main_v7_read;retry 20\n"), "got: {out}");
         // Deterministic: sorted by stack path.
-        let again = t
-            .snapshot()
-            .folded_stacks(&|arg| (arg == 42).then(|| "main v7;read".to_string()));
-        assert_eq!(out, again);
+        assert_eq!(out, tr.clone().folded_stacks(&label));
     }
 }

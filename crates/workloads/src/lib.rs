@@ -31,6 +31,8 @@
 //! the *fraction* of the working set that fits locally, which is preserved
 //! exactly. See DESIGN.md §2.
 
+#![warn(missing_docs)]
+
 pub mod analytics;
 pub mod autotune;
 pub mod hashmap;

@@ -408,13 +408,8 @@ pub fn build_report(spec: &WorkloadSpec, cfg: &RunConfig, outcome: &Outcome) -> 
         rep.push_histogram("residency_cycles", snap.residency.clone());
         rep.push_histogram("transfer_bytes", snap.transfer_bytes.clone());
         rep.push_histogram("retry_latency_cycles", snap.retry_latency.clone());
-        let labels: HashMap<SiteKey, &str> = outcome
-            .report
-            .iter()
-            .flat_map(|r| r.guard_sites.iter())
-            .map(|s| (SiteKey::new(s.func, s.value), s.label.as_str()))
-            .collect();
-        rep.set_sites(&snap.sites, |k| labels.get(&k).map(|l| l.to_string()));
+        let labels = site_labels(outcome);
+        rep.set_sites(&snap.sites, |k| labels.get(&k.0).map(|l| l.to_string()));
         if let Some(trace) = &snap.trace {
             rep.set_timeline(trace.timeline.clone());
         }
@@ -422,15 +417,15 @@ pub fn build_report(spec: &WorkloadSpec, cfg: &RunConfig, outcome: &Outcome) -> 
     rep
 }
 
-/// Resolves guard-site span args back to compiler labels, for the trace
-/// exporters. The map is keyed by the packed [`SiteKey`] word the machine
-/// stores in each span's `arg`.
-fn site_labels(outcome: &Outcome) -> HashMap<u64, String> {
+/// The compiler's guard-site labels, for the site table and the trace
+/// exporters. The map is keyed by the packed [`SiteKey`] word, the form the
+/// machine stores in each guard span's `arg`.
+fn site_labels(outcome: &Outcome) -> HashMap<u64, &str> {
     outcome
         .report
         .iter()
         .flat_map(|r| r.guard_sites.iter())
-        .map(|s| (SiteKey::new(s.func, s.value).0, s.label.clone()))
+        .map(|s| (SiteKey::new(s.func, s.value).0, s.label.as_str()))
         .collect()
 }
 
@@ -440,7 +435,7 @@ fn site_labels(outcome: &Outcome) -> HashMap<u64, String> {
 pub fn chrome_trace(outcome: &Outcome) -> Option<Json> {
     let trace = outcome.telemetry.as_ref()?.trace.as_ref()?;
     let labels = site_labels(outcome);
-    Some(trace.chrome_trace(&|site| labels.get(&site).cloned()))
+    Some(trace.chrome_trace(&|site| labels.get(&site).map(|l| l.to_string())))
 }
 
 /// The run's span trace as folded stacks (pipe into `flamegraph.pl` or any
@@ -448,7 +443,7 @@ pub fn chrome_trace(outcome: &Outcome) -> Option<Json> {
 pub fn flamegraph(outcome: &Outcome) -> Option<String> {
     let trace = outcome.telemetry.as_ref()?.trace.as_ref()?;
     let labels = site_labels(outcome);
-    Some(trace.folded_stacks(&|site| labels.get(&site).cloned()))
+    Some(trace.folded_stacks(&|site| labels.get(&site).map(|l| l.to_string())))
 }
 
 /// Collects an execution profile by running the unmodified program under

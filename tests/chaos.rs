@@ -119,7 +119,7 @@ fn outage_window_degrades_then_recovers() {
 
     // The degraded window shows on the traced timeline, and recovery
     // happened: the node's last health sample is healthy again.
-    let degraded = &rep.timeline.as_ref().expect("traced run").shard_degraded[0];
+    let degraded = &rep.timeline.as_ref().expect("traced run").shard_degraded()[0];
     assert!(degraded.contains(&true), "the timeline shows the window");
     assert_eq!(
         degraded.last(),

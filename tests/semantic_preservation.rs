@@ -12,11 +12,12 @@ pub mod common;
 use common::{suite, Size};
 use trackfm_suite::analysis::profile::Profile;
 use trackfm_suite::compiler::ChunkingMode;
-use trackfm_suite::sim::Machine;
+use trackfm_suite::sim::{LocalMem, Machine};
+use trackfm_suite::workloads::openloop::{self, OpenLoopParams};
 use trackfm_suite::workloads::runner::{
     self, collect_profile, execute_with_profile, Outcome, RunConfig, SystemKind,
 };
-use trackfm_suite::workloads::spec::WorkloadSpec;
+use trackfm_suite::workloads::spec::{ArgSpec, InputData, WorkloadSpec};
 use trackfm_suite::workloads::{hashmap, kmeans, stream, SplitMix64};
 
 /// One row: `spec` must compute its host checksum on every configuration
@@ -131,6 +132,97 @@ fn every_workload_preserves_semantics_on_every_system() {
             object_size: 1024,
         };
         row.run(None);
+    }
+}
+
+/// Bytes of poison framing each input in [`padded_machine`].
+const PAD: u64 = 4096;
+
+/// `spec` set up on [`LocalMem`] with every input in its own allocation,
+/// framed by nonzero pads, returning the machine and `main`'s arguments
+/// (each input pointer past its front pad). The simulated heap does not
+/// bound an access by its allocation, so without the pads a generator that
+/// reads before or past one input would read its neighbour and could still
+/// compute the right answer; with them the read sees poison. The poison
+/// varies byte by byte, so eight poisoned words do not xor to zero.
+fn padded_machine(spec: &WorkloadSpec) -> (Machine<'_, LocalMem>, Vec<u64>) {
+    let heap = spec.heap_size(DEFAULT_OBJECT) + 2 * PAD * spec.inputs.len() as u64;
+    let mut machine = Machine::new(
+        &spec.module,
+        LocalMem::new(heap),
+        RunConfig::local().cost,
+        heap,
+    );
+    let ptrs: Vec<u64> = spec
+        .inputs
+        .iter()
+        .map(|input| {
+            let frame_len = input.byte_len() + 2 * PAD;
+            let frame = machine.setup_alloc(frame_len);
+            let poison: Vec<u8> = (0..frame_len).map(|i| (i * 151 % 255) as u8 + 1).collect();
+            machine.setup_write(frame, &poison);
+            let ptr = frame + PAD;
+            match input {
+                InputData::U64(v) => machine.setup_write_u64s(ptr, v),
+                InputData::F64(v) => machine.setup_write_f64s(ptr, v),
+                InputData::U32(v) => machine.setup_write_u32s(ptr, v),
+                InputData::Bytes(v) => machine.setup_write(ptr, v),
+                InputData::Zeroed(n) => machine.setup_write(ptr, &vec![0; *n as usize]),
+            }
+            ptr
+        })
+        .collect();
+    machine.finish_setup(false);
+    let args = spec
+        .args
+        .iter()
+        .map(|a| match a {
+            ArgSpec::Input(i) => ptrs[*i],
+            ArgSpec::Const(c) => *c as u64,
+        })
+        .collect();
+    (machine, args)
+}
+
+/// Every closed-loop workload computes its checksum with its inputs framed
+/// by poison: none reads outside them.
+#[test]
+fn every_workload_reads_only_its_own_inputs() {
+    for spec in suite(Size::Run) {
+        let name = &spec.name;
+        let want = spec
+            .expected
+            .unwrap_or_else(|| panic!("{name} has no checksum to hold"));
+        let (mut machine, args) = padded_machine(&spec);
+        let r = machine
+            .run("main", &args)
+            .unwrap_or_else(|t| panic!("{name} trapped: {t}"));
+        assert_eq!(r.ret, want, "{name} read outside its inputs");
+    }
+}
+
+/// The closed-loop key-value workloads only look up stored keys, so the
+/// probe's empty-slot exit runs only here: the open-loop `get` answers
+/// its schedule and a run of absent keys with its inputs framed by poison.
+#[test]
+fn absent_keys_read_only_the_store() {
+    let ol = openloop::open_loop(&OpenLoopParams {
+        keys: 2_000,
+        requests: 2_000,
+        ..Default::default()
+    });
+    let (mut machine, args) = padded_machine(&ol.spec);
+    let mut get = |key: u64| {
+        let call: Vec<u64> = args.iter().copied().chain([key]).collect();
+        machine.run("get", &call).expect("get traps").ret
+    };
+    let sum = ol
+        .requests
+        .iter()
+        .fold(0u64, |sum, r| sum.wrapping_add(get(r.key)));
+    assert_eq!(sum, ol.expected, "a stored key read outside the store");
+    for key in 2_001..2_065 {
+        assert_eq!(get(key), 0, "absent key {key} read outside the store");
     }
 }
 
