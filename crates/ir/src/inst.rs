@@ -48,28 +48,29 @@ impl BinOp {
     pub fn is_float(self) -> bool {
         matches!(self, BinOp::Fadd | BinOp::Fsub | BinOp::Fmul | BinOp::Fdiv)
     }
+}
 
+spelled! {
+    BinOp,
     /// Operator mnemonic used by the printer.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            BinOp::Add => "add",
-            BinOp::Sub => "sub",
-            BinOp::Mul => "mul",
-            BinOp::Sdiv => "sdiv",
-            BinOp::Udiv => "udiv",
-            BinOp::Srem => "srem",
-            BinOp::Urem => "urem",
-            BinOp::And => "and",
-            BinOp::Or => "or",
-            BinOp::Xor => "xor",
-            BinOp::Shl => "shl",
-            BinOp::Lshr => "lshr",
-            BinOp::Ashr => "ashr",
-            BinOp::Fadd => "fadd",
-            BinOp::Fsub => "fsub",
-            BinOp::Fmul => "fmul",
-            BinOp::Fdiv => "fdiv",
-        }
+    fn mnemonic {
+        Add => "add",
+        Sub => "sub",
+        Mul => "mul",
+        Sdiv => "sdiv",
+        Udiv => "udiv",
+        Srem => "srem",
+        Urem => "urem",
+        And => "and",
+        Or => "or",
+        Xor => "xor",
+        Shl => "shl",
+        Lshr => "lshr",
+        Ashr => "ashr",
+        Fadd => "fadd",
+        Fsub => "fsub",
+        Fmul => "fmul",
+        Fdiv => "fdiv",
     }
 }
 
@@ -98,21 +99,20 @@ pub enum CmpOp {
     Uge,
 }
 
-impl CmpOp {
+spelled! {
+    CmpOp,
     /// Predicate mnemonic used by the printer.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            CmpOp::Eq => "eq",
-            CmpOp::Ne => "ne",
-            CmpOp::Slt => "slt",
-            CmpOp::Sle => "sle",
-            CmpOp::Sgt => "sgt",
-            CmpOp::Sge => "sge",
-            CmpOp::Ult => "ult",
-            CmpOp::Ule => "ule",
-            CmpOp::Ugt => "ugt",
-            CmpOp::Uge => "uge",
-        }
+    fn mnemonic {
+        Eq => "eq",
+        Ne => "ne",
+        Slt => "slt",
+        Sle => "sle",
+        Sgt => "sgt",
+        Sge => "sge",
+        Ult => "ult",
+        Ule => "ule",
+        Ugt => "ugt",
+        Uge => "uge",
     }
 }
 
@@ -133,17 +133,16 @@ pub enum FCmpOp {
     Oge,
 }
 
-impl FCmpOp {
+spelled! {
+    FCmpOp,
     /// Predicate mnemonic used by the printer.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            FCmpOp::Oeq => "oeq",
-            FCmpOp::One => "one",
-            FCmpOp::Olt => "olt",
-            FCmpOp::Ole => "ole",
-            FCmpOp::Ogt => "ogt",
-            FCmpOp::Oge => "oge",
-        }
+    fn mnemonic {
+        Oeq => "oeq",
+        One => "one",
+        Olt => "olt",
+        Ole => "ole",
+        Ogt => "ogt",
+        Oge => "oge",
     }
 }
 
@@ -168,19 +167,18 @@ pub enum CastOp {
     Bitcast,
 }
 
-impl CastOp {
+spelled! {
+    CastOp,
     /// Cast mnemonic used by the printer.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            CastOp::Zext => "zext",
-            CastOp::Sext => "sext",
-            CastOp::Trunc => "trunc",
-            CastOp::IntToPtr => "inttoptr",
-            CastOp::PtrToInt => "ptrtoint",
-            CastOp::SiToFp => "sitofp",
-            CastOp::FpToSi => "fptosi",
-            CastOp::Bitcast => "bitcast",
-        }
+    fn mnemonic {
+        Zext => "zext",
+        Sext => "sext",
+        Trunc => "trunc",
+        IntToPtr => "inttoptr",
+        PtrToInt => "ptrtoint",
+        SiToFp => "sitofp",
+        FpToSi => "fptosi",
+        Bitcast => "bitcast",
     }
 }
 
@@ -237,29 +235,6 @@ pub enum Intrinsic {
 }
 
 impl Intrinsic {
-    /// The intrinsic's symbolic name, as shown by the printer.
-    pub fn name(self) -> &'static str {
-        match self {
-            Intrinsic::Malloc => "malloc",
-            Intrinsic::Calloc => "calloc",
-            Intrinsic::Realloc => "realloc",
-            Intrinsic::Free => "free",
-            Intrinsic::TfmAlloc => "tfm.alloc",
-            Intrinsic::TfmCalloc => "tfm.calloc",
-            Intrinsic::TfmRealloc => "tfm.realloc",
-            Intrinsic::TfmFree => "tfm.free",
-            Intrinsic::RuntimeInit => "tfm.runtime.init",
-            Intrinsic::GuardRead => "tfm.guard.read",
-            Intrinsic::GuardWrite => "tfm.guard.write",
-            Intrinsic::ChunkBegin => "tfm.chunk.begin",
-            Intrinsic::ChunkDeref => "tfm.chunk.deref",
-            Intrinsic::ChunkEnd => "tfm.chunk.end",
-            Intrinsic::Prefetch => "tfm.prefetch",
-            Intrinsic::Memcpy => "memcpy",
-            Intrinsic::Memset => "memset",
-        }
-    }
-
     /// `(parameter types, return type)` for verification.
     pub fn signature(self) -> (&'static [Type], Option<Type>) {
         use Type::*;
@@ -287,6 +262,30 @@ impl Intrinsic {
     /// True for the guard intrinsics injected by the guard transform.
     pub fn is_guard(self) -> bool {
         matches!(self, Intrinsic::GuardRead | Intrinsic::GuardWrite)
+    }
+}
+
+spelled! {
+    Intrinsic,
+    /// The intrinsic's symbolic name, as shown by the printer.
+    fn name {
+        Malloc => "malloc",
+        Calloc => "calloc",
+        Realloc => "realloc",
+        Free => "free",
+        TfmAlloc => "tfm.alloc",
+        TfmCalloc => "tfm.calloc",
+        TfmRealloc => "tfm.realloc",
+        TfmFree => "tfm.free",
+        RuntimeInit => "tfm.runtime.init",
+        GuardRead => "tfm.guard.read",
+        GuardWrite => "tfm.guard.write",
+        ChunkBegin => "tfm.chunk.begin",
+        ChunkDeref => "tfm.chunk.deref",
+        ChunkEnd => "tfm.chunk.end",
+        Prefetch => "tfm.prefetch",
+        Memcpy => "memcpy",
+        Memset => "memset",
     }
 }
 

@@ -70,6 +70,26 @@
 
 #![warn(missing_docs)]
 
+/// Gives a fieldless enum its text-format spelling and `ALL`, from one
+/// `Variant => "spelling"` list: the printer writes each spelling and the
+/// parser looks it up in `ALL`, so each is written once, and the `match`
+/// makes the list name every variant.
+macro_rules! spelled {
+    ($ty:ident, $(#[$doc:meta])* fn $name:ident { $($v:ident => $s:literal,)* }) => {
+        impl $ty {
+            /// Every member, in the order of its spelling list.
+            pub const ALL: &'static [$ty] = &[$($ty::$v),*];
+
+            $(#[$doc])*
+            pub fn $name(self) -> &'static str {
+                match self {
+                    $($ty::$v => $s,)*
+                }
+            }
+        }
+    };
+}
+
 mod builder;
 mod cfg;
 mod entities;

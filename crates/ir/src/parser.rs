@@ -12,7 +12,7 @@ use crate::function::{InstData, Signature};
 use crate::inst::{BinOp, CastOp, CmpOp, FCmpOp, InstKind, Intrinsic};
 use crate::module::Module;
 use crate::types::Type;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parse failure with a line number.
@@ -172,29 +172,27 @@ fn parse_func_header(ln: usize, l: &str) -> Result<(String, Signature), ParseErr
     Ok((fname, Signature::new(params, ret)))
 }
 
+/// The member of `all` that `name` prints as `tok`: each enum spells its
+/// mnemonics once, for the printer, and the parser looks them up there.
+fn lookup<T: Copy>(all: &[T], name: fn(T) -> &'static str, tok: &str) -> Option<T> {
+    all.iter().copied().find(|&x| name(x) == tok)
+}
+
 fn parse_type(ln: usize, tok: &str) -> Result<Type, ParseError> {
-    match tok {
-        "i8" => Ok(Type::I8),
-        "i16" => Ok(Type::I16),
-        "i32" => Ok(Type::I32),
-        "i64" => Ok(Type::I64),
-        "f64" => Ok(Type::F64),
-        "ptr" => Ok(Type::Ptr),
-        _ => err(ln, format!("unknown type `{tok}`")),
-    }
+    lookup(Type::ALL, Type::name, tok).map_or_else(|| err(ln, format!("unknown type `{tok}`")), Ok)
 }
 
 struct BodyCtx {
     /// textual value id → arena value
-    values: HashMap<u32, Value>,
+    values: BTreeMap<u32, Value>,
     /// textual block id → block
-    blocks: HashMap<u32, Block>,
+    blocks: BTreeMap<u32, Block>,
 }
 
 fn parse_body(module: &mut Module, id: FuncId, lines: &[(usize, &str)]) -> Result<(), ParseError> {
     let mut ctx = BodyCtx {
-        values: HashMap::new(),
-        blocks: HashMap::new(),
+        values: BTreeMap::new(),
+        blocks: BTreeMap::new(),
     };
     // Parameters already exist.
     for n in 0..module.function(id).sig.params.len() {
@@ -335,43 +333,12 @@ fn parse_inst(
     // Mnemonics with a `.suffix`.
     if let Some((base, suffix)) = mn.split_once('.') {
         // Binary ops.
-        let binop = match base {
-            "add" => Some(BinOp::Add),
-            "sub" => Some(BinOp::Sub),
-            "mul" => Some(BinOp::Mul),
-            "sdiv" => Some(BinOp::Sdiv),
-            "udiv" => Some(BinOp::Udiv),
-            "srem" => Some(BinOp::Srem),
-            "urem" => Some(BinOp::Urem),
-            "and" => Some(BinOp::And),
-            "or" => Some(BinOp::Or),
-            "xor" => Some(BinOp::Xor),
-            "shl" => Some(BinOp::Shl),
-            "lshr" => Some(BinOp::Lshr),
-            "ashr" => Some(BinOp::Ashr),
-            "fadd" => Some(BinOp::Fadd),
-            "fsub" => Some(BinOp::Fsub),
-            "fmul" => Some(BinOp::Fmul),
-            "fdiv" => Some(BinOp::Fdiv),
-            _ => None,
-        };
-        if let Some(op) = binop {
+        if let Some(op) = lookup(BinOp::ALL, BinOp::mnemonic, base) {
             let ty = parse_type(ln, suffix)?;
             let (a, b) = two(rest)?;
             return Ok((InstKind::Binary(op, a, b), Some(ty)));
         }
-        let cast = match base {
-            "zext" => Some(CastOp::Zext),
-            "sext" => Some(CastOp::Sext),
-            "trunc" => Some(CastOp::Trunc),
-            "inttoptr" => Some(CastOp::IntToPtr),
-            "ptrtoint" => Some(CastOp::PtrToInt),
-            "sitofp" => Some(CastOp::SiToFp),
-            "fptosi" => Some(CastOp::FpToSi),
-            "bitcast" => Some(CastOp::Bitcast),
-            _ => None,
-        };
-        if let Some(op) = cast {
+        if let Some(op) = lookup(CastOp::ALL, CastOp::mnemonic, base) {
             let ty = parse_type(ln, suffix)?;
             return Ok((InstKind::Cast(op, val(rest)?), Some(ty)));
         }
@@ -576,58 +543,18 @@ fn parse_inst(
 }
 
 fn parse_cmp(ln: usize, tok: &str) -> Result<CmpOp, ParseError> {
-    Ok(match tok {
-        "eq" => CmpOp::Eq,
-        "ne" => CmpOp::Ne,
-        "slt" => CmpOp::Slt,
-        "sle" => CmpOp::Sle,
-        "sgt" => CmpOp::Sgt,
-        "sge" => CmpOp::Sge,
-        "ult" => CmpOp::Ult,
-        "ule" => CmpOp::Ule,
-        "ugt" => CmpOp::Ugt,
-        "uge" => CmpOp::Uge,
-        _ => return err(ln, format!("unknown icmp predicate `{tok}`")),
-    })
+    lookup(CmpOp::ALL, CmpOp::mnemonic, tok)
+        .map_or_else(|| err(ln, format!("unknown icmp predicate `{tok}`")), Ok)
 }
 
 fn parse_fcmp(ln: usize, tok: &str) -> Result<FCmpOp, ParseError> {
-    Ok(match tok {
-        "oeq" => FCmpOp::Oeq,
-        "one" => FCmpOp::One,
-        "olt" => FCmpOp::Olt,
-        "ole" => FCmpOp::Ole,
-        "ogt" => FCmpOp::Ogt,
-        "oge" => FCmpOp::Oge,
-        _ => return err(ln, format!("unknown fcmp predicate `{tok}`")),
-    })
+    lookup(FCmpOp::ALL, FCmpOp::mnemonic, tok)
+        .map_or_else(|| err(ln, format!("unknown fcmp predicate `{tok}`")), Ok)
 }
 
 fn parse_intrinsic(ln: usize, tok: &str) -> Result<Intrinsic, ParseError> {
-    for intr in [
-        Intrinsic::Malloc,
-        Intrinsic::Calloc,
-        Intrinsic::Realloc,
-        Intrinsic::Free,
-        Intrinsic::TfmAlloc,
-        Intrinsic::TfmCalloc,
-        Intrinsic::TfmRealloc,
-        Intrinsic::TfmFree,
-        Intrinsic::RuntimeInit,
-        Intrinsic::GuardRead,
-        Intrinsic::GuardWrite,
-        Intrinsic::ChunkBegin,
-        Intrinsic::ChunkDeref,
-        Intrinsic::ChunkEnd,
-        Intrinsic::Prefetch,
-        Intrinsic::Memcpy,
-        Intrinsic::Memset,
-    ] {
-        if intr.name() == tok {
-            return Ok(intr);
-        }
-    }
-    err(ln, format!("unknown intrinsic `{tok}`"))
+    lookup(Intrinsic::ALL, Intrinsic::name, tok)
+        .map_or_else(|| err(ln, format!("unknown intrinsic `{tok}`")), Ok)
 }
 
 #[cfg(test)]
@@ -645,6 +572,60 @@ mod tests {
         let parsed2 = parse_module(&text2).unwrap();
         let text3 = parsed2.to_string();
         assert_eq!(text2, text3, "printing must be a parse fixpoint");
+    }
+
+    /// Every member of every `ALL` prints and parses back to itself, and
+    /// no two members of one enum share a spelling.
+    #[test]
+    fn every_mnemonic_round_trips_and_is_unique() {
+        fn unique<T: Copy + fmt::Debug>(all: &[T], name: fn(T) -> &'static str) {
+            let mut seen = std::collections::BTreeSet::new();
+            for &x in all {
+                assert!(seen.insert(name(x)), "{x:?} reuses `{}`", name(x));
+            }
+        }
+        unique(Type::ALL, Type::name);
+        unique(B::ALL, B::mnemonic);
+        unique(CastOp::ALL, CastOp::mnemonic);
+        unique(CmpOp::ALL, CmpOp::mnemonic);
+        unique(FCmpOp::ALL, FCmpOp::mnemonic);
+        unique(Intrinsic::ALL, Intrinsic::name);
+
+        // Operand types are beside the point: the parser does not verify.
+        let mut m = Module::new("ops");
+        let sig = Signature::new(vec![Type::I64, Type::F64, Type::Ptr], None);
+        let id = m.declare_function("main", sig);
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(id));
+            let (x, f, p) = (b.param(0), b.param(1), b.param(2));
+            for &ty in Type::ALL {
+                b.load(ty, p);
+            }
+            for &op in B::ALL {
+                b.binop(op, x, x);
+            }
+            for &op in CastOp::ALL {
+                b.cast(op, x, Type::I64);
+            }
+            for &op in CmpOp::ALL {
+                b.icmp(op, x, x);
+            }
+            for &op in FCmpOp::ALL {
+                b.fcmp(op, f, f);
+            }
+            for &intr in Intrinsic::ALL {
+                b.intrinsic(intr, vec![]);
+            }
+            b.ret(None);
+        }
+        let insts = |m: &Module| {
+            let f = m.function(id);
+            let live = f.live_insts().into_iter();
+            live.map(|v| (f.kind(v).clone(), f.ty(v)))
+                .collect::<Vec<_>>()
+        };
+        let parsed = parse_module(&m.to_string()).unwrap();
+        assert_eq!(insts(&parsed), insts(&m));
     }
 
     #[test]

@@ -25,6 +25,19 @@ pub enum Type {
     Ptr,
 }
 
+spelled! {
+    Type,
+    /// The type's name in the text format.
+    fn name {
+        I8 => "i8",
+        I16 => "i16",
+        I32 => "i32",
+        I64 => "i64",
+        F64 => "f64",
+        Ptr => "ptr",
+    }
+}
+
 impl Type {
     /// Size of a value of this type in bytes.
     ///
@@ -76,15 +89,7 @@ impl Type {
 
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Type::I8 => "i8",
-            Type::I16 => "i16",
-            Type::I32 => "i32",
-            Type::I64 => "i64",
-            Type::F64 => "f64",
-            Type::Ptr => "ptr",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 

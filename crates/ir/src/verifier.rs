@@ -21,7 +21,6 @@ use crate::function::Function;
 use crate::inst::InstKind;
 use crate::module::Module;
 use crate::types::Type;
-use std::collections::HashSet;
 use std::fmt;
 
 /// A verification failure, located as precisely as the check allows.
@@ -156,18 +155,18 @@ pub fn verify_function(f: &Function, module: Option<&Module>) -> Result<(), Veri
         }
     }
 
-    // Phi predecessor labels.
+    // Phi predecessor labels: each reachable predecessor, once. Checked
+    // without building sets: the per-block sets this check once allocated
+    // moved `tfm-perf`'s glibc heap layout and its `peak_rss_mb` (see
+    // CHANGES.md), and a block has a handful of predecessors.
     for &b in rpo {
-        let preds: HashSet<Block> = cfg
-            .preds(b)
-            .iter()
-            .copied()
-            .filter(|&p| dt.is_reachable(p))
-            .collect();
+        let preds = cfg.preds(b);
+        let reachable = (0..preds.len())
+            .filter(|&i| dt.is_reachable(preds[i]) && !preds[..i].contains(&preds[i]))
+            .count();
         for &v in f.block_insts(b) {
             if let InstKind::Phi(incs) = f.kind(v) {
-                let labels: HashSet<Block> = incs.iter().map(|(p, _)| *p).collect();
-                if labels.len() != incs.len() {
+                if (1..incs.len()).any(|i| incs[..i].iter().any(|(p, _)| *p == incs[i].0)) {
                     return Err(err_at(
                         f,
                         b,
@@ -175,7 +174,9 @@ pub fn verify_function(f: &Function, module: Option<&Module>) -> Result<(), Veri
                         format!("phi {v} has duplicate predecessor labels"),
                     ));
                 }
-                if labels != preds {
+                let is_pred = |p: Block| dt.is_reachable(p) && preds.contains(&p);
+                if incs.len() != reachable || !incs.iter().all(|&(p, _)| is_pred(p)) {
+                    let labels: Vec<Block> = incs.iter().map(|(p, _)| *p).collect();
                     return Err(err_at(
                         f,
                         b,
@@ -575,6 +576,39 @@ mod tests {
             b.ret(Some(p));
         }
         m.verify().unwrap();
+    }
+
+    /// A diamond whose join phi takes one incoming per label that
+    /// `labels(then, else)` lists.
+    fn diamond_with_phi_labels(labels: fn(Block, Block) -> Vec<Block>) -> Result<(), VerifyError> {
+        let m = module_with(|b| {
+            let then_bb = b.create_block();
+            let else_bb = b.create_block();
+            let join = b.create_block();
+            let x = b.param(0);
+            b.cond_br(x, then_bb, else_bb);
+            for arm in [then_bb, else_bb] {
+                b.switch_to_block(arm);
+                b.br(join);
+            }
+            b.switch_to_block(join);
+            let incs: Vec<_> = labels(then_bb, else_bb)
+                .into_iter()
+                .map(|l| (l, x))
+                .collect();
+            let p = b.phi(Type::I64, &incs);
+            b.ret(Some(p));
+        });
+        m.verify()
+    }
+
+    #[test]
+    fn phi_labels_name_each_reachable_predecessor_once() {
+        assert!(diamond_with_phi_labels(|t, e| vec![e, t]).is_ok());
+        let missing = diamond_with_phi_labels(|t, _| vec![t]).unwrap_err();
+        assert!(missing.message.contains("do not match"), "{missing}");
+        let repeated = diamond_with_phi_labels(|t, e| vec![t, e, t]).unwrap_err();
+        assert!(repeated.message.contains("duplicate"), "{repeated}");
     }
 
     #[test]

@@ -61,7 +61,7 @@
 //! let mem = TrackFmMem::new(cfg, CostModel::default());
 //! let mut machine = Machine::new(&m, mem, CostModel::default(), heap);
 //! let arr = machine.setup_alloc(8 * 1024);
-//! machine.setup_write_u64s(arr, &vec![1u64; 1024]);
+//! machine.setup_write(arr, &1u64.to_le_bytes().repeat(1024)); // little-endian words
 //! machine.finish_setup(true); // cold start
 //! let result = machine.run("main", &[arr, 1024]).unwrap();
 //! assert_eq!(result.ret, 1024);

@@ -245,33 +245,6 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
         dst[..bytes.len()].copy_from_slice(bytes);
     }
 
-    /// Writes a slice of `u64`s during setup.
-    pub fn setup_write_u64s(&mut self, ptr: u64, vals: &[u64]) {
-        let mut bytes = Vec::with_capacity(vals.len() * 8);
-        for v in vals {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.setup_write(ptr, &bytes);
-    }
-
-    /// Writes a slice of `f64`s during setup.
-    pub fn setup_write_f64s(&mut self, ptr: u64, vals: &[f64]) {
-        let mut bytes = Vec::with_capacity(vals.len() * 8);
-        for v in vals {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.setup_write(ptr, &bytes);
-    }
-
-    /// Writes a slice of `u32`s during setup.
-    pub fn setup_write_u32s(&mut self, ptr: u64, vals: &[u32]) {
-        let mut bytes = Vec::with_capacity(vals.len() * 4);
-        for v in vals {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.setup_write(ptr, &bytes);
-    }
-
     /// Ends the setup phase: optionally evacuates everything (cold start),
     /// then clears all counters and rewinds the clock.
     pub fn finish_setup(&mut self, cold_start: bool) {
@@ -781,7 +754,10 @@ mod tests {
         m.verify().unwrap();
         let mut mach = machine(&m);
         let ptr = mach.setup_alloc(80);
-        mach.setup_write_u64s(ptr, &(1..=10).collect::<Vec<u64>>());
+        mach.setup_write(
+            ptr,
+            &(1..=10u64).flat_map(u64::to_le_bytes).collect::<Vec<u8>>(),
+        );
         mach.finish_setup(false);
         let r = mach.run("sum", &[ptr, 10]).unwrap();
         assert_eq!(r.ret, 55);
@@ -963,7 +939,12 @@ mod tests {
         let mut mach = machine(&m);
         let a = mach.setup_alloc(64);
         let bptr = mach.setup_alloc(64);
-        mach.setup_write_u64s(bptr, &[0x1122334455667788, 2, 3, 4, 5, 6, 7, 8]);
+        mach.setup_write(
+            bptr,
+            &[0x1122334455667788u64, 2, 3, 4, 5, 6, 7, 8]
+                .map(u64::to_le_bytes)
+                .concat(),
+        );
         mach.finish_setup(false);
         let r = mach.run("f", &[a, bptr]).unwrap();
         assert_eq!(r.ret, 0x1122334455667788);
@@ -1039,7 +1020,7 @@ mod tests {
         let mut mach = machine(&good);
         mach.enable_guard_sanitizer();
         let ptr = mach.setup_alloc(64);
-        mach.setup_write_u64s(ptr, &[42]);
+        mach.setup_write(ptr, &42u64.to_le_bytes());
         mach.finish_setup(false);
         assert_eq!(mach.run("f", &[ptr]).unwrap().ret, 42);
 
@@ -1099,7 +1080,7 @@ mod tests {
         let run = |mut mach: Machine<'_, LocalMem>| {
             mach.enable_guard_sanitizer();
             let ptr = mach.setup_alloc(64);
-            mach.setup_write_u64s(ptr, &[7]);
+            mach.setup_write(ptr, &7u64.to_le_bytes());
             mach.finish_setup(false);
             mach.run("f", &[ptr]).map(|r| r.ret)
         };

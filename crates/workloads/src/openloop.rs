@@ -6,12 +6,13 @@
 //! loop: requests arrive on their own schedule (here, seeded Zipf keys with
 //! seeded integer inter-arrival gaps — no floats, no wall clocks), queue
 //! when every worker is busy, and their latency includes that queueing. This
-//! module generates such a workload and drives it through
-//! [`execute_open_loop`], which dispatches each request on the
-//! earliest-free core of a [`CoreSet`] and lets the far-memory layer's
-//! split issue/complete protocol overlap fetches across cores.
+//! module generates such a workload; [`execute_open_loop`] runs it through
+//! the runner's one driver ([`runner::drive`] with [`Calls::Requests`]),
+//! which dispatches each request on the earliest-free core of a
+//! [`tfm_sim::CoreSet`] and lets the far-memory layer's split
+//! issue/complete protocol overlap fetches across cores.
 //!
-//! With `cores = 1` the driver degenerates to today's synchronous machine —
+//! With `cores = 1` the driver degenerates to the synchronous machine —
 //! async fetch stays off, no core is ever tagged — which
 //! `tests/concurrency.rs` (200 seeds) and the `cores(1)` row of
 //! `tests/identity_matrix.rs` pin bit-for-bit against a hand-driven loop.
@@ -21,12 +22,11 @@
 
 use crate::memcached::{self, emit_xor_value};
 use crate::rng::SplitMix64;
-use crate::runner::{self, Outcome, RunConfig, SystemKind};
+use crate::runner::{self, Calls, Outcome, RunConfig};
 use crate::spec::{ArgSpec, InputData, WorkloadSpec};
 use crate::table::emit_probe;
 use crate::zipf::ZipfGen;
 use tfm_ir::{FunctionBuilder, Module, Signature, Type};
-use tfm_sim::{CoreSet, FastswapMem, LocalMem, Machine, MemorySystem, RunResult};
 use tfm_telemetry::{Histogram, RunReport};
 
 /// Open-loop key-value workload parameters.
@@ -145,7 +145,8 @@ pub fn open_loop(p: &OpenLoopParams) -> OpenLoopSpec {
     }
 }
 
-/// The outcome of one open-loop run.
+/// The outcome of one open-loop run — and of every run [`runner::drive`]
+/// makes: a closed-loop run is a one-request schedule.
 #[derive(Clone, Debug)]
 pub struct OpenLoopRun {
     /// Cumulative execution result (`stats.cycles` is the makespan — the
@@ -168,18 +169,7 @@ pub struct OpenLoopRun {
 /// Panics if any request traps or the accumulated checksum disagrees with
 /// the host oracle — under *any* core count or schedule.
 pub fn execute_open_loop(ol: &OpenLoopSpec, cfg: &RunConfig) -> OpenLoopRun {
-    let heap = ol.spec.heap_size(cfg.object_size);
-    match cfg.system {
-        SystemKind::Local => drive(ol, &ol.spec.module, LocalMem::new(heap), cfg, heap, None),
-        SystemKind::Fastswap => {
-            let mem = FastswapMem::new(heap, runner::pager_config(&ol.spec, cfg));
-            drive(ol, &ol.spec.module, mem, cfg, heap, None)
-        }
-        SystemKind::TrackFm | SystemKind::Aifm | SystemKind::Hybrid => {
-            let (module, report, mem) = runner::compile_for(&ol.spec, cfg, None);
-            drive(ol, &module, mem, cfg, heap, Some(report))
-        }
-    }
+    runner::dispatch(cfg, Calls::Requests(ol), None)
 }
 
 /// [`execute_open_loop`] with telemetry forced on, returning the run and a
@@ -198,90 +188,10 @@ pub fn execute_open_loop_with_report(
     (run, rep)
 }
 
-/// The multi-core dispatch loop: one shared machine, N simulated core
-/// clocks, requests served in arrival order on the earliest-free core.
-/// See [`CoreSet`] for the scheduling contract.
-fn drive<M: MemorySystem>(
-    ol: &OpenLoopSpec,
-    module: &Module,
-    mem: M,
-    cfg: &RunConfig,
-    heap: u64,
-    report: Option<trackfm::CompileReport>,
-) -> OpenLoopRun {
-    let mut machine = Machine::new(module, mem, cfg.cost, heap);
-    #[cfg(feature = "oracle")]
-    machine.set_engine(cfg.engine);
-    let args = runner::setup(&ol.spec, &mut machine, false);
-    let tel = runner::telemetry_for(cfg);
-    machine.set_telemetry(tel.clone());
-
-    let mut cores = CoreSet::new(cfg.cores);
-    let multi = cores.len() > 1;
-    if multi {
-        // Only multi-core runs split issue from completion: with one core
-        // there is nothing to overlap with, and staying synchronous keeps
-        // the run bit-identical to the plain machine.
-        machine.mem.set_async_fetch(true);
-    }
-
-    let mut latency = Histogram::new();
-    let mut checksum = 0u64;
-    let mut last: Option<RunResult> = None;
-    let mut call = Vec::with_capacity(args.len() + 1);
-    for req in &ol.requests {
-        let core = cores.pick();
-        let start = cores.begin(core, req.arrival);
-        machine.set_clock(start);
-        if multi {
-            machine.set_core(core);
-        }
-        call.clear();
-        call.extend_from_slice(&args);
-        call.push(req.key);
-        let r = machine
-            .run("get", &call)
-            .unwrap_or_else(|t| panic!("{}: request trapped: {t}", ol.spec.name));
-        let end = machine.clock();
-        cores.finish(core, end);
-        // The core is free at `end` (misses charge only to the issue
-        // point), but the request itself is not complete until every fetch
-        // it issued has landed — the completion horizon carries that cycle.
-        let retire = end.max(machine.mem.take_completion_horizon());
-        latency.record(retire - req.arrival);
-        checksum = checksum.wrapping_add(r.ret);
-        last = Some(r);
-    }
-    assert_eq!(
-        checksum, ol.expected,
-        "{}: open-loop checksum diverged — the schedule broke semantics",
-        ol.spec.name
-    );
-
-    let mut result = last.expect("open-loop workloads serve at least one request");
-    // The final request's retire time is one core's clock; the run's wall
-    // time is the latest core's.
-    result.stats.cycles = cores.makespan();
-    let mut telemetry = tel.snapshot();
-    if let Some(rep) = &report {
-        runner::attribute_removed_guards(rep, &mut telemetry);
-    }
-    OpenLoopRun {
-        outcome: Outcome {
-            result,
-            report,
-            telemetry,
-        },
-        latency,
-        core_clocks: (0..cores.len() as u32).map(|c| cores.clock(c)).collect(),
-        makespan: cores.makespan(),
-        checksum,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tfm_sim::{LocalMem, Machine, MemorySystem, RunResult};
 
     fn small() -> OpenLoopParams {
         OpenLoopParams {

@@ -10,18 +10,24 @@
 //!
 //! One place builds a run: [`far_config`] / [`pager_config`] size the data
 //! plane, [`compile_for`] produces the transformed module and its memory
-//! system, [`telemetry_for`] the sink. [`execute_with_profile`] and
-//! [`crate::openloop::execute_open_loop`] are three short arms over them.
+//! system, [`telemetry_for`] the sink. One system dispatch builds the
+//! machine for [`execute_with_profile`] and
+//! [`crate::openloop::execute_open_loop`]; [`collect_profile`] and the
+//! sanitized test runs build their own. One driver, [`drive`], runs them
+//! all: setup, telemetry, the [`Calls`], the answer check, the snapshot.
 
-use crate::spec::{ArgSpec, InputData, WorkloadSpec};
+use crate::openloop::{OpenLoopRun, OpenLoopSpec, Request};
+use crate::spec::{ArgSpec, WorkloadSpec};
 use std::collections::HashMap;
 use tfm_analysis::profile::Profile;
 use tfm_fastswap::PagerConfig;
 use tfm_ir::Module;
 use tfm_net::{BackendSpec, FaultPlan, LinkParams};
 use tfm_runtime::{FarMemoryConfig, PrefetchConfig};
-use tfm_sim::{FastswapMem, Flavor, LocalMem, Machine, MemorySystem, RunResult, TrackFmMem};
-use tfm_telemetry::{Json, RunReport, SiteKey, Telemetry, TelemetrySnapshot};
+use tfm_sim::{
+    CoreSet, FastswapMem, Flavor, LocalMem, Machine, MemorySystem, RunResult, TrackFmMem,
+};
+use tfm_telemetry::{Histogram, Json, RunReport, SiteKey, Telemetry, TelemetrySnapshot};
 use trackfm::{CompileReport, CompilerOptions, CostModel, TrackFmCompiler};
 
 /// Which far-memory system executes the workload.
@@ -336,16 +342,33 @@ pub fn execute_with_profile(
     cfg: &RunConfig,
     profile: Option<&Profile>,
 ) -> Outcome {
+    dispatch(cfg, Calls::Main(spec), profile).outcome
+}
+
+/// The one system dispatch: builds the machine `cfg.system` runs on — the
+/// untransformed module on `Local` and `Fastswap`, [`compile_for`]'s
+/// module and runtime otherwise — and [`drive`]s `calls` on it.
+pub(crate) fn dispatch(
+    cfg: &RunConfig,
+    calls: Calls<'_>,
+    profile: Option<&Profile>,
+) -> OpenLoopRun {
+    let spec = calls.spec();
     let heap = spec.heap_size(cfg.object_size);
     match cfg.system {
-        SystemKind::Local => run_machine(spec, &spec.module, LocalMem::new(heap), cfg, heap, None),
+        SystemKind::Local => {
+            let mut machine = Machine::new(&spec.module, LocalMem::new(heap), cfg.cost, heap);
+            drive(&mut machine, cfg, calls, None)
+        }
         SystemKind::Fastswap => {
             let mem = FastswapMem::new(heap, pager_config(spec, cfg));
-            run_machine(spec, &spec.module, mem, cfg, heap, None)
+            let mut machine = Machine::new(&spec.module, mem, cfg.cost, heap);
+            drive(&mut machine, cfg, calls, None)
         }
         SystemKind::TrackFm | SystemKind::Aifm | SystemKind::Hybrid => {
             let (module, report, mem) = compile_for(spec, cfg, profile);
-            run_machine(spec, &module, mem, cfg, heap, Some(report))
+            let mut machine = Machine::new(&module, mem, cfg.cost, heap);
+            drive(&mut machine, cfg, calls, Some(report))
         }
     }
 }
@@ -411,6 +434,10 @@ pub fn build_report(spec: &WorkloadSpec, cfg: &RunConfig, outcome: &Outcome) -> 
         let labels = site_labels(outcome);
         rep.set_sites(&snap.sites, |k| labels.get(&k.0).map(|l| l.to_string()));
         if let Some(trace) = &snap.trace {
+            // A full span arena truncates the trace and both its exports.
+            if trace.dropped > 0 {
+                rep.push_meta("spans_dropped", trace.dropped);
+            }
             rep.set_timeline(trace.timeline.clone());
         }
     }
@@ -450,65 +477,136 @@ pub fn flamegraph(outcome: &Outcome) -> Option<String> {
 /// local memory with profiling enabled (the NOELLE profiling stage).
 ///
 /// # Panics
-/// Panics if the profiling run traps.
+/// Panics if the profiling run traps or computes the wrong result.
 pub fn collect_profile(spec: &WorkloadSpec) -> Profile {
     let heap = spec.heap_size(4096);
-    let mem = LocalMem::new(heap);
     let cfg = RunConfig::local();
-    let mut machine = Machine::new(&spec.module, mem, cfg.cost, heap);
+    let mut machine = Machine::new(&spec.module, LocalMem::new(heap), cfg.cost, heap);
     machine.enable_profiling();
-    let args = setup(spec, &mut machine, false);
-    let r = machine
-        .run("main", &args)
-        .unwrap_or_else(|t| panic!("{}: profiling run trapped: {t}", spec.name));
-    check_expected(spec, r.ret);
+    drive(&mut machine, &cfg, Calls::Main(spec), None);
     machine.take_profile()
 }
 
+/// What [`drive`] calls on a machine once its inputs are set up.
+#[derive(Copy, Clone, Debug)]
+pub enum Calls<'a> {
+    /// The closed-loop run: `main(args)` once, at cycle 0 on one core with
+    /// async fetch off, whatever `cfg.cores` says. Its return must equal
+    /// `spec.expected` when the spec has one.
+    Main(&'a WorkloadSpec),
+    /// The open-loop run: `get(args.., key)` per request of the schedule,
+    /// in arrival order on the earliest-free of `cfg.cores` cores (see
+    /// [`CoreSet`]). The wrapping sum of the returns must equal the
+    /// schedule's checksum.
+    Requests(&'a OpenLoopSpec),
+}
+
+impl Calls<'_> {
+    /// The spec whose inputs and module the calls run on.
+    pub fn spec(&self) -> &WorkloadSpec {
+        match self {
+            Calls::Main(spec) => spec,
+            Calls::Requests(ol) => &ol.spec,
+        }
+    }
+}
+
+/// The one run path, on a machine the caller built over `calls.spec()`'s
+/// module (and may have armed with profiling or the guard sanitizer).
+///
 /// Runs with a *warm* start: setup fills inputs through the memory system
 /// under the configured budget, so the state at t=0 is exactly what in-app
 /// initialization would leave behind — the most recently written
 /// budget-worth resident, everything else already evacuated (with a remote
 /// copy). At a 100% budget nothing is remote, matching the paper's
-/// local-only-converged right-hand side of every sweep.
-fn run_machine<M: MemorySystem>(
-    spec: &WorkloadSpec,
-    module: &Module,
-    mem: M,
+/// local-only-converged right-hand side of every sweep. The snapshot
+/// carries `report`'s removed guards on their surviving sites.
+///
+/// A closed-loop run is a one-request schedule: one latency sample, one
+/// core clock. Only more than one core splits fetch issue from completion
+/// and tags cores, so a one-core run is bit-identical to a plain machine's.
+///
+/// # Panics
+/// Panics if a call traps or the answer is wrong: a trap is a bug worth
+/// surfacing loudly.
+pub fn drive<M: MemorySystem>(
+    machine: &mut Machine<'_, M>,
     cfg: &RunConfig,
-    heap: u64,
+    calls: Calls<'_>,
     report: Option<CompileReport>,
-) -> Outcome {
-    let mut machine = Machine::new(module, mem, cfg.cost, heap);
+) -> OpenLoopRun {
+    let spec = calls.spec();
     #[cfg(feature = "oracle")]
     machine.set_engine(cfg.engine);
-    let args = setup(spec, &mut machine, false);
+    let args = setup(spec, machine, false);
     // Telemetry attaches only after setup: the report should describe the
     // measured phase, not in-app initialization.
     let tel = telemetry_for(cfg);
     machine.set_telemetry(tel.clone());
-    let result = machine
-        .run("main", &args)
-        .unwrap_or_else(|t| panic!("{}: execution trapped: {t}", spec.name));
-    check_expected(spec, result.ret);
+
+    let main = [Request { arrival: 0, key: 0 }];
+    let (func, requests, cores, want) = match calls {
+        Calls::Main(spec) => ("main", &main[..], 1, spec.expected),
+        Calls::Requests(ol) => ("get", &ol.requests[..], cfg.cores, Some(ol.expected)),
+    };
+    let keyed = matches!(calls, Calls::Requests(_));
+    let mut cores = CoreSet::new(cores);
+    let multi = cores.len() > 1;
+    if multi {
+        machine.mem.set_async_fetch(true);
+    }
+    let mut latency = Histogram::new();
+    let mut checksum = 0u64;
+    let mut last: Option<RunResult> = None;
+    let mut call = Vec::with_capacity(args.len() + 1);
+    for req in requests {
+        let core = cores.pick();
+        machine.set_clock(cores.begin(core, req.arrival));
+        if multi {
+            machine.set_core(core);
+        }
+        call.clear();
+        call.extend_from_slice(&args);
+        call.extend(keyed.then_some(req.key));
+        let r = machine
+            .run(func, &call)
+            .unwrap_or_else(|t| panic!("{}: {func} trapped: {t}", spec.name));
+        let end = machine.clock();
+        cores.finish(core, end);
+        // The core is free at `end` (misses charge only to the issue
+        // point), but the request itself is not complete until every fetch
+        // it issued has landed — the completion horizon carries that cycle.
+        let retire = end.max(machine.mem.take_completion_horizon());
+        latency.record(retire - req.arrival);
+        checksum = checksum.wrapping_add(r.ret);
+        last = Some(r);
+    }
+    if let Some(want) = want {
+        assert_eq!(
+            checksum, want,
+            "{}: wrong result — transformation, runtime or schedule broke semantics",
+            spec.name
+        );
+    }
+
+    let mut result = last.expect("a run makes at least one call");
+    // The final request's retire time is one core's clock; the run's wall
+    // time is the latest core's.
+    result.stats.cycles = cores.makespan();
     let mut telemetry = tel.snapshot();
     if let Some(rep) = &report {
         attribute_removed_guards(rep, &mut telemetry);
     }
-    Outcome {
-        result,
-        report,
-        telemetry,
-    }
-}
-
-fn check_expected(spec: &WorkloadSpec, ret: u64) {
-    if let Some(want) = spec.expected {
-        assert_eq!(
-            ret, want,
-            "{}: wrong result — transformation or runtime broke semantics",
-            spec.name
-        );
+    OpenLoopRun {
+        outcome: Outcome {
+            result,
+            report,
+            telemetry,
+        },
+        latency,
+        core_clocks: (0..cores.len() as u32).map(|c| cores.clock(c)).collect(),
+        makespan: cores.makespan(),
+        checksum,
     }
 }
 
@@ -521,13 +619,7 @@ pub fn setup<M: MemorySystem>(
     let mut ptrs = Vec::with_capacity(spec.inputs.len());
     for input in &spec.inputs {
         let ptr = machine.setup_alloc(input.byte_len().max(1));
-        match input {
-            InputData::U64(v) => machine.setup_write_u64s(ptr, v),
-            InputData::F64(v) => machine.setup_write_f64s(ptr, v),
-            InputData::U32(v) => machine.setup_write_u32s(ptr, v),
-            InputData::Bytes(v) => machine.setup_write(ptr, v),
-            InputData::Zeroed(n) => machine.setup_write(ptr, &vec![0u8; *n as usize]),
-        }
+        machine.setup_write(ptr, &input.le_bytes());
         ptrs.push(ptr);
     }
     machine.finish_setup(cold);
@@ -675,6 +767,35 @@ mod tests {
             assert!(rep.field("runtime", f).is_some(), "missing runtime.{f}");
         }
         assert_eq!(rep.field("runtime", "lost_objects"), Some(0));
+    }
+
+    #[test]
+    fn truncated_traces_report_their_dropped_spans() {
+        let spec = crate::hashmap::hashmap(&crate::hashmap::HashmapParams {
+            keys: 20_000,
+            lookups: 100_000,
+            skew: 1.02,
+            seed: 5,
+        });
+        let cfg = RunConfig::trackfm(0.25).with_tracing();
+        let (outcome, rep) = execute_with_report(&spec, &cfg);
+        let trace = outcome.telemetry.unwrap().trace.unwrap();
+        assert_eq!(trace.spans.len(), tfm_telemetry::trace::MAX_SPANS);
+        assert!(trace.dropped > 0, "the run must overflow the span arena");
+        let dropped = trace.dropped.to_string();
+        assert!(rep
+            .meta
+            .contains(&("spans_dropped".into(), dropped.clone())));
+        assert!(rep.render().contains(&format!("spans_dropped={dropped}")));
+        let doc = rep.to_json();
+        let meta = doc.get("meta").unwrap();
+        assert_eq!(
+            meta.get("spans_dropped").and_then(Json::as_str),
+            Some(&*dropped)
+        );
+        // A run that drops nothing says nothing.
+        let (_, small) = execute_with_report(&stream::sum(&StreamParams { elems: 4096 }), &cfg);
+        assert!(!small.render().contains("spans_dropped"));
     }
 
     #[test]

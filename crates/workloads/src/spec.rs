@@ -5,6 +5,7 @@
 //! whichever memory system is under test, fills them during the (uncharged)
 //! setup phase, optionally cold-starts the far memory, and invokes `main`.
 
+use std::borrow::Cow;
 use tfm_ir::Module;
 
 /// Input data for one heap array.
@@ -31,6 +32,28 @@ impl InputData {
             InputData::U32(v) => v.len() as u64 * 4,
             InputData::Bytes(v) => v.len() as u64,
             InputData::Zeroed(n) => *n,
+        }
+    }
+
+    /// The bytes setup writes to the heap: each element little-endian.
+    /// `Bytes` is borrowed; every other input is encoded into one buffer.
+    pub fn le_bytes(&self) -> Cow<'_, [u8]> {
+        fn encode<T: Copy, const N: usize>(
+            v: &[T],
+            le: impl Fn(T) -> [u8; N],
+        ) -> Cow<'static, [u8]> {
+            let mut bytes = Vec::with_capacity(v.len() * N);
+            for &x in v {
+                bytes.extend_from_slice(&le(x));
+            }
+            Cow::Owned(bytes)
+        }
+        match self {
+            InputData::U64(v) => encode(v, u64::to_le_bytes),
+            InputData::F64(v) => encode(v, f64::to_le_bytes),
+            InputData::U32(v) => encode(v, u32::to_le_bytes),
+            InputData::Bytes(v) => Cow::Borrowed(v),
+            InputData::Zeroed(n) => Cow::Owned(vec![0; *n as usize]),
         }
     }
 }
@@ -95,6 +118,29 @@ mod tests {
         assert_eq!(InputData::U32(vec![0; 5]).byte_len(), 20);
         assert_eq!(InputData::Bytes(vec![0; 7]).byte_len(), 7);
         assert_eq!(InputData::Zeroed(100).byte_len(), 100);
+    }
+
+    #[test]
+    fn le_bytes_encode_each_element_little_endian() {
+        let inputs = [
+            InputData::U64(vec![0x0102_0304_0506_0708, 9]),
+            InputData::F64(vec![1.5]),
+            InputData::U32(vec![0xA0B0_C0D0, 7]),
+            InputData::Bytes(vec![3, 4, 5]),
+            InputData::Zeroed(3),
+        ];
+        let want: [&[u8]; 5] = [
+            &[8, 7, 6, 5, 4, 3, 2, 1, 9, 0, 0, 0, 0, 0, 0, 0],
+            &1.5f64.to_le_bytes(),
+            &[0xD0, 0xC0, 0xB0, 0xA0, 7, 0, 0, 0],
+            &[3, 4, 5],
+            &[0, 0, 0],
+        ];
+        for (input, want) in inputs.iter().zip(want) {
+            assert_eq!(&*input.le_bytes(), want);
+            assert_eq!(input.le_bytes().len() as u64, input.byte_len());
+        }
+        assert!(matches!(inputs[3].le_bytes(), Cow::Borrowed(_)));
     }
 
     #[test]

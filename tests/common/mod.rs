@@ -1,6 +1,6 @@
 //! What the integration suites share, each piece written once: the
 //! workload suite, the far-memory harness for generated programs, checks
-//! on compiled modules, and the hand-driven synchronous baseline. Binaries
+//! on compiled modules, and the hand-driven closed- and open-loop baselines. Binaries
 //! declare `pub mod common;`: a helper that one binary does not call is
 //! public API of that test crate, not dead code.
 
@@ -12,9 +12,11 @@ use trackfm_suite::compiler::{
 use trackfm_suite::ir::{parse_module, InstKind, Intrinsic, Module};
 use trackfm_suite::net::LinkParams;
 use trackfm_suite::runtime::FarMemoryConfig;
-use trackfm_suite::sim::{ExecEngine, Machine, RunResult, TrackFmMem, Trap};
+use trackfm_suite::sim::{
+    ExecEngine, FastswapMem, LocalMem, Machine, MemorySystem, RunResult, TrackFmMem, Trap,
+};
 use trackfm_suite::workloads::openloop::{self, OpenLoopParams, OpenLoopSpec};
-use trackfm_suite::workloads::runner::{self, Outcome, RunConfig};
+use trackfm_suite::workloads::runner::{self, Outcome, RunConfig, SystemKind};
 use trackfm_suite::workloads::spec::WorkloadSpec;
 use trackfm_suite::workloads::{analytics, hashmap, kmeans, memcached, nas, serving, stream};
 
@@ -253,12 +255,53 @@ pub fn run_far(m: &Module, args: &[u64], far: Far) -> FarRun {
         machine.enable_guard_sanitizer();
     }
     let scratch = machine.setup_alloc(128);
-    machine.setup_write_u64s(scratch, &[0; 16]);
+    machine.setup_write(scratch, &[0; 128]);
     machine.finish_setup(true);
     let mut call = args.to_vec();
     call.push(scratch);
     let r = machine.run("main", &call);
     (r, machine.clock())
+}
+
+/// Runs `spec` closed-loop by hand on a plain machine — build, set up,
+/// attach telemetry, call `main` once, check, snapshot — the sequence the
+/// runner's driver makes, written out without it.
+pub fn manual_outcome(spec: &WorkloadSpec, cfg: &RunConfig) -> Outcome {
+    fn by_hand<M: MemorySystem>(
+        spec: &WorkloadSpec,
+        module: &Module,
+        mem: M,
+        cfg: &RunConfig,
+        report: Option<CompileReport>,
+    ) -> Outcome {
+        let mut machine = Machine::new(module, mem, cfg.cost, spec.heap_size(cfg.object_size));
+        let args = runner::setup(spec, &mut machine, false);
+        let tel = runner::telemetry_for(cfg);
+        machine.set_telemetry(tel.clone());
+        let result = machine.run("main", &args).unwrap();
+        assert_eq!(result.ret, spec.expected.unwrap_or(result.ret));
+        let mut telemetry = tel.snapshot();
+        if let Some(report) = &report {
+            runner::attribute_removed_guards(report, &mut telemetry);
+        }
+        Outcome {
+            result,
+            report,
+            telemetry,
+        }
+    }
+    let heap = spec.heap_size(cfg.object_size);
+    match cfg.system {
+        SystemKind::Local => by_hand(spec, &spec.module, LocalMem::new(heap), cfg, None),
+        SystemKind::Fastswap => {
+            let mem = FastswapMem::new(heap, runner::pager_config(spec, cfg));
+            by_hand(spec, &spec.module, mem, cfg, None)
+        }
+        SystemKind::TrackFm | SystemKind::Aifm | SystemKind::Hybrid => {
+            let (module, report, mem) = runner::compile_for(spec, cfg, None);
+            by_hand(spec, &module, mem, cfg, Some(report))
+        }
+    }
 }
 
 /// Runs the open-loop requests by hand on a plain synchronous machine —

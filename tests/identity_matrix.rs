@@ -15,6 +15,7 @@
 //! | `replicas(1)` | 4 shards | 4 shards, one copy of each object |
 //! | `tracing-off` | telemetry on | tracing switched on, then off again |
 //! | `cores(1)` | hand-driven synchronous machine | the one-core scheduler |
+//! | `driver` | hand-driven machine, `main` once | `execute` (the runner's driver), on all five systems |
 
 pub mod common;
 
@@ -35,17 +36,17 @@ struct Pair {
 }
 
 /// Runs `spec` closed-loop under both configurations with telemetry on.
-fn closed_loop(spec: &WorkloadSpec, baseline: RunConfig, neutral: RunConfig) -> Pair {
+fn closed_loop(spec: &WorkloadSpec, baseline: RunConfig, neutral: RunConfig) -> Vec<Pair> {
     let echo = baseline.with_telemetry(true);
     let run = |cfg: RunConfig| {
         let out = execute(spec, &cfg.with_telemetry(true));
         let rep = build_report(spec, &echo, &out);
         (out, rep)
     };
-    Pair {
+    vec![Pair {
         baseline: run(baseline),
         neutral: run(neutral),
-    }
+    }]
 }
 
 fn stream_sum() -> WorkloadSpec {
@@ -53,17 +54,17 @@ fn stream_sum() -> WorkloadSpec {
 }
 
 /// Zero rates deactivate the plan entirely.
-fn faults() -> Pair {
+fn faults() -> Vec<Pair> {
     let plan = FaultPlan::drops(0xC0FFEE, 0);
     assert!(!plan.is_active());
     let base = RunConfig::trackfm(0.25);
     let pair = closed_loop(&stream_sum(), base, base.with_faults(plan));
-    let rt = pair.neutral.0.result.runtime.as_ref().unwrap();
+    let rt = pair[0].neutral.0.result.runtime.as_ref().unwrap();
     assert_eq!((rt.link_faults, rt.retries), (0, 0));
     pair
 }
 
-fn replicas_one() -> Pair {
+fn replicas_one() -> Vec<Pair> {
     let base = RunConfig::trackfm(0.25).with_backend(BackendSpec::sharded(4));
     let one = RunConfig::trackfm(0.25).with_backend(BackendSpec::sharded(4).with_replicas(1));
     closed_loop(&stream_sum(), base, one)
@@ -72,7 +73,7 @@ fn replicas_one() -> Pair {
 /// Tracing switched off again leaves the whole report byte-identical to
 /// plain telemetry and exports nothing — and switching tracing *on* or
 /// telemetry *off* changes observation, never the simulation.
-fn tracing_off() -> Pair {
+fn tracing_off() -> Vec<Pair> {
     // Zipf-skewed probes under 20% drops on two shards: remote guard roots,
     // faulted transfers and retries, everything tracing would decorate.
     let spec = hashmap(&HashmapParams {
@@ -88,7 +89,7 @@ fn tracing_off() -> Pair {
     let mut cleared = base.with_tracing();
     cleared.trace = false;
     let pair = closed_loop(&spec, base, cleared);
-    let (gated, rep) = &pair.neutral;
+    let (gated, rep) = &pair[0].neutral;
     assert!(
         !rep.to_json().to_string_pretty().contains("timeline"),
         "untraced reports must not grow a timeline section"
@@ -105,7 +106,7 @@ fn tracing_off() -> Pair {
 /// the scheduler's one-core run must be indistinguishable from a
 /// hand-driven synchronous machine — no core lanes, no async artifacts,
 /// and (checked by the matrix) the traces agree span for span.
-fn cores_one() -> Pair {
+fn cores_one() -> Vec<Pair> {
     let ol = open_loop(&OpenLoopParams {
         keys: 512,
         requests: 600,
@@ -135,7 +136,39 @@ fn cores_one() -> Pair {
         !pair.baseline.1.render().contains(" ppm "),
         "a flawless trace has no shard-health lane"
     );
-    pair
+    vec![pair]
+}
+
+/// The runner's one driver against the closed-loop run written out by
+/// hand, on every system, with telemetry and tracing on.
+fn driver() -> Vec<Pair> {
+    let spec = hashmap(&HashmapParams {
+        keys: 4_000,
+        lookups: 4_000,
+        skew: 1.02,
+        seed: 0xC0FFEE,
+    });
+    let systems = [
+        RunConfig::local(),
+        RunConfig::fastswap(0.25),
+        RunConfig::trackfm(0.25),
+        RunConfig::aifm(0.25),
+        RunConfig::hybrid(0.25),
+    ];
+    let report = |cfg: &RunConfig, out: Outcome| {
+        let rep = build_report(&spec, cfg, &out);
+        (out, rep)
+    };
+    systems
+        .iter()
+        .map(|cfg| {
+            let cfg = cfg.with_telemetry(true).with_tracing();
+            Pair {
+                baseline: report(&cfg, common::manual_outcome(&spec, &cfg)),
+                neutral: report(&cfg, execute(&spec, &cfg)),
+            }
+        })
+        .collect()
 }
 
 /// What every row must satisfy.
@@ -147,6 +180,7 @@ fn assert_identical(name: &str, pair: Pair) {
     assert_eq!(a.result.ret, b.result.ret, "{name}: result");
     assert_eq!(a.result.stats, b.result.stats, "{name}: exec stats");
     assert_eq!(a.result.runtime, b.result.runtime, "{name}: runtime stats");
+    assert_eq!(a.result.pager, b.result.pager, "{name}: pager stats");
     assert_eq!(a.result.transfers, b.result.transfers, "{name}: ledger");
     assert_eq!(a.result.shards, b.result.shards, "{name}: shard ledgers");
     assert_eq!(rep_a.render(), rep_b.render(), "{name}: rendered report");
@@ -168,7 +202,9 @@ macro_rules! identity_matrix {
     ($($test:ident: $row:ident,)*) => {$(
         #[test]
         fn $test() {
-            assert_identical(stringify!($row), $row());
+            for pair in $row() {
+                assert_identical(stringify!($row), pair);
+            }
         }
     )*};
 }
@@ -178,4 +214,5 @@ identity_matrix! {
     one_replica_changes_nothing: replicas_one,
     disabled_tracing_changes_nothing: tracing_off,
     one_core_changes_nothing: cores_one,
+    the_driver_changes_nothing: driver,
 }

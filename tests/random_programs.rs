@@ -133,7 +133,7 @@ fn build(ops: &[Op], seed: i64) -> Module {
 fn run_local(m: &Module, a: u64, b: u64) -> u64 {
     let mut machine = Machine::new(m, LocalMem::new(1 << 16), CostModel::default(), 1 << 16);
     let scratch = machine.setup_alloc(128);
-    machine.setup_write_u64s(scratch, &[0; 16]);
+    machine.setup_write(scratch, &[0; 128]);
     machine.finish_setup(false);
     machine
         .run("main", &[a, b, scratch])

@@ -15,9 +15,9 @@ use trackfm_suite::compiler::ChunkingMode;
 use trackfm_suite::sim::{LocalMem, Machine};
 use trackfm_suite::workloads::openloop::{self, OpenLoopParams};
 use trackfm_suite::workloads::runner::{
-    self, collect_profile, execute_with_profile, Outcome, RunConfig, SystemKind,
+    self, collect_profile, execute_with_profile, Calls, Outcome, RunConfig, SystemKind,
 };
-use trackfm_suite::workloads::spec::{ArgSpec, InputData, WorkloadSpec};
+use trackfm_suite::workloads::spec::{ArgSpec, WorkloadSpec};
 use trackfm_suite::workloads::{hashmap, kmeans, stream, SplitMix64};
 
 /// One row: `spec` must compute its host checksum on every configuration
@@ -57,20 +57,8 @@ fn execute_sanitized(spec: &WorkloadSpec, cfg: &RunConfig, profile: Option<&Prof
     }
     let (module, report, mem) = runner::compile_for(spec, cfg, profile);
     let mut machine = Machine::new(&module, mem, cfg.cost, spec.heap_size(cfg.object_size));
-    machine.set_engine(cfg.engine);
     machine.enable_guard_sanitizer();
-    let args = runner::setup(spec, &mut machine, false);
-    let result = machine
-        .run("main", &args)
-        .unwrap_or_else(|t| panic!("{}: execution trapped: {t}", spec.name));
-    if let Some(want) = spec.expected {
-        assert_eq!(result.ret, want, "{}: wrong result", spec.name);
-    }
-    Outcome {
-        result,
-        report: Some(report),
-        telemetry: None,
-    }
+    runner::drive(&mut machine, cfg, Calls::Main(spec), Some(report)).outcome
 }
 
 /// Local, Fastswap, and the object runtime as TrackFM and as AIFM.
@@ -162,13 +150,7 @@ fn padded_machine(spec: &WorkloadSpec) -> (Machine<'_, LocalMem>, Vec<u64>) {
             let poison: Vec<u8> = (0..frame_len).map(|i| (i * 151 % 255) as u8 + 1).collect();
             machine.setup_write(frame, &poison);
             let ptr = frame + PAD;
-            match input {
-                InputData::U64(v) => machine.setup_write_u64s(ptr, v),
-                InputData::F64(v) => machine.setup_write_f64s(ptr, v),
-                InputData::U32(v) => machine.setup_write_u32s(ptr, v),
-                InputData::Bytes(v) => machine.setup_write(ptr, v),
-                InputData::Zeroed(n) => machine.setup_write(ptr, &vec![0; *n as usize]),
-            }
+            machine.setup_write(ptr, &input.le_bytes());
             ptr
         })
         .collect();
