@@ -156,7 +156,9 @@ RUSTFLAGS="-C debug-assertions=on" CARGO_TARGET_DIR=target/debug-assertions \
 
 # The workspace run unifies the root package's dev-dependency features, so it
 # lints the `oracle` build; the second line lints what production compiles.
-cargo clippy --workspace --all-targets -- -D warnings
-cargo clippy -p tfm-sim -p tfm-workloads -p tfm-bench --all-targets -- -D warnings
+# `or_fun_call` keeps eager `ok_or(format!(..))`-style arguments, which
+# allocate on the success path too, out of the tree.
+cargo clippy --workspace --all-targets -- -D warnings -W clippy::or_fun_call
+cargo clippy -p tfm-sim -p tfm-workloads -p tfm-bench --all-targets -- -D warnings -W clippy::or_fun_call
 # Intra-doc links are checked too: a renamed item must not leave a dead one.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -325,7 +325,7 @@ fn fig06(_scale: usize) -> Vec<Table> {
         rows,
     )
     .note(format!("predicted crossover: d* = {predicted:.0} elements/object"))
-    .note(format!("empirical crossover: first density with speedup >= 1 is {}", empirical.map_or("none".to_string(), |d| d.to_string())))
+    .note(format!("empirical crossover: first density with speedup >= 1 is {}", empirical.map_or_else(|| "none".to_string(), |d| d.to_string())))
     .note("paper: crossover ~730 on their hardware; shape (loss below, gain above, prediction matches empirics) is the claim.")]
 }
 

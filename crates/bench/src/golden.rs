@@ -66,7 +66,7 @@ pub fn check_doc(doc: &str, id: &str, run: &str) -> Vec<String> {
             }
             _ => {
                 let show = |l: Option<&str>| {
-                    l.map_or("the end of the block".to_string(), |l| format!("`{l}`"))
+                    l.map_or_else(|| "the end of the block".to_string(), |l| format!("`{l}`"))
                 };
                 let (n, want, got) = (n + 1, show(want), show(got));
                 out.push(format!(

@@ -27,7 +27,7 @@ macro_rules! entity {
 
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, concat!($prefix, "{}"), self.0)
+                crate::printer::number(f, $prefix, self.0.into())
             }
         }
 

@@ -222,8 +222,8 @@ impl Function {
         data.block = block;
         let v = Value::from_index(self.insts.len());
         self.insts.push(data);
-        let pos = self.blocks[block.index()]
-            .insts
+        let list = &self.blocks[block.index()].insts;
+        let pos = list
             .iter()
             .position(|&x| {
                 !matches!(
@@ -231,7 +231,7 @@ impl Function {
                     InstKind::Phi(_) | InstKind::Param(_)
                 )
             })
-            .unwrap_or(self.blocks[block.index()].insts.len());
+            .unwrap_or(list.len());
         self.blocks[block.index()].insts.insert(pos, v);
         v
     }

@@ -1,18 +1,28 @@
 //! Textual IR parsing — the inverse of the printer.
 //!
-//! Accepts exactly the syntax [`crate::Module`]'s `Display` emits (plus
-//! whitespace/comment slack), so modules round-trip:
+//! Accepts exactly the syntax [`crate::Module`]'s `Display` emits, plus this
+//! slack: blank lines, whitespace around a line, and comment lines (the first
+//! non-blank character is `;`) anywhere, at top level and inside function
+//! bodies. A `; module NAME` first line names the module. Modules round-trip:
 //! `parse_module(&m.to_string())` reproduces `m` up to value renumbering
 //! (tombstone gaps are compacted), and printing the parse is a fixpoint.
 //! This is what makes transformed programs diffable and lets tests pin
 //! golden IR.
+//!
+//! Each line is split once, into its `%N =` definition, mnemonic and operand
+//! text. A function body is then walked twice over those pieces: the first
+//! walk creates blocks in first-appearance order (labels and the targets of
+//! `br`, `cond_br` and `phi`) and one placeholder instruction per line, the
+//! second fills in each instruction. Textual ids resolve through sorted
+//! tables by binary search, so memory stays linear in the input whatever the
+//! id values are, and an operand costs one integer parse and one lookup: the
+//! only allocations per instruction are the operand lists of phis and calls.
 
-use crate::entities::{Block, FuncId, Value};
-use crate::function::{InstData, Signature};
+use crate::entities::{Block, FuncId, GlobalId, Value};
+use crate::function::{Function, InstData, Signature};
 use crate::inst::{BinOp, CastOp, CmpOp, FCmpOp, InstKind, Intrinsic};
 use crate::module::Module;
 use crate::types::Type;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parse failure with a line number.
@@ -32,11 +42,15 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
-    Err(ParseError {
+fn perr(line: usize, message: impl Into<String>) -> ParseError {
+    ParseError {
         line,
         message: message.into(),
-    })
+    }
+}
+
+fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
+    Err(perr(line, message))
 }
 
 /// Parses a module from the printer's textual format.
@@ -44,33 +58,22 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
 /// # Errors
 /// Returns a [`ParseError`] with the offending line on malformed input.
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
+    let header = text.lines().map(str::trim).find(|l| !l.is_empty());
+    let name = header.and_then(|l| l.strip_prefix("; module "));
+    let mut module = Module::new(name.map_or("parsed", str::trim));
     let lines: Vec<(usize, &str)> = text
         .lines()
         .enumerate()
         .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty())
+        .filter(|(_, l)| !l.is_empty() && !l.starts_with(';'))
         .collect();
 
-    let mut name = "parsed".to_string();
-    let mut i = 0;
-    if let Some((_, l)) = lines.first() {
-        if let Some(rest) = l.strip_prefix("; module ") {
-            name = rest.trim().to_string();
-            i = 1;
-        }
-    }
-    let mut module = Module::new(name);
-
-    // First pass over the remaining lines: globals and function headers (so
-    // calls can resolve signatures while bodies parse).
+    // Globals and function headers first, so calls can resolve signatures
+    // while bodies parse.
     let mut func_bodies: Vec<(FuncId, usize, usize)> = Vec::new(); // (id, start, end) line indices
-    let mut j = i;
+    let mut j = 0;
     while j < lines.len() {
         let (ln, l) = lines[j];
-        if l.starts_with("; ") || l.starts_with(";") && !l.starts_with("; module") {
-            j += 1;
-            continue;
-        }
         if l.starts_with("global ") {
             parse_global(&mut module, ln, l)?;
             j += 1;
@@ -96,8 +99,13 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
         }
     }
 
+    let mut body = Body {
+        values: Ids(Vec::new()),
+        blocks: Ids(Vec::new()),
+        insts: Vec::new(),
+    };
     for (id, start, end) in func_bodies {
-        parse_body(&mut module, id, &lines[start..end])?;
+        body.parse(&mut module, id, &lines[start..end])?;
     }
     Ok(module)
 }
@@ -119,19 +127,16 @@ fn parse_global(module: &mut Module, ln: usize, l: &str) -> Result<(), ParseErro
     let Some(b2) = after.find(" bytes]") else {
         return err(ln, "global missing size unit");
     };
-    let size: u64 = after[b1 + 1..b2].trim().parse().map_err(|_| ParseError {
-        line: ln,
-        message: "bad global size".into(),
-    })?;
+    let size: u64 = after[b1 + 1..b2]
+        .trim()
+        .parse()
+        .map_err(|_| perr(ln, "bad global size"))?;
     let init = if let Some(pos) = after.find("init =") {
         let bytes: Result<Vec<u8>, _> = after[pos + 6..]
             .split_whitespace()
             .map(|t| u8::from_str_radix(t, 16))
             .collect();
-        Some(bytes.map_err(|_| ParseError {
-            line: ln,
-            message: "bad init byte".into(),
-        })?)
+        Some(bytes.map_err(|_| perr(ln, "bad init byte"))?)
     } else {
         None
     };
@@ -182,104 +187,121 @@ fn parse_type(ln: usize, tok: &str) -> Result<Type, ParseError> {
     lookup(Type::ALL, Type::name, tok).map_or_else(|| err(ln, format!("unknown type `{tok}`")), Ok)
 }
 
-struct BodyCtx {
-    /// textual value id → arena value
-    values: BTreeMap<u32, Value>,
-    /// textual block id → block
-    blocks: BTreeMap<u32, Block>,
+/// Textual id → entity, sorted by id and searched by halving: one entry per
+/// id the text names, whatever the ids' values. Printed ids are nearly
+/// ascending, so an insert lands at or near the end.
+struct Ids<T>(Vec<(u32, T)>);
+
+impl<T> Ids<T> {
+    fn get(&self, n: u32) -> Option<&T> {
+        let i = self.0.binary_search_by_key(&n, |e| e.0).ok()?;
+        Some(&self.0[i].1)
+    }
+
+    /// The entry for `n`, and whether `make` just created it.
+    fn entry(&mut self, n: u32, make: impl FnOnce() -> T) -> (&mut T, bool) {
+        let (i, new) = match self.0.binary_search_by_key(&n, |e| e.0) {
+            Ok(i) => (i, false),
+            Err(i) => {
+                self.0.insert(i, (n, make()));
+                (i, true)
+            }
+        };
+        (&mut self.0[i].1, new)
+    }
 }
 
-fn parse_body(module: &mut Module, id: FuncId, lines: &[(usize, &str)]) -> Result<(), ParseError> {
-    let mut ctx = BodyCtx {
-        values: BTreeMap::new(),
-        blocks: BTreeMap::new(),
-    };
-    // Parameters already exist.
-    for n in 0..module.function(id).sig.params.len() {
-        ctx.values.insert(n as u32, Value::from_index(n));
-    }
-    ctx.blocks.insert(0, module.function(id).entry_block());
+/// One function body's tables, reused from body to body.
+struct Body<'t> {
+    /// textual value id → arena value
+    values: Ids<Value>,
+    /// textual block id → (block, whether its label has been seen)
+    blocks: Ids<(Block, bool)>,
+    /// `(line number, placeholder, mnemonic, operands)` per instruction line
+    insts: Vec<(usize, Value, &'t str, &'t str)>,
+}
 
-    // Pass 1: create blocks and placeholder instructions so forward
-    // references (phis, branches) resolve.
-    let mut current = module.function(id).entry_block();
-    let mut placeholders: Vec<(usize, Value)> = Vec::new(); // (line index, inst)
-    for (li, (ln, l)) in lines.iter().enumerate() {
-        if let Some(bb) = l.strip_suffix(':') {
-            let n = parse_block_id(*ln, bb)?;
-            let b = *ctx
-                .blocks
-                .entry(n)
-                .or_insert_with(|| module.function_mut(id).create_block());
-            current = b;
-            continue;
-        }
-        // A definition or a bare instruction.
-        let (def, _rest) = split_def(l);
-        if let Some(def) = def {
-            if let Some(&existing) = ctx.values.get(&def) {
-                // Parameter lines re-state existing definitions.
-                if l.contains("param.") {
-                    placeholders.push((li, existing));
-                    continue;
-                }
-                return err(*ln, format!("duplicate definition of %{def}"));
-            }
-            let v = module.function_mut(id).push_inst(
-                current,
-                InstData {
-                    kind: InstKind::Unreachable, // placeholder, replaced in pass 2
-                    ty: None,
-                    block: current,
-                },
-            );
-            ctx.values.insert(def, v);
-            placeholders.push((li, v));
-        } else {
-            let v = module.function_mut(id).push_inst(
-                current,
-                InstData {
-                    kind: InstKind::Unreachable,
-                    ty: None,
-                    block: current,
-                },
-            );
-            placeholders.push((li, v));
-        }
-        // Branch targets may name blocks not yet seen.
-        for tok in l
-            .split(|c: char| !c.is_alphanumeric())
-            .filter(|t| t.starts_with("bb"))
-        {
-            if let Ok(n) = tok[2..].parse::<u32>() {
-                ctx.blocks
-                    .entry(n)
-                    .or_insert_with(|| module.function_mut(id).create_block());
-            }
-        }
-    }
+/// Appends a placeholder instruction, replaced once the body has been read.
+fn hole(f: &mut Function, block: Block) -> Value {
+    let (kind, ty) = (InstKind::Unreachable, None);
+    f.push_inst(block, InstData { kind, ty, block })
+}
 
-    // Pass 2: fill in instruction kinds.
-    for (li, v) in placeholders {
-        let (ln, l) = lines[li];
-        let (kind, ty) = parse_inst(module, &ctx, ln, l)?;
-        if let InstKind::Param(_) = kind {
-            continue; // parameters already materialized by declare_function
-        }
+impl<'t> Body<'t> {
+    fn parse(
+        &mut self,
+        module: &mut Module,
+        id: FuncId,
+        lines: &[(usize, &'t str)],
+    ) -> Result<(), ParseError> {
         let f = module.function_mut(id);
-        f.inst_mut(v).kind = kind;
-        f.inst_mut(v).ty = ty;
+        // Parameters already exist.
+        let params = (0..f.sig.params.len()).map(|n| (n as u32, Value::from_index(n)));
+        self.values.0.clear();
+        self.values.0.extend(params);
+        self.blocks.0.clear();
+        self.blocks.0.push((0, (f.entry_block(), false)));
+        self.insts.clear();
+
+        // Pass 1: create blocks and placeholder instructions so forward
+        // references (phis, branches) resolve.
+        let mut current = f.entry_block();
+        for &(ln, l) in lines {
+            if let Some(bb) = l.strip_suffix(':') {
+                let n = parse_block_id(ln, bb)?;
+                let (b, _) = self.blocks.entry(n, || (f.create_block(), false));
+                if std::mem::replace(&mut b.1, true) {
+                    return err(ln, format!("duplicate block label `bb{n}`"));
+                }
+                current = b.0;
+                continue;
+            }
+            let (def, body) = split_def(l);
+            let (mn, rest) = body.split_once(' ').unwrap_or((body, ""));
+            let rest = rest.trim();
+            let v = match def {
+                None => hole(f, current),
+                Some(def) => {
+                    let (&mut v, new) = self.values.entry(def, || hole(f, current));
+                    if !new {
+                        // Parameter lines re-state existing definitions.
+                        if !l.contains("param.") {
+                            return err(ln, format!("duplicate definition of %{def}"));
+                        }
+                        self.insts.push((ln, v, mn, rest));
+                        continue;
+                    }
+                    v
+                }
+            };
+            self.insts.push((ln, v, mn, rest));
+            // Only branches and phis name blocks, possibly not yet seen.
+            if matches!(mn, "br" | "cond_br") || mn.starts_with("phi.") {
+                for tok in rest.split(|c: char| !c.is_alphanumeric()) {
+                    if let Some(n) = tok.strip_prefix("bb").and_then(|n| n.parse().ok()) {
+                        self.blocks.entry(n, || (f.create_block(), false));
+                    }
+                }
+            }
+        }
+
+        // Pass 2: fill in instruction kinds.
+        for &(ln, v, mn, rest) in &self.insts {
+            let (kind, ty) = parse_inst(module, self, ln, mn, rest)?;
+            if let InstKind::Param(_) = kind {
+                continue; // parameters already materialized by declare_function
+            }
+            let data = module.function_mut(id).inst_mut(v);
+            (data.kind, data.ty) = (kind, ty);
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 fn parse_block_id(ln: usize, tok: &str) -> Result<u32, ParseError> {
     tok.strip_prefix("bb")
         .and_then(|n| n.parse().ok())
-        .ok_or(ParseError {
-            line: ln,
-            message: format!("bad block label `{tok}`"),
-        })
+        .ok_or_else(|| perr(ln, format!("bad block label `{tok}`")))
 }
 
 /// Splits `%N = rest` into `(Some(N), rest)`, otherwise `(None, line)`.
@@ -295,81 +317,69 @@ fn split_def(l: &str) -> (Option<u32>, &str) {
     (None, l)
 }
 
+/// Parses one instruction from its mnemonic and (trimmed) operand text.
 fn parse_inst(
     module: &Module,
-    ctx: &BodyCtx,
+    cx: &Body<'_>,
     ln: usize,
-    l: &str,
+    mn: &str,
+    rest: &str,
 ) -> Result<(InstKind, Option<Type>), ParseError> {
-    let (_, body) = split_def(l);
-    let (mn, rest) = body.split_once(' ').unwrap_or((body, ""));
-    let rest = rest.trim();
+    let fail = |message: &'static str| move || perr(ln, message);
     let val = |tok: &str| -> Result<Value, ParseError> {
         let t = tok.trim().trim_start_matches('%');
-        let n: u32 = t.parse().map_err(|_| ParseError {
-            line: ln,
-            message: format!("bad value `{tok}`"),
-        })?;
-        ctx.values.get(&n).copied().ok_or(ParseError {
-            line: ln,
-            message: format!("undefined value %{n}"),
-        })
+        let n: u32 = t
+            .parse()
+            .map_err(|_| perr(ln, format!("bad value `{tok}`")))?;
+        let v = cx.values.get(n).copied();
+        v.ok_or_else(|| perr(ln, format!("undefined value %{n}")))
     };
     let block = |tok: &str| -> Result<Block, ParseError> {
         let n = parse_block_id(ln, tok.trim())?;
-        ctx.blocks.get(&n).copied().ok_or(ParseError {
-            line: ln,
-            message: format!("undefined block bb{n}"),
-        })
+        let b = cx.blocks.get(n).map(|b| b.0);
+        b.ok_or_else(|| perr(ln, format!("undefined block bb{n}")))
     };
-    let two = |rest: &str| -> Result<(Value, Value), ParseError> {
-        let (a, b) = rest.split_once(',').ok_or(ParseError {
-            line: ln,
-            message: "expected two operands".into(),
-        })?;
+    let two = || -> Result<(Value, Value), ParseError> {
+        let (a, b) = rest
+            .split_once(',')
+            .ok_or_else(fail("expected two operands"))?;
         Ok((val(a)?, val(b)?))
+    };
+    // Exactly three comma-separated operands.
+    let three = || {
+        let mut parts = rest.split(',');
+        let abc = (parts.next()?, parts.next()?, parts.next()?);
+        parts.next().is_none().then_some(abc)
     };
 
     // Mnemonics with a `.suffix`.
     if let Some((base, suffix)) = mn.split_once('.') {
-        // Binary ops.
-        if let Some(op) = lookup(BinOp::ALL, BinOp::mnemonic, base) {
-            let ty = parse_type(ln, suffix)?;
-            let (a, b) = two(rest)?;
-            return Ok((InstKind::Binary(op, a, b), Some(ty)));
-        }
-        if let Some(op) = lookup(CastOp::ALL, CastOp::mnemonic, base) {
-            let ty = parse_type(ln, suffix)?;
-            return Ok((InstKind::Cast(op, val(rest)?), Some(ty)));
-        }
-        match base {
-            "param" => {
-                return Ok((InstKind::Param(0), None)); // sentinel; skipped by caller
-            }
+        let ty = || parse_type(ln, suffix);
+        return match base {
+            "param" => Ok((InstKind::Param(0), None)), // sentinel; skipped by caller
             "iconst" => {
-                let ty = parse_type(ln, suffix)?;
-                let c: i64 = rest.parse().map_err(|_| ParseError {
-                    line: ln,
-                    message: format!("bad integer constant `{rest}`"),
-                })?;
-                return Ok((InstKind::ConstInt(c), Some(ty)));
+                let ty = ty()?;
+                let c = rest
+                    .parse()
+                    .map_err(|_| perr(ln, format!("bad integer constant `{rest}`")))?;
+                Ok((InstKind::ConstInt(c), Some(ty)))
             }
             "load" => {
-                let ty = parse_type(ln, suffix)?;
-                return Ok((InstKind::Load { ptr: val(rest)? }, Some(ty)));
+                let ty = ty()?;
+                Ok((InstKind::Load { ptr: val(rest)? }, Some(ty)))
             }
             "icmp" => {
                 let op = parse_cmp(ln, suffix)?;
-                let (a, b) = two(rest)?;
-                return Ok((InstKind::Icmp(op, a, b), Some(Type::I64)));
+                let (a, b) = two()?;
+                Ok((InstKind::Icmp(op, a, b), Some(Type::I64)))
             }
             "fcmp" => {
                 let op = parse_fcmp(ln, suffix)?;
-                let (a, b) = two(rest)?;
-                return Ok((InstKind::Fcmp(op, a, b), Some(Type::I64)));
+                let (a, b) = two()?;
+                Ok((InstKind::Fcmp(op, a, b), Some(Type::I64)))
             }
             "phi" => {
-                let ty = parse_type(ln, suffix)?;
+                let ty = ty()?;
                 let mut incs = Vec::new();
                 // [bb0: %2], [bb2: %9]
                 for part in rest.split(']') {
@@ -377,92 +387,85 @@ fn parse_inst(
                     let Some(inner) = part.strip_prefix('[') else {
                         continue;
                     };
-                    let (bb, v) = inner.split_once(':').ok_or(ParseError {
-                        line: ln,
-                        message: "bad phi incoming".into(),
-                    })?;
+                    let (bb, v) = inner.split_once(':').ok_or_else(fail("bad phi incoming"))?;
                     incs.push((block(bb)?, val(v)?));
                 }
-                return Ok((InstKind::Phi(incs), Some(ty)));
+                Ok((InstKind::Phi(incs), Some(ty)))
             }
             "select" => {
-                let ty = parse_type(ln, suffix)?;
-                let parts: Vec<&str> = rest.split(',').collect();
-                if parts.len() != 3 {
-                    return err(ln, "select needs three operands");
-                }
-                return Ok((
-                    InstKind::Select {
-                        cond: val(parts[0])?,
-                        tval: val(parts[1])?,
-                        fval: val(parts[2])?,
-                    },
-                    Some(ty),
-                ));
+                let ty = ty()?;
+                let (c, t, e) = three().ok_or_else(fail("select needs three operands"))?;
+                let (cond, tval, fval) = (val(c)?, val(t)?, val(e)?);
+                Ok((InstKind::Select { cond, tval, fval }, Some(ty)))
             }
-            _ => return err(ln, format!("unknown mnemonic `{mn}`")),
-        }
+            _ => {
+                if let Some(op) = lookup(BinOp::ALL, BinOp::mnemonic, base) {
+                    let ty = ty()?;
+                    let (a, b) = two()?;
+                    Ok((InstKind::Binary(op, a, b), Some(ty)))
+                } else if let Some(op) = lookup(CastOp::ALL, CastOp::mnemonic, base) {
+                    let ty = ty()?;
+                    Ok((InstKind::Cast(op, val(rest)?), Some(ty)))
+                } else {
+                    err(ln, format!("unknown mnemonic `{mn}`"))
+                }
+            }
+        };
     }
 
     match mn {
         "nop" => Ok((InstKind::Nop, None)),
         "fconst" => {
-            let c: f64 = rest.parse().map_err(|_| ParseError {
-                line: ln,
-                message: format!("bad float constant `{rest}`"),
-            })?;
+            let c = rest
+                .parse()
+                .map_err(|_| perr(ln, format!("bad float constant `{rest}`")))?;
             Ok((InstKind::ConstFloat(c), Some(Type::F64)))
         }
         "alloca" => {
             // alloca N, align A
-            let (sz, al) = rest.split_once(',').ok_or(ParseError {
-                line: ln,
-                message: "alloca needs size and alignment".into(),
-            })?;
-            let size: u32 = sz.trim().parse().map_err(|_| ParseError {
-                line: ln,
-                message: "bad alloca size".into(),
-            })?;
-            let align: u32 = al
+            let (sz, al) = rest
+                .split_once(',')
+                .ok_or_else(fail("alloca needs size and alignment"))?;
+            let size = sz.trim().parse().ok().ok_or_else(fail("bad alloca size"))?;
+            let align = al
                 .trim()
                 .strip_prefix("align ")
-                .and_then(|a| a.parse().ok())
-                .ok_or(ParseError {
-                    line: ln,
-                    message: "bad alloca alignment".into(),
-                })?;
+                .and_then(|a| a.parse().ok());
+            let align = align.ok_or_else(fail("bad alloca alignment"))?;
             Ok((InstKind::Alloca { size, align }, Some(Type::Ptr)))
         }
         "store" => {
-            let (v, p) = two(rest)?;
+            let (v, p) = two()?;
             Ok((InstKind::Store { ptr: p, val: v }, None))
         }
         "gep" => {
             // gep %base, %idx x SCALE + DISP
-            let (base_tok, tail) = rest.split_once(',').ok_or(ParseError {
-                line: ln,
-                message: "gep needs base and index".into(),
-            })?;
-            let (idx_tok, tail) = tail.split_once(" x ").ok_or(ParseError {
-                line: ln,
-                message: "gep missing scale".into(),
-            })?;
-            let (scale_tok, disp_tok) = tail.split_once(" + ").ok_or(ParseError {
-                line: ln,
-                message: "gep missing displacement".into(),
-            })?;
+            let (base, tail) = rest
+                .split_once(',')
+                .ok_or_else(fail("gep needs base and index"))?;
+            let (index, tail) = tail
+                .split_once(" x ")
+                .ok_or_else(fail("gep missing scale"))?;
+            let (scale, disp) = tail
+                .split_once(" + ")
+                .ok_or_else(fail("gep missing displacement"))?;
+            let (base, index) = (val(base)?, val(index)?);
+            let scale = scale
+                .trim()
+                .parse()
+                .ok()
+                .ok_or_else(fail("bad gep scale"))?;
+            let disp = disp
+                .trim()
+                .parse()
+                .ok()
+                .ok_or_else(fail("bad gep displacement"))?;
             Ok((
                 InstKind::Gep {
-                    base: val(base_tok)?,
-                    index: val(idx_tok)?,
-                    scale: scale_tok.trim().parse().map_err(|_| ParseError {
-                        line: ln,
-                        message: "bad gep scale".into(),
-                    })?,
-                    disp: disp_tok.trim().parse().map_err(|_| ParseError {
-                        line: ln,
-                        message: "bad gep displacement".into(),
-                    })?,
+                    base,
+                    index,
+                    scale,
+                    disp,
                 },
                 Some(Type::Ptr),
             ))
@@ -473,70 +476,53 @@ fn parse_inst(
                 return err(ln, "call missing `(`");
             };
             let callee = rest[..paren].trim();
-            let args_text = rest[paren + 1..].trim_end_matches(')');
             let mut args = Vec::new();
-            for a in args_text.split(',') {
+            for a in rest[paren + 1..].trim_end_matches(')').split(',') {
                 let a = a.trim();
                 if !a.is_empty() {
                     args.push(val(a)?);
                 }
             }
             if let Some(fidx) = callee.strip_prefix("@f") {
-                let fi: usize = fidx.parse().map_err(|_| ParseError {
-                    line: ln,
-                    message: format!("bad callee `{callee}`"),
-                })?;
+                let fi: usize = fidx
+                    .parse()
+                    .map_err(|_| perr(ln, format!("bad callee `{callee}`")))?;
                 if fi >= module.num_functions() {
                     return err(ln, format!("call to undeclared {callee}"));
                 }
-                let fid = FuncId::from_index(fi);
-                let ret = module.function(fid).sig.ret;
-                Ok((InstKind::Call { func: fid, args }, ret))
+                let func = FuncId::from_index(fi);
+                Ok((InstKind::Call { func, args }, module.function(func).sig.ret))
             } else {
                 let intr = parse_intrinsic(ln, callee)?;
-                let (_, ret) = intr.signature();
-                Ok((InstKind::IntrinsicCall { intr, args }, ret))
+                Ok((InstKind::IntrinsicCall { intr, args }, intr.signature().1))
             }
         }
         "global_addr" => {
-            let g = rest
-                .trim()
-                .strip_prefix("@g")
-                .and_then(|n| n.parse::<usize>().ok())
-                .ok_or(ParseError {
-                    line: ln,
-                    message: format!("bad global ref `{rest}`"),
-                })?;
+            let g = rest.trim().strip_prefix("@g").and_then(|n| n.parse().ok());
+            let g: usize = g.ok_or_else(|| perr(ln, format!("bad global ref `{rest}`")))?;
             if g >= module.num_globals() {
                 return err(ln, "reference to undeclared global");
             }
             Ok((
-                InstKind::GlobalAddr(crate::entities::GlobalId::from_index(g)),
+                InstKind::GlobalAddr(GlobalId::from_index(g)),
                 Some(Type::Ptr),
             ))
         }
         "br" => Ok((InstKind::Br(block(rest)?), None)),
         "cond_br" => {
-            let parts: Vec<&str> = rest.split(',').collect();
-            if parts.len() != 3 {
-                return err(ln, "cond_br needs condition and two targets");
-            }
+            let (c, t, e) = three().ok_or_else(fail("cond_br needs condition and two targets"))?;
+            let (cond, then_bb, else_bb) = (val(c)?, block(t)?, block(e)?);
             Ok((
                 InstKind::CondBr {
-                    cond: val(parts[0])?,
-                    then_bb: block(parts[1])?,
-                    else_bb: block(parts[2])?,
+                    cond,
+                    then_bb,
+                    else_bb,
                 },
                 None,
             ))
         }
-        "ret" => {
-            if rest.is_empty() {
-                Ok((InstKind::Ret(None), None))
-            } else {
-                Ok((InstKind::Ret(Some(val(rest)?)), None))
-            }
-        }
+        "ret" if rest.is_empty() => Ok((InstKind::Ret(None), None)),
+        "ret" => Ok((InstKind::Ret(Some(val(rest)?)), None)),
         "unreachable" => Ok((InstKind::Unreachable, None)),
         _ => err(ln, format!("unknown instruction `{mn}`")),
     }
@@ -721,6 +707,84 @@ bb0:
 
         let noclose = "; module x\nfunc @f() {\nbb0:\n  ret\n";
         assert!(parse_module(noclose).is_err());
+    }
+
+    #[test]
+    fn skips_comment_lines_inside_bodies() {
+        let text = "; module c\n; top\nfunc @f() -> i64 {\n; before the label\nbb0:\n  ; a comment\n  %1 = iconst.i64 1\n;\n  ret %1\n}\n";
+        let m = parse_module(text).unwrap();
+        m.verify().unwrap();
+        assert_eq!(m.function(FuncId::from_index(0)).num_live_insts(), 2);
+    }
+
+    #[test]
+    fn rejects_a_duplicate_block_label() {
+        let text = "func @f() -> i64 {\nbb0:\n  %1 = iconst.i64 1\nbb0:\n  ret %1\n}\n";
+        let e = parse_module(text).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (4, "duplicate block label `bb0`")
+        );
+        // A forward reference before the label is not a second label.
+        let fwd = "func @f() {\nbb0:\n  br bb1\nbb1:\n  ret\n}\n";
+        parse_module(fwd).unwrap().verify().unwrap();
+    }
+
+    /// Every error site: the line it names and a substring of its message.
+    #[test]
+    fn error_sites_name_their_line_and_cause() {
+        let head = "global @g0 \"g\" [8 bytes]\nfunc @f(i64 %0) -> i64 {\nbb0:\n";
+        let cases: &[(&str, &str)] = &[
+            ("  %1 = add.i64 %0, %x", "bad value ` %x`"),
+            ("  %1 = add.i64 %0, %7", "undefined value %7"),
+            ("  br bb+5", "undefined block bb5"),
+            ("  br cc1", "bad block label `cc1`"),
+            ("  %1 = add.i64 %0", "expected two operands"),
+            ("  %1 = gep %0", "gep needs base and index"),
+            ("  %1 = gep %0, %0", "gep missing scale"),
+            ("  %1 = gep %0, %0 x 8", "gep missing displacement"),
+            ("  %1 = gep %0, %0 x s + 0", "bad gep scale"),
+            ("  %1 = gep %0, %0 x 8 + d", "bad gep displacement"),
+            ("  %1 = alloca 8", "alloca needs size and alignment"),
+            ("  %1 = alloca s, align 8", "bad alloca size"),
+            ("  %1 = alloca 8, 8", "bad alloca alignment"),
+            ("  %1 = select.i64 %0, %0", "select needs three operands"),
+            (
+                "  cond_br %0, bb0",
+                "cond_br needs condition and two targets",
+            ),
+            ("  %1 = phi.i64 [bb0 %0]", "bad phi incoming"),
+            ("  %1 = call @f0", "call missing `(`"),
+            ("  %1 = call @fx(%0)", "bad callee `@fx`"),
+            ("  %1 = call @f9(%0)", "call to undeclared @f9"),
+            ("  %1 = call bogus(%0)", "unknown intrinsic `bogus`"),
+            ("  %1 = global_addr g0", "bad global ref `g0`"),
+            ("  %1 = global_addr @g3", "reference to undeclared global"),
+            ("  %1 = iconst.i64 x", "bad integer constant `x`"),
+            ("  %1 = fconst x", "bad float constant `x`"),
+            ("  %1 = icmp.lt %0, %0", "unknown icmp predicate `lt`"),
+            ("  %1 = add.i3 %0, %0", "unknown type `i3`"),
+            ("  %1 = frob.i64 %0", "unknown mnemonic `frob.i64`"),
+            ("  frob %0", "unknown instruction `frob`"),
+            ("  %0 = iconst.i64 1", "duplicate definition of %0"),
+        ];
+        for &(line, want) in cases {
+            let text = format!("{head}{line}\n  ret %0\n}}\n");
+            let e = parse_module(&text).expect_err(line);
+            assert_eq!(e.line, 4, "{line}: {e}");
+            assert!(e.message.contains(want), "{line}: got `{}`", e.message);
+        }
+    }
+
+    /// Id tables hold one entry per id the text names, not one per id
+    /// value: the largest `u32` id parses without a table sized by it.
+    #[test]
+    fn the_largest_ids_parse_in_memory_linear_in_the_input() {
+        let text = "func @f() -> i64 {\nbb0:\n  %4294967295 = iconst.i64 1\n  ret %4294967295\n}\n";
+        let m = parse_module(text).unwrap();
+        m.verify().unwrap();
+        let f = m.function(FuncId::from_index(0));
+        assert_eq!((f.num_insts(), f.num_blocks()), (2, 1));
     }
 
     #[test]
